@@ -30,7 +30,8 @@ from . import htpy as htpy_mod
 from . import koszul as koszul_mod
 from . import linfty as linfty_mod
 from . import simplexmodel as simplex_mod
-from .gradedlin import dumps_canonical, scalar_from_str, scalar_to_str
+from .gradedlin import (CapError, dumps_canonical, scalar_from_str,
+                        scalar_to_str)
 
 SCHEMA_VERSION = 1
 
@@ -232,9 +233,21 @@ def run_cohomology(doc, caps):
     return [record("cohomology-computed", True)], {"cohomology": table}
 
 
+def _extension_arity(doc):
+    """K of an obstruction or extend document: an integer K >= 1 whose
+    arity K + 1 is within the arity guard."""
+    K = doc["K"]
+    if isinstance(K, bool) or not isinstance(K, int) or K < 1:
+        raise InputError("K must be an integer >= 1, got %r" % (K,))
+    if K + 1 > GUARDS["arity"]:
+        raise CapGuard("arity K+1=%d exceeds the guard %d"
+                       % (K + 1, GUARDS["arity"]))
+    return K
+
+
 def run_obstruction(doc, caps):
     src, tgt, f = _three_part(doc, extra_req=("K",))
-    K = doc["K"]
+    K = _extension_arity(doc)
     obc = linfty_mod.obstruction_class(f, K)
     closed = linfty_mod.delta1(src, tgt, obc.cocycle, deg_g=1)
     is_closed = all(not v for v in closed.values())
@@ -246,7 +259,8 @@ def run_obstruction(doc, caps):
 
 def run_extend(doc, caps):
     src, tgt, f = _three_part(doc, extra_req=("K",))
-    ext, obc = linfty_mod.extend_morphism(f, doc["K"])
+    K = _extension_arity(doc)
+    ext, obc = linfty_mod.extend_morphism(f, K)
     checks = [record("extension-exists", ext is not None,
                      witness=None if ext is not None else
                      [{"at": ["obstruction"],
@@ -255,7 +269,7 @@ def run_extend(doc, caps):
     if ext is not None:
         result["morphism"] = ext.to_json()
         checks.append(report_record(linfty_mod.check_morphism(
-            ext, up_to=min(doc["K"] + 1, ext.arity_cap))))
+            ext, up_to=min(K + 1, ext.arity_cap))))
     return checks, result
 
 
@@ -776,7 +790,7 @@ def main(argv=None):
     except InputError as exc:
         print("input error: %s" % exc, file=sys.stderr)
         return 2
-    except CapGuard as exc:
+    except (CapGuard, CapError, simplex_mod.SimplexCapError) as exc:
         print("cap guard: %s" % exc, file=sys.stderr)
         return 3
 

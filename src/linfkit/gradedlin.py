@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
+from heapq import heapify, heappop, heappush
 from itertools import combinations
 
 UNSHUFFLE_CAP = 12
@@ -49,73 +50,168 @@ def scalar_from_str(s: str) -> Fraction:
 
 
 # ---------------------------------------------------------------------------
-# rational matrix routines (dense lists of Fractions; desk scale)
+# exact linear algebra: one incremental sparse echelon engine
+
+
+class Echelon:
+    """Incremental row echelon form of sparse rational vectors
+    {column: coefficient}.
+
+    A stored row has its pivot at its smallest column, with coefficient
+    1 left implicit.  Rows are reduced forward on insert only; back
+    substitution runs when a solution or the reduced rows are asked
+    for.  The reduced row echelon form is unique, so every answer
+    (pivot set, canonical solution, kernel basis, greedy complement)
+    depends only on the inserted vectors and their order.
+
+    With track=True each row also keeps itself as a combination of the
+    inserted vectors, numbered in insertion order, for coords().
+    """
+
+    def __init__(self, track=False):
+        self.rows = {}
+        self.combos = {} if track else None
+        self.inserted = 0
+
+    @property
+    def rank(self):
+        return len(self.rows)
+
+    def reduce(self, v, acc=None):
+        """What is left of v after subtracting pivot rows in increasing
+        pivot order ({} iff v is in the span).  With acc, the multiples
+        of the rows' combinations subtracted are added to acc."""
+        v, rows = {k: x for k, x in v.items() if x}, self.rows
+        heap = [k for k in v if k in rows]
+        heapify(heap)
+        while heap:
+            p = heappop(heap)
+            f = v.pop(p, None)
+            if f is None:
+                continue
+            for k, x in rows[p].items():
+                if k in v:
+                    v[k] -= f * x
+                    if not v[k]:
+                        del v[k]
+                else:
+                    v[k] = -f * x
+                    if k in rows:
+                        heappush(heap, k)
+            if acc is not None:
+                for j, c in self.combos[p].items():
+                    acc[j] = acc.get(j, 0) + f * c
+        return v
+
+    def insert(self, v):
+        """Store what is left of v after reduction as a new pivot row.
+        True iff v is independent of the vectors inserted before it."""
+        acc = {} if self.combos is not None else None
+        r = self.reduce(v, acc)
+        self.inserted += 1
+        if not r:
+            return False
+        p = min(r)
+        inv = 1 / Fraction(r.pop(p))
+        self.rows[p] = {k: x * inv for k, x in r.items()} if inv != 1 else r
+        if acc is not None:
+            acc = {j: -c * inv for j, c in acc.items() if c}
+            acc[self.inserted - 1] = inv
+            self.combos[p] = acc
+        return True
+
+    def coords(self, v):
+        """{insertion index: c} expressing v in the independent inserted
+        vectors, or None if v is not in their span (needs track)."""
+        acc = {}
+        if self.reduce(v, acc):
+            return None
+        return {j: c for j, c in acc.items() if c}
+
+    def solution(self, ncols):
+        """Canonical solution {column: nonzero value} (free variables
+        zero) of the rows inserted with their right-hand side in column
+        ncols, or None if they are inconsistent."""
+        if ncols in self.rows:
+            return None
+        x = {}
+        for p in sorted(self.rows, reverse=True):
+            s = self.rows[p].get(ncols, 0)
+            for k, c in self.rows[p].items():
+                if k in x:
+                    s -= c * x[k]
+            if s:
+                x[p] = s
+        return x
+
+    def reduced_rows(self):
+        """Reduced row echelon form: {pivot: row without its pivot}."""
+        full = {}
+        for p in sorted(self.rows, reverse=True):
+            r = dict(self.rows[p])
+            for q in [k for k in r if k in full]:
+                f = r.pop(q)
+                for k, c in full[q].items():
+                    r[k] = r.get(k, 0) - f * c
+            full[p] = {k: c for k, c in r.items() if c}
+        return full
+
+
+def _sparse(vec):
+    return {j: x for j, x in enumerate(vec) if x}
+
+
+def echelon_of(vectors, track=False):
+    """An Echelon with the given dense vectors inserted in order."""
+    ech = Echelon(track)
+    for v in vectors:
+        ech.insert(_sparse(v))
+    return ech
+
+
+def _dense(vec, ncols):
+    return [vec.get(j, Fraction(0)) for j in range(ncols)]
 
 
 def rref(rows):
     """Reduced row echelon form.  Returns (new_rows, pivot_columns).
 
     Input is a list of rows (lists of Fractions); the input is not
-    mutated.
+    mutated.  Zero rows pad the result to the input's row count.
     """
-    m = [list(r) for r in rows]
-    if not m:
+    if not rows:
         return [], []
-    ncols = len(m[0])
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        piv = None
-        for i in range(r, len(m)):
-            if m[i][c] != 0:
-                piv = i
-                break
-        if piv is None:
-            continue
-        m[r], m[piv] = m[piv], m[r]
-        inv = Fraction(1) / m[r][c]
-        m[r] = [x * inv for x in m[r]]
-        for i in range(len(m)):
-            if i != r and m[i][c] != 0:
-                f = m[i][c]
-                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
-        pivots.append(c)
-        r += 1
-        if r == len(m):
-            break
-    return m[:r] + [[Fraction(0)] * ncols for _ in range(len(m) - r)], pivots
+    ncols = len(rows[0])
+    full = echelon_of(rows).reduced_rows()
+    pivots = sorted(full)
+    red = [_dense({**full[p], p: Fraction(1)}, ncols) for p in pivots]
+    return red + [_dense({}, ncols) for _ in rows[len(pivots):]], pivots
 
 
 def matrix_rank(rows):
-    _, piv = rref(rows)
-    return len(piv)
+    return echelon_of(rows).rank
 
 
 def nullspace(rows, ncols=None):
     """Basis of the right kernel of the matrix (rows act on column
-    vectors of length ncols).  Returns a list of vectors (lists)."""
+    vectors of length ncols), one vector per free column in order.
+    Returns a list of vectors (lists)."""
     if ncols is None:
         if not rows:
             raise ValueError("ncols required for an empty matrix")
         ncols = len(rows[0])
-    if not rows:
-        basis = []
-        for j in range(ncols):
-            v = [Fraction(0)] * ncols
-            v[j] = Fraction(1)
-            basis.append(v)
-        return basis
-    red, pivots = rref(rows)
-    pivset = set(pivots)
-    free = [j for j in range(ncols) if j not in pivset]
-    basis = []
-    for j in free:
-        v = [Fraction(0)] * ncols
-        v[j] = Fraction(1)
-        for r, c in enumerate(pivots):
-            v[c] = -red[r][j]
-        basis.append(v)
-    return basis
+    full = echelon_of(rows).reduced_rows()
+    return [_dense({j: Fraction(1), **{p: -r[j] for p, r in full.items()
+                                       if j in r}}, ncols)
+            for j in range(ncols) if j not in full]
+
+
+def _solve(rows, rhs, ncols):
+    ech = Echelon()
+    for row, b in zip(rows, rhs):
+        ech.insert({**row, ncols: b})
+    x = ech.solution(ncols)
+    return None if x is None else _dense(x, ncols)
 
 
 def solve_canonical(rows, rhs, ncols=None):
@@ -124,104 +220,27 @@ def solve_canonical(rows, rhs, ncols=None):
     system is inconsistent.  The tie-break makes constructions
     reproducible across runs."""
     if ncols is None:
-        if not rows:
-            ncols = 0
-        else:
-            ncols = len(rows[0])
-    aug = [list(r) + [b] for r, b in zip(rows, rhs)]
-    if not aug:
-        return [Fraction(0)] * ncols
-    red, pivots = rref(aug)
-    if ncols in pivots:
-        return None
-    x = [Fraction(0)] * ncols
-    for r, c in enumerate(pivots):
-        x[c] = red[r][ncols]
-    return x
+        ncols = len(rows[0]) if rows else 0
+    return _solve([_sparse(r) for r in rows], rhs, ncols)
 
 
 def solve_sparse(rows, rhs, ncols):
     """Sparse variant of solve_canonical.  rows is a list of dicts
     {column index: Fraction}; returns the same canonical solution (free
-    variables zero, pivot columns chosen left to right) or None.
-
-    Forward elimination touches only not-yet-pivoted rows, so fill-in
-    stays proportional to the actual coupling; the answer agrees with
-    the dense routine because the pivot column set depends only on the
-    matrix."""
-    work = [dict(r) for r in rows]
-    b = [Fraction(x) for x in rhs]
-    col_rows = {}
-    for i, r in enumerate(work):
-        for c in r:
-            col_rows.setdefault(c, set()).add(i)
-    processed = [False] * len(work)
-    pivots = []
-    for c in range(ncols):
-        cand = None
-        for i in sorted(col_rows.get(c, ())):
-            if not processed[i] and work[i].get(c):
-                cand = i
-                break
-        if cand is None:
-            continue
-        row = work[cand]
-        inv = Fraction(1) / row[c]
-        if inv != 1:
-            for k in row:
-                row[k] *= inv
-            b[cand] *= inv
-        for i in list(col_rows.get(c, ())):
-            if i == cand or processed[i]:
-                continue
-            r2 = work[i]
-            f = r2.get(c)
-            if not f:
-                continue
-            for k, v in row.items():
-                nv = r2.get(k, Fraction(0)) - f * v
-                if nv:
-                    r2[k] = nv
-                    col_rows.setdefault(k, set()).add(i)
-                else:
-                    r2.pop(k, None)
-            b[i] -= f * b[cand]
-        processed[cand] = True
-        pivots.append((c, cand))
-    for i, r in enumerate(work):
-        if not processed[i]:
-            if any(v != 0 for v in r.values()):
-                return None
-            if b[i] != 0:
-                return None
-    x = [Fraction(0)] * ncols
-    for c, i in reversed(pivots):
-        s = b[i]
-        for k, v in work[i].items():
-            if k != c:
-                s -= v * x[k]
-        x[c] = s
-    return x
+    variables zero, pivot columns chosen left to right) or None."""
+    return _solve(rows, rhs, ncols)
 
 
 def in_span(vectors, v):
     """Is v in the span of the given vectors (all plain lists)?"""
-    if not vectors:
-        return all(x == 0 for x in v)
-    cols = [list(col) for col in zip(*vectors)]
-    return solve_canonical(cols, list(v), ncols=len(vectors)) is not None
+    return not echelon_of(vectors).reduce(_sparse(v))
 
 
 def complement_in(amb_basis, sub_basis):
     """Vectors among amb_basis completing sub_basis to a basis of the
     span of both, chosen greedily in order (echelon complement)."""
-    chosen = list(sub_basis)
-    out = []
-    for v in amb_basis:
-        if not in_span(chosen, v):
-            chosen.append(v)
-            out.append(v)
-    return out
+    ech = echelon_of(sub_basis)
+    return [v for v in amb_basis if ech.insert(_sparse(v))]
 
 
 # ---------------------------------------------------------------------------
@@ -526,15 +545,11 @@ def cohomology(d: GradedMap):
         prev = space.basis_in_degree(deg - 1)
         mat = d.matrix(src, tgt)  # rows: tgt, cols: src
         ker = nullspace(mat, ncols=len(src))
-        img = []
-        if prev:
-            pm = d.matrix(prev, src)
-            cols = [[pm[r][c] for r in range(len(src))]
-                    for c in range(len(prev))]
-            red, piv = rref(cols)
-            img = [red[i] for i in range(len(piv))]
-        reps = complement_in(ker, img)
-        hdim = len(ker) - matrix_rank(img) if img else len(ker)
+        # the image of the incoming differential, one column per
+        # generator of degree deg - 1
+        img = echelon_of(zip(*d.matrix(prev, src)))
+        hdim = len(ker) - img.rank
+        reps = [v for v in ker if img.insert(_sparse(v))]
         out[deg] = {
             "dim": hdim,
             "reps": [{lab: c for lab, c in zip(src, v) if c != 0}

@@ -29,10 +29,10 @@ import contextlib
 import random
 from fractions import Fraction
 
-from .gradedlin import (GradedMap, GradedSpace, canonical_word, nullspace,
-                        scalar_to_str, solve_canonical, solve_sparse,
-                        split_sign, sym_words, unshuffles, vec_add, vec_scale,
-                        word_degree)
+from .gradedlin import (Echelon, GradedMap, GradedSpace, canonical_word,
+                        nullspace, scalar_to_str, solve_canonical,
+                        solve_sparse, split_sign, sym_words, unshuffles,
+                        vec_add, vec_scale, word_degree)
 from .linfty import (CheckReport, LInftyAlgebra, LInftyMorphism,
                      check_morphism, check_relations, compose, is_quasi_iso,
                      obstruction_cocycle, partition_terms)
@@ -440,11 +440,10 @@ def fill_n_homotopy(fs, boundary=None, K=2):
     # --- signed boundary map to the vertex level (zero when n_out = 1)
     def boundary_rows(deg):
         """Rows of the boundary map on the degree-deg part of the sum,
-        indexed by (vertex, target label)."""
-        if n_out == 1:
-            return [], []
+        indexed by (vertex, target label), and its columns."""
         src = sum_space.basis_in_degree(deg)
-        row_index = []
+        if n_out == 1:
+            return [], src
         rows = {}
         for J in faces:
             eps = _edge_sign(J, n_out)
@@ -460,47 +459,37 @@ def fill_n_homotopy(fs, boundary=None, K=2):
                         rows.setdefault(key, {})[i] = \
                             rows.get(key, {}).get(i, Fraction(0)) \
                             + eps * sgn * c
-        for key in sorted(rows):
-            row_index.append(key)
-        mat = []
-        for key in row_index:
-            mat.append([rows[key].get(i, Fraction(0))
-                        for i in range(len(src))])
-        return mat, src
+        return [[rows[key].get(i, Fraction(0)) for i in range(len(src))]
+                for key in sorted(rows)], src
 
     # --- kernel of the boundary, as labeled vectors in the sum
     kvecs = {}
     korder = []
     for deg in sum_space.degrees():
         mat, src = boundary_rows(deg)
-        if n_out == 1:
-            src = sum_space.basis_in_degree(deg)
-            basis = []
-            for j in range(len(src)):
-                v = [Fraction(0)] * len(src)
-                v[j] = Fraction(1)
-                basis.append(v)
-        else:
-            basis = nullspace(mat, ncols=len(src)) if src else []
-        for i, v in enumerate(basis):
+        for i, v in enumerate(nullspace(mat, ncols=len(src))):
             lab = "k%d_%d" % (deg, i)
             kvecs[lab] = ({b: c for b, c in zip(src, v) if c != 0}, deg)
             korder.append(lab)
 
+    ker_span = {}
+
     def ker_coords(vec, deg):
         """Coordinates of a sum vector in the kernel basis of its
         degree, or None when it is not in the kernel span."""
-        labs = [k for k in korder if kvecs[k][1] == deg]
-        amb = sum_space.basis_in_degree(deg)
-        cols = [[kvecs[k][0].get(b, Fraction(0)) for b in amb]
-                for k in labs]
-        mat = [[cols[j][i] for j in range(len(labs))]
-               for i in range(len(amb))]
-        rhs = [vec.get(b, Fraction(0)) for b in amb]
-        x = solve_canonical(mat, rhs, ncols=len(labs))
+        if deg not in ker_span:
+            labs = [k for k in korder if kvecs[k][1] == deg]
+            pos = {b: i for i, b in
+                   enumerate(sum_space.basis_in_degree(deg))}
+            ech = Echelon(track=True)
+            for k in labs:
+                ech.insert({pos[b]: c for b, c in kvecs[k][0].items()})
+            ker_span[deg] = labs, pos, ech
+        labs, pos, ech = ker_span[deg]
+        x = ech.coords({pos[b]: c for b, c in vec.items() if b in pos})
         if x is None:
             return None
-        return {k: c for k, c in zip(labs, x) if c != 0}
+        return {labs[j]: c for j, c in sorted(x.items())}
 
     # differential restricted to the kernel, in kernel coordinates
     d_ker = {}

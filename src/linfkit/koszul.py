@@ -20,8 +20,8 @@ import itertools
 from fractions import Fraction
 
 from .gradedlin import (GradedMap, GradedSpace, cohomology, complement_in,
-                        solve_canonical, sym_words, vec_add, vec_scale,
-                        word_degree)
+                        echelon_of, matrix_rank, sym_words, vec_add,
+                        vec_scale, word_degree)
 from .linfty import (LInftyAlgebra, LInftyMorphism, check_morphism,
                      direct_sum, is_quasi_iso, l1_cohomology, l1_map,
                      quad_residual)
@@ -558,21 +558,18 @@ def quotient_cohomology(f):
     for d in degrees:
         nxt = d + 1
         cols = quots.get(nxt, [])
-        imgs = images.get(nxt, [])
-        basis_next = bases.get(nxt, [])
+        span = echelon_of(cols + images.get(nxt, []), track=True)
+        pos = {b: j for j, b in enumerate(bases.get(nxt, []))}
         for i, vec in enumerate(quots[d]):
             elem = {}
             for b, c in zip(bases[d], vec):
                 if c:
                     elem = vec_add(elem, vec_scale(c, dmap.apply_gen(b)))
-            rhs = [elem.get(b, Fraction(0)) for b in basis_next]
-            mat = [[row[j] for row in cols] + [row2[j] for row2 in imgs]
-                   for j in range(len(basis_next))]
-            sol = solve_canonical(mat, rhs, ncols=len(cols) + len(imgs))
+            sol = span.coords({pos[b]: c for b, c in elem.items()})
             if sol is None:
                 raise ValueError("image is not a subcomplex")
-            for k2, c in enumerate(sol[:len(cols)]):
-                if c:
+            for k2, c in sorted(sol.items()):
+                if k2 < len(cols):
                     entries[("c%d_%d" % (d, i),
                              "c%d_%d" % (nxt, k2))] = c
     qd = GradedMap(qspace, qspace, 1, entries)
@@ -688,7 +685,6 @@ def fooo_embedding_check(section, amb_section, bundle_map, verify_cap=None):
             e[i] = 1
             row.append(p.get(tuple(e), Fraction(0)))
         lin.append(row)
-    from .gradedlin import matrix_rank
     rk = matrix_rank(lin) if lin else 0
     checks["linearization_rank"] = rk
     if rk != len(normal):

@@ -16,9 +16,9 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .gradedlin import (GradedMap, GradedSpace, canonical_word, cohomology,
-                        in_span, koszul_sign, solve_canonical, split_sign,
-                        sym_words, unshuffles, vec_add, vec_scale,
+from .gradedlin import (Echelon, GradedMap, GradedSpace, canonical_word,
+                        cohomology, koszul_sign, matrix_rank, solve_sparse,
+                        split_sign, sym_words, unshuffles, vec_add, vec_scale,
                         word_degree, scalar_to_str, scalar_from_str)
 
 DEFAULT_ARITY_CAP = 4
@@ -601,31 +601,19 @@ def induced_map_on_cohomology(f: LInftyMorphism):
         sb = HB.get(d, {"dim": 0, "reps": []})
         tgt_basis = f.target.space.basis_in_degree(d)
         prev = f.target.space.basis_in_degree(d - 1)
-        img_cols = []
-        for p in prev:
-            v = dB.apply_gen(p)
-            img_cols.append([v.get(b, Fraction(0)) for b in tgt_basis])
-        rep_cols = [[r.get(b, Fraction(0)) for b in tgt_basis]
-                    for r in sb["reps"]]
-        cols = rep_cols + img_cols
-        mat = []
-        if cols:
-            matT = [list(c) for c in cols]
-            mat = [[matT[c][r] for c in range(len(cols))]
-                   for r in range(len(tgt_basis))]
+        pos = {b: i for i, b in enumerate(tgt_basis)}
+        # the target representatives, then the image of dB: coordinates
+        # on the representatives are the matrix entries
+        span = Echelon(track=True)
+        for v in sb["reps"] + [dB.apply_gen(p) for p in prev]:
+            span.insert({pos[b]: c for b, c in v.items()})
+        zero = Fraction(0)
         rows = []
         for r in sa["reps"]:
-            v = f1.apply(r)
-            vv = [v.get(b, Fraction(0)) for b in tgt_basis]
-            if not cols:
-                if any(x != 0 for x in vv):
-                    return None
-                rows.append([])
-                continue
-            x = solve_canonical(mat, vv, ncols=len(cols))
+            x = span.coords({pos[b]: c for b, c in f1.apply(r).items()})
             if x is None:
                 return None
-            rows.append(x[:len(rep_cols)])
+            rows.append([x.get(j, zero) for j in range(len(sb["reps"]))])
         out[d] = {"matrix": rows, "source_dim": sa["dim"],
                   "target_dim": sb["dim"]}
     return out
@@ -643,7 +631,6 @@ def is_quasi_iso(f: LInftyMorphism):
         m, n = rec["source_dim"], rec["target_dim"]
         good = (m == n)
         if good and m > 0:
-            from .gradedlin import matrix_rank
             good = matrix_rank(rec["matrix"]) == m
         cert[d] = {"matrix": [[scalar_to_str(c) for c in row]
                               for row in rec["matrix"]],
@@ -805,12 +792,9 @@ def solve_delta1(A, B, rhs, m):
                         - sgn * s2 * c
         target_basis = B.space.basis_in_degree(d)
         for b2 in target_basis:
-            row = [Fraction(0)] * len(unknowns)
-            for u, c in coeffs.get(b2, {}).items():
-                row[uindex[u]] += c
-            rows.append(row)
+            rows.append({uindex[u]: c for u, c in coeffs.get(b2, {}).items()})
             rvec.append(rhs.get(w, {}).get(b2, Fraction(0)))
-    x = solve_canonical(rows, rvec, ncols=len(unknowns))
+    x = solve_sparse(rows, rvec, len(unknowns))
     if x is None:
         return None
     g = {}

@@ -18,9 +18,9 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 
-from .gradedlin import (GradedMap, GradedSpace, in_span, matrix_rank,
-                        nullspace, scalar_from_str, scalar_to_str,
-                        solve_canonical, vec_add, vec_scale)
+from .gradedlin import (Echelon, GradedMap, GradedSpace, echelon_of,
+                        matrix_rank, nullspace, scalar_from_str,
+                        scalar_to_str, vec_add, vec_scale)
 from .linfty import (CheckReport, LInftyAlgebra, LInftyMorphism,
                      check_morphism, check_relations, compose, is_quasi_iso)
 
@@ -556,13 +556,9 @@ def _exactness(model, evs, weight_check):
         sub = [[rows1[r][c] for c in keep] for r in range(len(vert_basis))]
         if not keep:
             continue
-        img_cols = [[rows2[r][c] for r in range(len(edge_basis))]
-                    for c in range(len(src))]
+        img = echelon_of(zip(*rows2))
         for kv in nullspace(sub, ncols=len(keep)):
-            full = [Fraction(0)] * len(edge_basis)
-            for pos, c in zip(keep, kv):
-                full[pos] = c
-            if not in_span(img_cols, full):
+            if img.reduce(dict(zip(keep, kv))):
                 return False, {"degree": d}
     return True, None
 
@@ -625,6 +621,9 @@ class SubspaceAlgebra:
         self.space = GradedSpace(gens)
         self.weights = weights
         self.weight_window = weight_window
+        # per degree: the subspace's labels, the ambient basis positions
+        # and the echelon of its vectors, built on first use
+        self._spans = {}
         ops = {}
         for k in range(1, ambient.arity_cap + 1):
             if k not in ambient.ops and k != 1:
@@ -656,20 +655,20 @@ class SubspaceAlgebra:
         if not deg:
             return {}
         d = deg.pop()
-        cols = [i for i, v in enumerate(self.vectors)
-                if self.space.deg[self.space.labels[i]] == d]
-        amb_basis = self.ambient.space.basis_in_degree(d)
-        mat = [[self.vectors[c].get(b, Fraction(0)) for c in cols]
-               for b in amb_basis]
-        rhs = [elem.get(b, Fraction(0)) for b in amb_basis]
-        x = solve_canonical(mat, rhs, ncols=len(cols))
+        if d not in self._spans:
+            labs = self.space.basis_in_degree(d)
+            pos = {b: j for j, b in
+                   enumerate(self.ambient.space.basis_in_degree(d))}
+            span = Echelon(track=True)
+            for lab in labs:
+                span.insert({pos[b]: c for b, c in
+                             self.vectors[self.space.index[lab]].items()})
+            self._spans[d] = labs, pos, span
+        labs, pos, span = self._spans[d]
+        x = span.coords({pos[b]: c for b, c in elem.items() if b in pos})
         if x is None:
             return None
-        out = {}
-        for c, xi in zip(cols, x):
-            if xi != 0:
-                out[self.space.labels[c]] = xi
-        return out
+        return {labs[j]: c for j, c in sorted(x.items())}
 
     def include_morphism(self) -> LInftyMorphism:
         comps = {1: {(l,): dict(self.vectors[self.space.index[l]])

@@ -8,11 +8,12 @@ from fractions import Fraction as F
 import pytest
 
 from linfkit import cli
-from linfkit.gradedlin import GradedSpace
+from linfkit.gradedlin import CapError, GradedSpace
 from linfkit.linfty import LInftyAlgebra, LInftyMorphism
 from linfkit.derived import (JetMultivectorModel, mv_to_json, poly_to_json,
                              poisson_from_presymplectic)
 from linfkit.koszul import JetRing, Section
+from linfkit.simplexmodel import SimplexCapError
 
 from test_atlas import three_chart_atlas
 
@@ -324,6 +325,33 @@ def test_obstruction_verb_reports_closed_class(tmp_path, capsys):
     report = json.loads(out)
     names = {rec["name"]: rec["ok"] for rec in report["checks"]}
     assert names["obstruction-closed"] is True
+
+
+@pytest.mark.parametrize("verb", ["extend", "obstruction"])
+@pytest.mark.parametrize("K, code", [(40, 3), (6, 3), (-1, 2), (0, 2),
+                                     (True, 2), (2.0, 2), ("2", 2)])
+def test_bad_extension_arity_exits_cleanly(verb, K, code, tmp_path, capsys):
+    """K outside 1 <= K and K + 1 <= the arity guard is refused before
+    any work, with exit 2 (input) or 3 (cap guard) and no traceback."""
+    doc = morphism_doc()
+    doc["K"] = K
+    assert cli.main([verb, write(tmp_path, "a.json", doc)]) == code
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert err.startswith("cap guard:" if code == 3 else "input error:")
+
+
+@pytest.mark.parametrize("error", [CapError, SimplexCapError])
+def test_escaping_cap_error_exits_three(error, tmp_path, capsys,
+                                        monkeypatch):
+    """A cap error raised below a handler maps to exit 3, not a crash."""
+    def too_wide(*args, **kwargs):
+        raise error("too wide")
+    monkeypatch.setattr(cli.linfty_mod, "extend_morphism", too_wide)
+    doc = morphism_doc()
+    doc["K"] = 2
+    assert cli.main(["extend", write(tmp_path, "a.json", doc)]) == 3
+    assert capsys.readouterr().err == "cap guard: too wide\n"
 
 
 @pytest.mark.parametrize("verb", sorted(cli.HANDLERS))

@@ -1,7 +1,8 @@
 """Tests for graded linear algebra utilities.
 
-Linear-algebra answers are checked against hand-computed oracles;
-sign and combinatorics invariants are property-tested.
+Linear-algebra answers are checked against hand-computed oracles and,
+property-tested, against the dense Gauss-Jordan oracle in
+dense_oracle.py; sign and combinatorics invariants are property-tested.
 """
 
 import math
@@ -11,13 +12,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from linfkit.gradedlin import (CapError, GradedMap, GradedSpace,
+from linfkit.gradedlin import (CapError, Echelon, GradedMap, GradedSpace,
                                canonical_word, cohomology, complement_in,
-                               dumps_canonical, euler_check, in_span,
-                               koszul_sign, matrix_rank, nullspace, rref,
-                               scalar_from_str, scalar_to_str, solve_canonical,
-                               split_sign, sym_words, unshuffles, vec_add,
-                               vec_scale, word_degree)
+                               dumps_canonical, echelon_of, euler_check,
+                               in_span, koszul_sign, matrix_rank, nullspace,
+                               rref, scalar_from_str, scalar_to_str,
+                               solve_canonical, solve_sparse, split_sign,
+                               sym_words, unshuffles, vec_add, vec_scale,
+                               word_degree)
+
+import dense_oracle
 
 
 def test_scalar_roundtrip():
@@ -54,22 +58,125 @@ def test_solve_canonical():
     assert solve_canonical(m, [F(0), F(1)], ncols=2) is None
 
 
-def test_solve_sparse_matches_dense():
-    """The sparse solver must return exactly the dense canonical
-    solution (same pivot columns, free variables zero)."""
-    import random
-    from linfkit.gradedlin import solve_sparse
-    rng = random.Random(3)
-    for _ in range(150):
-        n = rng.randint(0, 7)
-        m = rng.randint(0, 9)
-        rows = [[F(rng.choice([0, 0, 0, 1, -1, 2])) for _ in range(n)]
-                for _ in range(m)]
-        rhs = [F(rng.choice([0, 0, 1, -1])) for _ in range(m)]
-        dense = solve_canonical(rows, rhs, ncols=n)
-        sparse = solve_sparse([{j: v for j, v in enumerate(r) if v}
-                               for r in rows], rhs, ncols=n)
-        assert dense == sparse
+# ---------------------------------------------------------------------------
+# the echelon engine against the dense Gauss-Jordan oracle
+
+small_int = st.integers(min_value=-3, max_value=3)
+small_frac = st.builds(F, st.integers(min_value=-4, max_value=4),
+                       st.integers(min_value=1, max_value=3))
+scalars = st.one_of(st.just(F(0)), small_int.map(F), small_frac)
+
+
+@st.composite
+def matrices(draw, max_rows=6, max_cols=6):
+    """(rows, ncols): small rational matrices, with zero rows and
+    duplicated rows mixed in; rows may be empty and ncols may be 0."""
+    ncols = draw(st.integers(min_value=0, max_value=max_cols))
+    rows = draw(st.lists(st.lists(scalars, min_size=ncols,
+                                  max_size=ncols),
+                         max_size=max_rows))
+    extra = draw(st.lists(st.integers(min_value=-1,
+                                      max_value=max(len(rows) - 1, -1)),
+                          max_size=3))
+    for i in extra:
+        rows.append(list(rows[i]) if i >= 0 else [F(0)] * ncols)
+    return rows, ncols
+
+
+def _column_vectors(draw, rows, ncols):
+    """A right-hand side in the column span and an arbitrary one."""
+    x0 = draw(st.lists(scalars, min_size=ncols, max_size=ncols))
+    inside = [sum((a * b for a, b in zip(r, x0)), F(0)) for r in rows]
+    anywhere = draw(st.lists(scalars, min_size=len(rows),
+                             max_size=len(rows)))
+    return inside, anywhere
+
+
+@settings(max_examples=150, deadline=None)
+@given(matrices())
+def test_rref_rank_nullspace_match_oracle(mat):
+    rows, ncols = mat
+    assert rref(rows) == dense_oracle.rref(rows)
+    assert matrix_rank(rows) == dense_oracle.matrix_rank(rows)
+    assert nullspace(rows, ncols=ncols) == \
+        dense_oracle.nullspace(rows, ncols)
+
+
+@settings(max_examples=150, deadline=None)
+@given(matrices(), st.data())
+def test_solves_match_oracle(mat, data):
+    """solve_canonical on dense rows and solve_sparse on dict rows give
+    the oracle's canonical solution, for right-hand sides inside and
+    outside the column span."""
+    rows, ncols = mat
+    sparse_rows = [{j: v for j, v in enumerate(r) if v} for r in rows]
+    for rhs in _column_vectors(data.draw, rows, ncols):
+        want = dense_oracle.solve_canonical(rows, rhs, ncols)
+        assert solve_canonical(rows, rhs, ncols=ncols) == want
+        assert solve_sparse(sparse_rows, rhs, ncols) == want
+
+
+@settings(max_examples=150, deadline=None)
+@given(matrices(), matrices(), st.data())
+def test_span_tests_match_oracle(vecs, amb, data):
+    """in_span, complement_in and tracked coordinates agree with the
+    oracle; vectors of one length are drawn as the rows of a matrix."""
+    vectors, n = vecs
+    amb_basis = [(r + [F(0)] * n)[:n] for r in amb[0]]
+    v = data.draw(st.lists(scalars, min_size=n, max_size=n))
+    coeffs = data.draw(st.lists(scalars, min_size=len(vectors),
+                                max_size=len(vectors)))
+    in_v = [sum((c * u[i] for c, u in zip(coeffs, vectors)), F(0))
+            for i in range(n)]
+    assert in_span(vectors, in_v)
+    for w in (v, in_v):
+        assert in_span(vectors, w) == dense_oracle.in_span(vectors, w)
+    assert complement_in(amb_basis, vectors) == \
+        dense_oracle.complement_in(amb_basis, vectors)
+    # coordinates in the independent vectors: the canonical solution of
+    # the system whose columns are the vectors
+    span = echelon_of(vectors, track=True)
+    cols = [list(c) for c in zip(*vectors)] if vectors else []
+    for w in (v, in_v):
+        want = dense_oracle.solve_canonical(cols, w, len(vectors)) \
+            if vectors else ([] if not any(w) else None)
+        got = span.coords({i: c for i, c in enumerate(w) if c})
+        if got is not None:
+            got = [got.get(j, F(0)) for j in range(len(vectors))]
+        assert got == want
+
+
+@settings(max_examples=100, deadline=None)
+@given(matrices(), st.randoms(use_true_random=False))
+def test_pivots_do_not_depend_on_insertion_order(mat, rng):
+    rows, ncols = mat
+    shuffled = list(rows)
+    rng.shuffle(shuffled)
+    assert rref(shuffled) == rref(rows)
+    ech = Echelon()
+    for r in shuffled:
+        ech.insert({j: v for j, v in enumerate(r) if v})
+    assert sorted(ech.rows) == dense_oracle.rref(rows)[1]
+
+
+def test_engine_edge_cases():
+    assert rref([]) == ([], [])
+    assert rref([[], []]) == ([[], []], [])
+    assert matrix_rank([]) == 0
+    assert nullspace([], ncols=2) == [[F(1), F(0)], [F(0), F(1)]]
+    assert nullspace([[F(0), F(0)]]) == [[F(1), F(0)], [F(0), F(1)]]
+    with pytest.raises(ValueError):
+        nullspace([])
+    assert solve_canonical([], [], ncols=3) == [F(0)] * 3
+    assert solve_canonical([[], []], [F(0), F(0)]) == []
+    assert solve_canonical([[]], [F(1)]) is None
+    assert solve_sparse([{}, {0: F(2)}, {0: F(2)}], [F(0), F(4), F(4)],
+                        1) == [F(2)]
+    assert solve_sparse([{0: F(2)}, {0: F(2)}], [F(4), F(5)], 1) is None
+    assert in_span([], [F(0), F(0)]) and not in_span([], [F(1)])
+    assert complement_in([[F(1)], [F(2)]], []) == [[F(1)]]
+    # explicit zero coefficients in sparse rows are ignored
+    assert solve_sparse([{0: F(0), 1: F(1)}], [F(3)], 2) == [F(0), F(3)]
 
 
 def test_in_span_and_complement():
