@@ -30,7 +30,7 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 
-from .htpy import FillError, fill_n_homotopy, tie_break, _comps_equal
+from .htpy import FillError, fill_n_homotopy, _comps_equal
 from .linfty import (CheckReport, LInftyMorphism, check_morphism, compose,
                      is_quasi_iso)
 from .simplexmodel import Homotopy, constant_homotopy, is_homotopy
@@ -675,8 +675,8 @@ def build_cocycle(A: ToyAtlas, H: Hypercovering, level, m_max=2,
                 cell = TwoCell("constant", constant_homotopy(direct),
                                direct, around)
             else:
-                with tie_break(tie_break_seed):
-                    model = fill_n_homotopy([direct, around], K=2)
+                model = fill_n_homotopy([direct, around], K=2,
+                                        tie_break=tie_break_seed)
                 cell = TwoCell("filling", model, direct, around)
             triangles[alpha] = cell
     return CocycleData(A, H, level, m_max, vertices, edges, triangles,

@@ -249,9 +249,8 @@ def run_obstruction(doc, caps):
     src, tgt, f = _three_part(doc, extra_req=("K",))
     K = _extension_arity(doc)
     obc = linfty_mod.obstruction_class(f, K)
-    closed = linfty_mod.delta1(src, tgt, obc.cocycle, deg_g=1)
-    is_closed = all(not v for v in closed.values())
-    checks = [record("obstruction-closed", is_closed),
+    closed = not linfty_mod.delta1(src, tgt, obc.cocycle, K + 1, shift=1)
+    checks = [record("obstruction-closed", closed),
               record("obstruction-exact", True,
                      extra={"exact": obc.exact})]
     return checks, obc.to_json()
@@ -787,7 +786,7 @@ def main(argv=None):
         caps = {"arity": args.cap_arity, "jet": args.cap_jet,
                 "weight": args.cap_weight, "simp": args.cap_simp}
         report = run_job(args.verb, doc, caps, seed=args.seed)
-    except InputError as exc:
+    except (InputError, linfty_mod.CurvedError) as exc:
         print("input error: %s" % exc, file=sys.stderr)
         return 2
     except (CapGuard, CapError, simplex_mod.SimplexCapError) as exc:

@@ -20,7 +20,8 @@ import random
 from fractions import Fraction
 
 from .gradedlin import (GradedSpace, matrix_rank, scalar_from_str,
-                        scalar_to_str, sym_words, vec_add, vec_scale)
+                        scalar_to_str, sym_words, vec_acc, vec_add,
+                        vec_scale)
 from .linfty import CheckReport, LInftyAlgebra, LInftyMorphism
 
 
@@ -41,24 +42,6 @@ def poly_var(i, nv):
     e = [0] * nv
     e[i] = 1
     return {tuple(e): Fraction(1)}
-
-
-def poly_add(p, q):
-    out = dict(p)
-    for e, c in q.items():
-        c2 = out.get(e, Fraction(0)) + c
-        if c2:
-            out[e] = c2
-        else:
-            out.pop(e, None)
-    return out
-
-
-def poly_scale(c, p):
-    c = Fraction(c)
-    if not c:
-        return {}
-    return {e: c * v for e, v in p.items()}
 
 
 def poly_mul(p, q):
@@ -134,24 +117,6 @@ def poly_from_json(doc):
 # strictly increasing tuple of coordinate indices naming a wedge of
 # coordinate vector fields.  The wedge generators are odd; a term with
 # a wedge word of length l has degree l - 1 in the shifted grading.
-
-
-def mv_add(X, Y):
-    out = dict(X)
-    for k, c in Y.items():
-        c2 = out.get(k, Fraction(0)) + c
-        if c2:
-            out[k] = c2
-        else:
-            out.pop(k, None)
-    return out
-
-
-def mv_scale(c, X):
-    c = Fraction(c)
-    if not c:
-        return {}
-    return {k: c * v for k, v in X.items()}
 
 
 def _merge_words(wa, wb):
@@ -682,10 +647,10 @@ def _check_jet_valgebra(V, samples=40, seed=0):
         xb = (len(next(iter(X))[1]) - 1) % 2
         yb = (len(next(iter(Y))[1]) - 1) % 2
         lhs = schouten(X, schouten(Y, Z))
-        rhs = mv_add(schouten(schouten(X, Y), Z),
-                     mv_scale((-1) ** (xb * yb),
-                              schouten(Y, schouten(X, Z))))
-        res = mv_add(lhs, mv_scale(-1, rhs))
+        rhs = vec_add(schouten(schouten(X, Y), Z),
+                      vec_scale((-1) ** (xb * yb),
+                                schouten(Y, schouten(X, Z))))
+        res = vec_add(lhs, vec_scale(-1, rhs))
         if res:
             failures.append((("jacobi",), res))
     # the fiber-wedge generators commute
@@ -701,8 +666,8 @@ def _check_jet_valgebra(V, samples=40, seed=0):
     # the kernel of the projection is closed under the bracket
     for _ in range(samples):
         X, Y = rand_term(), rand_term()
-        X = mv_add(X, mv_scale(-1, model.pi(X)))
-        Y = mv_add(Y, mv_scale(-1, model.pi(Y)))
+        X = vec_add(X, vec_scale(-1, model.pi(X)))
+        Y = vec_add(Y, vec_scale(-1, model.pi(Y)))
         checked += 1
         out = model.pi(schouten(X, Y))
         if out:
@@ -876,22 +841,20 @@ def poisson_from_presymplectic(model, omega, R):
             Rp[(j, a)] = p
 
     def frame(j):
-        e = model.vector("y%d" % j)
+        e = dict(model.vector("y%d" % j))
         for a in range(1, k + 1):
             p = Rp.get((j, a))
             if not p:
                 continue
-            e = mv_add(e, mv_wedge(
-                {(ee, ()): c for ee, c in p.items()},
-                model.vector("q%d" % a)))
+            vec_acc(e, mv_wedge({(ee, ()): c for ee, c in p.items()},
+                                model.vector("q%d" % a)))
             for n in range(1, k + 1):
                 dp = poly_diff(p, model.name_to_idx["q%d" % n])
                 if not dp:
                     continue
                 coeff = poly_mul(model.var("p%d" % a), dp)
-                e = mv_add(e, mv_scale(-1, mv_wedge(
-                    {(ee, ()): c for ee, c in coeff.items()},
-                    model.vector("p%d" % n))))
+                vec_acc(e, mv_wedge({(ee, ()): c for ee, c in coeff.items()},
+                                    model.vector("p%d" % n)), -1)
         return e
 
     P = {}
@@ -899,12 +862,11 @@ def poisson_from_presymplectic(model, omega, R):
     for i in range(1, m + 1):
         for j in range(1, m + 1):
             if om[i - 1][j - 1]:
-                P = mv_add(P, mv_scale(
-                    Fraction(om[i - 1][j - 1], 2),
-                    mv_wedge(frames[i], frames[j])))
+                vec_acc(P, mv_wedge(frames[i], frames[j]),
+                        Fraction(om[i - 1][j - 1], 2))
     for a in range(1, k + 1):
-        P = mv_add(P, mv_wedge(model.vector("q%d" % a),
-                               model.vector("p%d" % a)))
+        vec_acc(P, mv_wedge(model.vector("q%d" % a),
+                            model.vector("p%d" % a)))
     pp = schouten(P, P)
     if pp:
         raise ValueError("the bivector does not square to zero; "
@@ -981,9 +943,9 @@ class LocalizedJetModel:
                     a = self.project(self.bracket_at(j + 1, X, Y), j - 1)
                     b = self.bracket_at(j, self.project(X, j),
                                         self.project(Y, j))
-                    if mv_add(a, mv_scale(-1, b)):
-                        failures.append((("square", j),
-                                         mv_add(a, mv_scale(-1, b))))
+                    diff = vec_add(a, vec_scale(-1, b))
+                    if diff:
+                        failures.append((("square", j), diff))
         for X in elems[:4]:
             for Y in elems[:4]:
                 for Z in elems[:4]:

@@ -14,7 +14,9 @@ transposed pairs; there is no extra permutation sign.
 from __future__ import annotations
 
 import json
+import random
 from fractions import Fraction
+from functools import lru_cache
 from heapq import heapify, heappop, heappush
 from itertools import combinations
 
@@ -231,6 +233,53 @@ def solve_sparse(rows, rhs, ncols):
     return _solve(rows, rhs, ncols)
 
 
+class LinearSystem:
+    """Sparse linear system over hashable unknown keys.  Unknowns are
+    registered up front; registration order fixes the free-variable
+    tie-break of the canonical solution.
+
+    With a nonzero tie_break the unknown order is permuted by a shuffle
+    seeded with it before solving, so a different canonical solution is
+    chosen whenever the solution space has free variables.  Every such
+    solution is an exact solution of the same system, which audits that
+    verification does not depend on the choice."""
+
+    def __init__(self, tie_break=0):
+        self.unknowns = []
+        self.index = {}
+        self.rows = []
+        self.rhs = []
+        self.tie_break = tie_break
+
+    def var(self, key):
+        if key not in self.index:
+            self.index[key] = len(self.unknowns)
+            self.unknowns.append(key)
+        return self.index[key]
+
+    def equation(self, coeffs, rhs=0):
+        """Add the row sum(coeffs[key] * key) = rhs."""
+        index = self.index
+        self.rows.append({index[key]: Fraction(c)
+                          for key, c in coeffs.items() if c})
+        self.rhs.append(Fraction(rhs))
+
+    def solve(self):
+        """{key: nonzero value} of the canonical solution, or None."""
+        n = len(self.unknowns)
+        if not self.tie_break:
+            x = solve_sparse(self.rows, self.rhs, n)
+        else:
+            pos = list(range(n))
+            random.Random(self.tie_break).shuffle(pos)
+            y = solve_sparse([{pos[j]: c for j, c in row.items()}
+                              for row in self.rows], self.rhs, n)
+            x = None if y is None else [y[pos[j]] for j in range(n)]
+        if x is None:
+            return None
+        return {k: v for k, v in zip(self.unknowns, x) if v != 0}
+
+
 def in_span(vectors, v):
     """Is v in the span of the given vectors (all plain lists)?"""
     return not echelon_of(vectors).reduce(_sparse(v))
@@ -294,13 +343,40 @@ class GradedSpace:
         return cls([(g["label"], g["deg"]) for g in doc["generators"]])
 
 
+def acc_term(acc, key, c):
+    """acc[key] += c in place, dropping the entry when it cancels."""
+    if key in acc:
+        c += acc[key]
+        if not c:
+            del acc[key]
+            return
+    elif not c:
+        return
+    acc[key] = c
+
+
+def vec_acc(acc, v, c=1):
+    """acc += c * v in place; returns acc.  The one sparse accumulator
+    behind every sum of elements, forms, polynomials and multivectors."""
+    if not c:
+        return acc
+    scaled = c != 1
+    for k, x in v.items():
+        if scaled:
+            x = c * x
+        if k in acc:
+            x += acc[k]
+            if not x:
+                del acc[k]
+                continue
+        elif not x:
+            continue
+        acc[k] = x
+    return acc
+
+
 def vec_add(u, v):
-    w = dict(u)
-    for k, c in v.items():
-        w[k] = w.get(k, Fraction(0)) + c
-        if w[k] == 0:
-            del w[k]
-    return w
+    return vec_acc(dict(u), v)
 
 
 def vec_scale(c, v):
@@ -438,6 +514,7 @@ def koszul_sign(degrees, perm):
     return sign
 
 
+@lru_cache(maxsize=None)
 def unshuffles(i, k):
     """All (i, k-i)-unshuffles as pairs of index tuples (block1, block2),
     each increasing.  Exactly binomial(k, i) of them."""
@@ -446,11 +523,8 @@ def unshuffles(i, k):
     if k > UNSHUFFLE_CAP:
         raise CapError("unshuffle arity %d exceeds cap %d"
                        % (k, UNSHUFFLE_CAP))
-    out = []
-    for block1 in combinations(range(k), i):
-        block2 = tuple(j for j in range(k) if j not in block1)
-        out.append((block1, block2))
-    return out
+    return tuple((block1, tuple(j for j in range(k) if j not in block1))
+                 for block1 in combinations(range(k), i))
 
 
 def canonical_word(space, labels):

@@ -25,152 +25,20 @@ the interval cylinder).
 
 from __future__ import annotations
 
-import contextlib
-import random
 from fractions import Fraction
 
-from .gradedlin import (Echelon, GradedMap, GradedSpace, canonical_word,
-                        nullspace, scalar_to_str, solve_canonical,
-                        solve_sparse, split_sign, sym_words, unshuffles,
-                        vec_add, vec_scale, word_degree)
+from .gradedlin import (Echelon, GradedMap, GradedSpace, LinearSystem,
+                        acc_term, nullspace, solve_canonical, sym_words,
+                        vec_acc, word_degree)
 from .linfty import (CheckReport, LInftyAlgebra, LInftyMorphism,
-                     check_morphism, check_relations, compose, is_quasi_iso,
-                     obstruction_cocycle, partition_terms)
+                     check_morphism, check_relations, compose,
+                     delta1_equations, expand_canonical, insertion_sum,
+                     is_quasi_iso, map_unknowns, obstruction_cocycle,
+                     partition_sum, solution_table)
 
 
 class FillError(RuntimeError):
     """A linear stage of a homotopy construction is unsolvable."""
-
-
-# ---------------------------------------------------------------------------
-# labeled sparse linear systems
-
-
-_TIE_BREAK = 0
-
-
-@contextlib.contextmanager
-def tie_break(seed):
-    """Temporarily select an alternative echelon tie-break.
-
-    With a nonzero seed, every linear system built inside the context
-    permutes its unknown order by a seeded shuffle before solving, so
-    a different canonical solution is chosen whenever the solution
-    space has free variables.  All solutions are exact solutions of
-    the same systems; constructions differ but remain valid, which
-    audits that verification does not depend on the chosen solution."""
-    global _TIE_BREAK
-    prev = _TIE_BREAK
-    _TIE_BREAK = seed
-    try:
-        yield
-    finally:
-        _TIE_BREAK = prev
-
-
-class LinearSystem:
-    """Sparse linear system with hashable unknown keys.  Unknowns must
-    be registered up front (registration order fixes the canonical
-    solution's free-variable tie-break; see tie_break for auditing
-    alternative choices)."""
-
-    def __init__(self):
-        self.unknowns = []
-        self.index = {}
-        self.rows = []
-        self.rhs = []
-        self.tie_break = _TIE_BREAK
-
-    def var(self, key):
-        if key not in self.index:
-            self.index[key] = len(self.unknowns)
-            self.unknowns.append(key)
-        return self.index[key]
-
-    def equation(self, coeffs, rhs=Fraction(0)):
-        row = {}
-        for key, c in coeffs.items():
-            if c == 0:
-                continue
-            j = self.index[key]
-            row[j] = row.get(j, Fraction(0)) + Fraction(c)
-        self.rows.append({j: c for j, c in row.items() if c != 0})
-        self.rhs.append(Fraction(rhs))
-
-    def solve(self):
-        n = len(self.unknowns)
-        if self.tie_break:
-            pos = list(range(n))
-            random.Random(self.tie_break).shuffle(pos)
-            rows = [{pos[j]: c for j, c in row.items()}
-                    for row in self.rows]
-            y = solve_sparse(rows, self.rhs, n)
-            if y is None:
-                return None
-            x = [y[pos[j]] for j in range(n)]
-        else:
-            x = solve_sparse(self.rows, self.rhs, n)
-            if x is None:
-                return None
-        return {k: v for k, v in zip(self.unknowns, x) if v != 0}
-
-
-def _acc(d, key, c):
-    if c:
-        d[key] = d.get(key, Fraction(0)) + c
-
-
-def _register_map_unknowns(sys, src_space, tgt_space, m, prefix, shift=0):
-    for w in sym_words(src_space, m):
-        d = word_degree(src_space, w) + shift
-        for b in tgt_space.basis_in_degree(d):
-            sys.var((prefix, w, b))
-
-
-def _add_delta1_equations(sys, A, B, m, prefix, rhs, shift=0, sign_tail=-1):
-    """Rows encoding delta1(u) = rhs for an unknown map u on canonical
-    arity-m words of A valued in B (degree `shift`).  sign_tail is -1
-    for degree-0 unknowns (morphism components) and +1 for degree-1
-    unknowns (operations)."""
-    for w in sym_words(A.space, m):
-        d = word_degree(A.space, w) + shift
-        by_target = {}
-        for b in B.space.basis_in_degree(d):
-            for b2, c in B.op_word(1, (b,)).items():
-                _acc(by_target.setdefault(b2, {}), (prefix, w, b), c)
-        for b1, b2blk in unshuffles(1, m):
-            sgn = split_sign(A.space, w, b1, b2blk)
-            inner = A.op_word(1, (w[b1[0]],))
-            rest = tuple(w[p] for p in b2blk)
-            for h, c in inner.items():
-                cw, s2 = canonical_word(A.space, (h,) + rest)
-                if cw is None:
-                    continue
-                dd = word_degree(A.space, cw) + shift
-                for b in B.space.basis_in_degree(dd):
-                    _acc(by_target.setdefault(b, {}), (prefix, cw, b),
-                         sign_tail * sgn * s2 * c)
-        for b2 in B.space.basis_in_degree(d + 1):
-            sys.equation(by_target.get(b2, {}),
-                         rhs.get(w, {}).get(b2, Fraction(0)))
-
-
-def _expand_linear(f1, word, space):
-    """Expand (f1 a_1, ..., f1 a_k) into canonical target words with
-    coefficients, for a degree-0 generator-to-element table f1."""
-    prods = [((), Fraction(1))]
-    for a in word:
-        prods = [(w + (b,), c * cb) for w, c in prods
-                 for b, cb in f1.get(a, {}).items()]
-    out = {}
-    for w, c in prods:
-        if c == 0:
-            continue
-        cw, s2 = canonical_word(space, w)
-        if cw is None:
-            continue
-        _acc(out, cw, c * s2)
-    return out
 
 
 def _comps_equal(a, b, cap):
@@ -179,17 +47,6 @@ def _comps_equal(a, b, cap):
     na = {k: t for k, t in a.comps.items() if t and k <= cap}
     nb = {k: t for k, t in b.comps.items() if t and k <= cap}
     return na == nb
-
-
-def _solution_table(sol, prefix):
-    """Collect {(prefix, word, target): coeff} into {word: element}."""
-    table = {}
-    for key, c in sol.items():
-        if key[0] != prefix:
-            continue
-        _, w, b = key
-        table.setdefault(w, {})[b] = c
-    return table
 
 
 # ---------------------------------------------------------------------------
@@ -347,7 +204,7 @@ class FillingModel:
         }
 
 
-def _family_for_fill(fs, boundary, K):
+def _family_for_fill(fs, boundary, K, tie_break):
     """Face models, their vertex-evaluation chain maps and homotopy
     components for the cylinder construction."""
     n_out = len(fs) - 1
@@ -364,7 +221,8 @@ def _family_for_fill(fs, boundary, K):
         if boundary and J in boundary:
             edges[J] = boundary[J]
         else:
-            edges[J] = fill_n_homotopy([fs[J[0]], fs[J[1]]], K=K)
+            edges[J] = fill_n_homotopy([fs[J[0]], fs[J[1]]], K=K,
+                                       tie_break=tie_break)
         edge = edges[J]
         if edge.n != 1:
             raise ValueError("boundary data for %r is not an interval"
@@ -379,7 +237,7 @@ def _family_for_fill(fs, boundary, K):
     return faces, face_alg, face_h, edges
 
 
-def fill_n_homotopy(fs, boundary=None, K=2):
+def fill_n_homotopy(fs, boundary=None, K=2, tie_break=0):
     """Fill a compatible boundary family of quasi-isomorphisms with an
     n-homotopy, n = len(fs) - 1 in {1, 2}.
 
@@ -388,6 +246,8 @@ def fill_n_homotopy(fs, boundary=None, K=2):
     whose homotopies end on the matching vertex morphisms; missing
     edges are filled recursively.
     K: arity up to which operations and homotopy components are built.
+    tie_break: seed of the free-variable choice in every linear stage,
+    edge fills included (see LinearSystem); 0 is the canonical one.
 
     Returns a FillingModel.  Raises FillError when a linear stage is
     unsolvable (in particular when the face kernel complex is not
@@ -408,7 +268,8 @@ def fill_n_homotopy(fs, boundary=None, K=2):
     if K + 1 > min(C.arity_cap, C0.arity_cap) + 1:
         raise ValueError("arity cap of the algebras is below K")
 
-    faces, face_alg, face_h, edges = _family_for_fill(fs, boundary, K)
+    faces, face_alg, face_h, edges = _family_for_fill(fs, boundary, K,
+                                                      tie_break)
 
     # --- direct sum of the face models, with tagged labels
     sum_gens = []
@@ -513,9 +374,8 @@ def fill_n_homotopy(fs, boundary=None, K=2):
         if out:
             l1_tab[("x|" + k,)] = out
         outy = {"x|" + k: Fraction(1)}
-        for j, c in d_ker[k].items():
-            _acc(outy, "y|" + j, -c)
-        l1_tab[("y|" + k,)] = {b: c for b, c in outy.items() if c != 0}
+        outy.update(("y|" + j, -c) for j, c in d_ker[k].items())
+        l1_tab[("y|" + k,)] = outy
     for l in C0.space.labels:
         img = C0.op_word(1, (l,))
         if img:
@@ -524,7 +384,7 @@ def fill_n_homotopy(fs, boundary=None, K=2):
     cyl = LInftyAlgebra(cyl_space, ops, arity_cap=max(K, 1))
 
     # --- contracting extension: d A + A d = id on the kernel
-    sysA = LinearSystem()
+    sysA = LinearSystem(tie_break)
     for ki in korder:
         for kj in korder:
             if kvecs[kj][1] == kvecs[ki][1] - 1:
@@ -537,10 +397,10 @@ def fill_n_homotopy(fs, boundary=None, K=2):
             coeffs = {}
             for kj in korder:
                 if kvecs[kj][1] == degi - 1:
-                    _acc(coeffs, (ki, kj), d_ker[kj].get(kt, Fraction(0)))
+                    acc_term(coeffs, (ki, kj), d_ker[kj].get(kt, 0))
             for kj, c in d_ker[ki].items():
                 if ((kj, kt)) in sysA.index:
-                    _acc(coeffs, (kj, kt), c)
+                    acc_term(coeffs, (kj, kt), c)
             sysA.equation(coeffs, Fraction(1) if kt == ki else Fraction(0))
     Asol = sysA.solve()
     if Asol is None:
@@ -560,7 +420,7 @@ def fill_n_homotopy(fs, boundary=None, K=2):
             f1["x|" + k] = untag_vec(J, vec)
             avec = {}
             for kj, c in Amap.get(k, {}).items():
-                avec = vec_add(avec, vec_scale(c, kvecs[kj][0]))
+                vec_acc(avec, kvecs[kj][0], c)
             f1["y|" + k] = untag_vec(J, avec)
         comps = {1: {(a,): v for a, v in f1.items() if v}}
         evals[J] = LInftyMorphism(cyl, tgt, comps, arity_cap=K)
@@ -573,7 +433,7 @@ def fill_n_homotopy(fs, boundary=None, K=2):
                 part = {lab: Fraction(1)}
             else:
                 part = edges[J].incl.apply_gen(lab)
-            vec = vec_add(vec, tag_vec(J, part))
+            vec_acc(vec, tag_vec(J, part))
         coords = ker_coords(vec, C.space.deg[lab])
         if coords is None:
             raise FillError("inclusion of constants misses the boundary "
@@ -585,7 +445,7 @@ def fill_n_homotopy(fs, boundary=None, K=2):
     def lift_to_ker(element_by_face, deg):
         vec = {}
         for J in faces:
-            vec = vec_add(vec, tag_vec(J, element_by_face[J]))
+            vec_acc(vec, tag_vec(J, element_by_face[J]))
         coords = ker_coords(vec, deg)
         if coords is None:
             raise FillError("boundary data is not compatible (misses the "
@@ -596,7 +456,7 @@ def fill_n_homotopy(fs, boundary=None, K=2):
     for lab in C0.space.labels:
         val = lift_to_ker({J: face_h[J].comp_word(1, (lab,))
                            for J in faces}, C0.space.deg[lab])
-        val = vec_add(val, {"z|" + lab: Fraction(1)})
+        acc_term(val, "z|" + lab, Fraction(1))
         hbar_comps[1][(lab,)] = val
     hbar = LInftyMorphism(C0, cyl, hbar_comps, arity_cap=K)
 
@@ -616,7 +476,7 @@ def fill_n_homotopy(fs, boundary=None, K=2):
         hbar = LInftyMorphism(C0, cyl, hcomps, arity_cap=K)
 
         cyl = _solve_cylinder_operation(cyl, m, faces, face_alg, evals,
-                                        incl, hbar, C, C0, K)
+                                        incl, hbar, C, C0, K, tie_break)
         # rebind morphisms onto the updated algebra object
         evals = {J: LInftyMorphism(cyl, face_alg[J], evals[J].comps,
                                    arity_cap=K) for J in faces}
@@ -631,32 +491,20 @@ def fill_n_homotopy(fs, boundary=None, K=2):
 
 
 def _solve_cylinder_operation(cyl, m, faces, face_alg, evals, incl, hbar,
-                              C, C0, K):
+                              C, C0, K, tie_break):
     """One inductive stage: find the arity-m operation of the cylinder
     subject to (a) the quadratic relation at arity m, (b) evaluation
     compatibility with every face, (c) the homotopy morphism relation,
     and (d) the inclusion morphism relation.  Returns the algebra with
     the new operation installed."""
     space = cyl.space
-    sys = LinearSystem()
-    _register_map_unknowns(sys, space, space, m, "l", shift=1)
+    sys = LinearSystem(tie_break)
+    map_unknowns(sys, cyl, cyl, m, "l", shift=1)
 
     # (a) quadratic relation: delta1(l_m) = -(terms with 2 <= i <= m-1)
-    rhs_rel = {}
-    for w in sym_words(space, m):
-        val = {}
-        for i in range(2, m):
-            for b1, b2 in unshuffles(i, m):
-                sgn = split_sign(space, w, b1, b2)
-                inner = cyl.op_word(i, tuple(w[p] for p in b1))
-                rest = tuple(w[p] for p in b2)
-                for g, c in inner.items():
-                    out = cyl.op_word(m - i + 1, (g,) + rest)
-                    val = vec_add(val, vec_scale(sgn * c, out))
-        if val:
-            rhs_rel[w] = vec_scale(-1, val)
-    _add_delta1_equations(sys, cyl, cyl, m, "l", rhs_rel, shift=1,
-                          sign_tail=1)
+    rhs_rel = {w: insertion_sum(cyl, w, cyl.op_word, 2, m - 1, scale=-1)
+               for w in sym_words(space, m)}
+    delta1_equations(sys, cyl, cyl, m, "l", rhs_rel, shift=1)
 
     # (b) evaluation compatibility with each face model
     for J in faces:
@@ -666,59 +514,37 @@ def _solve_cylinder_operation(cyl, m, faces, face_alg, evals, incl, hbar,
             want = tgt.op_elems(m, [ev1.get(a, {}) for a in w])
             d = word_degree(space, w) + 1
             for u in tgt.space.basis_in_degree(d):
-                coeffs = {}
-                for t in space.basis_in_degree(d):
-                    _acc(coeffs, ("l", w, t), ev1.get(t, {}).get(u, 0))
-                sys.equation(coeffs, want.get(u, Fraction(0)))
+                sys.equation({("l", w, t): ev1.get(t, {}).get(u, 0)
+                              for t in space.basis_in_degree(d)},
+                             want.get(u, 0))
 
-    # (c) the homotopy morphism relation at arity m
+    # (c) the homotopy morphism relation at arity m: l_m on the linear
+    # parts equals the known terms
     h1 = {a: v for (a,), v in hbar.comps.get(1, {}).items()}
     for v in sym_words(C0.space, m):
-        lhs = {}
-        for i in range(1, m + 1):
-            for b1, b2 in unshuffles(i, m):
-                sgn = split_sign(C0.space, v, b1, b2)
-                inner = C0.op_word(i, tuple(v[p] for p in b1))
-                rest = tuple(v[p] for p in b2)
-                for g, c in inner.items():
-                    out = hbar.comp_word(m - i + 1, (g,) + rest)
-                    lhs = vec_add(lhs, vec_scale(sgn * c, out))
-        rhs_known = {}
-        for sgn, blocks in partition_terms(C0.space, v):
-            t = len(blocks)
-            if t == m:
-                continue
-            args = [hbar.comp_word(len(b), b) for b in blocks]
-            rhs_known = vec_add(rhs_known,
-                                vec_scale(sgn, cyl.op_elems(t, args)))
-        target_rhs = vec_add(lhs, vec_scale(-1, rhs_known))
-        expanded = _expand_linear(h1, v, space)
-        d = word_degree(C0.space, v) + 1
-        for t in space.basis_in_degree(d):
-            coeffs = {}
-            for cw, c in expanded.items():
-                _acc(coeffs, ("l", cw, t), c)
-            sys.equation(coeffs, target_rhs.get(t, Fraction(0)))
+        rhs = insertion_sum(C0, v, hbar.comp_word, 1, m)
+        partition_sum(hbar, v, cyl.op_elems, range(1, m), rhs, -1)
+        expanded = expand_canonical(space, [h1.get(a, {}) for a in v])
+        for t in space.basis_in_degree(word_degree(C0.space, v) + 1):
+            sys.equation({("l", cw, t): c for cw, c in expanded.items()},
+                         rhs.get(t, 0))
 
     # (d) the inclusion of constants stays a strict morphism
     incl1 = {a: incl.apply_gen(a) for a in C.space.labels}
     for w in sym_words(C.space, m):
         want = {}
         for b, c in C.op_word(m, w).items():
-            want = vec_add(want, vec_scale(c, incl1.get(b, {})))
-        expanded = _expand_linear(incl1, w, space)
-        d = word_degree(C.space, w) + 1
-        for t in space.basis_in_degree(d):
-            coeffs = {}
-            for cw, c in expanded.items():
-                _acc(coeffs, ("l", cw, t), c)
-            sys.equation(coeffs, want.get(t, Fraction(0)))
+            vec_acc(want, incl1.get(b, {}), c)
+        expanded = expand_canonical(space, [incl1.get(a, {}) for a in w])
+        for t in space.basis_in_degree(word_degree(C.space, w) + 1):
+            sys.equation({("l", cw, t): c for cw, c in expanded.items()},
+                         want.get(t, 0))
 
     sol = sys.solve()
     if sol is None:
         raise FillError("no arity-%d cylinder operation satisfies the "
                         "relation and compatibility constraints" % m)
-    table = _solution_table(sol, "l")
+    table = solution_table(sol, "l")
     ops = {k: dict(t) for k, t in cyl.ops.items()}
     if table:
         ops[m] = table
@@ -753,9 +579,9 @@ def chain_inverse(f):
         for y in C1.space.basis_in_degree(d + 1):
             coeffs = {}
             for ap, c in dmap(d2, a).items():
-                _acc(coeffs, ("g", ap, y), c)
+                acc_term(coeffs, ("g", ap, y), c)
             for b in C1.space.basis_in_degree(d):
-                _acc(coeffs, ("g", a, b), -dmap(d1, b).get(y, Fraction(0)))
+                acc_term(coeffs, ("g", a, b), -dmap(d1, b).get(y, 0))
             sys.equation(coeffs)
     # homotopy: g f1 - id = d1 h + h d1
     f1 = {x: f.comp_word(1, (x,)) for x in C1.space.labels}
@@ -764,25 +590,17 @@ def chain_inverse(f):
         for y in C1.space.basis_in_degree(d):
             coeffs = {}
             for a, c in f1[x].items():
-                _acc(coeffs, ("g", a, y), c)
+                acc_term(coeffs, ("g", a, y), c)
             for u in C1.space.basis_in_degree(d - 1):
-                _acc(coeffs, ("h", x, u), -dmap(d1, u).get(y, Fraction(0)))
+                acc_term(coeffs, ("h", x, u), -dmap(d1, u).get(y, 0))
             for xp, c in dmap(d1, x).items():
-                _acc(coeffs, ("h", xp, y), -c)
+                acc_term(coeffs, ("h", xp, y), -c)
             sys.equation(coeffs, Fraction(1) if y == x else Fraction(0))
     sol = sys.solve()
     if sol is None:
         raise FillError("no chain-level inverse (is the map a "
                         "quasi-isomorphism?)")
-    g1 = {}
-    hprime = {}
-    for key, c in sol.items():
-        kind, a, b = key
-        if kind == "g":
-            g1.setdefault(a, {})[b] = c
-        else:
-            hprime.setdefault(a, {})[b] = c
-    return g1, hprime
+    return solution_table(sol, "g"), solution_table(sol, "h")
 
 
 class WhiteheadCertificate:
@@ -901,10 +719,9 @@ def whitehead_inverse(f, K=3, model=None, with_reverse=True):
     incl1 = {a: model.incl.apply_gen(a) for a in C1.space.labels}
     h1 = {}
     for x in C1.space.labels:
-        val = dict(incl1.get(x, {}))
-        val = vec_add(val, M.op_elems(1, [hpp[x]]))
+        val = vec_acc(dict(incl1.get(x, {})), M.op_elems(1, [hpp[x]]))
         for xp, c in C1.op_word(1, (x,)).items():
-            val = vec_add(val, vec_scale(c, hpp.get(xp, {})))
+            vec_acc(val, hpp.get(xp, {}), c)
         if val:
             h1[x] = val
     g = LInftyMorphism(C2, C1, {1: {(a,): v for a, v in g1.items() if v}},
@@ -912,43 +729,33 @@ def whitehead_inverse(f, K=3, model=None, with_reverse=True):
     h = LInftyMorphism(C1, M, {1: {(x,): v for x, v in h1.items() if v}},
                        arity_cap=K)
 
+    ev0_cols = {t: ev0_1.apply_gen(t) for t in M.space.labels}
+    ev1_cols = {t: ev1_1.apply_gen(t) for t in M.space.labels}
+    f1 = {x: f.comp_word(1, (x,)) for x in C1.space.labels}
     for m in range(2, K + 1):
         sys = LinearSystem()
-        _register_map_unknowns(sys, C2.space, C1.space, m, "g")
-        _register_map_unknowns(sys, C1.space, M.space, m, "h")
-        O_g = obstruction_cocycle(g, m - 1)
-        O_h = obstruction_cocycle(h, m - 1)
-        _add_delta1_equations(sys, C2, C1, m, "g", O_g)
-        _add_delta1_equations(sys, C1, M, m, "h", O_h)
-        # endpoint 0: ev0 h_m = 0; endpoint 1: ev1 h_m = (g f)_m
-        f1 = {x: f.comp_word(1, (x,)) for x in C1.space.labels}
+        map_unknowns(sys, C2, C1, m, "g")
+        map_unknowns(sys, C1, M, m, "h")
+        delta1_equations(sys, C2, C1, m, "g", obstruction_cocycle(g, m - 1))
+        delta1_equations(sys, C1, M, m, "h", obstruction_cocycle(h, m - 1))
+        # endpoint 0: ev0 h_m = 0; endpoint 1: ev1 h_m - g_m f1^m equals
+        # the known terms of (g f)_m
         for w in sym_words(C1.space, m):
             d = word_degree(C1.space, w)
-            known = {}
-            for sgn, blocks in partition_terms(C1.space, w):
-                t = len(blocks)
-                if t == m:
-                    continue
-                args = [f.comp_word(len(b), b) for b in blocks]
-                known = vec_add(known, vec_scale(sgn, g.comp_elems(t, args)))
-            gexp = _expand_linear(f1, w, C2.space)
+            known = partition_sum(f, w, g.comp_elems, range(1, m))
+            gexp = expand_canonical(C2.space, [f1[a] for a in w])
+            basis = M.space.basis_in_degree(d)
             for y in C1.space.basis_in_degree(d):
-                coeffs0 = {}
-                coeffs1 = {}
-                for t in M.space.basis_in_degree(d):
-                    _acc(coeffs0, ("h", w, t),
-                         ev0_1.apply_gen(t).get(y, Fraction(0)))
-                    _acc(coeffs1, ("h", w, t),
-                         ev1_1.apply_gen(t).get(y, Fraction(0)))
-                sys.equation(coeffs0)
-                for cw, c in gexp.items():
-                    _acc(coeffs1, ("g", cw, y), -c)
-                sys.equation(coeffs1, known.get(y, Fraction(0)))
+                sys.equation({("h", w, t): ev0_cols[t].get(y, 0)
+                              for t in basis})
+                coeffs = {("h", w, t): ev1_cols[t].get(y, 0) for t in basis}
+                coeffs.update((("g", cw, y), -c) for cw, c in gexp.items())
+                sys.equation(coeffs, known.get(y, 0))
         sol = sys.solve()
         if sol is None:
             raise FillError("inversion blocked at arity %d" % m)
-        gtab = _solution_table(sol, "g")
-        htab = _solution_table(sol, "h")
+        gtab = solution_table(sol, "g")
+        htab = solution_table(sol, "h")
         gcomps = {k: dict(t) for k, t in g.comps.items()}
         if gtab:
             gcomps[m] = gtab
@@ -990,37 +797,32 @@ def model_morphism_over(f, model1, model2, K=2):
     F = None
     for m in range(1, K + 1):
         sys = LinearSystem()
-        _register_map_unknowns(sys, A1.space, A2.space, m, "F")
+        map_unknowns(sys, A1, A2, m, "F")
         O = obstruction_cocycle(F, m - 1) if m >= 2 else {}
-        _add_delta1_equations(sys, A1, A2, m, "F", O)
+        delta1_equations(sys, A1, A2, m, "F", O)
         # vertex evaluation compatibility: ev_j F_m = f_m ev_j^{x m}
         for j in (0, 1):
             for w in sym_words(A1.space, m):
                 d = word_degree(A1.space, w)
-                ev_elems = [evs1[j].apply_gen(a) for a in w]
-                want = f.comp_elems(m, ev_elems)
+                want = f.comp_elems(m, [evs1[j].apply_gen(a) for a in w])
                 for y in f.target.space.basis_in_degree(d):
-                    coeffs = {}
-                    for t in A2.space.basis_in_degree(d):
-                        _acc(coeffs, ("F", w, t),
-                             evs2[j].apply_gen(t).get(y, Fraction(0)))
-                    sys.equation(coeffs, want.get(y, Fraction(0)))
+                    sys.equation({("F", w, t): evs2[j].apply_gen(t).get(y, 0)
+                                  for t in A2.space.basis_in_degree(d)},
+                                 want.get(y, 0))
         # inclusion compatibility: F_m (incl1)^{x m} = incl2 f_m
         for w in sym_words(f.source.space, m):
             want = {}
             for b, c in f.comp_word(m, w).items():
-                want = vec_add(want, vec_scale(c, incl2.apply_gen(b)))
-            expanded = _expand_linear(incl1, w, A1.space)
-            d = word_degree(f.source.space, w)
-            for t in A2.space.basis_in_degree(d):
-                coeffs = {}
-                for cw, c in expanded.items():
-                    _acc(coeffs, ("F", cw, t), c)
-                sys.equation(coeffs, want.get(t, Fraction(0)))
+                vec_acc(want, incl2.apply_gen(b), c)
+            expanded = expand_canonical(A1.space,
+                                        [incl1.get(a, {}) for a in w])
+            for t in A2.space.basis_in_degree(word_degree(f.source.space, w)):
+                sys.equation({("F", cw, t): c for cw, c in expanded.items()},
+                             want.get(t, 0))
         sol = sys.solve()
         if sol is None:
             raise FillError("no model morphism component at arity %d" % m)
-        tab = _solution_table(sol, "F")
+        tab = solution_table(sol, "F")
         comps = {} if F is None else {k: dict(t) for k, t in F.comps.items()}
         if tab:
             comps[m] = tab

@@ -20,13 +20,13 @@ import itertools
 from fractions import Fraction
 
 from .gradedlin import (GradedMap, GradedSpace, cohomology, complement_in,
-                        echelon_of, matrix_rank, sym_words, vec_add,
-                        vec_scale, word_degree)
+                        echelon_of, matrix_rank, sym_words, vec_acc,
+                        vec_add, vec_scale, word_degree)
 from .linfty import (LInftyAlgebra, LInftyMorphism, check_morphism,
                      direct_sum, is_quasi_iso, l1_cohomology, l1_map,
                      quad_residual)
-from .derived import (label_base_weight, poly_add, poly_const, poly_deg,
-                      poly_diff, poly_from_json, poly_mul, poly_scale,
+from .derived import (label_base_weight, poly_const, poly_deg,
+                      poly_diff, poly_from_json, poly_mul,
                       poly_to_json, poly_trunc, poly_var, poly_zero)
 
 
@@ -644,9 +644,9 @@ def fooo_embedding_check(section, amb_section, bundle_map, verify_cap=None):
     for b in range(rp):
         want = poly_zero()
         for i in range(r):
-            want = poly_add(want, poly_scale(B[b][i], section.comps[i]))
+            vec_acc(want, section.comps[i], B[b][i])
         got = restrict(amb_section.comps[b])
-        if poly_add(got, poly_scale(-1, want)):
+        if vec_add(got, vec_scale(-1, want)):
             return EmbeddingReport(
                 False, "ambient section does not restrict to the "
                 "mapped section in frame component %d" % (b + 1),
@@ -666,7 +666,7 @@ def fooo_embedding_check(section, amb_section, bundle_map, verify_cap=None):
     for vec in comp_frame:
         p = poly_zero()
         for a in range(rp):
-            p = poly_add(p, poly_scale(vec[a], amb_section.comps[a]))
+            vec_acc(p, amb_section.comps[a], vec[a])
         comp_secs.append(p)
     for k2, p in enumerate(comp_secs):
         orders = [sum(e[i] for i in normal_idxs) for e in p]

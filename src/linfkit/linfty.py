@@ -15,11 +15,13 @@ zero and every verdict is "up to arity K_max".
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
+from itertools import product
 
-from .gradedlin import (Echelon, GradedMap, GradedSpace, canonical_word,
-                        cohomology, koszul_sign, matrix_rank, solve_sparse,
-                        split_sign, sym_words, unshuffles, vec_add, vec_scale,
-                        word_degree, scalar_to_str, scalar_from_str)
+from .gradedlin import (Echelon, GradedMap, GradedSpace, LinearSystem,
+                        acc_term, canonical_word, cohomology, koszul_sign,
+                        matrix_rank, split_sign, sym_words, unshuffles,
+                        vec_acc, word_degree, scalar_to_str, scalar_from_str)
 
 DEFAULT_ARITY_CAP = 4
 
@@ -36,6 +38,109 @@ def set_partitions(items):
         for i in range(len(part)):
             yield part[:i] + [[first] + part[i]] + part[i + 1:]
         yield [[first]] + part
+
+
+# ---------------------------------------------------------------------------
+# the term kernel
+#
+# Every relation, composition and differential below is one of two sums:
+# insert an operation into a word along an unshuffle, or apply a map to
+# the blocks of a set partition of a word.  Both accumulate in place.
+
+
+def _signed(sign, v):
+    return dict(v) if sign == 1 else {b: -c for b, c in v.items()}
+
+
+def expand_canonical(space, elems):
+    """The product of the elements (e_1, ..., e_k) expanded into
+    canonical words: {word: coeff}, vanishing words dropped."""
+    out = {}
+    for terms in product(*[e.items() for e in elems]):
+        cw, c = canonical_word(space, [b for b, _ in terms])
+        if cw is not None:
+            for _, x in terms:
+                c = c * x
+            acc_term(out, cw, c)
+    return out
+
+
+def _apply_table(space, table, elems):
+    """A multilinear map stored on canonical words, applied to
+    elements."""
+    out = {}
+    if table:
+        for w, c in expand_canonical(space, elems).items():
+            if w in table:
+                vec_acc(out, table[w], c)
+    return out
+
+
+def insertion_sum(A, word, outer, lo, hi, scale=1):
+    """scale * the sum over lo <= i <= hi and the (i, k-i)-unshuffles
+    (b1, b2) of the word of
+        sign * outer(k - i + 1, (l_i(word|b1),) + word|b2),
+    linear in the inserted element.  outer(n, w) gives an element for
+    an arity-n word w in any order (l_n or f_n)."""
+    acc = {}
+    k = len(word)
+    for i in range(max(lo, 0), min(hi, k) + 1):
+        if not (A.ops.get(i) if i else A.l0):
+            continue
+        for b1, b2 in unshuffles(i, k):
+            inner = A.op_word(i, tuple(word[p] for p in b1))
+            if not inner:
+                continue
+            sgn = scale * split_sign(A.space, word, b1, b2)
+            rest = tuple(word[p] for p in b2)
+            for g, c in inner.items():
+                vec_acc(acc, outer(k - i + 1, (g,) + rest), sgn * c)
+    return acc
+
+
+def _word_elem(space, cap):
+    """outer for insertion sums that keep the new word itself, as
+    {canonical word: sign}, projecting away arities above cap."""
+    def outer(n, w):
+        if n > cap:
+            return {}
+        cw, sgn = canonical_word(space, w)
+        return {} if cw is None else {cw: sgn}
+    return outer
+
+
+@lru_cache(maxsize=None)
+def _position_partitions(k):
+    """Set partitions of range(k) as (regrouping permutation, blocks),
+    blocks ordered by first position."""
+    out = []
+    for part in set_partitions(range(k)):
+        blocks = tuple(sorted(tuple(sorted(b)) for b in part))
+        out.append((tuple(p for b in blocks for p in b), blocks))
+    return tuple(out)
+
+
+def partition_terms(space, word):
+    """All set partitions of a canonical word's positions with the
+    Koszul sign of regrouping.  Yields (sign, [block words])."""
+    degs = [space.deg[l] for l in word]
+    for perm, blocks in _position_partitions(len(word)):
+        yield koszul_sign(degs, perm), [tuple(word[p] for p in b)
+                                        for b in blocks]
+
+
+def partition_sum(f, word, outer, keep=None, acc=None, scale=1):
+    """acc += scale * the sum over the set partitions of the word into
+    blocks B_1, ..., B_t whose count t lies in keep (default: all) of
+        sign * outer(t, [f(B_1), ..., f(B_t)]),
+    where outer(t, elems) is l_t or g_t on elements."""
+    acc = {} if acc is None else acc
+    for sgn, blocks in partition_terms(f.source.space, word):
+        t = len(blocks)
+        if keep is None or t in keep:
+            args = [f.comp_word(len(b), b) for b in blocks]
+            vec_acc(acc, outer(t, args), scale * sgn)
+    return acc
 
 
 def _residual_json(r):
@@ -116,7 +221,7 @@ class LInftyAlgebra:
                     if space.deg[b] != wd + 1:
                         raise ValueError(
                             "l_%d(%r) -> %r violates degree +1" % (k, cw, b))
-                tab[cw] = vec_add(tab.get(cw, {}), val)
+                vec_acc(tab.setdefault(cw, {}), val)
             clean[k] = {w: v for w, v in tab.items() if v}
         self.ops = clean
         for b in self.l0:
@@ -140,25 +245,15 @@ class LInftyAlgebra:
         cw, sign = canonical_word(self.space, word)
         if cw is None:
             return {}
-        out = table.get(cw, {})
-        return vec_scale(sign, out)
+        return _signed(sign, table.get(cw, {}))
 
     def op_elems(self, k, elems):
         """Multilinear extension of l_k to elements."""
         if k == 0:
             return dict(self.l0)
-        out = {}
-        terms = [({}, Fraction(1), ())]
-        # expand the product of the element arguments into basis words
-        words = [((), Fraction(1))]
-        for e in elems:
-            words = [(w + (b,), c * cb) for w, c in words
-                     for b, cb in e.items()]
-        for w, c in words:
-            if c == 0:
-                continue
-            out = vec_add(out, vec_scale(c, self.op_word(k, w)))
-        return out
+        if k != len(elems):
+            raise ValueError("arity mismatch")
+        return _apply_table(self.space, self.ops.get(k), elems)
 
     def word_weight(self, word):
         if self.weights is None:
@@ -212,20 +307,7 @@ def chain_complex(space, d: GradedMap, arity_cap=DEFAULT_ARITY_CAP,
 
 def quad_residual(A: LInftyAlgebra, word):
     """Left side of the quadratic relation on a canonical word."""
-    k = len(word)
-    space = A.space
-    res = {}
-    for i in range(0, k + 1):
-        if i == 0 and A.is_strict:
-            continue
-        for b1, b2 in unshuffles(i, k):
-            sgn = split_sign(space, word, b1, b2)
-            inner = A.op_word(i, tuple(word[p] for p in b1))
-            rest = tuple(word[p] for p in b2)
-            for g, c in inner.items():
-                out = A.op_word(k - i + 1, (g,) + rest)
-                res = vec_add(res, vec_scale(sgn * c, out))
-    return res
+    return insertion_sum(A, word, A.op_word, 0, len(word))
 
 
 def check_relations(A: LInftyAlgebra, up_to=None, weight_cap=None):
@@ -277,7 +359,7 @@ class LInftyMorphism:
                     if target.space.deg[b] != wd:
                         raise ValueError(
                             "f_%d(%r) -> %r violates degree 0" % (k, cw, b))
-                tab[cw] = vec_add(tab.get(cw, {}), val)
+                vec_acc(tab.setdefault(cw, {}), val)
             clean[k] = {w: v for w, v in tab.items() if v}
         self.comps = clean
 
@@ -300,18 +382,12 @@ class LInftyMorphism:
         cw, sign = canonical_word(self.source.space, word)
         if cw is None:
             return {}
-        return vec_scale(sign, table.get(cw, {}))
+        return _signed(sign, table.get(cw, {}))
 
     def comp_elems(self, k, elems):
-        out = {}
-        words = [((), Fraction(1))]
-        for e in elems:
-            words = [(w + (b,), c * cb) for w, c in words
-                     for b, cb in e.items()]
-        for w, c in words:
-            if c != 0:
-                out = vec_add(out, vec_scale(c, self.comp_word(k, w)))
-        return out
+        if k < 1 or k != len(elems):
+            return {}
+        return _apply_table(self.source.space, self.comps.get(k), elems)
 
     def f1_map(self) -> GradedMap:
         entries = {}
@@ -332,41 +408,10 @@ class LInftyMorphism:
         return doc
 
 
-def partition_terms(space, word):
-    """All set partitions of a canonical word's positions with the
-    Koszul sign of regrouping.  Yields (sign, [block words])."""
-    degs = [space.deg[l] for l in word]
-    for part in set_partitions(range(len(word))):
-        blocks = sorted([sorted(b) for b in part], key=lambda b: b[0])
-        perm = [p for b in blocks for p in b]
-        sgn = koszul_sign(degs, perm)
-        yield sgn, [tuple(word[p] for p in b) for b in blocks]
-
-
 def morphism_sides(f: LInftyMorphism, word):
     """Both sides of the morphism relation on a canonical word."""
-    A, B = f.source, f.target
-    k = len(word)
-    lhs = {}
-    for i in range(0, k + 1):
-        if i == 0 and A.is_strict:
-            continue
-        for b1, b2 in unshuffles(i, k):
-            sgn = split_sign(A.space, word, b1, b2)
-            inner = A.op_word(i, tuple(word[p] for p in b1))
-            rest = tuple(word[p] for p in b2)
-            for g, c in inner.items():
-                out = f.comp_word(k - i + 1, (g,) + rest)
-                lhs = vec_add(lhs, vec_scale(sgn * c, out))
-    rhs = {}
-    if k == 0:
-        rhs = dict(B.l0)
-    else:
-        for sgn, blocks in partition_terms(A.space, word):
-            t = len(blocks)
-            args = [f.comp_word(len(b), b) for b in blocks]
-            rhs = vec_add(rhs, vec_scale(sgn, B.op_elems(t, args)))
-    return lhs, rhs
+    return (insertion_sum(f.source, word, f.comp_word, 0, len(word)),
+            partition_sum(f, word, f.target.op_elems))
 
 
 def check_morphism(f: LInftyMorphism, up_to=None, weight_cap=None):
@@ -385,7 +430,7 @@ def check_morphism(f: LInftyMorphism, up_to=None, weight_cap=None):
                 continue
             checked += 1
             lhs, rhs = morphism_sides(f, word)
-            res = vec_add(lhs, vec_scale(-1, rhs))
+            res = vec_acc(lhs, rhs, -1)
             if res:
                 failures.append((word, res))
     return CheckReport("linfty-morphism", failures, checked)
@@ -401,11 +446,7 @@ def compose(g: LInftyMorphism, f: LInftyMorphism) -> LInftyMorphism:
     for k in range(1, cap + 1):
         tab = {}
         for word in sym_words(f.source.space, k):
-            out = {}
-            for sgn, blocks in partition_terms(f.source.space, word):
-                t = len(blocks)
-                args = [f.comp_word(len(b), b) for b in blocks]
-                out = vec_add(out, vec_scale(sgn, g.comp_elems(t, args)))
+            out = partition_sum(f, word, g.comp_elems)
             if out:
                 tab[word] = out
         if tab:
@@ -491,34 +532,13 @@ def codifferential_hat(A: LInftyAlgebra, cap=None,
     with words of arity above the cap projected away."""
     cap = cap or A.arity_cap
     space = hat_space(A, cap, include_empty)
+    words = _word_elem(A.space, cap)
     entries = {}
     for wl, word in space.words.items():
-        k = len(word)
-        out = {}
-        lo_i = 0 if not A.is_strict else 1
-        for i in range(lo_i, k + 1):
-            if i == 0:
-                # curvature raises arity by one
-                if k + 1 > cap:
-                    continue
-                for g, c in A.l0.items():
-                    cw, sgn = canonical_word(A.space, (g,) + word)
-                    if cw is not None and k + 1 >= (0 if include_empty else 1):
-                        out = vec_add(out, {word_label(cw): sgn * c})
-                continue
-            for b1, b2 in unshuffles(i, k):
-                sgn = split_sign(A.space, word, b1, b2)
-                inner = A.op_word(i, tuple(word[p] for p in b1))
-                rest = tuple(word[p] for p in b2)
-                if k - i + 1 > cap or (k - i + 1 == 0 and not include_empty):
-                    continue
-                for g, c in inner.items():
-                    cw, s2 = canonical_word(A.space, (g,) + rest)
-                    if cw is None:
-                        continue
-                    out = vec_add(out, {word_label(cw): sgn * s2 * c})
-        for b, c in out.items():
-            entries[(wl, b)] = c
+        # the curvature (i = 0) raises arity by one
+        out = insertion_sum(A, word, words, 0, len(word))
+        for cw, c in out.items():
+            entries[(wl, word_label(cw))] = c
     return GradedMap(space, space, 1, entries)
 
 
@@ -529,23 +549,11 @@ def hat_morphism(f: LInftyMorphism, cap=None):
     tgt = hat_space(f.target, cap)
     entries = {}
     for wl, word in src.words.items():
-        out = {}
-        for sgn, blocks in partition_terms(f.source.space, word):
-            t = len(blocks)
-            if t > cap:
-                continue
-            args = [f.comp_word(len(b), b) for b in blocks]
-            prods = [((), Fraction(1))]
-            for e in args:
-                prods = [(w + (b,), c * cb) for w, c in prods
-                         for b, cb in e.items()]
-            for w2, c in prods:
-                cw, s2 = canonical_word(f.target.space, w2)
-                if cw is None or c == 0:
-                    continue
-                out = vec_add(out, {word_label(cw): sgn * s2 * c})
-        for b, c in out.items():
-            entries[(wl, b)] = c
+        out = partition_sum(
+            f, word, lambda t, args: expand_canonical(f.target.space, args),
+            range(1, cap + 1))
+        for cw, c in out.items():
+            entries[(wl, word_label(cw))] = c
     return GradedMap(src, tgt, 0, entries), src, tgt
 
 
@@ -643,52 +651,68 @@ def is_quasi_iso(f: LInftyMorphism):
 # obstruction theory
 
 
-def delta1(f_source: LInftyAlgebra, f_target: LInftyAlgebra, g, deg_g=0):
-    """Hochschild differential on Hom(S^m C, C'):
-    delta1(g) = l'_1 . g + (-1)^{deg_g + 1} g . \\hat l_1.
-    g: {canonical word: element}."""
-    sgn_tail = -1 if deg_g % 2 == 0 else 1
-    out = {}
-    space = f_source.space
-    for word in g:
-        val = f_target.op_elems(1, [g[word]])
-        k = len(word)
-        for b1, b2 in unshuffles(1, k):
-            sgn = split_sign(space, word, b1, b2)
-            inner = f_source.op_word(1, (word[b1[0]],))
-            rest = tuple(word[p] for p in b2)
-            for h, c in inner.items():
-                cw, s2 = canonical_word(space, (h,) + rest)
-                if cw is None:
-                    continue
-                val = vec_add(val, vec_scale(sgn_tail * sgn * s2 * c,
-                                             g.get(cw, {})))
-        if val:
-            out[word] = val
+def delta1_rows(A, B, m, shift=0, tag=None):
+    """The Hochschild differential on maps u: S^m A -> B of degree shift,
+        delta1(u) = l'_1 . u + (-1)^(shift + 1) u . hat l_1,
+    as rows (word, label, {(tag, word', label'): coeff}): one per
+    canonical arity-m word of A and label of B in the degree of
+    delta1(u)(word), empty rows included.  Row keys name the unknown
+    coefficient u(word')_label'."""
+    tail = 1 if shift % 2 else -1
+    words = _word_elem(A.space, m)
+    l1_cols = {}
+    out = []
+    for w in sym_words(A.space, m):
+        d = word_degree(A.space, w) + shift
+        rows = {b2: {} for b2 in B.space.basis_in_degree(d + 1)}
+        if d not in l1_cols:
+            l1_cols[d] = [(b, B.op_word(1, (b,)))
+                          for b in B.space.basis_in_degree(d)]
+        for b, img in l1_cols[d]:
+            for b2, c in img.items():
+                rows[b2][(tag, w, b)] = c
+        for cw, c in insertion_sum(A, w, words, 1, 1, scale=tail).items():
+            for b in B.space.basis_in_degree(d + 1):
+                rows[b][(tag, cw, b)] = c
+        out += [(w, b2, row) for b2, row in rows.items()]
     return out
 
 
-def _delta1_full(A, B, g, m, deg_g=0):
-    """delta1 of a map defined on every canonical word of arity m
-    (missing words count as zero)."""
-    table = {w: g.get(w, {}) for w in sym_words(A.space, m)}
-    sgn_tail = -1 if deg_g % 2 == 0 else 1
+def delta1(A, B, g, m, shift=0):
+    """delta1(g) on every canonical arity-m word of A, nonzero values
+    only.  g: {canonical word: element} of degree shift, missing words
+    zero."""
     out = {}
-    for word, val0 in table.items():
-        val = B.op_elems(1, [val0]) if val0 else {}
-        for b1, b2 in unshuffles(1, m):
-            sgn = split_sign(A.space, word, b1, b2)
-            inner = A.op_word(1, (word[b1[0]],))
-            rest = tuple(word[p] for p in b2)
-            for h, c in inner.items():
-                cw, s2 = canonical_word(A.space, (h,) + rest)
-                if cw is None:
-                    continue
-                val = vec_add(val, vec_scale(sgn_tail * sgn * s2 * c,
-                                             table.get(cw, {})))
-        if val:
-            out[word] = val
+    for w, b2, row in delta1_rows(A, B, m, shift):
+        c = sum(x * g[cw][b] for (_, cw, b), x in row.items()
+                if b in g.get(cw, ()))
+        if c:
+            out.setdefault(w, {})[b2] = c
     return out
+
+
+def map_unknowns(sys, A, B, m, tag, shift=0):
+    """Register the coefficients (tag, word, label) of an unknown map
+    S^m A -> B of degree shift, word by word."""
+    for w in sym_words(A.space, m):
+        for b in B.space.basis_in_degree(word_degree(A.space, w) + shift):
+            sys.var((tag, w, b))
+
+
+def delta1_equations(sys, A, B, m, tag, rhs, shift=0):
+    """Equations delta1(u) = rhs for the unknown map registered under
+    tag; rhs: {word: element}."""
+    for w, b2, row in delta1_rows(A, B, m, shift, tag):
+        sys.equation(row, rhs.get(w, {}).get(b2, 0))
+
+
+def solution_table(sol, tag):
+    """The map registered under tag in a solution, as {word: element}."""
+    table = {}
+    for key, c in sol.items():
+        if key[0] == tag:
+            table.setdefault(key[1], {})[key[2]] = c
+    return table
 
 
 class ObstructionClass:
@@ -722,23 +746,10 @@ def obstruction_cocycle(f: LInftyMorphism, K):
         raise CurvedError("obstruction theory requires strict algebras")
     out = {}
     for word in sym_words(A.space, K + 1):
-        val = {}
-        # terms of the left side of the relation that avoid f_{K+1}
-        for i in range(2, K + 2):
-            for b1, b2 in unshuffles(i, K + 1):
-                sgn = split_sign(A.space, word, b1, b2)
-                inner = A.op_word(i, tuple(word[p] for p in b1))
-                rest = tuple(word[p] for p in b2)
-                for g, c in inner.items():
-                    val = vec_add(val, vec_scale(
-                        sgn * c, f.comp_word(K + 2 - i, (g,) + rest)))
-        # minus the right-side terms with at least two blocks
-        for sgn, blocks in partition_terms(A.space, word):
-            t = len(blocks)
-            if t < 2:
-                continue
-            args = [f.comp_word(len(b), b) for b in blocks]
-            val = vec_add(val, vec_scale(-sgn, B.op_elems(t, args)))
+        # the terms of the relation that avoid f_{K+1}: insertions of
+        # l_{i >= 2}, minus the partitions into at least two blocks
+        val = insertion_sum(A, word, f.comp_word, 2, K + 1)
+        partition_sum(f, word, B.op_elems, range(2, K + 2), val, -1)
         if val:
             out[word] = val
     return out
@@ -749,8 +760,7 @@ def obstruction_class(f: LInftyMorphism, K) -> ObstructionClass:
     solve, and produce the canonical extension component when exact."""
     A, B = f.source, f.target
     O = obstruction_cocycle(f, K)
-    closed = _delta1_full(A, B, O, K + 1, deg_g=1)
-    if closed:
+    if delta1(A, B, O, K + 1, shift=1):
         raise AssertionError("obstruction cocycle is not delta1-closed")
     sol = solve_delta1(A, B, O, K + 1)
     return ObstructionClass(f, K, O, sol is not None, sol)
@@ -760,48 +770,11 @@ def solve_delta1(A, B, rhs, m):
     """Solve delta1(g) = rhs for a degree-0 map g on S^m words.
     Returns {word: element} (canonical reduced-echelon solution) or
     None."""
-    words = sym_words(A.space, m)
-    unknowns = []
-    for w in words:
-        d = word_degree(A.space, w)
-        for b in B.space.basis_in_degree(d):
-            unknowns.append((w, b))
-    uindex = {u: i for i, u in enumerate(unknowns)}
-    rows, rvec = [], []
-    for w in words:
-        d = word_degree(A.space, w) + 1
-        # delta1(g)(w) = l1'(g(w)) - sum_j +- g(l1(a_j) . rest)
-        coeffs = {}
-        for b in B.space.basis_in_degree(d - 1):
-            img = B.op_word(1, (b,))
-            for b2, c in img.items():
-                coeffs.setdefault(b2, {})[(w, b)] = \
-                    coeffs.get(b2, {}).get((w, b), Fraction(0)) + c
-        for b1, b2 in unshuffles(1, m):
-            sgn = split_sign(A.space, w, b1, b2)
-            inner = A.op_word(1, (w[b1[0]],))
-            rest = tuple(w[p] for p in b2)
-            for h, c in inner.items():
-                cw, s2 = canonical_word(A.space, (h,) + rest)
-                if cw is None:
-                    continue
-                dd = word_degree(A.space, cw)
-                for b in B.space.basis_in_degree(dd):
-                    coeffs.setdefault(b, {})[(cw, b)] = \
-                        coeffs.get(b, {}).get((cw, b), Fraction(0)) \
-                        - sgn * s2 * c
-        target_basis = B.space.basis_in_degree(d)
-        for b2 in target_basis:
-            rows.append({uindex[u]: c for u, c in coeffs.get(b2, {}).items()})
-            rvec.append(rhs.get(w, {}).get(b2, Fraction(0)))
-    x = solve_sparse(rows, rvec, len(unknowns))
-    if x is None:
-        return None
-    g = {}
-    for (w, b), xi in zip(unknowns, x):
-        if xi != 0:
-            g.setdefault(w, {})[b] = xi
-    return g
+    sys = LinearSystem()
+    map_unknowns(sys, A, B, m, "g")
+    delta1_equations(sys, A, B, m, "g", rhs)
+    sol = sys.solve()
+    return None if sol is None else solution_table(sol, "g")
 
 
 def extend_morphism(f: LInftyMorphism, K):

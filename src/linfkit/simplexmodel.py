@@ -18,9 +18,9 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 
-from .gradedlin import (Echelon, GradedMap, GradedSpace, echelon_of,
-                        matrix_rank, nullspace, scalar_from_str,
-                        scalar_to_str, vec_add, vec_scale)
+from .gradedlin import (Echelon, GradedMap, GradedSpace, acc_term,
+                        echelon_of, matrix_rank, nullspace, scalar_from_str,
+                        scalar_to_str, vec_acc, vec_add, vec_scale)
 from .linfty import (CheckReport, LInftyAlgebra, LInftyMorphism,
                      check_morphism, check_relations, compose, is_quasi_iso)
 
@@ -61,20 +61,6 @@ def simplex_forms(n, weight_cap):
     return keys
 
 
-def form_add(f, g):
-    out = dict(f)
-    for k, c in g.items():
-        out[k] = out.get(k, Fraction(0)) + c
-        if out[k] == 0:
-            del out[k]
-    return out
-
-
-def form_scale(c, f):
-    c = Fraction(c)
-    return {} if c == 0 else {k: c * v for k, v in f.items()}
-
-
 def d_form(n, form):
     out = {}
     for (exps, dts), c in form.items():
@@ -87,7 +73,7 @@ def d_form(n, form):
             below = sum(1 for i in dts if i < m)
             new_dts = tuple(sorted(dts + (m,)))
             sgn = (-1) ** below
-            out = form_add(out, {(new_exps, new_dts): sgn * e * c})
+            acc_term(out, (new_exps, new_dts), sgn * e * c)
     return out
 
 
@@ -101,7 +87,7 @@ def wedge(n, f, g):
             inv = sum(1 for i in range(len(seq)) for j in range(i + 1, len(seq))
                       if seq[i] > seq[j])
             key = (tuple(a + b for a, b in zip(e1, e2)), tuple(sorted(seq)))
-            out = form_add(out, {key: (-1) ** inv * c1 * c2})
+            acc_term(out, key, (-1) ** inv * c1 * c2)
     return out
 
 
@@ -141,13 +127,13 @@ def face_restrict(n, i, form, weight_cap=None):
     out = {}
     unit = {(tuple([0] * m), ()): Fraction(1)}
     for (exps, dts), c in form.items():
-        val = form_scale(c, unit)
+        val = vec_scale(c, unit)
         for coord in range(1, n + 1):
             for _ in range(exps[coord - 1]):
                 val = wedge(m, val, images[coord - 1])
         for coord in dts:
             val = wedge(m, val, d_form(m, images[coord - 1]))
-        out = form_add(out, val)
+        vec_acc(out, val)
     if weight_cap is not None:
         out = {k: v for k, v in out.items() if mono_weight(k) <= weight_cap}
     return out

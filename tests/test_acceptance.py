@@ -232,7 +232,7 @@ def _hom_exactness_oracle(f, K, cocycle):
                 v[key_pos[(w, b)]] = c
         return v
 
-    columns = [densify(delta1(A, B, {w: {b: F(1)}}, deg_g=0))
+    columns = [densify(delta1(A, B, {w: {b: F(1)}}, K + 1))
                for (w, b) in basis]
     return in_span(columns, densify(cocycle))
 
@@ -279,8 +279,7 @@ def criterion_2():
     checks = []
     for name, f, K in _obstruction_instances():
         O = obstruction_cocycle(f, K)
-        dO = delta1(f.source, f.target, O, deg_g=1)
-        closed = all(not v for v in dO.values())
+        closed = not delta1(f.source, f.target, O, K + 1, shift=1)
         ext, obc = extend_morphism(f, K)
         oracle = _hom_exactness_oracle(f, K, O)
         agree = (obc.exact == oracle) and ((ext is not None) == oracle)

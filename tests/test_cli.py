@@ -354,6 +354,34 @@ def test_escaping_cap_error_exits_three(error, tmp_path, capsys,
     assert capsys.readouterr().err == "cap guard: too wide\n"
 
 
+def curved_doc(verb, A):
+    if verb == "cohomology":
+        return {"version": 1, "algebra": A.to_json()}
+    doc = {"version": 1, "source": A.to_json(), "target": A.to_json()}
+    mj = LInftyMorphism.identity(A).to_json()
+    if verb == "fill-homotopy":
+        return dict(doc, fs=[mj, mj])
+    return dict(doc, morphism=mj, K=2)
+
+
+@pytest.mark.parametrize("verb", ["cohomology", "fill-homotopy",
+                                  "obstruction", "extend"])
+def test_curved_algebra_exits_two(verb, tmp_path, capsys):
+    """Verbs that need a strict algebra refuse a curved one as an input
+    error (exit 2), not as a failed check or a crash.  The same document
+    with the curvature removed passes."""
+    strict = pair_algebra()
+    curved = LInftyAlgebra(strict.space, strict.ops, l0={"y": F(1)},
+                           arity_cap=3)
+    assert run([verb, write(tmp_path, "s.json", curved_doc(verb, strict))],
+               capsys)[0] == 0
+    assert cli.main([verb, write(tmp_path, "c.json",
+                                 curved_doc(verb, curved))]) == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert err.startswith("input error:")
+
+
 @pytest.mark.parametrize("verb", sorted(cli.HANDLERS))
 def test_every_verb_rejects_empty_document(verb, tmp_path, capsys):
     assert run([verb, write(tmp_path, "e.json", {})], capsys)[0] == 2

@@ -15,15 +15,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from linfkit.gradedlin import GradedSpace, koszul_sign
+from linfkit.gradedlin import GradedSpace, koszul_sign, vec_add, vec_scale
 from linfkit.derived import (GradedLieAlgebra, JetMultivectorModel, VAlgebra,
                              check_graded_lie, check_valgebra,
                              derived_brackets, epsilon_morphism,
                              jet_valgebra, label_base_weight,
                              label_normal_weight, localize_valgebra,
-                             localized_algebra, mv_add, mv_from_json,
-                             mv_scale, mv_to_json, mv_wedge, op_weight_gain,
-                             poisson_from_presymplectic, poly_add, poly_diff,
+                             localized_algebra, mv_from_json, mv_to_json,
+                             mv_wedge, op_weight_gain,
+                             poisson_from_presymplectic, poly_diff,
                              poly_from_json, poly_mul, poly_to_json,
                              schouten)
 from linfkit.linfty import (check_morphism, check_relations,
@@ -73,7 +73,7 @@ def finite_binary_valgebra():
 
 def test_poly_primitives():
     nv = 2
-    p = poly_add({(1, 0): F(2)}, {(0, 1): F(1)})
+    p = vec_add({(1, 0): F(2)}, {(0, 1): F(1)})
     q = poly_mul(p, p)
     assert q == {(2, 0): F(4), (1, 1): F(4), (0, 2): F(1)}
     assert poly_diff(q, 0) == {(1, 0): F(8), (0, 1): F(4)}
@@ -108,13 +108,13 @@ def test_schouten_antisymmetry_and_jacobi(seed):
     Y, yb = _rand_homog(rng)
     Z, zb = _rand_homog(rng)
     lhs = schouten(X, Y)
-    rhs = mv_scale(-((-1) ** ((xb % 2) * (yb % 2))), schouten(Y, X))
-    assert mv_add(lhs, mv_scale(-1, rhs)) == {}
-    jac = mv_add(
+    rhs = vec_scale(-((-1) ** ((xb % 2) * (yb % 2))), schouten(Y, X))
+    assert vec_add(lhs, vec_scale(-1, rhs)) == {}
+    jac = vec_add(
         schouten(X, schouten(Y, Z)),
-        mv_scale(-1, mv_add(
+        vec_scale(-1, vec_add(
             schouten(schouten(X, Y), Z),
-            mv_scale((-1) ** ((xb % 2) * (yb % 2)),
+            vec_scale((-1) ** ((xb % 2) * (yb % 2)),
                      schouten(Y, schouten(X, Z))))))
     assert jac == {}
 
@@ -127,11 +127,11 @@ def test_schouten_leibniz(seed):
     Y, yb = _rand_homog(rng)
     Z, zb = _rand_homog(rng)
     lhs = schouten(X, mv_wedge(Y, Z))
-    rhs = mv_add(
+    rhs = vec_add(
         mv_wedge(schouten(X, Y), Z),
-        mv_scale((-1) ** ((xb % 2) * ((yb + 1) % 2)),
+        vec_scale((-1) ** ((xb % 2) * ((yb + 1) % 2)),
                  mv_wedge(Y, schouten(X, Z))))
-    assert mv_add(lhs, mv_scale(-1, rhs)) == {}
+    assert vec_add(lhs, vec_scale(-1, rhs)) == {}
 
 
 def test_schouten_normalization():
@@ -177,7 +177,7 @@ def test_jet_valgebra_passes():
 
 def test_perturbed_element_fails_maurer_cartan():
     m, P = nonflat_model()
-    bad = mv_add(P, mv_wedge(
+    bad = vec_add(P, mv_wedge(
         {(next(iter(m.var("y1"))), ()): F(1)},
         mv_wedge(m.vector("y1"), m.vector("q1"))))
     rep = check_valgebra(jet_valgebra(m, bad))
@@ -284,7 +284,7 @@ def test_derived_ops_graded_symmetry():
 def test_poisson_flat_is_tautological_pairing():
     m = flat_model()
     P = poisson_from_presymplectic(m, [], {})
-    want = mv_add(mv_wedge(m.vector("q1"), m.vector("p1")),
+    want = vec_add(mv_wedge(m.vector("q1"), m.vector("p1")),
                   mv_wedge(m.vector("q2"), m.vector("p2")))
     assert P == want
     assert m.pi(P) == {}
@@ -293,7 +293,7 @@ def test_poisson_flat_is_tautological_pairing():
 def test_poisson_pure_transverse_block():
     m = JetMultivectorModel(2, 0, base_cap=2)
     P = poisson_from_presymplectic(m, [[0, 2], [-2, 0]], {})
-    assert P == mv_scale(2, mv_wedge(m.vector("y1"), m.vector("y2")))
+    assert P == vec_scale(2, mv_wedge(m.vector("y1"), m.vector("y2")))
     assert m.pi(P) == {}
 
 

@@ -16,13 +16,13 @@ import pytest
 from linfkit.gradedlin import (GradedSpace, sym_words, vec_add, vec_scale,
                                word_degree)
 from linfkit.linfty import (CurvedError, LInftyAlgebra, LInftyMorphism,
-                            check_morphism, check_relations,
-                            codifferential_hat, compose, delta_word,
+                            chain_complex, check_morphism, check_relations,
+                            codifferential_hat, compose, delta1, delta_word,
                             direct_sum, extend_morphism, hat_morphism,
-                            is_quasi_iso, l1_cohomology, morphism_sides,
-                            obstruction_class, obstruction_cocycle,
-                            quad_residual, set_partitions, zero_algebra,
-                            _delta1_full)
+                            is_quasi_iso, l1_cohomology, l1_map,
+                            morphism_sides, obstruction_class,
+                            obstruction_cocycle, quad_residual,
+                            set_partitions, solve_delta1, zero_algebra)
 
 S3 = GradedSpace([("a", 0), ("b", 1), ("c", 2)])
 
@@ -247,6 +247,59 @@ def test_cohomology_and_quasi_iso():
         l1_cohomology(LInftyAlgebra(S, {}, l0={"b": F(1)}))
 
 
+def pair_and_pincer():
+    pair = LInftyAlgebra(GradedSpace([("a", 0), ("b", 1)]),
+                         {1: {("a",): {"b": F(1)}},
+                          2: {("a", "a"): {"b": F(1)}}}, arity_cap=4)
+    pincer = LInftyAlgebra(GradedSpace([("u", -1), ("x1", 0), ("x2", 0),
+                                        ("y", 1)]),
+                           {1: {("u",): {"x1": F(1), "x2": F(-1)},
+                                ("x1",): {"y": F(1)},
+                                ("x2",): {"y": F(1)}}}, arity_cap=4)
+    return pair, pincer
+
+
+def test_delta1_reaches_words_where_the_map_vanishes():
+    """delta1(g) is evaluated on every word, not only where g is set:
+    on the acyclic pair, g = (b -> b) gives delta1(g)(a) = -g(l1 a)."""
+    pair, _ = pair_and_pincer()
+    assert delta1(pair, pair, {("b",): {"b": F(1)}}, 1) \
+        == {("a",): {"b": F(-1)}}
+
+
+def test_delta1_matches_coalgebra_picture():
+    """delta1(g) = l1' g - g hat(l1) for degree-0 maps g on arity-m
+    words, with hat(l1) read off the coderivation of the l1 part; the
+    solver, which reads the same rows, inverts it on its image."""
+    rng = random.Random(5)
+    pair, pincer = pair_and_pincer()
+    tails = 0
+    for A, B in ((pair, pair), (pincer, pincer), (pincer, pair)):
+        hat = codifferential_hat(chain_complex(A.space, l1_map(A)), cap=2)
+        words = hat.source.words
+        for m in (1, 2):
+            g = {}
+            for w in sym_words(A.space, m):
+                for b in B.space.basis_in_degree(word_degree(A.space, w)):
+                    c = rng.choice([0, 1, -2])
+                    if c:
+                        g.setdefault(w, {})[b] = F(c)
+            want = {}
+            for w in sym_words(A.space, m):
+                val = B.op_elems(1, [g.get(w, {})])
+                for (src, tgt), c in hat.entries.items():
+                    if words[src] == w and words[tgt] in g:
+                        tails += 1
+                        val = vec_add(val, vec_scale(-c, g[words[tgt]]))
+                if val:
+                    want[w] = val
+            got = delta1(A, B, g, m)
+            assert got == want
+            sol = solve_delta1(A, B, got, m)
+            assert sol is not None and delta1(A, B, sol, m) == got
+    assert tails > 0
+
+
 def test_obstruction_normalization_identity():
     """Derived oracle: the arity-(K+1) morphism residual equals
     O_{K+1}(f) - delta1(f_{K+1}) for arbitrary components."""
@@ -262,7 +315,7 @@ def test_obstruction_normalization_identity():
         K = 2
         O = obstruction_cocycle(f, K)
         fK1 = {w: f.comp_word(K + 1, w) for w in sym_words(S3, K + 1)}
-        d1 = _delta1_full(A, B, fK1, K + 1, deg_g=0)
+        d1 = delta1(A, B, fK1, K + 1)
         for w in sym_words(S3, K + 1):
             lhs, rhs = morphism_sides(f, w)
             res = vec_add(lhs, vec_scale(-1, rhs))

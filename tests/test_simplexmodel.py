@@ -10,15 +10,15 @@ from fractions import Fraction as F
 
 import pytest
 
-from linfkit.gradedlin import GradedSpace
+from linfkit.gradedlin import GradedSpace, vec_add, vec_scale
 from linfkit.linfty import (LInftyAlgebra, LInftyMorphism, check_morphism,
                             check_relations, compose, is_quasi_iso)
 from linfkit.simplexmodel import (Homotopy, SimplexCapError, SimplexModel,
                                   build_model, concat_homotopies,
                                   constant_homotopy, d_form, face_restrict,
-                                  form_add, form_from_json, form_scale,
-                                  form_to_json, forms_cohomology, is_homotopy,
-                                  mono_weight, simplex_forms,
+                                  form_from_json, form_to_json,
+                                  forms_cohomology, is_homotopy, mono_weight,
+                                  simplex_forms,
                                   verify_model_axioms, wedge)
 
 
@@ -34,7 +34,7 @@ def test_basic_calculus():
     # wedge is graded commutative: dt1 ^ dt2 = - dt2 ^ dt1
     dt1 = {((0, 0), (1,)): F(1)}
     dt2 = {((0, 0), (2,)): F(1)}
-    assert wedge(2, dt1, dt2) == form_scale(-1, wedge(2, dt2, dt1))
+    assert wedge(2, dt1, dt2) == vec_scale(-1, wedge(2, dt2, dt1))
     assert wedge(2, dt1, dt1) == {}
 
 
@@ -67,7 +67,7 @@ def test_face_restrict_commutes_with_d():
     for i in range(3):
         a = face_restrict(2, i, d_form(2, form))
         b = d_form(1, face_restrict(2, i, form))
-        assert form_add(a, form_scale(-1, b)) == {}
+        assert vec_add(a, vec_scale(-1, b)) == {}
 
 
 def test_face_of_face_consistency():
