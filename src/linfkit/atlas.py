@@ -87,7 +87,7 @@ class ToyAtlas:
         if p == q:
             alg = self.algebras[self.charts[p]["algebra_ref"]]
             return LInftyMorphism.identity(alg)
-        ref = self.changes[(p, q)].get("morphism_ref")
+        ref = self.changes.get((p, q), {}).get("morphism_ref")
         if ref is None:
             raise ValueError("change %r carries no morphism handle"
                              % ((p, q),))
@@ -127,11 +127,11 @@ class ToyAtlas:
         by_str = {str(p): p for p in points}
         charts = {}
         for ps, c in doc["charts"].items():
-            base = list(c["base_points"])
+            base = [_point(u) for u in c["base_points"]]
             base_by_str = {str(u): u for u in base}
             charts[by_str[ps]] = {
                 "base_points": base,
-                "zero_set": {base_by_str[us]: x
+                "zero_set": {base_by_str[us]: _point(x)
                              for us, x in c["zero_set"].items()},
                 "group_order": c.get("group_order", 1),
                 "dim": c.get("dim", 0),
@@ -142,13 +142,20 @@ class ToyAtlas:
             p, q = ch["pair"]
             base_by_str = {str(u): u for u in charts[p]["base_points"]}
             changes[(p, q)] = {
-                "U_pq": list(ch["U_pq"]),
-                "base_map": {base_by_str[us]: v
+                "U_pq": [_point(u) for u in ch["U_pq"]],
+                "base_map": {base_by_str[us]: _point(v)
                              for us, v in ch["base_map"].items()},
                 "morphism_ref": ch.get("morphism_ref"),
             }
         return cls(points, charts, changes, algebras=algebras,
                    morphisms=morphisms)
+
+
+def _point(x):
+    """A point or base point read from a document: a JSON scalar."""
+    if isinstance(x, (list, dict)):
+        raise TypeError("a point must be a scalar, got %r" % (x,))
+    return x
 
 
 def validate_atlas(A: ToyAtlas) -> CheckReport:
@@ -222,7 +229,7 @@ def validate_atlas(A: ToyAtlas) -> CheckReport:
         f = A.base_map(p, q)
         for u in sorted(set(A.zeros(p)) & A.change_domain(p, q), key=str):
             checked += 1
-            v = f[u]
+            v = f.get(u)
             if v not in A.zeros(q) or A.zeros(q)[v] != A.zeros(p)[u]:
                 fail("axiom-ii", p, q, u,
                      {"chart maps disagree": 1})
@@ -235,11 +242,11 @@ def validate_atlas(A: ToyAtlas) -> CheckReport:
             fpq, fqr, fpr = A.base_map(p, q), A.base_map(q, r), \
                 A.base_map(p, r)
             locus = {u for u in A.change_domain(p, q)
-                     if fpq[u] in A.change_domain(q, r)} \
+                     if fpq.get(u) in A.change_domain(q, r)} \
                 & A.change_domain(p, r)
             for u in sorted(locus, key=str):
                 checked += 1
-                if fqr[fpq[u]] != fpr[u]:
+                if fqr.get(fpq.get(u)) != fpr.get(u):
                     fail("axiom-iii", p, q, u,
                          {"composite disagrees at": str(r)})
 

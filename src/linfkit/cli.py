@@ -6,9 +6,15 @@ A job is a verb plus one JSON input document.  Documents carry a
 that silent schema drift cannot invalidate certificates.  Caps beyond
 the configured guards are refused up front.
 
+Each verb is a row of `HANDLERS`: a loader that reads and validates
+the document, and a runner that calls the library.  `run_job` is the
+one error boundary: what a loader raises is an input error, and a
+library refusal a runner names through `attempt` is a failed check.
+
 Exit codes: 0 all checks pass, 1 a check fails, 2 input error
 (unparseable document, schema violation, malformed scalar), 3 cap
-guard violation.
+guard violation, 4 internal error (any other exception: a fault in
+linfkit, never a verdict on the input).
 
 Reports are deterministic for a fixed input and caps: the canonical
 JSON rendering is byte-identical across runs (wall-clock timing is
@@ -37,14 +43,9 @@ SCHEMA_VERSION = 1
 
 GUARDS = {"arity": 6, "jet": 8, "weight": 12, "simp": 4}
 
-VERBS = [
-    "check-linfty", "check-mor", "compose", "cohomology", "obstruction",
-    "extend", "model-build", "model-verify", "homotopy-check",
-    "fill-homotopy", "whitehead", "model-over", "valgebra-check",
-    "derived-brackets", "poisson-build", "localize", "koszul",
-    "primitive", "augment", "local-algebra", "expand", "fooo-check",
-    "atlas-check", "hypercover", "cocycle-build", "cocycle-check",
-]
+# what reading a document of the wrong shape or scalar raises
+LOADER_ERRORS = (KeyError, TypeError, ValueError, AttributeError,
+                 ZeroDivisionError)
 
 
 class InputError(Exception):
@@ -53,6 +54,19 @@ class InputError(Exception):
 
 class CapGuard(Exception):
     """A requested cap exceeds the configured guard (exit code 3)."""
+
+
+class Refusal(Exception):
+    """A library refusal; args: the failed check's name, the error."""
+
+
+def attempt(name, fn, *args, **kwargs):
+    """Call the library; a FillError or ValueError it raises is the
+    failed check `name`, not an input error."""
+    try:
+        return fn(*args, **kwargs)
+    except (htpy_mod.FillError, ValueError) as exc:
+        raise Refusal(name, exc) from exc
 
 
 # ---------------------------------------------------------------------------
@@ -72,63 +86,46 @@ def expect(doc, where, required, optional=()):
 
 
 def check_version(doc):
-    if doc.get("version") != SCHEMA_VERSION:
+    if not isinstance(doc, dict) or doc.get("version") != SCHEMA_VERSION:
         raise InputError("document version must be %d" % SCHEMA_VERSION)
 
 
-def load_algebra(doc, where):
-    try:
-        return linfty_mod.LInftyAlgebra.from_json(doc)
-    except ZeroDivisionError:
-        raise InputError("%s: malformed coefficient (division by zero)"
-                         % where)
-    except (KeyError, TypeError, ValueError) as exc:
-        raise InputError("%s: %s" % (where, exc))
+def int_field(name, value, low, guard=None):
+    """An integer field: exit 2 unless an integer >= low, exit 3 above
+    the guard."""
+    if isinstance(value, bool) or not isinstance(value, int) or value < low:
+        raise InputError("%s must be an integer >= %d, got %r"
+                         % (name, low, value))
+    if guard is not None and value > guard:
+        raise CapGuard("%s=%d exceeds the guard %d" % (name, value, guard))
+    return value
+
+
+def str_list(name, value):
+    if not isinstance(value, list) or \
+            not all(isinstance(v, str) for v in value):
+        raise InputError("%s must be a list of names" % name)
+    return value
+
+
+load_algebra = linfty_mod.LInftyAlgebra.from_json
 
 
 def load_morphism(doc, src, tgt, where):
     expect(doc, where, ("comps",), ("arity_cap",))
     comps = {}
-    try:
-        for blk in doc["comps"]:
-            expect(blk, where + ".comps[]", ("arity", "entries"))
-            k = blk["arity"]
-            tab = comps.setdefault(k, {})
-            for e in blk["entries"]:
-                expect(e, where + ".entries[]", ("word", "out", "coeff"))
-                w = tuple(e["word"])
-                tab.setdefault(w, {})
-                tab[w][e["out"]] = tab[w].get(e["out"], Fraction(0)) \
-                    + scalar_from_str(e["coeff"])
-        return linfty_mod.LInftyMorphism(
-            src, tgt, comps,
-            arity_cap=doc.get("arity_cap", min(src.arity_cap,
-                                               tgt.arity_cap)))
-    except ZeroDivisionError:
-        raise InputError("%s: malformed coefficient (division by zero)"
-                         % where)
-    except (KeyError, TypeError, ValueError) as exc:
-        raise InputError("%s: %s" % (where, exc))
-
-
-def load_scalar_map(doc, where):
-    try:
-        return {k: scalar_from_str(v) for k, v in doc.items()}
-    except ZeroDivisionError:
-        raise InputError("%s: malformed coefficient (division by zero)"
-                         % where)
-    except (TypeError, ValueError) as exc:
-        raise InputError("%s: %s" % (where, exc))
-
-
-def _wrap(loader, where, *args):
-    try:
-        return loader(*args)
-    except ZeroDivisionError:
-        raise InputError("%s: malformed coefficient (division by zero)"
-                         % where)
-    except (KeyError, TypeError, ValueError) as exc:
-        raise InputError("%s: %s" % (where, exc))
+    for blk in doc["comps"]:
+        expect(blk, where + ".comps[]", ("arity", "entries"))
+        tab = comps.setdefault(blk["arity"], {})
+        for e in blk["entries"]:
+            expect(e, where + ".entries[]", ("word", "out", "coeff"))
+            w = tuple(e["word"])
+            tab.setdefault(w, {})
+            tab[w][e["out"]] = tab[w].get(e["out"], Fraction(0)) \
+                + scalar_from_str(e["coeff"])
+    return linfty_mod.LInftyMorphism(
+        src, tgt, comps,
+        arity_cap=doc.get("arity_cap", min(src.arity_cap, tgt.arity_cap)))
 
 
 # ---------------------------------------------------------------------------
@@ -156,15 +153,15 @@ def _jsonable(value):
     return value
 
 
+def _witness(failures):
+    return [{"at": [str(x) for x in w], "residual": _jsonable(r)}
+            for w, r in failures[:5]] or None
+
+
 def report_record(rep):
-    witness = None
-    if rep.failures:
-        witness = [{"at": [str(x) for x in w],
-                    "residual": _jsonable(r)}
-                   for w, r in rep.failures[:5]]
     extra = {"notes": list(rep.notes)} if rep.notes else None
-    return record(rep.name, rep.ok, checked=rep.checked, witness=witness,
-                  extra=extra)
+    return record(rep.name, rep.ok, checked=rep.checked,
+                  witness=_witness(rep.failures), extra=extra)
 
 
 def fail_record(name, exc):
@@ -173,18 +170,21 @@ def fail_record(name, exc):
 
 
 # ---------------------------------------------------------------------------
-# verb handlers: each returns (checks, result)
+# verbs: a loader (doc, caps) -> the runner's arguments, and a runner
+# (caps, *arguments) -> (checks, result)
 
 
-def _relation_cap(alg, caps):
-    return caps["arity"] if caps["arity"] is not None \
-        else min(4, alg.arity_cap)
+def _cap(caps, name, default):
+    return caps[name] if caps[name] is not None else default
 
 
-def run_check_linfty(doc, caps):
+def load_one_algebra(doc, caps):
     expect(doc, "document", ("version", "algebra"))
-    A = load_algebra(doc["algebra"], "algebra")
-    up_to = _relation_cap(A, caps)
+    return (load_algebra(doc["algebra"]),)
+
+
+def run_check_linfty(caps, A):
+    up_to = _cap(caps, "arity", min(4, A.arity_cap))
     checks = [report_record(linfty_mod.check_relations(
         A, up_to=up_to, weight_cap=caps["weight"]))]
     if caps["weight"] is None:
@@ -194,71 +194,58 @@ def run_check_linfty(doc, caps):
     return checks, {"dim": A.space.dim}
 
 
-def _three_part(doc, extra_req=(), extra_opt=()):
+def load_three_part(doc, caps, extra_req=()):
     expect(doc, "document",
-           ("version", "source", "target", "morphism") + tuple(extra_req),
-           tuple(extra_opt))
-    src = load_algebra(doc["source"], "source")
-    tgt = load_algebra(doc["target"], "target")
-    f = load_morphism(doc["morphism"], src, tgt, "morphism")
-    return src, tgt, f
+           ("version", "source", "target", "morphism") + tuple(extra_req))
+    src = load_algebra(doc["source"])
+    tgt = load_algebra(doc["target"])
+    return (load_morphism(doc["morphism"], src, tgt, "morphism"),)
 
 
-def run_check_mor(doc, caps):
-    src, tgt, f = _three_part(doc)
-    up_to = caps["arity"] if caps["arity"] is not None \
-        else min(4, f.arity_cap)
+def run_check_mor(caps, f):
+    up_to = _cap(caps, "arity", min(4, f.arity_cap))
     return [report_record(linfty_mod.check_morphism(
         f, up_to=up_to, weight_cap=caps["weight"]))], None
 
 
-def run_compose(doc, caps):
+def load_compose(doc, caps):
     expect(doc, "document",
            ("version", "source", "mid", "target", "first", "second"))
-    src = load_algebra(doc["source"], "source")
-    mid = load_algebra(doc["mid"], "mid")
-    tgt = load_algebra(doc["target"], "target")
-    f = load_morphism(doc["first"], src, mid, "first")
-    g = load_morphism(doc["second"], mid, tgt, "second")
+    src = load_algebra(doc["source"])
+    mid = load_algebra(doc["mid"])
+    tgt = load_algebra(doc["target"])
+    return (load_morphism(doc["first"], src, mid, "first"),
+            load_morphism(doc["second"], mid, tgt, "second"))
+
+
+def run_compose(caps, f, g):
     h = linfty_mod.compose(g, f)
     rep = linfty_mod.check_morphism(h, up_to=min(2, h.arity_cap))
     return [report_record(rep)], {"morphism": h.to_json()}
 
 
-def run_cohomology(doc, caps):
-    expect(doc, "document", ("version", "algebra"))
-    A = load_algebra(doc["algebra"], "algebra")
+def run_cohomology(caps, A):
     H = linfty_mod.l1_cohomology(A)
     table = {str(d): h["dim"] for d, h in sorted(H.items())}
     return [record("cohomology-computed", True)], {"cohomology": table}
 
 
-def _extension_arity(doc):
-    """K of an obstruction or extend document: an integer K >= 1 whose
-    arity K + 1 is within the arity guard."""
-    K = doc["K"]
-    if isinstance(K, bool) or not isinstance(K, int) or K < 1:
-        raise InputError("K must be an integer >= 1, got %r" % (K,))
-    if K + 1 > GUARDS["arity"]:
-        raise CapGuard("arity K+1=%d exceeds the guard %d"
-                       % (K + 1, GUARDS["arity"]))
-    return K
+def load_extension(doc, caps):
+    # the extension has arity K + 1
+    f, = load_three_part(doc, caps, ("K",))
+    return f, int_field("K", doc["K"], 1, GUARDS["arity"] - 1)
 
 
-def run_obstruction(doc, caps):
-    src, tgt, f = _three_part(doc, extra_req=("K",))
-    K = _extension_arity(doc)
+def run_obstruction(caps, f, K):
     obc = linfty_mod.obstruction_class(f, K)
-    closed = not linfty_mod.delta1(src, tgt, obc.cocycle, K + 1, shift=1)
-    checks = [record("obstruction-closed", closed),
+    checks = [record("obstruction-closed", obc.closed,
+                     witness=_witness(sorted(obc.residual.items()))),
               record("obstruction-exact", True,
                      extra={"exact": obc.exact})]
     return checks, obc.to_json()
 
 
-def run_extend(doc, caps):
-    src, tgt, f = _three_part(doc, extra_req=("K",))
-    K = _extension_arity(doc)
+def run_extend(caps, f, K):
     ext, obc = linfty_mod.extend_morphism(f, K)
     checks = [record("extension-exists", ext is not None,
                      witness=None if ext is not None else
@@ -272,51 +259,38 @@ def run_extend(doc, caps):
     return checks, result
 
 
-def _model_weight(caps):
-    return caps["weight"] if caps["weight"] is not None else 6
-
-
-def _build_simplex_model(A, n, weight_cap):
-    try:
-        return simplex_mod.build_model(A, n, weight_cap)
-    except simplex_mod.SimplexCapError as exc:
-        raise CapGuard(str(exc))
-    except (KeyError, TypeError, ValueError) as exc:
-        raise InputError("model: %s" % exc)
-
-
-def run_model_build(doc, caps):
+def load_model(doc, caps):
     expect(doc, "document", ("version", "algebra", "n"))
-    A = load_algebra(doc["algebra"], "algebra")
-    model = _build_simplex_model(A, doc["n"], _model_weight(caps))
+    A = load_algebra(doc["algebra"])
+    return (simplex_mod.build_model(A, int_field("n", doc["n"], 0),
+                                    _cap(caps, "weight", 6)),)
+
+
+def run_model_build(caps, model):
     rep = linfty_mod.check_relations(model.algebra,
                                      up_to=min(3, model.algebra.arity_cap),
-                                     weight_cap=_model_weight(caps) - 2)
+                                     weight_cap=_cap(caps, "weight", 6) - 2)
     return [report_record(rep)], {"dim": model.algebra.space.dim}
 
 
-def run_model_verify(doc, caps):
-    expect(doc, "document", ("version", "algebra", "n"))
-    A = load_algebra(doc["algebra"], "algebra")
-    model = _build_simplex_model(A, doc["n"], _model_weight(caps))
+def run_model_verify(caps, model):
     rep = simplex_mod.verify_model_axioms(model)
     return [report_record(rep)], {"dim": model.algebra.space.dim}
 
 
-def run_homotopy_check(doc, caps):
+def load_homotopy_check(doc, caps):
     expect(doc, "document",
            ("version", "source", "target", "f0", "f1", "homotopy"))
-    src = load_algebra(doc["source"], "source")
-    tgt = load_algebra(doc["target"], "target")
+    src = load_algebra(doc["source"])
+    tgt = load_algebra(doc["target"])
     f0 = load_morphism(doc["f0"], src, tgt, "f0")
     f1 = load_morphism(doc["f1"], src, tgt, "f1")
-    try:
-        model = simplex_mod.SimplexModel(tgt, 1, _model_weight(caps))
-    except simplex_mod.SimplexCapError as exc:
-        raise CapGuard(str(exc))
-    except ValueError as exc:
-        raise InputError("target: %s" % exc)
+    model = simplex_mod.SimplexModel(tgt, 1, _cap(caps, "weight", 6))
     h = load_morphism(doc["homotopy"], src, model.algebra, "homotopy")
+    return f0, f1, model, h
+
+
+def run_homotopy_check(caps, f0, f1, model, h):
     checks = [report_record(linfty_mod.check_morphism(
         h, up_to=min(2, h.arity_cap)))]
     for i, f in ((0, f0), (1, f1)):
@@ -326,85 +300,66 @@ def run_homotopy_check(doc, caps):
     return checks, None
 
 
-def run_fill_homotopy(doc, caps):
+def load_fill(doc, caps):
     expect(doc, "document", ("version", "source", "target", "fs"))
-    src = load_algebra(doc["source"], "source")
-    tgt = load_algebra(doc["target"], "target")
-    fs = [load_morphism(d, src, tgt, "fs[%d]" % i)
-          for i, d in enumerate(doc["fs"])]
-    K = caps["arity"] if caps["arity"] is not None else 2
-    try:
-        model = htpy_mod.fill_n_homotopy(fs, K=K)
-    except (htpy_mod.FillError, ValueError) as exc:
-        return [fail_record("filling", exc)], None
+    src = load_algebra(doc["source"])
+    tgt = load_algebra(doc["target"])
+    return ([load_morphism(d, src, tgt, "fs[%d]" % i)
+             for i, d in enumerate(doc["fs"])],)
+
+
+def run_fill_homotopy(caps, fs):
+    K = _cap(caps, "arity", 2)
+    model = attempt("filling", htpy_mod.fill_n_homotopy, fs, K=K)
     return [report_record(model.verify())], model.to_json()
 
 
-def run_whitehead(doc, caps):
-    src, tgt, f = _three_part(doc)
-    K = caps["arity"] if caps["arity"] is not None else 3
-    try:
-        cert = htpy_mod.whitehead_inverse(f, K=K)
-    except (htpy_mod.FillError, ValueError) as exc:
-        return [fail_record("whitehead", exc)], None
+def run_whitehead(caps, f):
+    K = _cap(caps, "arity", 3)
+    cert = attempt("whitehead", htpy_mod.whitehead_inverse, f, K=K)
     return [report_record(cert.verify())], \
         {"inverse": cert.g.to_json(), "notes": list(cert.notes)}
 
 
-def run_model_over(doc, caps):
-    src, tgt, f = _three_part(doc)
-    w = _model_weight(caps)
-    try:
-        m1 = simplex_mod.SimplexModel(src, 1, w)
-        m2 = simplex_mod.SimplexModel(tgt, 1, w)
-    except simplex_mod.SimplexCapError as exc:
-        raise CapGuard(str(exc))
-    except ValueError as exc:
-        raise InputError("endpoints: %s" % exc)
-    K = caps["arity"] if caps["arity"] is not None else 2
-    try:
-        F = htpy_mod.model_morphism_over(f, m1, m2, K=K)
-    except (htpy_mod.FillError, ValueError) as exc:
-        return [fail_record("model-over", exc)], None
+def load_model_over(doc, caps):
+    f, = load_three_part(doc, caps)
+    w = _cap(caps, "weight", 6)
+    return (f, simplex_mod.SimplexModel(f.source, 1, w),
+            simplex_mod.SimplexModel(f.target, 1, w))
+
+
+def run_model_over(caps, f, m1, m2):
+    K = _cap(caps, "arity", 2)
+    F = attempt("model-over", htpy_mod.model_morphism_over, f, m1, m2, K=K)
     rep = linfty_mod.check_morphism(F, up_to=min(K, F.arity_cap),
-                                    weight_cap=w - 2)
+                                    weight_cap=_cap(caps, "weight", 6) - 2)
     return [report_record(rep)], {"morphism": F.to_json()}
 
 
-def _load_valgebra(doc):
+def load_valgebra(doc, caps, extra_req=()):
     if "valgebra" in doc:
-        expect(doc, "document", ("version", "valgebra"))
-        return _wrap(derived_mod.VAlgebra.from_json, "valgebra",
-                     doc["valgebra"])
-    expect(doc, "document", ("version", "jet"))
+        expect(doc, "document", ("version", "valgebra") + extra_req)
+        return (derived_mod.VAlgebra.from_json(doc["valgebra"]),)
+    expect(doc, "document", ("version", "jet") + extra_req)
     jet = expect(doc["jet"], "jet", ("model", "P"))
-    model = _wrap(derived_mod.JetMultivectorModel.from_json, "jet.model",
-                  jet["model"])
-    P = _wrap(derived_mod.mv_from_json, "jet.P", jet["P"])
-    return derived_mod.jet_valgebra(model, P)
+    model = derived_mod.JetMultivectorModel.from_json(jet["model"])
+    P = derived_mod.mv_from_json(jet["P"], model.nv)
+    return (derived_mod.jet_valgebra(model, P),)
 
 
-def run_valgebra_check(doc, caps):
-    V = _load_valgebra(doc)
+def run_valgebra_check(caps, V):
     return [report_record(derived_mod.check_valgebra(V))], None
 
 
-def run_derived_brackets(doc, caps):
-    if "valgebra" in doc:
-        expect(doc, "document", ("version", "valgebra", "k_max"))
-        V = _wrap(derived_mod.VAlgebra.from_json, "valgebra",
-                  doc["valgebra"])
-    else:
-        expect(doc, "document", ("version", "jet", "k_max"))
-        jet = expect(doc["jet"], "jet", ("model", "P"))
-        model = _wrap(derived_mod.JetMultivectorModel.from_json,
-                      "jet.model", jet["model"])
-        P = _wrap(derived_mod.mv_from_json, "jet.P", jet["P"])
-        V = derived_mod.jet_valgebra(model, P)
-    k_max = doc["k_max"]
-    if caps["arity"] is not None:
-        k_max = min(k_max, caps["arity"])
-    A = derived_mod.derived_brackets(V, k_max)
+def load_derived_brackets(doc, caps):
+    V, = load_valgebra(doc, caps, ("k_max",))
+    return V, int_field("k_max", doc["k_max"], 1, GUARDS["arity"])
+
+
+def run_derived_brackets(caps, V, k_max):
+    k_max = min(k_max, _cap(caps, "arity", k_max))
+    # brackets that are no L-infinity[1]-algebra are a failed check
+    A = attempt("derived-brackets", derived_mod.derived_brackets, V, k_max)
     gain = derived_mod.op_weight_gain(A)
     weight_cap = None
     if getattr(A, "truncated", False):
@@ -415,78 +370,66 @@ def run_derived_brackets(doc, caps):
     return checks, {"algebra": A.to_json(), "weight_gain": gain}
 
 
-def _load_jet_setup(doc, caps, extra_req=(), extra_opt=()):
+def load_jet_setup(doc, caps, extra_req=(), extra_opt=()):
     expect(doc, "document",
            ("version", "m", "k", "omega", "R") + tuple(extra_req),
            ("base_cap", "fiber_cap") + tuple(extra_opt))
-    base_cap = doc.get("base_cap", caps["jet"] if caps["jet"] is not None
-                       else 3)
-    if base_cap > GUARDS["jet"]:
-        raise CapGuard("jet order %d exceeds the guard %d"
-                       % (base_cap, GUARDS["jet"]))
+    base_cap = doc.get("base_cap", _cap(caps, "jet", 3))
     model = derived_mod.JetMultivectorModel(
-        doc["m"], doc["k"], base_cap=base_cap,
+        doc["m"], doc["k"],
+        base_cap=int_field("base_cap", base_cap, 0, GUARDS["jet"]),
         fiber_cap=doc.get("fiber_cap", 2))
-    omega = [[_wrap(scalar_from_str, "omega", str(c)) for c in row]
-             for row in doc["omega"]]
+    omega = [[scalar_from_str(str(c)) for c in row] for row in doc["omega"]]
     R = {}
     for key, poly in doc["R"].items():
-        try:
-            j, a = (int(x) for x in key.split(","))
-        except ValueError:
-            raise InputError("R: keys are 'j,alpha' pairs")
-        R[(j, a)] = _wrap(derived_mod.poly_from_json, "R", poly)
+        j, a = (int(x) for x in key.split(","))
+        R[(j, a)] = derived_mod.poly_from_json(poly, model.nv)
     return model, omega, R
 
 
-def run_poisson_build(doc, caps):
-    model, omega, R = _load_jet_setup(doc, caps)
-    try:
-        P = derived_mod.poisson_from_presymplectic(model, omega, R)
-    except ValueError as exc:
-        return [fail_record("poisson", exc)], None
+def run_poisson_build(caps, model, omega, R):
+    P = attempt("poisson", derived_mod.poisson_from_presymplectic,
+                model, omega, R)
     return [record("squares-to-zero", True)], \
         {"P": derived_mod.mv_to_json(P)}
 
 
-def run_localize(doc, caps):
-    model, omega, R = _load_jet_setup(
-        doc, caps, extra_req=("image_vars", "j_max"), extra_opt=("k_max",))
-    try:
-        P = derived_mod.poisson_from_presymplectic(model, omega, R)
-    except ValueError as exc:
-        return [fail_record("poisson", exc)], None
+def load_localize(doc, caps):
+    setup = load_jet_setup(doc, caps, ("image_vars", "j_max"), ("k_max",))
+    return setup + (str_list("image_vars", doc["image_vars"]),
+                    int_field("j_max", doc["j_max"], 1),
+                    int_field("k_max", doc.get("k_max", 3), 1,
+                              GUARDS["arity"]))
+
+
+def run_localize(caps, model, omega, R, image_vars, j_max, k_max):
+    P = attempt("poisson", derived_mod.poisson_from_presymplectic,
+                model, omega, R)
     V = derived_mod.jet_valgebra(model, P)
-    C = derived_mod.derived_brackets(V, doc.get("k_max", 3))
-    try:
-        loc, normal = derived_mod.localized_algebra(
-            C, doc["image_vars"], doc["j_max"])
-        eps = derived_mod.epsilon_morphism(C, doc["image_vars"],
-                                           doc["j_max"])
-    except ValueError as exc:
-        return [fail_record("localize", exc)], None
+    C = derived_mod.derived_brackets(V, k_max)
+    loc, normal = attempt("localize", derived_mod.localized_algebra,
+                          C, image_vars, j_max)
+    eps = attempt("localize", derived_mod.epsilon_morphism,
+                  C, image_vars, j_max)
     gain = derived_mod.op_weight_gain(loc)
-    cap = max(0, min(model.base_cap, doc["j_max"] - 1) - 2 * gain)
+    cap = max(0, min(model.base_cap, j_max - 1) - 2 * gain)
     checks = [
         report_record(linfty_mod.check_relations(
             loc, up_to=min(3, loc.arity_cap), weight_cap=cap)),
         report_record(linfty_mod.check_morphism(
-            eps, up_to=1, weight_cap=doc["j_max"] - 1)),
+            eps, up_to=1, weight_cap=j_max - 1)),
     ]
     return checks, {"dim": loc.space.dim,
                     "normal": list(normal)}
 
 
-def _load_section(doc, key="section"):
-    return _wrap(koszul_mod.Section.from_json, key, doc[key])
+def load_section(doc, caps, extra_req=()):
+    expect(doc, "document", ("version", "section") + extra_req)
+    return (koszul_mod.Section.from_json(doc["section"]),)
 
 
-def run_koszul(doc, caps):
-    expect(doc, "document", ("version", "section"))
-    s = _load_section(doc)
-    if s.ring.order > GUARDS["jet"]:
-        raise CapGuard("jet order %d exceeds the guard %d"
-                       % (s.ring.order, GUARDS["jet"]))
+def run_koszul(caps, s):
+    int_field("jet order", s.ring.order, 0, GUARDS["jet"])
     K = koszul_mod.koszul_complex(s)
     H = koszul_mod.koszul_cohomology(K)
     checks = [report_record(linfty_mod.check_relations(K, up_to=2))]
@@ -494,27 +437,27 @@ def run_koszul(doc, caps):
                     "dim": K.space.dim}
 
 
-def _load_ring_fol(doc, extra_req=(), extra_opt=()):
+def load_ring_fol(doc, caps, extra_req=(), extra_opt=()):
     expect(doc, "document", ("version", "ring", "fol") + tuple(extra_req),
            tuple(extra_opt))
-    ring = _wrap(koszul_mod.JetRing.from_json, "ring", doc["ring"])
-    if ring.order > GUARDS["jet"]:
-        raise CapGuard("jet order %d exceeds the guard %d"
-                       % (ring.order, GUARDS["jet"]))
-    fol = list(doc["fol"])
+    ring = koszul_mod.JetRing.from_json(doc["ring"])
+    int_field("jet order", ring.order, 0, GUARDS["jet"])
+    fol = str_list("fol", doc["fol"])
     for n in fol:
         if n not in ring.names:
             raise InputError("fol: unknown variable %r" % (n,))
     return ring, fol
 
 
-def run_primitive(doc, caps):
-    ring, fol = _load_ring_fol(doc, extra_req=("form",))
-    form = load_scalar_map(doc["form"], "form")
-    try:
-        prim = koszul_mod.poincare_primitive(ring, fol, form)
-    except ValueError as exc:
-        return [fail_record("primitive", exc)], None
+def load_primitive(doc, caps):
+    ring, fol = load_ring_fol(doc, caps, ("form",))
+    return ring, fol, {k: scalar_from_str(v)
+                       for k, v in doc["form"].items()}
+
+
+def run_primitive(caps, ring, fol, form):
+    prim = attempt("primitive", koszul_mod.poincare_primitive,
+                   ring, fol, form)
     back = koszul_mod.d_form(ring, fol, prim)
     ok = back == form
     return [record("differential-of-primitive", ok)], \
@@ -522,25 +465,23 @@ def run_primitive(doc, caps):
                        for k, c in sorted(prim.items())}}
 
 
-def run_augment(doc, caps):
-    ring, fol = _load_ring_fol(doc, extra_opt=("k_max",))
+def load_augment(doc, caps):
+    ring, fol = load_ring_fol(doc, caps, extra_opt=("k_max",))
+    return ring, fol, int_field("k_max", doc.get("k_max", 3), 1,
+                                GUARDS["arity"])
+
+
+def run_augment(caps, ring, fol, k_max):
     Omega = koszul_mod.foliation_complex(ring, fol)
-    k_max = doc.get("k_max", 3)
-    if caps["arity"] is not None:
-        k_max = min(k_max, caps["arity"])
-    try:
-        G = koszul_mod.augment_extension(Omega, k_max)
-    except ValueError as exc:
-        return [fail_record("augment", exc)], None
+    k_max = min(k_max, _cap(caps, "arity", k_max))
+    G = attempt("augment", koszul_mod.augment_extension, Omega, k_max)
     rep = linfty_mod.check_relations(G, up_to=k_max,
                                      weight_cap=max(0, G.check_cap))
     return [report_record(rep)], {"dim": G.space.dim,
                                   "check_cap": G.check_cap}
 
 
-def run_local_algebra(doc, caps):
-    expect(doc, "document", ("version", "section"))
-    s = _load_section(doc)
+def run_local_algebra(caps, s):
     L = koszul_mod.build_local_algebra(s)
     H = koszul_mod.koszul_cohomology(L.koszul)
     HdR = {d: h["dim"] for d, h in
@@ -555,14 +496,14 @@ def run_local_algebra(doc, caps):
                                           for d, v in sorted(H.items())}}
 
 
-def run_expand(doc, caps):
-    expect(doc, "document", ("version", "section", "new_vars"))
-    s = _load_section(doc)
+def load_expand(doc, caps):
+    s, = load_section(doc, caps, ("new_vars",))
+    return s, str_list("new_vars", doc["new_vars"])
+
+
+def run_expand(caps, s, new_vars):
     L = koszul_mod.build_local_algebra(s)
-    try:
-        L2, pihat = koszul_mod.expand_chart(L, list(doc["new_vars"]))
-    except ValueError as exc:
-        return [fail_record("expand", exc)], None
+    L2, pihat = attempt("expand", koszul_mod.expand_chart, L, new_vars)
     rep = linfty_mod.check_morphism(pihat, up_to=1,
                                     weight_cap=s.ring.order - 1)
     ok, H = linfty_mod.is_quasi_iso(pihat)
@@ -570,17 +511,17 @@ def run_expand(doc, caps):
     return checks, {"dim": L2.algebra.space.dim}
 
 
-def run_fooo_check(doc, caps):
-    expect(doc, "document",
-           ("version", "section", "ambient_section", "bundle_map"))
-    s = _load_section(doc)
-    sp = _load_section(doc, "ambient_section")
-    bmap = [[_wrap(scalar_from_str, "bundle_map", str(c)) for c in row]
+def load_fooo(doc, caps):
+    # the embedding check validates the bundle map against both sections
+    # first, so its ValueError is an input error
+    s, = load_section(doc, caps, ("ambient_section", "bundle_map"))
+    sp = koszul_mod.Section.from_json(doc["ambient_section"])
+    bmap = [[scalar_from_str(str(c)) for c in row]
             for row in doc["bundle_map"]]
-    try:
-        rep = koszul_mod.fooo_embedding_check(s, sp, bmap)
-    except ValueError as exc:
-        raise InputError("fooo-check: %s" % exc)
+    return (koszul_mod.fooo_embedding_check(s, sp, bmap),)
+
+
+def run_fooo_check(caps, rep):
     checks = [record("embedding-accepted", rep.accepted,
                      witness=None if rep.accepted else
                      [{"at": ["embedding"],
@@ -588,10 +529,10 @@ def run_fooo_check(doc, caps):
     return checks, rep.to_json()
 
 
-def _load_atlas(doc):
+def load_atlas(doc, caps):
     expect(doc, "document", ("version", "atlas"),
            ("algebras", "morphisms", "m_max", "level"))
-    algebras = {ref: load_algebra(adoc, "algebras.%s" % ref)
+    algebras = {ref: load_algebra(adoc)
                 for ref, adoc in doc.get("algebras", {}).items()}
     morphisms = {}
     for ref, mdoc in doc.get("morphisms", {}).items():
@@ -604,29 +545,25 @@ def _load_atlas(doc):
             {k: v for k, v in mdoc.items() if k in ("comps", "arity_cap")},
             algebras[mdoc["source"]], algebras[mdoc["target"]],
             "morphisms.%s" % ref)
-    A = _wrap(atlas_mod.ToyAtlas.from_json, "atlas", doc["atlas"],
-              algebras, morphisms)
-    return A
+    return (atlas_mod.ToyAtlas.from_json(doc["atlas"], algebras,
+                                         morphisms),)
 
 
-def run_atlas_check(doc, caps):
-    A = _load_atlas(doc)
+def run_atlas_check(caps, A):
     return [report_record(atlas_mod.validate_atlas(A))], None
 
 
-def _simp_cap(doc, caps, default, guard):
-    m_max = doc.get("m_max", default)
-    if caps["simp"] is not None:
-        m_max = caps["simp"]
-    if m_max > guard:
-        raise CapGuard("simplicial degree %d exceeds the guard %d"
-                       % (m_max, guard))
-    return m_max
+def _simp_degree(doc, caps, default, guard):
+    return int_field("m_max", _cap(caps, "simp", doc.get("m_max", default)),
+                     0, guard)
 
 
-def run_hypercover(doc, caps):
-    A = _load_atlas(doc)
-    m_max = _simp_cap(doc, caps, 3, GUARDS["simp"])
+def load_hypercover(doc, caps):
+    A, = load_atlas(doc, caps)
+    return A, _simp_degree(doc, caps, 3, GUARDS["simp"])
+
+
+def run_hypercover(caps, A, m_max):
     rep = atlas_mod.validate_atlas(A)
     if not rep.ok:
         return [report_record(rep)], None
@@ -637,67 +574,57 @@ def run_hypercover(doc, caps):
                               for k, v in sorted(H.simplices.items())}}
 
 
-def _build_cocycle(doc, caps, seed):
-    A = _load_atlas(doc)
-    m_max = _simp_cap(doc, caps, 2, 2)
+def load_cocycle(doc, caps):
+    A, = load_atlas(doc, caps)
+    refs = [(c["algebra_ref"], A.algebras) for c in A.charts.values()] + \
+        [(ch["morphism_ref"], A.morphisms) for ch in A.changes.values()
+         if ch["morphism_ref"] is not None]
+    if any(ref not in known for ref, known in refs):
+        raise InputError("atlas: a chart or change names no loaded "
+                         "algebra or morphism")
     level = doc.get("level", max(c.get("dim", 0)
                                  for c in A.charts.values()))
-    H = atlas_mod.build_hypercovering(A, m_max)
-    G = atlas_mod.build_cocycle(A, H, level, m_max=m_max,
-                                tie_break_seed=seed)
-    return G
+    return A, _simp_degree(doc, caps, 2, 2), level
 
 
-def run_cocycle_build(doc, caps, seed=0):
-    try:
-        G = _build_cocycle(doc, caps, seed)
-    except (htpy_mod.FillError, ValueError) as exc:
-        if isinstance(exc, CapGuard):
-            raise
-        return [fail_record("cocycle-build", exc)], None
-    return [report_record(atlas_mod.check_cocycle(G))], G.to_json()
-
-
-def run_cocycle_check(doc, caps, seed=0):
-    try:
-        G = _build_cocycle(doc, caps, seed)
-    except (htpy_mod.FillError, ValueError) as exc:
-        if isinstance(exc, CapGuard):
-            raise
-        return [fail_record("cocycle-check", exc)], None
-    return [report_record(atlas_mod.check_cocycle(G))], None
+def cocycle_runner(verb, with_result):
+    def run(caps, A, m_max, level):
+        G = attempt(verb, lambda: atlas_mod.build_cocycle(
+            A, atlas_mod.build_hypercovering(A, m_max), level, m_max=m_max,
+            tie_break_seed=caps["seed"]))
+        return [report_record(atlas_mod.check_cocycle(G))], \
+            G.to_json() if with_result else None
+    return run
 
 
 HANDLERS = {
-    "check-linfty": run_check_linfty,
-    "check-mor": run_check_mor,
-    "compose": run_compose,
-    "cohomology": run_cohomology,
-    "obstruction": run_obstruction,
-    "extend": run_extend,
-    "model-build": run_model_build,
-    "model-verify": run_model_verify,
-    "homotopy-check": run_homotopy_check,
-    "fill-homotopy": run_fill_homotopy,
-    "whitehead": run_whitehead,
-    "model-over": run_model_over,
-    "valgebra-check": run_valgebra_check,
-    "derived-brackets": run_derived_brackets,
-    "poisson-build": run_poisson_build,
-    "localize": run_localize,
-    "koszul": run_koszul,
-    "primitive": run_primitive,
-    "augment": run_augment,
-    "local-algebra": run_local_algebra,
-    "expand": run_expand,
-    "fooo-check": run_fooo_check,
-    "atlas-check": run_atlas_check,
-    "hypercover": run_hypercover,
-    "cocycle-build": run_cocycle_build,
-    "cocycle-check": run_cocycle_check,
+    "check-linfty": (load_one_algebra, run_check_linfty),
+    "check-mor": (load_three_part, run_check_mor),
+    "compose": (load_compose, run_compose),
+    "cohomology": (load_one_algebra, run_cohomology),
+    "obstruction": (load_extension, run_obstruction),
+    "extend": (load_extension, run_extend),
+    "model-build": (load_model, run_model_build),
+    "model-verify": (load_model, run_model_verify),
+    "homotopy-check": (load_homotopy_check, run_homotopy_check),
+    "fill-homotopy": (load_fill, run_fill_homotopy),
+    "whitehead": (load_three_part, run_whitehead),
+    "model-over": (load_model_over, run_model_over),
+    "valgebra-check": (load_valgebra, run_valgebra_check),
+    "derived-brackets": (load_derived_brackets, run_derived_brackets),
+    "poisson-build": (load_jet_setup, run_poisson_build),
+    "localize": (load_localize, run_localize),
+    "koszul": (load_section, run_koszul),
+    "primitive": (load_primitive, run_primitive),
+    "augment": (load_augment, run_augment),
+    "local-algebra": (load_section, run_local_algebra),
+    "expand": (load_expand, run_expand),
+    "fooo-check": (load_fooo, run_fooo_check),
+    "atlas-check": (load_atlas, run_atlas_check),
+    "hypercover": (load_hypercover, run_hypercover),
+    "cocycle-build": (load_cocycle, cocycle_runner("cocycle-build", True)),
+    "cocycle-check": (load_cocycle, cocycle_runner("cocycle-check", False)),
 }
-
-SEEDED_VERBS = {"cocycle-build", "cocycle-check"}
 
 
 # ---------------------------------------------------------------------------
@@ -729,26 +656,40 @@ def render_text(report):
 # entry point
 
 
-def run_job(verb, doc, caps, seed=0):
-    """Dispatch a parsed document to a verb handler and assemble the
-    deterministic report dictionary."""
+def read_document(path):
+    try:
+        with open(path) as fh:
+            return json.load(fh)
+    except json.JSONDecodeError as exc:
+        raise InputError("parse error at line %d column %d: %s"
+                         % (exc.lineno, exc.colno, exc.msg))
+    except (OSError, ValueError) as exc:
+        raise InputError("cannot read input: %s" % exc)
+
+
+def run_job(verb, doc, caps):
+    """Load a parsed document with the verb's loader, run it, and
+    assemble the deterministic report dictionary.  caps holds the four
+    caps and the tie-break seed."""
     check_version(doc)
-    for name, value in caps.items():
-        if value is not None and name in GUARDS and value > GUARDS[name]:
-            raise CapGuard("cap %s=%d exceeds the guard %d"
-                           % (name, value, GUARDS[name]))
-    handler = HANDLERS[verb]
-    if verb in SEEDED_VERBS:
-        checks, result = handler(doc, caps, seed=seed)
-    else:
-        checks, result = handler(doc, caps)
+    for name, guard in GUARDS.items():
+        if caps[name] is not None:
+            int_field("cap " + name, caps[name], 0, guard)
+    load, run = HANDLERS[verb]
+    try:
+        job = load(doc, caps)
+    except LOADER_ERRORS as exc:
+        raise InputError("malformed document (%s: %s)"
+                         % (type(exc).__name__, exc)) from exc
+    try:
+        checks, result = run(caps, *job)
+    except Refusal as exc:
+        checks, result = [fail_record(*exc.args)], None
     verdict = "pass" if all(rec["ok"] for rec in checks) else "fail"
     return {
         "version": SCHEMA_VERSION,
         "verb": verb,
-        "caps": {"arity": caps["arity"], "jet": caps["jet"],
-                 "weight": caps["weight"], "simp": caps["simp"],
-                 "seed": seed},
+        "caps": dict(caps),
         "verdict": verdict,
         "checks": checks,
         "result": _jsonable(result),
@@ -760,7 +701,7 @@ def main(argv=None):
         prog="linfkit",
         description="verification jobs for the exact homotopy-algebra "
                     "engine")
-    parser.add_argument("verb", choices=VERBS)
+    parser.add_argument("verb", choices=HANDLERS)
     parser.add_argument("input", help="path to the JSON job document")
     parser.add_argument("--cap-arity", type=int, default=None)
     parser.add_argument("--cap-jet", type=int, default=None)
@@ -774,24 +715,21 @@ def main(argv=None):
     args = parser.parse_args(argv)
 
     t0 = time.monotonic()
+    caps = {"arity": args.cap_arity, "jet": args.cap_jet,
+            "weight": args.cap_weight, "simp": args.cap_simp,
+            "seed": args.seed}
     try:
-        try:
-            with open(args.input) as fh:
-                doc = json.load(fh)
-        except OSError as exc:
-            raise InputError("cannot read input: %s" % exc)
-        except json.JSONDecodeError as exc:
-            raise InputError("parse error at line %d column %d: %s"
-                             % (exc.lineno, exc.colno, exc.msg))
-        caps = {"arity": args.cap_arity, "jet": args.cap_jet,
-                "weight": args.cap_weight, "simp": args.cap_simp}
-        report = run_job(args.verb, doc, caps, seed=args.seed)
+        report = run_job(args.verb, read_document(args.input), caps)
     except (InputError, linfty_mod.CurvedError) as exc:
         print("input error: %s" % exc, file=sys.stderr)
         return 2
     except (CapGuard, CapError, simplex_mod.SimplexCapError) as exc:
         print("cap guard: %s" % exc, file=sys.stderr)
         return 3
+    except Exception as exc:
+        print("internal error: %s: %s" % (type(exc).__name__, exc),
+              file=sys.stderr)
+        return 4
 
     if args.format == "json":
         text = dumps_canonical(report)

@@ -97,10 +97,17 @@ def poly_to_json(p):
             for e, c in sorted(p.items())]
 
 
-def poly_from_json(doc):
+def _check_exps(e, nv):
+    if nv is not None and (len(e) != nv or min(e, default=0) < 0):
+        raise ValueError("exponents %r do not fit %d variables" % (e, nv))
+    return e
+
+
+def poly_from_json(doc, nv=None):
+    """With nv, every exponent vector must fit nv variables."""
     out = {}
     for rec in doc:
-        e = tuple(int(x) for x in rec["exps"])
+        e = _check_exps(tuple(int(x) for x in rec["exps"]), nv)
         c = out.get(e, Fraction(0)) + scalar_from_str(rec["coeff"])
         if c:
             out[e] = c
@@ -228,11 +235,15 @@ def mv_to_json(X):
             for (e, w), c in sorted(X.items())]
 
 
-def mv_from_json(doc):
+def mv_from_json(doc, nv=None):
+    """With nv, exponents and wedge indices must fit nv variables."""
     out = {}
     for rec in doc:
-        key = (tuple(int(x) for x in rec["exps"]),
+        key = (_check_exps(tuple(int(x) for x in rec["exps"]), nv),
                tuple(int(x) for x in rec["word"]))
+        if nv is not None and not all(0 <= i < nv for i in key[1]):
+            raise ValueError("wedge word %r does not fit %d variables"
+                             % (key[1], nv))
         c = out.get(key, Fraction(0)) + scalar_from_str(rec["coeff"])
         if c:
             out[key] = c
@@ -472,7 +483,14 @@ class GradedLieAlgebra:
             tab.setdefault(p, {})
             tab[p][rec["out"]] = tab[p].get(rec["out"], Fraction(0)) \
                 + scalar_from_str(rec["coeff"])
+        _known_labels(space, [x for (a, b), out in tab.items()
+                              for x in (a, b, *out)])
         return cls(space, tab)
+
+
+def _known_labels(space, labels):
+    if not all(isinstance(x, str) and x in space.deg for x in labels):
+        raise ValueError("unknown generator label")
 
 
 def check_graded_lie(L, name="graded-lie"):
@@ -556,7 +574,12 @@ class VAlgebra:
         pi = {a: {b: scalar_from_str(c) for b, c in out.items()}
               for a, out in doc["pi"].items()}
         P = {b: scalar_from_str(c) for b, c in doc["P"].items()}
-        return cls(h, doc["a"], pi, P)
+        a = list(doc["a"])
+        _known_labels(h.space, a + list(pi) + list(P)
+                      + [b for out in pi.values() for b in out])
+        if len(set(a)) != len(a):
+            raise ValueError("duplicate label in the abelian sub-basis")
+        return cls(h, a, pi, P)
 
 
 class JetVAlgebra:
@@ -1007,12 +1030,8 @@ def label_normal_weight(label, normal_names):
 
 
 def _reweighted(A, weights):
-    B = LInftyAlgebra(A.space, A.ops, l0=A.l0, arity_cap=A.arity_cap,
-                      weights=weights)
-    for attr in ("jet_model",):
-        if hasattr(A, attr):
-            setattr(B, attr, getattr(A, attr))
-    return B
+    return LInftyAlgebra(A.space, A.ops, l0=A.l0, arity_cap=A.arity_cap,
+                         weights=weights)
 
 
 def localized_algebra(C, image_vars, j_max):
@@ -1047,7 +1066,6 @@ def localized_algebra(C, image_vars, j_max):
     weights = {lab: label_base_weight(lab) for lab in keep}
     alg = LInftyAlgebra(space, ops, l0=l0, arity_cap=C.arity_cap,
                         weights=weights)
-    alg.j_order = j_max
     if hasattr(C, "weight_gain"):
         alg.weight_gain = C.weight_gain
     return alg, normal

@@ -340,7 +340,10 @@ class GradedSpace:
 
     @classmethod
     def from_json(cls, doc):
-        return cls([(g["label"], g["deg"]) for g in doc["generators"]])
+        gens = [(g["label"], g["deg"]) for g in doc["generators"]]
+        if not all(isinstance(x, str) and type(d) is int for x, d in gens):
+            raise TypeError("generators need a name and an integer degree")
+        return cls(gens)
 
 
 def acc_term(acc, key, c):

@@ -35,6 +35,7 @@ from .linfty import (CheckReport, LInftyAlgebra, LInftyMorphism,
                      delta1_equations, expand_canonical, insertion_sum,
                      is_quasi_iso, map_unknowns, obstruction_cocycle,
                      partition_sum, solution_table)
+from .simplexmodel import SimplexModel, build_model
 
 
 class FillError(RuntimeError):
@@ -77,9 +78,8 @@ def as_interval_model(obj):
             raise ValueError("interval model expected, got n = %d" % obj.n)
         return IntervalModel(obj.algebra, obj.evals[(0,)], obj.evals[(1,)],
                              obj.incl)
-    # duck-typed tensor models (simplexmodel.SimplexModel)
-    if hasattr(obj, "eval_vertex") and hasattr(obj, "incl_map"):
-        if getattr(obj, "n", None) != 1:
+    if isinstance(obj, SimplexModel):
+        if obj.n != 1:
             raise ValueError("interval model expected")
         return IntervalModel(obj.algebra, obj.eval_vertex(0),
                              obj.eval_vertex(1), obj.incl_map())
@@ -687,7 +687,6 @@ def whitehead_inverse(f, K=3, model=None, with_reverse=True):
                          % model.algebra.space.dim)
         except FillError:
             # non-acyclic source: fall back to the truncated tensor model
-            from .simplexmodel import build_model
             model = as_interval_model(build_model(C1, 1, weight_cap=4))
             notes.append("tensor interval model, dim %d"
                          % model.algebra.space.dim)

@@ -101,6 +101,8 @@ class JetRing:
 
     @classmethod
     def from_json(cls, doc):
+        if not all(isinstance(n, str) for n in doc["vars"]):
+            raise TypeError("variable names must be strings")
         return cls(doc["vars"], doc["order"])
 
 
@@ -133,7 +135,7 @@ class Section:
     @classmethod
     def from_json(cls, doc):
         ring = JetRing.from_json(doc["ring"])
-        return cls(ring, [poly_from_json(c) for c in doc["comps"]])
+        return cls(ring, [poly_from_json(c, ring.nv) for c in doc["comps"]])
 
 
 # ---------------------------------------------------------------------------
@@ -212,12 +214,8 @@ def koszul_complex(section, step=1):
         if out:
             ops[1][(lab,)] = out
     weights = {lab: label_base_weight(lab) for lab, _ in labels}
-    alg = LInftyAlgebra(space, ops if ops[1] else {}, arity_cap=4,
-                        weights=weights)
-    alg.ring = ring
-    alg.section = section
-    alg.step = step
-    return alg
+    return LInftyAlgebra(space, ops if ops[1] else {}, arity_cap=4,
+                         weights=weights)
 
 
 def koszul_cohomology(alg):
@@ -298,8 +296,6 @@ def foliation_complex(ring, fol_names=None, augmented=False, step=1):
                         weights=weights)
     alg.ring = ring
     alg.fol_names = fol_names
-    alg.augmented = augmented
-    alg.step = step
     return alg
 
 
@@ -468,11 +464,13 @@ class LocalAlgebra:
     de Rham complex of the same patch; the two summands never
     interact."""
 
-    def __init__(self, koszul, derham, section):
+    def __init__(self, koszul, derham, section, fol_names, step):
         self.koszul = koszul
         self.derham = derham
         self.section = section
         self.ring = section.ring
+        self.fol_names = fol_names      # resolved foliation directions
+        self.step = step
         self.algebra = _sum_with_weights(koszul, derham)
 
     def koszul_label(self, lab):
@@ -488,9 +486,10 @@ def build_local_algebra(section, fol_names=None, step=1):
     coordinate direction and only the augmentation constant survives
     in degree -2."""
     ring = section.ring
+    fol_names = list(ring.names) if fol_names is None else list(fol_names)
     kos = koszul_complex(section, step=step)
     der = foliation_complex(ring, fol_names, augmented=True, step=step)
-    return LocalAlgebra(kos, der, section)
+    return LocalAlgebra(kos, der, section, fol_names, step)
 
 
 def expand_chart(L, new_vars):
@@ -508,9 +507,8 @@ def expand_chart(L, new_vars):
     comps = [ring2.embed_from(ring, p) for p in L.section.comps]
     comps += [ring2.var(v) for v in new_vars]
     L2 = build_local_algebra(Section(ring2, comps),
-                             fol_names=L.derham.fol_names
-                             + list(new_vars),
-                             step=L.koszul.step)
+                             fol_names=L.fol_names + list(new_vars),
+                             step=L.step)
     tset = set(L2.algebra.space.labels)
     comps1 = {}
     for lab in L.algebra.space.labels:

@@ -284,6 +284,9 @@ class LInftyAlgebra:
             tab = ops.setdefault(k, {})
             for e in blk["entries"]:
                 w = tuple(e["word"])
+                if len(w) != int(k):
+                    raise ValueError("arity-%s operation on the word %r"
+                                     % (k, w))
                 tab.setdefault(w, {})
                 tab[w][e["out"]] = tab[w].get(e["out"], Fraction(0)) \
                     + scalar_from_str(e["coeff"])
@@ -716,15 +719,17 @@ def solution_table(sol, tag):
 
 
 class ObstructionClass:
-    """The degree-1 cocycle obstructing extension of an arity-K
-    morphism to arity K+1, plus its exactness data."""
+    """The degree-1 cochain obstructing extension of an arity-K
+    morphism to arity K+1, its closedness and its exactness data."""
 
-    def __init__(self, f, K, cocycle, exact, witness):
+    def __init__(self, f, K, cocycle, residual, witness):
         self.morphism = f
         self.K = K
         self.cocycle = cocycle          # {word(K+1): element}
-        self.exact = exact              # bool
+        self.residual = residual        # delta1(cocycle), {} when closed
+        self.closed = not residual
         self.witness = witness          # extension component or None
+        self.exact = witness is not None
 
     def to_json(self):
         return {
@@ -757,13 +762,14 @@ def obstruction_cocycle(f: LInftyMorphism, K):
 
 def obstruction_class(f: LInftyMorphism, K) -> ObstructionClass:
     """Compute O_{K+1}(f), decide delta1-exactness by an exact linear
-    solve, and produce the canonical extension component when exact."""
+    solve, and produce the canonical extension component when exact.
+    When f breaks the relations below arity K + 1, O is not closed: the
+    class keeps delta1(O) as its residual and is not exact."""
     A, B = f.source, f.target
     O = obstruction_cocycle(f, K)
-    if delta1(A, B, O, K + 1, shift=1):
-        raise AssertionError("obstruction cocycle is not delta1-closed")
-    sol = solve_delta1(A, B, O, K + 1)
-    return ObstructionClass(f, K, O, sol is not None, sol)
+    residual = delta1(A, B, O, K + 1, shift=1)
+    sol = None if residual else solve_delta1(A, B, O, K + 1)
+    return ObstructionClass(f, K, O, residual, sol)
 
 
 def solve_delta1(A, B, rhs, m):

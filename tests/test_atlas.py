@@ -134,6 +134,22 @@ def test_shrinking_a_change_breaks_axiom_iv():
     assert (("axiom-iv", 1, 2, 2), {"missing": 1}) in rep.failures
 
 
+def test_ill_shaped_base_maps_fail_without_crashing():
+    """A base map that misses points of its domain is a change-shape
+    failure; the axioms that read the map later skip the missing
+    points instead of raising KeyError."""
+    A = three_chart_atlas()
+    for pair, domain in (((1, 2), ["a1", "a2"]), ((1, 1), [None, "a2"])):
+        bad = ToyAtlas(A.points, A.charts, copy.deepcopy(A.changes),
+                       A.algebras, A.morphisms)
+        bad.changes[pair]["U_pq"] = domain
+        bad.changes[pair]["base_map"] = {}
+        rep = validate_atlas(bad)
+        assert not rep.ok
+        assert (("change-shape",) + pair + (None,),
+                {"base map domain mismatch": 1}) in rep.failures
+
+
 def test_identity_and_zero_compat_axioms_detected():
     A = three_chart_atlas()
     bad = ToyAtlas(A.points, A.charts, copy.deepcopy(A.changes),

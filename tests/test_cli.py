@@ -1,11 +1,16 @@
 """Command line front end: exit codes, strict input parsing, cap
 guards, report determinism, and output plumbing."""
 
+import contextlib
+import copy
+import io
 import json
 
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from linfkit import cli
 from linfkit.gradedlin import CapError, GradedSpace
@@ -13,9 +18,10 @@ from linfkit.linfty import LInftyAlgebra, LInftyMorphism
 from linfkit.derived import (JetMultivectorModel, mv_to_json, poly_to_json,
                              poisson_from_presymplectic)
 from linfkit.koszul import JetRing, Section
-from linfkit.simplexmodel import SimplexCapError
+from linfkit.simplexmodel import SimplexCapError, constant_homotopy
 
 from test_atlas import three_chart_atlas
+from test_derived import finite_binary_valgebra
 
 
 # ---------------------------------------------------------------------------
@@ -159,6 +165,14 @@ def test_cap_guard_exits_three(tmp_path, capsys):
                capsys)[0] == 3
     assert run(["check-linfty", path, "--cap-jet", "9"],
                capsys)[0] == 3
+
+
+def test_negative_cap_exits_two(tmp_path, capsys):
+    """A negative arity cap checked no word and passed a broken algebra."""
+    doc = {"version": 1, "algebra": broken_algebra().to_json()}
+    path = write(tmp_path, "a.json", doc)
+    assert cli.main(["check-linfty", path, "--cap-arity", "-1"]) == 2
+    assert capsys.readouterr().err.startswith("input error:")
 
 
 def test_simplex_cap_guard_exits_three(tmp_path, capsys):
@@ -354,6 +368,55 @@ def test_escaping_cap_error_exits_three(error, tmp_path, capsys,
     assert capsys.readouterr().err == "cap guard: too wide\n"
 
 
+def test_non_closed_obstruction_fails_with_witness(tmp_path, capsys):
+    """f_1 is not a chain map, so O_2 is not delta1-closed: obstruction
+    fails its closedness record with the residual as witness, and
+    extend reports that no extension exists.  Neither is a crash."""
+    A = LInftyAlgebra(GradedSpace([("u", -1), ("v", 0)]),
+                      {1: {("u",): {"v": F(1)}}}, arity_cap=3)
+    B = LInftyAlgebra(GradedSpace([("x", -1), ("y", 0), ("z", 1)]),
+                      {2: {("y", "y"): {"z": F(1)}}}, arity_cap=3)
+    f = LInftyMorphism(A, B, {1: {("u",): {"x": F(1)}, ("v",): {"y": F(1)}}},
+                       arity_cap=3)
+    path = write(tmp_path, "a.json", {"version": 1, "source": A.to_json(),
+                                      "target": B.to_json(),
+                                      "morphism": f.to_json(), "K": 1})
+    for verb, name in (("obstruction", "obstruction-closed"),
+                       ("extend", "extension-exists")):
+        code, out = run([verb, path], capsys)
+        assert code == 1
+        assert "Traceback" not in capsys.readouterr().err
+        rec = next(r for r in json.loads(out)["checks"] if r["name"] == name)
+        assert rec["ok"] is False and rec["witness"]
+    closed = json.loads(run(["obstruction", path], capsys)[1])["checks"][0]
+    assert closed["witness"] == [{"at": ["u", "v"],
+                                  "residual": {"z": "-1"}}]
+
+
+@pytest.mark.parametrize("verb", ["derived-brackets", "augment", "localize"])
+@pytest.mark.parametrize("k_max, code", [(7, 3), ("3", 2), (0, 2)])
+def test_k_max_is_guarded(verb, k_max, code, tmp_path, capsys):
+    """k_max above the arity guard is a cap violation, a non-integer an
+    input error; both are refused before any work."""
+    doc, args = SMALL_JOBS[verb]
+    assert cli.main([verb, write(tmp_path, "a.json", dict(doc, k_max=k_max))]
+                    + args) == code
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert err.startswith("cap guard:" if code == 3 else "input error:")
+
+
+def test_internal_error_exits_four(tmp_path, capsys, monkeypatch):
+    """An exception no other exit code covers is exit 4, never exit 1."""
+    def broken(*args, **kwargs):
+        raise RuntimeError("broken")
+    monkeypatch.setattr(cli.linfty_mod, "check_relations", broken)
+    path = write(tmp_path, "a.json", algebra_doc())
+    assert cli.main(["check-linfty", path]) == 4
+    assert capsys.readouterr().err == \
+        "internal error: RuntimeError: broken\n"
+
+
 def curved_doc(verb, A):
     if verb == "cohomology":
         return {"version": 1, "algebra": A.to_json()}
@@ -385,3 +448,145 @@ def test_curved_algebra_exits_two(verb, tmp_path, capsys):
 @pytest.mark.parametrize("verb", sorted(cli.HANDLERS))
 def test_every_verb_rejects_empty_document(verb, tmp_path, capsys):
     assert run([verb, write(tmp_path, "e.json", {})], capsys)[0] == 2
+
+
+# ---------------------------------------------------------------------------
+# loader fuzz: every malformed document ends in a documented exit code
+
+
+def small_jobs():
+    """A small valid document, and its extra arguments, for every verb."""
+    A = pair_algebra()
+    aj, ident = A.to_json(), LInftyMorphism.identity(A).to_json()
+    h = constant_homotopy(LInftyMorphism.identity(A), weight_cap=3)
+    m = JetMultivectorModel(2, 1, base_cap=1, fiber_cap=1)
+    jet = {"model": m.to_json(), "P": mv_to_json(poisson_from_presymplectic(
+        m, [[0, 1], [-1, 0]], {(1, 1): m.var("q1")}))}
+    setup = {"version": 1, "m": 2, "k": 1, "base_cap": 2,
+             "omega": [["0", "1"], ["-1", "0"]],
+             "R": {"1,1": poly_to_json(
+                 JetMultivectorModel(2, 1, base_cap=2).var("q1"))}}
+    ring = JetRing(["q1"], 2)
+    section = Section(ring, [ring.var("q1")]).to_json()
+    forms = {"version": 1, "ring": JetRing(["q1", "q2"], 2).to_json(),
+             "fol": ["q1", "q2"]}
+    return {
+        "check-linfty": (algebra_doc(), []),
+        "check-mor": (morphism_doc(), []),
+        "compose": ({"version": 1, "source": aj, "mid": aj, "target": aj,
+                     "first": ident, "second": ident}, []),
+        "cohomology": (algebra_doc(), []),
+        "obstruction": (dict(morphism_doc(), K=1), []),
+        "extend": (dict(morphism_doc(), K=1), []),
+        "model-build": (dict(algebra_doc(), n=1), ["--cap-weight", "3"]),
+        "model-verify": (dict(algebra_doc(), n=1), ["--cap-weight", "2"]),
+        "homotopy-check": ({"version": 1, "source": aj, "target": aj,
+                            "f0": ident, "f1": ident,
+                            "homotopy": h.h.to_json()},
+                           ["--cap-weight", "3"]),
+        "fill-homotopy": ({"version": 1, "source": aj, "target": aj,
+                           "fs": [ident, ident]}, []),
+        "whitehead": (morphism_doc(), ["--cap-arity", "2"]),
+        "model-over": (morphism_doc(), ["--cap-weight", "3"]),
+        "valgebra-check": ({"version": 1, "jet": jet}, []),
+        "derived-brackets": ({"version": 1, "jet": jet, "k_max": 2}, []),
+        "poisson-build": (setup, []),
+        "localize": (dict(setup, image_vars=["y1", "q1"], j_max=2,
+                          k_max=2), []),
+        "koszul": ({"version": 1, "section": section}, []),
+        "primitive": (dict(forms, form={"q2|dq1": "1", "q1|dq2": "1"}), []),
+        "augment": (dict(forms, fol=["q1"], k_max=2), []),
+        "local-algebra": ({"version": 1, "section": section}, []),
+        "expand": ({"version": 1, "section": section, "new_vars": ["q2"]},
+                   []),
+        "fooo-check": ({"version": 1, "section": section,
+                        "ambient_section": section,
+                        "bundle_map": [["1"]]}, []),
+        "atlas-check": (atlas_doc(), []),
+        "hypercover": (atlas_doc(m_max=1), []),
+        "cocycle-build": (atlas_doc(m_max=1), []),
+        "cocycle-check": (atlas_doc(m_max=1), []),
+    }
+
+
+SMALL_JOBS = small_jobs()
+
+# every verb's small job, and the finite V-algebra form of the two
+# V-algebra verbs
+FUZZ_JOBS = [pytest.param(verb, doc, args, id=verb)
+             for verb, (doc, args) in sorted(SMALL_JOBS.items())] + [
+    pytest.param(verb, dict(extra, version=1,
+                            valgebra=finite_binary_valgebra().to_json()),
+                 [], id=verb + "-finite")
+    for verb, extra in (("valgebra-check", {}),
+                        ("derived-brackets", {"k_max": 3}))]
+
+# one value of each wrong type; large integers are left to the guards
+WRONG_VALUES = ["x", [], {}, None, 0.5, True, -1]
+
+
+def field_paths(node, path=()):
+    """The path of every field and list item below node."""
+    items = node.items() if isinstance(node, dict) else \
+        enumerate(node) if isinstance(node, list) else ()
+    for key, child in items:
+        yield path + (key,)
+        yield from field_paths(child, path + (key,))
+
+
+def replaced(doc, path, value):
+    doc = copy.deepcopy(doc)
+    node = doc
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    return doc
+
+
+def exit_cleanly(verb, doc, args, tmp):
+    """Run a job; its exit code must be documented and stderr free of a
+    traceback.  Exit 4 (internal error) is not accepted."""
+    path = tmp / "job.json"
+    path.write_text(json.dumps(doc))
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), \
+            contextlib.redirect_stdout(io.StringIO()):
+        code = cli.main([verb, str(path)] + args)
+    assert code in (0, 1, 2, 3), (code, err.getvalue())
+    assert "Traceback" not in err.getvalue()
+    return code, err.getvalue()
+
+
+def test_small_jobs_pass(tmp_path):
+    assert sorted(SMALL_JOBS) == sorted(cli.HANDLERS)
+    for verb, (doc, args) in SMALL_JOBS.items():
+        assert exit_cleanly(verb, doc, args, tmp_path)[0] == 0, verb
+
+
+@pytest.mark.parametrize("verb, doc, args", FUZZ_JOBS)
+@settings(derandomize=True, max_examples=60, deadline=None, database=None)
+@given(data=st.data())
+def test_loader_fuzz(verb, doc, args, data, tmp_path_factory):
+    """Replace one field of a small valid document, at any depth, with a
+    value of a wrong type."""
+    path = data.draw(st.sampled_from(list(field_paths(doc))))
+    value = data.draw(st.sampled_from(WRONG_VALUES))
+    exit_cleanly(verb, replaced(doc, path, value), args,
+                 tmp_path_factory.getbasetemp())
+
+
+@pytest.mark.parametrize("verb, path, value", [
+    ("fill-homotopy", ("fs",), 5),
+    ("primitive", ("form",), []),
+    ("augment", ("k_max",), "a"),
+    ("localize", ("j_max",), "a"),
+    ("poisson-build", ("R",), []),
+    ("poisson-build", ("base_cap",), "a"),
+])
+def test_malformed_documents_exit_two(verb, path, value, tmp_path):
+    """Documents that escaped as a TypeError or AttributeError traceback
+    before the loaders were put behind one boundary."""
+    doc, args = SMALL_JOBS[verb]
+    code, err = exit_cleanly(verb, replaced(doc, path, value), args,
+                             tmp_path)
+    assert code == 2 and err.startswith("input error:")

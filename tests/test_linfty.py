@@ -373,6 +373,26 @@ def test_frozen_nonextendable_morphism():
     assert ext is None
 
 
+def test_non_closed_obstruction_keeps_its_residual(monkeypatch):
+    """f_1 is not a chain map, so delta1(O_2) != 0: the class records
+    the residual, is neither closed nor exact, and makes no solve."""
+    A = LInftyAlgebra(GradedSpace([("u", -1), ("v", 0)]),
+                      {1: {("u",): {"v": F(1)}}}, arity_cap=3)
+    B = LInftyAlgebra(GradedSpace([("x", -1), ("y", 0), ("z", 1)]),
+                      {2: {("y", "y"): {"z": F(1)}}}, arity_cap=3)
+    f = LInftyMorphism(A, B, {1: {("u",): {"x": F(1)}, ("v",): {"y": F(1)}}},
+                       arity_cap=3)
+    assert not check_morphism(f, up_to=1).ok
+
+    def no_solve(*args):
+        raise AssertionError("solve_delta1 called on a non-closed class")
+    monkeypatch.setattr("linfkit.linfty.solve_delta1", no_solve)
+    obc = obstruction_class(f, 1)
+    assert obc.residual == {("u", "v"): {"z": F(-1)}}
+    assert not obc.closed and not obc.exact and obc.witness is None
+    assert extend_morphism(f, 1)[0] is None
+
+
 def test_json_roundtrip():
     A = dg_lie_triple()
     A2 = LInftyAlgebra.from_json(A.to_json())
