@@ -12,9 +12,11 @@ one error boundary: what a loader raises is an input error, and a
 library refusal a runner names through `attempt` is a failed check.
 
 Exit codes: 0 all checks pass, 1 a check fails, 2 input error
-(unparseable document, schema violation, malformed scalar), 3 cap
-guard violation, 4 internal error (any other exception: a fault in
-linfkit, never a verdict on the input).
+(unparseable document, schema violation, malformed scalar, an `--out`
+path that cannot be written), 3 cap guard violation (a cap above its
+guard, or a weight cap that leaves no word to check), 4 internal error
+(any other exception: a fault in linfkit, never a verdict on the
+input).
 
 Reports are deterministic for a fixed input and caps: the canonical
 JSON rendering is byte-identical across runs (wall-clock timing is
@@ -266,10 +268,24 @@ def load_model(doc, caps):
                                     _cap(caps, "weight", 6)),)
 
 
-def run_model_build(caps, model):
+def model_check_cap(caps):
+    """The weight cap of the checks on a model: two below the model's.
+    Refused below 0, where no word would be checked."""
+    weight = _cap(caps, "weight", 6)
+    if weight < 2:
+        raise CapGuard("cap weight=%d leaves no word to check; the model "
+                       "checks need a weight cap >= 2" % weight)
+    return weight - 2
+
+
+def load_model_build(doc, caps):
+    return (model_check_cap(caps),) + load_model(doc, caps)
+
+
+def run_model_build(caps, weight_cap, model):
     rep = linfty_mod.check_relations(model.algebra,
                                      up_to=min(3, model.algebra.arity_cap),
-                                     weight_cap=_cap(caps, "weight", 6) - 2)
+                                     weight_cap=weight_cap)
     return [report_record(rep)], {"dim": model.algebra.space.dim}
 
 
@@ -322,17 +338,18 @@ def run_whitehead(caps, f):
 
 
 def load_model_over(doc, caps):
+    weight_cap = model_check_cap(caps)
     f, = load_three_part(doc, caps)
     w = _cap(caps, "weight", 6)
-    return (f, simplex_mod.SimplexModel(f.source, 1, w),
+    return (weight_cap, f, simplex_mod.SimplexModel(f.source, 1, w),
             simplex_mod.SimplexModel(f.target, 1, w))
 
 
-def run_model_over(caps, f, m1, m2):
+def run_model_over(caps, weight_cap, f, m1, m2):
     K = _cap(caps, "arity", 2)
     F = attempt("model-over", htpy_mod.model_morphism_over, f, m1, m2, K=K)
     rep = linfty_mod.check_morphism(F, up_to=min(K, F.arity_cap),
-                                    weight_cap=_cap(caps, "weight", 6) - 2)
+                                    weight_cap=weight_cap)
     return [report_record(rep)], {"morphism": F.to_json()}
 
 
@@ -604,7 +621,7 @@ HANDLERS = {
     "cohomology": (load_one_algebra, run_cohomology),
     "obstruction": (load_extension, run_obstruction),
     "extend": (load_extension, run_extend),
-    "model-build": (load_model, run_model_build),
+    "model-build": (load_model_build, run_model_build),
     "model-verify": (load_model, run_model_verify),
     "homotopy-check": (load_homotopy_check, run_homotopy_check),
     "fill-homotopy": (load_fill, run_fill_homotopy),
@@ -736,8 +753,13 @@ def main(argv=None):
     else:
         text = render_text(report)
     if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
+        try:
+            with open(args.out, "w") as fh:
+                fh.write(text)
+        except OSError as exc:
+            print("input error: cannot write output: %s" % exc,
+                  file=sys.stderr)
+            return 2
     else:
         sys.stdout.write(text)
     print("elapsed_ms=%d" % int((time.monotonic() - t0) * 1000),

@@ -562,19 +562,42 @@ def word_degree(space, word):
 def sym_words(space, k):
     """All nonzero canonical words of arity k (multisets of generators,
     odd generators without repetition), in lexicographic index order."""
+    return words_within(space, k, None, None)
+
+
+def words_within(space, k, weights, weight_cap):
+    """The words of sym_words(space, k), in the same order, of total
+    weight <= weight_cap.  weights: {label: int}, or None when every
+    word weighs 0; weight_cap None keeps every word.  A partial word is
+    dropped once its weight plus (letters left) x (least weight of a
+    letter it may still take) exceeds the cap; that bound holds for
+    zero and negative weights too, so no word within the cap is lost."""
     labs = space.labels
+    n = len(labs)
+    odd = [space.deg[l] % 2 for l in labs]
+    if weight_cap is None:
+        wt, cap = [0] * n, 0
+    else:
+        wt = [weights[l] for l in labs] if weights else [0] * n
+        cap = weight_cap
+    # least[i]: the least weight of a letter among labs[i:]
+    least = wt + [0]
+    for i in range(n - 2, -1, -1):
+        least[i] = min(least[i], least[i + 1])
     out = []
 
-    def rec2(start, cur):
-        if len(cur) == k:
-            out.append(tuple(cur))
+    def rec(start, cur, total):
+        left = k - len(cur)
+        if not left:
+            if total <= cap:
+                out.append(cur)
             return
-        for i in range(start, len(labs)):
-            l = labs[i]
-            nxt = i + 1 if space.deg[l] % 2 else i
-            rec2(nxt, cur + [l])
+        if start >= n or total + left * least[start] > cap:
+            return
+        for i in range(start, n):
+            rec(i + odd[i], cur + (labs[i],), total + wt[i])
 
-    rec2(0, [])
+    rec(0, (), 0)
     return out
 
 

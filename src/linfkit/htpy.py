@@ -502,7 +502,9 @@ def _solve_cylinder_operation(cyl, m, faces, face_alg, evals, incl, hbar,
     map_unknowns(sys, cyl, cyl, m, "l", shift=1)
 
     # (a) quadratic relation: delta1(l_m) = -(terms with 2 <= i <= m-1)
-    rhs_rel = {w: insertion_sum(cyl, w, cyl.op_word, 2, m - 1, scale=-1)
+    arities = cyl.support
+    rhs_rel = {w: insertion_sum(cyl, w, cyl.op_word, arities, 2, m - 1,
+                                 scale=-1)
                for w in sym_words(space, m)}
     delta1_equations(sys, cyl, cyl, m, "l", rhs_rel, shift=1)
 
@@ -521,9 +523,10 @@ def _solve_cylinder_operation(cyl, m, faces, face_alg, evals, incl, hbar,
     # (c) the homotopy morphism relation at arity m: l_m on the linear
     # parts equals the known terms
     h1 = {a: v for (a,), v in hbar.comps.get(1, {}).items()}
+    below = arities & frozenset(range(1, m))
     for v in sym_words(C0.space, m):
-        rhs = insertion_sum(C0, v, hbar.comp_word, 1, m)
-        partition_sum(hbar, v, cyl.op_elems, range(1, m), rhs, -1)
+        rhs = insertion_sum(C0, v, hbar.comp_word, hbar.support, 1, m)
+        partition_sum(hbar, v, cyl.op_elems, below, rhs, -1)
         expanded = expand_canonical(space, [h1.get(a, {}) for a in v])
         for t in space.basis_in_degree(word_degree(C0.space, v) + 1):
             sys.equation({("l", cw, t): c for cw, c in expanded.items()},
@@ -741,7 +744,8 @@ def whitehead_inverse(f, K=3, model=None, with_reverse=True):
         # the known terms of (g f)_m
         for w in sym_words(C1.space, m):
             d = word_degree(C1.space, w)
-            known = partition_sum(f, w, g.comp_elems, range(1, m))
+            known = partition_sum(f, w, g.comp_elems,
+                                  g.support & frozenset(range(1, m)))
             gexp = expand_canonical(C2.space, [f1[a] for a in w])
             basis = M.space.basis_in_degree(d)
             for y in C1.space.basis_in_degree(d):

@@ -20,8 +20,8 @@ import itertools
 from fractions import Fraction
 
 from .gradedlin import (GradedMap, GradedSpace, cohomology, complement_in,
-                        echelon_of, matrix_rank, sym_words, vec_acc,
-                        vec_add, vec_scale, word_degree)
+                        echelon_of, matrix_rank, vec_acc, vec_add,
+                        vec_scale, word_degree, words_within)
 from .linfty import (LInftyAlgebra, LInftyMorphism, check_morphism,
                      direct_sum, is_quasi_iso, l1_cohomology, l1_map,
                      quad_residual)
@@ -391,11 +391,12 @@ def augment_extension(Omega, k_max):
             ops.setdefault(1, {})[(lab,)] = \
                 {make_label(split_label(lab)[0], ()): Fraction(1)}
     cap = max(k_max, Omega.arity_cap)
-    alg = LInftyAlgebra(space, ops, l0=Omega.l0, arity_cap=cap,
-                        weights=weights)
-    for attr in ("jet_model", "ring", "fol_names"):
-        if hasattr(Omega, attr):
-            setattr(alg, attr, getattr(Omega, attr))
+
+    def algebra():
+        return LInftyAlgebra(space, ops, l0=Omega.l0, arity_cap=cap,
+                             weights=weights)
+
+    alg = algebra()
     g0 = getattr(Omega, "weight_gain", 0)
     gain = g0
     # words above this weight could see truncated residual terms; they
@@ -406,9 +407,8 @@ def augment_extension(Omega, k_max):
         return split_label(lab)[1] == ("g",)
 
     for m in range(2, k_max + 1):
-        words = [w for w in sym_words(space, m)
-                 if any(is_aug(x) for x in w)
-                 and sum(weights[x] for x in w) <= guard]
+        words = [w for w in words_within(space, m, weights, guard)
+                 if any(is_aug(x) for x in w)]
         words.sort(key=lambda w: -word_degree(space, w))
         for w in words:
             res = quad_residual(alg, w)
@@ -438,7 +438,13 @@ def augment_extension(Omega, k_max):
             for lab in eta:
                 gain = max(gain, label_base_weight(lab) - iw)
             if kept:
-                alg.ops.setdefault(m, {})[w] = kept
+                # algebras are immutable: the next residual reads a new
+                # one that carries this operation
+                ops.setdefault(m, {})[w] = kept
+                alg = algebra()
+    for attr in ("jet_model", "ring", "fol_names"):
+        if hasattr(Omega, attr):
+            setattr(alg, attr, getattr(Omega, attr))
     alg.weight_gain = gain
     alg.check_cap = min(guard - (g0 + 1), ring.order - 2 * gain)
     return alg

@@ -21,7 +21,8 @@ from itertools import product
 from .gradedlin import (Echelon, GradedMap, GradedSpace, LinearSystem,
                         acc_term, canonical_word, cohomology, koszul_sign,
                         matrix_rank, split_sign, sym_words, unshuffles,
-                        vec_acc, word_degree, scalar_to_str, scalar_from_str)
+                        vec_acc, word_degree, words_within, scalar_to_str,
+                        scalar_from_str)
 
 DEFAULT_ARITY_CAP = 4
 
@@ -76,70 +77,78 @@ def _apply_table(space, table, elems):
     return out
 
 
-def insertion_sum(A, word, outer, lo, hi, scale=1):
+def insertion_sum(A, word, outer, support, lo, hi, scale=1):
     """scale * the sum over lo <= i <= hi and the (i, k-i)-unshuffles
     (b1, b2) of the word of
         sign * outer(k - i + 1, (l_i(word|b1),) + word|b2),
     linear in the inserted element.  outer(n, w) gives an element for
-    an arity-n word w in any order (l_n or f_n)."""
+    an arity-n word w in any order (l_n or f_n), and is zero unless n
+    lies in support.  Only the i with l_i nonzero (i in A.support) and
+    k - i + 1 in support are visited: every other term is zero by
+    arity."""
     acc = {}
     k = len(word)
+    inner = A.support
     for i in range(max(lo, 0), min(hi, k) + 1):
-        if not (A.ops.get(i) if i else A.l0):
+        if i not in inner or k - i + 1 not in support:
             continue
         for b1, b2 in unshuffles(i, k):
-            inner = A.op_word(i, tuple(word[p] for p in b1))
-            if not inner:
+            ins = A.op_word(i, tuple(word[p] for p in b1))
+            if not ins:
                 continue
             sgn = scale * split_sign(A.space, word, b1, b2)
             rest = tuple(word[p] for p in b2)
-            for g, c in inner.items():
+            for g, c in ins.items():
                 vec_acc(acc, outer(k - i + 1, (g,) + rest), sgn * c)
     return acc
 
 
-def _word_elem(space, cap):
+def _word_elem(space):
     """outer for insertion sums that keep the new word itself, as
-    {canonical word: sign}, projecting away arities above cap."""
+    {canonical word: sign}; the sum's support projects away the
+    arities above a cap."""
     def outer(n, w):
-        if n > cap:
-            return {}
         cw, sgn = canonical_word(space, w)
         return {} if cw is None else {cw: sgn}
     return outer
 
 
 @lru_cache(maxsize=None)
-def _position_partitions(k):
-    """Set partitions of range(k) as (regrouping permutation, blocks),
+def _position_partitions(k, counts, sizes):
+    """The set partitions of range(k) into t blocks with t in counts
+    and every block size in sizes, as (regrouping permutation, blocks),
     blocks ordered by first position."""
     out = []
     for part in set_partitions(range(k)):
-        blocks = tuple(sorted(tuple(sorted(b)) for b in part))
-        out.append((tuple(p for b in blocks for p in b), blocks))
+        if len(part) in counts and all(len(b) in sizes for b in part):
+            blocks = tuple(sorted(tuple(sorted(b)) for b in part))
+            out.append((tuple(p for b in blocks for p in b), blocks))
     return tuple(out)
 
 
-def partition_terms(space, word):
-    """All set partitions of a canonical word's positions with the
-    Koszul sign of regrouping.  Yields (sign, [block words])."""
-    degs = [space.deg[l] for l in word]
-    for perm, blocks in _position_partitions(len(word)):
-        yield koszul_sign(degs, perm), [tuple(word[p] for p in b)
-                                        for b in blocks]
-
-
-def partition_sum(f, word, outer, keep=None, acc=None, scale=1):
+def partition_sum(f, word, outer, support, acc=None, scale=1):
     """acc += scale * the sum over the set partitions of the word into
-    blocks B_1, ..., B_t whose count t lies in keep (default: all) of
+    blocks B_1, ..., B_t of
         sign * outer(t, [f(B_1), ..., f(B_t)]),
-    where outer(t, elems) is l_t or g_t on elements."""
+    where outer(t, elems) is l_t or g_t on elements, multilinear, and
+    zero unless t lies in support (a frozenset or range).  Only the
+    partitions with t in support and every block size in f.support are
+    visited, and a partition is dropped at its first block f sends to
+    zero: every other term is zero by arity."""
     acc = {} if acc is None else acc
-    for sgn, blocks in partition_terms(f.source.space, word):
-        t = len(blocks)
-        if keep is None or t in keep:
-            args = [f.comp_word(len(b), b) for b in blocks]
-            vec_acc(acc, outer(t, args), scale * sgn)
+    degs = None
+    for perm, blocks in _position_partitions(len(word), support, f.support):
+        args = []
+        for b in blocks:
+            v = f.comp_word(len(b), tuple(word[p] for p in b))
+            if not v:
+                break
+            args.append(v)
+        else:
+            if degs is None:
+                degs = [f.source.space.deg[l] for l in word]
+            vec_acc(acc, outer(len(blocks), args),
+                    scale * koszul_sign(degs, perm))
     return acc
 
 
@@ -224,6 +233,9 @@ class LInftyAlgebra:
                 vec_acc(tab.setdefault(cw, {}), val)
             clean[k] = {w: v for w, v in tab.items() if v}
         self.ops = clean
+        # the arities k with l_k nonzero; 0 stands for the curvature
+        arities = frozenset(k for k, t in clean.items() if t)
+        self.support = arities | {0} if self.l0 else arities
         for b in self.l0:
             if space.deg[b] != 1:
                 raise ValueError("curvature must have degree 1")
@@ -310,7 +322,7 @@ def chain_complex(space, d: GradedMap, arity_cap=DEFAULT_ARITY_CAP,
 
 def quad_residual(A: LInftyAlgebra, word):
     """Left side of the quadratic relation on a canonical word."""
-    return insertion_sum(A, word, A.op_word, 0, len(word))
+    return insertion_sum(A, word, A.op_word, A.support, 0, len(word))
 
 
 def check_relations(A: LInftyAlgebra, up_to=None, weight_cap=None):
@@ -321,9 +333,7 @@ def check_relations(A: LInftyAlgebra, up_to=None, weight_cap=None):
     failures = []
     checked = 0
     for k in range(0, up_to + 1):
-        for word in sym_words(A.space, k):
-            if weight_cap is not None and A.word_weight(word) > weight_cap:
-                continue
+        for word in words_within(A.space, k, A.weights, weight_cap):
             checked += 1
             res = quad_residual(A, word)
             if res:
@@ -365,6 +375,8 @@ class LInftyMorphism:
                 vec_acc(tab.setdefault(cw, {}), val)
             clean[k] = {w: v for w, v in tab.items() if v}
         self.comps = clean
+        # the arities k with f_k nonzero
+        self.support = frozenset(k for k, t in clean.items() if t)
 
     @classmethod
     def from_linear(cls, source, target, f1_entries, arity_cap=None):
@@ -413,8 +425,9 @@ class LInftyMorphism:
 
 def morphism_sides(f: LInftyMorphism, word):
     """Both sides of the morphism relation on a canonical word."""
-    return (insertion_sum(f.source, word, f.comp_word, 0, len(word)),
-            partition_sum(f, word, f.target.op_elems))
+    return (insertion_sum(f.source, word, f.comp_word, f.support,
+                          0, len(word)),
+            partition_sum(f, word, f.target.op_elems, f.target.support))
 
 
 def check_morphism(f: LInftyMorphism, up_to=None, weight_cap=None):
@@ -427,10 +440,8 @@ def check_morphism(f: LInftyMorphism, up_to=None, weight_cap=None):
     for k in range(0, up_to + 1):
         if k == 0 and f.source.is_strict and f.target.is_strict:
             continue
-        for word in sym_words(f.source.space, k):
-            if weight_cap is not None \
-                    and f.source.word_weight(word) > weight_cap:
-                continue
+        for word in words_within(f.source.space, k, f.source.weights,
+                                 weight_cap):
             checked += 1
             lhs, rhs = morphism_sides(f, word)
             res = vec_acc(lhs, rhs, -1)
@@ -445,11 +456,12 @@ def compose(g: LInftyMorphism, f: LInftyMorphism) -> LInftyMorphism:
     if f.target is not g.source and f.target.space != g.source.space:
         raise ValueError("composition endpoint mismatch")
     cap = min(f.arity_cap, g.arity_cap)
+    support = g.support
     comps = {}
     for k in range(1, cap + 1):
         tab = {}
         for word in sym_words(f.source.space, k):
-            out = partition_sum(f, word, g.comp_elems)
+            out = partition_sum(f, word, g.comp_elems, support)
             if out:
                 tab[word] = out
         if tab:
@@ -535,11 +547,12 @@ def codifferential_hat(A: LInftyAlgebra, cap=None,
     with words of arity above the cap projected away."""
     cap = cap or A.arity_cap
     space = hat_space(A, cap, include_empty)
-    words = _word_elem(A.space, cap)
+    words = _word_elem(A.space)
     entries = {}
     for wl, word in space.words.items():
         # the curvature (i = 0) raises arity by one
-        out = insertion_sum(A, word, words, 0, len(word))
+        out = insertion_sum(A, word, words, range(1, cap + 1),
+                            0, len(word))
         for cw, c in out.items():
             entries[(wl, word_label(cw))] = c
     return GradedMap(space, space, 1, entries)
@@ -662,7 +675,7 @@ def delta1_rows(A, B, m, shift=0, tag=None):
     delta1(u)(word), empty rows included.  Row keys name the unknown
     coefficient u(word')_label'."""
     tail = 1 if shift % 2 else -1
-    words = _word_elem(A.space, m)
+    words = _word_elem(A.space)
     l1_cols = {}
     out = []
     for w in sym_words(A.space, m):
@@ -674,7 +687,8 @@ def delta1_rows(A, B, m, shift=0, tag=None):
         for b, img in l1_cols[d]:
             for b2, c in img.items():
                 rows[b2][(tag, w, b)] = c
-        for cw, c in insertion_sum(A, w, words, 1, 1, scale=tail).items():
+        for cw, c in insertion_sum(A, w, words, range(1, m + 1), 1, 1,
+                                   scale=tail).items():
             for b in B.space.basis_in_degree(d + 1):
                 rows[b][(tag, cw, b)] = c
         out += [(w, b2, row) for b2, row in rows.items()]
@@ -749,12 +763,13 @@ def obstruction_cocycle(f: LInftyMorphism, K):
     A, B = f.source, f.target
     if not (A.is_strict and B.is_strict):
         raise CurvedError("obstruction theory requires strict algebras")
+    inner, outer = f.support, B.support & frozenset(range(2, K + 2))
     out = {}
     for word in sym_words(A.space, K + 1):
         # the terms of the relation that avoid f_{K+1}: insertions of
         # l_{i >= 2}, minus the partitions into at least two blocks
-        val = insertion_sum(A, word, f.comp_word, 2, K + 1)
-        partition_sum(f, word, B.op_elems, range(2, K + 2), val, -1)
+        val = insertion_sum(A, word, f.comp_word, inner, 2, K + 1)
+        partition_sum(f, word, B.op_elems, outer, val, -1)
         if val:
             out[word] = val
     return out

@@ -20,7 +20,8 @@ from fractions import Fraction
 
 from .gradedlin import (Echelon, GradedMap, GradedSpace, acc_term,
                         echelon_of, matrix_rank, nullspace, scalar_from_str,
-                        scalar_to_str, vec_acc, vec_add, vec_scale)
+                        scalar_to_str, vec_acc, vec_add, vec_scale,
+                        words_within)
 from .linfty import (CheckReport, LInftyAlgebra, LInftyMorphism,
                      check_morphism, check_relations, compose, is_quasi_iso)
 
@@ -205,7 +206,7 @@ class SimplexModel:
                 weights[lab] = mono_weight(k)
         self.space = GradedSpace(gens)
         self.algebra = LInftyAlgebra(
-            self.space, self._build_ops(), arity_cap=base.arity_cap,
+            self.space, self._build_ops(weights), arity_cap=base.arity_cap,
             weights=weights)
         self._face_model = None
 
@@ -219,8 +220,7 @@ class SimplexModel:
                 out[lab] = out.get(lab, Fraction(0)) + c * cx
         return {l: c for l, c in out.items() if c}
 
-    def _build_ops(self):
-        from .gradedlin import sym_words
+    def _build_ops(self, weights):
         base = self.base
         n = self.n
         ops = {}
@@ -242,10 +242,9 @@ class SimplexModel:
             if arity not in base.ops:
                 continue
             tab = {}
-            for word in sym_words(self.space, arity):
+            for word in words_within(self.space, arity, weights,
+                                     self.weight_cap):
                 pairs = [self.labels[l] for l in word]
-                if sum(mono_weight(k) for k, _ in pairs) > self.weight_cap:
-                    continue
                 base_out = base.op_word(arity, tuple(x for _, x in pairs))
                 if not base_out:
                     continue
@@ -594,7 +593,6 @@ class SubspaceAlgebra:
 
     def __init__(self, ambient: LInftyAlgebra, vectors, prefix="s",
                  weights=None, weight_window=None):
-        from .gradedlin import sym_words
         self.ambient = ambient
         self.vectors = list(vectors)
         amb = ambient.space
@@ -610,15 +608,14 @@ class SubspaceAlgebra:
         # per degree: the subspace's labels, the ambient basis positions
         # and the echelon of its vectors, built on first use
         self._spans = {}
+        # without weights no word is filtered
+        window = None if weights is None else weight_window
         ops = {}
         for k in range(1, ambient.arity_cap + 1):
             if k not in ambient.ops and k != 1:
                 continue
             tab = {}
-            for word in sym_words(self.space, k):
-                if weight_window is not None and weights is not None:
-                    if sum(weights[l] for l in word) > weight_window:
-                        continue
+            for word in words_within(self.space, k, weights, window):
                 elems = [self.vectors[self.space.index[l]] for l in word]
                 out = ambient.op_elems(k, elems)
                 if not out:

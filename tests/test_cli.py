@@ -181,6 +181,21 @@ def test_simplex_cap_guard_exits_three(tmp_path, capsys):
                capsys)[0] == 3
 
 
+@pytest.mark.parametrize("verb", ["model-build", "model-over"])
+def test_vacuous_model_weight_cap_exits_three(verb, tmp_path, capsys):
+    """The model checks run at weight cap - 2; below cap 2 they checked
+    no word and passed."""
+    doc = dict(algebra_doc(), n=1) if verb == "model-build" \
+        else morphism_doc()
+    path = write(tmp_path, "a.json", doc)
+    for weight in ("0", "1"):
+        assert cli.main([verb, path, "--cap-weight", weight]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("cap guard:") and "Traceback" not in err
+    code, out = run([verb, path, "--cap-weight", "2"], capsys)
+    assert code == 0 and json.loads(out)["checks"][0]["checked"] > 0
+
+
 # ---------------------------------------------------------------------------
 # determinism and output plumbing
 
@@ -207,6 +222,17 @@ def test_out_flag_writes_report_file(tmp_path, capsys):
     code, out = run(["check-linfty", path, "--out", str(dest)], capsys)
     assert code == 0 and out == ""
     assert json.loads(dest.read_text())["verdict"] == "pass"
+
+
+def test_unwritable_out_exits_two(tmp_path, capsys):
+    """Writing the report used to end in a FileNotFoundError traceback
+    with exit 1, which reads as a failed check."""
+    path = write(tmp_path, "a.json", algebra_doc())
+    dest = tmp_path / "missing" / "report.json"
+    assert cli.main(["check-linfty", path, "--out", str(dest)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("input error: cannot write output:")
+    assert "Traceback" not in err
 
 
 def test_text_format_renders_verdict(tmp_path, capsys):

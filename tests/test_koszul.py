@@ -28,6 +28,8 @@ from linfkit.linfty import (LInftyAlgebra, LInftyMorphism, check_morphism,
                             is_quasi_iso, l1_cohomology, zero_algebra)
 from linfkit.gradedlin import GradedSpace, vec_add, vec_scale
 
+import term_oracle
+
 
 # ---------------------------------------------------------------------------
 # rings and sections
@@ -238,6 +240,22 @@ def test_augment_nonflat_base_forces_mixed_operations():
     assert G.op_word(2, ("1|dq1", "y2|g")) == {"q1|1": F(-1)}
     rep = check_relations(G, up_to=3, weight_cap=G.check_cap)
     assert rep.ok, rep.to_json()
+
+
+def test_augment_new_arity_enters_the_support():
+    """Brackets through arity 2 force a mixed arity-3 operation.  Later
+    residuals must see it: the augmented algebra's arity support, which
+    the term kernel prunes by, has to include 3."""
+    m = JetMultivectorModel(2, 1, base_cap=4, fiber_cap=2)
+    P = poisson_from_presymplectic(m, [[0, 1], [-1, 0]],
+                                   {(1, 1): m.var("q1")})
+    A = derived_brackets(jet_valgebra(m, P), 2)
+    G = augment_extension(A, 3)
+    assert 3 not in A.support and G.ops.get(3)
+    assert G.support == frozenset(k for k, t in G.ops.items() if t)
+    rep = check_relations(G, up_to=3, weight_cap=G.check_cap)
+    assert rep.ok and (rep.failures, rep.checked) == \
+        term_oracle.check_relations(G, up_to=3, weight_cap=G.check_cap)
 
 
 def test_augment_raises_on_inconsistent_input():

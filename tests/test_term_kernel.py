@@ -1,0 +1,153 @@
+"""Differential tests of the pruned term kernel against term_oracle.py.
+
+The engine skips insertion and partition terms that are zero by arity
+and enumerates only the words within a weight cap.  The oracle sums
+every term and filters full word lists.  On random small algebras and
+morphisms, with gapped arity supports, curvature, and zero, negative or
+missing weights, both must give the same failures (words and residuals,
+in order), the same checked counts and the same maps.
+"""
+
+from fractions import Fraction as F
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from linfkit.gradedlin import GradedSpace, sym_words, word_degree, words_within
+from linfkit.linfty import (LInftyAlgebra, LInftyMorphism, check_morphism,
+                            check_relations, compose, hat_morphism,
+                            obstruction_cocycle)
+
+import term_oracle
+
+COEFFS = [F(1), F(-1), F(2), F(1, 2)]
+SUPPORTS = [(1,), (2,), (1, 2), (1, 3), (2, 3), (1, 2, 3)]
+CAPS = st.one_of(st.none(), st.integers(-3, 5))
+PROPERTY = settings(derandomize=True, max_examples=80, deadline=None,
+                    database=None)
+
+
+@st.composite
+def spaces(draw):
+    n = draw(st.integers(2, 4))
+    degs = draw(st.lists(st.integers(-1, 2), min_size=n, max_size=n))
+    return GradedSpace(list(zip("abcd", degs)))
+
+
+def draw_table(draw, space, target, arities, shift):
+    """{k: {word: element}} with each value in degree |word| + shift."""
+    tables = {}
+    for k in arities:
+        tab = {}
+        for w in sym_words(space, k):
+            outs = target.basis_in_degree(word_degree(space, w) + shift)
+            if outs and draw(st.booleans()):
+                tab[w] = {draw(st.sampled_from(outs)):
+                          draw(st.sampled_from(COEFFS))}
+        tables[k] = tab
+    return tables
+
+
+def draw_weights(draw, space):
+    if draw(st.booleans()):
+        return None
+    return {l: draw(st.integers(-2, 2)) for l in space.labels}
+
+
+@st.composite
+def algebras(draw, space=None, curved=None):
+    space = space or draw(spaces())
+    ops = draw_table(draw, space, space, draw(st.sampled_from(SUPPORTS)), 1)
+    l0 = {}
+    odd = space.basis_in_degree(1)
+    if odd and (curved if curved is not None else draw(st.booleans())):
+        l0 = {draw(st.sampled_from(odd)): draw(st.sampled_from(COEFFS))}
+    return LInftyAlgebra(space, ops, l0=l0, arity_cap=3,
+                         weights=draw_weights(draw, space))
+
+
+@st.composite
+def morphisms(draw, source=None, target=None, curved=None):
+    A = source or draw(algebras(curved=curved))
+    B = target or draw(algebras(curved=curved))
+    # gapped supports such as f in {1, 3} included
+    comps = draw_table(draw, A.space, B.space,
+                       draw(st.sampled_from(SUPPORTS)), 0)
+    return LInftyMorphism(A, B, comps, arity_cap=3)
+
+
+@PROPERTY
+@given(spaces(), st.data())
+def test_words_within_matches_filtered_full_list(space, data):
+    weights = draw_weights(data.draw, space)
+    cap = data.draw(CAPS)
+    for k in range(5):
+        assert sym_words(space, k) == term_oracle.words(space, k)
+        assert words_within(space, k, weights, cap) == \
+            term_oracle.words_within(space, k, weights, cap)
+
+
+@PROPERTY
+@given(algebras(), CAPS)
+def test_check_relations_matches_oracle(A, cap):
+    rep = check_relations(A, weight_cap=cap)
+    assert (rep.failures, rep.checked) == \
+        term_oracle.check_relations(A, weight_cap=cap)
+
+
+@PROPERTY
+@given(morphisms(), CAPS)
+def test_check_morphism_matches_oracle(f, cap):
+    rep = check_morphism(f, weight_cap=cap)
+    assert (rep.failures, rep.checked) == \
+        term_oracle.check_morphism(f, weight_cap=cap)
+
+
+@PROPERTY
+@given(st.data())
+def test_curved_target_keeps_its_curvature_term(data):
+    """The empty word has one partition, into t = 0 blocks: l0' of a
+    curved target appears on the right side of the morphism relation."""
+    f = data.draw(morphisms(target=data.draw(algebras(
+        space=GradedSpace([("a", 0), ("b", 1), ("c", 1)]), curved=True))))
+    rep = check_morphism(f)
+    assert (rep.failures, rep.checked) == term_oracle.check_morphism(f)
+
+
+def test_gapped_supports_match_oracle():
+    """f in arities {1, 3}, target operations in arity 2 only: every
+    partition of an arity-3 word into two blocks has a block f sends to
+    zero, and only f_1 x f_1 reaches l'_2."""
+    S = GradedSpace([("a", 0), ("b", 0), ("c", 1)])
+    A = LInftyAlgebra(S, {2: {("a", "b"): {"c": F(1)}}}, arity_cap=3)
+    B = LInftyAlgebra(S, {2: {("a", "a"): {"c": F(2)},
+                              ("a", "b"): {"c": F(-1)}}}, arity_cap=3)
+    f = LInftyMorphism(A, B, {1: {("a",): {"a": F(1)}, ("b",): {"b": F(1)},
+                                  ("c",): {"c": F(1)}},
+                              3: {("a", "a", "b"): {"b": F(1)}}}, arity_cap=3)
+    rep = check_morphism(f)
+    assert not rep.ok
+    assert (rep.failures, rep.checked) == term_oracle.check_morphism(f)
+    assert obstruction_cocycle(f, 2) == term_oracle.obstruction_cocycle(f, 2)
+
+
+@PROPERTY
+@given(st.data())
+def test_compose_matches_oracle(data):
+    f = data.draw(morphisms())
+    C = data.draw(algebras())
+    g = data.draw(morphisms(source=f.target, target=C))
+    assert compose(g, f).comps == term_oracle.compose(g, f)
+
+
+@PROPERTY
+@given(morphisms(), st.integers(1, 3))
+def test_hat_morphism_matches_oracle(f, cap):
+    assert hat_morphism(f, cap=cap)[0].entries == \
+        term_oracle.hat_morphism(f, cap)
+
+
+@PROPERTY
+@given(morphisms(curved=False), st.integers(1, 2))
+def test_obstruction_cocycle_matches_oracle(f, K):
+    assert obstruction_cocycle(f, K) == term_oracle.obstruction_cocycle(f, K)
