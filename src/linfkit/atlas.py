@@ -28,12 +28,11 @@ the face, degeneracy, and level-inclusion conditions.
 from __future__ import annotations
 
 import itertools
-from fractions import Fraction
 
 from .htpy import FillError, fill_n_homotopy, _comps_equal
 from .linfty import (CheckReport, LInftyMorphism, check_morphism, compose,
                      is_quasi_iso)
-from .simplexmodel import Homotopy, constant_homotopy, is_homotopy
+from .simplexmodel import constant_homotopy, is_homotopy
 
 
 # ---------------------------------------------------------------------------
@@ -280,14 +279,17 @@ class Hypercovering:
     simplex lives in the base of its leading vertex and is the
     intersection of the change domains of all tail subtuples pulled
     back along the leading base maps; V is the image of its zero part
-    in X."""
+    in X.
 
-    def __init__(self, atlas: ToyAtlas, m_max):
+    simplices: {k: list of k-simplices}."""
+
+    def __init__(self, atlas: ToyAtlas, m_max, simplices):
         self.atlas = atlas
         self.m_max = m_max
-        self.simplices = {}
+        self.simplices = {k: list(v) for k, v in simplices.items()}
+        # the same simplices as sets, for membership tests
+        self._index = {k: set(v) for k, v in self.simplices.items()}
         self._u_cache = {}
-        self._idx_stale = True
 
     # --- structure maps
 
@@ -306,17 +308,7 @@ class Hypercovering:
         return alpha[:pos + 1] + alpha[pos:]
 
     def has(self, alpha):
-        return alpha in self._index.get(len(alpha) - 1, set())
-
-    @property
-    def _index(self):
-        if not hasattr(self, "_idx") or self._idx_stale:
-            self._idx = {k: set(v) for k, v in self.simplices.items()}
-            self._idx_stale = False
-        return self._idx
-
-    def _touch(self):
-        self._idx_stale = True
+        return alpha in self._index.get(len(alpha) - 1, ())
 
     # --- subsets
 
@@ -364,21 +356,18 @@ class Hypercovering:
         """Remove a simplex and, cascading upward, everything that has
         a missing face, keeping the collection face-closed."""
         k = len(alpha) - 1
-        self.simplices[k] = [a for a in self.simplices.get(k, [])
-                             if a != alpha]
-        self._touch()
+        self._set_level(k, [a for a in self.simplices.get(k, [])
+                            if a != alpha])
         for kk in sorted(self.simplices):
             if kk <= k:
                 continue
-            keep = []
-            for a in self.simplices[kk]:
-                faces = [self.face(a, i) for i in range(kk + 1)]
-                if all(self.has(f) for f in faces):
-                    keep.append(a)
-                else:
-                    self._touch()
-            self.simplices[kk] = keep
-            self._touch()
+            keep = [a for a in self.simplices[kk]
+                    if all(self.has(self.face(a, i)) for i in range(kk + 1))]
+            self._set_level(kk, keep)
+
+    def _set_level(self, k, simplices):
+        self.simplices[k] = simplices
+        self._index[k] = set(simplices)
 
     def to_json(self):
         return {"m_max": self.m_max,
@@ -393,18 +382,16 @@ def build_hypercovering(A: ToyAtlas, m_max) -> Hypercovering:
     simplices)."""
     if m_max > 4:
         raise ValueError("hypercoverings are built up to degree 4")
-    H = Hypercovering(A, m_max)
     pts = sorted(A.points, key=str)
     edge_ok = {(p, q) for p in pts for q in pts
                if A.image(p) & A.image(q)}
-    H.simplices[0] = [(p,) for p in pts]
+    simplices = {0: [(p,) for p in pts]}
     for k in range(1, m_max + 1):
-        H.simplices[k] = [
+        simplices[k] = [
             t for t in itertools.product(pts, repeat=k + 1)
             if all((t[i], t[j]) in edge_ok
                    for i in range(k + 1) for j in range(i + 1, k + 1))]
-    H._touch()
-    return H
+    return Hypercovering(A, m_max, simplices)
 
 
 def simplicial_identities(H: Hypercovering) -> CheckReport:

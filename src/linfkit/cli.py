@@ -377,14 +377,13 @@ def run_derived_brackets(caps, V, k_max):
     k_max = min(k_max, _cap(caps, "arity", k_max))
     # brackets that are no L-infinity[1]-algebra are a failed check
     A = attempt("derived-brackets", derived_mod.derived_brackets, V, k_max)
-    gain = derived_mod.op_weight_gain(A)
-    weight_cap = None
-    if getattr(A, "truncated", False):
-        weight_cap = max(0, A.jet_model.base_cap - 2 * gain)
-    rep = linfty_mod.check_relations(A, up_to=min(4, k_max),
-                                     weight_cap=weight_cap)
+    cap = A.jet.check_cap if A.jet else None
+    if cap is not None:
+        cap = max(0, cap)
+    rep = linfty_mod.check_relations(A, up_to=min(4, k_max), weight_cap=cap)
     checks = [report_record(rep), record("strict", A.is_strict)]
-    return checks, {"algebra": A.to_json(), "weight_gain": gain}
+    return checks, {"algebra": A.to_json(),
+                    "weight_gain": derived_mod.op_weight_gain(A)}
 
 
 def load_jet_setup(doc, caps, extra_req=(), extra_opt=()):
@@ -428,11 +427,10 @@ def run_localize(caps, model, omega, R, image_vars, j_max, k_max):
                           C, image_vars, j_max)
     eps = attempt("localize", derived_mod.epsilon_morphism,
                   C, image_vars, j_max)
-    gain = derived_mod.op_weight_gain(loc)
-    cap = max(0, min(model.base_cap, j_max - 1) - 2 * gain)
     checks = [
         report_record(linfty_mod.check_relations(
-            loc, up_to=min(3, loc.arity_cap), weight_cap=cap)),
+            loc, up_to=min(3, loc.arity_cap),
+            weight_cap=max(0, loc.jet.check_cap))),
         report_record(linfty_mod.check_morphism(
             eps, up_to=1, weight_cap=j_max - 1)),
     ]
@@ -493,9 +491,9 @@ def run_augment(caps, ring, fol, k_max):
     k_max = min(k_max, _cap(caps, "arity", k_max))
     G = attempt("augment", koszul_mod.augment_extension, Omega, k_max)
     rep = linfty_mod.check_relations(G, up_to=k_max,
-                                     weight_cap=max(0, G.check_cap))
+                                     weight_cap=max(0, G.jet.check_cap))
     return [report_record(rep)], {"dim": G.space.dim,
-                                  "check_cap": G.check_cap}
+                                  "check_cap": G.jet.check_cap}
 
 
 def run_local_algebra(caps, s):

@@ -22,7 +22,7 @@ from fractions import Fraction
 from .gradedlin import (GradedSpace, matrix_rank, scalar_from_str,
                         scalar_to_str, sym_words, vec_acc, vec_add,
                         vec_scale)
-from .linfty import CheckReport, LInftyAlgebra, LInftyMorphism
+from .linfty import CheckReport, JetRecord, LInftyAlgebra, LInftyMorphism
 
 
 # ---------------------------------------------------------------------------
@@ -66,12 +66,6 @@ def poly_diff(p, i):
         e2[i] -= 1
         out[tuple(e2)] = c * e[i]
     return out
-
-
-def poly_subs_zero(p, idxs):
-    """Substitute 0 for the listed variables."""
-    idxs = set(idxs)
-    return {e: c for e, c in p.items() if all(e[i] == 0 for i in idxs)}
 
 
 def poly_deg(p, idxs=None):
@@ -319,9 +313,6 @@ class JetMultivectorModel:
             out[(e, w)] = c
         return out
 
-    def in_a(self, X):
-        return self.pi(X) == X
-
     def fiber_level(self, X):
         """Smallest p-degree of any coefficient term: the stage of the
         fiber-ideal filtration that contains X (a large sentinel for
@@ -406,8 +397,8 @@ class JetMultivectorModel:
             if sum(e[i] for i in self.base_idxs) > self.base_cap:
                 spilled = True
                 continue
-            coeffs[self.a_label(e, w)] = \
-                coeffs.get(self.a_label(e, w), Fraction(0)) + c
+            lab = self.a_label(e, w)
+            coeffs[lab] = coeffs.get(lab, Fraction(0)) + c
         return {k: v for k, v in coeffs.items() if v}, spilled
 
     def label_weight(self, label):
@@ -765,6 +756,7 @@ def _jet_derived_brackets(V, k_max):
     model, P = V.model, V.P
     space = model.a_space()
     weights = {lab: model.label_weight(lab) for lab in space.labels}
+    mvs = {lab: model.label_to_mv(lab) for lab in space.labels}
     ops = {}
     spilled = False
     prefix = {(): dict(P)}
@@ -773,7 +765,7 @@ def _jet_derived_brackets(V, k_max):
         if word in prefix:
             return prefix[word]
         prev = bval(word[:-1])
-        cur = schouten(prev, model.label_to_mv(word[-1]))
+        cur = schouten(prev, mvs[word[-1]])
         prefix[word] = cur
         return cur
 
@@ -795,23 +787,23 @@ def _jet_derived_brackets(V, k_max):
             ops[k] = tab
     l0, sp = model.elem_to_coeffs(model.pi(P))
     spilled = spilled or sp
-    alg = LInftyAlgebra(space, ops, l0=l0, arity_cap=k_max,
-                        weights=weights)
-    alg.jet_model = model
-    alg.truncated = spilled
-    alg.weight_gain = gain
-    return alg
+    coords = tuple(model.names[i] for i in model.base_idxs)
+    jet = JetRecord(coords, model.base_cap,
+                    tuple(n for n in coords if n.startswith("q")), gain,
+                    model.base_cap - 2 * gain if spilled else None)
+    return LInftyAlgebra(space, ops, l0=l0, arity_cap=k_max,
+                         weights=weights, jet=jet)
 
 
 def op_weight_gain(A):
-    """Largest weight increase of any operation output, including
-    truncated terms when the algebra records it; use weight_cap =
-    (basis weight bound) - 2 * gain for exact filtered relation checks
-    on truncated algebras."""
+    """Largest weight increase of any operation output.  A jet record
+    holds it with the truncated terms included; without one it is read
+    off the stored operations.  weight_cap = (basis weight bound) - 2 *
+    gain gives exact filtered relation checks on truncated algebras."""
     if A.weights is None:
         return 0
-    if hasattr(A, "weight_gain"):
-        return A.weight_gain
+    if A.jet is not None:
+        return A.jet.gain
     gain = 0
     for k, tab in A.ops.items():
         for w, out in tab.items():
@@ -910,7 +902,7 @@ class LocalizedJetModel:
     representatives, then re-project.
     """
 
-    def __init__(self, model, image_vars, j_max):
+    def __init__(self, model, image_vars, j_max, P):
         base_names = [model.names[i] for i in model.base_idxs]
         for v in image_vars:
             if v not in base_names:
@@ -924,7 +916,7 @@ class LocalizedJetModel:
         if j_max < 1:
             raise ValueError("jet order must be at least 1")
         self.j_max = int(j_max)
-        self.P = None
+        self.P = dict(P)
 
     def project(self, X, j):
         """Stage-j class of a representative: drop terms of normal
@@ -992,9 +984,7 @@ def localize_valgebra(V, image_vars, j_max):
     coordinate subspace named by the surviving base variables."""
     if not isinstance(V, JetVAlgebra):
         raise ValueError("localization needs the jet model")
-    loc = LocalizedJetModel(V.model, image_vars, j_max)
-    loc.P = dict(V.P)
-    return loc
+    return LocalizedJetModel(V.model, image_vars, j_max, V.P)
 
 
 # ---------------------------------------------------------------------------
@@ -1039,10 +1029,13 @@ def localized_algebra(C, image_vars, j_max):
     polynomial labels: keep the generators of normal degree below
     j_max and restrict the operations.
 
-    The result keeps the base polynomial degree as its weight; since
-    the normal degree is bounded by the base degree, relation checks
-    with weight_cap = min(base cap, j_max - 1) - 2 * gain see no
-    truncation of either kind and are exact."""
+    The result keeps the base polynomial degree as its weight and the
+    jet record of the input, whose check_cap becomes min(jet order,
+    j_max - 1) - 2 * gain: since the normal degree is bounded by the
+    base degree, relation checks up to that weight see no truncation
+    of either kind and are exact."""
+    if C.jet is None:
+        raise ValueError("localization needs an algebra with a jet record")
     base_names = {p.split("^")[0]
                   for lab in C.space.labels
                   for p in lab.split("|")[0].split(".") if p != "1"}
@@ -1064,11 +1057,10 @@ def localized_algebra(C, image_vars, j_max):
             ops[k] = sub
     l0 = {b: c for b, c in C.l0.items() if b in kset}
     weights = {lab: label_base_weight(lab) for lab in keep}
-    alg = LInftyAlgebra(space, ops, l0=l0, arity_cap=C.arity_cap,
-                        weights=weights)
-    if hasattr(C, "weight_gain"):
-        alg.weight_gain = C.weight_gain
-    return alg, normal
+    jet = C.jet._replace(check_cap=min(C.jet.order, j_max - 1)
+                         - 2 * C.jet.gain)
+    return LInftyAlgebra(space, ops, l0=l0, arity_cap=C.arity_cap,
+                         weights=weights, jet=jet), normal
 
 
 def epsilon_morphism(C, image_vars, j_max):

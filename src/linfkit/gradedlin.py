@@ -389,10 +389,6 @@ def vec_scale(c, v):
     return {k: c * x for k, x in v.items()}
 
 
-def vec_eq(u, v):
-    return vec_add(u, vec_scale(-1, v)) == {}
-
-
 # ---------------------------------------------------------------------------
 # graded maps
 

@@ -22,12 +22,12 @@ from fractions import Fraction
 from .gradedlin import (GradedMap, GradedSpace, cohomology, complement_in,
                         echelon_of, matrix_rank, vec_acc, vec_add,
                         vec_scale, word_degree, words_within)
-from .linfty import (LInftyAlgebra, LInftyMorphism, check_morphism,
-                     direct_sum, is_quasi_iso, l1_cohomology, l1_map,
-                     quad_residual)
-from .derived import (label_base_weight, poly_const, poly_deg,
-                      poly_diff, poly_from_json, poly_mul,
-                      poly_to_json, poly_trunc, poly_var, poly_zero)
+from .linfty import (JetRecord, LInftyAlgebra, LInftyMorphism,
+                     check_morphism, direct_sum, is_quasi_iso,
+                     l1_cohomology, l1_map, quad_residual)
+from .derived import (label_base_weight, poly_const, poly_diff,
+                      poly_from_json, poly_mul, poly_to_json, poly_trunc,
+                      poly_var, poly_zero)
 
 
 # ---------------------------------------------------------------------------
@@ -292,11 +292,12 @@ def foliation_complex(ring, fol_names=None, augmented=False, step=1):
         if out:
             ops[1][(lab,)] = out
     weights = {lab: label_base_weight(lab) for lab, _ in labels}
-    alg = LInftyAlgebra(space, ops if ops[1] else {}, arity_cap=4,
-                        weights=weights)
-    alg.ring = ring
-    alg.fol_names = fol_names
-    return alg
+    # d lowers the weight and the augmentation keeps it, so there is no
+    # weight gain, and relation checks on the complex need no cap
+    jet = JetRecord(tuple(ring.names), ring.order, tuple(fol_names), 0,
+                    None)
+    return LInftyAlgebra(space, ops if ops[1] else {}, arity_cap=4,
+                         weights=weights, jet=jet)
 
 
 # ---------------------------------------------------------------------------
@@ -343,18 +344,6 @@ def poincare_primitive(ring, fol_names, xi):
 # extending operations over the augmentation
 
 
-def _ring_of(Omega):
-    """Coordinate data of a form-labeled algebra: either built by
-    foliation_complex or produced from the jet multivector model."""
-    if hasattr(Omega, "ring"):
-        return Omega.ring, Omega.fol_names
-    model = Omega.jet_model
-    names = [model.names[i] for i in model.base_idxs]
-    ring = JetRing(names, model.base_cap)
-    fol = [n for n in names if n.startswith("q")]
-    return ring, fol
-
-
 def augment_extension(Omega, k_max):
     """Extend the operations of a foliation-form algebra over the
     degree -2 copy of its closed functions.
@@ -370,10 +359,14 @@ def augment_extension(Omega, k_max):
 
     Truncation guard: new operations are only assigned on words whose
     total weight keeps every residual term below the coefficient cap,
-    so each assignment integrates an exact residual.  The result
-    carries `check_cap`: relation checks filtered by that weight are
-    exact (and tested to pass)."""
-    ring, fol_names = _ring_of(Omega)
+    so each assignment integrates an exact residual.  The jet record
+    of the result holds the gain and `check_cap`: relation checks
+    filtered by that weight are exact (and tested to pass).  The input
+    needs a jet record for its coordinates and foliation directions."""
+    rec = Omega.jet
+    if rec is None:
+        raise ValueError("augmentation needs an algebra with a jet record")
+    ring, fol_names = JetRing(rec.coords, rec.order), rec.fol
     fol_idxs = [ring.name_to_idx[n] for n in fol_names]
     labels = [(lab, Omega.space.deg[lab]) for lab in Omega.space.labels]
     present = {lab for lab, _ in labels}
@@ -392,12 +385,12 @@ def augment_extension(Omega, k_max):
                 {make_label(split_label(lab)[0], ()): Fraction(1)}
     cap = max(k_max, Omega.arity_cap)
 
-    def algebra():
+    def algebra(jet=None):
         return LInftyAlgebra(space, ops, l0=Omega.l0, arity_cap=cap,
-                             weights=weights)
+                             weights=weights, jet=jet)
 
     alg = algebra()
-    g0 = getattr(Omega, "weight_gain", 0)
+    g0 = rec.gain
     gain = g0
     # words above this weight could see truncated residual terms; they
     # get no assigned operation and stay outside the certified range
@@ -442,12 +435,8 @@ def augment_extension(Omega, k_max):
                 # one that carries this operation
                 ops.setdefault(m, {})[w] = kept
                 alg = algebra()
-    for attr in ("jet_model", "ring", "fol_names"):
-        if hasattr(Omega, attr):
-            setattr(alg, attr, getattr(Omega, attr))
-    alg.weight_gain = gain
-    alg.check_cap = min(guard - (g0 + 1), ring.order - 2 * gain)
-    return alg
+    check_cap = min(guard - (g0 + 1), ring.order - 2 * gain)
+    return algebra(rec._replace(gain=gain, check_cap=check_cap))
 
 
 # ---------------------------------------------------------------------------
@@ -478,12 +467,6 @@ class LocalAlgebra:
         self.fol_names = fol_names      # resolved foliation directions
         self.step = step
         self.algebra = _sum_with_weights(koszul, derham)
-
-    def koszul_label(self, lab):
-        return lab + "@0"
-
-    def derham_label(self, lab):
-        return lab + "@1"
 
 
 def build_local_algebra(section, fol_names=None, step=1):

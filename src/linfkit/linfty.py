@@ -17,6 +17,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
+from typing import NamedTuple
 
 from .gradedlin import (Echelon, GradedMap, GradedSpace, LinearSystem,
                         acc_term, canonical_word, cohomology, koszul_sign,
@@ -189,6 +190,23 @@ class CheckReport:
                                         "pass" if self.ok else "FAIL")
 
 
+class JetRecord(NamedTuple):
+    """Frozen truncation data of a jet-scale algebra whose generators
+    are labeled "monomial|form" over a truncated coordinate ring.
+
+    coords: the coordinate names, order: the jet order (the largest
+    generator weight), fol: the foliation directions, gain: the largest
+    weight increase of any operation output, truncated terms included,
+    check_cap: the weight up to which relation checks are exact, or
+    None when nothing was truncated."""
+
+    coords: tuple
+    order: int
+    fol: tuple
+    gain: int
+    check_cap: int | None
+
+
 class LInftyAlgebra:
     """Arity-truncated L-infinity[1]-algebra.
 
@@ -198,12 +216,17 @@ class LInftyAlgebra:
     weights: optional {label: int} weight filtration used by the
         simplex models; operations strictly add weights there, so
         checks filtered by total weight are exact.
+    jet: optional JetRecord of a jet-scale algebra.
     """
 
+    __slots__ = ("space", "arity_cap", "l0", "weights", "ops", "support",
+                 "jet")
+
     def __init__(self, space, ops, l0=None, arity_cap=DEFAULT_ARITY_CAP,
-                 weights=None):
+                 weights=None, jet=None):
         self.space = space
         self.arity_cap = int(arity_cap)
+        self.jet = jet
         self.l0 = {k: Fraction(v) for k, v in (l0 or {}).items()
                    if Fraction(v) != 0}
         self.weights = dict(weights) if weights else None
@@ -521,24 +544,22 @@ def word_label(word):
     return "(" + ",".join(word) + ")"
 
 
+class HatSpace(GradedSpace):
+    """A graded space with one generator per canonical word of a base
+    space; words: {generator label: word}."""
+
+    def __init__(self, base, words):
+        self.words = {word_label(w): w for w in words}
+        super().__init__([(lab, word_degree(base, w))
+                          for lab, w in self.words.items()])
+
+
 def hat_space(A: LInftyAlgebra, cap, include_empty=False):
     """Truncated symmetric coalgebra S^{<=cap} C as a graded space with
     one generator per canonical word."""
-    gens = []
     lo = 0 if include_empty else 1
-    for k in range(lo, cap + 1):
-        for w in sym_words(A.space, k):
-            gens.append((word_label(w), word_degree(A.space, w)))
-    return space_with_words(gens, A, cap, lo)
-
-
-def space_with_words(gens, A, cap, lo):
-    space = GradedSpace(gens)
-    space.words = {}
-    for k in range(lo, cap + 1):
-        for w in sym_words(A.space, k):
-            space.words[word_label(w)] = w
-    return space
+    return HatSpace(A.space, [w for k in range(lo, cap + 1)
+                              for w in sym_words(A.space, k)])
 
 
 def codifferential_hat(A: LInftyAlgebra, cap=None,

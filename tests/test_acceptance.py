@@ -158,10 +158,10 @@ def _fixture_algebras():
                 None))
     ring4 = JetRing(["q1", "q2"], 4)
     G1 = augment_extension(foliation_complex(ring4, ["q1"]), 2)
-    out.append(("augmented-extension-1", G1, max(0, G1.check_cap)))
+    out.append(("augmented-extension-1", G1, max(0, G1.jet.check_cap)))
     ring5 = JetRing(["q1"], 5)
     G2 = augment_extension(foliation_complex(ring5, ["q1"]), 2)
-    out.append(("augmented-extension-2", G2, max(0, G2.check_cap)))
+    out.append(("augmented-extension-2", G2, max(0, G2.jet.check_cap)))
 
     sq = Section(JetRing(["q1"], 4), [JetRing(["q1"], 4).var("q1")])
     out.append(("koszul-single", koszul_complex(sq), None))

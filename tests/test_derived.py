@@ -107,6 +107,7 @@ def test_schouten_antisymmetry_and_jacobi(seed):
     X, xb = _rand_homog(rng)
     Y, yb = _rand_homog(rng)
     Z, zb = _rand_homog(rng)
+    before = (dict(X), dict(Y), dict(Z))
     lhs = schouten(X, Y)
     rhs = vec_scale(-((-1) ** ((xb % 2) * (yb % 2))), schouten(Y, X))
     assert vec_add(lhs, vec_scale(-1, rhs)) == {}
@@ -117,6 +118,9 @@ def test_schouten_antisymmetry_and_jacobi(seed):
             vec_scale((-1) ** ((xb % 2) * (yb % 2)),
                      schouten(Y, schouten(X, Z))))))
     assert jac == {}
+    # derived brackets share one parsed element per generator across
+    # all their brackets, so the bracket must leave its inputs alone
+    assert (X, Y, Z) == before
 
 
 @given(st.integers(min_value=0, max_value=10 ** 6))

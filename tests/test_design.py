@@ -1,0 +1,65 @@
+"""Design rules of the package source, read off its syntax tree.
+
+Every attribute of an object is fixed when the object is built: no
+module stores an attribute on anything but self or cls, and no module
+probes for attributes with hasattr/getattr/setattr/delattr.  Every
+named definition is used: its name appears somewhere in the sources,
+tests, benchmark scripts or README besides its own definition.
+"""
+
+import ast
+import re
+from collections import Counter
+from pathlib import Path
+
+import pytest
+
+from linfkit.gradedlin import GradedSpace
+from linfkit.linfty import LInftyAlgebra
+
+ROOT = Path(__file__).resolve().parent.parent
+MODULES = sorted((ROOT / "src" / "linfkit").glob("*.py"))
+PROBES = {"hasattr", "getattr", "setattr", "delattr"}
+
+
+def _nodes():
+    for path in MODULES:
+        for node in ast.walk(ast.parse(path.read_text())):
+            yield path.name, node
+
+
+def test_no_attribute_stored_from_outside():
+    sites = [
+        "%s:%d" % (name, node.lineno) for name, node in _nodes()
+        if isinstance(node, ast.Attribute)
+        and isinstance(node.ctx, (ast.Store, ast.Del))
+        and not (isinstance(node.value, ast.Name)
+                 and node.value.id in ("self", "cls"))]
+    assert sites == []
+
+
+def test_no_attribute_probing():
+    sites = ["%s:%d" % (name, node.lineno) for name, node in _nodes()
+             if isinstance(node, ast.Call)
+             and isinstance(node.func, ast.Name) and node.func.id in PROBES]
+    assert sites == []
+
+
+def test_every_definition_is_referenced():
+    corpus = [*(ROOT / "src").rglob("*.py"), *(ROOT / "tests").rglob("*.py"),
+              *(ROOT / "bench").glob("*.py"), ROOT / "README.md"]
+    words = Counter(re.findall(r"\w+", "\n".join(p.read_text()
+                                                 for p in corpus)))
+    dead = [
+        "%s:%d %s" % (name, node.lineno, node.name)
+        for name, node in _nodes()
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+        and not (node.name.startswith("__") and node.name.endswith("__"))
+        and words[node.name] <= 1]
+    assert dead == []
+
+
+def test_algebra_takes_no_undeclared_attribute():
+    A = LInftyAlgebra(GradedSpace([("x", 0)]), {})
+    with pytest.raises(AttributeError):
+        A.check_cap = 0

@@ -23,9 +23,10 @@ from linfkit.koszul import (JetRing, Section, augment_extension,
                             koszul_cohomology, koszul_complex, make_label,
                             poincare_primitive, quotient_cohomology,
                             split_label)
-from linfkit.linfty import (LInftyAlgebra, LInftyMorphism, check_morphism,
-                            check_relations, codifferential_hat,
-                            is_quasi_iso, l1_cohomology, zero_algebra)
+from linfkit.linfty import (JetRecord, LInftyAlgebra, LInftyMorphism,
+                            check_morphism, check_relations,
+                            codifferential_hat, is_quasi_iso, l1_cohomology,
+                            zero_algebra)
 from linfkit.gradedlin import GradedSpace, vec_add, vec_scale
 
 import term_oracle
@@ -223,7 +224,7 @@ def test_augment_flat_base_adds_nothing_beyond_unary():
     assert mixed == []
     # the new unary entries are inclusions of closed functions
     assert G.op_word(1, ("1|g",)) == {"1|1": F(1)}
-    assert check_relations(G, up_to=3, weight_cap=G.check_cap).ok
+    assert check_relations(G, up_to=3, weight_cap=G.jet.check_cap).ok
 
 
 def test_augment_nonflat_base_forces_mixed_operations():
@@ -238,7 +239,7 @@ def test_augment_nonflat_base_forces_mixed_operations():
     # regression value, re-derivable by hand: the residual at this
     # word is d of the leaf coordinate
     assert G.op_word(2, ("1|dq1", "y2|g")) == {"q1|1": F(-1)}
-    rep = check_relations(G, up_to=3, weight_cap=G.check_cap)
+    rep = check_relations(G, up_to=3, weight_cap=G.jet.check_cap)
     assert rep.ok, rep.to_json()
 
 
@@ -253,9 +254,9 @@ def test_augment_new_arity_enters_the_support():
     G = augment_extension(A, 3)
     assert 3 not in A.support and G.ops.get(3)
     assert G.support == frozenset(k for k, t in G.ops.items() if t)
-    rep = check_relations(G, up_to=3, weight_cap=G.check_cap)
+    rep = check_relations(G, up_to=3, weight_cap=G.jet.check_cap)
     assert rep.ok and (rep.failures, rep.checked) == \
-        term_oracle.check_relations(G, up_to=3, weight_cap=G.check_cap)
+        term_oracle.check_relations(G, up_to=3, weight_cap=G.jet.check_cap)
 
 
 def test_augment_raises_on_inconsistent_input():
@@ -264,9 +265,8 @@ def test_augment_raises_on_inconsistent_input():
     # cannot be matched by degree -2 generators
     space = GradedSpace([("1|1", -1), ("q1|1", -1)])
     ops = {2: {("1|1", "q1|1"): {"q1|1": F(1)}}}
-    bad = LInftyAlgebra(space, ops, arity_cap=3)
-    bad.ring = JetRing(["q1"], 4)
-    bad.fol_names = ["q1"]
+    bad = LInftyAlgebra(space, ops, arity_cap=3,
+                        jet=JetRecord(("q1",), 4, ("q1",), 0, None))
     with pytest.raises(ValueError, match="not closed"):
         augment_extension(bad, 2)
 
