@@ -435,7 +435,7 @@ def run_localize(caps, model, omega, R, image_vars, j_max, k_max):
             eps, up_to=1, weight_cap=j_max - 1)),
     ]
     return checks, {"dim": loc.space.dim,
-                    "normal": list(normal)}
+                    "normal": sorted(normal)}
 
 
 def load_section(doc, caps, extra_req=()):

@@ -19,9 +19,9 @@ import itertools
 import random
 from fractions import Fraction
 
-from .gradedlin import (GradedSpace, matrix_rank, scalar_from_str,
-                        scalar_to_str, sym_words, vec_acc, vec_add,
-                        vec_scale)
+from .gradedlin import (GradedSpace, acc_term, matrix_rank,
+                        scalar_from_str, scalar_to_str, sym_words, vec_acc,
+                        vec_add, vec_scale)
 from .linfty import CheckReport, JetRecord, LInftyAlgebra, LInftyMorphism
 
 
@@ -31,11 +31,6 @@ from .linfty import CheckReport, JetRecord, LInftyAlgebra, LInftyMorphism
 
 def poly_zero():
     return {}
-
-
-def poly_const(c, nv):
-    c = Fraction(c)
-    return {(0,) * nv: c} if c else {}
 
 
 def poly_var(i, nv):
@@ -48,12 +43,7 @@ def poly_mul(p, q):
     out = {}
     for e1, c1 in p.items():
         for e2, c2 in q.items():
-            e = tuple(a + b for a, b in zip(e1, e2))
-            c = out.get(e, Fraction(0)) + c1 * c2
-            if c:
-                out[e] = c
-            else:
-                out.pop(e, None)
+            acc_term(out, tuple(a + b for a, b in zip(e1, e2)), c1 * c2)
     return out
 
 
@@ -101,12 +91,8 @@ def poly_from_json(doc, nv=None):
     """With nv, every exponent vector must fit nv variables."""
     out = {}
     for rec in doc:
-        e = _check_exps(tuple(int(x) for x in rec["exps"]), nv)
-        c = out.get(e, Fraction(0)) + scalar_from_str(rec["coeff"])
-        if c:
-            out[e] = c
-        else:
-            out.pop(e, None)
+        acc_term(out, _check_exps(tuple(int(x) for x in rec["exps"]), nv),
+                 scalar_from_str(rec["coeff"]))
     return out
 
 
@@ -138,12 +124,7 @@ def mv_wedge(X, Y):
             if word is None:
                 continue
             e = tuple(a + b for a, b in zip(ea, eb))
-            key = (e, word)
-            c = out.get(key, Fraction(0)) + sgn * ca * cb
-            if c:
-                out[key] = c
-            else:
-                out.pop(key, None)
+            acc_term(out, (e, word), sgn * ca * cb)
     return out
 
 
@@ -182,14 +163,6 @@ def schouten(X, Y):
     satisfies the graded Jacobi identity (property-tested).
     """
     out = {}
-
-    def acc(key, c):
-        c2 = out.get(key, Fraction(0)) + c
-        if c2:
-            out[key] = c2
-        else:
-            out.pop(key, None)
-
     for (ea, wa), ca in X.items():
         for (eb, wb), cb in Y.items():
             # first part: wedge-derivative of X against the coordinate
@@ -203,7 +176,7 @@ def schouten(X, Y):
                 if word is None:
                     continue
                 e = tuple(a + b for a, b in zip(ta[0], tb[0]))
-                acc((e, word), sgn * ta[2] * tb[2])
+                acc_term(out, (e, word), sgn * ta[2] * tb[2])
             # second part: coordinate derivative of X against the left
             # wedge-derivative of Y (a constant minus sign makes the
             # bracket graded antisymmetric in the shifted grading)
@@ -216,7 +189,7 @@ def schouten(X, Y):
                 if word is None:
                     continue
                 e = tuple(a + b for a, b in zip(ta[0], tb[0]))
-                acc((e, word), -sgn * ta[2] * tb[2])
+                acc_term(out, (e, word), -sgn * ta[2] * tb[2])
     return out
 
 
@@ -238,11 +211,7 @@ def mv_from_json(doc, nv=None):
         if nv is not None and not all(0 <= i < nv for i in key[1]):
             raise ValueError("wedge word %r does not fit %d variables"
                              % (key[1], nv))
-        c = out.get(key, Fraction(0)) + scalar_from_str(rec["coeff"])
-        if c:
-            out[key] = c
-        else:
-            out.pop(key, None)
+        acc_term(out, key, scalar_from_str(rec["coeff"]))
     return out
 
 
@@ -286,9 +255,6 @@ class JetMultivectorModel:
 
     def var(self, name):
         return poly_var(self.name_to_idx[name], self.nv)
-
-    def const(self, c):
-        return poly_const(c, self.nv)
 
     def vector(self, name):
         """The coordinate vector field d/d<name> as a multivector."""

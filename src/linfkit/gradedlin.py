@@ -146,6 +146,18 @@ class Echelon:
                 x[p] = s
         return x
 
+    def kernel(self, cols):
+        """Basis of the vectors over cols that every inserted row
+        annihilates, one per free column of cols, in column order.
+        cols must hold every column an inserted row uses."""
+        full = self.reduced_rows()
+        ker = {j: {j: Fraction(1)} for j in cols if j not in full}
+        for p, r in full.items():
+            for j, c in r.items():
+                if j in ker:
+                    ker[j][p] = -c
+        return list(ker.values())
+
     def reduced_rows(self):
         """Reduced row echelon form: {pivot: row without its pivot}."""
         full = {}
@@ -202,10 +214,7 @@ def nullspace(rows, ncols=None):
         if not rows:
             raise ValueError("ncols required for an empty matrix")
         ncols = len(rows[0])
-    full = echelon_of(rows).reduced_rows()
-    return [_dense({j: Fraction(1), **{p: -r[j] for p, r in full.items()
-                                       if j in r}}, ncols)
-            for j in range(ncols) if j not in full]
+    return [_dense(v, ncols) for v in echelon_of(rows).kernel(range(ncols))]
 
 
 def _solve(rows, rhs, ncols):
@@ -466,15 +475,6 @@ class GradedMap:
     def is_zero(self):
         return not self.entries
 
-    def matrix(self, src_labels, tgt_labels):
-        """Dense matrix rows indexed by tgt_labels, columns by
-        src_labels (column = image of a source generator)."""
-        rows = []
-        for b in tgt_labels:
-            rows.append([self.entries.get((a, b), Fraction(0))
-                         for a in src_labels])
-        return rows
-
     def to_json(self):
         return {
             "source": self.source.to_json(),
@@ -626,30 +626,45 @@ def cohomology(d: GradedMap):
     """
     if d.shift != 1:
         raise ValueError("differential must have shift +1")
-    dd = d.compose(d)
-    if not dd.is_zero():
-        (a, b), _ = sorted(dd.entries.items())[0]
-        raise CohomologyError("d.d != 0 (witness generator %r)" % a,
-                              witness=a)
     space = d.source
     if d.target != space:
         raise ValueError("differential endpoints must agree")
+    # columns are generator indices; rows[b] is the row of d into b,
+    # images[a] the image of a
+    idx, labels = space.index, space.labels
+    rows, images = {}, {}
+    for (a, b), c in d.entries.items():
+        rows.setdefault(b, {})[idx[a]] = c
+        images.setdefault(a, {})[idx[b]] = c
+    # d . d = 0 generator by generator; the least failing label is the
+    # witness
+    bad = []
+    for a, img in images.items():
+        dd = {}
+        for k, c in img.items():
+            vec_acc(dd, images.get(labels[k], {}), c)
+        if dd:
+            bad.append(a)
+    if bad:
+        a = min(bad)
+        raise CohomologyError("d.d != 0 (witness generator %r)" % a,
+                              witness=a)
     out = {}
     for deg in space.degrees():
-        src = space.basis_in_degree(deg)
-        tgt = space.basis_in_degree(deg + 1)
-        prev = space.basis_in_degree(deg - 1)
-        mat = d.matrix(src, tgt)  # rows: tgt, cols: src
-        ker = nullspace(mat, ncols=len(src))
-        # the image of the incoming differential, one column per
-        # generator of degree deg - 1
-        img = echelon_of(zip(*d.matrix(prev, src)))
+        ech = Echelon()
+        for b in space.basis_in_degree(deg + 1):
+            if b in rows:
+                ech.insert(rows[b])
+        ker = ech.kernel([idx[a] for a in space.basis_in_degree(deg)])
+        img = Echelon()
+        for a in space.basis_in_degree(deg - 1):
+            if a in images:
+                img.insert(images[a])
         hdim = len(ker) - img.rank
-        reps = [v for v in ker if img.insert(_sparse(v))]
         out[deg] = {
             "dim": hdim,
-            "reps": [{lab: c for lab, c in zip(src, v) if c != 0}
-                     for v in reps],
+            "reps": [{labels[k]: c for k, c in sorted(v.items())}
+                     for v in ker if img.insert(v)],
         }
     return out
 

@@ -28,8 +28,8 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .gradedlin import (Echelon, GradedMap, GradedSpace, LinearSystem,
-                        acc_term, nullspace, solve_canonical, sym_words,
-                        vec_acc, word_degree)
+                        acc_term, solve_sparse, sym_words, vec_acc,
+                        word_degree)
 from .linfty import (CheckReport, LInftyAlgebra, LInftyMorphism,
                      check_morphism, check_relations, compose,
                      delta1_equations, expand_canonical, insertion_sum,
@@ -298,39 +298,42 @@ def fill_n_homotopy(fs, boundary=None, K=2, tie_break=0):
                                "%s:%s" % (_jtag(J), b))] = c
     d_sum = GradedMap(sum_space, sum_space, 1, d_sum_entries)
 
-    # --- signed boundary map to the vertex level (zero when n_out = 1)
+    # --- signed boundary map to the vertex level (zero when n_out = 1),
+    # over the generator indices of the sum
+    idx = sum_space.index
+
     def boundary_rows(deg):
-        """Rows of the boundary map on the degree-deg part of the sum,
-        indexed by (vertex, target label), and its columns."""
-        src = sum_space.basis_in_degree(deg)
-        if n_out == 1:
-            return [], src
+        """Sparse rows of the boundary map on the degree-deg part of
+        the sum, one per (vertex, target label)."""
         rows = {}
+        if n_out == 1:
+            return rows
+        src = sum_space.basis_in_degree(deg)
         for J in faces:
             eps = _edge_sign(J, n_out)
             edge = edges[J]
             for pos, sgn in ((0, 1), (1, -1)):
                 ev = edge.evals[(pos,)].f1_map()
                 vtx = J[pos]
-                for i, lab in enumerate(src):
-                    part = untag_vec(J, {lab: Fraction(1)})
-                    img = ev.apply(part)
+                for lab in src:
+                    img = ev.apply(untag_vec(J, {lab: Fraction(1)}))
                     for b, c in img.items():
-                        key = (vtx, b)
-                        rows.setdefault(key, {})[i] = \
-                            rows.get(key, {}).get(i, Fraction(0)) \
-                            + eps * sgn * c
-        return [[rows[key].get(i, Fraction(0)) for i in range(len(src))]
-                for key in sorted(rows)], src
+                        acc_term(rows.setdefault((vtx, b), {}), idx[lab],
+                                 eps * sgn * c)
+        return rows
 
     # --- kernel of the boundary, as labeled vectors in the sum
     kvecs = {}
     korder = []
     for deg in sum_space.degrees():
-        mat, src = boundary_rows(deg)
-        for i, v in enumerate(nullspace(mat, ncols=len(src))):
+        ech = Echelon()
+        for row in boundary_rows(deg).values():
+            ech.insert(row)
+        cols = [idx[b] for b in sum_space.basis_in_degree(deg)]
+        for i, v in enumerate(ech.kernel(cols)):
             lab = "k%d_%d" % (deg, i)
-            kvecs[lab] = ({b: c for b, c in zip(src, v) if c != 0}, deg)
+            kvecs[lab] = ({sum_space.labels[j]: c
+                           for j, c in sorted(v.items())}, deg)
             korder.append(lab)
 
     ker_span = {}
@@ -340,14 +343,13 @@ def fill_n_homotopy(fs, boundary=None, K=2, tie_break=0):
         degree, or None when it is not in the kernel span."""
         if deg not in ker_span:
             labs = [k for k in korder if kvecs[k][1] == deg]
-            pos = {b: i for i, b in
-                   enumerate(sum_space.basis_in_degree(deg))}
             ech = Echelon(track=True)
             for k in labs:
-                ech.insert({pos[b]: c for b, c in kvecs[k][0].items()})
-            ker_span[deg] = labs, pos, ech
-        labs, pos, ech = ker_span[deg]
-        x = ech.coords({pos[b]: c for b, c in vec.items() if b in pos})
+                ech.insert({idx[b]: c for b, c in kvecs[k][0].items()})
+            ker_span[deg] = labs, ech
+        labs, ech = ker_span[deg]
+        x = ech.coords({idx[b]: c for b, c in vec.items()
+                        if sum_space.deg[b] == deg})
         if x is None:
             return None
         return {labs[j]: c for j, c in sorted(x.items())}
@@ -701,19 +703,21 @@ def whitehead_inverse(f, K=3, model=None, with_reverse=True):
 
     g1, hprime = chain_inverse(f)
     # lift the chain homotopy into the model: ev0 hpp = 0, ev1 hpp = h'
+    ev0_cols = {t: ev0_1.apply_gen(t) for t in M.space.labels}
+    ev1_cols = {t: ev1_1.apply_gen(t) for t in M.space.labels}
     hpp = {}
     for x in C1.space.labels:
         d = C1.space.deg[x] - 1
         basis = M.space.basis_in_degree(d)
         rows, rhs = [], []
-        for tgt_space, want in ((model.ev0, {}),
-                                (model.ev1, hprime.get(x, {}))):
-            evm = tgt_space.f1_map()
-            for y in C1.space.basis_in_degree(d):
-                rows.append([evm.apply_gen(t).get(y, Fraction(0))
-                             for t in basis])
-                rhs.append(want.get(y, Fraction(0)))
-        sol = solve_canonical(rows, rhs, ncols=len(basis))
+        for ev_cols, want in ((ev0_cols, {}), (ev1_cols, hprime.get(x, {}))):
+            eqs = {y: {} for y in C1.space.basis_in_degree(d)}
+            for j, t in enumerate(basis):
+                for y, c in ev_cols[t].items():
+                    eqs[y][j] = c
+            rows.extend(eqs.values())
+            rhs.extend(want.get(y, Fraction(0)) for y in eqs)
+        sol = solve_sparse(rows, rhs, len(basis))
         if sol is None:
             raise FillError("cannot lift the chain homotopy into the "
                             "model (joint evaluation not surjective)")
@@ -731,8 +735,6 @@ def whitehead_inverse(f, K=3, model=None, with_reverse=True):
     h = LInftyMorphism(C1, M, {1: {(x,): v for x, v in h1.items() if v}},
                        arity_cap=K)
 
-    ev0_cols = {t: ev0_1.apply_gen(t) for t in M.space.labels}
-    ev1_cols = {t: ev1_1.apply_gen(t) for t in M.space.labels}
     f1 = {x: f.comp_word(1, (x,)) for x in C1.space.labels}
     for m in range(2, K + 1):
         sys = LinearSystem()

@@ -19,15 +19,15 @@ dot-separated coordinate differentials ("dq1.dy2") for forms, and
 import itertools
 from fractions import Fraction
 
-from .gradedlin import (GradedMap, GradedSpace, cohomology, complement_in,
-                        echelon_of, matrix_rank, vec_acc, vec_add,
-                        vec_scale, word_degree, words_within)
+from .gradedlin import (Echelon, GradedMap, GradedSpace, acc_term,
+                        cohomology, complement_in, matrix_rank, vec_acc,
+                        vec_add, vec_scale, word_degree, words_within)
 from .linfty import (JetRecord, LInftyAlgebra, LInftyMorphism,
                      check_morphism, direct_sum, is_quasi_iso,
                      l1_cohomology, l1_map, quad_residual)
-from .derived import (label_base_weight, poly_const, poly_diff,
-                      poly_from_json, poly_mul, poly_to_json, poly_trunc,
-                      poly_var, poly_zero)
+from .derived import (label_base_weight, poly_diff, poly_from_json,
+                      poly_mul, poly_to_json, poly_trunc, poly_var,
+                      poly_zero)
 
 
 # ---------------------------------------------------------------------------
@@ -50,9 +50,6 @@ class JetRing:
 
     def var(self, name):
         return poly_var(self.name_to_idx[name], self.nv)
-
-    def const(self, c):
-        return poly_const(c, self.nv)
 
     def mul(self, p, q):
         return poly_trunc(poly_mul(p, q), range(self.nv), self.order)
@@ -205,12 +202,8 @@ def koszul_complex(section, step=1):
                               range(ring.nv), caps.get(j - 1, -1))
             rest = toks[:i] + toks[i + 1:]
             for e2, c in prod.items():
-                lab2 = make_label(ring.mono_str(e2), rest)
-                c2 = out.get(lab2, Fraction(0)) + ((-1) ** i) * c
-                if c2:
-                    out[lab2] = c2
-                else:
-                    out.pop(lab2, None)
+                acc_term(out, make_label(ring.mono_str(e2), rest),
+                         ((-1) ** i) * c)
         if out:
             ops[1][(lab,)] = out
     weights = {lab: label_base_weight(lab) for lab, _ in labels}
@@ -241,12 +234,8 @@ def d_form(ring, fol_names, vec):
             if word is None:
                 continue
             for e2, c2 in dp.items():
-                lab2 = make_label(ring.mono_str(e2), word)
-                c3 = out.get(lab2, Fraction(0)) + sgn * c * c2
-                if c3:
-                    out[lab2] = c3
-                else:
-                    out.pop(lab2, None)
+                acc_term(out, make_label(ring.mono_str(e2), word),
+                         sgn * c * c2)
     return out
 
 
@@ -331,12 +320,7 @@ def poincare_primitive(ring, fol_names, xi):
             e2[ring.name_to_idx[name]] += 1
             lab2 = make_label(ring.mono_str(tuple(e2)),
                               toks[:s] + toks[s + 1:])
-            c2 = out.get(lab2, Fraction(0)) \
-                + ((-1) ** s) * c / denom
-            if c2:
-                out[lab2] = c2
-            else:
-                out.pop(lab2, None)
+            acc_term(out, lab2, ((-1) ** s) * c / denom)
     return out
 
 
@@ -520,7 +504,7 @@ def quotient_cohomology(f):
     quasi-isomorphism."""
     T = f.target
     degrees = sorted(set(T.space.deg.values()))
-    bases = {d: T.space.basis_in_degree(d) for d in degrees}
+    idx = T.space.index
     f1 = f.f1_map()
     images = {d: [] for d in degrees}
     for a in f.source.space.labels:
@@ -528,13 +512,16 @@ def quotient_cohomology(f):
         if not v:
             continue
         d = T.space.deg[next(iter(v))]
-        images[d].append([v.get(b, Fraction(0)) for b in bases[d]])
-    # quotient bases and the induced differential
+        images[d].append({idx[b]: c for b, c in v.items()})
+    # quotient bases: the generators whose unit vectors complete the
+    # image greedily; then the induced differential
     quots = {}
     for d in degrees:
-        amb = [[Fraction(1 if i == j else 0) for j in range(len(bases[d]))]
-               for i in range(len(bases[d]))]
-        quots[d] = complement_in(amb, images[d]) if bases[d] else []
+        span = Echelon()
+        for v in images[d]:
+            span.insert(v)
+        quots[d] = [b for b in T.space.basis_in_degree(d)
+                    if span.insert({idx[b]: Fraction(1)})]
     gens = []
     for d in degrees:
         for i in range(len(quots[d])):
@@ -545,14 +532,14 @@ def quotient_cohomology(f):
     for d in degrees:
         nxt = d + 1
         cols = quots.get(nxt, [])
-        span = echelon_of(cols + images.get(nxt, []), track=True)
-        pos = {b: j for j, b in enumerate(bases.get(nxt, []))}
-        for i, vec in enumerate(quots[d]):
-            elem = {}
-            for b, c in zip(bases[d], vec):
-                if c:
-                    elem = vec_add(elem, vec_scale(c, dmap.apply_gen(b)))
-            sol = span.coords({pos[b]: c for b, c in elem.items()})
+        span = Echelon(track=True)
+        for b in cols:
+            span.insert({idx[b]: Fraction(1)})
+        for v in images.get(nxt, []):
+            span.insert(v)
+        for i, b in enumerate(quots[d]):
+            sol = span.coords({idx[t]: c
+                               for t, c in dmap.apply_gen(b).items()})
             if sol is None:
                 raise ValueError("image is not a subcomplex")
             for k2, c in sorted(sol.items()):
@@ -713,11 +700,7 @@ def fooo_embedding_check(section, amb_section, bundle_map, verify_cap=None):
             lab2 = make_label(mono, toks2) + "@0"
             if lab2 not in tset:
                 continue
-            c2 = out.get(lab2, Fraction(0)) + ((-1) ** inv) * coeff
-            if c2:
-                out[lab2] = c2
-            else:
-                out.pop(lab2, None)
+            acc_term(out, lab2, ((-1) ** inv) * coeff)
         if out:
             comps1[(lab,)] = out
     eta = LInftyMorphism(L.algebra, L2.algebra, {1: comps1},

@@ -644,18 +644,17 @@ def induced_map_on_cohomology(f: LInftyMorphism):
     for d in degrees:
         sa = HA.get(d, {"dim": 0, "reps": []})
         sb = HB.get(d, {"dim": 0, "reps": []})
-        tgt_basis = f.target.space.basis_in_degree(d)
         prev = f.target.space.basis_in_degree(d - 1)
-        pos = {b: i for i, b in enumerate(tgt_basis)}
+        idx = f.target.space.index
         # the target representatives, then the image of dB: coordinates
         # on the representatives are the matrix entries
         span = Echelon(track=True)
         for v in sb["reps"] + [dB.apply_gen(p) for p in prev]:
-            span.insert({pos[b]: c for b, c in v.items()})
+            span.insert({idx[b]: c for b, c in v.items()})
         zero = Fraction(0)
         rows = []
         for r in sa["reps"]:
-            x = span.coords({pos[b]: c for b, c in f1.apply(r).items()})
+            x = span.coords({idx[b]: c for b, c in f1.apply(r).items()})
             if x is None:
                 return None
             rows.append([x.get(j, zero) for j in range(len(sb["reps"]))])

@@ -19,9 +19,8 @@ import itertools
 from fractions import Fraction
 
 from .gradedlin import (Echelon, GradedMap, GradedSpace, acc_term,
-                        echelon_of, matrix_rank, nullspace, scalar_from_str,
-                        scalar_to_str, vec_acc, vec_add, vec_scale,
-                        words_within)
+                        scalar_from_str, scalar_to_str, vec_acc, vec_add,
+                        vec_scale, words_within)
 from .linfty import (CheckReport, LInftyAlgebra, LInftyMorphism,
                      check_morphism, check_relations, compose, is_quasi_iso)
 
@@ -428,17 +427,14 @@ def _joint_surjective(model, evs):
         tgt = C.basis_in_degree(d)
         if not tgt:
             continue
-        src = model.space.basis_in_degree(d)
-        cols = []
-        for s in src:
-            col = []
-            for ev in evs:
-                img = ev.comp_word(1, (s,))
-                col.extend(img.get(t, Fraction(0)) for t in tgt)
-            cols.append(col)
-        mat = [[cols[j][r] for j in range(len(cols))]
-               for r in range(2 * len(tgt))]
-        if matrix_rank(mat) < 2 * len(tgt):
+        # the joint image of each source generator, with one block of
+        # coordinates per evaluation
+        span = Echelon()
+        for s in model.space.basis_in_degree(d):
+            span.insert({e * C.dim + C.index[t]: c
+                         for e, ev in enumerate(evs)
+                         for t, c in ev.comp_word(1, (s,)).items()})
+        if span.rank < 2 * len(tgt):
             return False
     return True
 
@@ -471,57 +467,63 @@ def _exactness(model, evs, face_evs, weight_check):
     faces = list(range(n + 1))
     # lower boundary: edge J = {a,b} maps to vertex a with +, b with -
     base = model.base.space
+    # edge (i, l) is column i * edge_space.dim + index of l, vertex
+    # (v, l) row v * base.dim + index of l
+    ne, nv = edge_space.dim, base.dim
     for d in sorted(set(model.space.degrees())
                     | set(edge_space.degrees()) | set(base.degrees())):
-        edge_basis = []
-        for i in faces:
-            for l in edge_space.basis_in_degree(d):
-                edge_basis.append((i, l))
-        if not edge_basis:
+        edge_labels = edge_space.basis_in_degree(d)
+        if not edge_labels:
             continue
-        # matrix of the signed vertex boundary
-        vert_basis = [(v, l) for v in range(n + 1)
-                      for l in base.basis_in_degree(d)]
-        vidx = {b: r for r, b in enumerate(vert_basis)}
-        rows1 = [[Fraction(0)] * len(edge_basis) for _ in vert_basis]
-        for cidx, (i, l) in enumerate(edge_basis):
+        # columns of the signed vertex boundary, and the columns inside
+        # the weight window
+        low, keep = {}, []
+        for i in faces:
             verts = face_vertices(n, i)
-            # the edge's endpoint j is its face opposite 1 - j
-            for j, sgn in ((0, 1), (1, -1)):
-                img = face_evs[1 - j].comp_word(1, (l,))
-                for t, c in img.items():
-                    r = vidx.get((verts[j], t))
-                    if r is not None:
-                        rows1[r][cidx] += sgn * c
-        # matrix of the top boundary
-        src = model.space.basis_in_degree(d)
-        eidx = {b: r for r, b in enumerate(edge_basis)}
-        rows2 = [[Fraction(0)] * len(src) for _ in edge_basis]
-        for cidx, s in enumerate(src):
+            for l in edge_labels:
+                e = i * ne + edge_space.index[l]
+                if edge_weights[l] <= weight_check:
+                    keep.append(e)
+                col = low[e] = {}
+                # the edge's endpoint j is its face opposite 1 - j
+                for j, sgn in ((0, 1), (1, -1)):
+                    img = face_evs[1 - j].comp_word(1, (l,))
+                    for t, c in img.items():
+                        acc_term(col, verts[j] * nv + base.index[t],
+                                 sgn * c)
+        # columns of the top boundary
+        top = []
+        for s in model.space.basis_in_degree(d):
+            col = {}
             for i in faces:
                 # unshuffle sign of (J_i, {i}) inside {0..n}
                 sgn = (-1) ** (n - i)
                 img = evs[i].comp_word(1, (s,))
                 for t, c in img.items():
-                    r = eidx.get((i, t))
-                    if r is not None:
-                        rows2[r][cidx] += sgn * c
+                    acc_term(col, i * ne + edge_space.index[t], sgn * c)
+            top.append(col)
         # boundary of boundary vanishes
-        for col in range(len(src)):
-            v = [rows2[r][col] for r in range(len(edge_basis))]
-            w = [sum(rows1[r][c] * v[c] for c in range(len(v)))
-                 for r in range(len(vert_basis))]
-            if any(x != 0 for x in w):
+        for col in top:
+            w = {}
+            for e, c in col.items():
+                vec_acc(w, low[e], c)
+            if w:
                 return False, {"reason": "boundary squared nonzero"}
         # kernel of the lower boundary within the weight window
-        keep = [c for c, (i, l) in enumerate(edge_basis)
-                if edge_weights[l] <= weight_check]
-        sub = [[rows1[r][c] for c in keep] for r in range(len(vert_basis))]
         if not keep:
             continue
-        img = echelon_of(zip(*rows2))
-        for kv in nullspace(sub, ncols=len(keep)):
-            if img.reduce(dict(zip(keep, kv))):
+        rows = {}
+        for e in keep:
+            for r, c in low[e].items():
+                rows.setdefault(r, {})[e] = c
+        ech = Echelon()
+        for row in rows.values():
+            ech.insert(row)
+        img = Echelon()
+        for col in top:
+            img.insert(col)
+        for kv in ech.kernel(keep):
+            if img.reduce(kv):
                 return False, {"degree": d}
     return True, None
 
@@ -583,8 +585,8 @@ class SubspaceAlgebra:
         self.space = GradedSpace(gens)
         self.weights = weights
         self.weight_window = weight_window
-        # per degree: the subspace's labels, the ambient basis positions
-        # and the echelon of its vectors, built on first use
+        # per degree: the subspace's labels and the echelon of its
+        # vectors over ambient generator indices, built on first use
         self._spans = {}
         # without weights no word is filtered
         window = None if weights is None else weight_window
@@ -612,21 +614,21 @@ class SubspaceAlgebra:
                                      weights=weights)
 
     def _coords(self, elem):
-        deg = {self.ambient.space.deg[l] for l in elem}
+        amb = self.ambient.space
+        deg = {amb.deg[l] for l in elem}
         if not deg:
             return {}
         d = deg.pop()
         if d not in self._spans:
             labs = self.space.basis_in_degree(d)
-            pos = {b: j for j, b in
-                   enumerate(self.ambient.space.basis_in_degree(d))}
             span = Echelon(track=True)
             for lab in labs:
-                span.insert({pos[b]: c for b, c in
+                span.insert({amb.index[b]: c for b, c in
                              self.vectors[self.space.index[lab]].items()})
-            self._spans[d] = labs, pos, span
-        labs, pos, span = self._spans[d]
-        x = span.coords({pos[b]: c for b, c in elem.items() if b in pos})
+            self._spans[d] = labs, span
+        labs, span = self._spans[d]
+        x = span.coords({amb.index[b]: c for b, c in elem.items()
+                         if amb.deg[b] == d})
         if x is None:
             return None
         return {labs[j]: c for j, c in sorted(x.items())}
@@ -652,30 +654,23 @@ def concat_homotopies(h1: Homotopy, h2: Homotopy, weight_cap=4) -> Homotopy:
     e1 = _f1_images(h1.eval1)
     e0 = _f1_images(h2.eval0)
     Cp = h1.eval0.target.space
+    # columns are generator indices of D: those of M1, then those of M2
+    idx = D.space.index
     vectors = []
     for d in sorted(set(M1.space.degrees()) | set(M2.space.degrees())):
-        b1 = M1.space.basis_in_degree(d)
-        b2 = M2.space.basis_in_degree(d)
-        tgt = Cp.basis_in_degree(d)
-        cols = []
-        for l in b1:
-            img = e1.get(l, {})
-            cols.append([img.get(t, Fraction(0)) for t in tgt])
-        for l in b2:
-            img = e0.get(l, {})
-            cols.append([-img.get(t, Fraction(0)) for t in tgt])
-        mat = [[cols[j][r] for j in range(len(cols))]
-               for r in range(len(tgt))]
-        for kv in nullspace(mat, ncols=len(b1) + len(b2)):
-            vec = {}
-            for i, l in enumerate(b1):
-                if kv[i]:
-                    vec[_tag(l, "0")] = kv[i]
-            for i, l in enumerate(b2):
-                if kv[len(b1) + i]:
-                    vec[_tag(l, "1")] = kv[len(b1) + i]
-            if vec:
-                vectors.append(vec)
+        rows, cols = {}, []
+        for M, img, side, sgn in ((M1, e1, "0", 1), (M2, e0, "1", -1)):
+            for l in M.space.basis_in_degree(d):
+                j = idx[_tag(l, side)]
+                cols.append(j)
+                for t, c in img.get(l, {}).items():
+                    rows.setdefault(t, {})[j] = sgn * c
+        seam = Echelon()
+        for row in rows.values():
+            seam.insert(row)
+        for kv in seam.kernel(cols):
+            vectors.append({D.space.labels[j]: c
+                            for j, c in sorted(kv.items())})
     w1 = M1.weights or {}
     w2 = M2.weights or {}
     dweights = {}

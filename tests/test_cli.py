@@ -5,6 +5,9 @@ import contextlib
 import copy
 import io
 import json
+import os
+import subprocess
+import sys
 
 from fractions import Fraction as F
 
@@ -309,6 +312,30 @@ def test_localize_verb_checks_relations_and_morphism(tmp_path, capsys):
     assert code == 0
     report = json.loads(out)
     assert report["result"]["normal"] == ["y2"]
+
+
+def test_localize_report_does_not_depend_on_hash_seed(tmp_path):
+    """Two normal variables: the report lists them in one order under
+    every PYTHONHASHSEED, so its bytes agree across processes."""
+    m = JetMultivectorModel(2, 1, base_cap=3, fiber_cap=2)
+    doc = {"version": 1, "m": 2, "k": 1, "base_cap": 3,
+           "omega": [["0", "1"], ["-1", "0"]],
+           "R": {"1,1": poly_to_json(m.var("q1"))},
+           "image_vars": ["q1"], "j_max": 2, "k_max": 3}
+    path = write(tmp_path, "a.json", doc)
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    reports = []
+    for seed in ("1", "2"):
+        path_env = filter(None, [src, os.environ.get("PYTHONPATH")])
+        env = dict(os.environ, PYTHONHASHSEED=seed,
+                   PYTHONPATH=os.pathsep.join(path_env))
+        proc = subprocess.run(
+            [sys.executable, "-m", "linfkit.cli", "localize", path],
+            env=env, capture_output=True, check=False)
+        assert proc.returncode == 0, proc.stderr
+        reports.append(proc.stdout)
+    assert json.loads(reports[0])["result"]["normal"] == ["y1", "y2"]
+    assert reports[0] == reports[1]
 
 
 def test_fooo_verb_accepts_identity_embedding(tmp_path, capsys):

@@ -12,14 +12,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from linfkit.gradedlin import (CapError, Echelon, GradedMap, GradedSpace,
-                               canonical_word, cohomology, complement_in,
-                               dumps_canonical, echelon_of, euler_check,
-                               in_span, koszul_sign, matrix_rank, nullspace,
-                               rref, scalar_from_str, scalar_to_str,
-                               solve_canonical, solve_sparse, split_sign,
-                               sym_words, unshuffles, vec_add, vec_scale,
-                               word_degree)
+from linfkit.gradedlin import (CapError, CohomologyError, Echelon,
+                               GradedMap, GradedSpace, canonical_word,
+                               cohomology, complement_in, dumps_canonical,
+                               echelon_of, euler_check, in_span, koszul_sign,
+                               matrix_rank, nullspace, rref, scalar_from_str,
+                               scalar_to_str, solve_canonical, solve_sparse,
+                               split_sign, sym_words, unshuffles, vec_add,
+                               vec_scale, word_degree)
 
 import dense_oracle
 
@@ -65,14 +65,25 @@ small_int = st.integers(min_value=-3, max_value=3)
 small_frac = st.builds(F, st.integers(min_value=-4, max_value=4),
                        st.integers(min_value=1, max_value=3))
 scalars = st.one_of(st.just(F(0)), small_int.map(F), small_frac)
+# integer entries, some of them large
+int_heavy = st.one_of(st.just(F(0)), small_int.map(F),
+                      st.integers(min_value=-60, max_value=60).map(F))
+# no entry is a unit, most are proper fractions: every pivot must be
+# scaled by a non-unit
+non_unit = st.one_of(
+    st.just(F(0)),
+    st.builds(F, st.sampled_from([-9, -5, -3, -2, 2, 3, 4, 7]),
+              st.integers(min_value=1, max_value=7)).filter(
+                  lambda c: abs(c) != 1))
+ENTRIES = {"mixed": scalars, "int-heavy": int_heavy, "non-unit": non_unit}
 
 
 @st.composite
-def matrices(draw, max_rows=6, max_cols=6):
+def matrices(draw, max_rows=6, max_cols=6, entries=scalars):
     """(rows, ncols): small rational matrices, with zero rows and
     duplicated rows mixed in; rows may be empty and ncols may be 0."""
     ncols = draw(st.integers(min_value=0, max_value=max_cols))
-    rows = draw(st.lists(st.lists(scalars, min_size=ncols,
+    rows = draw(st.lists(st.lists(entries, min_size=ncols,
                                   max_size=ncols),
                          max_size=max_rows))
     extra = draw(st.lists(st.integers(min_value=-1,
@@ -100,6 +111,26 @@ def test_rref_rank_nullspace_match_oracle(mat):
     assert matrix_rank(rows) == dense_oracle.matrix_rank(rows)
     assert nullspace(rows, ncols=ncols) == \
         dense_oracle.nullspace(rows, ncols)
+
+
+@pytest.mark.parametrize("entries", list(ENTRIES.values()),
+                         ids=list(ENTRIES))
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_kernel_matches_oracle(entries, data):
+    """Echelon.kernel gives the oracle's nullspace, one vector per free
+    column in column order, also when the columns are renumbered by an
+    increasing map (as a degree's generators sit inside a space)."""
+    rows, ncols = data.draw(matrices(entries=entries))
+    want = dense_oracle.nullspace(rows, ncols)
+    shift = data.draw(st.integers(min_value=0, max_value=3))
+    cols = [3 * j + shift for j in range(ncols)]
+    ech = Echelon()
+    for r in rows:
+        ech.insert({cols[j]: v for j, v in enumerate(r) if v})
+    got = ech.kernel(cols)
+    assert [[v.get(c, F(0)) for c in cols] for v in got] == want
+    assert all(set(v) <= set(cols) and all(v.values()) for v in got)
 
 
 @settings(max_examples=150, deadline=None)
@@ -255,11 +286,50 @@ def test_cohomology_oracle():
     assert euler_check(S, H)
 
 
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(*(matrices(entries=e) for e in ENTRIES.values())))
+def test_cohomology_matches_oracle(mat):
+    """A random differential from degree 0 to degree 1: H^0 is the
+    oracle's nullspace and H^1 the greedy complement of the image among
+    the unit vectors, representatives in generator order."""
+    rows, n0 = mat
+    n1 = len(rows)
+    src = ["a%d" % j for j in range(n0)]
+    tgt = ["b%d" % r for r in range(n1)]
+    S = GradedSpace([(a, 0) for a in src] + [(b, 1) for b in tgt])
+    d = GradedMap(S, S, 1, {(src[j], tgt[r]): c
+                            for r, row in enumerate(rows)
+                            for j, c in enumerate(row)})
+    image = [[row[j] for row in rows] for j in range(n0)]
+    units = [[F(int(i == j)) for j in range(n1)] for i in range(n1)]
+    want = {}
+    for deg, labels, reps in (
+            (0, src, dense_oracle.nullspace(rows, n0)),
+            (1, tgt, dense_oracle.complement_in(units, image))):
+        if labels:
+            want[deg] = [{lab: c for lab, c in zip(labels, v) if c}
+                         for v in reps]
+    H = cohomology(d)
+    assert {deg: h["dim"] for deg, h in H.items()} == \
+        {deg: len(reps) for deg, reps in want.items()}
+    for deg, reps in want.items():
+        assert [list(r.items()) for r in H[deg]["reps"]] == \
+            [list(r.items()) for r in reps]
+
+
 def test_cohomology_rejects_nonsquarezero():
     S = GradedSpace([("a", 0), ("b", 1), ("c", 2)])
     d = GradedMap(S, S, 1, {("a", "b"): F(1), ("b", "c"): F(1)})
     with pytest.raises(Exception):
         cohomology(d)
+    # the witness is the least label with d(d(x)) != 0, whatever the
+    # generator order
+    S = GradedSpace([("z", 0), ("a", 0), ("b", 1), ("c", 2)])
+    d = GradedMap(S, S, 1, {("z", "b"): F(1), ("a", "b"): F(2),
+                            ("b", "c"): F(1)})
+    with pytest.raises(CohomologyError) as err:
+        cohomology(d)
+    assert err.value.witness == "a"
 
 
 def test_vec_helpers_and_canonical_dump():
