@@ -118,7 +118,8 @@ def load_morphism(doc, src, tgt, where):
     comps = {}
     for blk in doc["comps"]:
         expect(blk, where + ".comps[]", ("arity", "entries"))
-        tab = comps.setdefault(blk["arity"], {})
+        k = int_field(where + ".comps[].arity", blk["arity"], 1)
+        tab = comps.setdefault(k, {})
         for e in blk["entries"]:
             expect(e, where + ".entries[]", ("word", "out", "coeff"))
             w = tuple(e["word"])

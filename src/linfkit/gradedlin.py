@@ -19,6 +19,7 @@ from fractions import Fraction
 from functools import lru_cache
 from heapq import heapify, heappop, heappush
 from itertools import combinations
+from types import MappingProxyType
 
 UNSHUFFLE_CAP = 12
 
@@ -322,16 +323,21 @@ class GradedSpace:
         self.labels = tuple(labels)
         self.deg = degs
         self.index = {lab: i for i, lab in enumerate(labels)}
+        by_degree = {}
+        for lab in labels:
+            by_degree.setdefault(degs[lab], []).append(lab)
+        # the labels of each degree in generator order, degrees ascending
+        self.by_degree = {d: tuple(by_degree[d]) for d in sorted(by_degree)}
 
     @property
     def dim(self):
         return len(self.labels)
 
     def degrees(self):
-        return sorted(set(self.deg.values()))
+        return list(self.by_degree)
 
     def basis_in_degree(self, d):
-        return [lab for lab in self.labels if self.deg[lab] == d]
+        return self.by_degree.get(d, ())
 
     def dim_in_degree(self, d):
         return len(self.basis_in_degree(d))
@@ -404,76 +410,89 @@ def vec_scale(c, v):
 
 class GradedMap:
     """Sparse linear map between graded spaces, homogeneous of a fixed
-    degree shift.  entries: {(from_label, to_label): Fraction}."""
+    degree shift, stored column by column (the compressed-column layout
+    of sparse matrix practice).
 
-    def __init__(self, source, target, shift, entries):
+    images: {source label: {target label: Fraction}}, the image of
+    each generator; zero coefficients and empty images are dropped.
+    """
+
+    __slots__ = ("source", "target", "shift", "images")
+
+    def __init__(self, source, target, shift, images):
         self.source = source
         self.target = target
         self.shift = int(shift)
         clean = {}
-        for (a, b), c in entries.items():
-            c = Fraction(c)
-            if c == 0:
-                continue
+        for a, img in images.items():
             if a not in source.deg:
-                raise ValueError("unknown source generator %r" % a)
-            if b not in target.deg:
-                raise ValueError("unknown target generator %r" % b)
-            if target.deg[b] != source.deg[a] + self.shift:
-                raise ValueError(
-                    "entry %r -> %r violates shift %d" % (a, b, self.shift))
-            clean[(a, b)] = c
-        self.entries = clean
-
-    @classmethod
-    def zero(cls, source, target, shift):
-        return cls(source, target, shift, {})
+                raise ValueError("unknown source generator %r" % (a,))
+            want = source.deg[a] + self.shift
+            col = {}
+            for b, c in img.items():
+                c = Fraction(c)
+                if c == 0:
+                    continue
+                if b not in target.deg:
+                    raise ValueError("unknown target generator %r" % (b,))
+                if target.deg[b] != want:
+                    raise ValueError("entry %r -> %r violates shift %d"
+                                     % (a, b, self.shift))
+                col[b] = c
+            if col:
+                clean[a] = col
+        self.images = clean
 
     @classmethod
     def identity(cls, space):
-        return cls(space, space, 0, {(l, l): Fraction(1)
+        return cls(space, space, 0, {l: {l: Fraction(1)}
                                      for l in space.labels})
+
+    @property
+    def entries(self):
+        """Read-only view {(source label, target label): Fraction}."""
+        return MappingProxyType({(a, b): c for a, img in self.images.items()
+                                 for b, c in img.items()})
 
     def apply(self, vec):
         """Apply to a vector {label: coeff}."""
         out = {}
         for a, c in vec.items():
-            for (x, b), e in self.entries.items():
-                if x == a:
-                    out[b] = out.get(b, Fraction(0)) + c * e
+            for b, e in self.images.get(a, {}).items():
+                out[b] = out.get(b, 0) + c * e
         return {k: v for k, v in out.items() if v != 0}
 
     def apply_gen(self, lab):
-        return {b: c for (a, b), c in self.entries.items() if a == lab}
+        return dict(self.images.get(lab, {}))
 
     def compose(self, other):
         """self after other (self . other)."""
         if other.target is not self.source and other.target != self.source:
             raise ValueError("composition endpoint mismatch")
-        entries = {}
-        for (a, m), c in other.entries.items():
-            for (m2, b), e in self.entries.items():
-                if m2 == m:
-                    k = (a, b)
-                    entries[k] = entries.get(k, Fraction(0)) + c * e
+        images = {}
+        for a, img in other.images.items():
+            col = images[a] = {}
+            for m, c in img.items():
+                for b, e in self.images.get(m, {}).items():
+                    col[b] = col.get(b, 0) + c * e
         return GradedMap(other.source, self.target,
-                         self.shift + other.shift, entries)
+                         self.shift + other.shift, images)
 
     def add(self, other):
         if self.shift != other.shift:
             raise ValueError("shift mismatch in sum")
-        entries = dict(self.entries)
-        for k, c in other.entries.items():
-            entries[k] = entries.get(k, Fraction(0)) + c
-        return GradedMap(self.source, self.target, self.shift, entries)
+        images = {a: dict(img) for a, img in self.images.items()}
+        for a, img in other.images.items():
+            vec_acc(images.setdefault(a, {}), img)
+        return GradedMap(self.source, self.target, self.shift, images)
 
     def scale(self, c):
-        c = Fraction(c)
         return GradedMap(self.source, self.target, self.shift,
-                         {k: c * v for k, v in self.entries.items()})
+                         {a: vec_scale(c, img)
+                          for a, img in self.images.items()})
 
     def is_zero(self):
-        return not self.entries
+        return not self.images
 
     def to_json(self):
         return {
@@ -488,9 +507,11 @@ class GradedMap:
     def from_json(cls, doc, source=None, target=None):
         src = source or GradedSpace.from_json(doc["source"])
         tgt = target or GradedSpace.from_json(doc["target"])
-        entries = {(e["from"], e["to"]): scalar_from_str(e["coeff"])
-                   for e in doc["entries"]}
-        return cls(src, tgt, doc["shift"], entries)
+        images = {}
+        for e in doc["entries"]:
+            images.setdefault(e["from"], {})[e["to"]] = \
+                scalar_from_str(e["coeff"])
+        return cls(src, tgt, doc["shift"], images)
 
 
 # ---------------------------------------------------------------------------
@@ -629,26 +650,19 @@ def cohomology(d: GradedMap):
     space = d.source
     if d.target != space:
         raise ValueError("differential endpoints must agree")
-    # columns are generator indices; rows[b] is the row of d into b,
-    # images[a] the image of a
-    idx, labels = space.index, space.labels
-    rows, images = {}, {}
-    for (a, b), c in d.entries.items():
-        rows.setdefault(b, {})[idx[a]] = c
-        images.setdefault(a, {})[idx[b]] = c
     # d . d = 0 generator by generator; the least failing label is the
     # witness
-    bad = []
-    for a, img in images.items():
-        dd = {}
-        for k, c in img.items():
-            vec_acc(dd, images.get(labels[k], {}), c)
-        if dd:
-            bad.append(a)
+    bad = [a for a, img in d.images.items() if d.apply(img)]
     if bad:
         a = min(bad)
         raise CohomologyError("d.d != 0 (witness generator %r)" % a,
                               witness=a)
+    # columns are generator indices; rows[b] is the row of d into b
+    idx, labels = space.index, space.labels
+    rows = {}
+    for a, img in d.images.items():
+        for b, c in img.items():
+            rows.setdefault(b, {})[idx[a]] = c
     out = {}
     for deg in space.degrees():
         ech = Echelon()
@@ -658,8 +672,8 @@ def cohomology(d: GradedMap):
         ker = ech.kernel([idx[a] for a in space.basis_in_degree(deg)])
         img = Echelon()
         for a in space.basis_in_degree(deg - 1):
-            if a in images:
-                img.insert(images[a])
+            if a in d.images:
+                img.insert({idx[b]: c for b, c in d.images[a].items()})
         hdim = len(ker) - img.rank
         out[deg] = {
             "dim": hdim,

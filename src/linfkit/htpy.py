@@ -143,10 +143,8 @@ class FillingModel:
         raise ValueError("no face contains vertex %d" % v)
 
     def incl_morphism(self):
-        comps = {1: {(a,): self.incl.apply_gen(a)
-                     for a in self.C.space.labels if self.incl.apply_gen(a)}}
-        return LInftyMorphism(self.C, self.algebra, comps,
-                              arity_cap=self.K)
+        return LInftyMorphism.from_linear(self.C, self.algebra,
+                                          self.incl.images, arity_cap=self.K)
 
     def verify(self):
         """Re-check every claimed identity: cylinder relations, all
@@ -289,14 +287,13 @@ def fill_n_homotopy(fs, boundary=None, K=2, tie_break=0):
                 if b.startswith(tag)}
 
     # componentwise differential of the direct sum
-    d_sum_entries = {}
+    d_sum_images = {}
     for J in faces:
         alg = face_alg[J]
         for l in alg.space.labels:
-            for b, c in alg.op_word(1, (l,)).items():
-                d_sum_entries[("%s:%s" % (_jtag(J), l),
-                               "%s:%s" % (_jtag(J), b))] = c
-    d_sum = GradedMap(sum_space, sum_space, 1, d_sum_entries)
+            d_sum_images["%s:%s" % (_jtag(J), l)] = \
+                tag_vec(J, alg.op_word(1, (l,)))
+    d_sum = GradedMap(sum_space, sum_space, 1, d_sum_images)
 
     # --- signed boundary map to the vertex level (zero when n_out = 1),
     # over the generator indices of the sum
@@ -427,22 +424,21 @@ def fill_n_homotopy(fs, boundary=None, K=2, tie_break=0):
         comps = {1: {(a,): v for a, v in f1.items() if v}}
         evals[J] = LInftyMorphism(cyl, tgt, comps, arity_cap=K)
 
-    incl_entries = {}
+    incl_images = {}
     for lab in C.space.labels:
         vec = {}
         for J in faces:
             if n_out == 1:
                 part = {lab: Fraction(1)}
             else:
-                part = edges[J].incl.apply_gen(lab)
+                part = edges[J].incl.images.get(lab, {})
             vec_acc(vec, tag_vec(J, part))
         coords = ker_coords(vec, C.space.deg[lab])
         if coords is None:
             raise FillError("inclusion of constants misses the boundary "
                             "kernel")
-        for k, c in coords.items():
-            incl_entries[(lab, "x|" + k)] = c
-    incl = GradedMap(C.space, cyl_space, 0, incl_entries)
+        incl_images[lab] = {"x|" + k: c for k, c in coords.items()}
+    incl = GradedMap(C.space, cyl_space, 0, incl_images)
 
     def lift_to_ker(element_by_face, deg):
         vec = {}
@@ -512,7 +508,7 @@ def _solve_cylinder_operation(cyl, m, faces, face_alg, evals, incl, hbar,
 
     # (b) evaluation compatibility with each face model
     for J in faces:
-        ev1 = {a: v for (a,), v in evals[J].comps.get(1, {}).items()}
+        ev1 = evals[J].f1_map().images
         tgt = face_alg[J]
         for w in sym_words(space, m):
             want = tgt.op_elems(m, [ev1.get(a, {}) for a in w])
@@ -524,7 +520,7 @@ def _solve_cylinder_operation(cyl, m, faces, face_alg, evals, incl, hbar,
 
     # (c) the homotopy morphism relation at arity m: l_m on the linear
     # parts equals the known terms
-    h1 = {a: v for (a,), v in hbar.comps.get(1, {}).items()}
+    h1 = hbar.f1_map().images
     below = arities & frozenset(range(1, m))
     for v in sym_words(C0.space, m):
         rhs = insertion_sum(C0, v, hbar.comp_word, hbar.support, 1, m)
@@ -535,7 +531,7 @@ def _solve_cylinder_operation(cyl, m, faces, face_alg, evals, incl, hbar,
                          rhs.get(t, 0))
 
     # (d) the inclusion of constants stays a strict morphism
-    incl1 = {a: incl.apply_gen(a) for a in C.space.labels}
+    incl1 = incl.images
     for w in sym_words(C.space, m):
         want = {}
         for b, c in C.op_word(m, w).items():
@@ -698,13 +694,11 @@ def whitehead_inverse(f, K=3, model=None, with_reverse=True):
     else:
         model = as_interval_model(model)
     M = model.algebra
-    ev0_1 = model.ev0.f1_map()
-    ev1_1 = model.ev1.f1_map()
 
     g1, hprime = chain_inverse(f)
     # lift the chain homotopy into the model: ev0 hpp = 0, ev1 hpp = h'
-    ev0_cols = {t: ev0_1.apply_gen(t) for t in M.space.labels}
-    ev1_cols = {t: ev1_1.apply_gen(t) for t in M.space.labels}
+    ev0_cols = model.ev0.f1_map().images
+    ev1_cols = model.ev1.f1_map().images
     hpp = {}
     for x in C1.space.labels:
         d = C1.space.deg[x] - 1
@@ -713,7 +707,7 @@ def whitehead_inverse(f, K=3, model=None, with_reverse=True):
         for ev_cols, want in ((ev0_cols, {}), (ev1_cols, hprime.get(x, {}))):
             eqs = {y: {} for y in C1.space.basis_in_degree(d)}
             for j, t in enumerate(basis):
-                for y, c in ev_cols[t].items():
+                for y, c in ev_cols.get(t, {}).items():
                     eqs[y][j] = c
             rows.extend(eqs.values())
             rhs.extend(want.get(y, Fraction(0)) for y in eqs)
@@ -722,7 +716,7 @@ def whitehead_inverse(f, K=3, model=None, with_reverse=True):
             raise FillError("cannot lift the chain homotopy into the "
                             "model (joint evaluation not surjective)")
         hpp[x] = {t: c for t, c in zip(basis, sol) if c != 0}
-    incl1 = {a: model.incl.apply_gen(a) for a in C1.space.labels}
+    incl1 = model.incl.images
     h1 = {}
     for x in C1.space.labels:
         val = vec_acc(dict(incl1.get(x, {})), M.op_elems(1, [hpp[x]]))
@@ -751,9 +745,10 @@ def whitehead_inverse(f, K=3, model=None, with_reverse=True):
             gexp = expand_canonical(C2.space, [f1[a] for a in w])
             basis = M.space.basis_in_degree(d)
             for y in C1.space.basis_in_degree(d):
-                sys.equation({("h", w, t): ev0_cols[t].get(y, 0)
+                sys.equation({("h", w, t): ev0_cols.get(t, {}).get(y, 0)
                               for t in basis})
-                coeffs = {("h", w, t): ev1_cols[t].get(y, 0) for t in basis}
+                coeffs = {("h", w, t): ev1_cols.get(t, {}).get(y, 0)
+                          for t in basis}
                 coeffs.update((("g", cw, y), -c) for cw, c in gexp.items())
                 sys.equation(coeffs, known.get(y, 0))
         sol = sys.solve()
@@ -795,10 +790,10 @@ def model_morphism_over(f, model1, model2, K=2):
     if M1.base is not f.source or M2.base is not f.target:
         raise ValueError("models do not sit over the morphism endpoints")
     A1, A2 = M1.algebra, M2.algebra
-    evs1 = {0: M1.ev0.f1_map(), 1: M1.ev1.f1_map()}
-    evs2 = {0: M2.ev0.f1_map(), 1: M2.ev1.f1_map()}
-    incl1 = {a: M1.incl.apply_gen(a) for a in f.source.space.labels}
-    incl2 = M2.incl
+    evs1 = {0: M1.ev0.f1_map().images, 1: M1.ev1.f1_map().images}
+    evs2 = {0: M2.ev0.f1_map().images, 1: M2.ev1.f1_map().images}
+    incl1 = M1.incl.images
+    incl2 = M2.incl.images
     F = None
     for m in range(1, K + 1):
         sys = LinearSystem()
@@ -809,16 +804,16 @@ def model_morphism_over(f, model1, model2, K=2):
         for j in (0, 1):
             for w in sym_words(A1.space, m):
                 d = word_degree(A1.space, w)
-                want = f.comp_elems(m, [evs1[j].apply_gen(a) for a in w])
+                want = f.comp_elems(m, [evs1[j].get(a, {}) for a in w])
                 for y in f.target.space.basis_in_degree(d):
-                    sys.equation({("F", w, t): evs2[j].apply_gen(t).get(y, 0)
+                    sys.equation({("F", w, t): evs2[j].get(t, {}).get(y, 0)
                                   for t in A2.space.basis_in_degree(d)},
                                  want.get(y, 0))
         # inclusion compatibility: F_m (incl1)^{x m} = incl2 f_m
         for w in sym_words(f.source.space, m):
             want = {}
             for b, c in f.comp_word(m, w).items():
-                vec_acc(want, incl2.apply_gen(b), c)
+                vec_acc(want, incl2.get(b, {}), c)
             expanded = expand_canonical(A1.space,
                                         [incl1.get(a, {}) for a in w])
             for t in A2.space.basis_in_degree(word_degree(f.source.space, w)):

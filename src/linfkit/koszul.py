@@ -22,9 +22,9 @@ from fractions import Fraction
 from .gradedlin import (Echelon, GradedMap, GradedSpace, acc_term,
                         cohomology, complement_in, matrix_rank, vec_acc,
                         vec_add, vec_scale, word_degree, words_within)
-from .linfty import (JetRecord, LInftyAlgebra, LInftyMorphism,
+from .linfty import (CurvedError, JetRecord, LInftyAlgebra, LInftyMorphism,
                      check_morphism, direct_sum, is_quasi_iso,
-                     l1_cohomology, l1_map, quad_residual)
+                     l1_cohomology, quad_residual)
 from .derived import (label_base_weight, poly_diff, poly_from_json,
                       poly_mul, poly_to_json, poly_trunc, poly_var,
                       poly_zero)
@@ -503,12 +503,13 @@ def quotient_cohomology(f):
     vanishing in every degree is equivalent to the map being a
     quasi-isomorphism."""
     T = f.target
-    degrees = sorted(set(T.space.deg.values()))
+    if not T.is_strict:
+        raise CurvedError("cohomology undefined for curved algebra")
+    degrees = T.space.degrees()
     idx = T.space.index
-    f1 = f.f1_map()
     images = {d: [] for d in degrees}
     for a in f.source.space.labels:
-        v = f1.apply_gen(a)
+        v = f.comp_word(1, (a,))
         if not v:
             continue
         d = T.space.deg[next(iter(v))]
@@ -527,8 +528,7 @@ def quotient_cohomology(f):
         for i in range(len(quots[d])):
             gens.append(("c%d_%d" % (d, i), d))
     qspace = GradedSpace(gens)
-    entries = {}
-    dmap = l1_map(T)
+    qd = {}
     for d in degrees:
         nxt = d + 1
         cols = quots.get(nxt, [])
@@ -539,15 +539,13 @@ def quotient_cohomology(f):
             span.insert(v)
         for i, b in enumerate(quots[d]):
             sol = span.coords({idx[t]: c
-                               for t, c in dmap.apply_gen(b).items()})
+                               for t, c in T.op_word(1, (b,)).items()})
             if sol is None:
                 raise ValueError("image is not a subcomplex")
-            for k2, c in sorted(sol.items()):
-                if k2 < len(cols):
-                    entries[("c%d_%d" % (d, i),
-                             "c%d_%d" % (nxt, k2))] = c
-    qd = GradedMap(qspace, qspace, 1, entries)
-    return {d: h["dim"] for d, h in cohomology(qd).items()}
+            qd["c%d_%d" % (d, i)] = {"c%d_%d" % (nxt, k2): c for k2, c
+                                     in sorted(sol.items()) if k2 < len(cols)}
+    coh = cohomology(GradedMap(qspace, qspace, 1, qd))
+    return {d: h["dim"] for d, h in coh.items()}
 
 
 # ---------------------------------------------------------------------------

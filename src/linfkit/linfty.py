@@ -190,6 +190,11 @@ class CheckReport:
                                         "pass" if self.ok else "FAIL")
 
 
+def _check_arity(what, k, word):
+    if len(word) != k:
+        raise ValueError("arity-%d %s on the word %r" % (k, what, word))
+
+
 class JetRecord(NamedTuple):
     """Frozen truncation data of a jet-scale algebra whose generators
     are labeled "monomial|form" over a truncated coordinate ring.
@@ -232,12 +237,12 @@ class LInftyAlgebra:
         self.weights = dict(weights) if weights else None
         clean = {}
         for k, table in ops.items():
-            k = int(k)
-            if k < 1 or k > self.arity_cap:
-                raise ValueError("operation arity %d outside 1..%d"
-                                 % (k, self.arity_cap))
+            if type(k) is not int or k < 1 or k > self.arity_cap:
+                raise ValueError("operation arity %r is not an integer "
+                                 "in 1..%d" % (k, self.arity_cap))
             tab = {}
             for word, out in table.items():
+                _check_arity("operation", k, word)
                 cw, sign = canonical_word(space, word)
                 if cw is None:
                     if any(Fraction(c) != 0 for c in out.values()):
@@ -315,13 +320,14 @@ class LInftyAlgebra:
         space = GradedSpace.from_json(doc["space"])
         ops = {}
         for blk in doc["ops"]:
+            # True and 1.0 would merge into the arity-1 table as keys
             k = blk["arity"]
+            if type(k) is not int:
+                raise ValueError("operation arity %r is not an integer"
+                                 % (k,))
             tab = ops.setdefault(k, {})
             for e in blk["entries"]:
                 w = tuple(e["word"])
-                if len(w) != int(k):
-                    raise ValueError("arity-%s operation on the word %r"
-                                     % (k, w))
                 tab.setdefault(w, {})
                 tab[w][e["out"]] = tab[w].get(e["out"], Fraction(0)) \
                     + scalar_from_str(e["coeff"])
@@ -338,8 +344,7 @@ def zero_algebra(space=None, arity_cap=DEFAULT_ARITY_CAP):
 def chain_complex(space, d: GradedMap, arity_cap=DEFAULT_ARITY_CAP,
                   weights=None):
     """Strict algebra with l_1 = d and l_{k>=2} = 0."""
-    ops = {1: {(a,): d.apply_gen(a) for a in space.labels
-               if d.apply_gen(a)}}
+    ops = {1: {(a,): d.images[a] for a in space.labels if a in d.images}}
     return LInftyAlgebra(space, ops, arity_cap=arity_cap, weights=weights)
 
 
@@ -378,11 +383,14 @@ class LInftyMorphism:
                              else min(source.arity_cap, target.arity_cap))
         clean = {}
         for k, table in comps.items():
-            k = int(k)
+            if type(k) is not int:
+                raise ValueError("component arity %r is not an integer"
+                                 % (k,))
             if k < 1:
                 raise ValueError("curved morphism components unsupported")
             tab = {}
             for word, out in table.items():
+                _check_arity("component", k, word)
                 cw, sign = canonical_word(source.space, word)
                 if cw is None:
                     continue
@@ -428,11 +436,9 @@ class LInftyMorphism:
         return _apply_table(self.source.space, self.comps.get(k), elems)
 
     def f1_map(self) -> GradedMap:
-        entries = {}
-        for (a,), out in self.comps.get(1, {}).items():
-            for b, c in out.items():
-                entries[(a, b)] = c
-        return GradedMap(self.source.space, self.target.space, 0, entries)
+        table = self.comps.get(1, {})
+        return GradedMap(self.source.space, self.target.space, 0,
+                         {a: out for (a,), out in table.items()})
 
     def to_json(self):
         doc = {"arity_cap": self.arity_cap, "comps": []}
@@ -569,14 +575,13 @@ def codifferential_hat(A: LInftyAlgebra, cap=None,
     cap = cap or A.arity_cap
     space = hat_space(A, cap, include_empty)
     words = _word_elem(A.space)
-    entries = {}
+    images = {}
     for wl, word in space.words.items():
         # the curvature (i = 0) raises arity by one
         out = insertion_sum(A, word, words, range(1, cap + 1),
                             0, len(word))
-        for cw, c in out.items():
-            entries[(wl, word_label(cw))] = c
-    return GradedMap(space, space, 1, entries)
+        images[wl] = {word_label(cw): c for cw, c in out.items()}
+    return GradedMap(space, space, 1, images)
 
 
 def hat_morphism(f: LInftyMorphism, cap=None):
@@ -584,14 +589,13 @@ def hat_morphism(f: LInftyMorphism, cap=None):
     cap = cap or f.arity_cap
     src = hat_space(f.source, cap)
     tgt = hat_space(f.target, cap)
-    entries = {}
+    images = {}
     for wl, word in src.words.items():
         out = partition_sum(
             f, word, lambda t, args: expand_canonical(f.target.space, args),
             range(1, cap + 1))
-        for cw, c in out.items():
-            entries[(wl, word_label(cw))] = c
-    return GradedMap(src, tgt, 0, entries), src, tgt
+        images[wl] = {word_label(cw): c for cw, c in out.items()}
+    return GradedMap(src, tgt, 0, images), src, tgt
 
 
 def delta_word(space, word):
@@ -620,11 +624,8 @@ class CurvedError(Exception):
 def l1_map(A: LInftyAlgebra) -> GradedMap:
     if not A.is_strict:
         raise CurvedError("cohomology undefined for curved algebra")
-    entries = {}
-    for (a,), out in A.ops.get(1, {}).items():
-        for b, c in out.items():
-            entries[(a, b)] = c
-    return GradedMap(A.space, A.space, 1, entries)
+    return GradedMap(A.space, A.space, 1,
+                     {a: out for (a,), out in A.ops.get(1, {}).items()})
 
 
 def l1_cohomology(A: LInftyAlgebra):
@@ -637,7 +638,6 @@ def induced_map_on_cohomology(f: LInftyMorphism):
     for chain maps)."""
     HA = l1_cohomology(f.source)
     HB = l1_cohomology(f.target)
-    dB = l1_map(f.target)
     f1 = f.f1_map()
     out = {}
     degrees = sorted(set(HA) | set(HB))
@@ -649,7 +649,7 @@ def induced_map_on_cohomology(f: LInftyMorphism):
         # the target representatives, then the image of dB: coordinates
         # on the representatives are the matrix entries
         span = Echelon(track=True)
-        for v in sb["reps"] + [dB.apply_gen(p) for p in prev]:
+        for v in sb["reps"] + [f.target.op_word(1, (p,)) for p in prev]:
             span.insert({idx[b]: c for b, c in v.items()})
         zero = Fraction(0)
         rows = []

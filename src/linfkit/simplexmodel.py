@@ -19,10 +19,11 @@ import itertools
 from fractions import Fraction
 
 from .gradedlin import (Echelon, GradedMap, GradedSpace, acc_term,
-                        scalar_from_str, scalar_to_str, vec_acc, vec_add,
-                        vec_scale, words_within)
-from .linfty import (CheckReport, LInftyAlgebra, LInftyMorphism,
-                     check_morphism, check_relations, compose, is_quasi_iso)
+                        cohomology, scalar_from_str, scalar_to_str, vec_acc,
+                        vec_add, vec_scale, words_within)
+from .linfty import (CheckReport, LInftyAlgebra, LInftyMorphism, _tag,
+                     check_morphism, check_relations, compose, direct_sum,
+                     is_quasi_iso, l1_map)
 
 MAX_SIMPLEX_DIM = 4
 MAX_WEIGHT_CAP = 8
@@ -164,17 +165,13 @@ def mono_label(key):
 def forms_cohomology(n, weight_cap):
     """Cohomology of the truncated form complex by exact rank, degree
     by degree (d preserves weight, so the truncation is d-stable)."""
-    from .gradedlin import cohomology
     keys = simplex_forms(n, weight_cap)
     gens = [(mono_label(k), mono_degree(k)) for k in keys]
     space = GradedSpace(gens)
-    entries = {}
-    for k in keys:
-        img = d_form(n, {k: Fraction(1)})
-        for k2, c in img.items():
-            entries[(mono_label(k), mono_label(k2))] = c
-    d = GradedMap(space, space, 1, entries)
-    return cohomology(d)
+    images = {mono_label(k): {mono_label(k2): c for k2, c
+                              in d_form(n, {k: Fraction(1)}).items()}
+              for k in keys}
+    return cohomology(GradedMap(space, space, 1, images))
 
 
 # ---------------------------------------------------------------------------
@@ -306,32 +303,22 @@ class SimplexModel:
 
     def incl_map(self) -> GradedMap:
         """The chain map x -> 1 (x) x."""
-        unit = (tuple([0] * self.n), ())
-        entries = {}
-        for x in self.base.space.labels:
-            entries[(x, mono_label(unit) + "|" + x)] = Fraction(1)
-        return GradedMap(self.base.space, self.space, 0, entries)
+        unit = mono_label((tuple([0] * self.n), ()))
+        return GradedMap(self.base.space, self.space, 0,
+                         {x: {unit + "|" + x: Fraction(1)}
+                          for x in self.base.space.labels})
 
     def incl_morphism(self) -> LInftyMorphism:
         """The inclusion packaged with zero higher components.  For the
         tensor model this is in fact a full morphism (wedging constant
         functions creates no signs)."""
-        m = self.incl_map()
-        comps = {1: {(x,): m.apply_gen(x) for x in self.base.space.labels}}
-        return LInftyMorphism(self.base, self.algebra, comps,
-                              arity_cap=self.base.arity_cap)
+        return LInftyMorphism.from_linear(self.base, self.algebra,
+                                          self.incl_map().images,
+                                          arity_cap=self.base.arity_cap)
 
 
 def build_model(C: LInftyAlgebra, n, weight_cap=6) -> SimplexModel:
     return SimplexModel(C, n, weight_cap)
-
-
-# ---------------------------------------------------------------------------
-# linear-algebra helpers on labeled spaces
-
-
-def _f1_images(f: LInftyMorphism):
-    return {w[0]: out for w, out in f.comps.get(1, {}).items()}
 
 
 # ---------------------------------------------------------------------------
@@ -415,7 +402,6 @@ def verify_model_axioms(model: SimplexModel, weight_check=None,
 
 
 def _is_chain_map(m: GradedMap, src_alg, tgt_alg):
-    from .linfty import l1_map
     d1 = l1_map(src_alg)
     d2 = l1_map(tgt_alg)
     return m.compose(d1).add(d2.compose(m).scale(Fraction(-1))).is_zero()
@@ -645,14 +631,13 @@ def concat_homotopies(h1: Homotopy, h2: Homotopy, weight_cap=4) -> Homotopy:
     evaluations agree), with componentwise operations."""
     if h1.f1.comps != h2.f0.comps:
         raise ValueError("seam morphisms disagree")
-    from .linfty import direct_sum, _tag
     M1 = h1.eval0.source
     M2 = h2.eval0.source
     D = direct_sum(M1, M2)
     # seam constraint per degree: eval1 of the first leg equals eval0
     # of the second
-    e1 = _f1_images(h1.eval1)
-    e0 = _f1_images(h2.eval0)
+    e1 = h1.eval1.f1_map().images
+    e0 = h2.eval0.f1_map().images
     Cp = h1.eval0.target.space
     # columns are generator indices of D: those of M1, then those of M2
     idx = D.space.index
@@ -719,17 +704,16 @@ def concat_homotopies(h1: Homotopy, h2: Homotopy, weight_cap=4) -> Homotopy:
     ev0 = _project(h1.eval0, "0")
     ev1 = _project(h2.eval1, "1")
     # inclusion chain map x -> (incl x, incl x)
-    incl_entries = {}
+    incl_images = {}
     for x in Cp.labels:
         pair = {}
-        for l, c in h1.incl.apply_gen(x).items():
+        for l, c in h1.incl.images.get(x, {}).items():
             pair[_tag(l, "0")] = c
-        for l, c in h2.incl.apply_gen(x).items():
+        for l, c in h2.incl.images.get(x, {}).items():
             pair[_tag(l, "1")] = c
         coords = sub._coords(pair)
         if coords is None:
             raise ValueError("inclusion leaves the fiber product")
-        for t, c in coords.items():
-            incl_entries[(x, t)] = c
-    incl = GradedMap(Cp, sub.space, 0, incl_entries)
+        incl_images[x] = coords
+    incl = GradedMap(Cp, sub.space, 0, incl_images)
     return Homotopy(h, ev0, ev1, incl, h1.f0, h2.f1)

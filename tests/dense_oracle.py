@@ -90,3 +90,10 @@ def complement_in(amb_basis, sub_basis):
             chosen.append(v)
             out.append(v)
     return out
+
+
+def matmul(a, b, ncols):
+    """The product a b of an m x n and an n x ncols matrix, both lists
+    of rows; ncols is explicit so that n may be 0."""
+    return [[sum((row[k] * b[k][j] for k in range(len(row))), Fraction(0))
+             for j in range(ncols)] for row in a]

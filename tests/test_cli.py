@@ -643,3 +643,46 @@ def test_malformed_documents_exit_two(verb, path, value, tmp_path):
     code, err = exit_cleanly(verb, replaced(doc, path, value), args,
                              tmp_path)
     assert code == 2 and err.startswith("input error:")
+
+
+# ---------------------------------------------------------------------------
+# malformed component blocks
+
+
+def short_word_morphism_doc():
+    """The identity on a two-generator algebra with l_1(a) = l_2(a, a)
+    = b, plus an arity-2 block holding the one-letter word ["a"]."""
+    A = LInftyAlgebra(GradedSpace([("a", 0), ("b", 1)]),
+                      {1: {("a",): {"b": F(1)}}, 2: {("a", "a"): {"b": F(1)}}},
+                      arity_cap=4)
+    doc = {"version": 1, "source": A.to_json(), "target": A.to_json(),
+           "morphism": LInftyMorphism.identity(A).to_json()}
+    doc["morphism"]["comps"].append(
+        {"arity": 2, "entries": [{"word": ["a"], "out": "a", "coeff": "1"}]})
+    return doc
+
+
+def test_short_word_morphism_exits_two(tmp_path):
+    """The stray entry used to be stored under arity 2, never read, and
+    the check passed."""
+    code, err = exit_cleanly("check-mor", short_word_morphism_doc(), [],
+                             tmp_path)
+    assert code == 2 and err.startswith("input error:")
+
+
+@pytest.mark.parametrize("arity", ["1", True, 1.0])
+@pytest.mark.parametrize("verb", ["check-linfty", "check-mor"])
+def test_non_integer_arity_exits_two(verb, arity, tmp_path):
+    """A non-integer arity next to the integer arity-1 block used to
+    replace that block's table after int(): the algebra lost l_1 and
+    passed, the identity morphism lost f_1 and failed."""
+    if verb == "check-linfty":
+        doc = algebra_doc()
+        doc["algebra"]["ops"].append({"arity": arity, "entries": []})
+    else:
+        doc = morphism_doc()
+        doc["morphism"]["comps"].append(
+            {"arity": arity,
+             "entries": [{"word": ["x"], "out": "x", "coeff": "1"}]})
+    code, err = exit_cleanly(verb, doc, [], tmp_path)
+    assert code == 2 and err.startswith("input error:")

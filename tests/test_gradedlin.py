@@ -22,6 +22,7 @@ from linfkit.gradedlin import (CapError, CohomologyError, Echelon,
                                vec_scale, word_degree)
 
 import dense_oracle
+from dense_oracle import matmul
 
 
 def test_scalar_roundtrip():
@@ -279,7 +280,7 @@ def test_split_sign_matches_koszul():
 def test_cohomology_oracle():
     # 0 -> k a -> k b (+) k c -> 0 with d(a) = b: H^0 = 0, H^1 = <c>
     S = GradedSpace([("a", 0), ("b", 1), ("c", 1)])
-    d = GradedMap(S, S, 1, {("a", "b"): F(1)})
+    d = GradedMap(S, S, 1, {"a": {"b": F(1)}})
     H = cohomology(d)
     assert H[0]["dim"] == 0
     assert H[1]["dim"] == 1
@@ -297,9 +298,9 @@ def test_cohomology_matches_oracle(mat):
     src = ["a%d" % j for j in range(n0)]
     tgt = ["b%d" % r for r in range(n1)]
     S = GradedSpace([(a, 0) for a in src] + [(b, 1) for b in tgt])
-    d = GradedMap(S, S, 1, {(src[j], tgt[r]): c
-                            for r, row in enumerate(rows)
-                            for j, c in enumerate(row)})
+    d = GradedMap(S, S, 1, {src[j]: {tgt[r]: row[j]
+                                     for r, row in enumerate(rows)}
+                            for j in range(n0)})
     image = [[row[j] for row in rows] for j in range(n0)]
     units = [[F(int(i == j)) for j in range(n1)] for i in range(n1)]
     want = {}
@@ -319,14 +320,14 @@ def test_cohomology_matches_oracle(mat):
 
 def test_cohomology_rejects_nonsquarezero():
     S = GradedSpace([("a", 0), ("b", 1), ("c", 2)])
-    d = GradedMap(S, S, 1, {("a", "b"): F(1), ("b", "c"): F(1)})
+    d = GradedMap(S, S, 1, {"a": {"b": F(1)}, "b": {"c": F(1)}})
     with pytest.raises(Exception):
         cohomology(d)
     # the witness is the least label with d(d(x)) != 0, whatever the
     # generator order
     S = GradedSpace([("z", 0), ("a", 0), ("b", 1), ("c", 2)])
-    d = GradedMap(S, S, 1, {("z", "b"): F(1), ("a", "b"): F(2),
-                            ("b", "c"): F(1)})
+    d = GradedMap(S, S, 1, {"z": {"b": F(1)}, "a": {"b": F(2)},
+                            "b": {"c": F(1)}})
     with pytest.raises(CohomologyError) as err:
         cohomology(d)
     assert err.value.witness == "a"
@@ -344,6 +345,97 @@ def test_graded_space_json_roundtrip():
     S = GradedSpace([("a", 0), ("b", -2)])
     S2 = GradedSpace.from_json(S.to_json())
     assert S == S2
-    m = GradedMap(S, S, 2, {("b", "a"): F(3, 2)})
+    m = GradedMap(S, S, 2, {"b": {"a": F(3, 2)}})
     m2 = GradedMap.from_json(m.to_json(), source=S, target=S)
     assert m2.entries == m.entries and m2.shift == 2
+
+
+# ---------------------------------------------------------------------------
+# graded maps against dense matrix products
+
+# few values, so that sums of products often cancel
+map_scalars = st.sampled_from([F(0), F(0), F(1), F(-1), F(2), F(1, 2)])
+
+
+@st.composite
+def graded_spaces(draw, prefix):
+    """Up to four generators of degree 0..2 whose labels are out of
+    index order."""
+    perm = draw(st.permutations(range(draw(st.integers(0, 4)))))
+    return GradedSpace([("%s%d" % (prefix, p), draw(st.integers(0, 2)))
+                        for p in perm])
+
+
+def dense_of(draw, S, T, shift):
+    """A random matrix S -> T (rows: target labels, columns: source
+    labels, in index order), zero wherever the shift forbids an entry."""
+    return [[draw(map_scalars) if T.deg[b] == S.deg[a] + shift else F(0)
+             for a in S.labels] for b in T.labels]
+
+
+def map_of(S, T, shift, mat):
+    """The GradedMap of a dense matrix; zero coefficients and empty
+    images are passed in for the constructor to drop."""
+    return GradedMap(S, T, shift, {a: {b: mat[i][j]
+                                       for i, b in enumerate(T.labels)}
+                                   for j, a in enumerate(S.labels)})
+
+
+def dense(m):
+    return [[m.images.get(a, {}).get(b, F(0)) for a in m.source.labels]
+            for b in m.target.labels]
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_graded_map_matches_dense_products(data):
+    U, V, W = (data.draw(graded_spaces(p)) for p in "uvw")
+    s1, s2 = data.draw(st.integers(0, 1)), data.draw(st.integers(-1, 1))
+    A, A2 = dense_of(data.draw, U, V, s1), dense_of(data.draw, U, V, s1)
+    B = dense_of(data.draw, V, W, s2)
+    f, f2 = map_of(U, V, s1, A), map_of(U, V, s1, A2)
+    g = map_of(V, W, s2, B)
+    c = data.draw(map_scalars)
+    for m, want in ((f, A), (g, B)):
+        assert dense(m) == want
+        assert all(img and all(img.values()) for img in m.images.values())
+        assert dict(m.entries) == {
+            (a, b): want[i][j] for j, a in enumerate(m.source.labels)
+            for i, b in enumerate(m.target.labels) if want[i][j]}
+        for j, a in enumerate(m.source.labels):
+            assert m.apply_gen(a) == {b: row[j] for b, row
+                                      in zip(m.target.labels, want) if row[j]}
+    x = [data.draw(map_scalars) for _ in U.labels]
+    fx = matmul(A, [[v] for v in x], 1)
+    assert f.apply(dict(zip(U.labels, x))) == \
+        {b: r[0] for b, r in zip(V.labels, fx) if r[0]}
+    gf = g.compose(f)
+    assert (gf.source, gf.target, gf.shift) == (U, W, s1 + s2)
+    assert dense(gf) == matmul(B, A, U.dim)
+    assert gf.is_zero() == (not any(map(any, matmul(B, A, U.dim))))
+    assert dense(f.add(f2)) == [[p + q for p, q in zip(r, r2)]
+                                for r, r2 in zip(A, A2)]
+    assert dense(f.scale(c)) == [[c * p for p in r] for r in A]
+    assert f.add(f.scale(-1)).is_zero() and not f.scale(0).images
+
+
+def test_graded_map_cancellation_and_errors():
+    U = GradedSpace([("u", 0)])
+    V = GradedSpace([("v2", 1), ("v1", 1), ("v0", 0)])
+    W = GradedSpace([("w", 1)])
+    f = GradedMap(U, V, 1, {"u": {"v1": F(1), "v2": F(1)}})
+    g = GradedMap(V, W, 0, {"v1": {"w": F(1)}, "v2": {"w": F(-1)},
+                            "v0": {}})
+    assert g.compose(f).is_zero() and not g.compose(f).images
+    assert "v0" not in g.images and g.apply_gen("v0") == {}
+    with pytest.raises(TypeError):
+        f.entries[("u", "v1")] = F(2)
+    with pytest.raises(ValueError, match="unknown source"):
+        GradedMap(U, V, 1, {"x": {"v1": F(1)}})
+    with pytest.raises(ValueError, match="unknown target"):
+        GradedMap(U, V, 1, {"u": {"x": F(1)}})
+    with pytest.raises(ValueError, match="violates shift"):
+        GradedMap(U, V, 0, {"u": {"v1": F(1)}})
+    # the pair format {(source, target): c} is not an image table
+    with pytest.raises(ValueError, match="unknown source"):
+        GradedMap(U, V, 1, {("u", "v1"): F(1)})
