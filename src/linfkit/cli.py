@@ -38,7 +38,7 @@ from . import htpy as htpy_mod
 from . import koszul as koszul_mod
 from . import linfty as linfty_mod
 from . import simplexmodel as simplex_mod
-from .gradedlin import (CapError, dumps_canonical, scalar_from_str,
+from .gradedlin import (CapError, dumps_canonical, expect, scalar_from_str,
                         scalar_to_str)
 
 SCHEMA_VERSION = 1
@@ -75,18 +75,6 @@ def attempt(name, fn, *args, **kwargs):
 # strict document parsing
 
 
-def expect(doc, where, required, optional=()):
-    if not isinstance(doc, dict):
-        raise InputError("%s: expected an object" % where)
-    for k in required:
-        if k not in doc:
-            raise InputError("%s: missing field %r" % (where, k))
-    for k in doc:
-        if k not in required and k not in optional:
-            raise InputError("%s: unknown field %r" % (where, k))
-    return doc
-
-
 def check_version(doc):
     if not isinstance(doc, dict) or doc.get("version") != SCHEMA_VERSION:
         raise InputError("document version must be %d" % SCHEMA_VERSION)
@@ -115,19 +103,8 @@ load_algebra = linfty_mod.LInftyAlgebra.from_json
 
 def load_morphism(doc, src, tgt, where):
     expect(doc, where, ("comps",), ("arity_cap",))
-    comps = {}
-    for blk in doc["comps"]:
-        expect(blk, where + ".comps[]", ("arity", "entries"))
-        k = int_field(where + ".comps[].arity", blk["arity"], 1)
-        tab = comps.setdefault(k, {})
-        for e in blk["entries"]:
-            expect(e, where + ".entries[]", ("word", "out", "coeff"))
-            w = tuple(e["word"])
-            tab.setdefault(w, {})
-            tab[w][e["out"]] = tab[w].get(e["out"], Fraction(0)) \
-                + scalar_from_str(e["coeff"])
     return linfty_mod.LInftyMorphism(
-        src, tgt, comps,
+        src, tgt, linfty_mod.blocks_from_json(doc["comps"], where + ".comps"),
         arity_cap=doc.get("arity_cap", min(src.arity_cap, tgt.arity_cap)))
 
 

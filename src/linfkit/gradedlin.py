@@ -3,7 +3,9 @@
 Graded vector spaces over the rationals with labeled generators, sparse
 degree-homogeneous maps, Koszul signs, (i, k-i)-unshuffles, symmetric
 words, and cohomology by exact rank.  Everything is immutable after
-construction and all arithmetic uses fractions.Fraction; no floats.
+construction and all arithmetic is exact over the rationals; no floats.
+Every coefficient a function returns is a fractions.Fraction; inside
+the echelon engine an integral coefficient is stored as a plain int.
 
 Conventions: all degrees live in the [1]-shifted picture (operations of
 degree +1, morphism components of degree 0).  The Koszul sign of a
@@ -52,8 +54,48 @@ def scalar_from_str(s: str) -> Fraction:
     return Fraction(int(s))
 
 
+def expect(doc, where, required, optional=()):
+    """doc, if it is an object holding every required field and no
+    field outside required and optional; ValueError otherwise.  Every
+    document reader parses strictly, so that silent schema drift cannot
+    invalidate a certificate."""
+    if not isinstance(doc, dict):
+        raise ValueError("%s: expected an object" % where)
+    for k in required:
+        if k not in doc:
+            raise ValueError("%s: missing field %r" % (where, k))
+    for k in doc:
+        if k not in required and k not in optional:
+            raise ValueError("%s: unknown field %r" % (where, k))
+    return doc
+
+
 # ---------------------------------------------------------------------------
 # exact linear algebra: one incremental sparse echelon engine
+
+
+def _exact(x):
+    """x as an int when it is integral.  Fraction arithmetic keeps the
+    Fraction type even when a value is an integer."""
+    if type(x) is int or x.denominator != 1:
+        return x
+    return x.numerator
+
+
+def _divide(r, piv):
+    """The vector r divided by the pivot piv, coefficients int-first and
+    zeros dropped.  A pivot of +-1 keeps or negates r; only other
+    pivots divide."""
+    if piv == 1:
+        return {k: _exact(x) for k, x in r.items() if x}
+    if piv == -1:
+        return {k: -_exact(x) for k, x in r.items() if x}
+    inv = 1 / Fraction(piv)
+    return {k: _exact(x * inv) for k, x in r.items() if x}
+
+
+def _fractions(v):
+    return {k: Fraction(x) for k, x in v.items()}
 
 
 class Echelon:
@@ -66,6 +108,11 @@ class Echelon:
     for.  The reduced row echelon form is unique, so every answer
     (pivot set, canonical solution, kernel basis, greedy complement)
     depends only on the inserted vectors and their order.
+
+    Stored coefficients are plain ints while they are integral and
+    Fractions only when they are not, which spares the Fraction object
+    overhead on the small integers that dominate real systems.  Vectors
+    go in as ints or Fractions; every answer is Fraction-valued.
 
     With track=True each row also keeps itself as a combination of the
     inserted vectors, numbered in insertion order, for coords().
@@ -80,11 +127,12 @@ class Echelon:
     def rank(self):
         return len(self.rows)
 
-    def reduce(self, v, acc=None):
+    def _reduce(self, v, acc=None):
         """What is left of v after subtracting pivot rows in increasing
-        pivot order ({} iff v is in the span).  With acc, the multiples
-        of the rows' combinations subtracted are added to acc."""
-        v, rows = {k: x for k, x in v.items() if x}, self.rows
+        pivot order ({} iff v is in the span), int-first.  With acc, the
+        multiples of the rows' combinations subtracted are added to
+        acc."""
+        v, rows = {k: _exact(x) for k, x in v.items() if x}, self.rows
         heap = [k for k in v if k in rows]
         heapify(heap)
         while heap:
@@ -92,6 +140,7 @@ class Echelon:
             f = v.pop(p, None)
             if f is None:
                 continue
+            f = _exact(f)
             for k, x in rows[p].items():
                 if k in v:
                     v[k] -= f * x
@@ -106,20 +155,25 @@ class Echelon:
                     acc[j] = acc.get(j, 0) + f * c
         return v
 
+    def reduce(self, v):
+        """What is left of v after subtracting pivot rows in increasing
+        pivot order ({} iff v is in the span)."""
+        return _fractions(self._reduce(v))
+
     def insert(self, v):
         """Store what is left of v after reduction as a new pivot row.
         True iff v is independent of the vectors inserted before it."""
         acc = {} if self.combos is not None else None
-        r = self.reduce(v, acc)
+        r = self._reduce(v, acc)
         self.inserted += 1
         if not r:
             return False
         p = min(r)
-        inv = 1 / Fraction(r.pop(p))
-        self.rows[p] = {k: x * inv for k, x in r.items()} if inv != 1 else r
+        piv = r.pop(p)
+        self.rows[p] = _divide(r, piv)
         if acc is not None:
-            acc = {j: -c * inv for j, c in acc.items() if c}
-            acc[self.inserted - 1] = inv
+            acc = _divide(acc, -piv)
+            acc[self.inserted - 1] = _exact(1 / Fraction(piv))
             self.combos[p] = acc
         return True
 
@@ -127,9 +181,9 @@ class Echelon:
         """{insertion index: c} expressing v in the independent inserted
         vectors, or None if v is not in their span (needs track)."""
         acc = {}
-        if self.reduce(v, acc):
+        if self._reduce(v, acc):
             return None
-        return {j: c for j, c in acc.items() if c}
+        return {j: Fraction(c) for j, c in acc.items() if c}
 
     def solution(self, ncols):
         """Canonical solution {column: nonzero value} (free variables
@@ -144,23 +198,22 @@ class Echelon:
                 if k in x:
                     s -= c * x[k]
             if s:
-                x[p] = s
-        return x
+                x[p] = _exact(s)
+        return _fractions(x)
 
     def kernel(self, cols):
         """Basis of the vectors over cols that every inserted row
         annihilates, one per free column of cols, in column order.
         cols must hold every column an inserted row uses."""
-        full = self.reduced_rows()
+        full = self._reduced_rows()
         ker = {j: {j: Fraction(1)} for j in cols if j not in full}
         for p, r in full.items():
             for j, c in r.items():
                 if j in ker:
-                    ker[j][p] = -c
+                    ker[j][p] = Fraction(-c)
         return list(ker.values())
 
-    def reduced_rows(self):
-        """Reduced row echelon form: {pivot: row without its pivot}."""
+    def _reduced_rows(self):
         full = {}
         for p in sorted(self.rows, reverse=True):
             r = dict(self.rows[p])
@@ -168,8 +221,12 @@ class Echelon:
                 f = r.pop(q)
                 for k, c in full[q].items():
                     r[k] = r.get(k, 0) - f * c
-            full[p] = {k: c for k, c in r.items() if c}
+            full[p] = {k: _exact(c) for k, c in r.items() if c}
         return full
+
+    def reduced_rows(self):
+        """Reduced row echelon form: {pivot: row without its pivot}."""
+        return {p: _fractions(r) for p, r in self._reduced_rows().items()}
 
 
 def _sparse(vec):
@@ -238,8 +295,9 @@ def solve_canonical(rows, rhs, ncols=None):
 
 def solve_sparse(rows, rhs, ncols):
     """Sparse variant of solve_canonical.  rows is a list of dicts
-    {column index: Fraction}; returns the same canonical solution (free
-    variables zero, pivot columns chosen left to right) or None."""
+    {column index: int or Fraction}; returns the same canonical
+    solution (free variables zero, pivot columns chosen left to right)
+    or None."""
     return _solve(rows, rhs, ncols)
 
 
@@ -268,11 +326,12 @@ class LinearSystem:
         return self.index[key]
 
     def equation(self, coeffs, rhs=0):
-        """Add the row sum(coeffs[key] * key) = rhs."""
+        """Add the row sum(coeffs[key] * key) = rhs; integral
+        coefficients are kept as ints, as Echelon stores them."""
         index = self.index
-        self.rows.append({index[key]: Fraction(c)
+        self.rows.append({index[key]: _exact(c)
                           for key, c in coeffs.items() if c})
-        self.rhs.append(Fraction(rhs))
+        self.rhs.append(_exact(rhs))
 
     def solve(self):
         """{key: nonzero value} of the canonical solution, or None."""
@@ -355,7 +414,10 @@ class GradedSpace:
 
     @classmethod
     def from_json(cls, doc):
-        gens = [(g["label"], g["deg"]) for g in doc["generators"]]
+        gens = []
+        for g in expect(doc, "space", ("generators",))["generators"]:
+            expect(g, "space.generators[]", ("label", "deg"))
+            gens.append((g["label"], g["deg"]))
         if not all(isinstance(x, str) and type(d) is int for x, d in gens):
             raise TypeError("generators need a name and an integer degree")
         return cls(gens)

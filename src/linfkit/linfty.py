@@ -23,7 +23,7 @@ from .gradedlin import (Echelon, GradedMap, GradedSpace, LinearSystem,
                         acc_term, canonical_word, cohomology, koszul_sign,
                         matrix_rank, split_sign, sym_words, unshuffles,
                         vec_acc, word_degree, words_within, scalar_to_str,
-                        scalar_from_str)
+                        scalar_from_str, expect)
 
 DEFAULT_ARITY_CAP = 4
 
@@ -195,6 +195,40 @@ def _check_arity(what, k, word):
         raise ValueError("arity-%d %s on the word %r" % (k, what, word))
 
 
+def blocks_to_json(tables):
+    """The JSON blocks of {arity: {word: {out: coeff}}}, the format of
+    an algebra's ops and a morphism's comps."""
+    blocks = []
+    for k in sorted(tables):
+        entries = []
+        for w in sorted(tables[k]):
+            for b, c in sorted(tables[k][w].items()):
+                entries.append({"word": list(w), "out": b,
+                                "coeff": scalar_to_str(c)})
+        blocks.append({"arity": k, "entries": entries})
+    return blocks
+
+
+def blocks_from_json(blocks, where):
+    """{arity: {word: {out: Fraction}}} from the JSON blocks of
+    blocks_to_json, parsed strictly; entries on one (word, out) add
+    up.  The arity ranges are the constructors' to check."""
+    tables = {}
+    for blk in blocks:
+        expect(blk, where + "[]", ("arity", "entries"))
+        # True and 1.0 would merge into the arity-1 table as keys
+        k = blk["arity"]
+        if type(k) is not int:
+            raise ValueError("%s arity %r is not an integer" % (where, k))
+        tab = tables.setdefault(k, {})
+        for e in blk["entries"]:
+            expect(e, where + "[].entries[]", ("word", "out", "coeff"))
+            out = tab.setdefault(tuple(e["word"]), {})
+            out[e["out"]] = out.get(e["out"], Fraction(0)) \
+                + scalar_from_str(e["coeff"])
+    return tables
+
+
 class JetRecord(NamedTuple):
     """Frozen truncation data of a jet-scale algebra whose generators
     are labeled "monomial|form" over a truncated coordinate ring.
@@ -302,35 +336,17 @@ class LInftyAlgebra:
 
     def to_json(self):
         doc = {"space": self.space.to_json(), "arity_cap": self.arity_cap,
-               "ops": []}
+               "ops": blocks_to_json(self.ops)}
         if self.l0:
             doc["l0"] = {b: scalar_to_str(c)
                          for b, c in sorted(self.l0.items())}
-        for k in sorted(self.ops):
-            entries = []
-            for w in sorted(self.ops[k]):
-                for b, c in sorted(self.ops[k][w].items()):
-                    entries.append({"word": list(w), "out": b,
-                                    "coeff": scalar_to_str(c)})
-            doc["ops"].append({"arity": k, "entries": entries})
         return doc
 
     @classmethod
     def from_json(cls, doc):
+        expect(doc, "algebra", ("space", "ops"), ("arity_cap", "l0"))
         space = GradedSpace.from_json(doc["space"])
-        ops = {}
-        for blk in doc["ops"]:
-            # True and 1.0 would merge into the arity-1 table as keys
-            k = blk["arity"]
-            if type(k) is not int:
-                raise ValueError("operation arity %r is not an integer"
-                                 % (k,))
-            tab = ops.setdefault(k, {})
-            for e in blk["entries"]:
-                w = tuple(e["word"])
-                tab.setdefault(w, {})
-                tab[w][e["out"]] = tab[w].get(e["out"], Fraction(0)) \
-                    + scalar_from_str(e["coeff"])
+        ops = blocks_from_json(doc["ops"], "algebra.ops")
         l0 = {b: scalar_from_str(c) for b, c in doc.get("l0", {}).items()}
         return cls(space, ops, l0=l0, arity_cap=doc.get("arity_cap",
                                                         DEFAULT_ARITY_CAP))
@@ -441,15 +457,8 @@ class LInftyMorphism:
                          {a: out for (a,), out in table.items()})
 
     def to_json(self):
-        doc = {"arity_cap": self.arity_cap, "comps": []}
-        for k in sorted(self.comps):
-            entries = []
-            for w in sorted(self.comps[k]):
-                for b, c in sorted(self.comps[k][w].items()):
-                    entries.append({"word": list(w), "out": b,
-                                    "coeff": scalar_to_str(c)})
-            doc["comps"].append({"arity": k, "entries": entries})
-        return doc
+        return {"arity_cap": self.arity_cap,
+                "comps": blocks_to_json(self.comps)}
 
 
 def morphism_sides(f: LInftyMorphism, word):

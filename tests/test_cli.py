@@ -686,3 +686,24 @@ def test_non_integer_arity_exits_two(verb, arity, tmp_path):
              "entries": [{"word": ["x"], "out": "x", "coeff": "1"}]})
     code, err = exit_cleanly(verb, doc, [], tmp_path)
     assert code == 2 and err.startswith("input error:")
+
+
+ALGEBRA_LEVELS = {
+    "algebra": lambda alg: alg,
+    "space": lambda alg: alg["space"],
+    "generator": lambda alg: alg["space"]["generators"][0],
+    "ops": lambda alg: alg["ops"][0],
+    "entry": lambda alg: alg["ops"][0]["entries"][0],
+}
+
+
+@pytest.mark.parametrize("level", list(ALGEBRA_LEVELS))
+def test_unknown_algebra_field_exits_two(level, tmp_path):
+    """An unknown field anywhere in an algebra used to be ignored and
+    the check passed; algebras are now parsed as strictly as
+    morphisms."""
+    doc = algebra_doc()
+    ALGEBRA_LEVELS[level](doc["algebra"])["bogus"] = 1
+    code, err = exit_cleanly("check-linfty", doc, [], tmp_path)
+    assert code == 2 and err.startswith("input error:")
+    assert "unknown field 'bogus'" in err

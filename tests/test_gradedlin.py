@@ -6,6 +6,7 @@ dense_oracle.py; sign and combinatorics invariants are property-tested.
 """
 
 import math
+import random
 from fractions import Fraction as F
 
 import pytest
@@ -13,7 +14,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from linfkit.gradedlin import (CapError, CohomologyError, Echelon,
-                               GradedMap, GradedSpace, canonical_word,
+                               GradedMap, GradedSpace, LinearSystem,
+                               canonical_word,
                                cohomology, complement_in, dumps_canonical,
                                echelon_of, euler_check, in_span, koszul_sign,
                                matrix_rank, nullspace, rref, scalar_from_str,
@@ -189,6 +191,190 @@ def test_pivots_do_not_depend_on_insertion_order(mat, rng):
     for r in shuffled:
         ech.insert({j: v for j, v in enumerate(r) if v})
     assert sorted(ech.rows) == dense_oracle.rref(rows)[1]
+
+
+# ---------------------------------------------------------------------------
+# scalar types: integral coefficients are ints inside Echelon, answers
+# are Fractions.  == cannot tell them apart (F(2) == 2, {0: 2} == {0:
+# F(2)}), so the types are asserted one value at a time.
+
+
+def retype(rows, form, rng):
+    """rows with every integral entry an int ("int"), a Fraction
+    ("fraction") or either at random ("mixed"); other entries stay
+    Fractions."""
+    def one(c):
+        if c.denominator != 1:
+            return c
+        if form == "int" or (form == "mixed" and rng.random() < 0.5):
+            return c.numerator
+        return F(c)
+    return [[one(F(c)) for c in r] for r in rows]
+
+
+def fractions_only(*values):
+    """Every scalar in the nested answers is a Fraction (None stands
+    for no answer)."""
+    for v in values:
+        if v is None:
+            continue
+        if isinstance(v, dict):
+            fractions_only(*v.values())
+        elif isinstance(v, list):
+            fractions_only(*v)
+        else:
+            assert type(v) is F, (type(v), v)
+
+
+def int_first(ech):
+    """No stored row or combination coefficient is an integral
+    Fraction."""
+    tables = list(ech.rows.values()) + list((ech.combos or {}).values())
+    for r in tables:
+        for c in r.values():
+            assert type(c) is int or (type(c) is F and c.denominator != 1)
+
+
+def sparse_rows(rows):
+    return [{j: v for j, v in enumerate(r) if v} for r in rows]
+
+
+def span_vectors(draw, rows, ncols):
+    """A vector in the row span and an arbitrary one, as sparse dicts."""
+    coeffs = draw(st.lists(scalars, min_size=len(rows),
+                           max_size=len(rows)))
+    inside = [sum((c * r[j] for c, r in zip(coeffs, rows)), F(0))
+              for j in range(ncols)]
+    anywhere = draw(st.lists(scalars, min_size=ncols, max_size=ncols))
+    return [{j: v for j, v in enumerate(w) if v}
+            for w in (inside, anywhere)]
+
+
+def engine_answers(rows, ncols, rhs, probes, tie_break=0):
+    """Every public answer of the engine on one matrix, in a form that
+    == compares; checks the int-first invariant on the way."""
+    ech = Echelon(track=True)
+    independent = [ech.insert(r) for r in sparse_rows(rows)]
+    int_first(ech)
+    system = LinearSystem(tie_break)
+    for j in range(ncols):
+        system.var(j)
+    for r, b in zip(sparse_rows(rows), rhs):
+        system.equation(r, b)
+    return {
+        "independent": independent,
+        "reduced": ech.reduced_rows(),
+        "kernel": ech.kernel(range(ncols)),
+        "reduce": [ech.reduce(v) for v in probes],
+        "coords": [ech.coords(v) for v in probes],
+        "solve_sparse": solve_sparse(sparse_rows(rows), rhs, ncols),
+        "solve_canonical": solve_canonical(rows, rhs, ncols=ncols),
+        "system": system.solve(),
+        "rref": rref(rows),
+        "nullspace": nullspace(rows, ncols=ncols),
+    }
+
+
+@pytest.mark.parametrize("entries", list(ENTRIES.values()),
+                         ids=list(ENTRIES))
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_answers_are_fractions(entries, data):
+    """Whatever the input types, every value the engine returns is a
+    Fraction, and what it stores is int-first."""
+    rows, ncols = data.draw(matrices(entries=entries))
+    rows = retype(rows, "mixed", data.draw(st.randoms(use_true_random=False)))
+    rhs = data.draw(st.lists(st.sampled_from([0, 1, -2, F(1, 2), F(3)]),
+                             min_size=len(rows), max_size=len(rows)))
+    probes = span_vectors(data.draw, rows, ncols)
+    tie_break = data.draw(st.integers(min_value=1, max_value=9))
+    for tb in (0, tie_break):
+        got = engine_answers(rows, ncols, rhs, probes, tb)
+        got["rref"] = got["rref"][0]
+        del got["independent"]
+        fractions_only(*got.values())
+    # solution() directly, on a consistent system
+    ech = Echelon()
+    x0 = {j: F(j + 1, 2) for j in range(ncols)}
+    for r in sparse_rows(rows):
+        ech.insert({**r, ncols: sum((c * x0[j] for j, c in r.items()), 0)})
+    int_first(ech)
+    fractions_only(ech.solution(ncols))
+    # cohomology representatives of a degree-0 -> degree-1 differential
+    src = ["a%d" % j for j in range(ncols)]
+    tgt = ["b%d" % r for r in range(len(rows))]
+    S = GradedSpace([(a, 0) for a in src] + [(b, 1) for b in tgt])
+    d = GradedMap(S, S, 1, {src[j]: {tgt[r]: row[j]
+                                     for r, row in enumerate(rows)}
+                            for j in range(ncols)})
+    for h in cohomology(d).values():
+        fractions_only(h["reps"])
+
+
+# pivots of every kind: +1, -1 (kept or negated), non-unit integers
+# (divided), proper fractions (divided, some with an integral inverse)
+PIVOT_CASES = {
+    "unit": [[1, 2, 0], [0, 1, -3]],
+    "negated": [[-1, 2, 4], [0, -1, 1], [-1, 1, 5]],
+    "non-unit-int": [[2, 4, 1], [0, 3, 6], [4, 0, 2]],
+    "fractional": [[F(1, 2), 1, 0], [0, F(-2, 3), F(4, 3)],
+                   [F(1, 3), F(1, 3), 2]],
+    "inverse-integral": [[F(1, 2), F(3, 2)], [F(-1, 3), 1]],
+}
+
+
+def check_forms_agree(rows, ncols, rhs, probes, rng):
+    """The answers on the int, Fraction and mixed forms of one matrix
+    are equal and equal the dense oracle's."""
+    answers = [engine_answers(retype(rows, form, rng), ncols, rhs, probes)
+               for form in ("int", "fraction", "mixed")]
+    assert answers[0] == answers[1] == answers[2]
+    got = answers[0]
+    want_red, pivots = dense_oracle.rref(rows)
+    assert [{**got["reduced"][p], p: 1} for p in pivots] == \
+        [{j: c for j, c in enumerate(r) if c} for r in want_red[:len(pivots)]]
+    assert sorted(got["reduced"]) == pivots
+    assert [[v.get(j, 0) for j in range(ncols)] for v in got["kernel"]] == \
+        dense_oracle.nullspace(rows, ncols)
+    want_x = dense_oracle.solve_canonical(rows, rhs, ncols)
+    assert got["solve_sparse"] == got["solve_canonical"] == want_x
+    assert got["system"] == (None if want_x is None else
+                             {j: c for j, c in enumerate(want_x) if c})
+    assert got["rref"] == (want_red, pivots)
+    assert got["nullspace"] == dense_oracle.nullspace(rows, ncols)
+    # coordinates in the independent rows: the canonical solution of the
+    # system whose columns are the rows
+    cols = [list(c) for c in zip(*rows)] if rows else []
+    for v, x, left in zip(probes, got["coords"], got["reduce"]):
+        w = [v.get(j, F(0)) for j in range(ncols)]
+        want = dense_oracle.solve_canonical(cols, w, len(rows)) \
+            if rows else ([] if not any(w) else None)
+        assert (None if x is None else
+                [x.get(i, F(0)) for i in range(len(rows))]) == want
+        assert dense_oracle.in_span(rows, w) == (not left)
+
+
+@pytest.mark.parametrize("case", list(PIVOT_CASES), ids=list(PIVOT_CASES))
+def test_pivot_paths_agree_across_input_types(case):
+    rows = [[F(c) for c in r] for r in PIVOT_CASES[case]]
+    ncols = len(rows[0])
+    rhs = [F(1), F(-2), F(1, 2)][:len(rows)]
+    inside = {j: sum((r[j] for r in rows), F(0)) for j in range(ncols)}
+    probes = [{j: c for j, c in inside.items() if c}, {0: F(1, 3), 1: 5}]
+    check_forms_agree(rows, ncols, rhs, probes, random.Random(case))
+
+
+@pytest.mark.parametrize("entries", list(ENTRIES.values()),
+                         ids=list(ENTRIES))
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_int_and_fraction_inputs_agree(entries, data):
+    rows, ncols = data.draw(matrices(entries=entries))
+    rhs = data.draw(st.lists(scalars, min_size=len(rows),
+                             max_size=len(rows)))
+    probes = span_vectors(data.draw, rows, ncols)
+    check_forms_agree(rows, ncols, rhs, probes,
+                      data.draw(st.randoms(use_true_random=False)))
 
 
 def test_engine_edge_cases():
