@@ -11,10 +11,10 @@ Subpackages:
   Delta^n x C, homotopies of morphisms.
 - htpy: constructive homotopy theory (Whitehead inverses, n-homotopy
   filling, model morphisms over a map).
-- derived: V-algebras and derived brackets, jet multivector models,
-  localized V-algebras.
-- koszul: jet rings, Koszul and foliation de Rham complexes, local
-  algebras, Poincare primitives, embedding checks.
+- derived: jet rings and the generator-label codec, V-algebras and
+  derived brackets, jet multivector models, localized V-algebras.
+- koszul: Koszul and foliation de Rham complexes, local algebras,
+  Poincare primitives, embedding checks.
 - atlas: toy Kuranishi atlases, hypercoverings, higher cocycle data.
 - cli: batch verification front end.
 """

@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import itertools
 
+from .gradedlin import expect
 from .htpy import FillError, fill_n_homotopy, _comps_equal
 from .linfty import (CheckReport, LInftyMorphism, check_morphism, compose,
                      is_quasi_iso)
@@ -122,10 +123,13 @@ class ToyAtlas:
 
     @classmethod
     def from_json(cls, doc, algebras=None, morphisms=None):
+        expect(doc, "atlas", ("points", "charts", "changes"))
         points = list(doc["points"])
         by_str = {str(p): p for p in points}
         charts = {}
         for ps, c in doc["charts"].items():
+            expect(c, "atlas.charts", ("base_points", "zero_set"),
+                   ("group_order", "dim", "algebra_ref"))
             base = [_point(u) for u in c["base_points"]]
             base_by_str = {str(u): u for u in base}
             charts[by_str[ps]] = {
@@ -138,6 +142,8 @@ class ToyAtlas:
             }
         changes = {}
         for ch in doc["changes"]:
+            expect(ch, "atlas.changes", ("pair", "U_pq", "base_map"),
+                   ("morphism_ref",))
             p, q = ch["pair"]
             base_by_str = {str(u): u for u in charts[p]["base_points"]}
             changes[(p, q)] = {

@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import time
 from fractions import Fraction
@@ -44,6 +45,10 @@ from .gradedlin import (CapError, dumps_canonical, expect, scalar_from_str,
 SCHEMA_VERSION = 1
 
 GUARDS = {"arity": 6, "jet": 8, "weight": 12, "simp": 4}
+
+# the most generators a jet model may have: it builds their table when
+# it is built, and every verb on its algebra works over them
+JET_GENERATORS = 10 ** 5
 
 # what reading a document of the wrong shape or scalar raises
 LOADER_ERRORS = (KeyError, TypeError, ValueError, AttributeError,
@@ -331,13 +336,31 @@ def run_model_over(caps, weight_cap, f, m1, m2):
     return [report_record(rep)], {"morphism": F.to_json()}
 
 
+def guard_jet_model(where, m, k, base_cap):
+    """Refuse a jet model above the guards before it is built, since
+    building it builds its generator table."""
+    int_field(where + "base_cap", base_cap, 0, GUARDS["jet"])
+    int_field(where + "m", m, 0)
+    int_field(where + "k", k, 0)
+    # the base monomials of degree <= base_cap times the 2^k fiber
+    # words; every k above 64 is over the guard
+    size = math.comb(m + k + base_cap, base_cap) << min(k, 64)
+    if size > JET_GENERATORS:
+        raise CapGuard("a jet model with m=%d, k=%d, base_cap=%d has %d "
+                       "generators, above the guard %d"
+                       % (m, k, base_cap, size, JET_GENERATORS))
+
+
 def load_valgebra(doc, caps, extra_req=()):
     if "valgebra" in doc:
         expect(doc, "document", ("version", "valgebra") + extra_req)
         return (derived_mod.VAlgebra.from_json(doc["valgebra"]),)
     expect(doc, "document", ("version", "jet") + extra_req)
     jet = expect(doc["jet"], "jet", ("model", "P"))
-    model = derived_mod.JetMultivectorModel.from_json(jet["model"])
+    mdoc = jet["model"]
+    guard_jet_model("jet.model.", mdoc["m"], mdoc["k"],
+                    mdoc.get("base_cap", 3))
+    model = derived_mod.JetMultivectorModel.from_json(mdoc)
     P = derived_mod.mv_from_json(jet["P"], model.nv)
     return (derived_mod.jet_valgebra(model, P),)
 
@@ -369,9 +392,9 @@ def load_jet_setup(doc, caps, extra_req=(), extra_opt=()):
            ("version", "m", "k", "omega", "R") + tuple(extra_req),
            ("base_cap", "fiber_cap") + tuple(extra_opt))
     base_cap = doc.get("base_cap", _cap(caps, "jet", 3))
+    guard_jet_model("", doc["m"], doc["k"], base_cap)
     model = derived_mod.JetMultivectorModel(
-        doc["m"], doc["k"],
-        base_cap=int_field("base_cap", base_cap, 0, GUARDS["jet"]),
+        doc["m"], doc["k"], base_cap=base_cap,
         fiber_cap=doc.get("fiber_cap", 2))
     omega = [[scalar_from_str(str(c)) for c in row] for row in doc["omega"]]
     R = {}
@@ -416,13 +439,19 @@ def run_localize(caps, model, omega, R, image_vars, j_max, k_max):
                     "normal": sorted(normal)}
 
 
+def section_field(doc, name):
+    s = koszul_mod.Section.from_json(doc[name])
+    int_field(name + ".ring.order", doc[name]["ring"]["order"], 0,
+              GUARDS["jet"])
+    return s
+
+
 def load_section(doc, caps, extra_req=()):
     expect(doc, "document", ("version", "section") + extra_req)
-    return (koszul_mod.Section.from_json(doc["section"]),)
+    return (section_field(doc, "section"),)
 
 
 def run_koszul(caps, s):
-    int_field("jet order", s.ring.order, 0, GUARDS["jet"])
     K = koszul_mod.koszul_complex(s)
     H = koszul_mod.koszul_cohomology(K)
     checks = [report_record(linfty_mod.check_relations(K, up_to=2))]
@@ -434,7 +463,7 @@ def load_ring_fol(doc, caps, extra_req=(), extra_opt=()):
     expect(doc, "document", ("version", "ring", "fol") + tuple(extra_req),
            tuple(extra_opt))
     ring = koszul_mod.JetRing.from_json(doc["ring"])
-    int_field("jet order", ring.order, 0, GUARDS["jet"])
+    int_field("ring.order", doc["ring"]["order"], 0, GUARDS["jet"])
     fol = str_list("fol", doc["fol"])
     for n in fol:
         if n not in ring.names:
@@ -444,8 +473,12 @@ def load_ring_fol(doc, caps, extra_req=(), extra_opt=()):
 
 def load_primitive(doc, caps):
     ring, fol = load_ring_fol(doc, caps, ("form",))
-    return ring, fol, {k: scalar_from_str(v)
-                       for k, v in doc["form"].items()}
+    tokens = {"d" + n for n in fol}
+    form = {}
+    for lab, c in doc["form"].items():
+        ring.label_parse(lab, tokens)
+        form[lab] = scalar_from_str(c)
+    return ring, fol, form
 
 
 def run_primitive(caps, ring, fol, form):
@@ -508,7 +541,7 @@ def load_fooo(doc, caps):
     # the embedding check validates the bundle map against both sections
     # first, so its ValueError is an input error
     s, = load_section(doc, caps, ("ambient_section", "bundle_map"))
-    sp = koszul_mod.Section.from_json(doc["ambient_section"])
+    sp = section_field(doc, "ambient_section")
     bmap = [[scalar_from_str(str(c)) for c in row]
             for row in doc["bundle_map"]]
     return (koszul_mod.fooo_embedding_check(s, sp, bmap),)

@@ -13,13 +13,17 @@ every bracket is computed exactly; only the final projection onto the
 finite generator basis truncates, and the truncation is tracked by a
 weight filtration (base polynomial degree) so that relation checks
 filtered by weight are exact.
+
+Generator labels of jet-scale algebras have one format,
+"monomial|wedge", and one codec, in this module: `JetRing` writes and
+reads the monomial, `make_label` and `split_label` join and split the
+two parts, and `label_weight` reads the exponent total of a label.
 """
 
-import itertools
 import random
 from fractions import Fraction
 
-from .gradedlin import (GradedSpace, acc_term, matrix_rank,
+from .gradedlin import (GradedSpace, acc_term, expect, matrix_rank,
                         scalar_from_str, scalar_to_str, sym_words, vec_acc,
                         vec_add, vec_scale)
 from .linfty import CheckReport, JetRecord, LInftyAlgebra, LInftyMorphism
@@ -91,9 +95,129 @@ def poly_from_json(doc, nv=None):
     """With nv, every exponent vector must fit nv variables."""
     out = {}
     for rec in doc:
+        expect(rec, "polynomial term", ("exps", "coeff"))
         acc_term(out, _check_exps(tuple(int(x) for x in rec["exps"]), nv),
                  scalar_from_str(rec["coeff"]))
     return out
+
+
+# ---------------------------------------------------------------------------
+# truncated polynomial rings and generator labels
+#
+# A label is "monomial|wedge": the monomial is "1" or dot-separated
+# factors "name" or "name^power" in coordinate order, and the wedge is
+# "1" or dot-separated tokens in sorted order ("a1.a2" for Koszul frame
+# directions, "dq1.dy2" for form differentials, "g" for the
+# augmentation copy of a closed function).
+
+
+class JetRing:
+    """Polynomial functions near the origin of a coordinate patch,
+    truncated at a fixed total degree (jets at the stated order)."""
+
+    def __init__(self, var_names, order=4):
+        if len(set(var_names)) != len(var_names):
+            raise ValueError("duplicate variable name")
+        if order < 0:
+            raise ValueError("negative jet order")
+        self.names = list(var_names)
+        self.order = int(order)
+        self.nv = len(self.names)
+        self.name_to_idx = {n: i for i, n in enumerate(self.names)}
+
+    def var(self, name):
+        return poly_var(self.name_to_idx[name], self.nv)
+
+    def mul(self, p, q):
+        return poly_trunc(poly_mul(p, q), range(self.nv), self.order)
+
+    def monomials(self, cap=None):
+        """Exponent vectors of total degree at most cap, sorted; built
+        one coordinate at a time, so the work is proportional to their
+        number."""
+        cap = self.order if cap is None else cap
+        out = [()] if cap >= 0 else []
+        for _ in range(self.nv):
+            out = [e + (x,) for e in out for x in range(cap + 1 - sum(e))]
+        return out
+
+    def mono_str(self, e):
+        parts = []
+        for i, x in enumerate(e):
+            if x == 1:
+                parts.append(self.names[i])
+            elif x > 1:
+                parts.append("%s^%d" % (self.names[i], x))
+        return ".".join(parts) if parts else "1"
+
+    def mono_parse(self, s):
+        """Exponents of a monomial written as mono_str writes it;
+        ValueError on any other string."""
+        e = [0] * self.nv
+        if s != "1":
+            for part in s.split("."):
+                name, _, pw = part.partition("^")
+                if name not in self.name_to_idx:
+                    raise ValueError("unknown variable in monomial %r" % (s,))
+                e[self.name_to_idx[name]] += int(pw) if pw else 1
+        e = tuple(e)
+        if self.mono_str(e) != s:
+            raise ValueError("monomial %r is not in canonical form" % (s,))
+        return e
+
+    def label_parse(self, label, tokens):
+        """(exponents, wedge word) of a label written as make_label
+        writes it, its wedge tokens drawn from tokens; ValueError on
+        any other label."""
+        mono, word = split_label(label)
+        if list(word) != sorted(set(word)) or \
+                not all(t in tokens for t in word):
+            raise ValueError("wedge of label %r is not a sorted word of "
+                             "known tokens" % (label,))
+        return self.mono_parse(mono), word
+
+    def embed_from(self, other, p):
+        """Include a polynomial over a sub-ring whose variables all
+        appear here."""
+        out = {}
+        for e, c in p.items():
+            e2 = [0] * self.nv
+            for i, x in enumerate(e):
+                e2[self.name_to_idx[other.names[i]]] = x
+            out[tuple(e2)] = c
+        return out
+
+    def to_json(self):
+        return {"vars": list(self.names), "order": self.order}
+
+    @classmethod
+    def from_json(cls, doc):
+        expect(doc, "ring", ("vars", "order"))
+        if not all(isinstance(n, str) for n in doc["vars"]):
+            raise TypeError("variable names must be strings")
+        return cls(doc["vars"], doc["order"])
+
+
+def split_label(label):
+    mono, wedge = label.split("|")
+    return mono, () if wedge == "1" else tuple(wedge.split("."))
+
+
+def make_label(mono, tokens):
+    return mono + "|" + (".".join(tokens) if tokens else "1")
+
+
+def label_weight(label, names=None):
+    """Total exponent of the monomial part of a label, over the listed
+    variable names if given."""
+    mono = split_label(label)[0]
+    total = 0
+    if mono != "1":
+        for part in mono.split("."):
+            name, _, pw = part.partition("^")
+            if names is None or name in names:
+                total += int(pw) if pw else 1
+    return total
 
 
 # ---------------------------------------------------------------------------
@@ -106,9 +230,10 @@ def poly_from_json(doc, nv=None):
 # a wedge word of length l has degree l - 1 in the shifted grading.
 
 
-def _merge_words(wa, wb):
-    """Concatenate two wedge words and sort, returning (word, sign);
-    (None, 0) when a generator repeats."""
+def merge_words(wa, wb):
+    """Concatenate two sorted wedge words and sort, returning (word,
+    sign) with the Koszul sign of the sort; (None, 0) when a generator
+    repeats."""
     if set(wa) & set(wb):
         return None, 0
     inv = sum(1 for a in wa for b in wb if a > b)
@@ -117,10 +242,12 @@ def _merge_words(wa, wb):
 
 
 def mv_wedge(X, Y):
+    """Wedge product of two {(exps, word): c} dictionaries with sorted
+    words: multivectors here, polynomial forms in simplexmodel."""
     out = {}
     for (ea, wa), ca in X.items():
         for (eb, wb), cb in Y.items():
-            word, sgn = _merge_words(wa, wb)
+            word, sgn = merge_words(wa, wb)
             if word is None:
                 continue
             e = tuple(a + b for a, b in zip(ea, eb))
@@ -172,7 +299,7 @@ def schouten(X, Y):
                 tb = _term_dx(eb, wb, cb, i)
                 if tb is None:
                     continue
-                word, sgn = _merge_words(ta[1], tb[1])
+                word, sgn = merge_words(ta[1], tb[1])
                 if word is None:
                     continue
                 e = tuple(a + b for a, b in zip(ta[0], tb[0]))
@@ -185,7 +312,7 @@ def schouten(X, Y):
                 if ta is None:
                     continue
                 tb = _term_dw_left(eb, wb, cb, i)
-                word, sgn = _merge_words(ta[1], tb[1])
+                word, sgn = merge_words(ta[1], tb[1])
                 if word is None:
                     continue
                 e = tuple(a + b for a, b in zip(ta[0], tb[0]))
@@ -206,6 +333,7 @@ def mv_from_json(doc, nv=None):
     """With nv, exponents and wedge indices must fit nv variables."""
     out = {}
     for rec in doc:
+        expect(rec, "multivector term", ("exps", "word", "coeff"))
         key = (_check_exps(tuple(int(x) for x in rec["exps"]), nv),
                tuple(int(x) for x in rec["word"]))
         if nv is not None and not all(0 <= i < nv for i in key[1]):
@@ -224,15 +352,19 @@ class JetMultivectorModel:
     foliation cotangent bundle over a coordinate patch.
 
     Coordinates: y_1..y_m (transverse), q_1..q_k (foliation),
-    p_1..p_k (fiber, dual to the q directions).  Coefficients are
-    polynomials; the distinguished abelian subalgebra consists of
-    wedges of fiber directions with fiber-independent coefficients,
-    identified with foliation differential forms through
-    d/dp_a <-> dq_a.
+    p_1..p_k (fiber, dual to the q directions), the variables of
+    `ring`.  Coefficients are polynomials; the distinguished abelian
+    subalgebra consists of wedges of fiber directions with
+    fiber-independent coefficients, identified with foliation
+    differential forms through d/dp_a <-> dq_a.
 
     base_cap bounds the (y, q)-degree of the retained generator basis;
     fiber_cap bounds the p-degree used in sampling checks.  Brackets
     themselves are computed exactly, without truncation.
+
+    The generator basis is one table fixed at construction: `gens`
+    maps each term (exponents, fiber word) to its label, ordered by
+    word length, word and monomial, and `terms` maps each label back.
     """
 
     def __init__(self, m, k, base_cap=3, fiber_cap=2):
@@ -242,23 +374,34 @@ class JetMultivectorModel:
         self.k = int(k)
         self.base_cap = int(base_cap)
         self.fiber_cap = int(fiber_cap)
-        self.nv = self.m + 2 * self.k
-        names = ["y%d" % (i + 1) for i in range(self.m)]
-        names += ["q%d" % (i + 1) for i in range(self.k)]
-        names += ["p%d" % (i + 1) for i in range(self.k)]
-        self.names = names
-        self.name_to_idx = {n: i for i, n in enumerate(names)}
-        self.base_idxs = list(range(self.m + self.k))
-        self.p_idxs = list(range(self.m + self.k, self.nv))
+        base = ["y%d" % (i + 1) for i in range(self.m)]
+        base += ["q%d" % (i + 1) for i in range(self.k)]
+        fiber = ["p%d" % (i + 1) for i in range(self.k)]
+        self.ring = JetRing(base + fiber, self.base_cap)
+        self.nv = self.ring.nv
+        self.base_idxs = list(range(len(base)))
+        self.p_idxs = list(range(len(base), self.nv))
+        words = [()]
+        for i in self.p_idxs:
+            words = words + [w + (i,) for w in words]
+        monos = [e + (0,) * self.k
+                 for e in JetRing(base, self.base_cap).monomials()]
+        self.gens = {}
+        for w in sorted(words, key=lambda w: (len(w), w)):
+            form = tuple("dq%d" % (i - len(base) + 1) for i in w)
+            for e in monos:
+                self.gens[(e, w)] = make_label(self.ring.mono_str(e), form)
+        self.terms = {lab: term for term, lab in self.gens.items()}
 
     # -- coordinate helpers
 
     def var(self, name):
-        return poly_var(self.name_to_idx[name], self.nv)
+        return self.ring.var(name)
 
     def vector(self, name):
         """The coordinate vector field d/d<name> as a multivector."""
-        return {((0,) * self.nv, (self.name_to_idx[name],)): Fraction(1)}
+        return {((0,) * self.nv, (self.ring.name_to_idx[name],)):
+                Fraction(1)}
 
     def bracket(self, X, Y):
         return schouten(X, Y)
@@ -289,87 +432,29 @@ class JetMultivectorModel:
 
     # -- generator basis of the abelian subalgebra
 
-    def mono_str(self, e):
-        parts = []
-        for i in self.base_idxs:
-            if e[i] == 1:
-                parts.append(self.names[i])
-            elif e[i] > 1:
-                parts.append("%s^%d" % (self.names[i], e[i]))
-        return ".".join(parts) if parts else "1"
-
-    def mono_parse(self, s):
-        e = [0] * self.nv
-        if s != "1":
-            for part in s.split("."):
-                if "^" in part:
-                    name, pw = part.split("^")
-                    e[self.name_to_idx[name]] += int(pw)
-                else:
-                    e[self.name_to_idx[part]] += 1
-        return tuple(e)
-
-    def form_str(self, w):
-        if not w:
-            return "1"
-        return ".".join("dq%d" % (i - self.m - self.k + 1) for i in w)
-
-    def form_parse(self, s):
-        if s == "1":
-            return ()
-        return tuple(sorted(self.m + self.k + int(t[2:]) - 1
-                            for t in s.split(".")))
-
-    def a_label(self, e, w):
-        return self.mono_str(e) + "|" + self.form_str(w)
-
     def label_to_mv(self, label):
-        mono, form = label.split("|")
-        return {(self.mono_parse(mono), self.form_parse(form)):
-                Fraction(1)}
-
-    def base_monomials(self, cap=None):
-        cap = self.base_cap if cap is None else cap
-        nb = len(self.base_idxs)
-        out = []
-        for exps in itertools.product(range(cap + 1), repeat=nb):
-            if sum(exps) > cap:
-                continue
-            e = [0] * self.nv
-            for i, x in zip(self.base_idxs, exps):
-                e[i] = x
-            out.append(tuple(e))
-        return sorted(out)
+        return {self.terms[label]: Fraction(1)}
 
     def a_space(self):
         """Graded space of retained generators of the abelian
         subalgebra: base monomial times fiber-direction wedge word."""
-        words = [()]
-        for i in self.p_idxs:
-            words = words + [w + (i,) for w in words]
-        labels = []
-        for w in sorted(words, key=lambda w: (len(w), w)):
-            for e in self.base_monomials():
-                labels.append((self.a_label(e, w), len(w) - 1))
-        return GradedSpace(labels)
+        return GradedSpace([(lab, len(w) - 1)
+                            for (_, w), lab in self.gens.items()])
 
     def elem_to_coeffs(self, X):
         """Express an element of the abelian subalgebra in the
         generator basis.  Returns (coefficients, spilled) where
-        spilled flags terms beyond the base-degree cap."""
+        spilled flags terms outside the table, beyond the base-degree
+        cap."""
         coeffs = {}
         spilled = False
-        for (e, w), c in X.items():
-            if sum(e[i] for i in self.base_idxs) > self.base_cap:
+        for term, c in X.items():
+            lab = self.gens.get(term)
+            if lab is None:
                 spilled = True
-                continue
-            lab = self.a_label(e, w)
-            coeffs[lab] = coeffs.get(lab, Fraction(0)) + c
-        return {k: v for k, v in coeffs.items() if v}, spilled
-
-    def label_weight(self, label):
-        mono = label.split("|")[0]
-        return sum(self.mono_parse(mono))
+            elif c:
+                coeffs[lab] = Fraction(c)
+        return coeffs, spilled
 
     def to_json(self):
         return {"m": self.m, "k": self.k, "base_cap": self.base_cap,
@@ -377,6 +462,7 @@ class JetMultivectorModel:
 
     @classmethod
     def from_json(cls, doc):
+        expect(doc, "jet.model", ("m", "k"), ("base_cap", "fiber_cap"))
         return cls(doc["m"], doc["k"], doc.get("base_cap", 3),
                    doc.get("fiber_cap", 2))
 
@@ -433,9 +519,11 @@ class GradedLieAlgebra:
 
     @classmethod
     def from_json(cls, doc):
+        expect(doc, "h", ("space", "bracket"))
         space = GradedSpace.from_json(doc["space"])
         tab = {}
         for rec in doc["bracket"]:
+            expect(rec, "h.bracket", ("pair", "out", "coeff"))
             p = tuple(rec["pair"])
             tab.setdefault(p, {})
             tab[p][rec["out"]] = tab[p].get(rec["out"], Fraction(0)) \
@@ -527,6 +615,7 @@ class VAlgebra:
 
     @classmethod
     def from_json(cls, doc):
+        expect(doc, "valgebra", ("h", "a", "pi", "P"))
         h = GradedLieAlgebra.from_json(doc["h"])
         pi = {a: {b: scalar_from_str(c) for b, c in out.items()}
               for a, out in doc["pi"].items()}
@@ -721,7 +810,7 @@ def derived_brackets(V, k_max):
 def _jet_derived_brackets(V, k_max):
     model, P = V.model, V.P
     space = model.a_space()
-    weights = {lab: model.label_weight(lab) for lab in space.labels}
+    weights = {lab: sum(e) for (e, _), lab in model.gens.items()}
     mvs = {lab: model.label_to_mv(lab) for lab in space.labels}
     ops = {}
     spilled = False
@@ -753,7 +842,7 @@ def _jet_derived_brackets(V, k_max):
             ops[k] = tab
     l0, sp = model.elem_to_coeffs(model.pi(P))
     spilled = spilled or sp
-    coords = tuple(model.names[i] for i in model.base_idxs)
+    coords = tuple(model.ring.names[i] for i in model.base_idxs)
     jet = JetRecord(coords, model.base_cap,
                     tuple(n for n in coords if n.startswith("q")), gain,
                     model.base_cap - 2 * gain if spilled else None)
@@ -830,7 +919,7 @@ def poisson_from_presymplectic(model, omega, R):
             vec_acc(e, mv_wedge({(ee, ()): c for ee, c in p.items()},
                                 model.vector("q%d" % a)))
             for n in range(1, k + 1):
-                dp = poly_diff(p, model.name_to_idx["q%d" % n])
+                dp = poly_diff(p, model.ring.name_to_idx["q%d" % n])
                 if not dp:
                     continue
                 coeff = poly_mul(model.var("p%d" % a), dp)
@@ -869,7 +958,7 @@ class LocalizedJetModel:
     """
 
     def __init__(self, model, image_vars, j_max, P):
-        base_names = [model.names[i] for i in model.base_idxs]
+        base_names = [model.ring.names[i] for i in model.base_idxs]
         for v in image_vars:
             if v not in base_names:
                 raise ValueError(
@@ -877,7 +966,7 @@ class LocalizedJetModel:
                     "supported; unknown base variable %r" % (v,))
         self.model = model
         self.image_vars = list(image_vars)
-        self.normal_idxs = [model.name_to_idx[n] for n in base_names
+        self.normal_idxs = [model.ring.name_to_idx[n] for n in base_names
                             if n not in set(image_vars)]
         if j_max < 1:
             raise ValueError("jet order must be at least 1")
@@ -957,34 +1046,6 @@ def localize_valgebra(V, image_vars, j_max):
 # the localization morphism
 
 
-def label_base_weight(label):
-    """Total exponent of the monomial part of a generator label."""
-    mono = label.split("|")[0]
-    if mono == "1":
-        return 0
-    total = 0
-    for part in mono.split("."):
-        total += int(part.split("^")[1]) if "^" in part else 1
-    return total
-
-
-def label_normal_weight(label, normal_names):
-    """Total exponent of the listed variables in a generator label of
-    the form 'monomial|form'."""
-    mono = label.split("|")[0]
-    if mono == "1":
-        return 0
-    total = 0
-    for part in mono.split("."):
-        if "^" in part:
-            name, pw = part.split("^")
-        else:
-            name, pw = part, 1
-        if name in normal_names:
-            total += int(pw)
-    return total
-
-
 def _reweighted(A, weights):
     return LInftyAlgebra(A.space, A.ops, l0=A.l0, arity_cap=A.arity_cap,
                          weights=weights)
@@ -993,7 +1054,8 @@ def _reweighted(A, weights):
 def localized_algebra(C, image_vars, j_max):
     """Stage-j_max truncation of an algebra whose generators carry
     polynomial labels: keep the generators of normal degree below
-    j_max and restrict the operations.
+    j_max and restrict the operations.  The normal coordinates are
+    those of the jet record outside image_vars.
 
     The result keeps the base polynomial degree as its weight and the
     jet record of the input, whose check_cap becomes min(jet order,
@@ -1002,12 +1064,9 @@ def localized_algebra(C, image_vars, j_max):
     of either kind and are exact."""
     if C.jet is None:
         raise ValueError("localization needs an algebra with a jet record")
-    base_names = {p.split("^")[0]
-                  for lab in C.space.labels
-                  for p in lab.split("|")[0].split(".") if p != "1"}
-    normal = base_names - set(image_vars)
+    normal = set(C.jet.coords) - set(image_vars)
     keep = [lab for lab in C.space.labels
-            if label_normal_weight(lab, normal) < j_max]
+            if label_weight(lab, normal) < j_max]
     kset = set(keep)
     space = GradedSpace([(lab, C.space.deg[lab]) for lab in keep])
     ops = {}
@@ -1022,7 +1081,7 @@ def localized_algebra(C, image_vars, j_max):
         if sub:
             ops[k] = sub
     l0 = {b: c for b, c in C.l0.items() if b in kset}
-    weights = {lab: label_base_weight(lab) for lab in keep}
+    weights = {lab: label_weight(lab) for lab in keep}
     jet = C.jet._replace(check_cap=min(C.jet.order, j_max - 1)
                          - 2 * C.jet.gain)
     return LInftyAlgebra(space, ops, l0=l0, arity_cap=C.arity_cap,
@@ -1038,7 +1097,7 @@ def epsilon_morphism(C, image_vars, j_max):
     filtration as weights; the morphism relation holds exactly on
     words of total normal degree below j_max."""
     loc, normal = localized_algebra(C, image_vars, j_max)
-    src = _reweighted(C, {lab: label_normal_weight(lab, normal)
+    src = _reweighted(C, {lab: label_weight(lab, normal)
                           for lab in C.space.labels})
     comps = {1: {(lab,): {lab: Fraction(1)}
                  for lab in loc.space.labels}}

@@ -9,98 +9,32 @@ and the Koszul complex of a regular linear sequence is exact in
 negative degrees, both certified at the stated jet order by exact
 rank computations.
 
-Labels follow the convention of the derived-brackets module:
-"monomial|wedge", where the wedge part is "1" for functions,
-dot-separated frame tokens ("a1.a2") for Koszul generators,
-dot-separated coordinate differentials ("dq1.dy2") for forms, and
-"g" for the augmentation copy of a closed function in degree -2.
+Generator labels have the format "monomial|wedge" of the derived
+module, which holds the jet ring, the label codec and the wedge sign
+(`JetRing`, `make_label`, `split_label`, `label_weight`,
+`merge_words`); the wedge part is "1" for functions, frame tokens
+("a1.a2") for Koszul generators, coordinate differentials ("dq1.dy2")
+for forms, and "g" for the augmentation copy of a closed function in
+degree -2.
 """
 
 import itertools
 from fractions import Fraction
 
 from .gradedlin import (Echelon, GradedMap, GradedSpace, acc_term,
-                        cohomology, complement_in, matrix_rank, vec_acc,
-                        vec_add, vec_scale, word_degree, words_within)
+                        cohomology, complement_in, expect, matrix_rank,
+                        vec_acc, vec_add, vec_scale, word_degree,
+                        words_within)
 from .linfty import (CurvedError, JetRecord, LInftyAlgebra, LInftyMorphism,
                      check_morphism, direct_sum, is_quasi_iso,
                      l1_cohomology, quad_residual)
-from .derived import (label_base_weight, poly_diff, poly_from_json,
-                      poly_mul, poly_to_json, poly_trunc, poly_var,
-                      poly_zero)
+from .derived import (JetRing, label_weight, make_label, merge_words,
+                      poly_diff, poly_from_json, poly_mul, poly_to_json,
+                      poly_trunc, poly_zero, split_label)
 
 
 # ---------------------------------------------------------------------------
-# truncated polynomial rings
-
-
-class JetRing:
-    """Polynomial functions near the origin of a coordinate patch,
-    truncated at a fixed total degree (jets at the stated order)."""
-
-    def __init__(self, var_names, order=4):
-        if len(set(var_names)) != len(var_names):
-            raise ValueError("duplicate variable name")
-        if order < 0:
-            raise ValueError("negative jet order")
-        self.names = list(var_names)
-        self.order = int(order)
-        self.nv = len(self.names)
-        self.name_to_idx = {n: i for i, n in enumerate(self.names)}
-
-    def var(self, name):
-        return poly_var(self.name_to_idx[name], self.nv)
-
-    def mul(self, p, q):
-        return poly_trunc(poly_mul(p, q), range(self.nv), self.order)
-
-    def monomials(self, cap=None):
-        cap = self.order if cap is None else cap
-        out = []
-        for exps in itertools.product(range(cap + 1), repeat=self.nv):
-            if sum(exps) <= cap:
-                out.append(tuple(exps))
-        return sorted(out)
-
-    def mono_str(self, e):
-        parts = []
-        for i, x in enumerate(e):
-            if x == 1:
-                parts.append(self.names[i])
-            elif x > 1:
-                parts.append("%s^%d" % (self.names[i], x))
-        return ".".join(parts) if parts else "1"
-
-    def mono_parse(self, s):
-        e = [0] * self.nv
-        if s != "1":
-            for part in s.split("."):
-                if "^" in part:
-                    name, pw = part.split("^")
-                    e[self.name_to_idx[name]] += int(pw)
-                else:
-                    e[self.name_to_idx[part]] += 1
-        return tuple(e)
-
-    def embed_from(self, other, p):
-        """Include a polynomial over a sub-ring whose variables all
-        appear here."""
-        out = {}
-        for e, c in p.items():
-            e2 = [0] * self.nv
-            for i, x in enumerate(e):
-                e2[self.name_to_idx[other.names[i]]] = x
-            out[tuple(e2)] = c
-        return out
-
-    def to_json(self):
-        return {"vars": list(self.names), "order": self.order}
-
-    @classmethod
-    def from_json(cls, doc):
-        if not all(isinstance(n, str) for n in doc["vars"]):
-            raise TypeError("variable names must be strings")
-        return cls(doc["vars"], doc["order"])
+# sections
 
 
 class Section:
@@ -131,33 +65,9 @@ class Section:
 
     @classmethod
     def from_json(cls, doc):
+        expect(doc, "section", ("ring", "comps"))
         ring = JetRing.from_json(doc["ring"])
         return cls(ring, [poly_from_json(c, ring.nv) for c in doc["comps"]])
-
-
-# ---------------------------------------------------------------------------
-# label helpers
-
-
-def split_label(label):
-    mono, wedge = label.split("|")
-    return mono, () if wedge == "1" else tuple(wedge.split("."))
-
-
-def make_label(mono, tokens):
-    return mono + "|" + (".".join(tokens) if tokens else "1")
-
-
-def _insert_token(tokens, tok):
-    """Insert a wedge token into a sorted word; returns (word, sign)
-    with the Koszul sign of moving it into place, or (None, 0) on a
-    repeat."""
-    if tok in tokens:
-        return None, 0
-    pos = 0
-    while pos < len(tokens) and tokens[pos] < tok:
-        pos += 1
-    return tokens[:pos] + (tok,) + tokens[pos:], (-1) ** pos
 
 
 # ---------------------------------------------------------------------------
@@ -177,38 +87,33 @@ def koszul_complex(section, step=1):
     D = ring.order
     tokens = ["a%d" % (i + 1) for i in range(r)]
     labels = []
-    caps = {}
+    weights = {}
+    ops = {1: {}}
     for j in range(r + 1):
         cap = D - j * step
         if cap < 0:
             continue
-        caps[j] = cap
         for word in itertools.combinations(range(r), j):
             toks = tuple(tokens[i] for i in word)
             for e in ring.monomials(cap):
-                labels.append((make_label(ring.mono_str(e), toks), -j))
-    space = GradedSpace(labels)
-    ops = {1: {}}
-    for lab, deg in labels:
-        mono, toks = split_label(lab)
-        j = len(toks)
-        if j == 0:
-            continue
-        e = ring.mono_parse(mono)
-        out = {}
-        for i, tok in enumerate(toks):
-            comp = section.comps[int(tok[1:]) - 1]
-            prod = poly_trunc(poly_mul({e: Fraction(1)}, comp),
-                              range(ring.nv), caps.get(j - 1, -1))
-            rest = toks[:i] + toks[i + 1:]
-            for e2, c in prod.items():
-                acc_term(out, make_label(ring.mono_str(e2), rest),
-                         ((-1) ** i) * c)
-        if out:
-            ops[1][(lab,)] = out
-    weights = {lab: label_base_weight(lab) for lab, _ in labels}
-    return LInftyAlgebra(space, ops if ops[1] else {}, arity_cap=4,
-                         weights=weights)
+                lab = make_label(ring.mono_str(e), toks)
+                labels.append((lab, -j))
+                weights[lab] = sum(e)
+                out = {}
+                for i, a in enumerate(word):
+                    # the image keeps the cap of the piece with j - 1
+                    # wedge factors
+                    prod = poly_trunc(
+                        poly_mul({e: Fraction(1)}, section.comps[a]),
+                        range(ring.nv), cap + step)
+                    rest = toks[:i] + toks[i + 1:]
+                    for e2, c in prod.items():
+                        acc_term(out, make_label(ring.mono_str(e2), rest),
+                                 ((-1) ** i) * c)
+                if out:
+                    ops[1][(lab,)] = out
+    return LInftyAlgebra(GradedSpace(labels), ops if ops[1] else {},
+                         arity_cap=4, weights=weights)
 
 
 def koszul_cohomology(alg):
@@ -230,7 +135,7 @@ def d_form(ring, fol_names, vec):
             dp = poly_diff({e: Fraction(1)}, ring.name_to_idx[name])
             if not dp:
                 continue
-            word, sgn = _insert_token(toks, "d" + name)
+            word, sgn = merge_words(("d" + name,), toks)
             if word is None:
                 continue
             for e2, c2 in dp.items():
@@ -254,20 +159,25 @@ def foliation_complex(ring, fol_names=None, augmented=False, step=1):
     fol_idxs = [ring.name_to_idx[n] for n in fol_names]
     D = ring.order
     labels = []
-    caps = {}
+    weights = {}
+
+    def add(e, toks, deg):
+        lab = make_label(ring.mono_str(e), toks)
+        labels.append((lab, deg))
+        weights[lab] = sum(e)
+
     for j in range(len(fol_names) + 1):
         cap = D - j * step
         if cap < 0:
             continue
-        caps[j] = cap
         for combo in itertools.combinations(sorted(fol_names), j):
             toks = tuple("d" + n for n in combo)
             for e in ring.monomials(cap):
-                labels.append((make_label(ring.mono_str(e), toks), j - 1))
+                add(e, toks, j - 1)
     if augmented:
         for e in ring.monomials(D):
             if all(e[i] == 0 for i in fol_idxs):
-                labels.append((make_label(ring.mono_str(e), ("g",)), -2))
+                add(e, ("g",), -2)
     space = GradedSpace(labels)
     ops = {1: {}}
     present = {lab for lab, _ in labels}
@@ -280,7 +190,6 @@ def foliation_complex(ring, fol_names=None, augmented=False, step=1):
         out = {l2: c for l2, c in out.items() if l2 in present}
         if out:
             ops[1][(lab,)] = out
-    weights = {lab: label_base_weight(lab) for lab, _ in labels}
     # d lowers the weight and the augmentation keeps it, so there is no
     # weight gain, and relation checks on the complex need no cap
     jet = JetRecord(tuple(ring.names), ring.order, tuple(fol_names), 0,
@@ -360,7 +269,7 @@ def augment_extension(Omega, k_max):
             if lab not in present:
                 labels.append((lab, -2))
     space = GradedSpace(labels)
-    weights = {lab: label_base_weight(lab) for lab, _ in labels}
+    weights = {lab: label_weight(lab) for lab, _ in labels}
     ops = {k: {w: dict(out) for w, out in tab.items()}
            for k, tab in Omega.ops.items()}
     for lab, deg in labels:
@@ -413,7 +322,7 @@ def augment_extension(Omega, k_max):
                     if lab in space.deg}
             iw = sum(weights[x] for x in w)
             for lab in eta:
-                gain = max(gain, label_base_weight(lab) - iw)
+                gain = max(gain, label_weight(lab) - iw)
             if kept:
                 # algebras are immutable: the next residual reads a new
                 # one that carries this operation

@@ -21,6 +21,7 @@ from fractions import Fraction
 from .gradedlin import (Echelon, GradedMap, GradedSpace, acc_term,
                         cohomology, scalar_from_str, scalar_to_str, vec_acc,
                         vec_add, vec_scale, words_within)
+from .derived import mv_wedge
 from .linfty import (CheckReport, LInftyAlgebra, LInftyMorphism, _tag,
                      check_morphism, check_relations, compose, direct_sum,
                      is_quasi_iso, l1_map)
@@ -78,20 +79,6 @@ def d_form(n, form):
     return out
 
 
-def wedge(n, f, g):
-    out = {}
-    for (e1, d1), c1 in f.items():
-        for (e2, d2), c2 in g.items():
-            if set(d1) & set(d2):
-                continue
-            seq = list(d1) + list(d2)
-            inv = sum(1 for i in range(len(seq)) for j in range(i + 1, len(seq))
-                      if seq[i] > seq[j])
-            key = (tuple(a + b for a, b in zip(e1, e2)), tuple(sorted(seq)))
-            acc_term(out, key, (-1) ** inv * c1 * c2)
-    return out
-
-
 def face_vertices(n, i):
     return tuple(v for v in range(n + 1) if v != i)
 
@@ -131,9 +118,9 @@ def face_restrict(n, i, form, weight_cap=None):
         val = vec_scale(c, unit)
         for coord in range(1, n + 1):
             for _ in range(exps[coord - 1]):
-                val = wedge(m, val, images[coord - 1])
+                val = mv_wedge(val, images[coord - 1])
         for coord in dts:
-            val = wedge(m, val, d_form(m, images[coord - 1]))
+            val = mv_wedge(val, d_form(m, images[coord - 1]))
         vec_acc(out, val)
     if weight_cap is not None:
         out = {k: v for k, v in out.items() if mono_weight(k) <= weight_cap}
@@ -246,7 +233,7 @@ class SimplexModel:
                     continue
                 alpha = {pairs[0][0]: Fraction(1)}
                 for k, _ in pairs[1:]:
-                    alpha = wedge(n, alpha, {k: Fraction(1)})
+                    alpha = mv_wedge(alpha, {k: Fraction(1)})
                 if not alpha:
                     continue
                 adeg = [mono_degree(k) for k, _ in pairs]

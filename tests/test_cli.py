@@ -628,6 +628,78 @@ def test_loader_fuzz(verb, doc, args, data, tmp_path_factory):
                  tmp_path_factory.getbasetemp())
 
 
+def at(doc, path):
+    for key in path:
+        doc = doc[key]
+    return doc
+
+
+@pytest.mark.parametrize("verb, doc, args", FUZZ_JOBS)
+@settings(derandomize=True, max_examples=60, deadline=None, database=None)
+@given(data=st.data())
+def test_unknown_field_fuzz(verb, doc, args, data, tmp_path_factory):
+    """Add an unknown field to one object of a small valid document, at
+    any depth.  Every reader is strict, and in an object keyed by data
+    (a form, a splitting datum, a zero set) the key is malformed too."""
+    objects = [path for path in [(), *field_paths(doc)]
+               if isinstance(at(doc, path), dict)]
+    path = data.draw(st.sampled_from(objects))
+    doc = copy.deepcopy(doc)
+    at(doc, path)["bogus"] = 1
+    code, err = exit_cleanly(verb, doc, args, tmp_path_factory.getbasetemp())
+    assert code == 2 and err.startswith("input error:"), path
+
+
+@pytest.mark.parametrize("verb, sections", [
+    pytest.param("koszul", ("section",), id="koszul"),
+    pytest.param("local-algebra", ("section",), id="local-algebra"),
+    pytest.param("expand", ("section",), id="expand"),
+    pytest.param("fooo-check", ("section", "ambient_section"),
+                 id="fooo-check"),
+    pytest.param("fooo-check", ("ambient_section",),
+                 id="fooo-check-ambient"),
+    pytest.param("valgebra-check", (), id="valgebra-check"),
+    pytest.param("derived-brackets", (), id="derived-brackets"),
+])
+def test_jet_cap_guard_in_every_loader(verb, sections, tmp_path):
+    """A jet order or base cap above the guard is refused by the loader
+    of every verb that reads one, before any work."""
+    doc, args = SMALL_JOBS[verb]
+    doc = copy.deepcopy(doc)
+    for name in sections:
+        doc[name]["ring"]["order"] = cli.GUARDS["jet"] + 1
+    if not sections:
+        doc["jet"]["model"]["base_cap"] = cli.GUARDS["jet"] + 1
+    code, err = exit_cleanly(verb, doc, args, tmp_path)
+    assert code == 3 and err.startswith("cap guard:")
+
+
+@pytest.mark.parametrize("verb", ["poisson-build", "localize",
+                                  "valgebra-check", "derived-brackets"])
+def test_jet_model_size_is_guarded(verb, tmp_path):
+    """A jet model builds its generator table when it is built: a model
+    above the generator guard is refused before that."""
+    doc, args = SMALL_JOBS[verb]
+    size = {"m": 2, "k": 6, "base_cap": 8}
+    if "jet" in doc:
+        doc = dict(doc, jet={"model": size, "P": []})
+    else:
+        doc = dict(doc, R={}, **size)
+    code, err = exit_cleanly(verb, doc, args, tmp_path)
+    assert code == 3 and "generators, above the guard" in err
+
+
+@pytest.mark.parametrize("label", ["z9|dq1", "q1dq2", "q1|dz7",
+                                   "q1|dq2.dq2", "q1^x|dq2"])
+def test_malformed_form_label_exits_two(label, tmp_path):
+    """A form label outside the ring's codec is malformed input, not a
+    failed primitive check or an internal error."""
+    doc, args = SMALL_JOBS["primitive"]
+    code, err = exit_cleanly("primitive", dict(doc, form={label: "1"}),
+                             args, tmp_path)
+    assert code == 2 and err.startswith("input error:")
+
+
 @pytest.mark.parametrize("verb, path, value", [
     ("fill-homotopy", ("fs",), 5),
     ("primitive", ("form",), []),

@@ -8,6 +8,7 @@ through the generic relation checker and the independent coalgebra
 differential; cohomology ranks decide quasi-isomorphism questions.
 """
 
+import itertools
 import random
 from fractions import Fraction as F
 
@@ -16,16 +17,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from linfkit.gradedlin import GradedSpace, koszul_sign, vec_add, vec_scale
-from linfkit.derived import (GradedLieAlgebra, JetMultivectorModel, VAlgebra,
+from linfkit.derived import (GradedLieAlgebra, JetMultivectorModel, JetRing,
+                             VAlgebra,
                              check_graded_lie, check_valgebra,
                              derived_brackets, epsilon_morphism,
-                             jet_valgebra, label_base_weight,
-                             label_normal_weight, localize_valgebra,
-                             localized_algebra, mv_from_json, mv_to_json,
+                             jet_valgebra, label_weight, localize_valgebra,
+                             localized_algebra, make_label, mv_from_json,
+                             mv_to_json,
                              mv_wedge, op_weight_gain,
                              poisson_from_presymplectic, poly_diff,
                              poly_from_json, poly_mul, poly_to_json,
-                             schouten)
+                             schouten, split_label)
 from linfkit.linfty import (check_morphism, check_relations,
                             codifferential_hat, is_quasi_iso, l1_cohomology)
 
@@ -358,7 +360,7 @@ def test_localize_order_one_kills_normal_dependence():
     m, P = nonflat_model()
     A = derived_brackets(jet_valgebra(m, P), 3)
     loc, _ = localized_algebra(A, ["y1", "q1"], 1)
-    assert all(label_normal_weight(lab, {"y2"}) == 0
+    assert all(label_weight(lab, {"y2"}) == 0
                for lab in loc.space.labels)
 
 
@@ -420,6 +422,78 @@ def test_valgebra_json_roundtrip():
 
 
 def test_label_weights():
-    assert label_base_weight("1|dq1") == 0
-    assert label_base_weight("y1^2.q1|1") == 3
-    assert label_normal_weight("y1^2.q1|1", {"y1"}) == 2
+    assert label_weight("1|dq1") == 0
+    assert label_weight("y1^2.q1|1") == 3
+    assert label_weight("y1^2.q1|1", {"y1"}) == 2
+
+
+# ---------------------------------------------------------------------------
+# the generator-label codec
+
+NAMES = ["y1", "y2", "q1", "q2", "q10", "p1", "z"]
+TOKENS = ["a1", "a2", "dq1", "dq2", "dy1", "g"]
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_label_codec_roundtrip(data):
+    names = data.draw(st.lists(st.sampled_from(NAMES), max_size=4,
+                               unique=True))
+    ring = JetRing(names, 3)
+    e = tuple(data.draw(st.lists(st.integers(0, 4), min_size=len(names),
+                                 max_size=len(names))))
+    toks = tuple(sorted(data.draw(st.sets(st.sampled_from(TOKENS),
+                                          max_size=3))))
+    assert ring.monomials() == sorted(
+        x for x in itertools.product(range(4), repeat=len(names))
+        if sum(x) <= 3)
+    mono = ring.mono_str(e)
+    label = make_label(mono, toks)
+    assert ring.mono_parse(mono) == e
+    assert split_label(label) == (mono, toks)
+    assert ring.label_parse(label, TOKENS) == (e, toks)
+    sub = data.draw(st.sets(st.sampled_from(names))) if names else set()
+    assert label_weight(label) == sum(e)
+    assert label_weight(label, sub) == \
+        sum(x for n, x in zip(names, e) if n in sub)
+
+
+@pytest.mark.parametrize("label", [
+    "q1dq2", "z9|dq1", "q1|dz7", "q1|dq2.dq2", "q1|dq2.dq1", "q1^x|dq2",
+    "q1^1|1", "q1^0|1", "q2.q1|1", "q1.q1|1", "q1|", "|1", "q1|1|1"])
+def test_label_parse_rejects_non_canonical(label):
+    ring = JetRing(["q1", "q2"], 3)
+    with pytest.raises(ValueError):
+        ring.label_parse(label, ["dq1", "dq2"])
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(m=st.integers(0, 2), k=st.integers(0, 2), cap=st.integers(0, 3))
+def test_generator_table(m, k, cap):
+    """The model's one table: a bijection between terms and labels, in
+    the order of the generator basis, read back by the strict codec."""
+    model = JetMultivectorModel(m, k, base_cap=cap)
+    gens, terms = model.gens, model.terms
+    nb = m + k
+    base = JetRing(model.ring.names[:nb], cap)
+    assert len(terms) == len(gens) == len(base.monomials()) * 2 ** k
+    assert all(gens[terms[lab]] == lab for lab in terms)
+    assert all(terms[lab] == term for term, lab in gens.items())
+    assert list(gens) == sorted(gens, key=lambda t: (len(t[1]), t[1], t[0]))
+    space = model.a_space()
+    assert list(space.labels) == list(gens.values())
+    fiber = {"dq%d" % (a + 1): nb + a for a in range(k)}
+    for (e, w), lab in gens.items():
+        assert not any(e[nb:]) and set(w) <= set(model.p_idxs)
+        assert label_weight(lab) == sum(e[:nb])
+        assert space.deg[lab] == len(w) - 1
+        be, toks = base.label_parse(lab, fiber)
+        assert model.label_to_mv(lab) == \
+            {(be + (0,) * k, tuple(fiber[t] for t in toks)): F(1)}
+    # a term outside the table is a spilled term
+    coeffs = {lab: F(2) for lab in terms}
+    full = {term: F(2) for term in gens}
+    assert model.elem_to_coeffs(full) == (coeffs, False)
+    if nb:
+        over = ((cap + 1,) + (0,) * (model.nv - 1), ())
+        assert model.elem_to_coeffs({**full, over: F(1)}) == (coeffs, True)

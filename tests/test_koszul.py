@@ -174,8 +174,6 @@ def test_primitive_contracting_homotopy(seed):
     # d xi is closed, so the primitive applies; and h xi needs xi
     # closed only for the error path, the formula itself is linear:
     # compute h xi directly through the monomial rule
-    from linfkit.koszul import _insert_token
-
     def h_raw(vec):
         out = {}
         fol_idxs = [r.name_to_idx[n] for n in fol]
