@@ -14,7 +14,8 @@ library refusal a runner names through `attempt` is a failed check.
 Exit codes: 0 all checks pass, 1 a check fails, 2 input error
 (unparseable document, schema violation, malformed scalar, an `--out`
 path that cannot be written), 3 cap guard violation (a cap above its
-guard, or a weight cap that leaves no word to check), 4 internal error
+guard, a jet model or complex with more generators than its guard, or
+a weight cap that leaves no word to check), 4 internal error
 (any other exception: a fault in linfkit, never a verdict on the
 input).
 
@@ -49,6 +50,11 @@ GUARDS = {"arity": 6, "jet": 8, "weight": 12, "simp": 4}
 # the most generators a jet model may have: it builds their table when
 # it is built, and every verb on its algebra works over them
 JET_GENERATORS = 10 ** 5
+
+# the most generators a Koszul complex, a foliation complex or a local
+# algebra may have: building one and checking its relations takes time
+# about quadratic in it
+COMPLEX_GENERATORS = 4000
 
 # what reading a document of the wrong shape or scalar raises
 LOADER_ERRORS = (KeyError, TypeError, ValueError, AttributeError,
@@ -344,11 +350,18 @@ def guard_jet_model(where, m, k, base_cap):
     int_field(where + "k", k, 0)
     # the base monomials of degree <= base_cap times the 2^k fiber
     # words; every k above 64 is over the guard
-    size = math.comb(m + k + base_cap, base_cap) << min(k, 64)
-    if size > JET_GENERATORS:
-        raise CapGuard("a jet model with m=%d, k=%d, base_cap=%d has %d "
-                       "generators, above the guard %d"
-                       % (m, k, base_cap, size, JET_GENERATORS))
+    guard_generators("a jet model with m=%d, k=%d, base_cap=%d"
+                     % (m, k, base_cap),
+                     math.comb(m + k + base_cap, base_cap) << min(k, 64),
+                     JET_GENERATORS)
+
+
+def guard_generators(what, size, guard):
+    """Refuse what has more generators than its guard, before it is
+    built."""
+    if size > guard:
+        raise CapGuard("%s has %d generators, above the guard %d"
+                       % (what, size, guard))
 
 
 def load_valgebra(doc, caps, extra_req=()):
@@ -362,7 +375,7 @@ def load_valgebra(doc, caps, extra_req=()):
                     mdoc.get("base_cap", 3))
     model = derived_mod.JetMultivectorModel.from_json(mdoc)
     P = derived_mod.mv_from_json(jet["P"], model.nv)
-    return (derived_mod.jet_valgebra(model, P),)
+    return (derived_mod.JetVAlgebra(model, P),)
 
 
 def run_valgebra_check(caps, V):
@@ -422,7 +435,7 @@ def load_localize(doc, caps):
 def run_localize(caps, model, omega, R, image_vars, j_max, k_max):
     P = attempt("poisson", derived_mod.poisson_from_presymplectic,
                 model, omega, R)
-    V = derived_mod.jet_valgebra(model, P)
+    V = derived_mod.JetVAlgebra(model, P)
     C = derived_mod.derived_brackets(V, k_max)
     loc, normal = attempt("localize", derived_mod.localized_algebra,
                           C, image_vars, j_max)
@@ -439,16 +452,50 @@ def run_localize(caps, model, omega, R, image_vars, j_max, k_max):
                     "normal": sorted(normal)}
 
 
-def section_field(doc, name):
+def staircase_size(n, order, rank):
+    """Generators of a staircase complex over n variables: the piece
+    with j of the rank wedge factors holds the monomials of degree at
+    most order - j."""
+    return sum(math.comb(rank, j) * math.comb(n + order - j, n)
+               for j in range(min(rank, order) + 1))
+
+
+def foliation_size(n, order, f):
+    """Generators of the foliation complex in f of n directions,
+    augmented by the monomials free of them."""
+    return staircase_size(n, order, f) + math.comb(n - f + order, order)
+
+
+def local_size(n, order, rank):
+    """Generators of the local algebra of a rank-r section: its Koszul
+    complex beside the foliation complex in every direction."""
+    return staircase_size(n, order, rank) + foliation_size(n, order, n)
+
+
+def section_field(doc, name, local=True):
+    """The section `name`, refused above the jet guard, and above the
+    complex guard for its local algebra or, without `local`, for its
+    Koszul complex alone."""
     s = koszul_mod.Section.from_json(doc[name])
-    int_field(name + ".ring.order", doc[name]["ring"]["order"], 0,
-              GUARDS["jet"])
+    order = int_field(name + ".ring.order", doc[name]["ring"]["order"], 0,
+                      GUARDS["jet"])
+    if local:
+        what, size = "local algebra", local_size(s.ring.nv, order, s.rank)
+    else:
+        what, size = "Koszul complex", staircase_size(s.ring.nv, order,
+                                                      s.rank)
+    guard_generators("the %s of %s" % (what, name), size,
+                     COMPLEX_GENERATORS)
     return s
 
 
-def load_section(doc, caps, extra_req=()):
+def load_section(doc, caps, extra_req=(), local=True):
     expect(doc, "document", ("version", "section") + extra_req)
-    return (section_field(doc, "section"),)
+    return (section_field(doc, "section", local),)
+
+
+def load_koszul(doc, caps):
+    return load_section(doc, caps, local=False)
 
 
 def run_koszul(caps, s):
@@ -468,6 +515,11 @@ def load_ring_fol(doc, caps, extra_req=(), extra_opt=()):
     for n in fol:
         if n not in ring.names:
             raise InputError("fol: unknown variable %r" % (n,))
+    if len(set(fol)) != len(fol):
+        raise InputError("fol: a variable is named twice")
+    guard_generators("the foliation complex of ring",
+                     foliation_size(ring.nv, ring.order, len(fol)),
+                     COMPLEX_GENERATORS)
     return ring, fol
 
 
@@ -524,7 +576,12 @@ def run_local_algebra(caps, s):
 
 def load_expand(doc, caps):
     s, = load_section(doc, caps, ("new_vars",))
-    return s, str_list("new_vars", doc["new_vars"])
+    new_vars = str_list("new_vars", doc["new_vars"])
+    v = len(new_vars)
+    guard_generators("the expanded local algebra",
+                     local_size(s.ring.nv + v, s.ring.order, s.rank + v),
+                     COMPLEX_GENERATORS)
+    return s, new_vars
 
 
 def run_expand(caps, s, new_vars):
@@ -640,7 +697,7 @@ HANDLERS = {
     "derived-brackets": (load_derived_brackets, run_derived_brackets),
     "poisson-build": (load_jet_setup, run_poisson_build),
     "localize": (load_localize, run_localize),
-    "koszul": (load_section, run_koszul),
+    "koszul": (load_koszul, run_koszul),
     "primitive": (load_primitive, run_primitive),
     "augment": (load_augment, run_augment),
     "local-algebra": (load_section, run_local_algebra),

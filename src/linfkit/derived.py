@@ -24,7 +24,7 @@ import random
 from fractions import Fraction
 
 from .gradedlin import (GradedSpace, acc_term, expect, matrix_rank,
-                        scalar_from_str, scalar_to_str, sym_words, vec_acc,
+                        scalar_from_str, scalar_to_str, vec_acc,
                         vec_add, vec_scale)
 from .linfty import CheckReport, JetRecord, LInftyAlgebra, LInftyMorphism
 
@@ -503,8 +503,7 @@ class GradedLieAlgebra:
         out = {}
         for a, ca in u.items():
             for b, cb in v.items():
-                out = vec_add(out, vec_scale(ca * cb,
-                                             self.bracket_word(a, b)))
+                vec_acc(out, self.bracket_word(a, b), ca * cb)
         return out
 
     def to_json(self):
@@ -600,7 +599,7 @@ class VAlgebra:
     def pi_elem(self, u):
         out = {}
         for a, c in u.items():
-            out = vec_add(out, vec_scale(c, self.pi.get(a, {})))
+            vec_acc(out, self.pi.get(a, {}), c)
         return out
 
     def to_json(self):
@@ -638,10 +637,6 @@ class JetVAlgebra:
     def __init__(self, model, P):
         self.model = model
         self.P = dict(P)
-
-
-def jet_valgebra(model, P):
-    return JetVAlgebra(model, P)
 
 
 def _check_finite_valgebra(V):
@@ -784,63 +779,31 @@ def derived_brackets(V, k_max):
     if isinstance(V, JetVAlgebra):
         return _jet_derived_brackets(V, k_max)
     space = GradedSpace([(a, V.h.space.deg[a]) for a in V.a_labels])
-    ops = {}
-    prefix = {(): dict(V.P)}
-
-    def bval(word):
-        if word in prefix:
-            return prefix[word]
-        prev = bval(word[:-1])
-        cur = V.h.bracket_elems(prev, {word[-1]: Fraction(1)})
-        prefix[word] = cur
-        return cur
-
-    for k in range(1, k_max + 1):
-        tab = {}
-        for word in sym_words(space, k):
-            out = V.pi_elem(bval(word))
-            if out:
-                tab[word] = vec_scale((-1) ** k, out)
-        if tab:
-            ops[k] = tab
-    l0 = V.pi_elem(V.P)
-    return LInftyAlgebra(space, ops, l0=l0, arity_cap=k_max)
+    ops = _derived_ops(space, V.P, k_max, lambda a: {a: 1},
+                       V.h.bracket_elems, lambda word, x: V.pi_elem(x))
+    return LInftyAlgebra(space, ops, l0=V.pi_elem(V.P), arity_cap=k_max)
 
 
 def _jet_derived_brackets(V, k_max):
-    model, P = V.model, V.P
+    model = V.model
     space = model.a_space()
     weights = {lab: sum(e) for (e, _), lab in model.gens.items()}
-    mvs = {lab: model.label_to_mv(lab) for lab in space.labels}
-    ops = {}
-    spilled = False
-    prefix = {(): dict(P)}
+    spilled, gain = False, 0
 
-    def bval(word):
-        if word in prefix:
-            return prefix[word]
-        prev = bval(word[:-1])
-        cur = schouten(prev, mvs[word[-1]])
-        prefix[word] = cur
-        return cur
+    def project(word, x):
+        nonlocal spilled, gain
+        exact = model.pi(x)
+        coeffs, sp = model.elem_to_coeffs(exact)
+        spilled = spilled or sp
+        if exact:
+            out_w = max(sum(e[i] for i in model.base_idxs)
+                        for (e, _) in exact)
+            gain = max(gain, out_w - sum(weights[a] for a in word))
+        return coeffs
 
-    gain = 0
-    for k in range(1, k_max + 1):
-        tab = {}
-        for word in sym_words(space, k):
-            exact = model.pi(bval(word))
-            coeffs, sp = model.elem_to_coeffs(exact)
-            spilled = spilled or sp
-            if exact:
-                out_w = max(sum(e[i] for i in model.base_idxs)
-                            for (e, _) in exact)
-                in_w = sum(weights[x] for x in word)
-                gain = max(gain, out_w - in_w)
-            if coeffs:
-                tab[word] = vec_scale((-1) ** k, coeffs)
-        if tab:
-            ops[k] = tab
-    l0, sp = model.elem_to_coeffs(model.pi(P))
+    ops = _derived_ops(space, V.P, k_max, model.label_to_mv, schouten,
+                       project)
+    l0, sp = model.elem_to_coeffs(model.pi(V.P))
     spilled = spilled or sp
     coords = tuple(model.ring.names[i] for i in model.base_idxs)
     jet = JetRecord(coords, model.base_cap,
@@ -848,6 +811,33 @@ def _jet_derived_brackets(V, k_max):
                     model.base_cap - 2 * gain if spilled else None)
     return LInftyAlgebra(space, ops, l0=l0, arity_cap=k_max,
                          weights=weights, jet=jet)
+
+
+def _derived_ops(space, P, k_max, gen, bracket, project):
+    """{k: {word: (-1)^k project(word, [..[P, a1], .., ak])}} over the
+    canonical words of arity 1..k_max, by one depth-first walk that
+    extends a word only while its iterated bracket is nonzero: the
+    bracket is bilinear, so every extension of a zero prefix is zero.
+    The preorder meets the words of each arity in sym_words order."""
+    labs = space.labels
+    odd = [space.deg[a] % 2 for a in labs]
+    tabs = {k: {} for k in range(1, k_max + 1)}
+
+    def walk(start, word, x):
+        k = len(word) + 1
+        if k > k_max:
+            return
+        for i in range(start, len(labs)):
+            w = word + (labs[i],)
+            cur = bracket(x, gen(labs[i]))
+            if cur:
+                out = project(w, cur)
+                if out:
+                    tabs[k][w] = vec_scale((-1) ** k, out)
+                walk(i + odd[i], w, cur)
+
+    walk(0, (), P)
+    return {k: tab for k, tab in tabs.items() if tab}
 
 
 def op_weight_gain(A):

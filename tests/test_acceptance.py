@@ -24,8 +24,8 @@ from linfkit.linfty import (LInftyAlgebra, LInftyMorphism, check_morphism,
                             zero_algebra)
 from linfkit.simplexmodel import build_model, verify_model_axioms
 from linfkit.htpy import _comps_equal, fill_n_homotopy, whitehead_inverse
-from linfkit.derived import (JetMultivectorModel, derived_brackets,
-                             jet_valgebra, op_weight_gain,
+from linfkit.derived import (JetMultivectorModel, JetVAlgebra,
+                             derived_brackets, op_weight_gain,
                              poisson_from_presymplectic)
 from linfkit.koszul import (JetRing, Section, augment_extension, d_form,
                             foliation_complex, fooo_embedding_check,
@@ -91,7 +91,7 @@ def nonflat_model():
 def flat_algebra():
     m = JetMultivectorModel(0, 2, base_cap=3, fiber_cap=2)
     P = poisson_from_presymplectic(m, [], {})
-    return m, derived_brackets(jet_valgebra(m, P), 3)
+    return m, derived_brackets(JetVAlgebra(m, P), 3)
 
 
 # ---------------------------------------------------------------------------
@@ -138,7 +138,7 @@ def _fixture_algebras():
     m, A = flat_algebra()
     out.append(("derived-flat", A, m.base_cap))
     m2, P2 = nonflat_model()
-    A2 = derived_brackets(jet_valgebra(m2, P2), 4)
+    A2 = derived_brackets(JetVAlgebra(m2, P2), 4)
     out.append(("derived-nonflat", A2,
                 m2.base_cap - 2 * op_weight_gain(A2)))
 
@@ -426,7 +426,7 @@ def criterion_6():
                    "ok": sorted(A.ops) == [1] and A.l0 == {}})
 
     m2, P2 = nonflat_model()
-    A2 = derived_brackets(jet_valgebra(m2, P2), 4)
+    A2 = derived_brackets(JetVAlgebra(m2, P2), 4)
     cap = m2.base_cap - 2 * op_weight_gain(A2)
     checks.append({"name": "nonflat-relations",
                    "ok": check_relations(A2, up_to=4,

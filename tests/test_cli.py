@@ -20,7 +20,9 @@ from linfkit.gradedlin import CapError, GradedSpace
 from linfkit.linfty import LInftyAlgebra, LInftyMorphism
 from linfkit.derived import (JetMultivectorModel, mv_to_json, poly_to_json,
                              poisson_from_presymplectic)
-from linfkit.koszul import JetRing, Section
+from linfkit.koszul import (JetRing, Section, augment_extension,
+                            build_local_algebra, expand_chart,
+                            foliation_complex, koszul_complex)
 from linfkit.simplexmodel import SimplexCapError, constant_homotopy
 
 from test_atlas import three_chart_atlas
@@ -687,6 +689,76 @@ def test_jet_model_size_is_guarded(verb, tmp_path):
         doc = dict(doc, R={}, **size)
     code, err = exit_cleanly(verb, doc, args, tmp_path)
     assert code == 3 and "generators, above the guard" in err
+
+
+@settings(derandomize=True, max_examples=40, deadline=None, database=None)
+@given(n=st.integers(1, 3), order=st.integers(0, 3), rank=st.integers(0, 3),
+       f=st.integers(0, 3), v=st.integers(0, 2))
+def test_complex_guard_predicts_the_size(n, order, rank, f, v):
+    """The closed forms the complex guard reads are the dimensions of
+    the complexes the verbs build."""
+    names = ["q%d" % (i + 1) for i in range(n)]
+    ring = JetRing(names, order)
+    s = Section(ring, [ring.var(names[i % n]) for i in range(rank)])
+    fol = names[:f]
+    f = len(fol)
+    assert cli.staircase_size(n, order, rank) == \
+        koszul_complex(s).space.dim
+    L = build_local_algebra(s)
+    assert cli.local_size(n, order, rank) == L.algebra.space.dim
+    assert cli.foliation_size(n, order, f) == \
+        foliation_complex(ring, fol, augmented=True).space.dim == \
+        augment_extension(foliation_complex(ring, fol), 1).space.dim
+    L2, _ = expand_chart(L, ["z%d" % (i + 1) for i in range(v)])
+    assert cli.local_size(n + v, order, rank + v) == L2.algebra.space.dim
+
+
+def big_ring_job(verb, n, order):
+    """The small job of a verb on a rank-1 section or on forms over n
+    variables at a jet order."""
+    doc, args = copy.deepcopy(SMALL_JOBS[verb])
+    ring = JetRing(["q%d" % (i + 1) for i in range(n)], order)
+    section = Section(ring, [ring.var("q1")]).to_json()
+    for name in ("section", "ambient_section"):
+        if name in doc:
+            doc[name] = section
+    if "ring" in doc:
+        doc["ring"] = ring.to_json()
+    return doc, args
+
+
+@pytest.mark.parametrize("verb", ["koszul", "local-algebra", "expand",
+                                  "fooo-check", "augment", "primitive"])
+def test_ring_size_is_guarded(verb, tmp_path):
+    """A complex over many variables is refused before it is built: the
+    Koszul complex of a rank-1 section over 10 variables at order 8 has
+    C(18, 8) + C(17, 7) = 63,206 generators."""
+    doc, args = big_ring_job(verb, 10, 8)
+    code, err = exit_cleanly(verb, doc, args, tmp_path)
+    assert code == 3 and "generators, above the guard" in err
+    if verb == "koszul":
+        assert "63206 generators" in err
+
+
+def test_expanded_ring_size_is_guarded(tmp_path):
+    """The new variables of `expand` count: a local algebra within the
+    guard whose expansion is not is refused."""
+    doc, args = big_ring_job("expand", 3, 8)
+    doc["new_vars"] = ["z1", "z2"]
+    assert cli.local_size(3, 8, 1) <= cli.COMPLEX_GENERATORS \
+        < cli.local_size(5, 8, 3)
+    code, err = exit_cleanly("expand", doc, args, tmp_path)
+    assert code == 3 and "expanded local algebra" in err
+
+
+@pytest.mark.parametrize("verb", ["augment", "primitive"])
+def test_duplicate_foliation_variable_exits_two(verb, tmp_path):
+    """A foliation direction named twice would build a complex with a
+    repeated generator: it is malformed input, not an internal error."""
+    doc, args = SMALL_JOBS[verb]
+    code, err = exit_cleanly(verb, dict(doc, fol=["q1", "q1"]), args,
+                             tmp_path)
+    assert code == 2 and err.startswith("input error:")
 
 
 @pytest.mark.parametrize("label", ["z9|dq1", "q1dq2", "q1|dz7",

@@ -6,6 +6,8 @@ tested; derived operations are checked for graded symmetry directly
 against permuted iterated brackets; every produced algebra goes
 through the generic relation checker and the independent coalgebra
 differential; cohomology ranks decide quasi-isomorphism questions.
+The zero-pruned derived-bracket walk is compared with the unpruned
+per-arity loop of bracket_oracle.py on random V-algebras.
 """
 
 import itertools
@@ -16,12 +18,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from linfkit import derived
 from linfkit.gradedlin import GradedSpace, koszul_sign, vec_add, vec_scale
 from linfkit.derived import (GradedLieAlgebra, JetMultivectorModel, JetRing,
-                             VAlgebra,
+                             JetVAlgebra, VAlgebra,
                              check_graded_lie, check_valgebra,
                              derived_brackets, epsilon_morphism,
-                             jet_valgebra, label_weight, localize_valgebra,
+                             label_weight, localize_valgebra,
                              localized_algebra, make_label, mv_from_json,
                              mv_to_json,
                              mv_wedge, op_weight_gain,
@@ -30,6 +33,8 @@ from linfkit.derived import (GradedLieAlgebra, JetMultivectorModel, JetRing,
                              schouten, split_label)
 from linfkit.linfty import (check_morphism, check_relations,
                             codifferential_hat, is_quasi_iso, l1_cohomology)
+
+import bracket_oracle
 
 
 # ---------------------------------------------------------------------------
@@ -120,8 +125,8 @@ def test_schouten_antisymmetry_and_jacobi(seed):
             vec_scale((-1) ** ((xb % 2) * (yb % 2)),
                      schouten(Y, schouten(X, Z))))))
     assert jac == {}
-    # derived brackets share one parsed element per generator across
-    # all their brackets, so the bracket must leave its inputs alone
+    # the derived-bracket walk brackets one prefix value into every
+    # extension of it, so the bracket must leave its inputs alone
     assert (X, Y, Z) == before
 
 
@@ -178,7 +183,7 @@ def test_finite_binary_valgebra_passes():
 
 def test_jet_valgebra_passes():
     m, P = nonflat_model()
-    assert check_valgebra(jet_valgebra(m, P)).ok
+    assert check_valgebra(JetVAlgebra(m, P)).ok
 
 
 def test_perturbed_element_fails_maurer_cartan():
@@ -186,7 +191,7 @@ def test_perturbed_element_fails_maurer_cartan():
     bad = vec_add(P, mv_wedge(
         {(next(iter(m.var("y1"))), ()): F(1)},
         mv_wedge(m.vector("y1"), m.vector("q1"))))
-    rep = check_valgebra(jet_valgebra(m, bad))
+    rep = check_valgebra(JetVAlgebra(m, bad))
     assert not rep.ok
     assert any(w == ("P", "P") for w, _ in rep.failures)
 
@@ -239,7 +244,7 @@ def test_finite_binary_derived_brackets():
 def test_flat_model_unary_is_foliation_derivative():
     m = flat_model()
     P = poisson_from_presymplectic(m, [], {})
-    A = derived_brackets(jet_valgebra(m, P), 3)
+    A = derived_brackets(JetVAlgebra(m, P), 3)
     # strictly a complex: no curvature, no higher operations
     assert A.l0 == {} and sorted(A.ops) == [1]
     # the unary operation is the leafwise exterior derivative
@@ -251,7 +256,7 @@ def test_flat_model_unary_is_foliation_derivative():
 
 def test_nonflat_model_binary_bracket_and_relations():
     m, P = nonflat_model()
-    A = derived_brackets(jet_valgebra(m, P), 4)
+    A = derived_brackets(JetVAlgebra(m, P), 4)
     assert A.l0 == {}
     assert A.ops.get(2), "expected a nonzero binary operation"
     cap = m.base_cap - 2 * op_weight_gain(A)
@@ -263,7 +268,7 @@ def test_derived_ops_graded_symmetry():
     # the stored canonical-word value agrees with the raw iterated
     # bracket of any permutation, up to the sign of the permutation
     m, P = nonflat_model()
-    A = derived_brackets(jet_valgebra(m, P), 3)
+    A = derived_brackets(JetVAlgebra(m, P), 3)
     rng = random.Random(11)
     labels = A.space.labels
     for _ in range(25):
@@ -281,6 +286,114 @@ def test_derived_ops_graded_symmetry():
         if sgn == 0:
             continue
         assert raw == {b: sgn * c for b, c in stored.items()}
+
+
+COEFFS = [F(1), F(-1), F(2), F(1, 2)]
+
+# (m, k, base_cap) of jet models small enough for the unpruned oracle
+JET_SHAPES = [(0, 1, 2), (0, 2, 2), (0, 2, 3), (2, 1, 1), (2, 1, 2),
+              (2, 2, 1)]
+
+
+@st.composite
+def finite_valgebras(draw):
+    """A random degree-preserving bracket table, sub-basis, projection
+    and degree-1 element: the builders use no other V-algebra axiom, so
+    none is imposed."""
+    degs = draw(st.permutations(
+        [-1, 0, 1] + draw(st.lists(st.integers(-1, 1), max_size=3))))
+    S = GradedSpace(list(zip("abcdef", degs)))
+    labels, coeff = S.labels, st.sampled_from(COEFFS)
+
+    def some(outs):
+        """{out: coeff} for an out drawn from outs, or nothing."""
+        if outs and draw(st.booleans()):
+            return {draw(st.sampled_from(outs)): draw(coeff)}
+        return {}
+
+    tab = {(x, y): some(S.basis_in_degree(S.deg[x] + S.deg[y]))
+           for x, y in itertools.combinations_with_replacement(labels, 2)}
+    a = draw(st.lists(st.sampled_from(labels), min_size=1, unique=True))
+    pi = {x: {x: F(1)} if x in a else
+          some([y for y in a if S.deg[y] == S.deg[x]]) for x in labels}
+    P = {x: draw(coeff) for x in draw(st.lists(
+        st.sampled_from(S.basis_in_degree(1)), min_size=1, unique=True))}
+    return VAlgebra(GradedLieAlgebra(S, tab), a, pi, P)
+
+
+@st.composite
+def jet_valgebras(draw):
+    """The Poisson element of a flat (no splitting datum) or non-flat
+    jet model, plus at times a stray term: curvature and outputs beyond
+    the base cap then show up."""
+    m, k, cap = draw(st.sampled_from(JET_SHAPES))
+    model = JetMultivectorModel(m, k, base_cap=cap)
+    base = model.base_idxs
+    R = {}
+    for j, a in itertools.product(range(1, m + 1), range(1, k + 1)):
+        if draw(st.booleans()):
+            e = [0] * model.nv
+            e[draw(st.sampled_from(base))] += draw(st.integers(1, 2))
+            R[(j, a)] = {tuple(e): draw(st.sampled_from(COEFFS))}
+    omega = [[0, 1], [-1, 0]] if m else []
+    try:
+        P = poisson_from_presymplectic(model, omega, R)
+    except ValueError:
+        # a splitting datum whose bivector does not square to zero
+        P = poisson_from_presymplectic(model, omega, {})
+    if draw(st.booleans()):
+        # free of the fiber coordinates; the fiber pair, when there is
+        # one, is the last pair and is drawn first
+        e = tuple(draw(st.integers(0, 2)) if i in base else 0
+                  for i in range(model.nv))
+        w = draw(st.sampled_from(
+            list(itertools.combinations(range(model.nv), 2))[::-1]))
+        P = vec_add(P, {(e, w): draw(st.sampled_from(COEFFS))})
+    return JetVAlgebra(model, P)
+
+
+def same_algebra(A, B):
+    assert A.space.to_json() == B.space.to_json()
+    assert [(k, list(tab)) for k, tab in A.ops.items()] == \
+        [(k, list(tab)) for k, tab in B.ops.items()]
+    assert A.ops == B.ops and A.l0 == B.l0
+    assert A.weights == B.weights and A.jet == B.jet
+
+
+@settings(derandomize=True, max_examples=120, deadline=None, database=None)
+@given(V=finite_valgebras(), k_max=st.integers(1, 4))
+def test_finite_walk_matches_unpruned_oracle(V, k_max):
+    same_algebra(derived_brackets(V, k_max),
+                 bracket_oracle.derived_brackets(V, k_max))
+
+
+@settings(derandomize=True, max_examples=30, deadline=None, database=None)
+@given(V=jet_valgebras(), k_max=st.integers(1, 3))
+def test_jet_walk_matches_unpruned_oracle(V, k_max):
+    same_algebra(derived_brackets(V, k_max),
+                 bracket_oracle.derived_brackets(V, k_max))
+
+
+@pytest.mark.parametrize("kind", ["finite", "jet"])
+def test_zero_prefix_is_not_extended(kind, monkeypatch):
+    """Every extension of a word whose bracket is zero is zero: with a
+    central Maurer-Cartan element the bracket runs once per generator."""
+    calls = []
+    if kind == "finite":
+        S = GradedSpace([("a", 0), ("b", 0), ("c", -1), ("P", 1)])
+        h = GradedLieAlgebra(S, {("a", "b"): {"c": F(1)}})
+        V = VAlgebra(h, ["a", "b", "c"],
+                     {x: {x: 1} for x in "abc"}, {"P": F(1)})
+        bracket = h.bracket_elems
+        h.bracket_elems = lambda u, v: calls.append(v) or bracket(u, v)
+        n = 3
+    else:
+        V = JetVAlgebra(flat_model(), {})
+        monkeypatch.setattr(derived, "schouten",
+                            lambda X, Y: calls.append(Y) or schouten(X, Y))
+        n = V.model.a_space().dim
+    A = derived_brackets(V, 4)
+    assert A.ops == {} and len(calls) == n
 
 
 # ---------------------------------------------------------------------------
@@ -329,19 +442,19 @@ def test_poisson_rejects_fiber_dependent_splitting():
 def test_localize_rejects_unknown_variable():
     m, P = nonflat_model()
     with pytest.raises(ValueError, match="coordinate-subspace"):
-        localize_valgebra(jet_valgebra(m, P), ["y1", "w3"], 2)
+        localize_valgebra(JetVAlgebra(m, P), ["y1", "w3"], 2)
 
 
 def test_localized_model_squares_commute():
     m, P = nonflat_model()
-    loc = localize_valgebra(jet_valgebra(m, P), ["y1", "q1"], 4)
+    loc = localize_valgebra(JetVAlgebra(m, P), ["y1", "q1"], 4)
     rep = loc.check()
     assert rep.ok, rep.to_json()
 
 
 def test_localized_algebra_relations():
     m, P = nonflat_model()
-    A = derived_brackets(jet_valgebra(m, P), 3)
+    A = derived_brackets(JetVAlgebra(m, P), 3)
     loc, normal = localized_algebra(A, ["y1", "q1"], 2)
     assert normal == {"y2"}
     cap = min(m.base_cap, 2 - 1) - 2 * op_weight_gain(A)
@@ -350,7 +463,7 @@ def test_localized_algebra_relations():
 
 def test_localize_surjective_is_identity():
     m, P = nonflat_model()
-    A = derived_brackets(jet_valgebra(m, P), 3)
+    A = derived_brackets(JetVAlgebra(m, P), 3)
     loc, normal = localized_algebra(A, ["y1", "y2", "q1"], 5)
     assert normal == set()
     assert loc.space == A.space and loc.ops == A.ops
@@ -358,7 +471,7 @@ def test_localize_surjective_is_identity():
 
 def test_localize_order_one_kills_normal_dependence():
     m, P = nonflat_model()
-    A = derived_brackets(jet_valgebra(m, P), 3)
+    A = derived_brackets(JetVAlgebra(m, P), 3)
     loc, _ = localized_algebra(A, ["y1", "q1"], 1)
     assert all(label_weight(lab, {"y2"}) == 0
                for lab in loc.space.labels)
@@ -370,7 +483,7 @@ def test_localize_order_one_kills_normal_dependence():
 
 def test_epsilon_is_morphism_below_jet_order():
     m, P = nonflat_model()
-    A = derived_brackets(jet_valgebra(m, P), 3)
+    A = derived_brackets(JetVAlgebra(m, P), 3)
     eps = epsilon_morphism(A, ["y1", "q1"], 2)
     assert sorted(eps.comps) == [1]
     rep = check_morphism(eps, up_to=3, weight_cap=1)
@@ -381,7 +494,7 @@ def test_epsilon_binary_identity_on_words():
     # the single component intertwines the binary operations exactly on
     # words below the jet order
     m, P = nonflat_model()
-    A = derived_brackets(jet_valgebra(m, P), 3)
+    A = derived_brackets(JetVAlgebra(m, P), 3)
     eps = epsilon_morphism(A, ["y1", "q1"], 2)
     tset = set(eps.target.space.labels)
     for word, out in A.ops.get(2, {}).items():
@@ -395,7 +508,7 @@ def test_epsilon_binary_identity_on_words():
 
 def test_epsilon_quasi_iso_oracle():
     m, P = nonflat_model()
-    A = derived_brackets(jet_valgebra(m, P), 3)
+    A = derived_brackets(JetVAlgebra(m, P), 3)
     # the surjective localization is an isomorphism
     ok, _ = is_quasi_iso(epsilon_morphism(A, ["y1", "y2", "q1"], 5))
     assert ok

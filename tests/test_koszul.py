@@ -14,8 +14,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from linfkit.derived import (JetMultivectorModel, derived_brackets,
-                             jet_valgebra, poisson_from_presymplectic,
+from linfkit.derived import (JetMultivectorModel, JetVAlgebra,
+                             derived_brackets, poisson_from_presymplectic,
                              poly_zero)
 from linfkit.koszul import (JetRing, Section, augment_extension,
                             build_local_algebra, d_form, expand_chart,
@@ -214,7 +214,7 @@ def test_primitive_inverts_differential_on_functions():
 
 def test_augment_flat_base_adds_nothing_beyond_unary():
     m = JetMultivectorModel(0, 2, base_cap=3, fiber_cap=2)
-    A = derived_brackets(jet_valgebra(m, poisson_from_presymplectic(
+    A = derived_brackets(JetVAlgebra(m, poisson_from_presymplectic(
         m, [], {})), 3)
     G = augment_extension(A, 3)
     mixed = [w for k in G.ops if k >= 2 for w in G.ops[k]
@@ -229,7 +229,7 @@ def test_augment_nonflat_base_forces_mixed_operations():
     m = JetMultivectorModel(2, 1, base_cap=4, fiber_cap=2)
     P = poisson_from_presymplectic(m, [[0, 1], [-1, 0]],
                                    {(1, 1): m.var("q1")})
-    A = derived_brackets(jet_valgebra(m, P), 3)
+    A = derived_brackets(JetVAlgebra(m, P), 3)
     G = augment_extension(A, 3)
     mixed = [(k, w) for k in G.ops if k >= 2 for w in G.ops[k]
              if any(lab.endswith("|g") for lab in w)]
@@ -248,7 +248,7 @@ def test_augment_new_arity_enters_the_support():
     m = JetMultivectorModel(2, 1, base_cap=4, fiber_cap=2)
     P = poisson_from_presymplectic(m, [[0, 1], [-1, 0]],
                                    {(1, 1): m.var("q1")})
-    A = derived_brackets(jet_valgebra(m, P), 2)
+    A = derived_brackets(JetVAlgebra(m, P), 2)
     G = augment_extension(A, 3)
     assert 3 not in A.support and G.ops.get(3)
     assert G.support == frozenset(k for k, t in G.ops.items() if t)
