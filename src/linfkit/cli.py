@@ -315,7 +315,8 @@ def load_fill(doc, caps):
 
 def run_fill_homotopy(caps, fs):
     K = _cap(caps, "arity", 2)
-    model = attempt("filling", htpy_mod.fill_n_homotopy, fs, K=K)
+    model = attempt("filling", htpy_mod.fill_n_homotopy, fs, K=K,
+                    tie_break=caps["seed"])
     return [report_record(model.verify())], model.to_json()
 
 

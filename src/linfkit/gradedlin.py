@@ -276,8 +276,12 @@ def nullspace(rows, ncols=None):
 
 
 def _solve(rows, rhs, ncols):
+    """Canonical solution of the sparse rows, inserted shortest first
+    (Markowitz's rule for limiting fill-in; the sort is stable).  The
+    reduced echelon form depends only on the row space and the column
+    order, so the order changes the cost and never the answer."""
     ech = Echelon()
-    for row, b in zip(rows, rhs):
+    for row, b in sorted(zip(rows, rhs), key=lambda rb: len(rb[0])):
         ech.insert({**row, ncols: b})
     x = ech.solution(ncols)
     return None if x is None else _dense(x, ncols)

@@ -506,16 +506,22 @@ def _solve_cylinder_operation(cyl, m, faces, face_alg, evals, incl, hbar,
                for w in sym_words(space, m)}
     delta1_equations(sys, cyl, cyl, m, "l", rhs_rel, shift=1)
 
-    # (b) evaluation compatibility with each face model
+    # (b) evaluation compatibility with each face model, one row per
+    # target generator u built from ev1's nonzero entries into u (an
+    # empty row still carries its right-hand side)
     for J in faces:
         ev1 = evals[J].f1_map().images
+        into = {}
+        for t, img in ev1.items():
+            for u, c in img.items():
+                into.setdefault(u, {})[t] = c
         tgt = face_alg[J]
         for w in sym_words(space, m):
             want = tgt.op_elems(m, [ev1.get(a, {}) for a in w])
             d = word_degree(space, w) + 1
             for u in tgt.space.basis_in_degree(d):
-                sys.equation({("l", w, t): ev1.get(t, {}).get(u, 0)
-                              for t in space.basis_in_degree(d)},
+                sys.equation({("l", w, t): c
+                              for t, c in into.get(u, {}).items()},
                              want.get(u, 0))
 
     # (c) the homotopy morphism relation at arity m: l_m on the linear

@@ -278,15 +278,27 @@ def test_extend_verb_returns_extension(tmp_path, capsys):
     assert "morphism" in result
 
 
-def test_fill_homotopy_verb_builds_cylinder(tmp_path, capsys):
+def test_fill_homotopy_verb_builds_cylinder(tmp_path, capsys, monkeypatch):
+    """The filling passes; --seed is the tie-break of every linear stage
+    of the filling (0 without it)."""
+    seen = []
+    real = cli.htpy_mod.fill_n_homotopy
+
+    def spy(fs, **kwargs):
+        seen.append(kwargs.get("tie_break", 0))
+        return real(fs, **kwargs)
+
+    monkeypatch.setattr(cli.htpy_mod, "fill_n_homotopy", spy)
     A = pair_algebra()
     mj = LInftyMorphism.identity(A).to_json()
     doc = {"version": 1, "source": A.to_json(), "target": A.to_json(),
            "fs": [mj, mj]}
-    code, out = run(["fill-homotopy", write(tmp_path, "a.json", doc)],
-                    capsys)
-    assert code == 0
-    assert json.loads(out)["verdict"] == "pass"
+    path = write(tmp_path, "a.json", doc)
+    for argv in ([], ["--seed", "3"]):
+        code, out = run(["fill-homotopy", path] + argv, capsys)
+        assert code == 0
+        assert json.loads(out)["verdict"] == "pass"
+    assert seen == [0, 3]
 
 
 def test_primitive_verb_accepts_closed_rejects_non_closed(tmp_path,

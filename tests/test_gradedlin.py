@@ -137,20 +137,6 @@ def test_kernel_matches_oracle(entries, data):
 
 
 @settings(max_examples=150, deadline=None)
-@given(matrices(), st.data())
-def test_solves_match_oracle(mat, data):
-    """solve_canonical on dense rows and solve_sparse on dict rows give
-    the oracle's canonical solution, for right-hand sides inside and
-    outside the column span."""
-    rows, ncols = mat
-    sparse_rows = [{j: v for j, v in enumerate(r) if v} for r in rows]
-    for rhs in _column_vectors(data.draw, rows, ncols):
-        want = dense_oracle.solve_canonical(rows, rhs, ncols)
-        assert solve_canonical(rows, rhs, ncols=ncols) == want
-        assert solve_sparse(sparse_rows, rhs, ncols) == want
-
-
-@settings(max_examples=150, deadline=None)
 @given(matrices(), matrices(), st.data())
 def test_span_tests_match_oracle(vecs, amb, data):
     """in_span, complement_in and tracked coordinates agree with the
@@ -191,6 +177,93 @@ def test_pivots_do_not_depend_on_insertion_order(mat, rng):
     for r in shuffled:
         ech.insert({j: v for j, v in enumerate(r) if v})
     assert sorted(ech.rows) == dense_oracle.rref(rows)[1]
+
+
+def system_answers(rows, rhs, ncols, tie_break):
+    """solve_sparse, solve_canonical and LinearSystem.solve (with the
+    given tie-break) on one system, as dense lists or None."""
+    system = LinearSystem(tie_break)
+    for j in range(ncols):
+        system.var(j)
+    for r, b in zip(sparse_rows(rows), rhs):
+        system.equation(r, b)
+    x = system.solve()
+    return [solve_sparse(sparse_rows(rows), rhs, ncols),
+            solve_canonical(rows, rhs, ncols=ncols),
+            None if x is None else [x.get(j, F(0)) for j in range(ncols)]]
+
+
+def tie_break_oracle(rows, rhs, ncols, tie_break):
+    """The dense oracle's canonical solution with the columns permuted
+    as LinearSystem permutes them for a nonzero tie-break."""
+    pos = list(range(ncols))
+    if tie_break:
+        random.Random(tie_break).shuffle(pos)
+    permuted = []
+    for r in rows:
+        row = [F(0)] * ncols
+        for j, c in enumerate(r):
+            row[pos[j]] = c
+        permuted.append(row)
+    y = dense_oracle.solve_canonical(permuted, rhs, ncols)
+    return None if y is None else [y[pos[j]] for j in range(ncols)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_solves_match_oracle(data):
+    """solve_canonical on dense rows, solve_sparse on dict rows and
+    LinearSystem.solve give the oracle's canonical solution, and the
+    same one on the rows in any order: for right-hand sides inside and
+    outside the column span, with empty rows (an empty row with a
+    nonzero right-hand side makes the system inconsistent) and with
+    tie-breaks 0 and 1-9."""
+    entries = data.draw(st.sampled_from(list(ENTRIES.values())))
+    rows, ncols = data.draw(matrices(entries=entries))
+    rows += [[F(0)] * ncols] * data.draw(st.integers(0, 2))
+    order = list(range(len(rows)))
+    data.draw(st.randoms(use_true_random=False)).shuffle(order)
+    tie_break = data.draw(st.integers(min_value=1, max_value=9))
+    for rhs in _column_vectors(data.draw, rows, ncols):
+        for tb in (0, tie_break):
+            want = tie_break_oracle(rows, rhs, ncols, tb)
+            got = system_answers(rows, rhs, ncols, tb)
+            assert got[2] == want
+            if not tb:
+                assert got == [want] * 3
+            assert system_answers([rows[i] for i in order],
+                                  [rhs[i] for i in order], ncols, tb) == got
+
+
+def test_solves_insert_the_shortest_rows_first(monkeypatch):
+    """A solve inserts its rows in nondecreasing length, ties in their
+    given order; so do the solves under every tie-break."""
+    inserted = []
+    real = Echelon.insert
+
+    def spy(self, v):
+        inserted.append(dict(v))
+        return real(self, v)
+
+    monkeypatch.setattr(Echelon, "insert", spy)
+    rows = [{0: 1, 1: 2, 2: -1, 3: 1}, {1: 1, 2: 1}, {0: 1}, {3: 2},
+            {0: 1, 2: 1, 3: 1}, {}]
+    rhs = [1, 2, 3, 4, 5, 0]
+    x = solve_sparse(rows, rhs, 4)
+    assert [len(v) for v in inserted] == [1, 2, 2, 3, 4, 5]
+    assert inserted[1:3] == [{0: 1, 4: 3}, {3: 2, 4: 4}]
+    assert x == dense_oracle.solve_canonical(
+        [[r.get(j, F(0)) for j in range(4)] for r in rows], rhs, 4)
+    for tb in range(10):
+        inserted.clear()
+        system = LinearSystem(tb)
+        for j in range(4):
+            system.var(j)
+        for r, b in zip(rows, rhs):
+            system.equation(r, b)
+        system.solve()
+        lengths = [len(v) for v in inserted]
+        assert lengths == sorted(lengths) and len(lengths) == len(rows)
 
 
 # ---------------------------------------------------------------------------
