@@ -109,14 +109,20 @@ def str_list(name, value):
     return value
 
 
-load_algebra = linfty_mod.LInftyAlgebra.from_json
+def load_algebra(doc):
+    if isinstance(doc, dict) and "arity_cap" in doc:
+        int_field("arity_cap", doc["arity_cap"], 1)
+    return linfty_mod.LInftyAlgebra.from_json(doc)
 
 
 def load_morphism(doc, src, tgt, where):
     expect(doc, where, ("comps",), ("arity_cap",))
+    cap = min(src.arity_cap, tgt.arity_cap)
+    if "arity_cap" in doc:
+        cap = int_field(where + ".arity_cap", doc["arity_cap"], 1)
     return linfty_mod.LInftyMorphism(
         src, tgt, linfty_mod.blocks_from_json(doc["comps"], where + ".comps"),
-        arity_cap=doc.get("arity_cap", min(src.arity_cap, tgt.arity_cap)))
+        arity_cap=cap)
 
 
 # ---------------------------------------------------------------------------
@@ -322,7 +328,8 @@ def run_fill_homotopy(caps, fs):
 
 def run_whitehead(caps, f):
     K = _cap(caps, "arity", 3)
-    cert = attempt("whitehead", htpy_mod.whitehead_inverse, f, K=K)
+    cert = attempt("whitehead", htpy_mod.whitehead_inverse, f, K=K,
+                   tie_break=caps["seed"])
     return [report_record(cert.verify())], \
         {"inverse": cert.g.to_json(), "notes": list(cert.notes)}
 
@@ -337,7 +344,8 @@ def load_model_over(doc, caps):
 
 def run_model_over(caps, weight_cap, f, m1, m2):
     K = _cap(caps, "arity", 2)
-    F = attempt("model-over", htpy_mod.model_morphism_over, f, m1, m2, K=K)
+    F = attempt("model-over", htpy_mod.model_morphism_over, f, m1, m2, K=K,
+                tie_break=caps["seed"])
     rep = linfty_mod.check_morphism(F, up_to=min(K, F.arity_cap),
                                     weight_cap=weight_cap)
     return [report_record(rep)], {"morphism": F.to_json()}

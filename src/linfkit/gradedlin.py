@@ -684,14 +684,6 @@ def words_within(space, k, weights, weight_cap):
     return out
 
 
-def split_sign(space, word, block1, block2):
-    """Koszul sign of splitting the canonical word into the two blocks
-    of positions (block1, block2)."""
-    degs = [space.deg[l] for l in word]
-    perm = list(block1) + list(block2)
-    return koszul_sign(degs, perm)
-
-
 # ---------------------------------------------------------------------------
 # cohomology
 

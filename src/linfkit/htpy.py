@@ -501,7 +501,7 @@ def _solve_cylinder_operation(cyl, m, faces, face_alg, evals, incl, hbar,
 
     # (a) quadratic relation: delta1(l_m) = -(terms with 2 <= i <= m-1)
     arities = cyl.support
-    rhs_rel = {w: insertion_sum(cyl, w, cyl.op_word, arities, 2, m - 1,
+    rhs_rel = {w: insertion_sum(cyl, w, cyl.ops, arities, 2, m - 1,
                                  scale=-1)
                for w in sym_words(space, m)}
     delta1_equations(sys, cyl, cyl, m, "l", rhs_rel, shift=1)
@@ -529,7 +529,7 @@ def _solve_cylinder_operation(cyl, m, faces, face_alg, evals, incl, hbar,
     h1 = hbar.f1_map().images
     below = arities & frozenset(range(1, m))
     for v in sym_words(C0.space, m):
-        rhs = insertion_sum(C0, v, hbar.comp_word, hbar.support, 1, m)
+        rhs = insertion_sum(C0, v, hbar.comps, hbar.support, 1, m)
         partition_sum(hbar, v, cyl.op_elems, below, rhs, -1)
         expanded = expand_canonical(space, [h1.get(a, {}) for a in v])
         for t in space.basis_in_degree(word_degree(C0.space, v) + 1):
@@ -562,10 +562,11 @@ def _solve_cylinder_operation(cyl, m, faces, face_alg, evals, incl, hbar,
 # inverses up to homotopy
 
 
-def chain_inverse(f):
+def chain_inverse(f, tie_break=0):
     """A chain-level inverse of a quasi-isomorphism over the rationals:
     (g1, hprime) with g1 a chain map and g1 f1 - id = d hprime +
-    hprime d.  Canonical exact solve."""
+    hprime d.  Canonical exact solve (see LinearSystem for the
+    tie-break)."""
     C1, C2 = f.source, f.target
     d1 = C1.ops.get(1, {})
     d2 = C2.ops.get(1, {})
@@ -573,7 +574,7 @@ def chain_inverse(f):
     def dmap(ops1, lab):
         return ops1.get((lab,), {})
 
-    sys = LinearSystem()
+    sys = LinearSystem(tie_break)
     for a in C2.space.labels:
         for b in C1.space.basis_in_degree(C2.space.deg[a]):
             sys.var(("g", a, b))
@@ -669,7 +670,7 @@ class WhiteheadCertificate:
         return doc
 
 
-def whitehead_inverse(f, K=3, model=None, with_reverse=True):
+def whitehead_inverse(f, K=3, model=None, with_reverse=True, tie_break=0):
     """Invert a quasi-isomorphism up to homotopy, arity by arity.
 
     Returns a WhiteheadCertificate with g (inverse up to arity K) and a
@@ -678,6 +679,10 @@ def whitehead_inverse(f, K=3, model=None, with_reverse=True):
     (which exists when the source is acyclic); pass any interval model
     otherwise.  When with_reverse is set and the target admits the
     cylinder, a filling homotopy from f . g to the identity is attached.
+    tie_break: seed of the free-variable choice in every LinearSystem
+    and both cylinder fills (see LinearSystem); 0 is the canonical one.
+    The per-generator lifts of the chain homotopy into the model
+    (solve_sparse) stay canonical.
     """
     C1, C2 = f.source, f.target
     if not (C1.is_strict and C2.is_strict):
@@ -689,7 +694,8 @@ def whitehead_inverse(f, K=3, model=None, with_reverse=True):
     if model is None:
         ident = LInftyMorphism.identity(C1)
         try:
-            model = as_interval_model(fill_n_homotopy([ident, ident], K=K))
+            model = as_interval_model(fill_n_homotopy(
+                [ident, ident], K=K, tie_break=tie_break))
             notes.append("interval cylinder model, dim %d"
                          % model.algebra.space.dim)
         except FillError:
@@ -701,7 +707,7 @@ def whitehead_inverse(f, K=3, model=None, with_reverse=True):
         model = as_interval_model(model)
     M = model.algebra
 
-    g1, hprime = chain_inverse(f)
+    g1, hprime = chain_inverse(f, tie_break)
     # lift the chain homotopy into the model: ev0 hpp = 0, ev1 hpp = h'
     ev0_cols = model.ev0.f1_map().images
     ev1_cols = model.ev1.f1_map().images
@@ -737,7 +743,7 @@ def whitehead_inverse(f, K=3, model=None, with_reverse=True):
 
     f1 = {x: f.comp_word(1, (x,)) for x in C1.space.labels}
     for m in range(2, K + 1):
-        sys = LinearSystem()
+        sys = LinearSystem(tie_break)
         map_unknowns(sys, C2, C1, m, "g")
         map_unknowns(sys, C1, M, m, "h")
         delta1_equations(sys, C2, C1, m, "g", obstruction_cocycle(g, m - 1))
@@ -775,7 +781,8 @@ def whitehead_inverse(f, K=3, model=None, with_reverse=True):
     if with_reverse:
         try:
             reverse = fill_n_homotopy(
-                [compose(f, g), LInftyMorphism.identity(C2)], K=K)
+                [compose(f, g), LInftyMorphism.identity(C2)], K=K,
+                tie_break=tie_break)
         except FillError as exc:
             notes.append("reverse homotopy unavailable: %s" % exc)
     return WhiteheadCertificate(f, g, h, model, K, reverse=reverse,
@@ -786,11 +793,13 @@ def whitehead_inverse(f, K=3, model=None, with_reverse=True):
 # model morphisms over a morphism of the modeled algebras
 
 
-def model_morphism_over(f, model1, model2, K=2):
+def model_morphism_over(f, model1, model2, K=2, tie_break=0):
     """A morphism of interval models over f: C1 -> C2, i.e. a morphism
     of the model algebras commuting with both vertex evaluations and
     with the inclusions of constants.  All components are found by
-    canonical solves arity by arity; raises FillError when blocked."""
+    canonical solves arity by arity, with tie_break the seed of their
+    free-variable choice (see LinearSystem); raises FillError when
+    blocked."""
     M1 = as_interval_model(model1)
     M2 = as_interval_model(model2)
     if M1.base is not f.source or M2.base is not f.target:
@@ -802,7 +811,7 @@ def model_morphism_over(f, model1, model2, K=2):
     incl2 = M2.incl.images
     F = None
     for m in range(1, K + 1):
-        sys = LinearSystem()
+        sys = LinearSystem(tie_break)
         map_unknowns(sys, A1, A2, m, "F")
         O = obstruction_cocycle(F, m - 1) if m >= 2 else {}
         delta1_equations(sys, A1, A2, m, "F", O)

@@ -21,8 +21,8 @@ from typing import NamedTuple
 
 from .gradedlin import (Echelon, GradedMap, GradedSpace, LinearSystem,
                         acc_term, canonical_word, cohomology, koszul_sign,
-                        matrix_rank, split_sign, sym_words, unshuffles,
-                        vec_acc, word_degree, words_within, scalar_to_str,
+                        matrix_rank, sym_words, unshuffles, vec_acc,
+                        word_degree, words_within, scalar_to_str,
                         scalar_from_str, expect)
 
 DEFAULT_ARITY_CAP = 4
@@ -78,40 +78,82 @@ def _apply_table(space, table, elems):
     return out
 
 
+def _parities(space, word):
+    deg = space.deg
+    return tuple([deg[l] % 2 for l in word])
+
+
+@lru_cache(maxsize=None)
+def _split_signs(parities, i):
+    """The (i, k-i)-unshuffles (b1, b2) of a word whose letters have
+    these parities, in the order of unshuffles(i, k), each with the
+    Koszul sign of the split: every odd letter of b1 passes the odd
+    letters of b2 that stand before it."""
+    out = []
+    for b1, b2 in unshuffles(i, len(parities)):
+        passed = sum(parities[q] for p in b1 if parities[p]
+                     for q in b2 if q < p)
+        out.append((b1, b2, -1 if passed % 2 else 1))
+    return tuple(out)
+
+
+def _insert_letter(space, g, rest):
+    """(canonical word, sign) of the word (g,) + rest for a canonical
+    rest, found by one scan: g goes before the first letter of index
+    at least its own, and the sign is (-1)^(|g| x the odd letters it
+    passes).  (None, 0) when g is odd and already in rest."""
+    index, deg = space.index, space.deg
+    ig = index[g]
+    odd = deg[g] % 2
+    passed = p = 0
+    for r in rest:
+        ir = index[r]
+        if ir >= ig:
+            if odd and ir == ig:
+                return None, 0
+            break
+        passed += deg[r] % 2
+        p += 1
+    return rest[:p] + (g,) + rest[p:], -1 if odd and passed % 2 else 1
+
+
 def insertion_sum(A, word, outer, support, lo, hi, scale=1):
     """scale * the sum over lo <= i <= hi and the (i, k-i)-unshuffles
     (b1, b2) of the word of
-        sign * outer(k - i + 1, (l_i(word|b1),) + word|b2),
-    linear in the inserted element.  outer(n, w) gives an element for
-    an arity-n word w in any order (l_n or f_n), and is zero unless n
-    lies in support.  Only the i with l_i nonzero (i in A.support) and
-    k - i + 1 in support are visited: every other term is zero by
-    arity."""
+        sign * outer_{k-i+1}((l_i(word|b1),) + word|b2),
+    linear in the inserted element.  The word must be canonical: then
+    every block word|b is canonical too, so l_i is read straight from
+    A.ops (A.l0 for i = 0), and the new word is placed by one scan.
+    outer: a table {n: {canonical word: element}} (an algebra's ops or
+    a morphism's comps, on the words of A), or None for the new word
+    itself as {canonical word: sign}; it is zero unless n lies in
+    support.  Only the i in A.support with k - i + 1 in support are
+    visited: every other term is zero by arity."""
     acc = {}
     k = len(word)
-    inner = A.support
+    space = A.space
+    parities = None
     for i in range(max(lo, 0), min(hi, k) + 1):
-        if i not in inner or k - i + 1 not in support:
+        if i not in A.support or k - i + 1 not in support:
             continue
-        for b1, b2 in unshuffles(i, k):
-            ins = A.op_word(i, tuple(word[p] for p in b1))
+        if parities is None:
+            parities = _parities(space, word)
+        inner = A.ops[i] if i else {(): A.l0}
+        table = None if outer is None else outer.get(k - i + 1, {})
+        for b1, b2, sgn in _split_signs(parities, i):
+            ins = inner.get(tuple([word[p] for p in b1]))
             if not ins:
                 continue
-            sgn = scale * split_sign(A.space, word, b1, b2)
-            rest = tuple(word[p] for p in b2)
+            rest = tuple([word[p] for p in b2])
             for g, c in ins.items():
-                vec_acc(acc, outer(k - i + 1, (g,) + rest), sgn * c)
+                cw, s = _insert_letter(space, g, rest)
+                if cw is None:
+                    continue
+                if table is None:
+                    acc_term(acc, cw, scale * sgn * s * c)
+                elif cw in table:
+                    vec_acc(acc, table[cw], scale * sgn * s * c)
     return acc
-
-
-def _word_elem(space):
-    """outer for insertion sums that keep the new word itself, as
-    {canonical word: sign}; the sum's support projects away the
-    arities above a cap."""
-    def outer(n, w):
-        cw, sgn = canonical_word(space, w)
-        return {} if cw is None else {cw: sgn}
-    return outer
 
 
 @lru_cache(maxsize=None)
@@ -132,24 +174,27 @@ def partition_sum(f, word, outer, support, acc=None, scale=1):
     blocks B_1, ..., B_t of
         sign * outer(t, [f(B_1), ..., f(B_t)]),
     where outer(t, elems) is l_t or g_t on elements, multilinear, and
-    zero unless t lies in support (a frozenset or range).  Only the
-    partitions with t in support and every block size in f.support are
-    visited, and a partition is dropped at its first block f sends to
-    zero: every other term is zero by arity."""
+    zero unless t lies in support (a frozenset or range).  The word
+    must be canonical: then every block is canonical too, so f is read
+    straight from f.comps.  Only the partitions with t in support and
+    every block size in f.support are visited, and a partition is
+    dropped at its first block f sends to zero: every other term is
+    zero by arity."""
     acc = {} if acc is None else acc
-    degs = None
+    comps = f.comps
+    parities = None
     for perm, blocks in _position_partitions(len(word), support, f.support):
         args = []
         for b in blocks:
-            v = f.comp_word(len(b), tuple(word[p] for p in b))
+            v = comps[len(b)].get(tuple([word[p] for p in b]))
             if not v:
                 break
             args.append(v)
         else:
-            if degs is None:
-                degs = [f.source.space.deg[l] for l in word]
+            if parities is None:
+                parities = _parities(f.source.space, word)
             vec_acc(acc, outer(len(blocks), args),
-                    scale * koszul_sign(degs, perm))
+                    scale * koszul_sign(parities, perm))
     return acc
 
 
@@ -366,7 +411,7 @@ def chain_complex(space, d: GradedMap, arity_cap=DEFAULT_ARITY_CAP,
 
 def quad_residual(A: LInftyAlgebra, word):
     """Left side of the quadratic relation on a canonical word."""
-    return insertion_sum(A, word, A.op_word, A.support, 0, len(word))
+    return insertion_sum(A, word, A.ops, A.support, 0, len(word))
 
 
 def check_relations(A: LInftyAlgebra, up_to=None, weight_cap=None):
@@ -409,6 +454,9 @@ class LInftyMorphism:
                                  % (k,))
             if k < 1:
                 raise ValueError("curved morphism components unsupported")
+            if k > self.arity_cap:
+                raise ValueError("component arity %d is above the arity "
+                                 "cap %d" % (k, self.arity_cap))
             tab = {}
             for word, out in table.items():
                 _check_arity("component", k, word)
@@ -468,7 +516,7 @@ class LInftyMorphism:
 
 def morphism_sides(f: LInftyMorphism, word):
     """Both sides of the morphism relation on a canonical word."""
-    return (insertion_sum(f.source, word, f.comp_word, f.support,
+    return (insertion_sum(f.source, word, f.comps, f.support,
                           0, len(word)),
             partition_sum(f, word, f.target.op_elems, f.target.support))
 
@@ -588,11 +636,10 @@ def codifferential_hat(A: LInftyAlgebra, cap=None,
     with words of arity above the cap projected away."""
     cap = cap or A.arity_cap
     space = hat_space(A, cap, include_empty)
-    words = _word_elem(A.space)
     images = {}
     for wl, word in space.words.items():
         # the curvature (i = 0) raises arity by one
-        out = insertion_sum(A, word, words, range(1, cap + 1),
+        out = insertion_sum(A, word, None, range(1, cap + 1),
                             0, len(word))
         images[wl] = {word_label(cw): c for cw, c in out.items()}
     return GradedMap(space, space, 1, images)
@@ -613,17 +660,15 @@ def hat_morphism(f: LInftyMorphism, cap=None):
 
 
 def delta_word(space, word):
-    """Comultiplication terms (w1, w2, sign) of a canonical word."""
+    """Comultiplication terms (w1, w2, sign) of a canonical word; its
+    blocks are canonical, so only the split signs are computed."""
     k = len(word)
+    parities = _parities(space, word)
     out = []
     for i in range(1, k):
-        for b1, b2 in unshuffles(i, k):
-            sgn = split_sign(space, word, b1, b2)
-            w1, s1 = canonical_word(space, tuple(word[p] for p in b1))
-            w2, s2 = canonical_word(space, tuple(word[p] for p in b2))
-            if w1 is None or w2 is None:
-                continue
-            out.append((w1, w2, sgn * s1 * s2))
+        for b1, b2, sgn in _split_signs(parities, i):
+            out.append((tuple(word[p] for p in b1),
+                        tuple(word[p] for p in b2), sgn))
     return out
 
 
@@ -709,7 +754,6 @@ def delta1_rows(A, B, m, shift=0, tag=None):
     delta1(u)(word), empty rows included.  Row keys name the unknown
     coefficient u(word')_label'."""
     tail = 1 if shift % 2 else -1
-    words = _word_elem(A.space)
     l1_cols = {}
     out = []
     for w in sym_words(A.space, m):
@@ -721,7 +765,7 @@ def delta1_rows(A, B, m, shift=0, tag=None):
         for b, img in l1_cols[d]:
             for b2, c in img.items():
                 rows[b2][(tag, w, b)] = c
-        for cw, c in insertion_sum(A, w, words, range(1, m + 1), 1, 1,
+        for cw, c in insertion_sum(A, w, None, range(1, m + 1), 1, 1,
                                    scale=tail).items():
             for b in B.space.basis_in_degree(d + 1):
                 rows[b][(tag, cw, b)] = c
@@ -802,7 +846,7 @@ def obstruction_cocycle(f: LInftyMorphism, K):
     for word in sym_words(A.space, K + 1):
         # the terms of the relation that avoid f_{K+1}: insertions of
         # l_{i >= 2}, minus the partitions into at least two blocks
-        val = insertion_sum(A, word, f.comp_word, inner, 2, K + 1)
+        val = insertion_sum(A, word, f.comps, inner, 2, K + 1)
         partition_sum(f, word, B.op_elems, outer, val, -1)
         if val:
             out[word] = val

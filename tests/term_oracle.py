@@ -7,10 +7,11 @@ weight cap are filtered out of the full word list afterwards.  Nothing
 is skipped by arity or by weight, so a term the engine in
 ``linfkit.linfty`` prunes wrongly shows up as a difference.  Words,
 set partitions, Koszul signs and word expansion are enumerated here
-independently; only the structure-constant lookups (``op_word``,
-``comp_word``, ``op_elems``, ``comp_elems``) and ``canonical_word`` are
-shared with linfkit.  The property tests in test_term_kernel.py compare
-the engine against these routines.
+independently, and every word a letter is inserted into is sorted again
+by ``canonical_word``; only the structure-constant lookups
+(``op_word``, ``comp_word``, ``op_elems``, ``comp_elems``) and
+``canonical_word`` are shared with linfkit.  The property tests in
+test_term_kernel.py compare the engine against these routines.
 """
 
 from itertools import combinations, combinations_with_replacement, product
@@ -158,6 +159,42 @@ def hat_morphism(f, cap):
             for cw, c in out.items():
                 entries[(word_label(w), word_label(cw))] = c
     return entries
+
+
+def codifferential(A, cap, include_empty=False):
+    """The entries of the coderivation extension of A's operations on
+    words of arity (0 or 1)..cap, words above the cap dropped."""
+    def new_word(n, w):
+        if n > cap:
+            return {}
+        cw, sgn = canonical_word(A.space, w)
+        return {} if cw is None else {cw: sgn}
+
+    entries = {}
+    for k in range(0 if include_empty else 1, cap + 1):
+        for w in words(A.space, k):
+            for cw, c in insertion(A, w, new_word).items():
+                entries[(word_label(w), word_label(cw))] = c
+    return entries
+
+
+def delta1(A, B, g, m, shift=0):
+    """delta1(g) = l'_1 . g + (-1)^(shift + 1) g . hat l_1 on every
+    arity-m word, nonzero values only; g: {canonical word: element}."""
+    def g_on(n, w):
+        cw, sgn = canonical_word(A.space, w)
+        return {b: sgn * c for b, c in g.get(cw, {}).items()}
+
+    tail = 1 if shift % 2 else -1
+    out = {}
+    for w in words(A.space, m):
+        val = {}
+        for b, c in g.get(w, {}).items():
+            vec_acc(val, B.op_word(1, (b,)), c)
+        vec_acc(val, insertion(A, w, g_on, 1, 1), tail)
+        if val:
+            out[w] = val
+    return out
 
 
 def obstruction_cocycle(f, K):

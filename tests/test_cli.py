@@ -162,6 +162,31 @@ def test_missing_file_exits_two(tmp_path, capsys):
                capsys)[0] == 2
 
 
+@pytest.mark.parametrize("cap", [0, -1, "2", 2.7, 2.0, True, None])
+def test_document_arity_cap_is_strict(cap, tmp_path, capsys):
+    """An arity cap in an algebra or morphism document is an integer
+    >= 1.  At cap 0 check-mor passed with nothing checked."""
+    for part in ("source", "morphism"):
+        doc = morphism_doc()
+        doc[part]["arity_cap"] = cap
+        assert cli.main(["check-mor", write(tmp_path, "m.json", doc)]) == 2
+        assert capsys.readouterr().err.startswith("input error:")
+
+
+def test_morphism_component_above_its_cap_exits_two(tmp_path, capsys):
+    doc = morphism_doc()
+    doc["morphism"]["arity_cap"] = 1
+    doc["morphism"]["comps"].append(
+        {"arity": 2, "entries": [{"word": ["x", "x"], "out": "x",
+                                  "coeff": "1"}]})
+    path = write(tmp_path, "m.json", doc)
+    assert cli.main(["check-mor", path]) == 2
+    assert "above the arity cap 1" in capsys.readouterr().err
+    doc["morphism"]["arity_cap"] = 2
+    path = write(tmp_path, "m.json", doc)
+    assert run(["check-mor", path], capsys)[0] == 1
+
+
 def test_cap_guard_exits_three(tmp_path, capsys):
     path = write(tmp_path, "a.json", algebra_doc())
     assert run(["check-linfty", path, "--cap-arity", "9"],
@@ -296,6 +321,29 @@ def test_fill_homotopy_verb_builds_cylinder(tmp_path, capsys, monkeypatch):
     path = write(tmp_path, "a.json", doc)
     for argv in ([], ["--seed", "3"]):
         code, out = run(["fill-homotopy", path] + argv, capsys)
+        assert code == 0
+        assert json.loads(out)["verdict"] == "pass"
+    assert seen == [0, 3]
+
+
+@pytest.mark.parametrize("verb, name", [
+    ("whitehead", "whitehead_inverse"),
+    ("model-over", "model_morphism_over")])
+def test_seed_reaches_whitehead_and_model_over(verb, name, tmp_path, capsys,
+                                               monkeypatch):
+    """--seed is the tie-break of the inversion and of the model
+    morphism (0 without it)."""
+    seen = []
+    real = getattr(cli.htpy_mod, name)
+
+    def spy(*args, **kwargs):
+        seen.append(kwargs.get("tie_break", 0))
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(cli.htpy_mod, name, spy)
+    path = write(tmp_path, "m.json", morphism_doc())
+    for argv in ([], ["--seed", "3"]):
+        code, out = run([verb, path] + argv, capsys)
         assert code == 0
         assert json.loads(out)["verdict"] == "pass"
     assert seen == [0, 3]

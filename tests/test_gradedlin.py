@@ -20,8 +20,9 @@ from linfkit.gradedlin import (CapError, CohomologyError, Echelon,
                                echelon_of, euler_check, in_span, koszul_sign,
                                matrix_rank, nullspace, rref, scalar_from_str,
                                scalar_to_str, solve_canonical, solve_sparse,
-                               split_sign, sym_words, unshuffles, vec_add,
-                               vec_scale, word_degree)
+                               sym_words, unshuffles, vec_add, vec_scale,
+                               word_degree)
+from linfkit.linfty import _split_signs
 
 import dense_oracle
 from dense_oracle import matmul
@@ -529,11 +530,11 @@ def test_sym_words_count():
 
 
 def test_split_sign_matches_koszul():
-    S = GradedSpace([("x", 1), ("y", 1), ("z", 1)])
-    w = ("x", "y", "z")
-    # splitting (positions 1,2 | 0) reorders odd letters
-    assert split_sign(S, w, (1, 2), (0,)) == koszul_sign([1, 1, 1],
-                                                         [1, 2, 0])
+    # the split signs of three odd letters: splitting (positions 1,2 | 0)
+    # reorders odd letters
+    signs = {(b1, b2): s for b1, b2, s in _split_signs((1, 1, 1), 2)}
+    assert signs[(1, 2), (0,)] == koszul_sign([1, 1, 1], [1, 2, 0]) == 1
+    assert signs[(0, 2), (1,)] == koszul_sign([1, 1, 1], [0, 2, 1]) == -1
 
 
 def test_cohomology_oracle():

@@ -194,6 +194,25 @@ def test_whitehead_inverse_full():
     assert gf.comps[1] == LInftyMorphism.identity(f.source).comps[1]
 
 
+@pytest.mark.parametrize("seed", range(1, 6))
+def test_whitehead_seeded_certificate_verifies(seed):
+    """A tie-break seed picks other free variables in every linear
+    stage of the inversion, both cylinder fills included; every such
+    certificate verifies."""
+    f = qiso_between_pairs()
+    cert = whitehead_inverse(f, K=3, tie_break=seed)
+    rep = cert.verify()
+    assert rep.ok, rep.to_json()
+    assert cert.reverse is not None
+
+
+def test_whitehead_seed_changes_the_inverse():
+    f = qiso_between_pairs()
+    base = whitehead_inverse(f, K=3).g.comps
+    assert any(whitehead_inverse(f, K=3, tie_break=s).g.comps != base
+               for s in range(1, 6))
+
+
 def test_whitehead_zero_map_between_acyclics():
     # the zero morphism between acyclic algebras is a quasi-isomorphism
     # and admits an inverse up to homotopy
@@ -229,6 +248,21 @@ def test_model_morphism_over():
     lhs = FF.f1_map().compose(m1.incl)
     rhs = m2.incl.compose(f.f1_map())
     assert lhs.add(rhs.scale(F(-1))).is_zero()
+
+
+@pytest.mark.parametrize("seed", range(1, 6))
+def test_model_morphism_over_seeded(seed):
+    """A tie-break seed gives another morphism of the same models, still
+    compatible with both evaluations."""
+    f = qiso_between_pairs()
+    M1 = fill_n_homotopy([LInftyMorphism.identity(f.source)] * 2, K=3)
+    M2 = fill_n_homotopy([LInftyMorphism.identity(f.target)] * 2, K=3)
+    FF = model_morphism_over(f, M1, M2, K=3, tie_break=seed)
+    assert FF.comps != model_morphism_over(f, M1, M2, K=3).comps
+    assert check_morphism(FF, up_to=3).ok
+    m1, m2 = as_interval_model(M1), as_interval_model(M2)
+    for e1, e2 in ((m1.ev0, m2.ev0), (m1.ev1, m2.ev1)):
+        assert _comps_equal(compose(e2, FF), compose(f, e1), 3)
 
 
 def test_model_morphism_endpoint_validation():

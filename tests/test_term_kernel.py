@@ -1,22 +1,31 @@
 """Differential tests of the pruned term kernel against term_oracle.py.
 
-The engine skips insertion and partition terms that are zero by arity
-and enumerates only the words within a weight cap.  The oracle sums
-every term and filters full word lists.  On random small algebras and
-morphisms, with gapped arity supports, curvature, and zero, negative or
-missing weights, both must give the same failures (words and residuals,
-in order), the same checked counts and the same maps.
+The engine skips insertion and partition terms that are zero by arity,
+enumerates only the words within a weight cap, and never sorts a word
+again: every block of a canonical word is canonical, split signs come
+from the letters' parities, and an inserted letter is placed by one
+scan.  The oracle sums every term, filters full word lists and sorts
+every word it builds.  On random small algebras and morphisms, with odd
+generators, gapped arity supports, curvature, and zero, negative or
+missing weights, both must give the same failures (words and
+residuals, in order), the same checked counts and the same maps.
 """
 
+import sys
 from fractions import Fraction as F
+from itertools import product
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from linfkit.gradedlin import GradedSpace, sym_words, word_degree, words_within
-from linfkit.linfty import (LInftyAlgebra, LInftyMorphism, check_morphism,
-                            check_relations, compose, hat_morphism,
-                            obstruction_cocycle)
+from linfkit import linfty
+from linfkit.gradedlin import (UNSHUFFLE_CAP, GradedSpace, canonical_word,
+                               koszul_sign, sym_words, unshuffles,
+                               word_degree, words_within)
+from linfkit.linfty import (LInftyAlgebra, LInftyMorphism, _insert_letter,
+                            _split_signs, check_morphism, check_relations,
+                            codifferential_hat, compose, delta1,
+                            hat_morphism, obstruction_cocycle)
 
 import term_oracle
 
@@ -151,3 +160,88 @@ def test_hat_morphism_matches_oracle(f, cap):
 @given(morphisms(curved=False), st.integers(1, 2))
 def test_obstruction_cocycle_matches_oracle(f, K):
     assert obstruction_cocycle(f, K) == term_oracle.obstruction_cocycle(f, K)
+
+
+@PROPERTY
+@given(algebras(), st.integers(1, 3), st.booleans())
+def test_codifferential_matches_oracle(A, cap, include_empty):
+    assert codifferential_hat(A, cap=cap,
+                              include_empty=include_empty).entries == \
+        term_oracle.codifferential(A, cap, include_empty)
+
+
+@PROPERTY
+@given(st.data(), st.integers(1, 3), st.sampled_from([0, 1]))
+def test_delta1_matches_oracle(data, m, shift):
+    A = data.draw(algebras())
+    B = data.draw(algebras())
+    g = draw_table(data.draw, A.space, B.space, [m], shift)[m]
+    assert delta1(A, B, g, m, shift) == term_oracle.delta1(A, B, g, m, shift)
+
+
+def check_split_signs(parities, i):
+    got = _split_signs(parities, i)
+    assert [(b1, b2) for b1, b2, _ in got] == \
+        list(unshuffles(i, len(parities)))
+    for b1, b2, sign in got:
+        assert sign == koszul_sign(parities, b1 + b2)
+
+
+def test_split_signs_match_koszul_sign():
+    """Every parity pattern of up to 8 letters and every split."""
+    for k in range(9):
+        for parities in product((0, 1), repeat=k):
+            for i in range(k + 1):
+                check_split_signs(parities, i)
+
+
+@PROPERTY
+@given(st.lists(st.integers(0, 1), min_size=9, max_size=UNSHUFFLE_CAP),
+       st.data())
+def test_split_signs_match_koszul_sign_up_to_the_cap(parities, data):
+    check_split_signs(tuple(parities),
+                      data.draw(st.integers(0, len(parities))))
+
+
+@PROPERTY
+@given(spaces())
+def test_insert_letter_matches_canonical_word(space):
+    """Every letter into every canonical word of arity <= 3: odd letters
+    already present give zero, equal even letters repeat."""
+    for k in range(4):
+        for rest in sym_words(space, k):
+            for g in space.labels:
+                assert _insert_letter(space, g, rest) == \
+                    canonical_word(space, (g,) + rest)
+
+
+def test_insertion_path_sorts_no_word(monkeypatch):
+    """Kernel words are canonical, so check_relations and check_morphism
+    sort no word under insertion_sum; the partition side still expands
+    elements through canonical_word."""
+    real = linfty.canonical_word
+    under_insertion = []
+
+    def spy(space, labels):
+        frame, names = sys._getframe(1), set()
+        while frame is not None:
+            names.add(frame.f_code.co_name)
+            frame = frame.f_back
+        under_insertion.append("insertion_sum" in names)
+        return real(space, labels)
+
+    monkeypatch.setattr(linfty, "canonical_word", spy)
+    S = GradedSpace([("a", 0), ("b", 1), ("c", 1), ("e", 2)])
+    A = LInftyAlgebra(S, {1: {("a",): {"b": F(1)}, ("b",): {"e": F(1)},
+                              ("c",): {"e": F(-1)}},
+                          2: {("a", "b"): {"e": F(2)},
+                              ("a", "c"): {"e": F(1)}},
+                          3: {("a", "a", "a"): {"c": F(1, 2)}}},
+                      l0={"b": F(1)}, arity_cap=3)
+    f = LInftyMorphism(A, A, {1: {(x,): {x: F(1)} for x in S.labels},
+                              2: {("a", "a"): {"a": F(1)},
+                                  ("b", "c"): {"e": F(1)}}}, arity_cap=3)
+    assert check_relations(A).failures
+    assert not any(under_insertion)
+    assert check_morphism(f).failures
+    assert under_insertion and not any(under_insertion)
