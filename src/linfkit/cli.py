@@ -109,20 +109,9 @@ def str_list(name, value):
     return value
 
 
-def load_algebra(doc):
-    if isinstance(doc, dict) and "arity_cap" in doc:
-        int_field("arity_cap", doc["arity_cap"], 1)
-    return linfty_mod.LInftyAlgebra.from_json(doc)
-
-
-def load_morphism(doc, src, tgt, where):
-    expect(doc, where, ("comps",), ("arity_cap",))
-    cap = min(src.arity_cap, tgt.arity_cap)
-    if "arity_cap" in doc:
-        cap = int_field(where + ".arity_cap", doc["arity_cap"], 1)
-    return linfty_mod.LInftyMorphism(
-        src, tgt, linfty_mod.blocks_from_json(doc["comps"], where + ".comps"),
-        arity_cap=cap)
+# the library readers hold the document rules, arity caps included
+load_algebra = linfty_mod.LInftyAlgebra.from_json
+load_morphism = linfty_mod.LInftyMorphism.from_json
 
 
 # ---------------------------------------------------------------------------

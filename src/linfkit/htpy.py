@@ -28,18 +28,24 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .gradedlin import (Echelon, GradedMap, GradedSpace, LinearSystem,
-                        acc_term, solve_sparse, sym_words, vec_acc,
-                        word_degree)
-from .linfty import (CheckReport, LInftyAlgebra, LInftyMorphism,
-                     check_morphism, check_relations, compose,
-                     delta1_equations, expand_canonical, insertion_sum,
+                        acc_term, sym_words, vec_acc, word_degree)
+from .linfty import (CheckReport, LInftyAlgebra, LInftyMorphism, add_rows,
+                     chain_complex, check_morphism, check_relations,
+                     compose, delta1_equations, delta1_rows, insertion_sum,
                      is_quasi_iso, map_unknowns, obstruction_cocycle,
-                     partition_sum, solution_table)
+                     partition_sum, post_rows, pre_rows, solution_table)
 from .simplexmodel import SimplexModel, build_model
 
 
 class FillError(RuntimeError):
     """A linear stage of a homotopy construction is unsolvable."""
+
+
+def _row_difference(rows, minus):
+    """rows - minus for two row streams (word, label, row) that name
+    the same (word, label) pairs in the same order."""
+    return ((w, b, vec_acc(dict(r), s, -1))
+            for (w, b, r), (_, _, s) in zip(rows, minus))
 
 
 def _comps_equal(a, b, cap):
@@ -382,32 +388,19 @@ def fill_n_homotopy(fs, boundary=None, K=2, tie_break=0):
     ops = {1: l1_tab} if l1_tab else {}
     cyl = LInftyAlgebra(cyl_space, ops, arity_cap=max(K, 1))
 
-    # --- contracting extension: d A + A d = id on the kernel
+    # --- contracting extension: delta1(A) = d A + A d = id on the
+    # kernel complex, A of degree -1
+    kspace = GradedSpace([(k, kvecs[k][1]) for k in korder])
+    kcx = chain_complex(kspace, GradedMap(kspace, kspace, 1, d_ker))
     sysA = LinearSystem(tie_break)
-    for ki in korder:
-        for kj in korder:
-            if kvecs[kj][1] == kvecs[ki][1] - 1:
-                sysA.var((ki, kj))
-    for ki in korder:
-        degi = kvecs[ki][1]
-        for kt in korder:
-            if kvecs[kt][1] != degi:
-                continue
-            coeffs = {}
-            for kj in korder:
-                if kvecs[kj][1] == degi - 1:
-                    acc_term(coeffs, (ki, kj), d_ker[kj].get(kt, 0))
-            for kj, c in d_ker[ki].items():
-                if ((kj, kt)) in sysA.index:
-                    acc_term(coeffs, (kj, kt), c)
-            sysA.equation(coeffs, Fraction(1) if kt == ki else Fraction(0))
+    map_unknowns(sysA, kcx, kcx, 1, "A", shift=-1)
+    delta1_equations(sysA, kcx, kcx, 1, "A",
+                     {(k,): {k: 1} for k in korder}, shift=-1)
     Asol = sysA.solve()
     if Asol is None:
         raise FillError("no contracting extension on the boundary kernel "
                         "(the kernel complex is not acyclic)")
-    Amap = {}
-    for (ki, kj), c in Asol.items():
-        Amap.setdefault(ki, {})[kj] = c
+    Amap = solution_table(Asol, "A")
 
     # --- evaluations, inclusion, and the linear homotopy component
     evals = {}
@@ -418,7 +411,7 @@ def fill_n_homotopy(fs, boundary=None, K=2, tie_break=0):
             vec, deg = kvecs[k]
             f1["x|" + k] = untag_vec(J, vec)
             avec = {}
-            for kj, c in Amap.get(k, {}).items():
+            for kj, c in Amap.get((k,), {}).items():
                 vec_acc(avec, kvecs[kj][0], c)
             f1["y|" + k] = untag_vec(J, avec)
         comps = {1: {(a,): v for a, v in f1.items() if v}}
@@ -496,6 +489,7 @@ def _solve_cylinder_operation(cyl, m, faces, face_alg, evals, incl, hbar,
     and (d) the inclusion morphism relation.  Returns the algebra with
     the new operation installed."""
     space = cyl.space
+    words = sym_words(space, m)
     sys = LinearSystem(tie_break)
     map_unknowns(sys, cyl, cyl, m, "l", shift=1)
 
@@ -503,49 +497,31 @@ def _solve_cylinder_operation(cyl, m, faces, face_alg, evals, incl, hbar,
     arities = cyl.support
     rhs_rel = {w: insertion_sum(cyl, w, cyl.ops, arities, 2, m - 1,
                                  scale=-1)
-               for w in sym_words(space, m)}
+               for w in words}
     delta1_equations(sys, cyl, cyl, m, "l", rhs_rel, shift=1)
 
-    # (b) evaluation compatibility with each face model, one row per
-    # target generator u built from ev1's nonzero entries into u (an
-    # empty row still carries its right-hand side)
+    # (b) evaluation compatibility with each face model: ev1 . l_m =
+    # l_m of the face on the images of ev1
     for J in faces:
         ev1 = evals[J].f1_map().images
-        into = {}
-        for t, img in ev1.items():
-            for u, c in img.items():
-                into.setdefault(u, {})[t] = c
         tgt = face_alg[J]
-        for w in sym_words(space, m):
-            want = tgt.op_elems(m, [ev1.get(a, {}) for a in w])
-            d = word_degree(space, w) + 1
-            for u in tgt.space.basis_in_degree(d):
-                sys.equation({("l", w, t): c
-                              for t, c in into.get(u, {}).items()},
-                             want.get(u, 0))
+        add_rows(sys, post_rows(cyl, tgt, m, "l", ev1, shift=1),
+                 {w: tgt.op_elems(m, [ev1.get(a, {}) for a in w])
+                  for w in words})
 
     # (c) the homotopy morphism relation at arity m: l_m on the linear
     # parts equals the known terms
-    h1 = hbar.f1_map().images
     below = arities & frozenset(range(1, m))
+    rhs = {}
     for v in sym_words(C0.space, m):
-        rhs = insertion_sum(C0, v, hbar.comps, hbar.support, 1, m)
-        partition_sum(hbar, v, cyl.op_elems, below, rhs, -1)
-        expanded = expand_canonical(space, [h1.get(a, {}) for a in v])
-        for t in space.basis_in_degree(word_degree(C0.space, v) + 1):
-            sys.equation({("l", cw, t): c for cw, c in expanded.items()},
-                         rhs.get(t, 0))
+        rhs[v] = insertion_sum(C0, v, hbar.comps, hbar.support, 1, m)
+        partition_sum(hbar, v, cyl.op_elems, below, rhs[v], -1)
+    add_rows(sys, pre_rows(C0, cyl, cyl, m, "l", hbar.f1_map().images,
+                           shift=1), rhs)
 
     # (d) the inclusion of constants stays a strict morphism
-    incl1 = incl.images
-    for w in sym_words(C.space, m):
-        want = {}
-        for b, c in C.op_word(m, w).items():
-            vec_acc(want, incl1.get(b, {}), c)
-        expanded = expand_canonical(space, [incl1.get(a, {}) for a in w])
-        for t in space.basis_in_degree(word_degree(C.space, w) + 1):
-            sys.equation({("l", cw, t): c for cw, c in expanded.items()},
-                         want.get(t, 0))
+    add_rows(sys, pre_rows(C, cyl, cyl, m, "l", incl.images, shift=1),
+             {w: incl.apply(C.op_word(m, w)) for w in sym_words(C.space, m)})
 
     sol = sys.solve()
     if sol is None:
@@ -568,47 +544,22 @@ def chain_inverse(f, tie_break=0):
     hprime d.  Canonical exact solve (see LinearSystem for the
     tie-break)."""
     C1, C2 = f.source, f.target
-    d1 = C1.ops.get(1, {})
-    d2 = C2.ops.get(1, {})
-
-    def dmap(ops1, lab):
-        return ops1.get((lab,), {})
-
     sys = LinearSystem(tie_break)
-    for a in C2.space.labels:
-        for b in C1.space.basis_in_degree(C2.space.deg[a]):
-            sys.var(("g", a, b))
-    for x in C1.space.labels:
-        for u in C1.space.basis_in_degree(C1.space.deg[x] - 1):
-            sys.var(("h", x, u))
-    # chain map: g d2 - d1 g = 0
-    for a in C2.space.labels:
-        d = C2.space.deg[a]
-        for y in C1.space.basis_in_degree(d + 1):
-            coeffs = {}
-            for ap, c in dmap(d2, a).items():
-                acc_term(coeffs, ("g", ap, y), c)
-            for b in C1.space.basis_in_degree(d):
-                acc_term(coeffs, ("g", a, b), -dmap(d1, b).get(y, 0))
-            sys.equation(coeffs)
-    # homotopy: g f1 - id = d1 h + h d1
-    f1 = {x: f.comp_word(1, (x,)) for x in C1.space.labels}
-    for x in C1.space.labels:
-        d = C1.space.deg[x]
-        for y in C1.space.basis_in_degree(d):
-            coeffs = {}
-            for a, c in f1[x].items():
-                acc_term(coeffs, ("g", a, y), c)
-            for u in C1.space.basis_in_degree(d - 1):
-                acc_term(coeffs, ("h", x, u), -dmap(d1, u).get(y, 0))
-            for xp, c in dmap(d1, x).items():
-                acc_term(coeffs, ("h", xp, y), -c)
-            sys.equation(coeffs, Fraction(1) if y == x else Fraction(0))
+    map_unknowns(sys, C2, C1, 1, "g")
+    map_unknowns(sys, C1, C1, 1, "h", shift=-1)
+    # chain map: delta1(g) = 0
+    delta1_equations(sys, C2, C1, 1, "g", {})
+    # homotopy: g f1 - delta1(h) = id
+    add_rows(sys, _row_difference(
+        pre_rows(C1, C2, C1, 1, "g", f.f1_map().images),
+        delta1_rows(C1, C1, 1, -1, "h")),
+        {(x,): {x: 1} for x in C1.space.labels})
     sol = sys.solve()
     if sol is None:
         raise FillError("no chain-level inverse (is the map a "
                         "quasi-isomorphism?)")
-    return solution_table(sol, "g"), solution_table(sol, "h")
+    return tuple({a: v for (a,), v in solution_table(sol, tag).items()}
+                 for tag in ("g", "h"))
 
 
 class WhiteheadCertificate:
@@ -681,8 +632,8 @@ def whitehead_inverse(f, K=3, model=None, with_reverse=True, tie_break=0):
     cylinder, a filling homotopy from f . g to the identity is attached.
     tie_break: seed of the free-variable choice in every LinearSystem
     and both cylinder fills (see LinearSystem); 0 is the canonical one.
-    The per-generator lifts of the chain homotopy into the model
-    (solve_sparse) stay canonical.
+    The lift of the chain homotopy into the model is one canonical
+    solve at every seed; it is block-diagonal by generator.
     """
     C1, C2 = f.source, f.target
     if not (C1.is_strict and C2.is_strict):
@@ -711,27 +662,20 @@ def whitehead_inverse(f, K=3, model=None, with_reverse=True, tie_break=0):
     # lift the chain homotopy into the model: ev0 hpp = 0, ev1 hpp = h'
     ev0_cols = model.ev0.f1_map().images
     ev1_cols = model.ev1.f1_map().images
-    hpp = {}
-    for x in C1.space.labels:
-        d = C1.space.deg[x] - 1
-        basis = M.space.basis_in_degree(d)
-        rows, rhs = [], []
-        for ev_cols, want in ((ev0_cols, {}), (ev1_cols, hprime.get(x, {}))):
-            eqs = {y: {} for y in C1.space.basis_in_degree(d)}
-            for j, t in enumerate(basis):
-                for y, c in ev_cols.get(t, {}).items():
-                    eqs[y][j] = c
-            rows.extend(eqs.values())
-            rhs.extend(want.get(y, Fraction(0)) for y in eqs)
-        sol = solve_sparse(rows, rhs, len(basis))
-        if sol is None:
-            raise FillError("cannot lift the chain homotopy into the "
-                            "model (joint evaluation not surjective)")
-        hpp[x] = {t: c for t, c in zip(basis, sol) if c != 0}
+    sys = LinearSystem()
+    map_unknowns(sys, C1, M, 1, "hpp", shift=-1)
+    add_rows(sys, post_rows(C1, C1, 1, "hpp", ev0_cols, shift=-1), {})
+    add_rows(sys, post_rows(C1, C1, 1, "hpp", ev1_cols, shift=-1),
+             {(x,): v for x, v in hprime.items()})
+    sol = sys.solve()
+    if sol is None:
+        raise FillError("cannot lift the chain homotopy into the "
+                        "model (joint evaluation not surjective)")
+    hpp = {x: v for (x,), v in solution_table(sol, "hpp").items()}
     incl1 = model.incl.images
     h1 = {}
     for x in C1.space.labels:
-        val = vec_acc(dict(incl1.get(x, {})), M.op_elems(1, [hpp[x]]))
+        val = vec_acc(dict(incl1.get(x, {})), M.op_elems(1, [hpp.get(x, {})]))
         for xp, c in C1.op_word(1, (x,)).items():
             vec_acc(val, hpp.get(xp, {}), c)
         if val:
@@ -741,7 +685,7 @@ def whitehead_inverse(f, K=3, model=None, with_reverse=True, tie_break=0):
     h = LInftyMorphism(C1, M, {1: {(x,): v for x, v in h1.items() if v}},
                        arity_cap=K)
 
-    f1 = {x: f.comp_word(1, (x,)) for x in C1.space.labels}
+    f1 = f.f1_map().images
     for m in range(2, K + 1):
         sys = LinearSystem(tie_break)
         map_unknowns(sys, C2, C1, m, "g")
@@ -750,19 +694,12 @@ def whitehead_inverse(f, K=3, model=None, with_reverse=True, tie_break=0):
         delta1_equations(sys, C1, M, m, "h", obstruction_cocycle(h, m - 1))
         # endpoint 0: ev0 h_m = 0; endpoint 1: ev1 h_m - g_m f1^m equals
         # the known terms of (g f)_m
-        for w in sym_words(C1.space, m):
-            d = word_degree(C1.space, w)
-            known = partition_sum(f, w, g.comp_elems,
-                                  g.support & frozenset(range(1, m)))
-            gexp = expand_canonical(C2.space, [f1[a] for a in w])
-            basis = M.space.basis_in_degree(d)
-            for y in C1.space.basis_in_degree(d):
-                sys.equation({("h", w, t): ev0_cols.get(t, {}).get(y, 0)
-                              for t in basis})
-                coeffs = {("h", w, t): ev1_cols.get(t, {}).get(y, 0)
-                          for t in basis}
-                coeffs.update((("g", cw, y), -c) for cw, c in gexp.items())
-                sys.equation(coeffs, known.get(y, 0))
+        add_rows(sys, post_rows(C1, C1, m, "h", ev0_cols), {})
+        lower = g.support & frozenset(range(1, m))
+        add_rows(sys, _row_difference(post_rows(C1, C1, m, "h", ev1_cols),
+                                      pre_rows(C1, C2, C1, m, "g", f1)),
+                 {w: partition_sum(f, w, g.comp_elems, lower)
+                  for w in sym_words(C1.space, m)})
         sol = sys.solve()
         if sol is None:
             raise FillError("inversion blocked at arity %d" % m)
@@ -807,8 +744,6 @@ def model_morphism_over(f, model1, model2, K=2, tie_break=0):
     A1, A2 = M1.algebra, M2.algebra
     evs1 = {0: M1.ev0.f1_map().images, 1: M1.ev1.f1_map().images}
     evs2 = {0: M2.ev0.f1_map().images, 1: M2.ev1.f1_map().images}
-    incl1 = M1.incl.images
-    incl2 = M2.incl.images
     F = None
     for m in range(1, K + 1):
         sys = LinearSystem(tie_break)
@@ -817,23 +752,13 @@ def model_morphism_over(f, model1, model2, K=2, tie_break=0):
         delta1_equations(sys, A1, A2, m, "F", O)
         # vertex evaluation compatibility: ev_j F_m = f_m ev_j^{x m}
         for j in (0, 1):
-            for w in sym_words(A1.space, m):
-                d = word_degree(A1.space, w)
-                want = f.comp_elems(m, [evs1[j].get(a, {}) for a in w])
-                for y in f.target.space.basis_in_degree(d):
-                    sys.equation({("F", w, t): evs2[j].get(t, {}).get(y, 0)
-                                  for t in A2.space.basis_in_degree(d)},
-                                 want.get(y, 0))
+            add_rows(sys, post_rows(A1, f.target, m, "F", evs2[j]),
+                     {w: f.comp_elems(m, [evs1[j].get(a, {}) for a in w])
+                      for w in sym_words(A1.space, m)})
         # inclusion compatibility: F_m (incl1)^{x m} = incl2 f_m
-        for w in sym_words(f.source.space, m):
-            want = {}
-            for b, c in f.comp_word(m, w).items():
-                vec_acc(want, incl2.get(b, {}), c)
-            expanded = expand_canonical(A1.space,
-                                        [incl1.get(a, {}) for a in w])
-            for t in A2.space.basis_in_degree(word_degree(f.source.space, w)):
-                sys.equation({("F", cw, t): c for cw, c in expanded.items()},
-                             want.get(t, 0))
+        add_rows(sys, pre_rows(f.source, A1, A2, m, "F", M1.incl.images),
+                 {w: M2.incl.apply(f.comp_word(m, w))
+                  for w in sym_words(f.source.space, m)})
         sol = sys.solve()
         if sol is None:
             raise FillError("no model morphism component at arity %d" % m)

@@ -235,6 +235,15 @@ class CheckReport:
                                         "pass" if self.ok else "FAIL")
 
 
+def _arity_cap(cap):
+    """An arity cap: an integer >= 1 (not a bool), ValueError
+    otherwise."""
+    if isinstance(cap, bool) or not isinstance(cap, int) or cap < 1:
+        raise ValueError("arity_cap must be an integer >= 1, got %r"
+                         % (cap,))
+    return cap
+
+
 def _check_arity(what, k, word):
     if len(word) != k:
         raise ValueError("arity-%d %s on the word %r" % (k, what, word))
@@ -309,7 +318,7 @@ class LInftyAlgebra:
     def __init__(self, space, ops, l0=None, arity_cap=DEFAULT_ARITY_CAP,
                  weights=None, jet=None):
         self.space = space
-        self.arity_cap = int(arity_cap)
+        self.arity_cap = _arity_cap(arity_cap)
         self.jet = jet
         self.l0 = {k: Fraction(v) for k, v in (l0 or {}).items()
                    if Fraction(v) != 0}
@@ -445,8 +454,9 @@ class LInftyMorphism:
     def __init__(self, source, target, comps, arity_cap=None):
         self.source = source
         self.target = target
-        self.arity_cap = int(arity_cap if arity_cap is not None
-                             else min(source.arity_cap, target.arity_cap))
+        self.arity_cap = _arity_cap(
+            min(source.arity_cap, target.arity_cap) if arity_cap is None
+            else arity_cap)
         clean = {}
         for k, table in comps.items():
             if type(k) is not int:
@@ -477,6 +487,18 @@ class LInftyMorphism:
         self.comps = clean
         # the arities k with f_k nonzero
         self.support = frozenset(k for k, t in clean.items() if t)
+
+    @classmethod
+    def from_json(cls, doc, source, target, where):
+        """The morphism of a document {"comps": blocks, "arity_cap"?};
+        the cap defaults to the smaller cap of the two algebras."""
+        expect(doc, where, ("comps",), ("arity_cap",))
+        cap = doc.get("arity_cap", min(source.arity_cap, target.arity_cap))
+        # checked here too: a null cap in a document is refused, while
+        # the constructor reads None as the default
+        return cls(source, target,
+                   blocks_from_json(doc["comps"], where + ".comps"),
+                   arity_cap=_arity_cap(cap))
 
     @classmethod
     def from_linear(cls, source, target, f1_entries, arity_cap=None):
@@ -752,10 +774,10 @@ def delta1_rows(A, B, m, shift=0, tag=None):
     as rows (word, label, {(tag, word', label'): coeff}): one per
     canonical arity-m word of A and label of B in the degree of
     delta1(u)(word), empty rows included.  Row keys name the unknown
-    coefficient u(word')_label'."""
+    coefficient u(word')_label'.  The rows are yielded word by word, so
+    a caller that writes them into a system never holds them all."""
     tail = 1 if shift % 2 else -1
     l1_cols = {}
-    out = []
     for w in sym_words(A.space, m):
         d = word_degree(A.space, w) + shift
         rows = {b2: {} for b2 in B.space.basis_in_degree(d + 1)}
@@ -769,8 +791,8 @@ def delta1_rows(A, B, m, shift=0, tag=None):
                                    scale=tail).items():
             for b in B.space.basis_in_degree(d + 1):
                 rows[b][(tag, cw, b)] = c
-        out += [(w, b2, row) for b2, row in rows.items()]
-    return out
+        for b2, row in rows.items():
+            yield w, b2, row
 
 
 def delta1(A, B, g, m, shift=0):
@@ -794,11 +816,45 @@ def map_unknowns(sys, A, B, m, tag, shift=0):
             sys.var((tag, w, b))
 
 
+def post_rows(A, C, m, tag, psi, shift=0):
+    """psi . u for an unknown u: S^m A -> B of degree shift and a known
+    degree-0 linear map psi: B -> C given by its images {label of B:
+    {label of C: coeff}}, as rows like delta1_rows: one per canonical
+    arity-m word of A and label of C in degree |word| + shift, empty
+    rows included, yielded.  psi is transposed once, so each row holds
+    only its nonzero entries."""
+    into = {}
+    for t, img in psi.items():
+        for y, c in img.items():
+            into.setdefault(y, {})[t] = c
+    for w in sym_words(A.space, m):
+        for y in C.space.basis_in_degree(word_degree(A.space, w) + shift):
+            yield w, y, {(tag, w, t): c for t, c in into.get(y, {}).items()}
+
+
+def pre_rows(D, A, B, m, tag, phi, shift=0):
+    """u . phi^{x m} for an unknown u: S^m A -> B of degree shift and a
+    known degree-0 linear map phi: D -> A given by its images, as rows
+    like delta1_rows: one per canonical arity-m word of D and label of
+    B in degree |word| + shift, empty rows included, yielded."""
+    for v in sym_words(D.space, m):
+        expanded = expand_canonical(A.space, [phi.get(a, {}) for a in v])
+        for t in B.space.basis_in_degree(word_degree(D.space, v) + shift):
+            yield v, t, {(tag, cw, t): c for cw, c in expanded.items()}
+
+
+def add_rows(sys, rows, rhs):
+    """Write rows (word, label, row) into a LinearSystem as the
+    equations row = rhs[word][label]; rhs: {word: element}, missing
+    entries zero."""
+    for w, b, row in rows:
+        sys.equation(row, rhs.get(w, {}).get(b, 0))
+
+
 def delta1_equations(sys, A, B, m, tag, rhs, shift=0):
     """Equations delta1(u) = rhs for the unknown map registered under
     tag; rhs: {word: element}."""
-    for w, b2, row in delta1_rows(A, B, m, shift, tag):
-        sys.equation(row, rhs.get(w, {}).get(b2, 0))
+    add_rows(sys, delta1_rows(A, B, m, shift, tag), rhs)
 
 
 def solution_table(sol, tag):

@@ -1,0 +1,130 @@
+"""Pinned digests of the full constructions behind the homotopy verbs.
+
+The `fill-homotopy`, `whitehead` and `model-over` reports omit most of
+what they build: a fill report names no cylinder operation and no
+evaluation map, and a Whitehead report omits the homotopy, the interval
+model and the reverse filling.  A refactor of the linear stages could
+change any of them and keep every report byte.  So this test builds
+each construction of the bench documents at two tie-break seeds and
+compares a sha256 of its canonical JSON with a recorded value:
+
+- fill: the cylinder algebra, every evaluation, the inclusion of
+  constants and the filling homotopy, edge fills included;
+- whitehead: the inverse g, the homotopy h, the interval model (algebra,
+  both evaluations, inclusion) and the reverse filling;
+- model-over: the model morphism F.
+
+Seed 0 is the canonical solution and seed 3 a permuted tie-break, so
+both the unknown registration order and the row space are pinned.
+"""
+
+import hashlib
+import json
+from pathlib import Path
+
+import pytest
+
+from linfkit import cli, htpy
+from linfkit.gradedlin import dumps_canonical
+
+JOBS = Path(__file__).resolve().parents[1] / "bench" / "jobs"
+
+
+def caps(seed, weight=None):
+    return {"arity": None, "jet": None, "weight": weight, "simp": None,
+            "seed": seed}
+
+
+def load(name, loader, c):
+    return loader(json.loads((JOBS / name).read_text()), c)
+
+
+def filling_json(model):
+    doc = {"algebra": model.algebra.to_json(),
+           "evals": {htpy._jtag(J): model.evals[J].to_json()
+                     for J in model.face_keys()},
+           "incl": model.incl.to_json(),
+           "hbar": model.hbar.to_json()}
+    if model.n == 2:
+        doc["edges"] = {htpy._jtag(J): filling_json(model.boundary[J])
+                        for J in model.face_keys()}
+    return doc
+
+
+def fill_doc(name, seed):
+    fs, = load(name, cli.load_fill, caps(seed))
+    return filling_json(htpy.fill_n_homotopy(fs, K=2, tie_break=seed))
+
+
+def whitehead_doc(name, seed):
+    f, = load(name, cli.load_three_part, caps(seed))
+    cert = htpy.whitehead_inverse(f, K=3, tie_break=seed)
+    model = cert.model
+    return {"g": cert.g.to_json(), "h": cert.homotopy.to_json(),
+            "model": {"algebra": model.algebra.to_json(),
+                      "ev0": model.ev0.to_json(),
+                      "ev1": model.ev1.to_json(),
+                      "incl": model.incl.to_json()},
+            "reverse": None if cert.reverse is None
+            else filling_json(cert.reverse),
+            "notes": cert.notes}
+
+
+def model_over_doc(name, seed):
+    _, f, m1, m2 = load(name, cli.load_model_over, caps(seed, weight=8))
+    return htpy.model_morphism_over(f, m1, m2, K=2,
+                                    tie_break=seed).to_json()
+
+
+BUILD = {"fill": fill_doc, "whitehead": whitehead_doc,
+         "model-over": model_over_doc}
+
+DIGESTS = {
+    ("fill", "fill-edge-id-id", 0):
+        "a3bc5d62a8a3ab5b4275069dc74ea31c3c0e4455a6fc7abd06b7f8a59e4077da",
+    ("fill", "fill-edge-id-id", 3):
+        "b3ff42dfed52a4ef78d169a5a1affb72e76e4ff96cfdbdd9f207e41414226db7",
+    ("fill", "fill-edge-id-sign", 0):
+        "05ced5acfbe1548d51a7610a7e4bc20e30042af07054d506f8b20cf16a7a867a",
+    ("fill", "fill-edge-id-sign", 3):
+        "050034eed80093142e976b562af0eb3447b837a17f2775317c420bb5032354ba",
+    ("fill", "fill-edge-between-pairs", 0):
+        "154524308a1d455b02ea96d764332f166f4470e72a45403af0f58503b4d6c4c7",
+    ("fill", "fill-edge-between-pairs", 3):
+        "5d8678c759d903832675e436bb2c331efd13935cb9c6dd36836313a0ce651818",
+    ("fill", "fill-triangle", 0):
+        "c0ac68b012e23c5f12128bf93c7df88fe4b4c7669988a831e68c137bec20990f",
+    ("fill", "fill-triangle", 3):
+        "9293ce1fe9f35bd84d3ea2fc80af0aae5d438edb1a04f74a70a818aad1482df0",
+    ("whitehead", "whitehead-identity", 0):
+        "ca126cab57edd1f5aafe2931812452b06b33715bdb2fafca25cc42c94d6834b2",
+    ("whitehead", "whitehead-identity", 3):
+        "7b58e8521daca4163f91cdd28f58ea2a506ac06a9fdeff490b10f0d1ca324760",
+    ("whitehead", "whitehead-between-pairs", 0):
+        "5e8c4e02a35e5a002562dc152341e7953f2918a78f2d5b438e3807b9dfc16da1",
+    ("whitehead", "whitehead-between-pairs", 3):
+        "0a98fc751ba68bc1a3fa94239160b365a1dbb3708e83a3aa5b59665d6f2c20c7",
+    ("whitehead", "whitehead-sign", 0):
+        "f1a68015c5830af564fcd017549a5e9ef0ff4a0f56822192270dfaa09a2801d2",
+    ("whitehead", "whitehead-sign", 3):
+        "7b58e8521daca4163f91cdd28f58ea2a506ac06a9fdeff490b10f0d1ca324760",
+    ("whitehead", "whitehead-sum", 0):
+        "876f6fbe01a699d5376bd48c2076246fbb39dc0e0207189e403bb9361559b78a",
+    ("whitehead", "whitehead-sum", 3):
+        "1d53017fb0b7f8e971da197993a352874706ce32bd752600e0f0e0f475af7570",
+    ("whitehead", "whitehead-composite", 0):
+        "ca126cab57edd1f5aafe2931812452b06b33715bdb2fafca25cc42c94d6834b2",
+    ("whitehead", "whitehead-composite", 3):
+        "7b58e8521daca4163f91cdd28f58ea2a506ac06a9fdeff490b10f0d1ca324760",
+    ("model-over", "model-over-pair-identity", 0):
+        "9545f3729d674df0e0a4d751d352257682d12356295db3b7da18070974eb3960",
+    ("model-over", "model-over-pair-identity", 3):
+        "b5d63b8a661318ea35b9c925dc88401b56f5c019691bebed0bf8f8139ff5e72d",
+}
+
+
+@pytest.mark.parametrize("kind, name, seed", sorted(DIGESTS))
+def test_construction_digest(kind, name, seed):
+    text = dumps_canonical(BUILD[kind](name + ".json", seed))
+    got = hashlib.sha256(text.encode()).hexdigest()
+    assert got == DIGESTS[(kind, name, seed)]

@@ -401,3 +401,22 @@ def test_json_roundtrip():
     B = rand_algebra(rng, S3)
     B2 = LInftyAlgebra.from_json(B.to_json())
     assert B2.ops == B.ops
+
+
+@pytest.mark.parametrize("cap", ["2", 2.7, 2.0, True, 0, -1])
+def test_library_arity_cap_is_strict(cap):
+    """An arity cap is an integer >= 1, not a bool, in the library as
+    in the CLI: int() once read "2" and 2.7 as cap 2, and True as 1."""
+    A = dg_lie_triple()
+    doc = A.to_json()
+    doc["arity_cap"] = cap
+    with pytest.raises(ValueError, match="arity_cap"):
+        LInftyAlgebra.from_json(doc)
+    with pytest.raises(ValueError, match="arity_cap"):
+        LInftyAlgebra(A.space, {}, arity_cap=cap)
+    with pytest.raises(ValueError, match="arity_cap"):
+        LInftyMorphism(A, A, {}, arity_cap=cap)
+    with pytest.raises(ValueError, match="arity_cap"):
+        LInftyMorphism.from_json({"comps": [], "arity_cap": cap}, A, A, "f")
+    assert LInftyMorphism.from_json({"comps": []}, A, A, "f").arity_cap \
+        == A.arity_cap
