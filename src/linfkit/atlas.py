@@ -30,10 +30,10 @@ from __future__ import annotations
 import itertools
 
 from .gradedlin import expect
-from .htpy import FillError, fill_n_homotopy, _comps_equal
+from .htpy import FillError, FillingModel, fill_n_homotopy
 from .linfty import (CheckReport, LInftyMorphism, check_morphism, compose,
-                     is_quasi_iso)
-from .simplexmodel import constant_homotopy, is_homotopy
+                     comps_agree, is_quasi_iso)
+from .simplexmodel import Homotopy, constant_homotopy
 
 
 # ---------------------------------------------------------------------------
@@ -561,36 +561,25 @@ def _compatible_tuples(H, lower, k):
 # cocycle data
 
 
-class TwoCell:
-    """A filled triangle: a homotopy whose evaluation at 0 is the
-    direct edge morphism and at 1 the composite around the other two
-    edges.  kind is "constant" (the two endpoints agree and the cell is
-    the constant homotopy) or "filling" (a cylinder filling model)."""
+# A triangle's cell is a Homotopy from the direct edge morphism to the
+# composite around the other two edges: the constant homotopy in the
+# tensor model when the two agree, a cylinder filling model otherwise.
 
-    def __init__(self, kind, data, f0, f1):
-        self.kind = kind
-        self.data = data
-        self.f0 = f0
-        self.f1 = f1
 
-    def endpoint(self, i):
-        if self.kind == "constant":
-            return self.f0 if i == 0 else self.f1
-        m = self.data
-        return compose(m.eval_vertex(i), m.hbar)
+def _cell_report(cell):
+    """A filling cell re-verifies its model; a constant cell checks its
+    two endpoints."""
+    if isinstance(cell.model, FillingModel):
+        return cell.model.verify()
+    ok = cell.endpoints_match()
+    return CheckReport("two-cell",
+                       [] if ok else [(("endpoint",), {"fail": 1})], 1)
 
-    def verify(self):
-        if self.kind == "constant":
-            ok = is_homotopy(self.data)
-            return CheckReport("two-cell",
-                               [] if ok else [(("endpoint",), {"fail": 1})],
-                               1)
-        return self.data.verify()
 
-    def to_json(self):
-        if self.kind == "constant":
-            return {"kind": "constant"}
-        return {"kind": "filling", "model": self.data.to_json()}
+def _cell_json(cell):
+    if isinstance(cell.model, FillingModel):
+        return {"kind": "filling", "model": cell.model.to_json()}
+    return {"kind": "constant"}
 
 
 class CocycleData:
@@ -624,7 +613,7 @@ class CocycleData:
                                             key=lambda t: str(t[0]))},
             "edges": sorted("%s,%s" % (str(a[0]), str(a[1]))
                             for a in self.edges),
-            "triangles": {",".join(str(v) for v in a): c.to_json()
+            "triangles": {",".join(str(v) for v in a): _cell_json(c)
                           for a, c in sorted(self.triangles.items())},
         }
 
@@ -671,13 +660,12 @@ def build_cocycle(A: ToyAtlas, H: Hypercovering, level, m_max=2,
             direct = edges[(v0, v2)]
             around = compose(edges[(v0, v1)], edges[(v1, v2)])
             cap = min(direct.arity_cap, around.arity_cap, 2)
-            if _comps_equal(direct, around, cap):
-                cell = TwoCell("constant", constant_homotopy(direct),
-                               direct, around)
+            if comps_agree(direct, around, cap):
+                cell = constant_homotopy(direct)
             else:
                 model = fill_n_homotopy([direct, around], K=2,
                                         tie_break=tie_break_seed)
-                cell = TwoCell("filling", model, direct, around)
+                cell = Homotopy(model.hbar, model, direct, around)
             triangles[alpha] = cell
     return CocycleData(A, H, level, m_max, vertices, edges, triangles,
                        tie_break_seed)
@@ -720,13 +708,13 @@ def check_cocycle(G: CocycleData) -> CheckReport:
             fail("edge-quasi-iso", alpha, "not a quasi-iso")
         if p == q:
             checked += 1
-            if not _comps_equal(f, LInftyMorphism.identity(f.source),
-                                min(2, f.arity_cap)):
+            if not comps_agree(f, LInftyMorphism.identity(f.source),
+                               min(2, f.arity_cap)):
                 fail("degeneracy-edge", alpha, "not the identity")
 
     for alpha, cell in G.triangles.items():
         v0, v1, v2 = alpha
-        rep = cell.verify()
+        rep = _cell_report(cell)
         checked += rep.checked
         if not rep.ok:
             fail("triangle-cell", alpha, "homotopy fails")
@@ -734,9 +722,9 @@ def check_cocycle(G: CocycleData) -> CheckReport:
         around = compose(G.edges[(v0, v1)], G.edges[(v1, v2)])
         cap = min(direct.arity_cap, 2)
         checked += 2
-        if not _comps_equal(cell.endpoint(0), direct, cap):
+        if not comps_agree(cell.endpoints[0], direct, cap):
             fail("face-eval-0", alpha, "direct edge mismatch")
-        if not _comps_equal(cell.endpoint(1), around, cap):
+        if not comps_agree(cell.endpoints[1], around, cap):
             fail("face-eval-1", alpha, "composite mismatch")
         # base-set restriction: the triangle's base subset sits inside
         # the base subsets of its edge faces
@@ -754,7 +742,7 @@ def check_cocycle(G: CocycleData) -> CheckReport:
                 fail("face-restriction", alpha, str(i))
         if len(set(alpha)) < 3:
             checked += 1
-            if cell.kind != "constant":
+            if isinstance(cell.model, FillingModel):
                 fail("degeneracy-triangle", alpha, "not constant")
 
     inc = G.include()

@@ -441,7 +441,10 @@ def acc_term(acc, key, c):
 
 def vec_acc(acc, v, c=1):
     """acc += c * v in place; returns acc.  The one sparse accumulator
-    behind every sum of elements, forms, polynomials and multivectors."""
+    behind every sum of elements, forms, polynomials, multivectors and
+    map columns.  The one exception is Echelon's inner loops, which keep
+    coefficients int-first in their own loops because they are the hot
+    path of every solve."""
     if not c:
         return acc
     scaled = c != 1
@@ -524,9 +527,8 @@ class GradedMap:
         """Apply to a vector {label: coeff}."""
         out = {}
         for a, c in vec.items():
-            for b, e in self.images.get(a, {}).items():
-                out[b] = out.get(b, 0) + c * e
-        return {k: v for k, v in out.items() if v != 0}
+            vec_acc(out, self.images.get(a, {}), c)
+        return out
 
     def apply_gen(self, lab):
         return dict(self.images.get(lab, {}))
@@ -539,8 +541,7 @@ class GradedMap:
         for a, img in other.images.items():
             col = images[a] = {}
             for m, c in img.items():
-                for b, e in self.images.get(m, {}).items():
-                    col[b] = col.get(b, 0) + c * e
+                vec_acc(col, self.images.get(m, {}), c)
         return GradedMap(other.source, self.target,
                          self.shift + other.shift, images)
 

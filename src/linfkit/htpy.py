@@ -13,6 +13,10 @@ Three machines live here:
   a morphism of interval models compatible with evaluations and the
   inclusion of constants.
 
+A model of the interval times an algebra is used as it is: a
+SimplexModel or a FillingModel with n = 1 has the model algebra, its
+base, eval_vertex(v) and incl, the inclusion of constants.
+
 Every "there exists" in the constructions is realized as a canonical
 exact linear solve (free variables zero in reduced echelon form), so
 outputs are reproducible and every claimed identity can be re-checked
@@ -31,10 +35,11 @@ from .gradedlin import (Echelon, GradedMap, GradedSpace, LinearSystem,
                         acc_term, sym_words, vec_acc, word_degree)
 from .linfty import (CheckReport, LInftyAlgebra, LInftyMorphism, add_rows,
                      chain_complex, check_morphism, check_relations,
-                     compose, delta1_equations, delta1_rows, insertion_sum,
-                     is_quasi_iso, map_unknowns, obstruction_cocycle,
-                     partition_sum, post_rows, pre_rows, solution_table)
-from .simplexmodel import SimplexModel, build_model
+                     compose, comps_agree, delta1_equations, delta1_rows,
+                     insertion_sum, is_quasi_iso, map_unknowns,
+                     obstruction_cocycle, partition_sum, post_rows, pre_rows,
+                     solution_table)
+from .simplexmodel import Homotopy, build_model
 
 
 class FillError(RuntimeError):
@@ -48,48 +53,11 @@ def _row_difference(rows, minus):
             for (w, b, r), (_, _, s) in zip(rows, minus))
 
 
-def _comps_equal(a, b, cap):
-    """Componentwise equality of two morphisms up to an arity cap,
-    ignoring empty tables."""
-    na = {k: t for k, t in a.comps.items() if t and k <= cap}
-    nb = {k: t for k, t in b.comps.items() if t and k <= cap}
-    return na == nb
-
-
-# ---------------------------------------------------------------------------
-# interval-model adapters
-
-
-class IntervalModel:
-    """Uniform view of a model of the interval times an algebra:
-    the model algebra, the two vertex evaluations, and the inclusion of
-    constants as a chain map."""
-
-    def __init__(self, algebra, ev0, ev1, incl):
-        self.algebra = algebra
-        self.ev0 = ev0
-        self.ev1 = ev1
-        self.incl = incl
-
-    @property
-    def base(self):
-        return self.ev0.target
-
-
-def as_interval_model(obj):
-    if isinstance(obj, IntervalModel):
-        return obj
-    if isinstance(obj, FillingModel):
-        if obj.n != 1:
-            raise ValueError("interval model expected, got n = %d" % obj.n)
-        return IntervalModel(obj.algebra, obj.evals[(0,)], obj.evals[(1,)],
-                             obj.incl)
-    if isinstance(obj, SimplexModel):
-        if obj.n != 1:
-            raise ValueError("interval model expected")
-        return IntervalModel(obj.algebra, obj.eval_vertex(0),
-                             obj.eval_vertex(1), obj.incl_map())
-    raise TypeError("cannot view %r as an interval model" % (obj,))
+def _interval(model):
+    """The model, refused unless it models the interval (n = 1)."""
+    if model.n != 1:
+        raise ValueError("interval model expected, got n = %d" % model.n)
+    return model
 
 
 # ---------------------------------------------------------------------------
@@ -114,19 +82,18 @@ class FillingModel:
     with the filling homotopy of the given quasi-isomorphisms.
 
     Fields: algebra (the cylinder), n, K (arity of the constructed
-    structure), C (modeled target algebra), C0 (homotopy source), fs
-    (vertex morphisms), evals {face tuple: strict morphism to the face
-    model}, boundary {face tuple: face model or None when the face
-    model is the target algebra itself}, incl (chain inclusion of
-    constants), hbar (the filling homotopy C0 -> cylinder)."""
+    structure), base (modeled target algebra), fs (vertex morphisms),
+    evals {face tuple: strict morphism to the face model}, boundary
+    {face tuple: face model or None when the face model is the target
+    algebra itself}, incl (chain inclusion of constants), hbar (the
+    filling homotopy from the source of fs into the cylinder)."""
 
-    def __init__(self, algebra, n, K, C, C0, fs, evals, boundary, incl,
+    def __init__(self, algebra, n, K, base, fs, evals, boundary, incl,
                  hbar, notes=None):
         self.algebra = algebra
         self.n = n
         self.K = K
-        self.C = C
-        self.C0 = C0
+        self.base = base
         self.fs = list(fs)
         self.evals = evals
         self.boundary = boundary
@@ -149,7 +116,7 @@ class FillingModel:
         raise ValueError("no face contains vertex %d" % v)
 
     def incl_morphism(self):
-        return LInftyMorphism.from_linear(self.C, self.algebra,
+        return LInftyMorphism.from_linear(self.base, self.algebra,
                                           self.incl.images, arity_cap=self.K)
 
     def verify(self):
@@ -174,7 +141,7 @@ class FillingModel:
         # evaluations compose with the inclusion to the face inclusions
         for J in self.face_keys():
             comp = self.evals[J].f1_map().compose(self.incl)
-            face_incl = GradedMap.identity(self.C.space) if self.n == 1 \
+            face_incl = GradedMap.identity(self.base.space) if self.n == 1 \
                 else self.boundary[J].incl
             checked += 1
             diff = comp.add(face_incl.scale(Fraction(-1)))
@@ -188,7 +155,7 @@ class FillingModel:
             got = compose(ev, self.hbar)
             want = self.fs[v]
             checked += 1
-            if not _comps_equal(got, want, min(got.arity_cap, self.K)):
+            if not comps_agree(got, want, min(got.arity_cap, self.K)):
                 failures.append((("endpoint", str(v)), {"mismatch": 1}))
         ok, _ = is_quasi_iso(self.incl_morphism())
         checked += 1
@@ -233,7 +200,7 @@ def _family_for_fill(fs, boundary, K, tie_break):
                              % (J,))
         for pos in (0, 1):
             got = compose(edge.evals[(pos,)], edge.hbar)
-            if not _comps_equal(got, fs[J[pos]], got.arity_cap):
+            if not comps_agree(got, fs[J[pos]], got.arity_cap):
                 raise ValueError("edge homotopy %r does not end on the "
                                  "given vertex morphisms" % (J,))
     face_alg = {J: edges[J].algebra for J in faces}
@@ -475,7 +442,7 @@ def fill_n_homotopy(fs, boundary=None, K=2, tie_break=0):
 
     notes = ["cylinder over %d face(s), kernel dimension %d"
              % (len(faces), len(korder))]
-    return FillingModel(cyl, n_out, K, C, C0, fs, evals,
+    return FillingModel(cyl, n_out, K, C, fs, evals,
                         edges if n_out == 2 else
                         {J: None for J in faces},
                         incl, hbar, notes=notes)
@@ -572,7 +539,7 @@ class WhiteheadCertificate:
         self.f = f
         self.g = g
         self.homotopy = homotopy
-        self.model = model
+        self.model = _interval(model)
         self.K = K
         self.reverse = reverse
         self.notes = notes or []
@@ -593,16 +560,14 @@ class WhiteheadCertificate:
         checked += 1
         if not ok:
             failures.append((("g-quasi-iso",), {"fail": 1}))
-        ident = LInftyMorphism.identity(self.f.source)
-        ev0 = compose(self.model.ev0, self.homotopy)
-        checked += 1
-        if not _comps_equal(ev0, ident, min(ev0.arity_cap, self.K)):
-            failures.append((("endpoint", "0"), {"mismatch": 1}))
-        gf = compose(self.g, self.f)
-        ev1 = compose(self.model.ev1, self.homotopy)
-        checked += 1
-        if not _comps_equal(ev1, gf, self.K):
-            failures.append((("endpoint", "1"), {"mismatch": 1}))
+        # the homotopy runs from the identity to g . f
+        hom = Homotopy(self.homotopy, self.model,
+                       LInftyMorphism.identity(self.f.source),
+                       compose(self.g, self.f))
+        for v in (0, 1):
+            checked += 1
+            if not hom.endpoint_ok(v, self.K):
+                failures.append((("endpoint", str(v)), {"mismatch": 1}))
         if self.reverse is not None:
             fold(self.reverse.verify(), "reverse")
         return CheckReport("whitehead-certificate", failures, checked,
@@ -627,8 +592,8 @@ def whitehead_inverse(f, K=3, model=None, with_reverse=True, tie_break=0):
     Returns a WhiteheadCertificate with g (inverse up to arity K) and a
     homotopy from the identity to g . f inside an interval model of the
     source.  The model defaults to the interval cylinder of the source
-    (which exists when the source is acyclic); pass any interval model
-    otherwise.  When with_reverse is set and the target admits the
+    (which exists when the source is acyclic); pass any model with
+    n = 1 otherwise.  When with_reverse is set and the target admits the
     cylinder, a filling homotopy from f . g to the identity is attached.
     tie_break: seed of the free-variable choice in every LinearSystem
     and both cylinder fills (see LinearSystem); 0 is the canonical one.
@@ -645,23 +610,23 @@ def whitehead_inverse(f, K=3, model=None, with_reverse=True, tie_break=0):
     if model is None:
         ident = LInftyMorphism.identity(C1)
         try:
-            model = as_interval_model(fill_n_homotopy(
-                [ident, ident], K=K, tie_break=tie_break))
+            model = fill_n_homotopy([ident, ident], K=K,
+                                    tie_break=tie_break)
             notes.append("interval cylinder model, dim %d"
                          % model.algebra.space.dim)
         except FillError:
             # non-acyclic source: fall back to the truncated tensor model
-            model = as_interval_model(build_model(C1, 1, weight_cap=4))
+            model = build_model(C1, 1, weight_cap=4)
             notes.append("tensor interval model, dim %d"
                          % model.algebra.space.dim)
     else:
-        model = as_interval_model(model)
+        model = _interval(model)
     M = model.algebra
 
     g1, hprime = chain_inverse(f, tie_break)
     # lift the chain homotopy into the model: ev0 hpp = 0, ev1 hpp = h'
-    ev0_cols = model.ev0.f1_map().images
-    ev1_cols = model.ev1.f1_map().images
+    ev0_cols = model.eval_vertex(0).f1_map().images
+    ev1_cols = model.eval_vertex(1).f1_map().images
     sys = LinearSystem()
     map_unknowns(sys, C1, M, 1, "hpp", shift=-1)
     add_rows(sys, post_rows(C1, C1, 1, "hpp", ev0_cols, shift=-1), {})
@@ -737,13 +702,12 @@ def model_morphism_over(f, model1, model2, K=2, tie_break=0):
     canonical solves arity by arity, with tie_break the seed of their
     free-variable choice (see LinearSystem); raises FillError when
     blocked."""
-    M1 = as_interval_model(model1)
-    M2 = as_interval_model(model2)
+    M1, M2 = _interval(model1), _interval(model2)
     if M1.base is not f.source or M2.base is not f.target:
         raise ValueError("models do not sit over the morphism endpoints")
     A1, A2 = M1.algebra, M2.algebra
-    evs1 = {0: M1.ev0.f1_map().images, 1: M1.ev1.f1_map().images}
-    evs2 = {0: M2.ev0.f1_map().images, 1: M2.ev1.f1_map().images}
+    evs1 = {j: M1.eval_vertex(j).f1_map().images for j in (0, 1)}
+    evs2 = {j: M2.eval_vertex(j).f1_map().images for j in (0, 1)}
     F = None
     for m in range(1, K + 1):
         sys = LinearSystem(tie_break)

@@ -27,7 +27,8 @@ from .gradedlin import (Echelon, GradedMap, GradedSpace, acc_term,
                         words_within)
 from .linfty import (CurvedError, JetRecord, LInftyAlgebra, LInftyMorphism,
                      check_morphism, direct_sum, is_quasi_iso,
-                     l1_cohomology, quad_residual)
+                     l1_cohomology, quad_residual, split_sum_label,
+                     sum_label)
 from .derived import (JetRing, label_weight, make_label, merge_words,
                       poly_diff, poly_from_json, poly_mul, poly_to_json,
                       poly_trunc, poly_zero, split_label)
@@ -340,7 +341,7 @@ def _sum_with_weights(A, B):
     C = direct_sum(A, B)
     weights = {}
     for lab in C.space.labels:
-        base, side = lab.rsplit("@", 1)
+        base, side = split_sum_label(lab)
         src = A if side == "0" else B
         weights[lab] = src.weights[base] if src.weights else 0
     return LInftyAlgebra(C.space, C.ops, l0=C.l0, arity_cap=C.arity_cap,
@@ -583,7 +584,7 @@ def fooo_embedding_check(section, amb_section, bundle_map, verify_cap=None):
     tset = set(L2.algebra.space.labels)
     comps1 = {}
     for lab in L.algebra.space.labels:
-        base, side = lab.rsplit("@", 1)
+        base, side = split_sum_label(lab)
         mono, toks = split_label(base)
         if side == "1":
             if lab in tset:
@@ -604,7 +605,7 @@ def fooo_embedding_check(section, amb_section, bundle_map, verify_cap=None):
                       for j in range(i + 1, len(idxs))
                       if idxs[i] > idxs[j])
             toks2 = tuple(sorted("a%d" % (b + 1) for b in idxs))
-            lab2 = make_label(mono, toks2) + "@0"
+            lab2 = sum_label(make_label(mono, toks2), "0")
             if lab2 not in tset:
                 continue
             acc_term(out, lab2, ((-1) ** inv) * coeff)
@@ -637,7 +638,9 @@ def fooo_embedding_check(section, amb_section, bundle_map, verify_cap=None):
 def _koszul_part(eta, L, L2):
     comps = {}
     for (lab,), out in eta.comps.get(1, {}).items():
-        if lab.endswith("@0"):
-            comps[(lab[:-2],)] = {b[:-2]: c for b, c in out.items()}
+        base, side = split_sum_label(lab)
+        if side == "0":
+            comps[(base,)] = {split_sum_label(b)[0]: c
+                              for b, c in out.items()}
     return LInftyMorphism(L.koszul, L2.koszul, {1: comps},
                           arity_cap=L.koszul.arity_cap)

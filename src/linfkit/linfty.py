@@ -277,9 +277,8 @@ def blocks_from_json(blocks, where):
         tab = tables.setdefault(k, {})
         for e in blk["entries"]:
             expect(e, where + "[].entries[]", ("word", "out", "coeff"))
-            out = tab.setdefault(tuple(e["word"]), {})
-            out[e["out"]] = out.get(e["out"], Fraction(0)) \
-                + scalar_from_str(e["coeff"])
+            acc_term(tab.setdefault(tuple(e["word"]), {}), e["out"],
+                     scalar_from_str(e["coeff"]))
     return tables
 
 
@@ -582,18 +581,34 @@ def compose(g: LInftyMorphism, f: LInftyMorphism) -> LInftyMorphism:
     return LInftyMorphism(f.source, g.target, comps, arity_cap=cap)
 
 
+def comps_agree(a: LInftyMorphism, b: LInftyMorphism, cap=None):
+    """Whether two morphisms have the same components in every arity up
+    to cap (every arity when cap is None).  An empty table is the zero
+    component: the one rule by which morphisms are compared."""
+    def live(f):
+        return {k: t for k, t in f.comps.items()
+                if t and (cap is None or k <= cap)}
+    return live(a) == live(b)
+
+
 # ---------------------------------------------------------------------------
-# direct sums
+# direct sums; the generator lab of summand side ("0" or "1") is
+# labeled "lab@side"
 
 
-def _tag(lab, side):
+def sum_label(lab, side):
     return "%s@%s" % (lab, side)
+
+
+def split_sum_label(lab):
+    """(lab, side) of a direct-sum label written by sum_label."""
+    return tuple(lab.rsplit("@", 1))
 
 
 def direct_sum(A: LInftyAlgebra, B: LInftyAlgebra) -> LInftyAlgebra:
     """Componentwise structure on A (+) B; mixed words map to zero."""
-    gens = [(_tag(l, "0"), A.space.deg[l]) for l in A.space.labels] \
-        + [(_tag(l, "1"), B.space.deg[l]) for l in B.space.labels]
+    gens = [(sum_label(l, "0"), A.space.deg[l]) for l in A.space.labels] \
+        + [(sum_label(l, "1"), B.space.deg[l]) for l in B.space.labels]
     space = GradedSpace(gens)
     cap = min(A.arity_cap, B.arity_cap)
     ops = {}
@@ -603,10 +618,10 @@ def direct_sum(A: LInftyAlgebra, B: LInftyAlgebra) -> LInftyAlgebra:
                 continue
             tab = ops.setdefault(k, {})
             for w, out in table.items():
-                tab[tuple(_tag(l, side) for l in w)] = \
-                    {_tag(b, side): c for b, c in out.items()}
-    l0 = {_tag(b, "0"): c for b, c in A.l0.items()}
-    l0.update({_tag(b, "1"): c for b, c in B.l0.items()})
+                tab[tuple(sum_label(l, side) for l in w)] = \
+                    {sum_label(b, side): c for b, c in out.items()}
+    l0 = {sum_label(b, "0"): c for b, c in A.l0.items()}
+    l0.update({sum_label(b, "1"): c for b, c in B.l0.items()})
     return LInftyAlgebra(space, ops, l0=l0, arity_cap=cap)
 
 
@@ -621,8 +636,8 @@ def direct_sum_mor(f: LInftyMorphism, g: LInftyMorphism) -> LInftyMorphism:
                 continue
             tab = comps.setdefault(k, {})
             for w, out in table.items():
-                tab[tuple(_tag(l, side) for l in w)] = \
-                    {_tag(b, side): c for b, c in out.items()}
+                tab[tuple(sum_label(l, side) for l in w)] = \
+                    {sum_label(b, side): c for b, c in out.items()}
     return LInftyMorphism(src, tgt, comps, arity_cap=cap)
 
 

@@ -22,9 +22,10 @@ from .gradedlin import (Echelon, GradedMap, GradedSpace, acc_term,
                         cohomology, scalar_from_str, scalar_to_str, vec_acc,
                         vec_add, vec_scale, words_within)
 from .derived import mv_wedge
-from .linfty import (CheckReport, LInftyAlgebra, LInftyMorphism, _tag,
-                     check_morphism, check_relations, compose, direct_sum,
-                     is_quasi_iso, l1_map)
+from .linfty import (CheckReport, LInftyAlgebra, LInftyMorphism,
+                     check_morphism, check_relations, compose, comps_agree,
+                     direct_sum, is_quasi_iso, l1_map, split_sum_label,
+                     sum_label)
 
 MAX_SIMPLEX_DIM = 4
 MAX_WEIGHT_CAP = 8
@@ -136,9 +137,9 @@ def form_to_json(form):
 def form_from_json(doc):
     out = {}
     for m in doc["monomials"]:
-        key = (tuple(m["poly"][0]), tuple(m["dts"]))
-        out[key] = out.get(key, Fraction(0)) + scalar_from_str(m["poly"][1])
-    return {k: v for k, v in out.items() if v}
+        acc_term(out, (tuple(m["poly"][0]), tuple(m["dts"])),
+                 scalar_from_str(m["poly"][1]))
+    return out
 
 
 def mono_label(key):
@@ -167,7 +168,9 @@ def forms_cohomology(n, weight_cap):
 
 class SimplexModel:
     """Weight-truncated tensor model of (n-simplex) x C for a strict
-    base algebra C."""
+    base algebra C: the model algebra, the evaluations onto its faces
+    (each built once, on first use) and incl, the chain map x -> 1 (x) x
+    including the constants."""
 
     def __init__(self, base: LInftyAlgebra, n, weight_cap=6):
         if not base.is_strict:
@@ -191,7 +194,12 @@ class SimplexModel:
         self.algebra = LInftyAlgebra(
             self.space, self._build_ops(weights), arity_cap=base.arity_cap,
             weights=weights)
+        unit = mono_label((tuple([0] * n), ()))
+        self.incl = GradedMap(base.space, self.space, 0,
+                              {x: {unit + "|" + x: Fraction(1)}
+                               for x in base.space.labels})
         self._face_model = None
+        self._evals = {}
 
     def _tensor_element(self, form, elem):
         out = {}
@@ -199,9 +207,8 @@ class SimplexModel:
             if mono_weight(k) > self.weight_cap:
                 continue
             for x, cx in elem.items():
-                lab = mono_label(k) + "|" + x
-                out[lab] = out.get(lab, Fraction(0)) + c * cx
-        return {l: c for l, c in out.items() if c}
+                acc_term(out, mono_label(k) + "|" + x, c * cx)
+        return out
 
     def _build_ops(self, weights):
         base = self.base
@@ -260,6 +267,11 @@ class SimplexModel:
     def eval_face(self, i) -> LInftyMorphism:
         """Evaluation onto the face opposite vertex i: restriction
         tensor identity in the linear component, zero above."""
+        if i not in self._evals:
+            self._evals[i] = self._build_eval_face(i)
+        return self._evals[i]
+
+    def _build_eval_face(self, i):
         tgt_model = self.face_model()
         entries = {}
         for lab, (k, x) in self.labels.items():
@@ -288,19 +300,12 @@ class SimplexModel:
             raise ValueError("eval_vertex applies to interval models")
         return self.eval_face(1 - j)
 
-    def incl_map(self) -> GradedMap:
-        """The chain map x -> 1 (x) x."""
-        unit = mono_label((tuple([0] * self.n), ()))
-        return GradedMap(self.base.space, self.space, 0,
-                         {x: {unit + "|" + x: Fraction(1)}
-                          for x in self.base.space.labels})
-
     def incl_morphism(self) -> LInftyMorphism:
         """The inclusion packaged with zero higher components.  For the
         tensor model this is in fact a full morphism (wedging constant
         functions creates no signs)."""
         return LInftyMorphism.from_linear(self.base, self.algebra,
-                                          self.incl_map().images,
+                                          self.incl.images,
                                           arity_cap=self.base.arity_cap)
 
 
@@ -339,7 +344,7 @@ def verify_model_axioms(model: SimplexModel, weight_check=None,
 
     if model.n == 1:
         evs = [model.eval_vertex(0), model.eval_vertex(1)]
-        incl = model.incl_map()
+        incl = model.incl
         # morphism property and quasi-isomorphism of evaluations
         for j, ev in enumerate(evs):
             record("eval%d-morphism" % j,
@@ -366,7 +371,7 @@ def verify_model_axioms(model: SimplexModel, weight_check=None,
             record("eval-face%d-morphism" % i,
                    check_morphism(ev, weight_cap=op_weight).ok)
             record("eval-face%d-quasi-iso" % i, is_quasi_iso(ev)[0])
-        incl = model.incl_map()
+        incl = model.incl
         record("incl-chain-map", _is_chain_map(incl, model.base,
                                                model.algebra))
         record("incl-quasi-iso", is_quasi_iso(model.incl_morphism())[0])
@@ -374,7 +379,7 @@ def verify_model_axioms(model: SimplexModel, weight_check=None,
         face_evs = [face.eval_face(r) for r in range(model.n)]
         record("face-compatibility", _face_compat(model, evs, face_evs))
         # (eval_J)_1 of the inclusion equals the face inclusion
-        face_incl = face.incl_map()
+        face_incl = face.incl
         for i, ev in evs.items():
             comp = ev.f1_map().compose(incl)
             record("eval-face%d-incl" % i,
@@ -506,35 +511,32 @@ def _exactness(model, evs, face_evs, weight_check):
 
 
 class Homotopy:
-    """A morphism into an interval model together with its endpoint
-    data.  eval0/eval1 are morphisms out of the model, incl the chain
-    map into it."""
+    """A homotopy from f0 to f1: a morphism h into a model of the
+    interval times their target, that is anything with an algebra, a
+    base, an incl and eval_vertex(v) for v = 0, 1.  Its endpoints
+    ev_v . h are computed once, here."""
 
-    def __init__(self, h, eval0, eval1, incl, f0, f1):
+    def __init__(self, h, model, f0, f1):
         self.h = h
-        self.eval0 = eval0
-        self.eval1 = eval1
-        self.incl = incl
+        self.model = model
         self.f0 = f0
         self.f1 = f1
+        self.endpoints = tuple(compose(model.eval_vertex(v), h)
+                               for v in (0, 1))
+
+    def endpoint_ok(self, v, cap=None):
+        """Whether ev_v . h agrees with f_v up to arity cap."""
+        return comps_agree(self.endpoints[v], (self.f0, self.f1)[v], cap)
 
     def endpoints_match(self):
-        e0 = compose(self.eval0, self.h)
-        e1 = compose(self.eval1, self.h)
-        return e0.comps == self.f0.comps and e1.comps == self.f1.comps
-
-
-def is_homotopy(h: Homotopy):
-    return h.endpoints_match()
+        return self.endpoint_ok(0) and self.endpoint_ok(1)
 
 
 def constant_homotopy(f: LInftyMorphism, weight_cap=4) -> Homotopy:
     """The homotopy from f to f through the interval tensor model:
     compose f with the (full) inclusion morphism."""
     model = SimplexModel(f.target, 1, weight_cap)
-    h = compose(model.incl_morphism(), f)
-    return Homotopy(h, model.eval_vertex(0), model.eval_vertex(1),
-                    model.incl_map(), f, f)
+    return Homotopy(compose(model.incl_morphism(), f), model, f, f)
 
 
 class SubspaceAlgebra:
@@ -612,20 +614,36 @@ class SubspaceAlgebra:
         return LInftyMorphism(self.algebra, self.ambient, comps)
 
 
+class GluedInterval:
+    """The interval model of a concatenation: the fiber product of two
+    interval models over their seam, evaluated at the start of the
+    first and at the end of the second."""
+
+    n = 1
+
+    def __init__(self, algebra, base, evals, incl):
+        self.algebra = algebra
+        self.base = base
+        self.evals = evals
+        self.incl = incl
+
+    def eval_vertex(self, v):
+        return self.evals[v]
+
+
 def concat_homotopies(h1: Homotopy, h2: Homotopy, weight_cap=4) -> Homotopy:
     """Glue a homotopy f0 => f1 and a homotopy f1 => f2 through the
     fiber product of the two interval models (pairs whose seam
     evaluations agree), with componentwise operations."""
-    if h1.f1.comps != h2.f0.comps:
+    if not comps_agree(h1.f1, h2.f0):
         raise ValueError("seam morphisms disagree")
-    M1 = h1.eval0.source
-    M2 = h2.eval0.source
+    M1 = h1.model.algebra
+    M2 = h2.model.algebra
     D = direct_sum(M1, M2)
     # seam constraint per degree: eval1 of the first leg equals eval0
     # of the second
-    e1 = h1.eval1.f1_map().images
-    e0 = h2.eval0.f1_map().images
-    Cp = h1.eval0.target.space
+    e1 = h1.model.eval_vertex(1).f1_map().images
+    e0 = h2.model.eval_vertex(0).f1_map().images
     # columns are generator indices of D: those of M1, then those of M2
     idx = D.space.index
     vectors = []
@@ -633,7 +651,7 @@ def concat_homotopies(h1: Homotopy, h2: Homotopy, weight_cap=4) -> Homotopy:
         rows, cols = {}, []
         for M, img, side, sgn in ((M1, e1, "0", 1), (M2, e0, "1", -1)):
             for l in M.space.basis_in_degree(d):
-                j = idx[_tag(l, side)]
+                j = idx[sum_label(l, side)]
                 cols.append(j)
                 for t, c in img.get(l, {}).items():
                     rows.setdefault(t, {})[j] = sgn * c
@@ -643,64 +661,60 @@ def concat_homotopies(h1: Homotopy, h2: Homotopy, weight_cap=4) -> Homotopy:
         for kv in seam.kernel(cols):
             vectors.append({D.space.labels[j]: c
                             for j, c in sorted(kv.items())})
-    w1 = M1.weights or {}
-    w2 = M2.weights or {}
+    side_weights = {"0": M1.weights or {}, "1": M2.weights or {}}
     dweights = {}
     for i, v in enumerate(vectors):
         dweights["p%d" % i] = max(
-            [w1.get(l[:-2], 0) if l.endswith("@0") else w2.get(l[:-2], 0)
-             for l in v], default=0)
+            [side_weights[side].get(l, 0)
+             for l, side in map(split_sum_label, v)], default=0)
     sub = SubspaceAlgebra(D, vectors, prefix="p", weights=dweights,
                           weight_window=weight_cap)
+
+    def glue(v0, v1, what):
+        """Fiber-product coordinates of the pair (v0, v1)."""
+        pair = {sum_label(l, "0"): c for l, c in v0.items()}
+        pair.update((sum_label(l, "1"), c) for l, c in v1.items())
+        coords = sub._coords(pair)
+        if coords is None:
+            raise ValueError("%s leaves the fiber product" % what)
+        return coords
+
     # morphism into the glued model
-    C0 = h1.h.source
     comps = {}
     for k in set(h1.h.comps) | set(h2.h.comps):
         tab = {}
         words = set(h1.h.comps.get(k, {})) | set(h2.h.comps.get(k, {}))
         for w in words:
-            pair = {}
-            for l, c in h1.h.comp_word(k, w).items():
-                pair[_tag(l, "0")] = c
-            for l, c in h2.h.comp_word(k, w).items():
-                pair[_tag(l, "1")] = c
-            coords = sub._coords(pair)
-            if coords is None:
-                raise ValueError("homotopy pair leaves the fiber product")
+            coords = glue(h1.h.comp_word(k, w), h2.h.comp_word(k, w),
+                          "homotopy pair")
             if coords:
                 tab[w] = coords
         if tab:
             comps[k] = tab
-    h = LInftyMorphism(C0, sub.algebra, comps)
+    h = LInftyMorphism(h1.h.source, sub.algebra, comps)
     # evaluations out of the glued model
     inc = sub.include_morphism()
 
     def _project(mor, side):
         entries = {}
         for l in sub.space.labels:
-            amb = inc.comp_word(1, (l,))
             part = {}
-            for al, c in amb.items():
-                if al.endswith("@" + side):
-                    part[al[:-2]] = c
+            for al, c in inc.comp_word(1, (l,)).items():
+                lab, s = split_sum_label(al)
+                if s == side:
+                    part[lab] = c
             img = mor.comp_elems(1, [part])
             if img:
                 entries[(l,)] = img
         return LInftyMorphism(sub.algebra, mor.target, {1: entries})
 
-    ev0 = _project(h1.eval0, "0")
-    ev1 = _project(h2.eval1, "1")
+    ev0 = _project(h1.model.eval_vertex(0), "0")
+    ev1 = _project(h2.model.eval_vertex(1), "1")
     # inclusion chain map x -> (incl x, incl x)
-    incl_images = {}
-    for x in Cp.labels:
-        pair = {}
-        for l, c in h1.incl.images.get(x, {}).items():
-            pair[_tag(l, "0")] = c
-        for l, c in h2.incl.images.get(x, {}).items():
-            pair[_tag(l, "1")] = c
-        coords = sub._coords(pair)
-        if coords is None:
-            raise ValueError("inclusion leaves the fiber product")
-        incl_images[x] = coords
-    incl = GradedMap(Cp, sub.space, 0, incl_images)
-    return Homotopy(h, ev0, ev1, incl, h1.f0, h2.f1)
+    C = h1.model.base
+    incl = GradedMap(C.space, sub.space, 0, {
+        x: glue(h1.model.incl.images.get(x, {}),
+                h2.model.incl.images.get(x, {}), "inclusion")
+        for x in C.space.labels})
+    return Homotopy(h, GluedInterval(sub.algebra, C, (ev0, ev1), incl),
+                    h1.f0, h2.f1)

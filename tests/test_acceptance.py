@@ -17,13 +17,14 @@ sys.path.insert(0, __file__.rsplit("/", 1)[0])
 from linfkit.gradedlin import GradedSpace, dumps_canonical, scalar_to_str
 from linfkit.linfty import (LInftyAlgebra, LInftyMorphism, check_morphism,
                             check_relations, chain_complex,
-                            codifferential_hat, compose, delta1, direct_sum,
-                            direct_sum_mor, extend_morphism, is_quasi_iso,
+                            codifferential_hat, compose, comps_agree, delta1,
+                            direct_sum, direct_sum_mor, extend_morphism,
+                            is_quasi_iso,
                             l1_cohomology, obstruction_cocycle,
                             obstruction_class, sym_words, word_degree,
                             zero_algebra)
 from linfkit.simplexmodel import build_model, verify_model_axioms
-from linfkit.htpy import _comps_equal, fill_n_homotopy, whitehead_inverse
+from linfkit.htpy import fill_n_homotopy, whitehead_inverse
 from linfkit.derived import (JetMultivectorModel, JetVAlgebra,
                              derived_brackets, op_weight_gain,
                              poisson_from_presymplectic)
@@ -343,7 +344,7 @@ def test_criterion_3_whitehead():
 def _endpoints_exact(model, fs):
     for i, f in enumerate(fs):
         got = compose(model.eval_vertex(i), model.hbar)
-        if not _comps_equal(got, f, min(2, f.arity_cap)):
+        if not comps_agree(got, f, min(2, f.arity_cap)):
             return False
     return True
 
@@ -398,7 +399,7 @@ def criterion_5():
     for j in (0, 1):
         got = compose(model.eval_vertex(j), incl)
         checks.append({"name": "eval%d-incl-identity" % j,
-                       "ok": _comps_equal(got, ident, 2)})
+                       "ok": comps_agree(got, ident, 2)})
     return {"criterion": 5, "ok": all(c["ok"] for c in checks),
             "checks": checks}
 

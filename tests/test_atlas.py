@@ -18,8 +18,9 @@ from linfkit.atlas import (CocycleData, Hypercovering, ToyAtlas,
                            check_cocycle, hypercover_check,
                            simplicial_identities, validate_atlas)
 from linfkit.gradedlin import GradedSpace
-from linfkit.htpy import FillError, _comps_equal
-from linfkit.linfty import LInftyAlgebra, LInftyMorphism, compose
+from linfkit.htpy import FillError, FillingModel
+from linfkit.linfty import (LInftyAlgebra, LInftyMorphism, compose,
+                            comps_agree)
 
 
 # ---------------------------------------------------------------------------
@@ -120,7 +121,7 @@ def test_three_chart_atlas_valid():
     # validation still passes
     direct = A.morphisms["f13"]
     around = compose(A.morphisms["f12"], A.morphisms["f23"])
-    assert not _comps_equal(direct, around, 2)
+    assert not comps_agree(direct, around, 2)
 
 
 def test_shrinking_a_change_breaks_axiom_iv():
@@ -249,7 +250,8 @@ def test_single_chart_cocycle_is_constant():
     A = single_chart_atlas()
     H = build_hypercovering(A, 2)
     G = build_cocycle(A, H, level=1)
-    assert all(c.kind == "constant" for c in G.triangles.values())
+    assert all(not isinstance(c.model, FillingModel)
+               for c in G.triangles.values())
     assert check_cocycle(G).ok
 
 
@@ -262,13 +264,13 @@ def test_three_chart_cocycle_fills_and_verifies():
     # the filled triangle's evaluation endpoints equal the direct edge
     # and the composite around the other two edges
     cell = G.triangles[(1, 2, 3)]
-    assert cell.kind == "filling"
+    assert isinstance(cell.model, FillingModel)
     direct = G.edges[(1, 3)]
     around = compose(G.edges[(1, 2)], G.edges[(2, 3)])
-    assert _comps_equal(cell.endpoint(0), direct, 2)
-    assert _comps_equal(cell.endpoint(1), around, 2)
+    assert comps_agree(cell.endpoints[0], direct, 2)
+    assert comps_agree(cell.endpoints[1], around, 2)
     # degenerate triangles are constant cells
-    assert G.triangles[(1, 1, 2)].kind == "constant"
+    assert not isinstance(G.triangles[(1, 1, 2)].model, FillingModel)
     # the level embedding fixes the data
     assert check_cocycle(G.include()).ok
 
@@ -318,13 +320,14 @@ def test_dual_run_tie_break_gives_different_valid_cocycle():
     G1 = build_cocycle(A, H, level=2, tie_break_seed=3)
     assert check_cocycle(G0).ok
     assert check_cocycle(G1).ok
-    fills = [a for a in G0.triangles if G0.triangles[a].kind == "filling"]
+    fills = [a for a in G0.triangles
+             if isinstance(G0.triangles[a].model, FillingModel)]
     assert fills
     differing = [
         a for a in fills
-        if any(G0.triangles[a].data.evals[J].comps
-               != G1.triangles[a].data.evals[J].comps
-               for J in G0.triangles[a].data.evals)]
+        if any(G0.triangles[a].model.evals[J].comps
+               != G1.triangles[a].model.evals[J].comps
+               for J in G0.triangles[a].model.evals)]
     assert differing, "tie-break produced identical fills"
 
 

@@ -10,6 +10,7 @@ import subprocess
 import sys
 
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -430,6 +431,23 @@ def test_atlas_verbs_end_to_end(tmp_path, capsys):
     assert run(["cocycle-check", cpath, "--seed", "3"], capsys)[0] == 0
     assert run(["cocycle-check", cpath, "--cap-simp", "3"],
                capsys)[0] == 3
+
+
+def test_cocycle_verbs_read_empty_blocks_as_zero(tmp_path, capsys):
+    """An empty arity-2 block on each change morphism of the bench
+    document leaves every morphism as it is: both cocycle verbs pass
+    and check as many conditions as on the document without them."""
+    plain = Path(__file__).resolve().parents[1] / "bench" / "jobs" \
+        / "cocycle-build.json"
+    doc = json.loads(plain.read_text())
+    for mor in doc["morphisms"].values():
+        mor["comps"].append({"arity": 2, "entries": []})
+    padded = write(tmp_path, "empty-blocks.json", doc)
+    for verb in ("cocycle-check", "cocycle-build"):
+        _, want = run([verb, str(plain)], capsys)
+        code, out = run([verb, padded], capsys)
+        assert code == 0
+        assert json.loads(out)["checks"] == json.loads(want)["checks"]
 
 
 def test_hypercover_cap_guard(tmp_path, capsys):

@@ -62,8 +62,8 @@ def whitehead_doc(name, seed):
     model = cert.model
     return {"g": cert.g.to_json(), "h": cert.homotopy.to_json(),
             "model": {"algebra": model.algebra.to_json(),
-                      "ev0": model.ev0.to_json(),
-                      "ev1": model.ev1.to_json(),
+                      "ev0": model.eval_vertex(0).to_json(),
+                      "ev1": model.eval_vertex(1).to_json(),
                       "incl": model.incl.to_json()},
             "reverse": None if cert.reverse is None
             else filling_json(cert.reverse),

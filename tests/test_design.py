@@ -4,7 +4,8 @@ Every attribute of an object is fixed when the object is built: no
 module stores an attribute on anything but self or cls, and no module
 probes for attributes with hasattr/getattr/setattr/delattr.  Every
 named definition is used: its name appears somewhere in the sources,
-tests, benchmark scripts or README more often than it is defined.
+tests, benchmark scripts or README more often than it is defined.  No
+module imports or reads another module's underscore name.
 """
 
 import ast
@@ -42,6 +43,34 @@ def test_no_attribute_probing():
     sites = ["%s:%d" % (name, node.lineno) for name, node in _nodes()
              if isinstance(node, ast.Call)
              and isinstance(node.func, ast.Name) and node.func.id in PROBES]
+    assert sites == []
+
+
+def _private(name):
+    return name.startswith("_") and not name.endswith("__")
+
+
+def test_no_private_name_crosses_modules():
+    sites = []
+    for path in MODULES:
+        tree = ast.parse(path.read_text())
+        # names bound to modules: import m, import m as x, from . import m
+        modules = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import) or (
+                    isinstance(node, ast.ImportFrom) and not node.module):
+                modules |= {a.asname or a.name for a in node.names}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom):
+                names = [a.name for a in node.names]
+            elif isinstance(node, ast.Attribute) \
+                    and isinstance(node.value, ast.Name) \
+                    and node.value.id in modules:
+                names = [node.attr]
+            else:
+                continue
+            sites += ["%s:%d %s" % (path.name, node.lineno, n)
+                      for n in names if _private(n)]
     assert sites == []
 
 

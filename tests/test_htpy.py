@@ -11,12 +11,11 @@ from fractions import Fraction as F
 import pytest
 
 from linfkit.gradedlin import GradedSpace, vec_add, vec_scale
-from linfkit.htpy import (FillError, as_interval_model, chain_inverse,
-                          fill_n_homotopy, model_morphism_over,
-                          whitehead_inverse, _comps_equal)
+from linfkit.htpy import (FillError, chain_inverse, fill_n_homotopy,
+                          model_morphism_over, whitehead_inverse)
 from linfkit.linfty import (LInftyAlgebra, LInftyMorphism, check_morphism,
-                            check_relations, compose, extend_morphism,
-                            is_quasi_iso)
+                            check_relations, compose, comps_agree,
+                            extend_morphism, is_quasi_iso)
 from linfkit.simplexmodel import build_model
 
 
@@ -123,7 +122,7 @@ def test_fill_interval_distinct_pair():
     # endpoints hold coefficient-exactly
     for v, want in ((0, LInftyMorphism.identity(C)), (1, phi)):
         got = compose(M.eval_vertex(v), M.hbar)
-        assert _comps_equal(got, want, 3)
+        assert comps_agree(got, want, 3)
 
 
 def test_fill_requires_quasi_isos():
@@ -157,7 +156,7 @@ def test_fill_triangle():
     assert rep.ok, rep.to_json()
     for v, want in ((0, ident), (1, phi), (2, phi)):
         got = compose(M.eval_vertex(v), M.hbar)
-        assert _comps_equal(got, want, 2)
+        assert comps_agree(got, want, 2)
 
 
 # ---------------------------------------------------------------------------
@@ -213,6 +212,30 @@ def test_whitehead_seed_changes_the_inverse():
                for s in range(1, 6))
 
 
+@pytest.mark.parametrize("seed", [0, 3])
+def test_whitehead_inverts_a_composite(seed):
+    """qiso . sign is not the identity, unlike sign . sign; its inverse
+    lives in the interval cylinder handed in, read as it is."""
+    f = qiso_between_pairs()
+    comp = compose(f, sign_automorphism(f.source))
+    assert comp.comps[1] != LInftyMorphism.identity(f.source).comps[1]
+    ident = LInftyMorphism.identity(f.source)
+    M = fill_n_homotopy([ident, ident], K=3, tie_break=seed)
+    cert = whitehead_inverse(comp, K=3, model=M, tie_break=seed)
+    assert cert.model is M
+    rep = cert.verify()
+    assert rep.ok, rep.to_json()
+    assert cert.reverse is not None
+
+
+def test_whitehead_rejects_a_triangle_model():
+    C = acyclic_pair()
+    ident = LInftyMorphism.identity(C)
+    M = fill_n_homotopy([ident, ident, ident], K=2)
+    with pytest.raises(ValueError, match="n = 2"):
+        whitehead_inverse(ident, K=2, model=M)
+
+
 def test_whitehead_zero_map_between_acyclics():
     # the zero morphism between acyclic algebras is a quasi-isomorphism
     # and admits an inverse up to homotopy
@@ -242,11 +265,10 @@ def test_model_morphism_over():
     M2 = fill_n_homotopy([LInftyMorphism.identity(f.target)] * 2, K=3)
     FF = model_morphism_over(f, M1, M2, K=3)
     assert check_morphism(FF, up_to=3).ok
-    m1, m2 = as_interval_model(M1), as_interval_model(M2)
-    for e1, e2 in ((m1.ev0, m2.ev0), (m1.ev1, m2.ev1)):
-        assert _comps_equal(compose(e2, FF), compose(f, e1), 3)
-    lhs = FF.f1_map().compose(m1.incl)
-    rhs = m2.incl.compose(f.f1_map())
+    for e1, e2 in ((M1.eval_vertex(j), M2.eval_vertex(j)) for j in (0, 1)):
+        assert comps_agree(compose(e2, FF), compose(f, e1), 3)
+    lhs = FF.f1_map().compose(M1.incl)
+    rhs = M2.incl.compose(f.f1_map())
     assert lhs.add(rhs.scale(F(-1))).is_zero()
 
 
@@ -260,9 +282,8 @@ def test_model_morphism_over_seeded(seed):
     FF = model_morphism_over(f, M1, M2, K=3, tie_break=seed)
     assert FF.comps != model_morphism_over(f, M1, M2, K=3).comps
     assert check_morphism(FF, up_to=3).ok
-    m1, m2 = as_interval_model(M1), as_interval_model(M2)
-    for e1, e2 in ((m1.ev0, m2.ev0), (m1.ev1, m2.ev1)):
-        assert _comps_equal(compose(e2, FF), compose(f, e1), 3)
+    for e1, e2 in ((M1.eval_vertex(j), M2.eval_vertex(j)) for j in (0, 1)):
+        assert comps_agree(compose(e2, FF), compose(f, e1), 3)
 
 
 def test_model_morphism_endpoint_validation():

@@ -18,7 +18,7 @@ from linfkit.simplexmodel import (Homotopy, SimplexCapError, SimplexModel,
                                   build_model, concat_homotopies,
                                   constant_homotopy, d_form, face_restrict,
                                   form_from_json, form_to_json,
-                                  forms_cohomology, is_homotopy, mono_weight,
+                                  forms_cohomology, mono_weight,
                                   simplex_forms,
                                   verify_model_axioms)
 
@@ -125,7 +125,7 @@ def test_interval_model_axioms():
 
 def test_interval_eval_incl_identity():
     M = build_model(dg_base(), 1, weight_cap=3)
-    incl = M.incl_map()
+    incl = M.incl
     for j in (0, 1):
         comp = M.eval_vertex(j).f1_map().compose(incl)
         for x in M.base.space.labels:
@@ -135,7 +135,7 @@ def test_interval_eval_incl_identity():
 def test_corrupted_incl_detected():
     # doubling the inclusion breaks the eval-incl identity
     M = build_model(dg_base(), 1, weight_cap=3)
-    incl = M.incl_map().scale(F(2))
+    incl = M.incl.scale(F(2))
     comp = M.eval_vertex(0).f1_map().compose(incl)
     assert comp.apply_gen("a") == {"a": F(2)}
 
@@ -161,10 +161,31 @@ def test_constant_homotopy_and_concat():
     C = dg_base()
     f = LInftyMorphism.identity(C)
     h = constant_homotopy(f, weight_cap=4)
-    assert is_homotopy(h)
+    assert h.endpoints_match()
     hh = concat_homotopies(h, h, weight_cap=4)
-    assert is_homotopy(hh)
-    assert check_relations(hh.eval0.source, weight_cap=4).ok
+    assert hh.endpoints_match()
+    assert check_relations(hh.model.algebra, weight_cap=4).ok
+
+
+def with_empty_table(f):
+    """f with an empty arity-2 table: the same morphism."""
+    return LInftyMorphism(f.source, f.target, {**f.comps, 2: {}},
+                          arity_cap=f.arity_cap)
+
+
+def test_constant_homotopy_ignores_empty_table():
+    f = with_empty_table(LInftyMorphism.identity(dg_base()))
+    assert f.comps[2] == {}
+    assert constant_homotopy(f, weight_cap=3).endpoints_match()
+
+
+def test_concat_across_seam_differing_by_empty_table():
+    f = LInftyMorphism.identity(dg_base())
+    h1 = constant_homotopy(f, weight_cap=3)
+    h2 = constant_homotopy(with_empty_table(f), weight_cap=3)
+    hh = concat_homotopies(h1, h2, weight_cap=3)
+    assert hh.endpoints_match()
+    assert check_relations(hh.model.algebra, weight_cap=3).ok
 
 
 def test_concat_seam_mismatch_rejected():
