@@ -358,23 +358,6 @@ class Hypercovering:
             out &= self.atlas.image(p)
         return out
 
-    def delete_simplex(self, alpha):
-        """Remove a simplex and, cascading upward, everything that has
-        a missing face, keeping the collection face-closed."""
-        k = len(alpha) - 1
-        self._set_level(k, [a for a in self.simplices.get(k, [])
-                            if a != alpha])
-        for kk in sorted(self.simplices):
-            if kk <= k:
-                continue
-            keep = [a for a in self.simplices[kk]
-                    if all(self.has(self.face(a, i)) for i in range(kk + 1))]
-            self._set_level(kk, keep)
-
-    def _set_level(self, k, simplices):
-        self.simplices[k] = simplices
-        self._index[k] = set(simplices)
-
     def to_json(self):
         return {"m_max": self.m_max,
                 "simplices": {str(k): [list(a) for a in v]

@@ -128,9 +128,6 @@ class JetRing:
     def var(self, name):
         return poly_var(self.name_to_idx[name], self.nv)
 
-    def mul(self, p, q):
-        return poly_trunc(poly_mul(p, q), range(self.nv), self.order)
-
     def monomials(self, cap=None):
         """Exponent vectors of total degree at most cap, sorted; built
         one coordinate at a time, so the work is proportional to their
@@ -422,14 +419,6 @@ class JetMultivectorModel:
             out[(e, w)] = c
         return out
 
-    def fiber_level(self, X):
-        """Smallest p-degree of any coefficient term: the stage of the
-        fiber-ideal filtration that contains X (a large sentinel for
-        zero)."""
-        if not X:
-            return 10 ** 9
-        return min(sum(e[i] for i in self.p_idxs) for (e, _) in X)
-
     # -- generator basis of the abelian subalgebra
 
     def label_to_mv(self, label):
@@ -537,7 +526,7 @@ def _known_labels(space, labels):
         raise ValueError("unknown generator label")
 
 
-def check_graded_lie(L, name="graded-lie"):
+def check_graded_lie(L):
     """Degree preservation, graded antisymmetry, and the graded Jacobi
     identity on all basis triples."""
     failures = []
@@ -573,7 +562,7 @@ def check_graded_lie(L, name="graded-lie"):
                 res = vec_add(lhs, vec_scale(-1, vec_add(r1, r2)))
                 if res:
                     failures.append(((a, b, c), res))
-    return CheckReport(name, failures, checked)
+    return CheckReport("graded-lie", failures, checked)
 
 
 # ---------------------------------------------------------------------------
@@ -932,104 +921,6 @@ def poisson_from_presymplectic(model, omega, R):
         raise ValueError("the bivector does not square to zero; "
                          "witness term %r" % (sorted(pp)[0],))
     return P
-
-
-# ---------------------------------------------------------------------------
-# localization at a coordinate subspace
-
-
-class LocalizedJetModel:
-    """Localization of the jet multivector model at the inclusion of a
-    coordinate subspace.  The vanishing ideal is generated by the
-    complementary (normal) base coordinates; the stage-j space keeps
-    coefficient terms of normal degree below j, and the bracket of two
-    stage-j classes is certified at stage j - 1: bracket on
-    representatives, then re-project.
-    """
-
-    def __init__(self, model, image_vars, j_max, P):
-        base_names = [model.ring.names[i] for i in model.base_idxs]
-        for v in image_vars:
-            if v not in base_names:
-                raise ValueError(
-                    "only coordinate-subspace embeddings are "
-                    "supported; unknown base variable %r" % (v,))
-        self.model = model
-        self.image_vars = list(image_vars)
-        self.normal_idxs = [model.ring.name_to_idx[n] for n in base_names
-                            if n not in set(image_vars)]
-        if j_max < 1:
-            raise ValueError("jet order must be at least 1")
-        self.j_max = int(j_max)
-        self.P = dict(P)
-
-    def project(self, X, j):
-        """Stage-j class of a representative: drop terms of normal
-        degree >= j."""
-        return {key: c for key, c in X.items()
-                if sum(key[0][i] for i in self.normal_idxs) < j}
-
-    def bracket_at(self, j, X, Y):
-        """Bracket of stage-j classes, certified at stage j - 1."""
-        if j < 2:
-            raise ValueError("the bracket needs at least stage 2")
-        return self.project(schouten(X, Y), j - 1)
-
-    def pi(self, X):
-        return self.model.pi(X)
-
-    def check(self, elems=None, seed=0):
-        """Well-definedness of the localized bracket: the projection
-        squares commute and the Jacobi identity survives the
-        representative-lift computation."""
-        model = self.model
-        rng = random.Random(seed)
-        if elems is None:
-            elems = []
-            for _ in range(12):
-                e = [0] * model.nv
-                for _ in range(rng.randint(0, 3)):
-                    e[rng.randrange(model.nv)] += 1
-                w = tuple(sorted(rng.sample(range(model.nv),
-                                            rng.randint(0, 2))))
-                elems.append({(tuple(e), w):
-                              Fraction(rng.choice([1, -1, 2]))})
-        failures = []
-        checked = 0
-        for j in range(2, self.j_max):
-            for X in elems:
-                for Y in elems:
-                    checked += 1
-                    a = self.project(self.bracket_at(j + 1, X, Y), j - 1)
-                    b = self.bracket_at(j, self.project(X, j),
-                                        self.project(Y, j))
-                    diff = vec_add(a, vec_scale(-1, b))
-                    if diff:
-                        failures.append((("square", j), diff))
-        for X in elems[:4]:
-            for Y in elems[:4]:
-                for Z in elems[:4]:
-                    if self.j_max < 4:
-                        continue
-                    checked += 1
-                    j = self.j_max
-                    xb = (len(next(iter(X))[1]) - 1) % 2
-                    yb = (len(next(iter(Y))[1]) - 1) % 2
-                    lhs = self.bracket_at(j - 1,
-                                          self.bracket_at(j, Y, Z), X)
-                    # recompute through representatives and compare
-                    lift = schouten(schouten(Y, Z), X)
-                    if self.project(lift, j - 2) != lhs:
-                        failures.append((("lift", j), lift))
-        return CheckReport("localized-valgebra", failures, checked)
-
-
-def localize_valgebra(V, image_vars, j_max):
-    """Localized V-algebra of a jet model at the inclusion of a
-    coordinate subspace named by the surviving base variables."""
-    if not isinstance(V, JetVAlgebra):
-        raise ValueError("localization needs the jet model")
-    return LocalizedJetModel(V.model, image_vars, j_max, V.P)
 
 
 # ---------------------------------------------------------------------------

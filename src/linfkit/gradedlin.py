@@ -233,9 +233,9 @@ def _sparse(vec):
     return {j: x for j, x in enumerate(vec) if x}
 
 
-def echelon_of(vectors, track=False):
+def echelon_of(vectors):
     """An Echelon with the given dense vectors inserted in order."""
-    ech = Echelon(track)
+    ech = Echelon()
     for v in vectors:
         ech.insert(_sparse(v))
     return ech
@@ -402,9 +402,6 @@ class GradedSpace:
     def basis_in_degree(self, d):
         return self.by_degree.get(d, ())
 
-    def dim_in_degree(self, d):
-        return len(self.basis_in_degree(d))
-
     def __eq__(self, other):
         return (isinstance(other, GradedSpace)
                 and self.labels == other.labels and self.deg == other.deg)
@@ -529,9 +526,6 @@ class GradedMap:
         for a, c in vec.items():
             vec_acc(out, self.images.get(a, {}), c)
         return out
-
-    def apply_gen(self, lab):
-        return dict(self.images.get(lab, {}))
 
     def compose(self, other):
         """self after other (self . other)."""
@@ -740,13 +734,6 @@ def cohomology(d: GradedMap):
                      for v in ker if img.insert(v)],
         }
     return out
-
-
-def euler_check(space: GradedSpace, coh) -> bool:
-    """Rank-nullity ledger: alternating sums of dims agree."""
-    chi_c = sum((-1) ** d * space.dim_in_degree(d) for d in space.degrees())
-    chi_h = sum((-1) ** d * v["dim"] for d, v in coh.items())
-    return chi_c == chi_h
 
 
 # ---------------------------------------------------------------------------

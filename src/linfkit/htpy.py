@@ -2,10 +2,11 @@
 
 Three machines live here:
 
-- fill_n_homotopy: given n+2 quasi-isomorphisms into the same target
-  (and, for n = 2, compatible edge homotopies), build a finite model of
-  the (n+1)-simplex times the target as a mapping-cylinder algebra and
-  a filling homotopy whose evaluations restrict to the given data.
+- fill_n_homotopy: given n+1 quasi-isomorphisms into the same target
+  (n = 1, 2), build a finite model of the n-simplex times the target
+  as a mapping-cylinder algebra and a filling homotopy whose vertex
+  evaluations are the given morphisms; for n = 2 the edge homotopies
+  are filled first.
 - whitehead_inverse: invert a quasi-isomorphism up to homotopy, arity
   by arity, returning a certificate with the inverse, the homotopy and
   the interval model it lives in.
@@ -175,12 +176,11 @@ class FillingModel:
         }
 
 
-def _family_for_fill(fs, boundary, K, tie_break):
+def _family_for_fill(fs, K, tie_break):
     """Face models, their vertex-evaluation chain maps and homotopy
     components for the cylinder construction."""
     n_out = len(fs) - 1
     C = fs[0].target
-    C0 = fs[0].source
     if n_out == 1:
         faces = [(0,), (1,)]
         face_alg = {(0,): C, (1,): C}
@@ -189,15 +189,8 @@ def _family_for_fill(fs, boundary, K, tie_break):
     faces = [(0, 1), (0, 2), (1, 2)]
     edges = {}
     for J in faces:
-        if boundary and J in boundary:
-            edges[J] = boundary[J]
-        else:
-            edges[J] = fill_n_homotopy([fs[J[0]], fs[J[1]]], K=K,
-                                       tie_break=tie_break)
-        edge = edges[J]
-        if edge.n != 1:
-            raise ValueError("boundary data for %r is not an interval"
-                             % (J,))
+        edge = edges[J] = fill_n_homotopy([fs[J[0]], fs[J[1]]], K=K,
+                                          tie_break=tie_break)
         for pos in (0, 1):
             got = compose(edge.evals[(pos,)], edge.hbar)
             if not comps_agree(got, fs[J[pos]], got.arity_cap):
@@ -208,14 +201,12 @@ def _family_for_fill(fs, boundary, K, tie_break):
     return faces, face_alg, face_h, edges
 
 
-def fill_n_homotopy(fs, boundary=None, K=2, tie_break=0):
-    """Fill a compatible boundary family of quasi-isomorphisms with an
-    n-homotopy, n = len(fs) - 1 in {1, 2}.
+def fill_n_homotopy(fs, K=2, tie_break=0):
+    """Fill a family of quasi-isomorphisms with an n-homotopy,
+    n = len(fs) - 1 in {1, 2}.
 
     fs: morphisms C0 -> C (the vertex data), each a quasi-isomorphism.
-    boundary: for n = 2, optional {edge tuple: interval FillingModel}
-    whose homotopies end on the matching vertex morphisms; missing
-    edges are filled recursively.
+    For n = 2 the three edge homotopies are filled first, recursively.
     K: arity up to which operations and homotopy components are built.
     tie_break: seed of the free-variable choice in every linear stage,
     edge fills included (see LinearSystem); 0 is the canonical one.
@@ -239,8 +230,7 @@ def fill_n_homotopy(fs, boundary=None, K=2, tie_break=0):
     if K + 1 > min(C.arity_cap, C0.arity_cap) + 1:
         raise ValueError("arity cap of the algebras is below K")
 
-    faces, face_alg, face_h, edges = _family_for_fill(fs, boundary, K,
-                                                      tie_break)
+    faces, face_alg, face_h, edges = _family_for_fill(fs, K, tie_break)
 
     # --- direct sum of the face models, with tagged labels
     sum_gens = []

@@ -50,15 +50,10 @@ class Section:
     def rank(self):
         return len(self.comps)
 
-    def min_vanishing_order(self, idxs=None):
-        """Smallest total degree (in the listed variables) among all
-        component terms; a large sentinel for the zero section."""
-        best = 10 ** 9
-        for p in self.comps:
-            for e in p:
-                d = sum(e) if idxs is None else sum(e[i] for i in idxs)
-                best = min(best, d)
-        return best
+    def min_vanishing_order(self):
+        """Smallest total degree among all component terms; None for
+        the zero section."""
+        return min((sum(e) for p in self.comps for e in p), default=None)
 
     def to_json(self):
         return {"ring": self.ring.to_json(),
@@ -477,7 +472,7 @@ class EmbeddingReport:
                            sorted(self.checks.items())}}
 
 
-def fooo_embedding_check(section, amb_section, bundle_map, verify_cap=None):
+def fooo_embedding_check(section, amb_section, bundle_map):
     """Acceptance check for an embedding of charts given by the
     inclusion of coordinate subspaces (by variable name) and a
     constant bundle map with orthonormal columns.
@@ -613,11 +608,9 @@ def fooo_embedding_check(section, amb_section, bundle_map, verify_cap=None):
             comps1[(lab,)] = out
     eta = LInftyMorphism(L.algebra, L2.algebra, {1: comps1},
                          arity_cap=L.algebra.arity_cap)
-    cap = verify_cap
-    if cap is None:
-        gain = max(1, section.min_vanishing_order()
-                   if section.comps else 1)
-        cap = ring.order - gain
+    # the weight the chain relation is checked to: the jet order less
+    # the section's vanishing order, at least 1 (also for a zero section)
+    cap = ring.order - max(1, section.min_vanishing_order() or 0)
     rep = check_morphism(eta, up_to=1, weight_cap=cap)
     checks["chain_map"] = rep.ok
     if not rep.ok:

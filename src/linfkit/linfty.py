@@ -405,11 +405,6 @@ class LInftyAlgebra:
                                                         DEFAULT_ARITY_CAP))
 
 
-def zero_algebra(space=None, arity_cap=DEFAULT_ARITY_CAP):
-    """Abelian algebra with all operations zero."""
-    return LInftyAlgebra(space or GradedSpace([]), {}, arity_cap=arity_cap)
-
-
 def chain_complex(space, d: GradedMap, arity_cap=DEFAULT_ARITY_CAP,
                   weights=None):
     """Strict algebra with l_1 = d and l_{k>=2} = 0."""
@@ -680,33 +675,6 @@ def codifferential_hat(A: LInftyAlgebra, cap=None,
                             0, len(word))
         images[wl] = {word_label(cw): c for cw, c in out.items()}
     return GradedMap(space, space, 1, images)
-
-
-def hat_morphism(f: LInftyMorphism, cap=None):
-    """The coalgebra-morphism extension S^{<=cap} C -> S^{<=cap} C'."""
-    cap = cap or f.arity_cap
-    src = hat_space(f.source, cap)
-    tgt = hat_space(f.target, cap)
-    images = {}
-    for wl, word in src.words.items():
-        out = partition_sum(
-            f, word, lambda t, args: expand_canonical(f.target.space, args),
-            range(1, cap + 1))
-        images[wl] = {word_label(cw): c for cw, c in out.items()}
-    return GradedMap(src, tgt, 0, images), src, tgt
-
-
-def delta_word(space, word):
-    """Comultiplication terms (w1, w2, sign) of a canonical word; its
-    blocks are canonical, so only the split signs are computed."""
-    k = len(word)
-    parities = _parities(space, word)
-    out = []
-    for i in range(1, k):
-        for b1, b2, sgn in _split_signs(parities, i):
-            out.append((tuple(word[p] for p in b1),
-                        tuple(word[p] for p in b2), sgn))
-    return out
 
 
 # ---------------------------------------------------------------------------

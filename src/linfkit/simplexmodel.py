@@ -18,14 +18,12 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 
-from .gradedlin import (Echelon, GradedMap, GradedSpace, acc_term,
-                        cohomology, scalar_from_str, scalar_to_str, vec_acc,
+from .gradedlin import (Echelon, GradedMap, GradedSpace, acc_term, vec_acc,
                         vec_add, vec_scale, words_within)
 from .derived import mv_wedge
 from .linfty import (CheckReport, LInftyAlgebra, LInftyMorphism,
                      check_morphism, check_relations, compose, comps_agree,
-                     direct_sum, is_quasi_iso, l1_map, split_sum_label,
-                     sum_label)
+                     is_quasi_iso, l1_map)
 
 MAX_SIMPLEX_DIM = 4
 MAX_WEIGHT_CAP = 8
@@ -128,38 +126,12 @@ def face_restrict(n, i, form, weight_cap=None):
     return out
 
 
-def form_to_json(form):
-    return {"monomials": [{"poly": [list(exps), scalar_to_str(c)],
-                           "dts": list(dts)}
-                          for (exps, dts), c in sorted(form.items())]}
-
-
-def form_from_json(doc):
-    out = {}
-    for m in doc["monomials"]:
-        acc_term(out, (tuple(m["poly"][0]), tuple(m["dts"])),
-                 scalar_from_str(m["poly"][1]))
-    return out
-
-
 def mono_label(key):
     exps, dts = key
     poly = ".".join("t%d^%d" % (i + 1, e) for i, e in enumerate(exps) if e)
     dt = ".".join("dt%d" % i for i in dts)
     parts = [p for p in (poly, dt) if p]
     return ".".join(parts) if parts else "1"
-
-
-def forms_cohomology(n, weight_cap):
-    """Cohomology of the truncated form complex by exact rank, degree
-    by degree (d preserves weight, so the truncation is d-stable)."""
-    keys = simplex_forms(n, weight_cap)
-    gens = [(mono_label(k), mono_degree(k)) for k in keys]
-    space = GradedSpace(gens)
-    images = {mono_label(k): {mono_label(k2): c for k2, c
-                              in d_form(n, {k: Fraction(1)}).items()}
-              for k in keys}
-    return cohomology(GradedMap(space, space, 1, images))
 
 
 # ---------------------------------------------------------------------------
@@ -537,184 +509,3 @@ def constant_homotopy(f: LInftyMorphism, weight_cap=4) -> Homotopy:
     compose f with the (full) inclusion morphism."""
     model = SimplexModel(f.target, 1, weight_cap)
     return Homotopy(compose(model.incl_morphism(), f), model, f, f)
-
-
-class SubspaceAlgebra:
-    """An algebra structure induced on a spanned subspace of an ambient
-    algebra, with operations stored through exact coordinate solves.
-    Vectors must be degree-homogeneous.  Operations whose output fails
-    to lie in the span raise unless the offending word exceeds the
-    weight window (then the entry is dropped; checks are filtered)."""
-
-    def __init__(self, ambient: LInftyAlgebra, vectors, prefix="s",
-                 weights=None, weight_window=None):
-        self.ambient = ambient
-        self.vectors = list(vectors)
-        amb = ambient.space
-        gens = []
-        for idx, v in enumerate(self.vectors):
-            degs = {amb.deg[l] for l in v}
-            if len(degs) != 1:
-                raise ValueError("subspace vector not homogeneous")
-            gens.append(("%s%d" % (prefix, idx), degs.pop()))
-        self.space = GradedSpace(gens)
-        self.weights = weights
-        self.weight_window = weight_window
-        # per degree: the subspace's labels and the echelon of its
-        # vectors over ambient generator indices, built on first use
-        self._spans = {}
-        # without weights no word is filtered
-        window = None if weights is None else weight_window
-        ops = {}
-        for k in range(1, ambient.arity_cap + 1):
-            if k not in ambient.ops and k != 1:
-                continue
-            tab = {}
-            for word in words_within(self.space, k, weights, window):
-                elems = [self.vectors[self.space.index[l]] for l in word]
-                out = ambient.op_elems(k, elems)
-                if not out:
-                    continue
-                coords = self._coords(out)
-                if coords is None:
-                    raise ValueError(
-                        "subspace not closed under operations at %r" %
-                        (word,))
-                if coords:
-                    tab[word] = coords
-            if tab:
-                ops[k] = tab
-        self.algebra = LInftyAlgebra(self.space, ops,
-                                     arity_cap=ambient.arity_cap,
-                                     weights=weights)
-
-    def _coords(self, elem):
-        amb = self.ambient.space
-        deg = {amb.deg[l] for l in elem}
-        if not deg:
-            return {}
-        d = deg.pop()
-        if d not in self._spans:
-            labs = self.space.basis_in_degree(d)
-            span = Echelon(track=True)
-            for lab in labs:
-                span.insert({amb.index[b]: c for b, c in
-                             self.vectors[self.space.index[lab]].items()})
-            self._spans[d] = labs, span
-        labs, span = self._spans[d]
-        x = span.coords({amb.index[b]: c for b, c in elem.items()
-                         if amb.deg[b] == d})
-        if x is None:
-            return None
-        return {labs[j]: c for j, c in sorted(x.items())}
-
-    def include_morphism(self) -> LInftyMorphism:
-        comps = {1: {(l,): dict(self.vectors[self.space.index[l]])
-                     for l in self.space.labels}}
-        return LInftyMorphism(self.algebra, self.ambient, comps)
-
-
-class GluedInterval:
-    """The interval model of a concatenation: the fiber product of two
-    interval models over their seam, evaluated at the start of the
-    first and at the end of the second."""
-
-    n = 1
-
-    def __init__(self, algebra, base, evals, incl):
-        self.algebra = algebra
-        self.base = base
-        self.evals = evals
-        self.incl = incl
-
-    def eval_vertex(self, v):
-        return self.evals[v]
-
-
-def concat_homotopies(h1: Homotopy, h2: Homotopy, weight_cap=4) -> Homotopy:
-    """Glue a homotopy f0 => f1 and a homotopy f1 => f2 through the
-    fiber product of the two interval models (pairs whose seam
-    evaluations agree), with componentwise operations."""
-    if not comps_agree(h1.f1, h2.f0):
-        raise ValueError("seam morphisms disagree")
-    M1 = h1.model.algebra
-    M2 = h2.model.algebra
-    D = direct_sum(M1, M2)
-    # seam constraint per degree: eval1 of the first leg equals eval0
-    # of the second
-    e1 = h1.model.eval_vertex(1).f1_map().images
-    e0 = h2.model.eval_vertex(0).f1_map().images
-    # columns are generator indices of D: those of M1, then those of M2
-    idx = D.space.index
-    vectors = []
-    for d in sorted(set(M1.space.degrees()) | set(M2.space.degrees())):
-        rows, cols = {}, []
-        for M, img, side, sgn in ((M1, e1, "0", 1), (M2, e0, "1", -1)):
-            for l in M.space.basis_in_degree(d):
-                j = idx[sum_label(l, side)]
-                cols.append(j)
-                for t, c in img.get(l, {}).items():
-                    rows.setdefault(t, {})[j] = sgn * c
-        seam = Echelon()
-        for row in rows.values():
-            seam.insert(row)
-        for kv in seam.kernel(cols):
-            vectors.append({D.space.labels[j]: c
-                            for j, c in sorted(kv.items())})
-    side_weights = {"0": M1.weights or {}, "1": M2.weights or {}}
-    dweights = {}
-    for i, v in enumerate(vectors):
-        dweights["p%d" % i] = max(
-            [side_weights[side].get(l, 0)
-             for l, side in map(split_sum_label, v)], default=0)
-    sub = SubspaceAlgebra(D, vectors, prefix="p", weights=dweights,
-                          weight_window=weight_cap)
-
-    def glue(v0, v1, what):
-        """Fiber-product coordinates of the pair (v0, v1)."""
-        pair = {sum_label(l, "0"): c for l, c in v0.items()}
-        pair.update((sum_label(l, "1"), c) for l, c in v1.items())
-        coords = sub._coords(pair)
-        if coords is None:
-            raise ValueError("%s leaves the fiber product" % what)
-        return coords
-
-    # morphism into the glued model
-    comps = {}
-    for k in set(h1.h.comps) | set(h2.h.comps):
-        tab = {}
-        words = set(h1.h.comps.get(k, {})) | set(h2.h.comps.get(k, {}))
-        for w in words:
-            coords = glue(h1.h.comp_word(k, w), h2.h.comp_word(k, w),
-                          "homotopy pair")
-            if coords:
-                tab[w] = coords
-        if tab:
-            comps[k] = tab
-    h = LInftyMorphism(h1.h.source, sub.algebra, comps)
-    # evaluations out of the glued model
-    inc = sub.include_morphism()
-
-    def _project(mor, side):
-        entries = {}
-        for l in sub.space.labels:
-            part = {}
-            for al, c in inc.comp_word(1, (l,)).items():
-                lab, s = split_sum_label(al)
-                if s == side:
-                    part[lab] = c
-            img = mor.comp_elems(1, [part])
-            if img:
-                entries[(l,)] = img
-        return LInftyMorphism(sub.algebra, mor.target, {1: entries})
-
-    ev0 = _project(h1.model.eval_vertex(0), "0")
-    ev1 = _project(h2.model.eval_vertex(1), "1")
-    # inclusion chain map x -> (incl x, incl x)
-    C = h1.model.base
-    incl = GradedMap(C.space, sub.space, 0, {
-        x: glue(h1.model.incl.images.get(x, {}),
-                h2.model.incl.images.get(x, {}), "inclusion")
-        for x in C.space.labels})
-    return Homotopy(h, GluedInterval(sub.algebra, C, (ev0, ev1), incl),
-                    h1.f0, h2.f1)

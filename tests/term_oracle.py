@@ -161,6 +161,21 @@ def hat_morphism(f, cap):
     return entries
 
 
+def delta_word(space, word):
+    """The comultiplication of a canonical word: a term (w1, w2, sign)
+    for every (i, k-i)-unshuffle with 0 < i < k, signed by the Koszul
+    sign of the split."""
+    k = len(word)
+    out = []
+    for i in range(1, k):
+        for b1 in combinations(range(k), i):
+            b2 = tuple(p for p in range(k) if p not in b1)
+            out.append((tuple(word[p] for p in b1),
+                        tuple(word[p] for p in b2),
+                        regroup_sign(space, word, b1 + b2)))
+    return out
+
+
 def codifferential(A, cap, include_empty=False):
     """The entries of the coderivation extension of A's operations on
     words of arity (0 or 1)..cap, words above the cap dropped."""

@@ -21,13 +21,12 @@ from linfkit.linfty import (LInftyAlgebra, LInftyMorphism, check_morphism,
                             direct_sum, direct_sum_mor, extend_morphism,
                             is_quasi_iso,
                             l1_cohomology, obstruction_cocycle,
-                            obstruction_class, sym_words, word_degree,
-                            zero_algebra)
+                            obstruction_class, sym_words, word_degree)
 from linfkit.simplexmodel import build_model, verify_model_axioms
 from linfkit.htpy import fill_n_homotopy, whitehead_inverse
 from linfkit.derived import (JetMultivectorModel, JetVAlgebra,
                              derived_brackets, op_weight_gain,
-                             poisson_from_presymplectic)
+                             poisson_from_presymplectic, poly_mul)
 from linfkit.koszul import (JetRing, Section, augment_extension, d_form,
                             foliation_complex, fooo_embedding_check,
                             koszul_cohomology, koszul_complex,
@@ -115,9 +114,9 @@ def _fixture_algebras():
     """(name, algebra, weight filter): >= 20 structures from every
     construction site, plus one deliberately broken differential."""
     out = []
-    out.append(("zero-empty", zero_algebra(), None))
-    out.append(("zero-3dim", zero_algebra(
-        GradedSpace([("p", -1), ("q", 0), ("r", 2)])), None))
+    out.append(("zero-empty", LInftyAlgebra(GradedSpace([]), {}), None))
+    out.append(("zero-3dim", LInftyAlgebra(
+        GradedSpace([("p", -1), ("q", 0), ("r", 2)]), {}), None))
     sp = GradedSpace([("x", 0), ("y", 1)])
     out.append(("pair-complex", LInftyAlgebra(
         sp, {1: {("x",): {"y": F(1)}}}, arity_cap=4), None))
@@ -459,7 +458,7 @@ def criterion_7():
                                  for d in range(-len(names), 0))})
 
     ring = JetRing(["q1"], 4)
-    sq = Section(ring, [ring.mul(ring.var("q1"), ring.var("q1"))])
+    sq = Section(ring, [poly_mul(ring.var("q1"), ring.var("q1"))])
     K = koszul_complex(sq)
     Hm1 = l1_cohomology(K).get(-1, {"dim": 0, "reps": []})
     checks.append({"name": "order-two-obstruction",
@@ -475,7 +474,7 @@ def criterion_7():
     rep_cod = fooo_embedding_check(s_small, s_big, [[F(1)], [F(0)]])
     checks.append({"name": "accept-codim-one", "ok": rep_cod.accepted})
     s_sq = Section(r2, [r2.var("q1"),
-                        r2.mul(r2.var("q2"), r2.var("q2"))])
+                        poly_mul(r2.var("q2"), r2.var("q2"))])
     rep_bad = fooo_embedding_check(s_small, s_sq, [[F(1)], [F(0)]])
     checks.append({"name": "reject-degenerate",
                    "ok": not rep_bad.accepted})

@@ -17,7 +17,7 @@ from linfkit.gradedlin import (CapError, CohomologyError, Echelon,
                                GradedMap, GradedSpace, LinearSystem,
                                canonical_word,
                                cohomology, complement_in, dumps_canonical,
-                               echelon_of, euler_check, in_span, koszul_sign,
+                               in_span, koszul_sign,
                                matrix_rank, nullspace, rref, scalar_from_str,
                                scalar_to_str, solve_canonical, solve_sparse,
                                sym_words, unshuffles, vec_add, vec_scale,
@@ -156,7 +156,9 @@ def test_span_tests_match_oracle(vecs, amb, data):
         dense_oracle.complement_in(amb_basis, vectors)
     # coordinates in the independent vectors: the canonical solution of
     # the system whose columns are the vectors
-    span = echelon_of(vectors, track=True)
+    span = Echelon(track=True)
+    for u in vectors:
+        span.insert({i: c for i, c in enumerate(u) if c})
     cols = [list(c) for c in zip(*vectors)] if vectors else []
     for w in (v, in_v):
         want = dense_oracle.solve_canonical(cols, w, len(vectors)) \
@@ -544,7 +546,6 @@ def test_cohomology_oracle():
     H = cohomology(d)
     assert H[0]["dim"] == 0
     assert H[1]["dim"] == 1
-    assert euler_check(S, H)
 
 
 @settings(max_examples=150, deadline=None)
@@ -663,7 +664,7 @@ def test_graded_map_matches_dense_products(data):
             (a, b): want[i][j] for j, a in enumerate(m.source.labels)
             for i, b in enumerate(m.target.labels) if want[i][j]}
         for j, a in enumerate(m.source.labels):
-            assert m.apply_gen(a) == {b: row[j] for b, row
+            assert m.images.get(a, {}) == {b: row[j] for b, row
                                       in zip(m.target.labels, want) if row[j]}
     x = [data.draw(map_scalars) for _ in U.labels]
     fx = matmul(A, [[v] for v in x], 1)
@@ -687,7 +688,7 @@ def test_graded_map_cancellation_and_errors():
     g = GradedMap(V, W, 0, {"v1": {"w": F(1)}, "v2": {"w": F(-1)},
                             "v0": {}})
     assert g.compose(f).is_zero() and not g.compose(f).images
-    assert "v0" not in g.images and g.apply_gen("v0") == {}
+    assert "v0" not in g.images and g.images.get("v0", {}) == {}
     with pytest.raises(TypeError):
         f.entries[("u", "v1")] = F(2)
     with pytest.raises(ValueError, match="unknown source"):

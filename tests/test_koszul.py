@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 from linfkit.derived import (JetMultivectorModel, JetVAlgebra,
                              derived_brackets, poisson_from_presymplectic,
-                             poly_zero)
+                             poly_mul, poly_trunc, poly_zero)
 from linfkit.koszul import (JetRing, Section, augment_extension,
                             build_local_algebra, d_form, expand_chart,
                             foliation_complex, fooo_embedding_check,
@@ -25,10 +25,9 @@ from linfkit.koszul import (JetRing, Section, augment_extension,
                             split_label)
 from linfkit.linfty import (JetRecord, LInftyAlgebra, LInftyMorphism,
                             check_morphism, check_relations,
-                            codifferential_hat, is_quasi_iso, l1_cohomology,
-                            zero_algebra)
+                            codifferential_hat, is_quasi_iso, l1_cohomology)
 from linfkit.gradedlin import GradedSpace, sym_words, vec_add, vec_scale
-from linfkit import linfty
+from linfkit import koszul, linfty
 
 import term_oracle
 
@@ -37,21 +36,27 @@ import term_oracle
 # rings and sections
 
 
+def mul(r, p, q):
+    """The product of two jets of the ring r, truncated at its order."""
+    return poly_trunc(poly_mul(p, q), range(r.nv), r.order)
+
+
 def test_jet_ring_truncates():
     r = JetRing(["y1", "y2"], 2)
     y1 = r.var("y1")
-    assert r.mul(y1, r.mul(y1, y1)) == {}
+    assert mul(r, y1, mul(r, y1, y1)) == {}
     assert r.mono_parse(r.mono_str((2, 0))) == (2, 0)
     assert len(r.monomials()) == 6
 
 
 def test_section_roundtrip_and_vanishing_order():
     r = JetRing(["y1", "y2"], 3)
-    s = Section(r, [r.mul(r.var("y2"), r.var("y2"))])
+    s = Section(r, [mul(r, r.var("y2"), r.var("y2"))])
     s2 = Section.from_json(s.to_json())
     assert s2.comps == s.comps and s2.ring.names == r.names
-    assert s.min_vanishing_order([r.name_to_idx["y2"]]) == 2
-    assert s.min_vanishing_order([r.name_to_idx["y1"]]) == 0
+    assert s.min_vanishing_order() == 2
+    assert Section(r, [s.comps[0], r.var("y1")]).min_vanishing_order() == 1
+    assert Section(r, [poly_zero()]).min_vanishing_order() is None
 
 
 # ---------------------------------------------------------------------------
@@ -93,7 +98,7 @@ def test_koszul_regular_sequence_is_exact_below_zero(monkeypatch):
 
 def test_koszul_order_two_vanishing_detected():
     r = JetRing(["y1"], 3)
-    K = koszul_complex(Section(r, [r.mul(r.var("y1"), r.var("y1"))]))
+    K = koszul_complex(Section(r, [mul(r, r.var("y1"), r.var("y1"))]))
     H = koszul_cohomology(K)
     assert H[-1] >= 1
 
@@ -108,7 +113,7 @@ def test_koszul_module_linearity():
     for lab, c in base.items():
         mono, toks = split_label(lab)
         e = r.mono_parse(mono)
-        prod = r.mul({e: F(1)}, r.var("y1"))
+        prod = mul(r, {e: F(1)}, r.var("y1"))
         for e2, c2 in prod.items():
             lab2 = make_label(r.mono_str(e2), toks)
             scaled[lab2] = scaled.get(lab2, F(0)) + c * c2
@@ -337,7 +342,8 @@ def test_expand_chart_rejects_name_clash():
 def test_quotient_of_zero_inclusion_is_target_cohomology():
     r = JetRing(["y1"], 2)
     K = koszul_complex(Section(r, [poly_zero()]))
-    f = LInftyMorphism(zero_algebra(), K, {}, arity_cap=2)
+    f = LInftyMorphism(LInftyAlgebra(GradedSpace([]), {}), K, {},
+                       arity_cap=2)
     H = quotient_cohomology(f)
     assert H == koszul_cohomology(K)
 
@@ -374,7 +380,7 @@ def test_embedding_codimension_one_accepts():
 def test_embedding_rejects_order_two_vanishing():
     sU = _sub_chart()
     rp = JetRing(["y1", "y2"], 3)
-    sUp = Section(rp, [rp.mul(rp.var("y2"), rp.var("y2"))])
+    sUp = Section(rp, [mul(rp, rp.var("y2"), rp.var("y2"))])
     rep = fooo_embedding_check(sU, sUp, [[]])
     assert not rep.accepted
     assert "regular sequence" in rep.reason
@@ -383,7 +389,7 @@ def test_embedding_rejects_order_two_vanishing():
 def test_embedding_rejects_degenerate_tangent_direction():
     sU = _sub_chart()
     rp = JetRing(["y1", "y2"], 3)
-    sUp = Section(rp, [rp.mul(rp.var("y1"), rp.var("y2"))])
+    sUp = Section(rp, [mul(rp, rp.var("y1"), rp.var("y2"))])
     rep = fooo_embedding_check(sU, sUp, [[]])
     assert not rep.accepted
     assert "degenerate" in rep.reason and "y2" in rep.reason
@@ -397,6 +403,24 @@ def test_embedding_rejects_restriction_mismatch():
     rep = fooo_embedding_check(s, sp, [[1]])
     assert not rep.accepted
     assert "restrict" in rep.reason
+
+
+def test_zero_section_embedding_checks_the_chain_relation(monkeypatch):
+    # a zero section has no vanishing order; the chain relation is still
+    # checked to the jet order less one, on a nonempty set of words
+    checked = []
+
+    def spy(*args, **kw):
+        rep = real(*args, **kw)
+        checked.append(rep.checked)
+        return rep
+
+    real = koszul.check_morphism
+    monkeypatch.setattr(koszul, "check_morphism", spy)
+    s = Section(JetRing(["y1", "y2"], 3), [poly_zero()])
+    rep = fooo_embedding_check(s, s, [[1]])
+    assert rep.checks["chain_map"] is True
+    assert checked and all(c > 0 for c in checked)
 
 
 def test_embedding_requires_orthonormal_columns():

@@ -25,7 +25,7 @@ from linfkit.gradedlin import (UNSHUFFLE_CAP, GradedSpace, canonical_word,
 from linfkit.linfty import (LInftyAlgebra, LInftyMorphism, _insert_letter,
                             _split_signs, check_morphism, check_relations,
                             codifferential_hat, compose, delta1,
-                            hat_morphism, obstruction_cocycle)
+                            obstruction_cocycle)
 
 import term_oracle
 
@@ -147,13 +147,6 @@ def test_compose_matches_oracle(data):
     C = data.draw(algebras())
     g = data.draw(morphisms(source=f.target, target=C))
     assert compose(g, f).comps == term_oracle.compose(g, f)
-
-
-@PROPERTY
-@given(morphisms(), st.integers(1, 3))
-def test_hat_morphism_matches_oracle(f, cap):
-    assert hat_morphism(f, cap=cap)[0].entries == \
-        term_oracle.hat_morphism(f, cap)
 
 
 @PROPERTY
