@@ -422,7 +422,13 @@ def run_poisson_build(caps, model, omega, R):
 
 def load_localize(doc, caps):
     setup = load_jet_setup(doc, caps, ("image_vars", "j_max"), ("k_max",))
-    return setup + (str_list("image_vars", doc["image_vars"]),
+    model = setup[0]
+    coords = [model.ring.names[i] for i in model.base_idxs]
+    image_vars = str_list("image_vars", doc["image_vars"])
+    for n in image_vars:
+        if n not in coords:
+            raise InputError("image_vars: unknown coordinate %r" % (n,))
+    return setup + (image_vars,
                     int_field("j_max", doc["j_max"], 1),
                     int_field("k_max", doc.get("k_max", 3), 1,
                               GUARDS["arity"]))

@@ -37,9 +37,10 @@ from .gradedlin import (Echelon, GradedMap, GradedSpace, LinearSystem,
 from .linfty import (CheckReport, LInftyAlgebra, LInftyMorphism, add_rows,
                      chain_complex, check_morphism, check_relations,
                      compose, comps_agree, delta1_equations, delta1_rows,
-                     insertion_sum, is_quasi_iso, map_unknowns,
-                     obstruction_cocycle, partition_sum, post_rows, pre_rows,
-                     solution_table)
+                     direct_sum, fold_report, insertion_sum, is_quasi_iso,
+                     l1_map, map_unknowns, obstruction_cocycle,
+                     partition_sum, post_rows, pre_rows, solution_table,
+                     split_sum_label, sum_label, with_arity)
 from .simplexmodel import Homotopy, build_model
 
 
@@ -125,20 +126,15 @@ class FillingModel:
         evaluation/inclusion/homotopy morphism relations, endpoint
         agreement, and quasi-isomorphism of the inclusion."""
         failures = []
-        checked = 0
-
-        def fold(rep, tag):
-            nonlocal checked
-            checked += rep.checked
-            for w, r in rep.failures:
-                failures.append(((tag,) + tuple(w), r))
-
-        fold(check_relations(self.algebra, up_to=self.K), "relations")
+        checked = fold_report(failures, check_relations(
+            self.algebra, up_to=self.K), "relations")
         for J in self.face_keys():
-            fold(check_morphism(self.evals[J], up_to=self.K),
-                 "eval" + _jtag(J))
-        fold(check_morphism(self.hbar, up_to=self.K), "hbar")
-        fold(check_morphism(self.incl_morphism(), up_to=self.K), "incl")
+            checked += fold_report(failures, check_morphism(
+                self.evals[J], up_to=self.K), "eval" + _jtag(J))
+        checked += fold_report(failures, check_morphism(
+            self.hbar, up_to=self.K), "hbar")
+        checked += fold_report(failures, check_morphism(
+            self.incl_morphism(), up_to=self.K), "incl")
         # evaluations compose with the inclusion to the face inclusions
         for J in self.face_keys():
             comp = self.evals[J].f1_map().compose(self.incl)
@@ -232,31 +228,18 @@ def fill_n_homotopy(fs, K=2, tie_break=0):
 
     faces, face_alg, face_h, edges = _family_for_fill(fs, K, tie_break)
 
-    # --- direct sum of the face models, with tagged labels
-    sum_gens = []
-    for J in faces:
-        tag = _jtag(J)
-        sp = face_alg[J].space
-        sum_gens += [("%s:%s" % (tag, l), sp.deg[l]) for l in sp.labels]
-    sum_space = GradedSpace(sum_gens)
+    # --- direct sum of the face models, face i labeled sum_label(l, i)
+    side = {J: str(i) for i, J in enumerate(faces)}
+    face_sum = direct_sum(*[face_alg[J] for J in faces])
+    sum_space = face_sum.space
+    d_sum = l1_map(face_sum)
 
     def tag_vec(J, vec):
-        tag = _jtag(J)
-        return {"%s:%s" % (tag, b): c for b, c in vec.items()}
+        return {sum_label(b, side[J]): c for b, c in vec.items()}
 
     def untag_vec(J, vec):
-        tag = _jtag(J) + ":"
-        return {b[len(tag):]: c for b, c in vec.items()
-                if b.startswith(tag)}
-
-    # componentwise differential of the direct sum
-    d_sum_images = {}
-    for J in faces:
-        alg = face_alg[J]
-        for l in alg.space.labels:
-            d_sum_images["%s:%s" % (_jtag(J), l)] = \
-                tag_vec(J, alg.op_word(1, (l,)))
-    d_sum = GradedMap(sum_space, sum_space, 1, d_sum_images)
+        parts = [(split_sum_label(b), c) for b, c in vec.items()]
+        return {b: c for (b, s), c in parts if s == side[J]}
 
     # --- signed boundary map to the vertex level (zero when n_out = 1),
     # over the generator indices of the sum
@@ -418,10 +401,8 @@ def fill_n_homotopy(fs, K=2, tie_break=0):
                                for J in faces}, word_degree(C0.space, w))
             if val:
                 new_h[w] = val
-        hcomps = {k: dict(t) for k, t in hbar.comps.items()}
-        if new_h:
-            hcomps[m] = new_h
-        hbar = LInftyMorphism(C0, cyl, hcomps, arity_cap=K)
+        hbar = LInftyMorphism(C0, cyl, with_arity(hbar.comps, m, new_h),
+                              arity_cap=K)
 
         cyl = _solve_cylinder_operation(cyl, m, faces, face_alg, evals,
                                         incl, hbar, C, C0, K, tie_break)
@@ -484,11 +465,9 @@ def _solve_cylinder_operation(cyl, m, faces, face_alg, evals, incl, hbar,
     if sol is None:
         raise FillError("no arity-%d cylinder operation satisfies the "
                         "relation and compatibility constraints" % m)
-    table = solution_table(sol, "l")
-    ops = {k: dict(t) for k, t in cyl.ops.items()}
-    if table:
-        ops[m] = table
-    return LInftyAlgebra(space, ops, arity_cap=K)
+    return LInftyAlgebra(space, with_arity(cyl.ops, m,
+                                           solution_table(sol, "l")),
+                         arity_cap=K)
 
 
 # ---------------------------------------------------------------------------
@@ -536,16 +515,10 @@ class WhiteheadCertificate:
 
     def verify(self):
         failures = []
-        checked = 0
-
-        def fold(rep, tag):
-            nonlocal checked
-            checked += rep.checked
-            for w, r in rep.failures:
-                failures.append(((tag,) + tuple(w), r))
-
-        fold(check_morphism(self.g, up_to=self.K), "g")
-        fold(check_morphism(self.homotopy, up_to=self.K), "homotopy")
+        checked = fold_report(failures, check_morphism(
+            self.g, up_to=self.K), "g")
+        checked += fold_report(failures, check_morphism(
+            self.homotopy, up_to=self.K), "homotopy")
         ok, _ = is_quasi_iso(self.g)
         checked += 1
         if not ok:
@@ -559,7 +532,8 @@ class WhiteheadCertificate:
             if not hom.endpoint_ok(v, self.K):
                 failures.append((("endpoint", str(v)), {"mismatch": 1}))
         if self.reverse is not None:
-            fold(self.reverse.verify(), "reverse")
+            checked += fold_report(failures, self.reverse.verify(),
+                                   "reverse")
         return CheckReport("whitehead-certificate", failures, checked,
                            notes=list(self.notes))
 
@@ -658,16 +632,12 @@ def whitehead_inverse(f, K=3, model=None, with_reverse=True, tie_break=0):
         sol = sys.solve()
         if sol is None:
             raise FillError("inversion blocked at arity %d" % m)
-        gtab = solution_table(sol, "g")
-        htab = solution_table(sol, "h")
-        gcomps = {k: dict(t) for k, t in g.comps.items()}
-        if gtab:
-            gcomps[m] = gtab
-        hcomps = {k: dict(t) for k, t in h.comps.items()}
-        if htab:
-            hcomps[m] = htab
-        g = LInftyMorphism(C2, C1, gcomps, arity_cap=K)
-        h = LInftyMorphism(C1, M, hcomps, arity_cap=K)
+        g = LInftyMorphism(C2, C1, with_arity(g.comps, m,
+                                              solution_table(sol, "g")),
+                           arity_cap=K)
+        h = LInftyMorphism(C1, M, with_arity(h.comps, m,
+                                             solution_table(sol, "h")),
+                           arity_cap=K)
 
     reverse = None
     if with_reverse:
@@ -716,9 +686,7 @@ def model_morphism_over(f, model1, model2, K=2, tie_break=0):
         sol = sys.solve()
         if sol is None:
             raise FillError("no model morphism component at arity %d" % m)
-        tab = solution_table(sol, "F")
-        comps = {} if F is None else {k: dict(t) for k, t in F.comps.items()}
-        if tab:
-            comps[m] = tab
-        F = LInftyMorphism(A1, A2, comps, arity_cap=K)
+        F = LInftyMorphism(A1, A2, with_arity({} if F is None else F.comps,
+                                              m, solution_table(sol, "F")),
+                           arity_cap=K)
     return F

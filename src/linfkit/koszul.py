@@ -70,7 +70,7 @@ class Section:
 # Koszul complexes
 
 
-def koszul_complex(section, step=1):
+def koszul_complex(section):
     """Contraction complex of a section on the exterior algebra of the
     dual frame, with staircase coefficient caps.
 
@@ -86,7 +86,7 @@ def koszul_complex(section, step=1):
     weights = {}
     ops = {1: {}}
     for j in range(r + 1):
-        cap = D - j * step
+        cap = D - j
         if cap < 0:
             continue
         for word in itertools.combinations(range(r), j):
@@ -101,7 +101,7 @@ def koszul_complex(section, step=1):
                     # wedge factors
                     prod = poly_trunc(
                         poly_mul({e: Fraction(1)}, section.comps[a]),
-                        range(ring.nv), cap + step)
+                        range(ring.nv), cap + 1)
                     rest = toks[:i] + toks[i + 1:]
                     for e2, c in prod.items():
                         acc_term(out, make_label(ring.mono_str(e2), rest),
@@ -140,7 +140,7 @@ def d_form(ring, fol_names, vec):
     return out
 
 
-def foliation_complex(ring, fol_names=None, augmented=False, step=1):
+def foliation_complex(ring, fol_names=None, augmented=False):
     """Differential forms in the foliation directions with truncated
     polynomial coefficients (staircase caps), as a strict algebra with
     only a unary operation.
@@ -163,7 +163,7 @@ def foliation_complex(ring, fol_names=None, augmented=False, step=1):
         weights[lab] = sum(e)
 
     for j in range(len(fol_names) + 1):
-        cap = D - j * step
+        cap = D - j
         if cap < 0:
             continue
         for combo in itertools.combinations(sorted(fol_names), j):
@@ -332,42 +332,30 @@ def augment_extension(Omega, k_max):
 # local algebras
 
 
-def _sum_with_weights(A, B):
-    C = direct_sum(A, B)
-    weights = {}
-    for lab in C.space.labels:
-        base, side = split_sum_label(lab)
-        src = A if side == "0" else B
-        weights[lab] = src.weights[base] if src.weights else 0
-    return LInftyAlgebra(C.space, C.ops, l0=C.l0, arity_cap=C.arity_cap,
-                         weights=weights)
-
-
 class LocalAlgebra:
     """Koszul complex of a section alongside the augmented foliation
     de Rham complex of the same patch; the two summands never
     interact."""
 
-    def __init__(self, koszul, derham, section, fol_names, step):
+    def __init__(self, koszul, derham, section, fol_names):
         self.koszul = koszul
         self.derham = derham
         self.section = section
         self.ring = section.ring
         self.fol_names = fol_names      # resolved foliation directions
-        self.step = step
-        self.algebra = _sum_with_weights(koszul, derham)
+        self.algebra = direct_sum(koszul, derham)
 
 
-def build_local_algebra(section, fol_names=None, step=1):
+def build_local_algebra(section, fol_names=None):
     """Local algebra of a chart whose 2-form block vanishes: the
     foliation fills the whole patch, so the de Rham summand uses every
     coordinate direction and only the augmentation constant survives
     in degree -2."""
     ring = section.ring
     fol_names = list(ring.names) if fol_names is None else list(fol_names)
-    kos = koszul_complex(section, step=step)
-    der = foliation_complex(ring, fol_names, augmented=True, step=step)
-    return LocalAlgebra(kos, der, section, fol_names, step)
+    kos = koszul_complex(section)
+    der = foliation_complex(ring, fol_names, augmented=True)
+    return LocalAlgebra(kos, der, section, fol_names)
 
 
 def expand_chart(L, new_vars):
@@ -385,8 +373,7 @@ def expand_chart(L, new_vars):
     comps = [ring2.embed_from(ring, p) for p in L.section.comps]
     comps += [ring2.var(v) for v in new_vars]
     L2 = build_local_algebra(Section(ring2, comps),
-                             fol_names=L.fol_names + list(new_vars),
-                             step=L.step)
+                             fol_names=L.fol_names + list(new_vars))
     tset = set(L2.algebra.space.labels)
     comps1 = {}
     for lab in L.algebra.space.labels:

@@ -205,6 +205,13 @@ def _residual_json(r):
         return {str(b): str(c) for b, c in sorted(r.items(), key=str)}
 
 
+def fold_report(failures, rep, tag):
+    """Append the failures of a sub-check to failures, each word
+    prefixed with tag; returns the sub-check's checked count."""
+    failures.extend(((tag,) + tuple(w), r) for w, r in rep.failures)
+    return rep.checked
+
+
 class CheckReport:
     """Outcome of a relation/morphism/axiom check with witnesses."""
 
@@ -244,9 +251,61 @@ def _arity_cap(cap):
     return cap
 
 
-def _check_arity(what, k, word):
-    if len(word) != k:
-        raise ValueError("arity-%d %s on the word %r" % (k, what, word))
+def canonical_tables(space, out_space, shift, tables, cap, what):
+    """The structure-map tables {k: {canonical word: element}} of maps
+    S^k space -> out_space of degree shift, 1 <= k <= cap, read from
+    {k: {word: {label: coeff}}}: operations have shift 1, components
+    shift 0.  Each word is sorted with its Koszul sign, the entries on
+    one word add up and zeros drop out; every given arity keeps its
+    table, empty or not.  ValueError on an arity outside 1..cap, a word
+    of another length, a nonzero value on a vanishing word or an output
+    of another degree."""
+    clean = {}
+    for k, table in tables.items():
+        if type(k) is not int or k < 1:
+            raise ValueError("%s arity %r is not an integer >= 1"
+                             % (what, k))
+        if k > cap:
+            raise ValueError("%s arity %d is above the arity cap %d"
+                             % (what, k, cap))
+        tab = {}
+        for word, out in table.items():
+            if len(word) != k:
+                raise ValueError("arity-%d %s on the word %r"
+                                 % (k, what, word))
+            cw, sign = canonical_word(space, word)
+            if cw is None:
+                if any(Fraction(c) != 0 for c in out.values()):
+                    raise ValueError("value on a vanishing word %r"
+                                     % (word,))
+                continue
+            val = {b: sign * Fraction(c) for b, c in out.items()
+                   if Fraction(c) != 0}
+            if not val:
+                continue
+            wd = word_degree(space, cw) + shift
+            for b in val:
+                if out_space.deg[b] != wd:
+                    raise ValueError("arity-%d %s %r -> %r violates degree "
+                                     "%+d" % (k, what, cw, b, shift))
+            vec_acc(tab.setdefault(cw, {}), val)
+        clean[k] = {w: v for w, v in tab.items() if v}
+    return clean
+
+
+def table_word(space, table, word):
+    """A table {canonical word: element} read on a word in any order,
+    with the Koszul sign of the sorting; 0 off the table (a vanishing
+    word is no key)."""
+    if not table:
+        return {}
+    cw, sign = canonical_word(space, word)
+    return _signed(sign, table.get(cw, {}))
+
+
+def with_arity(tables, m, table):
+    """The tables with arity m set to table, unless table is empty."""
+    return {**tables, m: table} if table else tables
 
 
 def blocks_to_json(tables):
@@ -322,34 +381,10 @@ class LInftyAlgebra:
         self.l0 = {k: Fraction(v) for k, v in (l0 or {}).items()
                    if Fraction(v) != 0}
         self.weights = dict(weights) if weights else None
-        clean = {}
-        for k, table in ops.items():
-            if type(k) is not int or k < 1 or k > self.arity_cap:
-                raise ValueError("operation arity %r is not an integer "
-                                 "in 1..%d" % (k, self.arity_cap))
-            tab = {}
-            for word, out in table.items():
-                _check_arity("operation", k, word)
-                cw, sign = canonical_word(space, word)
-                if cw is None:
-                    if any(Fraction(c) != 0 for c in out.values()):
-                        raise ValueError("value on a vanishing word %r"
-                                         % (word,))
-                    continue
-                val = {b: sign * Fraction(c) for b, c in out.items()
-                       if Fraction(c) != 0}
-                if not val:
-                    continue
-                wd = word_degree(space, cw)
-                for b in val:
-                    if space.deg[b] != wd + 1:
-                        raise ValueError(
-                            "l_%d(%r) -> %r violates degree +1" % (k, cw, b))
-                vec_acc(tab.setdefault(cw, {}), val)
-            clean[k] = {w: v for w, v in tab.items() if v}
-        self.ops = clean
+        self.ops = canonical_tables(space, space, 1, ops, self.arity_cap,
+                                    "operation")
         # the arities k with l_k nonzero; 0 stands for the curvature
-        arities = frozenset(k for k, t in clean.items() if t)
+        arities = frozenset(k for k, t in self.ops.items() if t)
         self.support = arities | {0} if self.l0 else arities
         for b in self.l0:
             if space.deg[b] != 1:
@@ -366,13 +401,7 @@ class LInftyAlgebra:
             return dict(self.l0)
         if k != len(word):
             raise ValueError("arity mismatch")
-        table = self.ops.get(k)
-        if not table:
-            return {}
-        cw, sign = canonical_word(self.space, word)
-        if cw is None:
-            return {}
-        return _signed(sign, table.get(cw, {}))
+        return table_word(self.space, self.ops.get(k), word)
 
     def op_elems(self, k, elems):
         """Multilinear extension of l_k to elements."""
@@ -451,36 +480,11 @@ class LInftyMorphism:
         self.arity_cap = _arity_cap(
             min(source.arity_cap, target.arity_cap) if arity_cap is None
             else arity_cap)
-        clean = {}
-        for k, table in comps.items():
-            if type(k) is not int:
-                raise ValueError("component arity %r is not an integer"
-                                 % (k,))
-            if k < 1:
-                raise ValueError("curved morphism components unsupported")
-            if k > self.arity_cap:
-                raise ValueError("component arity %d is above the arity "
-                                 "cap %d" % (k, self.arity_cap))
-            tab = {}
-            for word, out in table.items():
-                _check_arity("component", k, word)
-                cw, sign = canonical_word(source.space, word)
-                if cw is None:
-                    continue
-                val = {b: sign * Fraction(c) for b, c in out.items()
-                       if Fraction(c) != 0}
-                if not val:
-                    continue
-                wd = word_degree(source.space, cw)
-                for b in val:
-                    if target.space.deg[b] != wd:
-                        raise ValueError(
-                            "f_%d(%r) -> %r violates degree 0" % (k, cw, b))
-                vec_acc(tab.setdefault(cw, {}), val)
-            clean[k] = {w: v for w, v in tab.items() if v}
-        self.comps = clean
+        self.comps = canonical_tables(
+            source.space, target.space, 0, comps, self.arity_cap,
+            "component")
         # the arities k with f_k nonzero
-        self.support = frozenset(k for k, t in clean.items() if t)
+        self.support = frozenset(k for k, t in self.comps.items() if t)
 
     @classmethod
     def from_json(cls, doc, source, target, where):
@@ -507,13 +511,7 @@ class LInftyMorphism:
     def comp_word(self, k, word):
         if k < 1 or k != len(word):
             return {}
-        table = self.comps.get(k)
-        if not table:
-            return {}
-        cw, sign = canonical_word(self.source.space, word)
-        if cw is None:
-            return {}
-        return _signed(sign, table.get(cw, {}))
+        return table_word(self.source.space, self.comps.get(k), word)
 
     def comp_elems(self, k, elems):
         if k < 1 or k != len(elems):
@@ -587,8 +585,7 @@ def comps_agree(a: LInftyMorphism, b: LInftyMorphism, cap=None):
 
 
 # ---------------------------------------------------------------------------
-# direct sums; the generator lab of summand side ("0" or "1") is
-# labeled "lab@side"
+# direct sums; the generator lab of summand i is labeled "lab@i"
 
 
 def sum_label(lab, side):
@@ -600,40 +597,48 @@ def split_sum_label(lab):
     return tuple(lab.rsplit("@", 1))
 
 
-def direct_sum(A: LInftyAlgebra, B: LInftyAlgebra) -> LInftyAlgebra:
-    """Componentwise structure on A (+) B; mixed words map to zero."""
-    gens = [(sum_label(l, "0"), A.space.deg[l]) for l in A.space.labels] \
-        + [(sum_label(l, "1"), B.space.deg[l]) for l in B.space.labels]
-    space = GradedSpace(gens)
-    cap = min(A.arity_cap, B.arity_cap)
-    ops = {}
-    for side, alg in (("0", A), ("1", B)):
-        for k, table in alg.ops.items():
+def _sum_tables(summands, cap):
+    """The tables of the summands, in order, relabeled onto their sum;
+    arities above cap are dropped."""
+    out = {}
+    for i, tables in enumerate(summands):
+        side = str(i)
+        for k, table in tables.items():
             if k > cap:
                 continue
-            tab = ops.setdefault(k, {})
-            for w, out in table.items():
+            tab = out.setdefault(k, {})
+            for w, v in table.items():
                 tab[tuple(sum_label(l, side) for l in w)] = \
-                    {sum_label(b, side): c for b, c in out.items()}
-    l0 = {sum_label(b, "0"): c for b, c in A.l0.items()}
-    l0.update({sum_label(b, "1"): c for b, c in B.l0.items()})
-    return LInftyAlgebra(space, ops, l0=l0, arity_cap=cap)
+                    {sum_label(b, side): c for b, c in v.items()}
+    return out
 
 
-def direct_sum_mor(f: LInftyMorphism, g: LInftyMorphism) -> LInftyMorphism:
-    src = direct_sum(f.source, g.source)
-    tgt = direct_sum(f.target, g.target)
-    cap = min(f.arity_cap, g.arity_cap)
-    comps = {}
-    for side, mor in (("0", f), ("1", g)):
-        for k, table in mor.comps.items():
-            if k > cap:
-                continue
-            tab = comps.setdefault(k, {})
-            for w, out in table.items():
-                tab[tuple(sum_label(l, side) for l in w)] = \
-                    {sum_label(b, side): c for b, c in out.items()}
-    return LInftyMorphism(src, tgt, comps, arity_cap=cap)
+def direct_sum(*algebras) -> LInftyAlgebra:
+    """Componentwise structure on the sum of the algebras; mixed words
+    map to zero.  The sum carries weights when a summand does, 0 on the
+    generators of a summand without."""
+    labeled = [(sum_label(l, str(i)), A, l) for i, A in enumerate(algebras)
+               for l in A.space.labels]
+    space = GradedSpace([(lab, A.space.deg[l]) for lab, A, l in labeled])
+    weights = None
+    if any(A.weights for A in algebras):
+        weights = {lab: A.weights[l] if A.weights else 0
+                   for lab, A, l in labeled}
+    l0 = {sum_label(b, str(i)): c for i, A in enumerate(algebras)
+          for b, c in A.l0.items()}
+    cap = min(A.arity_cap for A in algebras)
+    return LInftyAlgebra(space, _sum_tables([A.ops for A in algebras], cap),
+                         l0=l0, arity_cap=cap, weights=weights)
+
+
+def direct_sum_mor(*morphisms) -> LInftyMorphism:
+    """Componentwise morphism between the direct sums of the sources
+    and of the targets."""
+    cap = min(f.arity_cap for f in morphisms)
+    return LInftyMorphism(direct_sum(*[f.source for f in morphisms]),
+                          direct_sum(*[f.target for f in morphisms]),
+                          _sum_tables([f.comps for f in morphisms], cap),
+                          arity_cap=cap)
 
 
 # ---------------------------------------------------------------------------
@@ -921,9 +926,8 @@ def extend_morphism(f: LInftyMorphism, K):
     obc = obstruction_class(f, K)
     if not obc.exact:
         return None, obc
-    comps = {k: dict(t) for k, t in f.comps.items()}
-    if obc.witness:
-        comps[K + 1] = obc.witness
     cap = max(f.arity_cap, K + 1)
-    ext = LInftyMorphism(f.source, f.target, comps, arity_cap=cap)
+    ext = LInftyMorphism(f.source, f.target,
+                         with_arity(f.comps, K + 1, obc.witness),
+                         arity_cap=cap)
     return ext, obc

@@ -34,6 +34,9 @@ from test_derived import finite_binary_valgebra
 # fixtures
 
 
+BENCH_JOBS = Path(__file__).resolve().parents[1] / "bench" / "jobs"
+
+
 def pair_algebra():
     sp = GradedSpace([("x", 0), ("y", 1)])
     return LInftyAlgebra(sp, {1: {("x",): {"y": F(1)}}}, arity_cap=3)
@@ -186,6 +189,17 @@ def test_morphism_component_above_its_cap_exits_two(tmp_path, capsys):
     doc["morphism"]["arity_cap"] = 2
     path = write(tmp_path, "m.json", doc)
     assert run(["check-mor", path], capsys)[0] == 1
+
+
+def test_morphism_value_on_a_vanishing_word_exits_two(tmp_path, capsys):
+    """b is odd, so the word (b, b) vanishes: a value on it is refused,
+    as in an algebra document, not silently dropped."""
+    doc = json.loads((BENCH_JOBS / "check-mor-between-pairs.json")
+                     .read_text())
+    blk = [b for b in doc["morphism"]["comps"] if b["arity"] == 2][0]
+    blk["entries"].append({"word": ["b", "b"], "out": "y", "coeff": "5"})
+    assert cli.main(["check-mor", write(tmp_path, "m.json", doc)]) == 2
+    assert "vanishing word" in capsys.readouterr().err
 
 
 def test_cap_guard_exits_three(tmp_path, capsys):
@@ -375,6 +389,15 @@ def test_localize_verb_checks_relations_and_morphism(tmp_path, capsys):
     assert code == 0
     report = json.loads(out)
     assert report["result"]["normal"] == ["y2"]
+
+
+def test_localize_refuses_an_unknown_image_variable(tmp_path, capsys):
+    """A misspelt image variable once widened the normal directions
+    silently; it names no base coordinate, so the document is refused."""
+    doc = json.loads((BENCH_JOBS / "localize.json").read_text())
+    doc["image_vars"] = ["y1", "q1", "w9"]
+    assert cli.main(["localize", write(tmp_path, "l.json", doc)]) == 2
+    assert "'w9'" in capsys.readouterr().err
 
 
 def test_localize_report_does_not_depend_on_hash_seed(tmp_path):

@@ -229,6 +229,12 @@ def test_direct_sum():
     out = D.op_word(2, ("a@0", "b@0"))
     assert out == {"c@0": F(1)}
     assert D.op_word(2, ("a@0", "z@1")) == {}
+    # n-ary, and weights kept with 0 on a summand without them
+    W = LInftyAlgebra(GradedSpace([("w", 0)]), {}, weights={"w": 3})
+    E = direct_sum(A, Z, W)
+    assert E.space.labels[-2:] == ("z@1", "w@2")
+    assert E.weights == {"a@0": 0, "b@0": 0, "c@0": 0, "z@1": 0, "w@2": 3}
+    assert D.weights is None
 
 
 def test_cohomology_and_quasi_iso():
@@ -405,6 +411,26 @@ def test_json_roundtrip():
     B = rand_algebra(rng, S3)
     B2 = LInftyAlgebra.from_json(B.to_json())
     assert B2.ops == B.ops
+
+
+@pytest.mark.parametrize("tables", [
+    {2: {("b", "b"): {"c": F(5)}}},         # b is odd: a vanishing word
+    {1: {("b",): {"a": F(1)}}},             # degree 0 out of degree 1
+    {0: {(): {"b": F(1)}}},
+    {"1": {("a",): {"b": F(1)}}},
+    {3: {("a", "a", "a"): {"b": F(1)}}},    # above the cap 2
+    {2: {("a",): {"b": F(1)}}},             # one letter in arity 2
+], ids=["vanishing-word", "out-degree", "arity-0", "arity-str",
+        "above-cap", "word-length"])
+def test_algebra_and_morphism_read_tables_alike(tables):
+    """Operations and components go through one table reader, which
+    refuses the same malformed tables.  A morphism once dropped a
+    nonzero value on a vanishing word silently."""
+    A = LInftyAlgebra(S3, {}, arity_cap=2)
+    with pytest.raises(ValueError):
+        LInftyAlgebra(S3, tables, arity_cap=2)
+    with pytest.raises(ValueError):
+        LInftyMorphism(A, A, tables, arity_cap=2)
 
 
 @pytest.mark.parametrize("cap", ["2", 2.7, 2.0, True, 0, -1])
