@@ -124,7 +124,7 @@ class ToyAtlas:
     @classmethod
     def from_json(cls, doc, algebras=None, morphisms=None):
         expect(doc, "atlas", ("points", "charts", "changes"))
-        points = list(doc["points"])
+        points = [_point(p) for p in doc["points"]]
         by_str = {str(p): p for p in points}
         charts = {}
         for ps, c in doc["charts"].items():
@@ -570,7 +570,7 @@ class CocycleData:
     a hypercovering up to degree 2, at a dimension level."""
 
     def __init__(self, atlas, hyper, level, m_max, vertices, edges,
-                 triangles, tie_break_seed=0):
+                 triangles):
         self.atlas = atlas
         self.hyper = hyper
         self.level = level
@@ -578,14 +578,13 @@ class CocycleData:
         self.vertices = vertices
         self.edges = edges
         self.triangles = triangles
-        self.tie_break_seed = tie_break_seed
 
     def include(self):
         """The same data regarded at the next dimension level; on
         finite data the level embedding is the identity on every cell."""
         return CocycleData(self.atlas, self.hyper, self.level + 1,
                            self.m_max, self.vertices, self.edges,
-                           self.triangles, self.tie_break_seed)
+                           self.triangles)
 
     def to_json(self):
         return {
@@ -650,8 +649,7 @@ def build_cocycle(A: ToyAtlas, H: Hypercovering, level, m_max=2,
                                         tie_break=tie_break_seed)
                 cell = Homotopy(model.hbar, model, direct, around)
             triangles[alpha] = cell
-    return CocycleData(A, H, level, m_max, vertices, edges, triangles,
-                       tie_break_seed)
+    return CocycleData(A, H, level, m_max, vertices, edges, triangles)
 
 
 def check_cocycle(G: CocycleData) -> CheckReport:

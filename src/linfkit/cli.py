@@ -667,8 +667,8 @@ def load_cocycle(doc, caps):
     if any(ref not in known for ref, known in refs):
         raise InputError("atlas: a chart or change names no loaded "
                          "algebra or morphism")
-    level = doc.get("level", max(c.get("dim", 0)
-                                 for c in A.charts.values()))
+    level = int_field("level", doc.get("level", max(
+        c.get("dim", 0) for c in A.charts.values())), 0)
     return A, _simp_degree(doc, caps, 2, 2), level
 
 

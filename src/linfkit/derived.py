@@ -33,10 +33,6 @@ from .linfty import CheckReport, JetRecord, LInftyAlgebra, LInftyMorphism
 # polynomial scalars: {exponent tuple: Fraction}
 
 
-def poly_zero():
-    return {}
-
-
 def poly_var(i, nv):
     e = [0] * nv
     e[i] = 1
@@ -167,7 +163,7 @@ class JetRing:
         writes it, its wedge tokens drawn from tokens; ValueError on
         any other label."""
         mono, word = split_label(label)
-        if list(word) != sorted(set(word)) or \
+        if any(a >= b for a, b in zip(word, word[1:])) or \
                 not all(t in tokens for t in word):
             raise ValueError("wedge of label %r is not a sorted word of "
                              "known tokens" % (label,))
@@ -231,7 +227,7 @@ def merge_words(wa, wb):
     """Concatenate two sorted wedge words and sort, returning (word,
     sign) with the Koszul sign of the sort; (None, 0) when a generator
     repeats."""
-    if set(wa) & set(wb):
+    if any(a in wb for a in wa):
         return None, 0
     inv = sum(1 for a in wa for b in wb if a > b)
     word = tuple(sorted(wa + wb))
@@ -240,7 +236,8 @@ def merge_words(wa, wb):
 
 def mv_wedge(X, Y):
     """Wedge product of two {(exps, word): c} dictionaries with sorted
-    words: multivectors here, polynomial forms in simplexmodel."""
+    words: multivectors here, polynomial forms in simplexmodel, frame
+    words in koszul."""
     out = {}
     for (ea, wa), ca in X.items():
         for (eb, wb), cb in Y.items():
@@ -261,6 +258,22 @@ def _term_dx(e, w, c, i):
     return tuple(e2), w, c * e[i]
 
 
+def form_d(form, dirs):
+    """Exterior derivative of a {(exps, word): c} form in the directions
+    dirs, pairs (exponent index, wedge letter): each term is
+    differentiated in the exponent and the letter wedged on the left."""
+    out = {}
+    for (e, w), c in form.items():
+        for i, a in dirs:
+            t = _term_dx(e, w, c, i)
+            if t is None:
+                continue
+            word, sgn = merge_words((a,), w)
+            if word is not None:
+                acc_term(out, (t[0], word), sgn * t[2])
+    return out
+
+
 def _term_dw_right(e, w, c, i):
     """Right derivative with respect to the wedge generator i: move it
     to the last slot and strike it out."""
@@ -271,8 +284,9 @@ def _term_dw_right(e, w, c, i):
     return e, w[:s] + w[s + 1:], sgn * c
 
 
-def _term_dw_left(e, w, c, i):
-    """Left derivative: move the generator to the front first."""
+def term_dw_left(e, w, c, i):
+    """Left derivative, the contraction with the generator i: move it
+    to the front and strike it out."""
     if i not in w:
         return None
     s = w.index(i)
@@ -308,7 +322,7 @@ def schouten(X, Y):
                 ta = _term_dx(ea, wa, ca, i)
                 if ta is None:
                     continue
-                tb = _term_dw_left(eb, wb, cb, i)
+                tb = term_dw_left(eb, wb, cb, i)
                 word, sgn = merge_words(ta[1], tb[1])
                 if word is None:
                     continue
@@ -399,9 +413,6 @@ class JetMultivectorModel:
         """The coordinate vector field d/d<name> as a multivector."""
         return {((0,) * self.nv, (self.ring.name_to_idx[name],)):
                 Fraction(1)}
-
-    def bracket(self, X, Y):
-        return schouten(X, Y)
 
     # -- the projection onto the abelian subalgebra
 

@@ -10,12 +10,14 @@ negative degrees, both certified at the stated jet order by exact
 rank computations.
 
 Generator labels have the format "monomial|wedge" of the derived
-module, which holds the jet ring, the label codec and the wedge sign
-(`JetRing`, `make_label`, `split_label`, `label_weight`,
-`merge_words`); the wedge part is "1" for functions, frame tokens
-("a1.a2") for Koszul generators, coordinate differentials ("dq1.dy2")
-for forms, and "g" for the augmentation copy of a closed function in
-degree -2.
+module, which holds the jet ring, the label codec and the exterior
+calculus (`JetRing`, `make_label`, `split_label`, `label_weight`,
+`mv_wedge`, `form_d`); the wedge part is "1" for functions, frame
+tokens ("a1.a2", in frame order) for Koszul generators, coordinate
+differentials ("dq1.dy2") for forms, and "g" for the augmentation copy
+of a closed function in degree -2.  Both complexes enumerate one
+`staircase` of terms (exponents, word), the word a tuple of letter
+indices, so every wedge sign is computed on those indices in derived.
 """
 
 import itertools
@@ -26,12 +28,11 @@ from .gradedlin import (Echelon, GradedMap, GradedSpace, acc_term,
                         vec_acc, vec_add, vec_scale, word_degree,
                         words_within)
 from .linfty import (CurvedError, JetRecord, LInftyAlgebra, LInftyMorphism,
-                     check_morphism, direct_sum, is_quasi_iso,
-                     l1_cohomology, quad_residual, split_sum_label,
-                     sum_label)
-from .derived import (JetRing, label_weight, make_label, merge_words,
-                      poly_diff, poly_from_json, poly_mul, poly_to_json,
-                      poly_trunc, poly_zero, split_label)
+                     check_morphism, direct_sum, direct_sum_mor,
+                     is_quasi_iso, l1_cohomology, quad_residual)
+from .derived import (JetRing, form_d, label_weight, make_label, mv_wedge,
+                      poly_from_json, poly_mul, poly_to_json, poly_trunc,
+                      split_label, term_dw_left)
 
 
 # ---------------------------------------------------------------------------
@@ -67,6 +68,30 @@ class Section:
 
 
 # ---------------------------------------------------------------------------
+# the staircase basis
+
+
+def term_label(ring, letters, e, word):
+    """Label of the term (exponents, word), the word a tuple of indices
+    into letters."""
+    return make_label(ring.mono_str(e), tuple(letters[i] for i in word))
+
+
+def staircase(ring, letters):
+    """(label, exponents, word) for every increasing word of j letter
+    indices and every monomial of degree at most order - j, by word
+    length, then word, then monomial."""
+    for j in range(len(letters) + 1):
+        for word in itertools.combinations(range(len(letters)), j):
+            for e in ring.monomials(ring.order - j):
+                yield term_label(ring, letters, e, word), e, word
+
+
+def frame_letters(rank):
+    return ["a%d" % (i + 1) for i in range(rank)]
+
+
+# ---------------------------------------------------------------------------
 # Koszul complexes
 
 
@@ -79,35 +104,25 @@ def koszul_complex(section):
     it squares to zero (also after truncation, because truncation is
     by an ideal of the coefficient ring)."""
     ring = section.ring
-    r = section.rank
-    D = ring.order
-    tokens = ["a%d" % (i + 1) for i in range(r)]
+    letters = frame_letters(section.rank)
     labels = []
     weights = {}
     ops = {1: {}}
-    for j in range(r + 1):
-        cap = D - j
-        if cap < 0:
-            continue
-        for word in itertools.combinations(range(r), j):
-            toks = tuple(tokens[i] for i in word)
-            for e in ring.monomials(cap):
-                lab = make_label(ring.mono_str(e), toks)
-                labels.append((lab, -j))
-                weights[lab] = sum(e)
-                out = {}
-                for i, a in enumerate(word):
-                    # the image keeps the cap of the piece with j - 1
-                    # wedge factors
-                    prod = poly_trunc(
-                        poly_mul({e: Fraction(1)}, section.comps[a]),
-                        range(ring.nv), cap + 1)
-                    rest = toks[:i] + toks[i + 1:]
-                    for e2, c in prod.items():
-                        acc_term(out, make_label(ring.mono_str(e2), rest),
-                                 ((-1) ** i) * c)
-                if out:
-                    ops[1][(lab,)] = out
+    for lab, e, word in staircase(ring, letters):
+        j = len(word)
+        labels.append((lab, -j))
+        weights[lab] = sum(e)
+        out = {}
+        for a in word:
+            # the image keeps the cap of the piece with j - 1 wedge
+            # factors
+            prod = poly_trunc(poly_mul({e: Fraction(1)}, section.comps[a]),
+                              range(ring.nv), ring.order - j + 1)
+            _, rest, sgn = term_dw_left(e, word, 1, a)
+            for e2, c in prod.items():
+                acc_term(out, term_label(ring, letters, e2, rest), sgn * c)
+        if out:
+            ops[1][(lab,)] = out
     return LInftyAlgebra(GradedSpace(labels), ops if ops[1] else {},
                          arity_cap=4, weights=weights)
 
@@ -123,21 +138,12 @@ def koszul_cohomology(alg):
 def d_form(ring, fol_names, vec):
     """Exterior derivative in the listed foliation directions of a
     form given as a label dictionary; exact, no truncation."""
-    out = {}
+    terms = {}
     for lab, c in vec.items():
         mono, toks = split_label(lab)
-        e = ring.mono_parse(mono)
-        for name in fol_names:
-            dp = poly_diff({e: Fraction(1)}, ring.name_to_idx[name])
-            if not dp:
-                continue
-            word, sgn = merge_words(("d" + name,), toks)
-            if word is None:
-                continue
-            for e2, c2 in dp.items():
-                acc_term(out, make_label(ring.mono_str(e2), word),
-                         sgn * c * c2)
-    return out
+        terms[(ring.mono_parse(mono), toks)] = c
+    out = form_d(terms, [(ring.name_to_idx[n], "d" + n) for n in fol_names])
+    return {make_label(ring.mono_str(e), w): c for (e, w), c in out.items()}
 
 
 def foliation_complex(ring, fol_names=None, augmented=False):
@@ -153,39 +159,29 @@ def foliation_complex(ring, fol_names=None, augmented=False):
         if n not in ring.name_to_idx:
             raise ValueError("unknown foliation variable %r" % (n,))
     fol_idxs = [ring.name_to_idx[n] for n in fol_names]
-    D = ring.order
+    # the letters in label order; d lowers the monomial degree as it
+    # adds a letter, so it stays on the staircase
+    letters = ["d" + n for n in sorted(fol_names)]
+    dirs = [(ring.name_to_idx[n], letters.index("d" + n)) for n in fol_names]
     labels = []
     weights = {}
-
-    def add(e, toks, deg):
-        lab = make_label(ring.mono_str(e), toks)
-        labels.append((lab, deg))
-        weights[lab] = sum(e)
-
-    for j in range(len(fol_names) + 1):
-        cap = D - j
-        if cap < 0:
-            continue
-        for combo in itertools.combinations(sorted(fol_names), j):
-            toks = tuple("d" + n for n in combo)
-            for e in ring.monomials(cap):
-                add(e, toks, j - 1)
-    if augmented:
-        for e in ring.monomials(D):
-            if all(e[i] == 0 for i in fol_idxs):
-                add(e, ("g",), -2)
-    space = GradedSpace(labels)
     ops = {1: {}}
-    present = {lab for lab, _ in labels}
-    for lab, deg in labels:
-        mono, toks = split_label(lab)
-        if toks == ("g",):
-            ops[1][(lab,)] = {make_label(mono, ()): Fraction(1)}
-            continue
-        out = d_form(ring, fol_names, {lab: Fraction(1)})
-        out = {l2: c for l2, c in out.items() if l2 in present}
+    for lab, e, word in staircase(ring, letters):
+        labels.append((lab, len(word) - 1))
+        weights[lab] = sum(e)
+        out = form_d({(e, word): Fraction(1)}, dirs)
         if out:
-            ops[1][(lab,)] = out
+            ops[1][(lab,)] = {term_label(ring, letters, e2, w2): c
+                              for (e2, w2), c in out.items()}
+    if augmented:
+        for e in ring.monomials():
+            if all(e[i] == 0 for i in fol_idxs):
+                mono = ring.mono_str(e)
+                lab = make_label(mono, ("g",))
+                labels.append((lab, -2))
+                weights[lab] = sum(e)
+                ops[1][(lab,)] = {make_label(mono, ()): Fraction(1)}
+    space = GradedSpace(labels)
     # d lowers the weight and the augmentation keeps it, so there is no
     # weight gain, and relation checks on the complex need no cap
     jet = JetRecord(tuple(ring.names), ring.order, tuple(fol_names), 0,
@@ -219,13 +215,12 @@ def poincare_primitive(ring, fol_names, xi):
             raise ValueError("positive form degree required")
         e = ring.mono_parse(mono)
         denom = sum(e[i] for i in fol_idxs) + len(toks)
-        for s, tok in enumerate(toks):
-            name = tok[1:]
+        for tok in toks:
+            # the coordinate of tok times the contraction with tok
+            _, rest, c2 = term_dw_left(e, toks, c / denom, tok)
             e2 = list(e)
-            e2[ring.name_to_idx[name]] += 1
-            lab2 = make_label(ring.mono_str(tuple(e2)),
-                              toks[:s] + toks[s + 1:])
-            acc_term(out, lab2, ((-1) ** s) * c / denom)
+            e2[ring.name_to_idx[tok[1:]]] += 1
+            acc_term(out, make_label(ring.mono_str(tuple(e2)), rest), c2)
     return out
 
 
@@ -506,7 +501,7 @@ def fooo_embedding_check(section, amb_section, bundle_map):
 
     # the ambient section restricts to the bundle image of the section
     for b in range(rp):
-        want = poly_zero()
+        want = {}
         for i in range(r):
             vec_acc(want, section.comps[i], B[b][i])
         got = restrict(amb_section.comps[b])
@@ -528,7 +523,7 @@ def fooo_embedding_check(section, amb_section, bundle_map):
             % (len(comp_frame), len(normal)), checks=checks)
     comp_secs = []
     for vec in comp_frame:
-        p = poly_zero()
+        p = {}
         for a in range(rp):
             vec_acc(p, amb_section.comps[a], vec[a])
         comp_secs.append(p)
@@ -560,41 +555,34 @@ def fooo_embedding_check(section, amb_section, bundle_map):
             False, "tangent condition fails: degenerate normal "
             "direction %s" % name, checks=checks)
 
-    # build the induced morphism of local algebras
-    L = build_local_algebra(section)
-    L2 = build_local_algebra(amb_section)
-    tset = set(L2.algebra.space.labels)
-    comps1 = {}
-    for lab in L.algebra.space.labels:
-        base, side = split_sum_label(lab)
-        mono, toks = split_label(base)
-        if side == "1":
-            if lab in tset:
-                comps1[(lab,)] = {lab: Fraction(1)}
-            continue
-        # Koszul side: push the frame word through the bundle map
+    # build the induced morphism of the local algebras (of
+    # build_local_algebra) from their summands: the inclusion of
+    # coefficients on the de Rham side; on the Koszul side the wedge of
+    # the frame images under the bundle map
+    K, K2 = koszul_complex(section), koszul_complex(amb_section)
+    R = foliation_complex(ring, augmented=True)
+    R2 = foliation_complex(amb, augmented=True)
+    images = [{((), (b,)): B[b][i] for b in range(rp) if B[b][i]}
+              for i in range(r)]
+    letters2 = frame_letters(rp)
+    comps = {}
+    for lab, e, word in staircase(ring, frame_letters(r)):
+        img = {((), ()): Fraction(1)}
+        for i in word:
+            img = mv_wedge(img, images[i])
+        mono = ring.mono_str(e)
         out = {}
-        choices = [[(b, B[b][int(t[1:]) - 1]) for b in range(rp)
-                    if B[b][int(t[1:]) - 1]] for t in toks]
-        for pick in itertools.product(*choices):
-            idxs = [b for b, _ in pick]
-            if len(set(idxs)) != len(idxs):
-                continue
-            coeff = Fraction(1)
-            for _, c in pick:
-                coeff *= c
-            inv = sum(1 for i in range(len(idxs))
-                      for j in range(i + 1, len(idxs))
-                      if idxs[i] > idxs[j])
-            toks2 = tuple(sorted("a%d" % (b + 1) for b in idxs))
-            lab2 = sum_label(make_label(mono, toks2), "0")
-            if lab2 not in tset:
-                continue
-            acc_term(out, lab2, ((-1) ** inv) * coeff)
+        for (_, w2), c in img.items():
+            lab2 = make_label(mono, tuple(letters2[b] for b in w2))
+            if lab2 in K2.space.deg:
+                out[lab2] = c
         if out:
-            comps1[(lab,)] = out
-    eta = LInftyMorphism(L.algebra, L2.algebra, {1: comps1},
-                         arity_cap=L.algebra.arity_cap)
+            comps[(lab,)] = out
+    push = LInftyMorphism(K, K2, {1: comps}, arity_cap=K.arity_cap)
+    same = {(lab,): {lab: Fraction(1)} for lab in R.space.labels
+            if lab in R2.space.deg}
+    incl = LInftyMorphism(R, R2, {1: same}, arity_cap=R.arity_cap)
+    eta = direct_sum_mor(push, incl)
     # the weight the chain relation is checked to: the jet order less
     # the section's vanishing order, at least 1 (also for a zero section)
     cap = ring.order - max(1, section.min_vanishing_order() or 0)
@@ -610,17 +598,5 @@ def fooo_embedding_check(section, amb_section, bundle_map):
         return EmbeddingReport(
             False, "induced map is not a quasi-isomorphism at this "
             "jet order", eta=eta, checks=checks)
-    checks["koszul_quotient"] = dict(quotient_cohomology(
-        _koszul_part(eta, L, L2)))
+    checks["koszul_quotient"] = dict(quotient_cohomology(push))
     return EmbeddingReport(True, "accepted", eta=eta, checks=checks)
-
-
-def _koszul_part(eta, L, L2):
-    comps = {}
-    for (lab,), out in eta.comps.get(1, {}).items():
-        base, side = split_sum_label(lab)
-        if side == "0":
-            comps[(base,)] = {split_sum_label(b)[0]: c
-                              for b, c in out.items()}
-    return LInftyMorphism(L.koszul, L2.koszul, {1: comps},
-                          arity_cap=L.koszul.arity_cap)

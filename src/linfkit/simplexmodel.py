@@ -20,7 +20,7 @@ from fractions import Fraction
 
 from .gradedlin import (Echelon, GradedMap, GradedSpace, acc_term, vec_acc,
                         vec_add, vec_scale, words_within)
-from .derived import mv_wedge
+from .derived import form_d, mv_wedge
 from .linfty import (CheckReport, LInftyAlgebra, LInftyMorphism,
                      check_morphism, check_relations, compose, comps_agree,
                      is_quasi_iso, l1_map)
@@ -63,19 +63,7 @@ def simplex_forms(n, weight_cap):
 
 
 def d_form(n, form):
-    out = {}
-    for (exps, dts), c in form.items():
-        for m in range(1, n + 1):
-            e = exps[m - 1]
-            if e == 0 or m in dts:
-                continue
-            new_exps = tuple(x - 1 if i == m - 1 else x
-                             for i, x in enumerate(exps))
-            below = sum(1 for i in dts if i < m)
-            new_dts = tuple(sorted(dts + (m,)))
-            sgn = (-1) ** below
-            acc_term(out, (new_exps, new_dts), sgn * e * c)
-    return out
+    return form_d(form, [(m - 1, m) for m in range(1, n + 1)])
 
 
 def face_vertices(n, i):

@@ -473,6 +473,25 @@ def test_cocycle_verbs_read_empty_blocks_as_zero(tmp_path, capsys):
         assert json.loads(out)["checks"] == json.loads(want)["checks"]
 
 
+@pytest.mark.parametrize("point", [[4], {"a": 1}])
+@pytest.mark.parametrize("verb", ["atlas-check", "hypercover",
+                                  "cocycle-check", "cocycle-build"])
+def test_point_that_is_not_a_scalar_exits_two(verb, point, tmp_path,
+                                               capsys):
+    doc = atlas_doc()
+    doc["atlas"]["points"].append(point)
+    assert run([verb, write(tmp_path, "a.json", doc)], capsys)[0] == 2
+
+
+@pytest.mark.parametrize("level", ["x", None, [1], 1.5, True, -1])
+def test_cocycle_level_that_is_not_an_integer_exits_two(level, tmp_path,
+                                                        capsys):
+    doc = atlas_doc(m_max=2)
+    doc["level"] = level
+    for verb in ("cocycle-check", "cocycle-build"):
+        assert run([verb, write(tmp_path, "a.json", doc)], capsys)[0] == 2
+
+
 def test_hypercover_cap_guard(tmp_path, capsys):
     path = write(tmp_path, "h.json", atlas_doc(m_max=5))
     assert run(["hypercover", path], capsys)[0] == 3

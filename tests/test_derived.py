@@ -23,7 +23,7 @@ from linfkit.gradedlin import GradedSpace, koszul_sign, vec_add, vec_scale
 from linfkit.derived import (GradedLieAlgebra, JetMultivectorModel, JetRing,
                              JetVAlgebra, VAlgebra,
                              check_graded_lie, check_valgebra,
-                             derived_brackets, epsilon_morphism,
+                             derived_brackets, epsilon_morphism, form_d,
                              label_weight, localized_algebra, make_label,
                              mv_from_json, mv_to_json,
                              mv_wedge, op_weight_gain,
@@ -104,6 +104,27 @@ def _rand_homog(rng, nv=4):
         w = tuple(sorted(rng.sample(range(nv), length)))
         out[(e, w)] = F(rng.choice([1, -1, 2]))
     return out, length - 1
+
+
+@given(st.integers(min_value=0, max_value=10 ** 6))
+@settings(max_examples=60, deadline=None)
+def test_form_d_squares_to_zero_and_is_a_derivation(seed):
+    # d in a random subset of the directions, each with a random letter,
+    # so the letter order differs from the coordinate order; the forms
+    # carry the other letters too
+    rng = random.Random(seed)
+    nv = 4
+    letters = rng.sample(range(nv), nv)
+    dirs = [(i, letters[i]) for i in sorted(rng.sample(range(nv),
+                                                       rng.randint(1, nv)))]
+    rng.shuffle(dirs)
+    a, pa = _rand_homog(rng, nv)
+    b, _ = _rand_homog(rng, nv)
+    assert form_d(form_d(a, dirs), dirs) == {}
+    lhs = form_d(mv_wedge(a, b), dirs)
+    rhs = vec_add(mv_wedge(form_d(a, dirs), b),
+                  vec_scale((-1) ** (pa + 1), mv_wedge(a, form_d(b, dirs))))
+    assert vec_add(lhs, vec_scale(-1, rhs)) == {}
 
 
 @given(st.integers(min_value=0, max_value=10 ** 6))

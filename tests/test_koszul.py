@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 from linfkit.derived import (JetMultivectorModel, JetVAlgebra,
                              derived_brackets, poisson_from_presymplectic,
-                             poly_mul, poly_trunc, poly_zero)
+                             poly_mul, poly_trunc)
 from linfkit.koszul import (JetRing, Section, augment_extension,
                             build_local_algebra, d_form, expand_chart,
                             foliation_complex, fooo_embedding_check,
@@ -56,7 +56,7 @@ def test_section_roundtrip_and_vanishing_order():
     assert s2.comps == s.comps and s2.ring.names == r.names
     assert s.min_vanishing_order() == 2
     assert Section(r, [s.comps[0], r.var("y1")]).min_vanishing_order() == 1
-    assert Section(r, [poly_zero()]).min_vanishing_order() is None
+    assert Section(r, [{}]).min_vanishing_order() is None
 
 
 # ---------------------------------------------------------------------------
@@ -65,7 +65,7 @@ def test_section_roundtrip_and_vanishing_order():
 
 def test_koszul_zero_section_has_full_cohomology():
     r = JetRing(["y1", "y2"], 3)
-    K = koszul_complex(Section(r, [poly_zero(), poly_zero()]))
+    K = koszul_complex(Section(r, [{}, {}]))
     H = koszul_cohomology(K)
     for d in (-2, -1, 0):
         assert H[d] == len(K.space.basis_in_degree(d))
@@ -341,7 +341,7 @@ def test_expand_chart_rejects_name_clash():
 
 def test_quotient_of_zero_inclusion_is_target_cohomology():
     r = JetRing(["y1"], 2)
-    K = koszul_complex(Section(r, [poly_zero()]))
+    K = koszul_complex(Section(r, [{}]))
     f = LInftyMorphism(LInftyAlgebra(GradedSpace([]), {}), K, {},
                        arity_cap=2)
     H = quotient_cohomology(f)
@@ -405,6 +405,25 @@ def test_embedding_rejects_restriction_mismatch():
     assert "restrict" in rep.reason
 
 
+@pytest.mark.parametrize("targets", [(0, 1), (2, 3), (2, 9), (9, 2)],
+                         ids=lambda t: "a%d-a%d" % (t[0] + 1, t[1] + 1))
+def test_embedding_accepts_any_frame_relabelling(targets):
+    # the section (q1, q2) inside a rank-10 section over q1..q10, its two
+    # frame directions sent to the frame directions `targets`; labels
+    # write frame words in frame order (a3.a10), so the pushed words
+    # must be ordered by frame index, not as strings
+    r = JetRing(["q1", "q2"], 2)
+    s = Section(r, [r.var("q1"), r.var("q2")])
+    amb = JetRing(["q%d" % i for i in range(1, 11)], 2)
+    normal = iter(range(3, 11))
+    comps = [amb.var("q%d" % (targets.index(b) + 1 if b in targets
+                              else next(normal))) for b in range(10)]
+    B = [[int(targets[i] == b) for i in range(2)] for b in range(10)]
+    rep = fooo_embedding_check(s, Section(amb, comps), B)
+    assert rep.accepted, rep.reason
+    assert all(v == 0 for v in rep.checks["koszul_quotient"].values())
+
+
 def test_zero_section_embedding_checks_the_chain_relation(monkeypatch):
     # a zero section has no vanishing order; the chain relation is still
     # checked to the jet order less one, on a nonempty set of words
@@ -417,7 +436,7 @@ def test_zero_section_embedding_checks_the_chain_relation(monkeypatch):
 
     real = koszul.check_morphism
     monkeypatch.setattr(koszul, "check_morphism", spy)
-    s = Section(JetRing(["y1", "y2"], 3), [poly_zero()])
+    s = Section(JetRing(["y1", "y2"], 3), [{}])
     rep = fooo_embedding_check(s, s, [[1]])
     assert rep.checks["chain_map"] is True
     assert checked and all(c > 0 for c in checked)
