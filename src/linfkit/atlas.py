@@ -136,8 +136,8 @@ class ToyAtlas:
                 "base_points": base,
                 "zero_set": {base_by_str[us]: _point(x)
                              for us, x in c["zero_set"].items()},
-                "group_order": c.get("group_order", 1),
-                "dim": c.get("dim", 0),
+                "group_order": _chart_int(c, ps, "group_order", 1),
+                "dim": _chart_int(c, ps, "dim", 0),
                 "algebra_ref": c.get("algebra_ref"),
             }
         changes = {}
@@ -154,6 +154,16 @@ class ToyAtlas:
             }
         return cls(points, charts, changes, algebras=algebras,
                    morphisms=morphisms)
+
+
+def _chart_int(chart, where, key, low):
+    """The chart's integer field key, low when absent; ValueError
+    unless an integer >= low (a bool is no integer here)."""
+    x = chart.get(key, low)
+    if isinstance(x, bool) or not isinstance(x, int) or x < low:
+        raise ValueError("atlas.charts.%s.%s must be an integer >= %d, "
+                         "got %r" % (where, key, low, x))
+    return x
 
 
 def _point(x):
@@ -357,11 +367,6 @@ class Hypercovering:
         for p in alpha[1:]:
             out &= self.atlas.image(p)
         return out
-
-    def to_json(self):
-        return {"m_max": self.m_max,
-                "simplices": {str(k): [list(a) for a in v]
-                              for k, v in sorted(self.simplices.items())}}
 
 
 def build_hypercovering(A: ToyAtlas, m_max) -> Hypercovering:
@@ -628,8 +633,7 @@ def build_cocycle(A: ToyAtlas, H: Hypercovering, level, m_max=2,
         for alpha in H.simplices.get(1, []):
             p, q = alpha
             f = A.edge_morphism(p, q)
-            ok, _ = is_quasi_iso(f)
-            if not ok:
+            if not is_quasi_iso(f):
                 raise FillError(
                     "coordinate change %r is not a quasi-isomorphism"
                     % (alpha,))
@@ -683,9 +687,8 @@ def check_cocycle(G: CocycleData) -> CheckReport:
         checked += rep.checked
         if not rep.ok:
             fail("edge-relations", alpha, "morphism relation fails")
-        ok, _ = is_quasi_iso(f)
         checked += 1
-        if not ok:
+        if not is_quasi_iso(f):
             fail("edge-quasi-iso", alpha, "not a quasi-iso")
         if p == q:
             checked += 1

@@ -40,8 +40,8 @@ from . import htpy as htpy_mod
 from . import koszul as koszul_mod
 from . import linfty as linfty_mod
 from . import simplexmodel as simplex_mod
-from .gradedlin import (CapError, dumps_canonical, expect, scalar_from_str,
-                        scalar_to_str)
+from .gradedlin import (CapError, CohomologyError, dumps_canonical, expect,
+                        scalar_from_str, scalar_to_str)
 
 SCHEMA_VERSION = 1
 
@@ -74,11 +74,11 @@ class Refusal(Exception):
 
 
 def attempt(name, fn, *args, **kwargs):
-    """Call the library; a FillError or ValueError it raises is the
-    failed check `name`, not an input error."""
+    """Call the library; a FillError, ValueError or CohomologyError it
+    raises is the failed check `name`, not an input error."""
     try:
         return fn(*args, **kwargs)
-    except (htpy_mod.FillError, ValueError) as exc:
+    except (htpy_mod.FillError, ValueError, CohomologyError) as exc:
         raise Refusal(name, exc) from exc
 
 
@@ -211,8 +211,10 @@ def run_compose(caps, f, g):
 
 
 def run_cohomology(caps, A):
-    H = linfty_mod.l1_cohomology(A)
-    table = {str(d): h["dim"] for d, h in sorted(H.items())}
+    # a differential that does not square to zero is a failed check
+    # naming the witness generator
+    H = attempt("cohomology", linfty_mod.l1_cohomology, A)
+    table = {str(d): h for d, h in sorted(H.items())}
     return [record("cohomology-computed", True)], {"cohomology": table}
 
 
@@ -564,8 +566,7 @@ def run_augment(caps, ring, fol, k_max):
 def run_local_algebra(caps, s):
     L = koszul_mod.build_local_algebra(s)
     H = koszul_mod.koszul_cohomology(L.koszul)
-    HdR = {d: h["dim"] for d, h in
-           linfty_mod.l1_cohomology(L.derham).items()}
+    HdR = linfty_mod.l1_cohomology(L.derham)
     checks = [
         report_record(linfty_mod.check_relations(
             L.algebra, up_to=min(2, L.algebra.arity_cap))),
@@ -591,8 +592,8 @@ def run_expand(caps, s, new_vars):
     L2, pihat = attempt("expand", koszul_mod.expand_chart, L, new_vars)
     rep = linfty_mod.check_morphism(pihat, up_to=1,
                                     weight_cap=s.ring.order - 1)
-    ok, H = linfty_mod.is_quasi_iso(pihat)
-    checks = [report_record(rep), record("quasi-iso", ok)]
+    checks = [report_record(rep),
+              record("quasi-iso", linfty_mod.is_quasi_iso(pihat))]
     return checks, {"dim": L2.algebra.space.dim}
 
 

@@ -19,9 +19,9 @@ from functools import lru_cache
 from itertools import product
 from typing import NamedTuple
 
-from .gradedlin import (Echelon, GradedMap, GradedSpace, LinearSystem,
-                        acc_term, canonical_word, cohomology, koszul_sign,
-                        matrix_rank, sym_words, unshuffles, vec_acc,
+from .gradedlin import (CohomologyError, GradedMap, GradedSpace,
+                        LinearSystem, acc_term, canonical_word, cohomology,
+                        koszul_sign, sym_words, unshuffles, vec_acc,
                         word_degree, words_within, scalar_to_str,
                         scalar_from_str, expect)
 
@@ -198,13 +198,6 @@ def partition_sum(f, word, outer, support, acc=None, scale=1):
     return acc
 
 
-def _residual_json(r):
-    try:
-        return {b: scalar_to_str(c) for b, c in sorted(r.items())}
-    except (ValueError, TypeError):
-        return {str(b): str(c) for b, c in sorted(r.items(), key=str)}
-
-
 def fold_report(failures, rep, tag):
     """Append the failures of a sub-check to failures, each word
     prefixed with tag; returns the sub-check's checked count."""
@@ -224,18 +217,6 @@ class CheckReport:
     @property
     def ok(self):
         return not self.failures
-
-    def to_json(self):
-        return {
-            "name": self.name,
-            "pass": self.ok,
-            "checked": self.checked,
-            "witness": [
-                {"word": list(w), "residual": _residual_json(r)}
-                for w, r in self.failures[:3]
-            ],
-            "notes": self.notes,
-        }
 
     def __repr__(self):
         return "CheckReport(%s, %s)" % (self.name,
@@ -701,55 +682,44 @@ def l1_cohomology(A: LInftyAlgebra):
     return cohomology(l1_map(A))
 
 
-def induced_map_on_cohomology(f: LInftyMorphism):
-    """Per-degree matrices of H(f_1), or None when a representative
-    fails to land in the target cohomology coordinates (cannot happen
-    for chain maps)."""
-    HA = l1_cohomology(f.source)
-    HB = l1_cohomology(f.target)
-    f1 = f.f1_map()
-    out = {}
-    degrees = sorted(set(HA) | set(HB))
-    for d in degrees:
-        sa = HA.get(d, {"dim": 0, "reps": []})
-        sb = HB.get(d, {"dim": 0, "reps": []})
-        prev = f.target.space.basis_in_degree(d - 1)
-        idx = f.target.space.index
-        # the target representatives, then the image of dB: coordinates
-        # on the representatives are the matrix entries
-        span = Echelon(track=True)
-        for v in sb["reps"] + [f.target.op_word(1, (p,)) for p in prev]:
-            span.insert({idx[b]: c for b, c in v.items()})
-        zero = Fraction(0)
-        rows = []
-        for r in sa["reps"]:
-            x = span.coords({idx[b]: c for b, c in f1.apply(r).items()})
-            if x is None:
-                return None
-            rows.append([x.get(j, zero) for j in range(len(sb["reps"]))])
-        out[d] = {"matrix": rows, "source_dim": sa["dim"],
-                  "target_dim": sb["dim"]}
-    return out
+def mapping_cone(f: LInftyMorphism) -> GradedMap:
+    """The mapping cone of f_1: A -> B, written from the arity-1
+    tables.  The generator a of A gives sum_label(a, 0) in degree
+    |a| - 1 and the generator b of B gives sum_label(b, 1) in degree
+    |b|, and
+        d(a@0) = -(l_1 a)@0 + (f_1 a)@1,    d(b@1) = (l'_1 b)@1.
+    It squares to zero iff both l_1 do and f_1 is a chain map; then
+    f_1 is a quasi-isomorphism iff the cone is acyclic (Weibel,
+    Cor. 1.5.4)."""
+    A, B = f.source, f.target
+    if not (A.is_strict and B.is_strict):
+        raise CurvedError("cohomology undefined for curved algebra")
+    space = GradedSpace(
+        [(sum_label(a, "0"), d - 1) for a, d in A.space.deg.items()]
+        + [(sum_label(b, "1"), d) for b, d in B.space.deg.items()])
+    images = {}
+    for (a,), out in A.ops.get(1, {}).items():
+        images[sum_label(a, "0")] = {sum_label(x, "0"): -c
+                                     for x, c in out.items()}
+    for (a,), out in f.comps.get(1, {}).items():
+        col = images.setdefault(sum_label(a, "0"), {})
+        for y, c in out.items():
+            col[sum_label(y, "1")] = c
+    for (b,), out in B.ops.get(1, {}).items():
+        images[sum_label(b, "1")] = {sum_label(y, "1"): c
+                                     for y, c in out.items()}
+    return GradedMap(space, space, 1, images)
 
 
 def is_quasi_iso(f: LInftyMorphism):
-    """True iff f_1 induces isomorphisms on l_1-cohomology in every
-    degree.  Returns (bool, certificate)."""
-    ind = induced_map_on_cohomology(f)
-    if ind is None:
-        return False, {"reason": "induced map undefined"}
-    cert = {}
-    ok = True
-    for d, rec in ind.items():
-        m, n = rec["source_dim"], rec["target_dim"]
-        good = (m == n)
-        if good and m > 0:
-            good = matrix_rank(rec["matrix"]) == m
-        cert[d] = {"matrix": [[scalar_to_str(c) for c in row]
-                              for row in rec["matrix"]],
-                   "iso": good}
-        ok = ok and good
-    return ok, cert
+    """Whether f_1 is a quasi-isomorphism of the l_1-complexes: the
+    mapping cone is a complex (so f_1 is a chain map between
+    complexes) and its cohomology vanishes in every degree."""
+    try:
+        H = cohomology(mapping_cone(f))
+    except CohomologyError:
+        return False
+    return not any(H.values())
 
 
 # ---------------------------------------------------------------------------

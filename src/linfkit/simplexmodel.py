@@ -309,11 +309,11 @@ def verify_model_axioms(model: SimplexModel, weight_check=None,
         for j, ev in enumerate(evs):
             record("eval%d-morphism" % j,
                    check_morphism(ev, weight_cap=op_weight).ok)
-            record("eval%d-quasi-iso" % j, is_quasi_iso(ev)[0])
+            record("eval%d-quasi-iso" % j, is_quasi_iso(ev))
         # inclusion is a chain map and quasi-isomorphism
         record("incl-chain-map", _is_chain_map(incl, model.base,
                                                model.algebra))
-        record("incl-quasi-iso", is_quasi_iso(model.incl_morphism())[0])
+        record("incl-quasi-iso", is_quasi_iso(model.incl_morphism()))
         # (eval_j)_1 after incl is the identity
         for j, ev in enumerate(evs):
             comp = ev.f1_map().compose(incl)
@@ -330,11 +330,11 @@ def verify_model_axioms(model: SimplexModel, weight_check=None,
         for i, ev in evs.items():
             record("eval-face%d-morphism" % i,
                    check_morphism(ev, weight_cap=op_weight).ok)
-            record("eval-face%d-quasi-iso" % i, is_quasi_iso(ev)[0])
+            record("eval-face%d-quasi-iso" % i, is_quasi_iso(ev))
         incl = model.incl
         record("incl-chain-map", _is_chain_map(incl, model.base,
                                                model.algebra))
-        record("incl-quasi-iso", is_quasi_iso(model.incl_morphism())[0])
+        record("incl-quasi-iso", is_quasi_iso(model.incl_morphism()))
         # compatibility: evaluating to a face then to a vertex agrees
         face_evs = [face.eval_face(r) for r in range(model.n)]
         record("face-compatibility", _face_compat(model, evs, face_evs))

@@ -4,7 +4,9 @@ test oracle.
 This is the elimination linfkit used before its sparse echelon engine:
 straightforward, slow and independent of it.  The property tests in
 test_gradedlin.py compare the engine against these routines, and the
-acceptance suite decides obstruction exactness with them.
+acceptance suite decides obstruction exactness with them.  The induced
+map on cohomology, the way linfkit once decided quasi-isomorphisms, is
+written on them too.
 """
 
 from fractions import Fraction
@@ -97,3 +99,50 @@ def matmul(a, b, ncols):
     of rows; ncols is explicit so that n may be 0."""
     return [[sum((row[k] * b[k][j] for k in range(len(row))), Fraction(0))
              for j in range(ncols)] for row in a]
+
+
+def _block(maps, k, nrows, ncols):
+    """maps[k], or the nrows x ncols zero matrix when it is missing."""
+    return maps.get(k) or [[Fraction(0)] * ncols for _ in range(nrows)]
+
+
+def cohomology_classes(dims, d, k):
+    """(representatives, boundaries) in degree k of a complex: the
+    boundaries are the columns of d in degree k - 1 and the
+    representatives the cycles that complete them greedily.  dims:
+    {degree: dimension}; d: {degree k: matrix of d from degree k to
+    k + 1, as rows}, missing matrices zero."""
+    n, n_prev = dims.get(k, 0), dims.get(k - 1, 0)
+    cycles = nullspace(_block(d, k, dims.get(k + 1, 0), n), n)
+    prev = _block(d, k - 1, n, n_prev)
+    bounds = [[row[j] for row in prev] for j in range(n_prev)]
+    return complement_in(cycles, bounds), bounds
+
+
+def induced_map_is_iso(dims_a, d_a, dims_b, d_b, f):
+    """Whether a chain map f: A -> B induces isomorphisms on cohomology
+    in every degree, by the induced-map matrices: each representative
+    of A goes to its coordinates on the representatives of B, the
+    boundaries of B absorbing the rest, and the matrix of each degree
+    must be square of full rank.  f: {degree: matrix of f, as rows}.
+    False when a cycle is sent outside the cycles of B, which a chain
+    map never does."""
+    for k in sorted(set(dims_a) | set(dims_b)):
+        na, nb = dims_a.get(k, 0), dims_b.get(k, 0)
+        reps_a, _ = cohomology_classes(dims_a, d_a, k)
+        reps_b, bounds_b = cohomology_classes(dims_b, d_b, k)
+        span = reps_b + bounds_b
+        rows = [[v[i] for v in span] for i in range(nb)]
+        fk = _block(f, k, nb, na)
+        matrix = []
+        for r in reps_a:
+            image = [sum((row[j] * r[j] for j in range(na)), Fraction(0))
+                     for row in fk]
+            x = solve_canonical(rows, image, len(span))
+            if x is None:
+                return False
+            matrix.append(x[:len(reps_b)])
+        if len(reps_a) != len(reps_b) or \
+                matrix_rank(matrix) != len(reps_a):
+            return False
+    return True

@@ -308,6 +308,55 @@ def test_cohomology_verb_reports_dimensions(tmp_path, capsys):
     assert H == {"0": 0, "1": 0}
 
 
+def test_cohomology_of_a_non_complex_fails_naming_the_witness(tmp_path,
+                                                             capsys):
+    """An l_1 that does not square to zero is a failed check (exit 1)
+    whose witness names the generator, as check-linfty reports it, not
+    an internal error."""
+    doc = {"version": 1, "algebra": broken_algebra().to_json()}
+    code, out = run(["cohomology", write(tmp_path, "a.json", doc)], capsys)
+    assert code == 1
+    rec, = json.loads(out)["checks"]
+    assert rec["name"] == "cohomology" and not rec["ok"]
+    assert "witness generator 'x'" in rec["witness"][0]["residual"]["error"]
+
+
+def non_chain_map_doc():
+    """a -> b and x -> y with f_1(a) = x: f_1 does not commute with the
+    differentials."""
+    A = LInftyAlgebra(GradedSpace([("a", 0), ("b", 1)]),
+                      {1: {("a",): {"b": F(1)}}})
+    B = LInftyAlgebra(GradedSpace([("x", 0), ("y", 1)]),
+                      {1: {("x",): {"y": F(1)}}})
+    f = LInftyMorphism.from_linear(A, B, {"a": {"x": F(1)}})
+    return {"version": 1, "source": A.to_json(), "target": B.to_json(),
+            "morphism": f.to_json()}
+
+
+def test_whitehead_refuses_a_map_that_is_no_chain_map(tmp_path, capsys):
+    path = write(tmp_path, "f.json", non_chain_map_doc())
+    assert run(["check-mor", path], capsys)[0] == 1
+    code, out = run(["whitehead", path], capsys)
+    assert code == 1
+    rec, = json.loads(out)["checks"]
+    assert rec["name"] == "whitehead" and not rec["ok"]
+
+
+@pytest.mark.parametrize("verb", ["whitehead", "fill-homotopy"])
+def test_endpoints_that_are_no_complex_fail_the_check(verb, tmp_path,
+                                                      capsys):
+    """The identity of an algebra whose l_1 does not square to zero is
+    no quasi-isomorphism: a failed check, not an internal error."""
+    A = broken_algebra().to_json()
+    mj = LInftyMorphism.identity(broken_algebra()).to_json()
+    doc = {"version": 1, "source": A, "target": A}
+    doc.update({"fs": [mj, mj]} if verb == "fill-homotopy" else
+               {"morphism": mj})
+    code, out = run([verb, write(tmp_path, "a.json", doc)], capsys)
+    assert code == 1
+    assert json.loads(out)["verdict"] == "fail"
+
+
 def test_extend_verb_returns_extension(tmp_path, capsys):
     doc = morphism_doc()
     doc["K"] = 2
@@ -481,6 +530,23 @@ def test_point_that_is_not_a_scalar_exits_two(verb, point, tmp_path,
     doc = atlas_doc()
     doc["atlas"]["points"].append(point)
     assert run([verb, write(tmp_path, "a.json", doc)], capsys)[0] == 2
+
+
+@pytest.mark.parametrize("field, value", [
+    ("dim", "x"), ("dim", 1.0), ("dim", True), ("dim", None), ("dim", -1),
+    ("group_order", "x"), ("group_order", 2.0), ("group_order", False),
+    ("group_order", 0), ("group_order", -2)])
+@pytest.mark.parametrize("verb", ["atlas-check", "cocycle-check"])
+def test_chart_dim_and_group_order_are_checked(verb, field, value,
+                                                tmp_path, capsys):
+    """A chart's dim must be an integer >= 0 and its group order an
+    integer >= 1; anything else is an input error."""
+    doc = atlas_doc(m_max=2)
+    chart = next(iter(doc["atlas"]["charts"].values()))
+    chart[field] = value
+    assert run([verb, write(tmp_path, "a.json", doc)], capsys)[0] == 2
+    chart[field] = {"dim": 0, "group_order": 1}[field]
+    assert run([verb, write(tmp_path, "a.json", doc)], capsys)[0] == 0
 
 
 @pytest.mark.parametrize("level", ["x", None, [1], 1.5, True, -1])

@@ -262,7 +262,7 @@ def test_finite_binary_derived_brackets():
     assert 1 not in A.ops
     assert A.op_word(2, ("x", "y")) == {"z": F(1)}
     rep = check_relations(A, up_to=3)
-    assert rep.ok, rep.to_json()
+    assert rep.ok, rep.failures[:3]
     d = codifferential_hat(A, cap=3)
     assert d.compose(d).is_zero()
 
@@ -287,7 +287,7 @@ def test_nonflat_model_binary_bracket_and_relations():
     assert A.ops.get(2), "expected a nonzero binary operation"
     cap = m.base_cap - 2 * op_weight_gain(A)
     rep = check_relations(A, up_to=4, weight_cap=cap)
-    assert rep.ok, rep.to_json()
+    assert rep.ok, rep.failures[:3]
 
 
 def test_derived_ops_graded_symmetry():
@@ -500,7 +500,7 @@ def test_epsilon_is_morphism_below_jet_order():
     eps = epsilon_morphism(A, ["y1", "q1"], 2)
     assert sorted(eps.comps) == [1]
     rep = check_morphism(eps, up_to=3, weight_cap=1)
-    assert rep.ok, rep.to_json()
+    assert rep.ok, rep.failures[:3]
 
 
 def test_epsilon_binary_identity_on_words():
@@ -523,15 +523,13 @@ def test_epsilon_quasi_iso_oracle():
     m, P = nonflat_model()
     A = derived_brackets(JetVAlgebra(m, P), 3)
     # the surjective localization is an isomorphism
-    ok, _ = is_quasi_iso(epsilon_morphism(A, ["y1", "y2", "q1"], 5))
-    assert ok
+    assert is_quasi_iso(epsilon_morphism(A, ["y1", "y2", "q1"], 5))
     # a proper coordinate subspace at low jet order changes the ranks
     eps = epsilon_morphism(A, ["y1", "q1"], 2)
-    ok, _ = is_quasi_iso(eps)
-    assert not ok
+    assert not is_quasi_iso(eps)
     hs = l1_cohomology(eps.source)
     ht = l1_cohomology(eps.target)
-    assert hs[-1]["dim"] != ht[-1]["dim"]
+    assert hs[-1] != ht[-1]
 
 
 # ---------------------------------------------------------------------------

@@ -5,13 +5,17 @@ Oracles used here:
   squared-coderivation vanishing, and the morphism relation with
   codifferential intertwining (independent code paths);
 - hand-computed small examples (dg Lie triple, curved pair);
-- a frozen random search result for a non-extendable morphism.
+- a frozen random search result for a non-extendable morphism;
+- the induced map on cohomology by dense elimination (dense_oracle),
+  against the mapping-cone test of is_quasi_iso.
 """
 
 import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from linfkit.gradedlin import (GradedMap, GradedSpace, sym_words, vec_add,
                                vec_scale, word_degree)
@@ -23,6 +27,7 @@ from linfkit.linfty import (CurvedError, LInftyAlgebra, LInftyMorphism,
                             obstruction_class, obstruction_cocycle,
                             quad_residual, set_partitions, solve_delta1)
 
+import dense_oracle
 from term_oracle import delta_word, hat_morphism
 
 S3 = GradedSpace([("a", 0), ("b", 1), ("c", 2)])
@@ -240,21 +245,136 @@ def test_direct_sum():
 def test_cohomology_and_quasi_iso():
     S = GradedSpace([("a", 0), ("b", 1), ("c", 1)])
     A = LInftyAlgebra(S, {1: {("a",): {"b": F(1)}}})
-    H = l1_cohomology(A)
-    assert H[0]["dim"] == 0 and H[1]["dim"] == 1
+    assert l1_cohomology(A) == {0: 0, 1: 1}
     # inclusion of <c> as a complex with zero differential
     T = GradedSpace([("h", 1)])
     C = LInftyAlgebra(T, {})
     f = LInftyMorphism.from_linear(C, A, {"h": {"c": F(1)}})
     assert check_morphism(f).ok
-    ok, cert = is_quasi_iso(f)
-    assert ok
+    assert is_quasi_iso(f) is True
     # the zero map is not a quasi-isomorphism here
     g = LInftyMorphism(C, A, {})
-    ok2, _ = is_quasi_iso(g)
-    assert not ok2
+    assert is_quasi_iso(g) is False
     with pytest.raises(CurvedError):
         l1_cohomology(LInftyAlgebra(S, {}, l0={"b": F(1)}))
+
+
+# ---------------------------------------------------------------------------
+# is_quasi_iso against the induced-map oracle, on complexes in degrees 0..2
+
+DEGREES = (0, 1, 2)
+SMALL = st.integers(-2, 2).map(F)
+
+
+def mat_add(a, b):
+    return [[x + y for x, y in zip(r, s)] for r, s in zip(a, b)]
+
+
+@st.composite
+def complexes(draw):
+    """(dims, d): dimensions 0..2 in each degree and d.d = 0 by
+    construction, d in degree 1 being a random combination of the left
+    null vectors of d in degree 0."""
+    n = {k: draw(st.integers(0, 2)) for k in DEGREES}
+    d0 = [[draw(SMALL) for _ in range(n[0])] for _ in range(n[1])]
+    left = dense_oracle.nullspace([[row[j] for row in d0]
+                                   for j in range(n[0])], n[1])
+    mix = [[draw(SMALL) for _ in left] for _ in range(n[2])]
+    d1 = dense_oracle.matmul(mix, left, n[1])
+    return n, {0: d0, 1: d1}
+
+
+@st.composite
+def contractible(draw):
+    """(dims, d) of a sum of pieces x -> y, d(x) a nonzero multiple of
+    y, in degrees 0 -> 1 and 1 -> 2: an acyclic complex."""
+    m0, m1 = draw(st.integers(0, 2)), draw(st.integers(0, 1))
+    s = [draw(st.sampled_from([F(1), F(-2), F(1, 3)]))
+         for _ in range(m0 + m1)]
+    d0 = [[s[i] if i == j else F(0) for j in range(m0)]
+          for i in range(m0 + m1)]
+    d1 = [[s[m0 + i] if j == m0 + i else F(0) for j in range(m0 + m1)]
+          for i in range(m1)]
+    return {0: m0, 1: m0 + m1, 2: m1}, {0: d0, 1: d1}
+
+
+def sum_complex(x, y):
+    """The direct sum of two complexes, x first."""
+    (nx, dx), (ny, dy) = x, y
+    n = {k: nx[k] + ny[k] for k in DEGREES}
+    d = {k: [r + [F(0)] * ny[k] for r in dx[k]]
+         + [[F(0)] * nx[k] + r for r in dy[k]] for k in dx}
+    return n, d
+
+
+@st.composite
+def chain_maps(draw):
+    """(dims_a, d_a, dims_b, d_b, f) with A = C + P, B = C + Q for
+    random complexes C, P, Q (P and Q acyclic or not) and f = c id_C +
+    d_B h + h d_A for a random scalar c and a random h of degree -1: a
+    chain map by construction, a quasi-isomorphism or not."""
+    C = draw(complexes())
+    na, da = sum_complex(C, draw(st.one_of(contractible(), complexes())))
+    nb, db = sum_complex(C, draw(st.one_of(contractible(), complexes())))
+    c = F(draw(st.sampled_from([0, 1, -1, 2])))
+    h = {k: [[draw(SMALL) for _ in range(na[k])] for _ in range(nb[k - 1])]
+         for k in (1, 2)}
+    f = {}
+    for k in DEGREES:
+        fk = [[c if i == j and i < C[0][k] else F(0)
+               for j in range(na[k])] for i in range(nb[k])]
+        if k - 1 in db:
+            fk = mat_add(fk, dense_oracle.matmul(db[k - 1], h[k], na[k]))
+        if k + 1 in h:
+            fk = mat_add(fk, dense_oracle.matmul(h[k + 1], da[k], na[k]))
+        f[k] = fk
+    return na, da, nb, db, f
+
+
+def linear_morphism(na, da, nb, db, f):
+    """The complexes as algebras with l_1 only (generators a<k>_<i>
+    and b<k>_<i> in degree k) and f as f_1 between them."""
+    def algebra(prefix, n, d):
+        labs = {k: ["%s%d_%d" % (prefix, k, i) for i in range(n[k])]
+                for k in DEGREES}
+        ops = {(a,): {labs[k + 1][i]: m[i][j] for i in range(n[k + 1])}
+               for k, m in d.items() for j, a in enumerate(labs[k])}
+        space = GradedSpace([(lab, k) for k in DEGREES for lab in labs[k]])
+        return LInftyAlgebra(space, {1: ops}), labs
+
+    A, la = algebra("a", na, da)
+    B, lb = algebra("b", nb, db)
+    return LInftyMorphism.from_linear(A, B, {
+        a: {lb[k][i]: f[k][i][j] for i in range(nb[k])}
+        for k in DEGREES for j, a in enumerate(la[k])})
+
+
+@settings(max_examples=200, deadline=None)
+@given(chain_maps())
+def test_is_quasi_iso_matches_the_induced_map_oracle(cm):
+    f = linear_morphism(*cm)
+    assert check_morphism(f, up_to=1).ok
+    assert is_quasi_iso(f) is dense_oracle.induced_map_is_iso(*cm)
+
+
+@settings(max_examples=100, deadline=None)
+@given(chain_maps(), st.data())
+def test_a_perturbed_map_that_is_no_chain_map_is_no_quasi_iso(cm, data):
+    """Adding delta to the entry (i, j) of f in degree k breaks the
+    chain relation iff column i of d_B in degree k or row j of d_A in
+    degree k - 1 is nonzero."""
+    na, da, nb, db, f = cm
+    spots = [(k, i, j) for k in DEGREES for i in range(nb[k])
+             for j in range(na[k])
+             if (k in db and any(row[i] for row in db[k]))
+             or (k - 1 in da and any(da[k - 1][j]))]
+    assume(spots)
+    k, i, j = data.draw(st.sampled_from(spots))
+    f = {**f, k: [list(row) for row in f[k]]}
+    f[k][i][j] += data.draw(st.sampled_from([F(1), F(-1), F(1, 2)]))
+    g = linear_morphism(na, da, nb, db, f)
+    assert not check_morphism(g, up_to=1).ok
+    assert is_quasi_iso(g) is False
 
 
 def pair_and_pincer():
