@@ -227,7 +227,8 @@ def load_extension(doc, caps):
 def run_obstruction(caps, f, K):
     obc = linfty_mod.obstruction_class(f, K)
     checks = [record("obstruction-closed", obc.closed,
-                     witness=_witness(sorted(obc.residual.items()))),
+                     witness=_witness(linfty_mod.fraction_failures(
+                         sorted(obc.residual.items())))),
               record("obstruction-exact", True,
                      extra={"exact": obc.exact})]
     return checks, obc.to_json()

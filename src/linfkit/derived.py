@@ -23,20 +23,21 @@ two parts, and `label_weight` reads the exponent total of a label.
 import random
 from fractions import Fraction
 
-from .gradedlin import (GradedSpace, acc_term, expect, matrix_rank,
+from .gradedlin import (GradedSpace, acc_term, exact, expect, matrix_rank,
                         scalar_from_str, scalar_to_str, vec_acc,
                         vec_add, vec_scale)
-from .linfty import CheckReport, JetRecord, LInftyAlgebra, LInftyMorphism
+from .linfty import (CheckReport, JetRecord, LInftyAlgebra, LInftyMorphism,
+                     fraction_failures)
 
 
 # ---------------------------------------------------------------------------
-# polynomial scalars: {exponent tuple: Fraction}
+# polynomial scalars: {exponent tuple: coefficient}
 
 
 def poly_var(i, nv):
     e = [0] * nv
     e[i] = 1
-    return {tuple(e): Fraction(1)}
+    return {tuple(e): 1}
 
 
 def poly_mul(p, q):
@@ -216,7 +217,7 @@ def label_weight(label, names=None):
 # ---------------------------------------------------------------------------
 # polynomial multivector fields
 #
-# A multivector is a dictionary {(exps, word): Fraction} where exps is
+# A multivector is a dictionary {(exps, word): coefficient} where exps is
 # an exponent tuple for the (commuting) coordinates and word is a
 # strictly increasing tuple of coordinate indices naming a wedge of
 # coordinate vector fields.  The wedge generators are odd; a term with
@@ -411,8 +412,7 @@ class JetMultivectorModel:
 
     def vector(self, name):
         """The coordinate vector field d/d<name> as a multivector."""
-        return {((0,) * self.nv, (self.ring.name_to_idx[name],)):
-                Fraction(1)}
+        return {((0,) * self.nv, (self.ring.name_to_idx[name],)): 1}
 
     # -- the projection onto the abelian subalgebra
 
@@ -433,7 +433,7 @@ class JetMultivectorModel:
     # -- generator basis of the abelian subalgebra
 
     def label_to_mv(self, label):
-        return {self.terms[label]: Fraction(1)}
+        return {self.terms[label]: 1}
 
     def a_space(self):
         """Graded space of retained generators of the abelian
@@ -453,7 +453,7 @@ class JetMultivectorModel:
             if lab is None:
                 spilled = True
             elif c:
-                coeffs[lab] = Fraction(c)
+                coeffs[lab] = c
         return coeffs, spilled
 
     def to_json(self):
@@ -475,7 +475,7 @@ class GradedLieAlgebra:
     """Finite-dimensional graded Lie algebra with explicit structure
     constants.
 
-    bracket: {(a, b): {c: Fraction}} on ordered basis pairs; missing
+    bracket: {(a, b): {c: coeff}} on ordered basis pairs; missing
     pairs are recovered from graded antisymmetry, absent pairs are
     zero.  The bracket preserves degree.
     """
@@ -484,7 +484,7 @@ class GradedLieAlgebra:
         self.space = space
         tab = {}
         for (a, b), out in bracket.items():
-            val = {c: Fraction(v) for c, v in out.items() if Fraction(v)}
+            val = {c: x for c, v in out.items() if (x := exact(v))}
             if val:
                 tab[(a, b)] = val
         self.table = tab
@@ -525,7 +525,7 @@ class GradedLieAlgebra:
             expect(rec, "h.bracket", ("pair", "out", "coeff"))
             p = tuple(rec["pair"])
             tab.setdefault(p, {})
-            tab[p][rec["out"]] = tab[p].get(rec["out"], Fraction(0)) \
+            tab[p][rec["out"]] = tab[p].get(rec["out"], 0) \
                 + scalar_from_str(rec["coeff"])
         _known_labels(space, [x for (a, b), out in tab.items()
                               for x in (a, b, *out)])
@@ -563,17 +563,14 @@ def check_graded_lie(L):
             for c in labels:
                 checked += 1
                 da, db = L.space.deg[a] % 2, L.space.deg[b] % 2
-                lhs = L.bracket_elems({a: Fraction(1)},
-                                      L.bracket_word(b, c))
-                r1 = L.bracket_elems(L.bracket_word(a, b),
-                                     {c: Fraction(1)})
+                lhs = L.bracket_elems({a: 1}, L.bracket_word(b, c))
+                r1 = L.bracket_elems(L.bracket_word(a, b), {c: 1})
                 r2 = vec_scale((-1) ** (da * db),
-                               L.bracket_elems({b: Fraction(1)},
-                                               L.bracket_word(a, c)))
+                               L.bracket_elems({b: 1}, L.bracket_word(a, c)))
                 res = vec_add(lhs, vec_scale(-1, vec_add(r1, r2)))
                 if res:
                     failures.append(((a, b, c), res))
-    return CheckReport("graded-lie", failures, checked)
+    return CheckReport("graded-lie", fraction_failures(failures), checked)
 
 
 # ---------------------------------------------------------------------------
@@ -591,10 +588,9 @@ class VAlgebra:
     def __init__(self, h, a_labels, pi, P):
         self.h = h
         self.a_labels = list(a_labels)
-        self.pi = {a: {b: Fraction(c) for b, c in out.items()
-                       if Fraction(c)}
+        self.pi = {a: {b: x for b, c in out.items() if (x := exact(c))}
                    for a, out in pi.items()}
-        self.P = {b: Fraction(c) for b, c in P.items() if Fraction(c)}
+        self.P = {b: x for b, c in P.items() if (x := exact(c))}
 
     def pi_elem(self, u):
         out = {}
@@ -636,7 +632,7 @@ class JetVAlgebra:
 
     def __init__(self, model, P):
         self.model = model
-        self.P = dict(P)
+        self.P = {key: x for key, c in P.items() if (x := exact(c))}
 
 
 def _check_finite_valgebra(V):
@@ -665,7 +661,7 @@ def _check_finite_valgebra(V):
             failures.append(((a,), {"pi-degree": img}))
         if V.pi_elem(img) != img:
             failures.append(((a,), {"pi-idempotent": img}))
-        if a in aset and img != {a: Fraction(1)}:
+        if a in aset and img != {a: 1}:
             failures.append(((a,), {"pi-restriction": img}))
     # the kernel of pi is closed under the bracket
     ker = [a for a in V.h.space.labels if not V.pi.get(a)]
@@ -684,7 +680,7 @@ def _check_finite_valgebra(V):
     checked += 1
     if pp:
         failures.append((("P", "P"), pp))
-    return CheckReport("valgebra", failures, checked)
+    return CheckReport("valgebra", fraction_failures(failures), checked)
 
 
 def _check_jet_valgebra(V, samples=40, seed=0):
@@ -702,7 +698,7 @@ def _check_jet_valgebra(V, samples=40, seed=0):
         nw = rng.randint(0, 2)
         w = tuple(sorted(rng.sample(range(model.nv),
                                     min(nw, model.nv))))
-        return {(tuple(e), w): Fraction(rng.choice([1, -1, 2]))}
+        return {(tuple(e), w): rng.choice([1, -1, 2])}
 
     # sampled graded Jacobi identity for the exact bracket
     for _ in range(samples):
@@ -743,7 +739,7 @@ def _check_jet_valgebra(V, samples=40, seed=0):
     pp = schouten(P, P)
     if pp:
         failures.append((("P", "P"), pp))
-    return CheckReport("valgebra", failures, checked,
+    return CheckReport("valgebra", fraction_failures(failures), checked,
                        notes=["jet model: Lie axioms sampled"])
 
 
@@ -879,7 +875,7 @@ def poisson_from_presymplectic(model, omega, R):
     m, k, nv = model.m, model.k, model.nv
     if len(omega) != m or any(len(row) != m for row in omega):
         raise ValueError("omega must be %d x %d" % (m, m))
-    om = [[Fraction(x) for x in row] for row in omega]
+    om = [[exact(x) for x in row] for row in omega]
     for i in range(m):
         for j in range(m):
             if om[i][j] != -om[j][i]:
@@ -991,6 +987,5 @@ def epsilon_morphism(C, image_vars, j_max):
     loc, normal = localized_algebra(C, image_vars, j_max)
     src = _reweighted(C, {lab: label_weight(lab, normal)
                           for lab in C.space.labels})
-    comps = {1: {(lab,): {lab: Fraction(1)}
-                 for lab in loc.space.labels}}
+    comps = {1: {(lab,): {lab: 1} for lab in loc.space.labels}}
     return LInftyMorphism(src, loc, comps, arity_cap=C.arity_cap)

@@ -4,8 +4,10 @@ Graded vector spaces over the rationals with labeled generators, sparse
 degree-homogeneous maps, Koszul signs, (i, k-i)-unshuffles, symmetric
 words, and cohomology by exact rank.  Everything is immutable after
 construction and all arithmetic is exact over the rationals; no floats.
-Every coefficient a function returns is a fractions.Fraction; inside
-the echelon engine an integral coefficient is stored as a plain int.
+A stored coefficient (of a graded map, a structure table or an echelon
+row) is a plain int while it is integral and a fractions.Fraction only
+when it is not, normalised by exact() where it enters; every answer of
+the echelon engine is a Fraction, and scalar_to_str writes both alike.
 
 Conventions: all degrees live in the [1]-shifted picture (operations of
 degree +1, morphism components of degree 0).  The Koszul sign of a
@@ -17,6 +19,7 @@ from __future__ import annotations
 
 import json
 import random
+import re
 from fractions import Fraction
 from functools import lru_cache
 from heapq import heapify, heappop, heappush
@@ -24,6 +27,7 @@ from itertools import combinations
 from types import MappingProxyType
 
 UNSHUFFLE_CAP = 12
+ZERO = Fraction(0)
 
 
 class CapError(Exception):
@@ -34,7 +38,7 @@ class CapError(Exception):
 # scalars
 
 
-def scalar_to_str(c: Fraction) -> str:
+def scalar_to_str(c) -> str:
     """Serialize a rational as "p" or "p/q" (q > 0, lowest terms)."""
     c = Fraction(c)
     if c.denominator == 1:
@@ -42,16 +46,15 @@ def scalar_to_str(c: Fraction) -> str:
     return "%d/%d" % (c.numerator, c.denominator)
 
 
-def scalar_from_str(s: str) -> Fraction:
-    """Parse "p" or "p/q"; rejects zero denominators and floats."""
-    s = s.strip()
-    if "/" in s:
-        p, q = s.split("/")
-        qi = int(q)
-        if qi == 0:
-            raise ValueError("zero denominator in scalar %r" % s)
-        return Fraction(int(p), qi)
-    return Fraction(int(s))
+def scalar_from_str(s: str):
+    """Parse "p" or "p/q" in ASCII digits, int-first; ValueError on
+    anything else, zero denominators, floats and non-strings included."""
+    m = isinstance(s, str) and re.fullmatch(r"(-?[0-9]+)(?:/([0-9]+))?",
+                                            s.strip())
+    if not m or m[2] is not None and not int(m[2]):
+        raise ValueError("malformed scalar %r" % (s,))
+    p = int(m[1])
+    return p if m[2] is None else exact(Fraction(p, int(m[2])))
 
 
 def expect(doc, where, required, optional=()):
@@ -74,12 +77,16 @@ def expect(doc, where, required, optional=()):
 # exact linear algebra: one incremental sparse echelon engine
 
 
-def _exact(x):
-    """x as an int when it is integral.  Fraction arithmetic keeps the
-    Fraction type even when a value is an integer."""
-    if type(x) is int or x.denominator != 1:
+def exact(x):
+    """x as an int when it is integral and as a Fraction when it is
+    not: the one normal form of a stored coefficient.  x may be anything
+    Fraction takes; Fraction arithmetic keeps the Fraction type even
+    when a value is an integer."""
+    if type(x) is int:
         return x
-    return x.numerator
+    if type(x) is not Fraction:
+        x = Fraction(x)
+    return x.numerator if x.denominator == 1 else x
 
 
 def _divide(r, piv):
@@ -87,11 +94,11 @@ def _divide(r, piv):
     zeros dropped.  A pivot of +-1 keeps or negates r; only other
     pivots divide."""
     if piv == 1:
-        return {k: _exact(x) for k, x in r.items() if x}
+        return {k: exact(x) for k, x in r.items() if x}
     if piv == -1:
-        return {k: -_exact(x) for k, x in r.items() if x}
+        return {k: -exact(x) for k, x in r.items() if x}
     inv = 1 / Fraction(piv)
-    return {k: _exact(x * inv) for k, x in r.items() if x}
+    return {k: exact(x * inv) for k, x in r.items() if x}
 
 
 def _fractions(v):
@@ -132,7 +139,7 @@ class Echelon:
         pivot order ({} iff v is in the span), int-first.  With acc, the
         multiples of the rows' combinations subtracted are added to
         acc."""
-        v, rows = {k: _exact(x) for k, x in v.items() if x}, self.rows
+        v, rows = {k: exact(x) for k, x in v.items() if x}, self.rows
         heap = [k for k in v if k in rows]
         heapify(heap)
         while heap:
@@ -140,7 +147,7 @@ class Echelon:
             f = v.pop(p, None)
             if f is None:
                 continue
-            f = _exact(f)
+            f = exact(f)
             for k, x in rows[p].items():
                 if k in v:
                     v[k] -= f * x
@@ -173,7 +180,7 @@ class Echelon:
         self.rows[p] = _divide(r, piv)
         if acc is not None:
             acc = _divide(acc, -piv)
-            acc[self.inserted - 1] = _exact(1 / Fraction(piv))
+            acc[self.inserted - 1] = exact(1 / Fraction(piv))
             self.combos[p] = acc
         return True
 
@@ -198,7 +205,7 @@ class Echelon:
                 if k in x:
                     s -= c * x[k]
             if s:
-                x[p] = _exact(s)
+                x[p] = exact(s)
         return _fractions(x)
 
     def kernel(self, cols):
@@ -221,7 +228,7 @@ class Echelon:
                 f = r.pop(q)
                 for k, c in full[q].items():
                     r[k] = r.get(k, 0) - f * c
-            full[p] = {k: _exact(c) for k, c in r.items() if c}
+            full[p] = {k: exact(c) for k, c in r.items() if c}
         return full
 
     def reduced_rows(self):
@@ -242,7 +249,7 @@ def echelon_of(vectors):
 
 
 def _dense(vec, ncols):
-    return [vec.get(j, Fraction(0)) for j in range(ncols)]
+    return [vec.get(j, ZERO) for j in range(ncols)]
 
 
 def rref(rows):
@@ -330,12 +337,11 @@ class LinearSystem:
         return self.index[key]
 
     def equation(self, coeffs, rhs=0):
-        """Add the row sum(coeffs[key] * key) = rhs; integral
-        coefficients are kept as ints, as Echelon stores them."""
+        """Add the row sum(coeffs[key] * key) = rhs; Echelon normalises
+        its coefficients when it reduces the row."""
         index = self.index
-        self.rows.append({index[key]: _exact(c)
-                          for key, c in coeffs.items() if c})
-        self.rhs.append(_exact(rhs))
+        self.rows.append({index[key]: c for key, c in coeffs.items() if c})
+        self.rhs.append(rhs)
 
     def solve(self):
         """{key: nonzero value} of the canonical solution, or None."""
@@ -350,7 +356,7 @@ class LinearSystem:
             x = None if y is None else [y[pos[j]] for j in range(n)]
         if x is None:
             return None
-        return {k: v for k, v in zip(self.unknowns, x) if v != 0}
+        return {k: v for k, v in zip(self.unknowns, x) if v}
 
 
 def in_span(vectors, v):
@@ -464,8 +470,8 @@ def vec_add(u, v):
 
 
 def vec_scale(c, v):
-    c = Fraction(c)
-    if c == 0:
+    c = exact(c)
+    if not c:
         return {}
     return {k: c * x for k, x in v.items()}
 
@@ -479,8 +485,10 @@ class GradedMap:
     degree shift, stored column by column (the compressed-column layout
     of sparse matrix practice).
 
-    images: {source label: {target label: Fraction}}, the image of
-    each generator; zero coefficients and empty images are dropped.
+    images: {source label: {target label: coefficient}}, the image of
+    each generator, each coefficient normalised by exact() (an int
+    while it is integral); zero coefficients and empty images are
+    dropped.
     """
 
     __slots__ = ("source", "target", "shift", "images")
@@ -496,8 +504,8 @@ class GradedMap:
             want = source.deg[a] + self.shift
             col = {}
             for b, c in img.items():
-                c = Fraction(c)
-                if c == 0:
+                c = exact(c)
+                if not c:
                     continue
                 if b not in target.deg:
                     raise ValueError("unknown target generator %r" % (b,))
@@ -511,12 +519,11 @@ class GradedMap:
 
     @classmethod
     def identity(cls, space):
-        return cls(space, space, 0, {l: {l: Fraction(1)}
-                                     for l in space.labels})
+        return cls(space, space, 0, {l: {l: 1} for l in space.labels})
 
     @property
     def entries(self):
-        """Read-only view {(source label, target label): Fraction}."""
+        """Read-only view {(source label, target label): coefficient}."""
         return MappingProxyType({(a, b): c for a, img in self.images.items()
                                  for b, c in img.items()})
 

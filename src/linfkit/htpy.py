@@ -141,10 +141,10 @@ class FillingModel:
             face_incl = GradedMap.identity(self.base.space) if self.n == 1 \
                 else self.boundary[J].incl
             checked += 1
-            diff = comp.add(face_incl.scale(Fraction(-1)))
+            diff = comp.add(face_incl.scale(-1))
             if not diff.is_zero():
                 failures.append((("eval-incl", _jtag(J)),
-                                 {a: c for (a, _), c
+                                 {a: Fraction(c) for (a, _), c
                                   in sorted(diff.entries.items())[:3]}))
         # endpoints of the filling homotopy are the given morphisms
         for v in range(self.n + 1):
@@ -257,7 +257,7 @@ def fill_n_homotopy(fs, K=2, tie_break=0):
                 ev = edge.evals[(pos,)].f1_map()
                 vtx = J[pos]
                 for lab in src:
-                    img = ev.apply(untag_vec(J, {lab: Fraction(1)}))
+                    img = ev.apply(untag_vec(J, {lab: 1}))
                     for b, c in img.items():
                         acc_term(rows.setdefault((vtx, b), {}), idx[lab],
                                  eps * sgn * c)
@@ -316,7 +316,7 @@ def fill_n_homotopy(fs, K=2, tie_break=0):
         out = {"x|" + j: c for j, c in d_ker[k].items()}
         if out:
             l1_tab[("x|" + k,)] = out
-        outy = {"x|" + k: Fraction(1)}
+        outy = {"x|" + k: 1}
         outy.update(("y|" + j, -c) for j, c in d_ker[k].items())
         l1_tab[("y|" + k,)] = outy
     for l in C0.space.labels:
@@ -360,7 +360,7 @@ def fill_n_homotopy(fs, K=2, tie_break=0):
         vec = {}
         for J in faces:
             if n_out == 1:
-                part = {lab: Fraction(1)}
+                part = {lab: 1}
             else:
                 part = edges[J].incl.images.get(lab, {})
             vec_acc(vec, tag_vec(J, part))
@@ -385,7 +385,7 @@ def fill_n_homotopy(fs, K=2, tie_break=0):
     for lab in C0.space.labels:
         val = lift_to_ker({J: face_h[J].comp_word(1, (lab,))
                            for J in faces}, C0.space.deg[lab])
-        acc_term(val, "z|" + lab, Fraction(1))
+        acc_term(val, "z|" + lab, 1)
         hbar_comps[1][(lab,)] = val
     hbar = LInftyMorphism(C0, cyl, hbar_comps, arity_cap=K)
 

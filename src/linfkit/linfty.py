@@ -7,7 +7,9 @@ supported.  Structure constants are stored on canonical symmetric words
 only; evaluation on arbitrary words goes through the Koszul sign of
 canonical reordering, which makes graded symmetry automatic.
 
-Everything is exact (fractions) and immutable.  Arity truncation K_max
+Everything is exact and immutable: a stored structure constant is an
+int while it is integral and a Fraction only when it is not, and a
+check's residuals leave as Fractions.  Arity truncation K_max
 is a first-class parameter: operations above the cap are treated as
 zero and every verdict is "up to arity K_max".
 """
@@ -23,7 +25,7 @@ from .gradedlin import (CohomologyError, GradedMap, GradedSpace,
                         LinearSystem, acc_term, canonical_word, cohomology,
                         koszul_sign, sym_words, unshuffles, vec_acc,
                         word_degree, words_within, scalar_to_str,
-                        scalar_from_str, expect)
+                        scalar_from_str, expect, exact)
 
 DEFAULT_ARITY_CAP = 4
 
@@ -198,6 +200,15 @@ def partition_sum(f, word, outer, support, acc=None, scale=1):
     return acc
 
 
+def fraction_failures(failures):
+    """(word, residual) pairs as they leave the library: every
+    coefficient of a residual, in nested dicts too, a Fraction."""
+    def leave(x):
+        return {k: leave(v) if isinstance(v, dict) else Fraction(v)
+                for k, v in x.items()}
+    return [(w, leave(r)) for w, r in failures]
+
+
 def fold_report(failures, rep, tag):
     """Append the failures of a sub-check to failures, each word
     prefixed with tag; returns the sub-check's checked count."""
@@ -255,13 +266,9 @@ def canonical_tables(space, out_space, shift, tables, cap, what):
                 raise ValueError("arity-%d %s on the word %r"
                                  % (k, what, word))
             cw, sign = canonical_word(space, word)
-            if cw is None:
-                if any(Fraction(c) != 0 for c in out.values()):
-                    raise ValueError("value on a vanishing word %r"
-                                     % (word,))
-                continue
-            val = {b: sign * Fraction(c) for b, c in out.items()
-                   if Fraction(c) != 0}
+            val = {b: x for b, c in out.items() if (x := exact(c))}
+            if cw is None and val:
+                raise ValueError("value on a vanishing word %r" % (word,))
             if not val:
                 continue
             wd = word_degree(space, cw) + shift
@@ -269,8 +276,10 @@ def canonical_tables(space, out_space, shift, tables, cap, what):
                 if out_space.deg[b] != wd:
                     raise ValueError("arity-%d %s %r -> %r violates degree "
                                      "%+d" % (k, what, cw, b, shift))
-            vec_acc(tab.setdefault(cw, {}), val)
-        clean[k] = {w: v for w, v in tab.items() if v}
+            vec_acc(tab.setdefault(cw, {}), val, sign)
+        # entries on one word may add up to an integral Fraction
+        clean[k] = {w: {b: exact(c) for b, c in v.items()}
+                    for w, v in tab.items() if v}
     return clean
 
 
@@ -304,7 +313,7 @@ def blocks_to_json(tables):
 
 
 def blocks_from_json(blocks, where):
-    """{arity: {word: {out: Fraction}}} from the JSON blocks of
+    """{arity: {word: {out: coeff}}} from the JSON blocks of
     blocks_to_json, parsed strictly; entries on one (word, out) add
     up.  The arity ranges are the constructors' to check."""
     tables = {}
@@ -343,8 +352,8 @@ class LInftyAlgebra:
     """Arity-truncated L-infinity[1]-algebra.
 
     space: GradedSpace
-    ops: {k >= 1: {canonical word: {target label: Fraction}}}
-    l0: curvature element {label: Fraction} (empty means strict)
+    ops: {k >= 1: {canonical word: {target label: coeff}}}
+    l0: curvature element {label: coeff} (empty means strict)
     weights: optional {label: int} weight filtration used by the
         simplex models; operations strictly add weights there, so
         checks filtered by total weight are exact.
@@ -359,8 +368,7 @@ class LInftyAlgebra:
         self.space = space
         self.arity_cap = _arity_cap(arity_cap)
         self.jet = jet
-        self.l0 = {k: Fraction(v) for k, v in (l0 or {}).items()
-                   if Fraction(v) != 0}
+        self.l0 = {k: x for k, v in (l0 or {}).items() if (x := exact(v))}
         self.weights = dict(weights) if weights else None
         self.ops = canonical_tables(space, space, 1, ops, self.arity_cap,
                                     "operation")
@@ -445,13 +453,14 @@ def check_relations(A: LInftyAlgebra, up_to=None, weight_cap=None):
             res = quad_residual(A, word)
             if res:
                 failures.append((word, res))
-    return CheckReport("linfty-relations", failures, checked)
+    return CheckReport("linfty-relations", fraction_failures(failures),
+                       checked)
 
 
 class LInftyMorphism:
     """Arity-truncated L-infinity[1]-morphism (strict: no f_0).
 
-    comps: {k >= 1: {canonical word: {target label: Fraction}}},
+    comps: {k >= 1: {canonical word: {target label: coeff}}},
     every component of degree 0.
     """
 
@@ -486,8 +495,7 @@ class LInftyMorphism:
 
     @classmethod
     def identity(cls, A):
-        return cls.from_linear(A, A, {a: {a: Fraction(1)}
-                                      for a in A.space.labels})
+        return cls.from_linear(A, A, {a: {a: 1} for a in A.space.labels})
 
     def comp_word(self, k, word):
         if k < 1 or k != len(word):
@@ -533,7 +541,8 @@ def check_morphism(f: LInftyMorphism, up_to=None, weight_cap=None):
             res = vec_acc(lhs, rhs, -1)
             if res:
                 failures.append((word, res))
-    return CheckReport("linfty-morphism", failures, checked)
+    return CheckReport("linfty-morphism", fraction_failures(failures),
+                       checked)
 
 
 def compose(g: LInftyMorphism, f: LInftyMorphism) -> LInftyMorphism:

@@ -16,7 +16,6 @@ the verified range.
 from __future__ import annotations
 
 import itertools
-from fractions import Fraction
 
 from .gradedlin import (Echelon, GradedMap, GradedSpace, acc_term, vec_acc,
                         vec_add, vec_scale, words_within)
@@ -34,7 +33,7 @@ class SimplexCapError(Exception):
 
 
 # ---------------------------------------------------------------------------
-# polynomial forms; a form is a dict {(exps, dts): Fraction}
+# polynomial forms; a form is a dict {(exps, dts): coefficient}
 
 
 def mono_weight(key):
@@ -83,14 +82,14 @@ def _face_images(n, i):
             continue
         j = J.index(coord)
         if j == 0:
-            img = {(zero_exps, ()): Fraction(1)}
+            img = {(zero_exps, ()): 1}
             for l in range(1, m + 1):
                 e = tuple(1 if x == l - 1 else 0 for x in range(m))
-                img[(e, ())] = Fraction(-1)
+                img[(e, ())] = -1
             images.append(img)
         else:
             e = tuple(1 if x == j - 1 else 0 for x in range(m))
-            images.append({(e, ()): Fraction(1)})
+            images.append({(e, ()): 1})
     return images
 
 
@@ -100,7 +99,7 @@ def face_restrict(n, i, form, weight_cap=None):
     m = n - 1
     images = _face_images(n, i)
     out = {}
-    unit = {(tuple([0] * m), ()): Fraction(1)}
+    unit = {(tuple([0] * m), ()): 1}
     for (exps, dts), c in form.items():
         val = vec_scale(c, unit)
         for coord in range(1, n + 1):
@@ -156,7 +155,7 @@ class SimplexModel:
             weights=weights)
         unit = mono_label((tuple([0] * n), ()))
         self.incl = GradedMap(base.space, self.space, 0,
-                              {x: {unit + "|" + x: Fraction(1)}
+                              {x: {unit + "|" + x: 1}
                                for x in base.space.labels})
         self._face_model = None
         self._evals = {}
@@ -177,11 +176,10 @@ class SimplexModel:
         # arity 1
         tab1 = {}
         for lab, (k, x) in self.labels.items():
-            val = self._tensor_element(d_form(n, {k: Fraction(1)}),
-                                       {x: Fraction(1)})
+            val = self._tensor_element(d_form(n, {k: 1}), {x: 1})
             sgn = (-1) ** mono_degree(k)
             val = vec_add(val, vec_scale(
-                sgn, self._tensor_element({k: Fraction(1)},
+                sgn, self._tensor_element({k: 1},
                                           base.op_word(1, (x,)))))
             if val:
                 tab1[(lab,)] = val
@@ -198,9 +196,9 @@ class SimplexModel:
                 base_out = base.op_word(arity, tuple(x for _, x in pairs))
                 if not base_out:
                     continue
-                alpha = {pairs[0][0]: Fraction(1)}
+                alpha = {pairs[0][0]: 1}
                 for k, _ in pairs[1:]:
-                    alpha = mv_wedge(alpha, {k: Fraction(1)})
+                    alpha = mv_wedge(alpha, {k: 1})
                 if not alpha:
                     continue
                 adeg = [mono_degree(k) for k, _ in pairs]
@@ -235,18 +233,18 @@ class SimplexModel:
         tgt_model = self.face_model()
         entries = {}
         for lab, (k, x) in self.labels.items():
-            restr = face_restrict(self.n, i, {k: Fraction(1)},
+            restr = face_restrict(self.n, i, {k: 1},
                                   weight_cap=self.weight_cap)
             if not restr:
                 continue
             if tgt_model is None:
                 # target is the base algebra; only 0-forms survive
                 zero_key = ((), ())
-                c = restr.get(zero_key, Fraction(0))
+                c = restr.get(zero_key, 0)
                 if c:
                     entries[(lab,)] = {x: c}
             else:
-                val = tgt_model._tensor_element(restr, {x: Fraction(1)})
+                val = tgt_model._tensor_element(restr, {x: 1})
                 if val:
                     entries[(lab,)] = val
         target = self.base if tgt_model is None else tgt_model.algebra
@@ -319,7 +317,7 @@ def verify_model_axioms(model: SimplexModel, weight_check=None,
             comp = ev.f1_map().compose(incl)
             ident = GradedMap.identity(model.base.space)
             record("eval%d-incl-identity" % j,
-                   comp.add(ident.scale(Fraction(-1))).is_zero())
+                   comp.add(ident.scale(-1)).is_zero())
         # surjectivity of the joint evaluation, degree by degree
         record("joint-eval-surjective", _joint_surjective(model, evs))
     else:
@@ -343,7 +341,7 @@ def verify_model_axioms(model: SimplexModel, weight_check=None,
         for i, ev in evs.items():
             comp = ev.f1_map().compose(incl)
             record("eval-face%d-incl" % i,
-                   comp.add(face_incl.scale(Fraction(-1))).is_zero())
+                   comp.add(face_incl.scale(-1)).is_zero())
         # axiom (v): kernel of the lower boundary equals the image of
         # the top boundary, on elements of weight <= weight_check
         ok_v, wit = _exactness(model, evs, face_evs, weight_check)
@@ -356,7 +354,7 @@ def verify_model_axioms(model: SimplexModel, weight_check=None,
 def _is_chain_map(m: GradedMap, src_alg, tgt_alg):
     d1 = l1_map(src_alg)
     d2 = l1_map(tgt_alg)
-    return m.compose(d1).add(d2.compose(m).scale(Fraction(-1))).is_zero()
+    return m.compose(d1).add(d2.compose(m).scale(-1)).is_zero()
 
 
 def _joint_surjective(model, evs):
@@ -390,7 +388,7 @@ def _face_compat(model, evs, face_evs):
         r2 = J2.index([v for v in J2 if v not in shared][0])
         m1 = face_evs[r1].f1_map().compose(evs[i1].f1_map())
         m2 = face_evs[r2].f1_map().compose(evs[i2].f1_map())
-        if not m1.add(m2.scale(Fraction(-1))).is_zero():
+        if not m1.add(m2.scale(-1)).is_zero():
             return False
     return True
 

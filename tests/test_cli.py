@@ -135,6 +135,20 @@ def test_malformed_scalar_exits_two(tmp_path, capsys):
                capsys)[0] == 2
 
 
+@pytest.mark.parametrize("coeff", ["1_0", "\u0661", "1/2_0", "+6", "6.0",
+                                   "1/-2", "", 6, None, ["6"]])
+def test_scalar_outside_the_grammar_exits_two(coeff, tmp_path, capsys):
+    """A coefficient that int() would read in another spelling
+    ("1_0" as 10, an Arabic-Indic digit as 1) or that is no string is
+    an input error, not a check of a different morphism."""
+    doc = json.loads((BENCH_JOBS / "check-mor-between-pairs.json")
+                     .read_text())
+    block = [b for b in doc["morphism"]["comps"] if b["arity"] == 3][0]
+    block["entries"][0]["coeff"] = coeff
+    assert run(["check-mor", write(tmp_path, "m.json", doc)],
+               capsys)[0] == 2
+
+
 def test_unknown_field_exits_two(tmp_path, capsys):
     doc = algebra_doc()
     doc["bogus"] = 1

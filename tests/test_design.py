@@ -7,7 +7,9 @@ named definition is used by the program: its name appears in the
 package sources or the benchmark scripts more often than it is
 defined, so code that only tests reach does not count as used.  Every
 name a module imports is read in that module.  No module imports or
-reads another module's underscore name.
+reads another module's underscore name.  Every true division has a
+Fraction(...) call as an operand, since coefficients are stored as ints
+while they are integral and int / int is a float.
 """
 
 import ast
@@ -108,6 +110,25 @@ def test_every_import_is_read():
                                         for a in node.names)
                            if name not in read]
     assert unread == []
+
+
+def _fraction_call(node):
+    return isinstance(node, ast.Call) and isinstance(node.func, ast.Name) \
+        and node.func.id == "Fraction"
+
+
+def test_every_division_is_exact():
+    sites = []
+    for name, node in _nodes():
+        if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Div):
+            operands = (node.left, node.right)
+        elif isinstance(node, ast.AugAssign) and isinstance(node.op, ast.Div):
+            operands = (node.value,)
+        else:
+            continue
+        if not any(_fraction_call(x) for x in operands):
+            sites.append("%s:%d %s" % (name, node.lineno, ast.unparse(node)))
+    assert sites == []
 
 
 def test_algebra_takes_no_undeclared_attribute():

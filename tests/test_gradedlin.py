@@ -7,6 +7,7 @@ dense_oracle.py; sign and combinatorics invariants are property-tested.
 
 import math
 import random
+import re
 from fractions import Fraction as F
 
 import pytest
@@ -32,8 +33,22 @@ def test_scalar_roundtrip():
     for s in ["0", "1", "-3", "5/7", "-22/7"]:
         assert scalar_to_str(scalar_from_str(s)) == s
     assert scalar_from_str("4/8") == F(1, 2)
+    # int-first: an integral value is an int, also when written p/q
+    assert type(scalar_from_str(" -3 ")) is int
+    assert type(scalar_from_str("4/2")) is int
+    assert type(scalar_from_str("4/8")) is F
     with pytest.raises(ValueError):
         scalar_from_str("1/0")
+    # only ASCII -?[0-9]+ and -?[0-9]+/[0-9]+: no other spelling int()
+    # takes, no float, no sign on the denominator
+    for s in ["1_0", "\u0661", "1/2_0", "\u0661/2", "+1", "1.5", "1e3",
+              "1/-2", "1/2/3", "", "-", "/2", "0x10"]:
+        with pytest.raises(ValueError):
+            scalar_from_str(s)
+    for x in [1, F(1, 2), None, b"1", ["1"]]:
+        with pytest.raises(ValueError, match="scalar %s" % re.escape(
+                repr(x))):
+            scalar_from_str(x)
 
 
 def test_rref_and_rank_oracle():
@@ -302,13 +317,18 @@ def fractions_only(*values):
             assert type(v) is F, (type(v), v)
 
 
+def is_int_first(c):
+    """c is an int, or a Fraction that is not integral."""
+    return type(c) is int or (type(c) is F and c.denominator != 1)
+
+
 def int_first(ech):
     """No stored row or combination coefficient is an integral
     Fraction."""
     tables = list(ech.rows.values()) + list((ech.combos or {}).values())
     for r in tables:
         for c in r.values():
-            assert type(c) is int or (type(c) is F and c.denominator != 1)
+            assert is_int_first(c), (type(c), c)
 
 
 def sparse_rows(rows):

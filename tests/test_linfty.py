@@ -7,9 +7,12 @@ Oracles used here:
 - hand-computed small examples (dg Lie triple, curved pair);
 - a frozen random search result for a non-extendable morphism;
 - the induced map on cohomology by dense elimination (dense_oracle),
-  against the mapping-cone test of is_quasi_iso.
+  against the mapping-cone test of is_quasi_iso;
+- the unpruned term sums of term_oracle.py on all-Fraction copies of
+  the int-first tables.
 """
 
+import copy
 import random
 from fractions import Fraction as F
 
@@ -28,7 +31,10 @@ from linfkit.linfty import (CurvedError, LInftyAlgebra, LInftyMorphism,
                             quad_residual, set_partitions, solve_delta1)
 
 import dense_oracle
+import term_oracle
 from term_oracle import delta_word, hat_morphism
+from test_gradedlin import is_int_first
+from test_term_kernel import algebras, morphisms, spaces
 
 S3 = GradedSpace([("a", 0), ("b", 1), ("c", 2)])
 
@@ -570,3 +576,161 @@ def test_library_arity_cap_is_strict(cap):
         LInftyMorphism.from_json({"comps": [], "arity_cap": cap}, A, A, "f")
     assert LInftyMorphism.from_json({"comps": []}, A, A, "f").arity_cap \
         == A.arity_cap
+
+
+# ---------------------------------------------------------------------------
+# int-first tables: a structure constant is stored as an int while it is
+# integral and as a Fraction only when it is not
+
+
+VALUES = [1, -1, 2, F(1, 2), F(-3, 2), F(5, 4)]
+
+
+def draw_tables(draw, space, shift):
+    """{k: {word: element}} for k = 1, 2, 3, values in degree |word| +
+    shift drawn from VALUES.  Some words come twice, once reversed, so
+    that their entries add up on the canonical word (1/2 + 1/2 is an
+    integral Fraction)."""
+    tables = {}
+    for k in (1, 2, 3):
+        tab = {}
+        for w in sym_words(space, k):
+            outs = space.basis_in_degree(word_degree(space, w) + shift)
+            if outs and draw(st.booleans()):
+                b = draw(st.sampled_from(outs))
+                tab[w] = {b: draw(st.sampled_from(VALUES))}
+                if w[::-1] != w and draw(st.booleans()):
+                    tab[w[::-1]] = {b: draw(st.sampled_from(VALUES))}
+        tables[k] = tab
+    return tables
+
+
+def retype(tables, form, rng):
+    """The tables with every value an int where integral ("int"), a
+    Fraction ("fraction"), or either at random ("mixed")."""
+    def one(c):
+        c = F(c)
+        if form == "fraction" or (form == "mixed" and rng.random() < 0.5):
+            return c
+        return c.numerator if c.denominator == 1 else c
+    return {k: {w: {b: one(c) for b, c in v.items()} for w, v in t.items()}
+            for k, t in tables.items()}
+
+
+def stored_values(A, f, d):
+    return ([c for t in A.ops.values() for v in t.values()
+             for c in v.values()] + list(A.l0.values())
+            + [c for t in f.comps.values() for v in t.values()
+               for c in v.values()]
+            + [c for v in d.images.values() for c in v.values()])
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_tables_are_int_first_whatever_the_input_types(data):
+    """An algebra, a morphism and a graded map built from int, Fraction
+    and mixed coefficients store equal tables, and every stored value
+    is an int or a non-integral Fraction."""
+    space = data.draw(spaces())
+    ops = draw_tables(data.draw, space, 1)
+    comps = draw_tables(data.draw, space, 0)
+    odd = space.basis_in_degree(1)
+    if odd:
+        ops[0] = {(): {odd[0]: data.draw(st.sampled_from(VALUES))}}
+    rng = data.draw(st.randoms(use_true_random=False))
+    built = []
+    for form in ("int", "fraction", "mixed"):
+        typed = retype(ops, form, rng)
+        l0 = typed.pop(0, {}).get((), {})
+        A = LInftyAlgebra(space, typed, l0=l0, arity_cap=3)
+        f = LInftyMorphism(A, A, retype(comps, form, rng))
+        d = GradedMap(space, space, 1,
+                      {a: v for (a,), v in typed[1].items()})
+        assert all(is_int_first(c) for c in stored_values(A, f, d))
+        built.append((A.ops, A.l0, f.comps, d.images))
+    assert built[0] == built[1] == built[2]
+
+
+def fraction_algebra(A):
+    """A copy of A whose structure constants are all Fractions: the
+    tables as they were stored before int-first storage."""
+    B = copy.copy(A)
+    B.ops = {k: {w: {b: F(c) for b, c in v.items()} for w, v in t.items()}
+             for k, t in A.ops.items()}
+    B.l0 = {b: F(c) for b, c in A.l0.items()}
+    return B
+
+
+def fraction_morphism(f):
+    g = copy.copy(f)
+    g.source, g.target = fraction_algebra(f.source), fraction_algebra(f.target)
+    g.comps = {k: {w: {b: F(c) for b, c in v.items()} for w, v in t.items()}
+               for k, t in f.comps.items()}
+    return g
+
+
+def agree_with_oracle(rep, want):
+    """A check report agrees with the oracle's (failures, checked), and
+    its residuals leave as Fractions."""
+    assert (rep.failures, rep.checked) == want
+    assert rep.ok == (not want[0])
+    for _, res in rep.failures:
+        assert all(type(c) is F for c in res.values())
+
+
+def half_triple():
+    """The dg Lie triple with l2(a, b) = c / 2: a non-integral structure
+    constant."""
+    S = GradedSpace([("a", 0), ("b", 0), ("c", 1)])
+    return LInftyAlgebra(S, {2: {("a", "b"): {"c": F(1, 2)}}})
+
+
+def half_chain():
+    """x -> y -> z with d = 1/2 then 2: l1 l1 x = z, an integral
+    residual of non-integral constants."""
+    S = GradedSpace([("x", 0), ("y", 1), ("z", 2)])
+    return LInftyAlgebra(S, {1: {("x",): {"y": F(1, 2)},
+                                 ("y",): {"z": 2}}})
+
+
+def test_checks_on_a_half_constant_agree_with_the_oracle():
+    A = half_triple()
+    assert type(A.ops[2][("a", "b")]["c"]) is F
+    cases = [
+        (A, True),
+        (half_chain(), False),
+        # f1 = diag(2, 1/2, 1) is a morphism, f1 = id / 2 is not
+        (LInftyMorphism(A, A, {1: {("a",): {"a": 2}, ("b",): {"b": F(1, 2)},
+                                   ("c",): {"c": 1}}}), True),
+        (LInftyMorphism(A, A, {1: {(a,): {a: F(1, 2)}
+                                   for a in A.space.labels}}), False),
+    ]
+    for x, ok in cases:
+        if isinstance(x, LInftyAlgebra):
+            rep = check_relations(x)
+            want = term_oracle.check_relations(fraction_algebra(x))
+        else:
+            rep = check_morphism(x)
+            want = term_oracle.check_morphism(fraction_morphism(x))
+        assert rep.ok == ok
+        agree_with_oracle(rep, want)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_checks_agree_with_the_oracle_on_fraction_tables(data):
+    """check_relations and check_morphism on int-first tables give the
+    verdicts, checked counts and failures of the unpruned oracle on
+    all-Fraction copies: on drawn algebras and morphisms, which mostly
+    fail, and on the identity of each drawn algebra, which passes."""
+    f = data.draw(morphisms())
+    agree_with_oracle(check_relations(f.source),
+                      term_oracle.check_relations(fraction_algebra(
+                          f.source)))
+    agree_with_oracle(check_morphism(f),
+                      term_oracle.check_morphism(fraction_morphism(f)))
+    ident = LInftyMorphism.identity(f.source)
+    rep = check_morphism(ident)
+    assert rep.ok
+    agree_with_oracle(rep, term_oracle.check_morphism(
+        fraction_morphism(ident)))
