@@ -4,10 +4,11 @@ Graded vector spaces over the rationals with labeled generators, sparse
 degree-homogeneous maps, Koszul signs, (i, k-i)-unshuffles, symmetric
 words, and cohomology by exact rank.  Everything is immutable after
 construction and all arithmetic is exact over the rationals; no floats.
-A stored coefficient (of a graded map, a structure table or an echelon
-row) is a plain int while it is integral and a fractions.Fraction only
-when it is not, normalised by exact() where it enters; every answer of
-the echelon engine is a Fraction, and scalar_to_str writes both alike.
+A stored coefficient of a graded map or a structure table is a plain
+int while it is integral and a fractions.Fraction only when it is not,
+normalised by exact() where it enters; the echelon engine stores
+primitive int rows, and every answer it gives is a Fraction.
+scalar_to_str writes both alike.
 
 Conventions: all degrees live in the [1]-shifted picture (operations of
 degree +1, morphism components of degree 0).  The Koszul sign of a
@@ -24,6 +25,7 @@ from fractions import Fraction
 from functools import lru_cache
 from heapq import heapify, heappop, heappush
 from itertools import combinations
+from math import gcd, lcm
 from types import MappingProxyType
 
 UNSHUFFLE_CAP = 12
@@ -89,44 +91,49 @@ def exact(x):
     return x.numerator if x.denominator == 1 else x
 
 
-def _divide(r, piv):
-    """The vector r divided by the pivot piv, coefficients int-first and
-    zeros dropped.  A pivot of +-1 keeps or negates r; only other
-    pivots divide."""
-    if piv == 1:
-        return {k: exact(x) for k, x in r.items() if x}
-    if piv == -1:
-        return {k: -exact(x) for k, x in r.items() if x}
-    inv = 1 / Fraction(piv)
-    return {k: exact(x * inv) for k, x in r.items() if x}
+def _integral(v):
+    """(w, s) with v = w/s: w an int vector without zeros, s > 0 the lcm
+    of v's denominators.  An all-int v is copied in one pass."""
+    w = {}
+    for k, x in v.items():
+        if type(x) is not int:
+            break
+        if x:
+            w[k] = x
+    else:
+        return w, 1
+    v = {k: Fraction(x) for k, x in v.items() if x}
+    s = lcm(*[x.denominator for x in v.values()])
+    return {k: x.numerator * (s // x.denominator) for k, x in v.items()}, s
 
 
-def _fractions(v):
-    return {k: Fraction(x) for k, x in v.items()}
+def _over(w, s):
+    """The int vector w divided by s > 0, Fraction-valued."""
+    return ({k: Fraction(x) for k, x in w.items()} if s == 1 else
+            {k: Fraction(x, s) for k, x in w.items()})
 
 
 class Echelon:
-    """Incremental row echelon form of sparse rational vectors
-    {column: coefficient}.
+    """Fraction-free incremental row echelon form of sparse rational
+    vectors {column: coefficient}.
 
-    A stored row has its pivot at its smallest column, with coefficient
-    1 left implicit.  Rows are reduced forward on insert only; back
-    substitution runs when a solution or the reduced rows are asked
-    for.  The reduced row echelon form is unique, so every answer
-    (pivot set, canonical solution, kernel basis, greedy complement)
-    depends only on the inserted vectors and their order.
-
-    Stored coefficients are plain ints while they are integral and
-    Fractions only when they are not, which spares the Fraction object
-    overhead on the small integers that dominate real systems.  Vectors
-    go in as ints or Fractions; every answer is Fraction-valued.
+    The row of pivot p is e_p + rows[p]/d_p, p its smallest column:
+    rows[p] holds ints, d_p > 0 sits in scale[p] when it is not 1, and
+    gcd(d_p, rows[p]) = 1.  A vector is scaled once by the lcm of its
+    denominators, then reduced in the integers, v <- (d_p/g) v - (v_p/g)
+    rows[p] with g = gcd(d_p, v_p) (Bareiss 1968; Geddes, Czapor and
+    Labahn 1992, ch. 9).  The one division comes when a Fraction-valued
+    answer is read.  The reduced row echelon form is unique, so every
+    answer depends only on the inserted vectors and their order.
 
     With track=True each row also keeps itself as a combination of the
-    inserted vectors, numbered in insertion order, for coords().
+    inserted vectors, numbered in insertion order, for coords(); the
+    combinations are exact rationals, int-first.
     """
 
     def __init__(self, track=False):
         self.rows = {}
+        self.scale = {}
         self.combos = {} if track else None
         self.inserted = 0
 
@@ -135,60 +142,76 @@ class Echelon:
         return len(self.rows)
 
     def _reduce(self, v, acc=None):
-        """What is left of v after subtracting pivot rows in increasing
-        pivot order ({} iff v is in the span), int-first.  With acc, the
-        multiples of the rows' combinations subtracted are added to
-        acc."""
-        v, rows = {k: exact(x) for k, x in v.items() if x}, self.rows
-        heap = [k for k in v if k in rows]
+        """(w, s), w/s what is left of v after subtracting pivot rows in
+        increasing pivot order (w == {} iff v is in the span), w an int
+        vector.  With acc, the multiples of the rows' combinations
+        subtracted are added to acc."""
+        (w, s), rows, scale = _integral(v), self.rows, self.scale
+        heap = [k for k in w if k in rows]
         heapify(heap)
         while heap:
             p = heappop(heap)
-            f = v.pop(p, None)
+            f = w.pop(p, None)
             if f is None:
                 continue
-            f = exact(f)
+            if acc is not None:
+                m = f if s == 1 else Fraction(f, s)
+                for j, c in self.combos[p].items():
+                    acc[j] = acc.get(j, 0) + m * c
+            d = scale.get(p, 1)
+            if d != 1:
+                g = gcd(d, f)
+                d, f = d // g, f // g
+                if d != 1:
+                    s, w = s * d, {k: x * d for k, x in w.items()}
             for k, x in rows[p].items():
-                if k in v:
-                    v[k] -= f * x
-                    if not v[k]:
-                        del v[k]
+                if k in w:
+                    x = w[k] - f * x
+                    if x:
+                        w[k] = x
+                    else:
+                        del w[k]
                 else:
-                    v[k] = -f * x
+                    w[k] = -f * x
                     if k in rows:
                         heappush(heap, k)
-            if acc is not None:
-                for j, c in self.combos[p].items():
-                    acc[j] = acc.get(j, 0) + f * c
-        return v
+        return w, s
 
     def reduce(self, v):
         """What is left of v after subtracting pivot rows in increasing
         pivot order ({} iff v is in the span)."""
-        return _fractions(self._reduce(v))
+        return _over(*self._reduce(v))
 
     def insert(self, v):
-        """Store what is left of v after reduction as a new pivot row.
-        True iff v is independent of the vectors inserted before it."""
+        """Store what is left of v after reduction, divided by its
+        content and with a positive pivot, as a new pivot row.  True
+        iff v is independent of the vectors inserted before it."""
         acc = {} if self.combos is not None else None
-        r = self._reduce(v, acc)
+        r, s = self._reduce(v, acc)
         self.inserted += 1
         if not r:
             return False
         p = min(r)
-        piv = r.pop(p)
-        self.rows[p] = _divide(r, piv)
+        piv = r[p]
+        g = 1 if abs(piv) == 1 else gcd(*r.values())
+        g = -g if piv < 0 else g
+        self.rows[p] = {k: x // g for k, x in r.items() if k != p}
+        if piv != g:
+            self.scale[p] = piv // g
         if acc is not None:
-            acc = _divide(acc, -piv)
-            acc[self.inserted - 1] = exact(1 / Fraction(piv))
+            inv = Fraction(s, piv)
+            acc = {j: exact(-c * inv) for j, c in acc.items() if c}
+            acc[self.inserted - 1] = exact(inv)
             self.combos[p] = acc
         return True
 
     def coords(self, v):
         """{insertion index: c} expressing v in the independent inserted
         vectors, or None if v is not in their span (needs track)."""
+        if self.combos is None:
+            raise ValueError("coords needs track=True")
         acc = {}
-        if self._reduce(v, acc):
+        if self._reduce(v, acc)[0]:
             return None
         return {j: Fraction(c) for j, c in acc.items() if c}
 
@@ -200,40 +223,42 @@ class Echelon:
             return None
         x = {}
         for p in sorted(self.rows, reverse=True):
-            s = self.rows[p].get(ncols, 0)
+            t = self.rows[p].get(ncols, 0)
             for k, c in self.rows[p].items():
                 if k in x:
-                    s -= c * x[k]
-            if s:
-                x[p] = exact(s)
-        return _fractions(x)
+                    t -= c * x[k]
+            if t:
+                d = self.scale.get(p)
+                x[p] = exact(Fraction(t) / d) if d else t
+        return {k: Fraction(c) for k, c in x.items()}
 
     def kernel(self, cols):
         """Basis of the vectors over cols that every inserted row
-        annihilates, one per free column of cols, in column order.
-        cols must hold every column an inserted row uses."""
+        annihilates, one per free column of cols, in column order;
+        ValueError if an inserted row uses a column outside cols."""
         full = self._reduced_rows()
+        stray = set(full).union(*[r for r, _ in full.values()])
+        stray.difference_update(cols)
+        if stray:
+            raise ValueError("kernel: column %r is not in cols" % min(stray))
         ker = {j: {j: Fraction(1)} for j in cols if j not in full}
-        for p, r in full.items():
+        for p, (r, e) in full.items():
             for j, c in r.items():
-                if j in ker:
-                    ker[j][p] = Fraction(-c)
+                ker[j][p] = Fraction(-c) if e == 1 else Fraction(-c, e)
         return list(ker.values())
 
     def _reduced_rows(self):
+        """{pivot p: (w, e)}: the reduced row of p is e_p + w/e, its
+        stored row with the tail reduced."""
         full = {}
         for p in sorted(self.rows, reverse=True):
-            r = dict(self.rows[p])
-            for q in [k for k in r if k in full]:
-                f = r.pop(q)
-                for k, c in full[q].items():
-                    r[k] = r.get(k, 0) - f * c
-            full[p] = {k: exact(c) for k, c in r.items() if c}
+            w, s = self._reduce(self.rows[p])
+            full[p] = w, s * self.scale.get(p, 1)
         return full
 
     def reduced_rows(self):
         """Reduced row echelon form: {pivot: row without its pivot}."""
-        return {p: _fractions(r) for p, r in self._reduced_rows().items()}
+        return {p: _over(r, e) for p, (r, e) in self._reduced_rows().items()}
 
 
 def _sparse(vec):
@@ -282,18 +307,6 @@ def nullspace(rows, ncols=None):
     return [_dense(v, ncols) for v in echelon_of(rows).kernel(range(ncols))]
 
 
-def _solve(rows, rhs, ncols):
-    """Canonical solution of the sparse rows, inserted shortest first
-    (Markowitz's rule for limiting fill-in; the sort is stable).  The
-    reduced echelon form depends only on the row space and the column
-    order, so the order changes the cost and never the answer."""
-    ech = Echelon()
-    for row, b in sorted(zip(rows, rhs), key=lambda rb: len(rb[0])):
-        ech.insert({**row, ncols: b})
-    x = ech.solution(ncols)
-    return None if x is None else _dense(x, ncols)
-
-
 def solve_canonical(rows, rhs, ncols=None):
     """Solve A x = b exactly.  Returns the canonical solution (all free
     variables set to 0 in the reduced echelon form) or None if the
@@ -301,15 +314,22 @@ def solve_canonical(rows, rhs, ncols=None):
     reproducible across runs."""
     if ncols is None:
         ncols = len(rows[0]) if rows else 0
-    return _solve([_sparse(r) for r in rows], rhs, ncols)
+    return solve_sparse([_sparse(r) for r in rows], rhs, ncols)
 
 
 def solve_sparse(rows, rhs, ncols):
     """Sparse variant of solve_canonical.  rows is a list of dicts
-    {column index: int or Fraction}; returns the same canonical
-    solution (free variables zero, pivot columns chosen left to right)
-    or None."""
-    return _solve(rows, rhs, ncols)
+    {column index: int or Fraction}, inserted shortest first
+    (Markowitz's rule for limiting fill-in; the sort is stable).  The
+    reduced echelon form depends only on the row space and the column
+    order, so the order changes the cost and never the answer: the
+    canonical solution (free variables zero, pivot columns chosen left
+    to right) or None."""
+    ech = Echelon()
+    for row, b in sorted(zip(rows, rhs), key=lambda rb: len(rb[0])):
+        ech.insert({**row, ncols: b})
+    x = ech.solution(ncols)
+    return None if x is None else _dense(x, ncols)
 
 
 class LinearSystem:
@@ -445,9 +465,9 @@ def acc_term(acc, key, c):
 def vec_acc(acc, v, c=1):
     """acc += c * v in place; returns acc.  The one sparse accumulator
     behind every sum of elements, forms, polynomials, multivectors and
-    map columns.  The one exception is Echelon's inner loops, which keep
-    coefficients int-first in their own loops because they are the hot
-    path of every solve."""
+    map columns.  The one exception is Echelon's reduction loop, which
+    subtracts integer rows and queues the pivots it uncovers in one
+    pass because it is the hot path of every solve."""
     if not c:
         return acc
     scaled = c != 1

@@ -322,11 +322,17 @@ def is_int_first(c):
     return type(c) is int or (type(c) is F and c.denominator != 1)
 
 
-def int_first(ech):
-    """No stored row or combination coefficient is an integral
-    Fraction."""
-    tables = list(ech.rows.values()) + list((ech.combos or {}).values())
-    for r in tables:
+def fraction_free(ech):
+    """Every stored row is primitive: int coefficients, all above its
+    pivot column, whose gcd with the pivot coefficient is 1; the pivot
+    coefficient is a positive int, kept in scale only when it is not 1.
+    Tracked combinations are int-first rationals."""
+    assert set(ech.scale) <= set(ech.rows)
+    assert all(type(d) is int and d > 1 for d in ech.scale.values())
+    for p, r in ech.rows.items():
+        assert all(type(c) is int and c and k > p for k, c in r.items()), r
+        assert math.gcd(ech.scale.get(p, 1), *r.values()) == 1, r
+    for r in (ech.combos or {}).values():
         for c in r.values():
             assert is_int_first(c), (type(c), c)
 
@@ -348,10 +354,10 @@ def span_vectors(draw, rows, ncols):
 
 def engine_answers(rows, ncols, rhs, probes, tie_break=0):
     """Every public answer of the engine on one matrix, in a form that
-    == compares; checks the int-first invariant on the way."""
+    == compares; checks the fraction-free invariant on the way."""
     ech = Echelon(track=True)
     independent = [ech.insert(r) for r in sparse_rows(rows)]
-    int_first(ech)
+    fraction_free(ech)
     system = LinearSystem(tie_break)
     for j in range(ncols):
         system.var(j)
@@ -377,7 +383,7 @@ def engine_answers(rows, ncols, rhs, probes, tie_break=0):
 @given(data=st.data())
 def test_answers_are_fractions(entries, data):
     """Whatever the input types, every value the engine returns is a
-    Fraction, and what it stores is int-first."""
+    Fraction, and what it stores is fraction-free."""
     rows, ncols = data.draw(matrices(entries=entries))
     rows = retype(rows, "mixed", data.draw(st.randoms(use_true_random=False)))
     rhs = data.draw(st.lists(st.sampled_from([0, 1, -2, F(1, 2), F(3)]),
@@ -394,7 +400,7 @@ def test_answers_are_fractions(entries, data):
     x0 = {j: F(j + 1, 2) for j in range(ncols)}
     for r in sparse_rows(rows):
         ech.insert({**r, ncols: sum((c * x0[j] for j, c in r.items()), 0)})
-    int_first(ech)
+    fraction_free(ech)
     fractions_only(ech.solution(ncols))
 
 
@@ -464,6 +470,64 @@ def test_int_and_fraction_inputs_agree(entries, data):
                       data.draw(st.randoms(use_true_random=False)))
 
 
+# a factor per row, so that reduced rows have content other than 1 and
+# pivots other than units
+row_factors = st.sampled_from([1, 2, -3, 6, F(1, 4), F(-10, 3)])
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_fraction_free_engine_matches_oracle(data):
+    """On rows with non-unit pivots and rational entries, in int,
+    Fraction or mixed form, every answer of the engine equals the dense
+    oracle's: insert's verdicts, reduce, coords, solution, kernel and
+    reduced_rows; every stored row is primitive after every insert."""
+    entries = data.draw(st.sampled_from([non_unit, scalars]))
+    rows, ncols = data.draw(matrices(entries=entries))
+    factors = data.draw(st.lists(row_factors, min_size=len(rows),
+                                 max_size=len(rows)))
+    rows = [[c * f for c in r] for r, f in zip(rows, factors)]
+    form = data.draw(st.sampled_from(["int", "fraction", "mixed"]))
+    given_rows = sparse_rows(retype(
+        rows, form, data.draw(st.randoms(use_true_random=False))))
+    ech = Echelon(track=True)
+    verdicts = []
+    for r in given_rows:
+        verdicts.append(ech.insert(r))
+        fraction_free(ech)
+    ranks = [dense_oracle.matrix_rank(rows[:i])
+             for i in range(len(rows) + 1)]
+    assert verdicts == [b > a for a, b in zip(ranks, ranks[1:])]
+    red, pivots = dense_oracle.rref(rows)
+    assert ech.reduced_rows() == {
+        p: {j: c for j, c in enumerate(red[i]) if c and j != p}
+        for i, p in enumerate(pivots)}
+    assert [[v.get(j, 0) for j in range(ncols)]
+            for v in ech.kernel(range(ncols))] == \
+        dense_oracle.nullspace(rows, ncols)
+    cols = [list(c) for c in zip(*rows)] if rows else []
+    for v in span_vectors(data.draw, rows, ncols):
+        # the remainder is v less its pivot entries times the reduced rows
+        left = [v.get(j, F(0)) - sum((v.get(p, 0) * red[i][j]
+                                      for i, p in enumerate(pivots)), F(0))
+                for j in range(ncols)]
+        assert ech.reduce(v) == {j: c for j, c in enumerate(left) if c}
+        w = [v.get(j, F(0)) for j in range(ncols)]
+        want = dense_oracle.solve_canonical(cols, w, len(rows)) \
+            if rows else ([] if not any(w) else None)
+        x = ech.coords(v)
+        assert (None if x is None else
+                [x.get(i, F(0)) for i in range(len(rows))]) == want
+    for rhs in _column_vectors(data.draw, rows, ncols):
+        solved = Echelon()
+        for r, b in zip(given_rows, rhs):
+            solved.insert({**r, ncols: b})
+            fraction_free(solved)
+        want = dense_oracle.solve_canonical(rows, rhs, ncols)
+        assert solved.solution(ncols) == (
+            None if want is None else {j: c for j, c in enumerate(want) if c})
+
+
 def test_engine_edge_cases():
     assert rref([]) == ([], [])
     assert rref([[], []]) == ([[], []], [])
@@ -482,6 +546,44 @@ def test_engine_edge_cases():
     assert complement_in([[F(1)], [F(2)]], []) == [[F(1)]]
     # explicit zero coefficients in sparse rows are ignored
     assert solve_sparse([{0: F(0), 1: F(1)}], [F(3)], 2) == [F(0), F(3)]
+
+
+def test_kernel_refuses_a_missing_column():
+    """A column set that misses a column of an inserted row is refused,
+    naming the column, instead of giving part of the kernel."""
+    ech = Echelon()
+    ech.insert({0: 1, 2: 1})
+    with pytest.raises(ValueError, match="column 2 is not in cols"):
+        ech.kernel([0, 1])
+    with pytest.raises(ValueError, match="column 0 is not in cols"):
+        ech.kernel([1, 2])
+    assert ech.kernel(range(3)) == [{1: F(1)}, {2: F(1), 0: F(-1)}]
+
+
+def test_coords_needs_tracking():
+    ech = Echelon()
+    ech.insert({0: 1})
+    with pytest.raises(ValueError, match="coords needs track=True"):
+        ech.coords({0: 1})
+
+
+def test_reduction_cancels_before_it_scales():
+    """A reduction step v <- (d/g) v - (v_p/g) r with g = gcd(d, v_p)
+    scales the whole vector only when d/g != 1, and an input is scaled
+    once by the lcm of its denominators: _reduce gives (w, s) with
+    w/s the remainder."""
+    ech = Echelon()
+    ech.insert({0: 2, 1: 1})
+    ech.insert({1: 3, 2: 3})
+    assert (ech.rows, ech.scale) == ({0: {1: 1}, 1: {2: 1}}, {0: 2})
+    # d = 2 divides v_0 = 4: nothing is scaled
+    assert ech._reduce({0: 4, 1: 1, 3: 1}) == ({2: 1, 3: 1}, 1)
+    # gcd(2, 3) = 1: scaled once by 2
+    assert ech._reduce({0: 3, 1: 1, 3: 1}) == ({2: 1, 3: 2}, 2)
+    assert ech.reduce({0: 3, 1: 1, 3: 1}) == {2: F(1, 2), 3: F(1)}
+    # lcm 6 of the denominators, then one scaling by 2
+    assert ech._reduce({0: F(1, 2), 1: F(1, 3)}) == ({2: -1}, 12)
+    assert ech.reduce({0: F(1, 2), 1: F(1, 3)}) == {2: F(-1, 12)}
 
 
 def test_in_span_and_complement():
