@@ -65,10 +65,6 @@ class InputError(Exception):
     """The input document cannot be used (exit code 2)."""
 
 
-class CapGuard(Exception):
-    """A requested cap exceeds the configured guard (exit code 3)."""
-
-
 class Refusal(Exception):
     """A library refusal; args: the failed check's name, the error."""
 
@@ -98,7 +94,7 @@ def int_field(name, value, low, guard=None):
         raise InputError("%s must be an integer >= %d, got %r"
                          % (name, low, value))
     if guard is not None and value > guard:
-        raise CapGuard("%s=%d exceeds the guard %d" % (name, value, guard))
+        raise CapError("%s=%d exceeds the guard %d" % (name, value, guard))
     return value
 
 
@@ -251,8 +247,8 @@ def run_extend(caps, f, K):
 def load_model(doc, caps):
     expect(doc, "document", ("version", "algebra", "n"))
     A = load_algebra(doc["algebra"])
-    return (simplex_mod.build_model(A, int_field("n", doc["n"], 0),
-                                    _cap(caps, "weight", 6)),)
+    return (simplex_mod.SimplexModel(A, int_field("n", doc["n"], 0),
+                                     _cap(caps, "weight", 6)),)
 
 
 def model_check_cap(caps):
@@ -260,7 +256,7 @@ def model_check_cap(caps):
     Refused below 0, where no word would be checked."""
     weight = _cap(caps, "weight", 6)
     if weight < 2:
-        raise CapGuard("cap weight=%d leaves no word to check; the model "
+        raise CapError("cap weight=%d leaves no word to check; the model "
                        "checks need a weight cap >= 2" % weight)
     return weight - 2
 
@@ -359,7 +355,7 @@ def guard_generators(what, size, guard):
     """Refuse what has more generators than its guard, before it is
     built."""
     if size > guard:
-        raise CapGuard("%s has %d generators, above the guard %d"
+        raise CapError("%s has %d generators, above the guard %d"
                        % (what, size, guard))
 
 
@@ -442,10 +438,9 @@ def run_localize(caps, model, omega, R, image_vars, j_max, k_max):
                 model, omega, R)
     V = derived_mod.JetVAlgebra(model, P)
     C = derived_mod.derived_brackets(V, k_max)
-    loc, normal = attempt("localize", derived_mod.localized_algebra,
-                          C, image_vars, j_max)
     eps = attempt("localize", derived_mod.epsilon_morphism,
                   C, image_vars, j_max)
+    loc = eps.target
     checks = [
         report_record(linfty_mod.check_relations(
             loc, up_to=min(3, loc.arity_cap),
@@ -454,7 +449,7 @@ def run_localize(caps, model, omega, R, image_vars, j_max, k_max):
             eps, up_to=1, weight_cap=j_max - 1)),
     ]
     return checks, {"dim": loc.space.dim,
-                    "normal": sorted(normal)}
+                    "normal": sorted(set(loc.jet.coords) - set(image_vars))}
 
 
 def staircase_size(n, order, rank):
@@ -761,7 +756,9 @@ def run_job(verb, doc, caps):
     check_version(doc)
     for name, guard in GUARDS.items():
         if caps[name] is not None:
-            int_field("cap " + name, caps[name], 0, guard)
+            # an arity cap is at least 1, every other cap at least 0
+            int_field("cap " + name, caps[name],
+                      1 if name == "arity" else 0, guard)
     load, run = HANDLERS[verb]
     try:
         job = load(doc, caps)
@@ -810,7 +807,7 @@ def main(argv=None):
     except (InputError, linfty_mod.CurvedError) as exc:
         print("input error: %s" % exc, file=sys.stderr)
         return 2
-    except (CapGuard, CapError, simplex_mod.SimplexCapError) as exc:
+    except CapError as exc:
         print("cap guard: %s" % exc, file=sys.stderr)
         return 3
     except Exception as exc:

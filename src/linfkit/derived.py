@@ -837,21 +837,12 @@ def _derived_ops(space, P, k_max, gen, bracket, project):
 
 
 def op_weight_gain(A):
-    """Largest weight increase of any operation output.  A jet record
-    holds it with the truncated terms included; without one it is read
-    off the stored operations.  weight_cap = (basis weight bound) - 2 *
-    gain gives exact filtered relation checks on truncated algebras."""
-    if A.weights is None:
-        return 0
-    if A.jet is not None:
-        return A.jet.gain
-    gain = 0
-    for k, tab in A.ops.items():
-        for w, out in tab.items():
-            iw = A.word_weight(w)
-            for b in out:
-                gain = max(gain, A.weights[b] - iw)
-    return gain
+    """Largest weight increase of any operation output: 0 without
+    weights, and held by the jet record of a weighted algebra (every
+    weighted algebra derived brackets build has one) with the truncated
+    terms included.  weight_cap = (basis weight bound) - 2 * gain gives
+    exact filtered relation checks on truncated algebras."""
+    return 0 if A.weights is None else A.jet.gain
 
 
 # ---------------------------------------------------------------------------

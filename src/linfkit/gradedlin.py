@@ -125,27 +125,20 @@ class Echelon:
     Labahn 1992, ch. 9).  The one division comes when a Fraction-valued
     answer is read.  The reduced row echelon form is unique, so every
     answer depends only on the inserted vectors and their order.
-
-    With track=True each row also keeps itself as a combination of the
-    inserted vectors, numbered in insertion order, for coords(); the
-    combinations are exact rationals, int-first.
     """
 
-    def __init__(self, track=False):
+    def __init__(self):
         self.rows = {}
         self.scale = {}
-        self.combos = {} if track else None
-        self.inserted = 0
 
     @property
     def rank(self):
         return len(self.rows)
 
-    def _reduce(self, v, acc=None):
+    def _reduce(self, v):
         """(w, s), w/s what is left of v after subtracting pivot rows in
         increasing pivot order (w == {} iff v is in the span), w an int
-        vector.  With acc, the multiples of the rows' combinations
-        subtracted are added to acc."""
+        vector."""
         (w, s), rows, scale = _integral(v), self.rows, self.scale
         heap = [k for k in w if k in rows]
         heapify(heap)
@@ -154,10 +147,6 @@ class Echelon:
             f = w.pop(p, None)
             if f is None:
                 continue
-            if acc is not None:
-                m = f if s == 1 else Fraction(f, s)
-                for j, c in self.combos[p].items():
-                    acc[j] = acc.get(j, 0) + m * c
             d = scale.get(p, 1)
             if d != 1:
                 g = gcd(d, f)
@@ -186,9 +175,7 @@ class Echelon:
         """Store what is left of v after reduction, divided by its
         content and with a positive pivot, as a new pivot row.  True
         iff v is independent of the vectors inserted before it."""
-        acc = {} if self.combos is not None else None
-        r, s = self._reduce(v, acc)
-        self.inserted += 1
+        r = self._reduce(v)[0]
         if not r:
             return False
         p = min(r)
@@ -198,22 +185,7 @@ class Echelon:
         self.rows[p] = {k: x // g for k, x in r.items() if k != p}
         if piv != g:
             self.scale[p] = piv // g
-        if acc is not None:
-            inv = Fraction(s, piv)
-            acc = {j: exact(-c * inv) for j, c in acc.items() if c}
-            acc[self.inserted - 1] = exact(inv)
-            self.combos[p] = acc
         return True
-
-    def coords(self, v):
-        """{insertion index: c} expressing v in the independent inserted
-        vectors, or None if v is not in their span (needs track)."""
-        if self.combos is None:
-            raise ValueError("coords needs track=True")
-        acc = {}
-        if self._reduce(v, acc)[0]:
-            return None
-        return {j: Fraction(c) for j, c in acc.items() if c}
 
     def solution(self, ncols):
         """Canonical solution {column: nonzero value} (free variables
@@ -235,7 +207,11 @@ class Echelon:
     def kernel(self, cols):
         """Basis of the vectors over cols that every inserted row
         annihilates, one per free column of cols, in column order;
-        ValueError if an inserted row uses a column outside cols."""
+        ValueError if an inserted row uses a column outside cols.  Each
+        basis vector is 1 on its free column, which is its largest
+        column since a pivot is its row's smallest, and every other
+        basis vector is 0 there: the coordinates of a kernel vector
+        are its entries on the free columns."""
         full = self._reduced_rows()
         stray = set(full).union(*[r for r, _ in full.values()])
         stray.difference_update(cols)

@@ -41,7 +41,8 @@ from .linfty import (CheckReport, LInftyAlgebra, LInftyMorphism, add_rows,
                      l1_map, map_unknowns, obstruction_cocycle,
                      partition_sum, post_rows, pre_rows, solution_table,
                      split_sum_label, sum_label, with_arity)
-from .simplexmodel import Homotopy, build_model
+from .simplexmodel import (Homotopy, SimplexModel, simplex_faces,
+                           vertex_boundary)
 
 
 class FillError(RuntimeError):
@@ -68,14 +69,6 @@ def _interval(model):
 
 def _jtag(J):
     return "e" + "".join(str(v) for v in J)
-
-
-def _edge_sign(J, n):
-    """Extra sign carried by the face J in the top boundary map,
-    determined by the unshuffle sign of splitting off the missing
-    vertex; makes the boundary of a boundary vanish."""
-    missing = [v for v in range(n + 1) if v not in J]
-    return (-1) ** (n - missing[0])
 
 
 class FillingModel:
@@ -171,17 +164,12 @@ class FillingModel:
         }
 
 
-def _family_for_fill(fs, K, tie_break):
-    """Face models, their vertex-evaluation chain maps and homotopy
-    components for the cylinder construction."""
-    n_out = len(fs) - 1
-    C = fs[0].target
-    if n_out == 1:
-        faces = [(0,), (1,)]
-        face_alg = {(0,): C, (1,): C}
-        face_h = {(0,): fs[0], (1,): fs[1]}
-        return faces, face_alg, face_h, {}
-    faces = [(0, 1), (0, 2), (1, 2)]
+def _family_for_fill(fs, faces, K, tie_break):
+    """Face models and homotopy components by face for the cylinder
+    construction, and the edge fills when the faces are edges."""
+    if len(fs) == 2:
+        return ({J: fs[0].target for J in faces},
+                {J: fs[J[0]] for J in faces}, {})
     edges = {}
     for J in faces:
         edge = edges[J] = fill_n_homotopy([fs[J[0]], fs[J[1]]], K=K,
@@ -191,9 +179,8 @@ def _family_for_fill(fs, K, tie_break):
             if not comps_agree(got, fs[J[pos]], got.arity_cap):
                 raise ValueError("edge homotopy %r does not end on the "
                                  "given vertex morphisms" % (J,))
-    face_alg = {J: edges[J].algebra for J in faces}
-    face_h = {J: edges[J].hbar for J in faces}
-    return faces, face_alg, face_h, edges
+    return ({J: edges[J].algebra for J in faces},
+            {J: edges[J].hbar for J in faces}, edges)
 
 
 def fill_n_homotopy(fs, K=2, tie_break=0):
@@ -224,7 +211,9 @@ def fill_n_homotopy(fs, K=2, tie_break=0):
     if K + 1 > min(C.arity_cap, C0.arity_cap) + 1:
         raise ValueError("arity cap of the algebras is below K")
 
-    faces, face_alg, face_h, edges = _family_for_fill(fs, K, tie_break)
+    simplex = simplex_faces(n_out)
+    faces = [J for _, J, _ in simplex]
+    face_alg, face_h, edges = _family_for_fill(fs, faces, K, tie_break)
 
     # --- direct sum of the face models, face i labeled sum_label(l, i)
     side = {J: str(i) for i, J in enumerate(faces)}
@@ -239,61 +228,39 @@ def fill_n_homotopy(fs, K=2, tie_break=0):
         parts = [(split_sum_label(b), c) for b, c in vec.items()]
         return {b: c for (b, s), c in parts if s == side[J]}
 
-    # --- signed boundary map to the vertex level (zero when n_out = 1),
-    # over the generator indices of the sum
+    # --- kernel of the signed boundary map to the vertex level (zero
+    # when n_out = 1), as labeled vectors in the sum; each basis vector
+    # is 1 on its free column, which the others are 0 on
     idx = sum_space.index
-
-    def boundary_rows(deg):
-        """Sparse rows of the boundary map on the degree-deg part of
-        the sum, one per (vertex, target label)."""
-        rows = {}
-        if n_out == 1:
-            return rows
-        src = sum_space.basis_in_degree(deg)
-        for J in faces:
-            eps = _edge_sign(J, n_out)
-            edge = edges[J]
-            for pos, sgn in ((0, 1), (1, -1)):
-                ev = edge.evals[(pos,)].f1_map()
-                vtx = J[pos]
-                for lab in src:
-                    img = ev.apply(untag_vec(J, {lab: 1}))
-                    for b, c in img.items():
-                        acc_term(rows.setdefault((vtx, b), {}), idx[lab],
-                                 eps * sgn * c)
-        return rows
-
-    # --- kernel of the boundary, as labeled vectors in the sum
     kvecs = {}
     korder = []
+    free = {}
     for deg in sum_space.degrees():
         ech = Echelon()
-        for row in boundary_rows(deg).values():
-            ech.insert(row)
+        if n_out == 2:
+            for row in vertex_boundary([
+                    (J, sign, edges[J],
+                     {l: idx[sum_label(l, side[J])]
+                      for l in face_alg[J].space.basis_in_degree(deg)})
+                    for _, J, sign in simplex]).values():
+                ech.insert(row)
         cols = [idx[b] for b in sum_space.basis_in_degree(deg)]
         for i, v in enumerate(ech.kernel(cols)):
             lab = "k%d_%d" % (deg, i)
             kvecs[lab] = ({sum_space.labels[j]: c
                            for j, c in sorted(v.items())}, deg)
             korder.append(lab)
-
-    ker_span = {}
+            free.setdefault(deg, []).append((lab, sum_space.labels[max(v)]))
 
     def ker_coords(vec, deg):
         """Coordinates of a sum vector in the kernel basis of its
-        degree, or None when it is not in the kernel span."""
-        if deg not in ker_span:
-            labs = [k for k in korder if kvecs[k][1] == deg]
-            ech = Echelon(track=True)
-            for k in labs:
-                ech.insert({idx[b]: c for b, c in kvecs[k][0].items()})
-            ker_span[deg] = labs, ech
-        labs, ech = ker_span[deg]
-        x = ech.coords({idx[b]: c for b, c in vec.items()
-                        if sum_space.deg[b] == deg})
-        if x is None:
-            return None
-        return {labs[j]: c for j, c in sorted(x.items())}
+        degree, read off the free columns, or None when it is not in
+        the kernel span."""
+        vec = {b: c for b, c in vec.items() if sum_space.deg[b] == deg}
+        x = {k: vec[b] for k, b in free.get(deg, ()) if b in vec}
+        for k, c in x.items():
+            vec_acc(vec, kvecs[k][0], -c)
+        return None if vec else x
 
     # differential restricted to the kernel, in kernel coordinates
     d_ker = {}
@@ -564,7 +531,7 @@ def whitehead_inverse(f, K=3, model=None, with_reverse=True, tie_break=0):
                          % model.algebra.space.dim)
         except FillError:
             # non-acyclic source: fall back to the truncated tensor model
-            model = build_model(C1, 1, weight_cap=4)
+            model = SimplexModel(C1, 1, weight_cap=4)
             notes.append("tensor interval model, dim %d"
                          % model.algebra.space.dim)
     else:

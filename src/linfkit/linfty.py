@@ -400,11 +400,6 @@ class LInftyAlgebra:
             raise ValueError("arity mismatch")
         return _apply_table(self.space, self.ops.get(k), elems)
 
-    def word_weight(self, word):
-        if self.weights is None:
-            return 0
-        return sum(self.weights[l] for l in word)
-
     def to_json(self):
         doc = {"space": self.space.to_json(), "arity_cap": self.arity_cap,
                "ops": blocks_to_json(self.ops)}
@@ -441,7 +436,7 @@ def check_relations(A: LInftyAlgebra, up_to=None, weight_cap=None):
     weights).  Operations above the arity cap count as zero.  An arity
     k with no i in A.support such that k - i + 1 is in it has only zero
     relations: its words are counted, not evaluated."""
-    up_to = min(up_to or A.arity_cap, A.arity_cap)
+    up_to = A.arity_cap if up_to is None else min(up_to, A.arity_cap)
     failures = []
     checked = 0
     for k in range(0, up_to + 1):
@@ -528,7 +523,7 @@ def check_morphism(f: LInftyMorphism, up_to=None, weight_cap=None):
     """Verify the morphism relation on all basis words of arity
     <= up_to.  With a curved source the arity-0 relation f_1(l_0) =
     l_0' is included."""
-    up_to = min(up_to or f.arity_cap, f.arity_cap)
+    up_to = f.arity_cap if up_to is None else min(up_to, f.arity_cap)
     failures = []
     checked = 0
     for k in range(0, up_to + 1):

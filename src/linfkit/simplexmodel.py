@@ -17,8 +17,8 @@ from __future__ import annotations
 
 import itertools
 
-from .gradedlin import (Echelon, GradedMap, GradedSpace, acc_term, vec_acc,
-                        vec_add, vec_scale, words_within)
+from .gradedlin import (CapError, Echelon, GradedMap, GradedSpace, acc_term,
+                        vec_acc, vec_add, vec_scale, words_within)
 from .derived import form_d, mv_wedge
 from .linfty import (CheckReport, LInftyAlgebra, LInftyMorphism,
                      check_morphism, check_relations, compose, comps_agree,
@@ -26,10 +26,6 @@ from .linfty import (CheckReport, LInftyAlgebra, LInftyMorphism,
 
 MAX_SIMPLEX_DIM = 4
 MAX_WEIGHT_CAP = 8
-
-
-class SimplexCapError(Exception):
-    pass
 
 
 # ---------------------------------------------------------------------------
@@ -49,7 +45,7 @@ def simplex_forms(n, weight_cap):
     """All monomial-form basis keys on the n-simplex with weight up to
     the cap, in a fixed deterministic order."""
     if n > MAX_SIMPLEX_DIM or weight_cap > MAX_WEIGHT_CAP:
-        raise SimplexCapError("simplex dimension or weight cap exceeded")
+        raise CapError("simplex dimension or weight cap exceeded")
     keys = []
     for r in range(0, n + 1):
         for dts in itertools.combinations(range(1, n + 1), r):
@@ -67,6 +63,32 @@ def d_form(n, form):
 
 def face_vertices(n, i):
     return tuple(v for v in range(n + 1) if v != i)
+
+
+def simplex_faces(n):
+    """The faces of the n-simplex opposite vertices n, ..., 0, as
+    (i, J, sign): J the vertices of the face and sign = (-1)^(n - i),
+    the unshuffle sign of splitting off the missing vertex, which makes
+    the boundary of a boundary vanish."""
+    return [(i, face_vertices(n, i), (-1) ** (n - i))
+            for i in range(n, -1, -1)]
+
+
+def vertex_boundary(faces):
+    """Rows {(vertex, base label): {column: coefficient}} of the signed
+    boundary from the edges of a 2-simplex to its vertices.  faces
+    holds (J, sign, edge, cols) per edge: its vertices and sign from
+    simplex_faces, a model of the interval over it (eval_vertex) and
+    {edge label: column}.  Edge J maps to J[0] by +sign ev_0 and to
+    J[1] by -sign ev_1."""
+    rows = {}
+    for J, sign, edge, cols in faces:
+        for pos, sgn in ((0, sign), (1, -sign)):
+            ev = edge.eval_vertex(pos)
+            for lab, col in cols.items():
+                for t, c in ev.comp_word(1, (lab,)).items():
+                    acc_term(rows.setdefault((J[pos], t), {}), col, sgn * c)
+    return rows
 
 
 def _face_images(n, i):
@@ -134,8 +156,6 @@ class SimplexModel:
     def __init__(self, base: LInftyAlgebra, n, weight_cap=6):
         if not base.is_strict:
             raise ValueError("tensor model requires a strict base algebra")
-        if n > MAX_SIMPLEX_DIM or weight_cap > MAX_WEIGHT_CAP:
-            raise SimplexCapError("simplex dimension or weight cap exceeded")
         self.base = base
         self.n = n
         self.weight_cap = weight_cap
@@ -267,10 +287,6 @@ class SimplexModel:
                                           arity_cap=self.base.arity_cap)
 
 
-def build_model(C: LInftyAlgebra, n, weight_cap=6) -> SimplexModel:
-    return SimplexModel(C, n, weight_cap)
-
-
 # ---------------------------------------------------------------------------
 # model axiom verification
 
@@ -282,7 +298,7 @@ def verify_model_axioms(model: SimplexModel, weight_check=None,
     verified for elements of total weight <= weight_check; relation and
     morphism checks run on words of total weight <= op_weight."""
     if model.n > 2:
-        raise SimplexCapError("full axiom verification capped at n = 2")
+        raise CapError("full axiom verification capped at n = 2")
     cap = model.weight_cap
     if weight_check is None:
         weight_check = max(0, cap - 2)
@@ -344,7 +360,7 @@ def verify_model_axioms(model: SimplexModel, weight_check=None,
                    comp.add(face_incl.scale(-1)).is_zero())
         # axiom (v): kernel of the lower boundary equals the image of
         # the top boundary, on elements of weight <= weight_check
-        ok_v, wit = _exactness(model, evs, face_evs, weight_check)
+        ok_v, wit = _exactness(model, evs, weight_check)
         record("face-complex-exact", ok_v, wit)
 
     return CheckReport("model-axioms", failures,
@@ -393,72 +409,44 @@ def _face_compat(model, evs, face_evs):
     return True
 
 
-def _exactness(model, evs, face_evs, weight_check):
+def _exactness(model, evs, weight_check):
     """ker(lower boundary) = im(top boundary) for n = 2, checked on
-    kernel elements supported in weight <= weight_check."""
-    n = model.n
+    kernel elements supported in weight <= weight_check.  Each face
+    enters the top boundary with sign +1 and the lower boundary with
+    its sign from simplex_faces: that is low . D and D . top for the
+    sign convention on top, D = diag(sign), so both boundary squared
+    zero and exactness are unchanged."""
     face = model.face_model()
     edge_space = face.space
-    edge_weights = face.algebra.weights
-    faces = list(range(n + 1))
-    # lower boundary: edge J = {a,b} maps to vertex a with +, b with -
-    base = model.base.space
-    # edge (i, l) is column i * edge_space.dim + index of l, vertex
-    # (v, l) row v * base.dim + index of l
-    ne, nv = edge_space.dim, base.dim
-    for d in sorted(set(model.space.degrees())
-                    | set(edge_space.degrees()) | set(base.degrees())):
-        edge_labels = edge_space.basis_in_degree(d)
-        if not edge_labels:
-            continue
-        # columns of the signed vertex boundary, and the columns inside
-        # the weight window
-        low, keep = {}, []
-        for i in faces:
-            verts = face_vertices(n, i)
-            for l in edge_labels:
-                e = i * ne + edge_space.index[l]
-                if edge_weights[l] <= weight_check:
-                    keep.append(e)
-                col = low[e] = {}
-                # the edge's endpoint j is its face opposite 1 - j
-                for j, sgn in ((0, 1), (1, -1)):
-                    img = face_evs[1 - j].comp_word(1, (l,))
-                    for t, c in img.items():
-                        acc_term(col, verts[j] * nv + base.index[t],
-                                 sgn * c)
-        # columns of the top boundary
-        top = []
-        for s in model.space.basis_in_degree(d):
-            col = {}
-            for i in faces:
-                # unshuffle sign of (J_i, {i}) inside {0..n}
-                sgn = (-1) ** (n - i)
-                img = evs[i].comp_word(1, (s,))
-                for t, c in img.items():
-                    acc_term(col, i * ne + edge_space.index[t], sgn * c)
-            top.append(col)
+    ne = edge_space.dim
+    faces = simplex_faces(model.n)
+    for d in edge_space.degrees():
+        # edge label l of the face opposite i is column i * ne + index
+        cols = {i: {l: i * ne + edge_space.index[l]
+                    for l in edge_space.basis_in_degree(d)}
+                for i, _, _ in faces}
+        rows = vertex_boundary([(J, sign, face, cols[i])
+                                for i, J, sign in faces]).values()
+        top = [{cols[i][t]: c for i, _, _ in faces
+                for t, c in evs[i].comp_word(1, (s,)).items()}
+               for s in model.space.basis_in_degree(d)]
         # boundary of boundary vanishes
         for col in top:
-            w = {}
-            for e, c in col.items():
-                vec_acc(w, low[e], c)
-            if w:
+            if any(sum(c * row.get(e, 0) for e, c in col.items())
+                   for row in rows):
                 return False, {"reason": "boundary squared nonzero"}
         # kernel of the lower boundary within the weight window
+        keep = {e for i in cols for l, e in cols[i].items()
+                if face.algebra.weights[l] <= weight_check}
         if not keep:
             continue
-        rows = {}
-        for e in keep:
-            for r, c in low[e].items():
-                rows.setdefault(r, {})[e] = c
         ech = Echelon()
-        for row in rows.values():
-            ech.insert(row)
+        for row in rows:
+            ech.insert({e: c for e, c in row.items() if e in keep})
         img = Echelon()
         for col in top:
             img.insert(col)
-        for kv in ech.kernel(keep):
+        for kv in ech.kernel(sorted(keep)):
             if img.reduce(kv):
                 return False, {"degree": d}
     return True, None

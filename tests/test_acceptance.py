@@ -22,7 +22,7 @@ from linfkit.linfty import (LInftyAlgebra, LInftyMorphism, check_morphism,
                             is_quasi_iso,
                             l1_cohomology, obstruction_cocycle,
                             obstruction_class, sym_words, word_degree)
-from linfkit.simplexmodel import build_model, verify_model_axioms
+from linfkit.simplexmodel import SimplexModel, verify_model_axioms
 from linfkit.htpy import fill_n_homotopy, whitehead_inverse
 from linfkit.derived import (JetMultivectorModel, JetVAlgebra,
                              derived_brackets, op_weight_gain,
@@ -106,7 +106,7 @@ def _dhat_squared_ok(A, cap, weight_cap=None):
     if weight_cap is None:
         return dd.is_zero()
     words = d.source.words
-    return all(A.word_weight(words[a]) > weight_cap
+    return all(sum(A.weights[x] for x in words[a]) > weight_cap
                for (a, b) in dd.entries)
 
 
@@ -143,8 +143,8 @@ def _fixture_algebras():
                 m2.base_cap - 2 * op_weight_gain(A2)))
 
     pair = LInftyAlgebra(sp, {1: {("x",): {"y": F(1)}}}, arity_cap=4)
-    out.append(("interval-model", build_model(pair, 1, 6).algebra, 4))
-    out.append(("triangle-model", build_model(pair, 2, 3).algebra, 1))
+    out.append(("interval-model", SimplexModel(pair, 1, 6).algebra, 4))
+    out.append(("triangle-model", SimplexModel(pair, 2, 3).algebra, 1))
 
     out.append(("sum-pair-pincer", direct_sum(pair, pincer()), None))
     out.append(("sum-acyclics", direct_sum(acyclic_pair(),
@@ -389,10 +389,10 @@ def criterion_5():
     # weight-6 exactness sweep free of truncation artifacts
     base2 = LInftyAlgebra(sp, {1: {("x",): {"y": F(1)}}}, arity_cap=2)
     for n, b in ((1, base), (2, base2)):
-        model = build_model(b, n, 8)
+        model = SimplexModel(b, n, 8)
         rep = verify_model_axioms(model, weight_check=6, op_weight=6)
         checks.append({"name": "model-%d-axioms" % n, "ok": rep.ok})
-    model = build_model(base, 1, 6)
+    model = SimplexModel(base, 1, 6)
     incl = model.incl_morphism()
     ident = LInftyMorphism.identity(base)
     for j in (0, 1):

@@ -24,7 +24,7 @@ from linfkit.derived import (JetMultivectorModel, mv_to_json, poly_to_json,
 from linfkit.koszul import (JetRing, Section, augment_extension,
                             build_local_algebra, expand_chart,
                             foliation_complex, koszul_complex)
-from linfkit.simplexmodel import SimplexCapError, constant_homotopy
+from linfkit.simplexmodel import constant_homotopy
 
 from test_atlas import three_chart_atlas
 from test_derived import finite_binary_valgebra
@@ -232,6 +232,25 @@ def test_negative_cap_exits_two(tmp_path, capsys):
     path = write(tmp_path, "a.json", doc)
     assert cli.main(["check-linfty", path, "--cap-arity", "-1"]) == 2
     assert capsys.readouterr().err.startswith("input error:")
+
+
+@pytest.mark.parametrize("verb, job", [
+    ("check-linfty", "check-linfty-pair-plus-pincer"),
+    ("check-mor", "check-mor-between-pairs"),
+    ("fill-homotopy", "fill-edge-id-id"),
+    ("whitehead", "whitehead-identity"),
+    ("derived-brackets", "derived-brackets-nonflat-k4"),
+    ("model-over", "model-over-pair-identity"),
+])
+def test_zero_arity_cap_exits_two(verb, job, capsys):
+    """Every arity cap is at least 1: an arity cap of 0 is an input
+    error on every verb, not a check of arity 0 words, a failed check
+    or a crash."""
+    assert cli.main([verb, str(BENCH_JOBS / (job + ".json")),
+                     "--cap-arity", "0"]) == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert err.startswith("input error: cap arity must be an integer >= 1")
 
 
 def test_simplex_cap_guard_exits_three(tmp_path, capsys):
@@ -610,7 +629,7 @@ def test_bad_extension_arity_exits_cleanly(verb, K, code, tmp_path, capsys):
     assert err.startswith("cap guard:" if code == 3 else "input error:")
 
 
-@pytest.mark.parametrize("error", [CapError, SimplexCapError])
+@pytest.mark.parametrize("error", [CapError])
 def test_escaping_cap_error_exits_three(error, tmp_path, capsys,
                                         monkeypatch):
     """A cap error raised below a handler maps to exit 3, not a crash."""

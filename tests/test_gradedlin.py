@@ -152,11 +152,38 @@ def test_kernel_matches_oracle(entries, data):
     assert all(set(v) <= set(cols) and all(v.values()) for v in got)
 
 
+@pytest.mark.parametrize("entries", list(ENTRIES.values()),
+                         ids=list(ENTRIES))
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_kernel_coordinates_are_free_column_entries(entries, data):
+    """Each kernel basis vector is 1 on its largest column, which is no
+    pivot of the oracle's reduced form, and every other basis vector is
+    0 there; so a kernel vector's coordinates are its entries on those
+    columns."""
+    rows, ncols = data.draw(matrices(entries=entries))
+    ech = Echelon()
+    for r in rows:
+        ech.insert({j: v for j, v in enumerate(r) if v})
+    basis = ech.kernel(range(ncols))
+    pivots = dense_oracle.rref(rows)[1]
+    free = [max(v) for v in basis]
+    assert sorted(free + pivots) == list(range(ncols))
+    for i, (v, j) in enumerate(zip(basis, free)):
+        assert v[j] == 1
+        assert all(u.get(j, 0) == 0 for k, u in enumerate(basis) if k != i)
+    coeffs = data.draw(st.lists(scalars, min_size=len(basis),
+                                max_size=len(basis)))
+    w = [sum((c * v.get(j, 0) for c, v in zip(coeffs, basis)), F(0))
+         for j in range(ncols)]
+    assert [w[j] for j in free] == coeffs
+
+
 @settings(max_examples=150, deadline=None)
 @given(matrices(), matrices(), st.data())
 def test_span_tests_match_oracle(vecs, amb, data):
-    """in_span, complement_in and tracked coordinates agree with the
-    oracle; vectors of one length are drawn as the rows of a matrix."""
+    """in_span and complement_in agree with the oracle; vectors of one
+    length are drawn as the rows of a matrix."""
     vectors, n = vecs
     amb_basis = [(r + [F(0)] * n)[:n] for r in amb[0]]
     v = data.draw(st.lists(scalars, min_size=n, max_size=n))
@@ -169,19 +196,6 @@ def test_span_tests_match_oracle(vecs, amb, data):
         assert in_span(vectors, w) == dense_oracle.in_span(vectors, w)
     assert complement_in(amb_basis, vectors) == \
         dense_oracle.complement_in(amb_basis, vectors)
-    # coordinates in the independent vectors: the canonical solution of
-    # the system whose columns are the vectors
-    span = Echelon(track=True)
-    for u in vectors:
-        span.insert({i: c for i, c in enumerate(u) if c})
-    cols = [list(c) for c in zip(*vectors)] if vectors else []
-    for w in (v, in_v):
-        want = dense_oracle.solve_canonical(cols, w, len(vectors)) \
-            if vectors else ([] if not any(w) else None)
-        got = span.coords({i: c for i, c in enumerate(w) if c})
-        if got is not None:
-            got = [got.get(j, F(0)) for j in range(len(vectors))]
-        assert got == want
 
 
 @settings(max_examples=100, deadline=None)
@@ -325,16 +339,12 @@ def is_int_first(c):
 def fraction_free(ech):
     """Every stored row is primitive: int coefficients, all above its
     pivot column, whose gcd with the pivot coefficient is 1; the pivot
-    coefficient is a positive int, kept in scale only when it is not 1.
-    Tracked combinations are int-first rationals."""
+    coefficient is a positive int, kept in scale only when it is not 1."""
     assert set(ech.scale) <= set(ech.rows)
     assert all(type(d) is int and d > 1 for d in ech.scale.values())
     for p, r in ech.rows.items():
         assert all(type(c) is int and c and k > p for k, c in r.items()), r
         assert math.gcd(ech.scale.get(p, 1), *r.values()) == 1, r
-    for r in (ech.combos or {}).values():
-        for c in r.values():
-            assert is_int_first(c), (type(c), c)
 
 
 def sparse_rows(rows):
@@ -355,7 +365,7 @@ def span_vectors(draw, rows, ncols):
 def engine_answers(rows, ncols, rhs, probes, tie_break=0):
     """Every public answer of the engine on one matrix, in a form that
     == compares; checks the fraction-free invariant on the way."""
-    ech = Echelon(track=True)
+    ech = Echelon()
     independent = [ech.insert(r) for r in sparse_rows(rows)]
     fraction_free(ech)
     system = LinearSystem(tie_break)
@@ -368,7 +378,6 @@ def engine_answers(rows, ncols, rhs, probes, tie_break=0):
         "reduced": ech.reduced_rows(),
         "kernel": ech.kernel(range(ncols)),
         "reduce": [ech.reduce(v) for v in probes],
-        "coords": [ech.coords(v) for v in probes],
         "solve_sparse": solve_sparse(sparse_rows(rows), rhs, ncols),
         "solve_canonical": solve_canonical(rows, rhs, ncols=ncols),
         "system": system.solve(),
@@ -435,15 +444,8 @@ def check_forms_agree(rows, ncols, rhs, probes, rng):
                              {j: c for j, c in enumerate(want_x) if c})
     assert got["rref"] == (want_red, pivots)
     assert got["nullspace"] == dense_oracle.nullspace(rows, ncols)
-    # coordinates in the independent rows: the canonical solution of the
-    # system whose columns are the rows
-    cols = [list(c) for c in zip(*rows)] if rows else []
-    for v, x, left in zip(probes, got["coords"], got["reduce"]):
+    for v, left in zip(probes, got["reduce"]):
         w = [v.get(j, F(0)) for j in range(ncols)]
-        want = dense_oracle.solve_canonical(cols, w, len(rows)) \
-            if rows else ([] if not any(w) else None)
-        assert (None if x is None else
-                [x.get(i, F(0)) for i in range(len(rows))]) == want
         assert dense_oracle.in_span(rows, w) == (not left)
 
 
@@ -480,7 +482,7 @@ row_factors = st.sampled_from([1, 2, -3, 6, F(1, 4), F(-10, 3)])
 def test_fraction_free_engine_matches_oracle(data):
     """On rows with non-unit pivots and rational entries, in int,
     Fraction or mixed form, every answer of the engine equals the dense
-    oracle's: insert's verdicts, reduce, coords, solution, kernel and
+    oracle's: insert's verdicts, reduce, solution, kernel and
     reduced_rows; every stored row is primitive after every insert."""
     entries = data.draw(st.sampled_from([non_unit, scalars]))
     rows, ncols = data.draw(matrices(entries=entries))
@@ -490,7 +492,7 @@ def test_fraction_free_engine_matches_oracle(data):
     form = data.draw(st.sampled_from(["int", "fraction", "mixed"]))
     given_rows = sparse_rows(retype(
         rows, form, data.draw(st.randoms(use_true_random=False))))
-    ech = Echelon(track=True)
+    ech = Echelon()
     verdicts = []
     for r in given_rows:
         verdicts.append(ech.insert(r))
@@ -505,19 +507,12 @@ def test_fraction_free_engine_matches_oracle(data):
     assert [[v.get(j, 0) for j in range(ncols)]
             for v in ech.kernel(range(ncols))] == \
         dense_oracle.nullspace(rows, ncols)
-    cols = [list(c) for c in zip(*rows)] if rows else []
     for v in span_vectors(data.draw, rows, ncols):
         # the remainder is v less its pivot entries times the reduced rows
         left = [v.get(j, F(0)) - sum((v.get(p, 0) * red[i][j]
                                       for i, p in enumerate(pivots)), F(0))
                 for j in range(ncols)]
         assert ech.reduce(v) == {j: c for j, c in enumerate(left) if c}
-        w = [v.get(j, F(0)) for j in range(ncols)]
-        want = dense_oracle.solve_canonical(cols, w, len(rows)) \
-            if rows else ([] if not any(w) else None)
-        x = ech.coords(v)
-        assert (None if x is None else
-                [x.get(i, F(0)) for i in range(len(rows))]) == want
     for rhs in _column_vectors(data.draw, rows, ncols):
         solved = Echelon()
         for r, b in zip(given_rows, rhs):
@@ -558,13 +553,6 @@ def test_kernel_refuses_a_missing_column():
     with pytest.raises(ValueError, match="column 0 is not in cols"):
         ech.kernel([1, 2])
     assert ech.kernel(range(3)) == [{1: F(1)}, {2: F(1), 0: F(-1)}]
-
-
-def test_coords_needs_tracking():
-    ech = Echelon()
-    ech.insert({0: 1})
-    with pytest.raises(ValueError, match="coords needs track=True"):
-        ech.coords({0: 1})
 
 
 def test_reduction_cancels_before_it_scales():

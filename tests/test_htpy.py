@@ -10,13 +10,14 @@ from fractions import Fraction as F
 
 import pytest
 
+from linfkit import htpy
 from linfkit.gradedlin import GradedSpace, vec_add, vec_scale
 from linfkit.htpy import (FillError, chain_inverse, fill_n_homotopy,
                           model_morphism_over, whitehead_inverse)
 from linfkit.linfty import (LInftyAlgebra, LInftyMorphism, check_morphism,
                             check_relations, compose, comps_agree,
                             extend_morphism, is_quasi_iso)
-from linfkit.simplexmodel import build_model
+from linfkit.simplexmodel import SimplexModel
 
 
 def acyclic_pair():
@@ -159,6 +160,19 @@ def test_fill_triangle():
         assert comps_agree(got, want, 2)
 
 
+def test_fill_refuses_constants_outside_the_kernel(monkeypatch):
+    """Without the face signs the boundary of a constant is 2x at vertex
+    0, so the inclusion of constants misses the kernel: its coordinates
+    read off the free columns are checked, not trusted."""
+    signed = htpy.vertex_boundary
+    monkeypatch.setattr(htpy, "vertex_boundary", lambda faces: signed(
+        [(J, 1, edge, cols) for J, _, edge, cols in faces]))
+    C = acyclic_pair()
+    phi = sign_automorphism(C)
+    with pytest.raises(FillError, match="inclusion of constants misses"):
+        fill_n_homotopy([LInftyMorphism.identity(C), phi, phi], K=2)
+
+
 # ---------------------------------------------------------------------------
 # inverses up to homotopy
 
@@ -166,7 +180,7 @@ def test_fill_triangle():
 def test_whitehead_identity_is_trivial():
     C = dg_lie_triple()
     ident = LInftyMorphism.identity(C)
-    M = build_model(C, 1, weight_cap=4)
+    M = SimplexModel(C, 1, weight_cap=4)
     cert = whitehead_inverse(ident, K=3, model=M, with_reverse=False)
     assert cert.g.comps == ident.comps
     assert cert.verify().ok

@@ -115,6 +115,17 @@ def test_broken_algebra_detected():
     assert rep.failures[0][0] == ("a",)
 
 
+def test_zero_up_to_checks_arity_zero_only():
+    """up_to=0 is a bound, not a request for the default: it checks the
+    empty word alone, so the broken differential is not reached."""
+    Bad = LInftyAlgebra(S3, {1: {("a",): {"b": F(1)},
+                                 ("b",): {"c": F(1)}}}, arity_cap=3)
+    rep = check_relations(Bad, up_to=0)
+    assert rep.ok and rep.checked == 1
+    assert check_relations(Bad, up_to=1).checked == 4
+    assert check_morphism(LInftyMorphism.identity(Bad), up_to=0).checked == 0
+
+
 def test_relations_iff_coderivation_squares_zero():
     """Independent oracle: d-hat squared vanishes exactly when the
     relation checker passes, across seeded random structure constants

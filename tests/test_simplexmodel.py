@@ -5,21 +5,26 @@ on the constructed models (independent code path from the op builder),
 and rank-based cohomology of the truncated form complexes.
 """
 
+import json
 import random
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 
+from linfkit import simplexmodel
 from linfkit.derived import mv_wedge
-from linfkit.gradedlin import (GradedMap, GradedSpace, cohomology, vec_add,
-                               vec_scale)
+from linfkit.gradedlin import (CapError, GradedMap, GradedSpace, cohomology,
+                               vec_add, vec_scale)
 from linfkit.linfty import (LInftyAlgebra, LInftyMorphism, check_morphism,
                             check_relations, compose, is_quasi_iso)
-from linfkit.simplexmodel import (Homotopy, SimplexCapError, SimplexModel,
-                                  build_model, constant_homotopy, d_form,
-                                  face_restrict, mono_degree, mono_label,
-                                  mono_weight, simplex_forms,
-                                  verify_model_axioms)
+from linfkit.simplexmodel import (Homotopy, SimplexModel, constant_homotopy,
+                                  d_form, face_restrict, mono_degree,
+                                  mono_label, mono_weight, simplex_faces,
+                                  simplex_forms, verify_model_axioms,
+                                  vertex_boundary)
+
+BENCH_JOBS = Path(__file__).resolve().parents[1] / "bench" / "jobs"
 
 
 def dg_base():
@@ -93,15 +98,15 @@ def test_face_of_face_consistency():
 
 
 def test_caps_enforced():
-    with pytest.raises(SimplexCapError):
+    with pytest.raises(CapError):
         simplex_forms(5, 3)
-    with pytest.raises(SimplexCapError):
+    with pytest.raises(CapError):
         simplex_forms(2, 9)
 
 
 def test_model_relations_and_weights():
     C = dg_base()
-    M = build_model(C, 1, weight_cap=4)
+    M = SimplexModel(C, 1, weight_cap=4)
     assert check_relations(M.algebra, up_to=3).ok
     # degree bookkeeping: 1-form tensor degree-1 element has degree 2
     lab = "dt1|c"
@@ -110,7 +115,7 @@ def test_model_relations_and_weights():
 
 def test_zero_base_model():
     Z = LInftyAlgebra(GradedSpace([("z", 0)]), {})
-    M = build_model(Z, 1, weight_cap=3)
+    M = SimplexModel(Z, 1, weight_cap=3)
     assert check_relations(M.algebra).ok
     assert verify_model_axioms(M).ok
 
@@ -119,17 +124,17 @@ def test_curved_base_rejected():
     S = GradedSpace([("a", 0), ("b", 1)])
     curved = LInftyAlgebra(S, {}, l0={"b": F(1)})
     with pytest.raises(ValueError):
-        build_model(curved, 1)
+        SimplexModel(curved, 1)
 
 
 def test_interval_model_axioms():
-    M = build_model(dg_base(), 1, weight_cap=4)
+    M = SimplexModel(dg_base(), 1, weight_cap=4)
     rep = verify_model_axioms(M)
     assert rep.ok, rep.failures[:3]
 
 
 def test_interval_eval_incl_identity():
-    M = build_model(dg_base(), 1, weight_cap=3)
+    M = SimplexModel(dg_base(), 1, weight_cap=3)
     incl = M.incl
     for j in (0, 1):
         comp = M.eval_vertex(j).f1_map().compose(incl)
@@ -139,7 +144,7 @@ def test_interval_eval_incl_identity():
 
 def test_corrupted_incl_detected():
     # doubling the inclusion breaks the eval-incl identity
-    M = build_model(dg_base(), 1, weight_cap=3)
+    M = SimplexModel(dg_base(), 1, weight_cap=3)
     incl = M.incl.scale(F(2))
     comp = M.eval_vertex(0).f1_map().compose(incl)
     assert comp.images.get("a", {}) == {"a": F(2)}
@@ -148,13 +153,75 @@ def test_corrupted_incl_detected():
 def test_triangle_model_axioms_small():
     S = GradedSpace([("a", 0), ("b", 1)])
     C = LInftyAlgebra(S, {2: {("a", "a"): {"b": F(1)}}}, arity_cap=3)
-    M = build_model(C, 2, weight_cap=4)
+    M = SimplexModel(C, 2, weight_cap=4)
     rep = verify_model_axioms(M, weight_check=2, op_weight=3)
     assert rep.ok, rep.failures[:3]
 
 
+def test_faces_and_vertex_boundary_signs():
+    """Faces come opposite vertices n, ..., 0 with sign (-1)^(n - i).
+    Edge J enters J[0] with +sign ev_0 and J[1] with -sign ev_1: on the
+    interval model over one generator, 1|x is x at both ends and t1|x
+    is x at vertex 1 only."""
+    assert simplex_faces(2) == [(2, (0, 1), 1), (1, (0, 2), -1),
+                                (0, (1, 2), 1)]
+    assert simplex_faces(1) == [(1, (0,), 1), (0, (1,), -1)]
+    Z = LInftyAlgebra(GradedSpace([("x", 0)]), {})
+    edge = SimplexModel(Z, 1, weight_cap=1)
+    rows = vertex_boundary([((0, 2), -1, edge, {"1|x": 0, "t1^1|x": 1})])
+    assert rows == {(0, "x"): {0: -1}, (2, "x"): {0: 1, 1: 1}}
+
+
+def bench_triangle_model():
+    """The n = 2 model of the model-verify-n2-w6 bench job."""
+    doc = json.loads((BENCH_JOBS / "model-verify-n2-w6.json").read_text())
+    return SimplexModel(LInftyAlgebra.from_json(doc["algebra"]), doc["n"],
+                        weight_cap=6)
+
+
+def scaled(ev, factor):
+    """The strict morphism ev with its linear component times factor."""
+    return LInftyMorphism(ev.source, ev.target,
+                          {1: {w: vec_scale(factor, out)
+                               for w, out in ev.comps[1].items()}},
+                          arity_cap=ev.arity_cap)
+
+
+@pytest.mark.parametrize("factor, face, witness", [
+    (0, None, {"degree": 0}),
+    (2, 1, {"reason": "boundary squared nonzero"}),
+    (-1, 1, {"reason": "boundary squared nonzero"}),
+    (-1, 2, {"reason": "boundary squared nonzero"}),
+])
+def test_tampered_top_evaluations_fail_exactness(factor, face, witness):
+    """Zero top evaluations leave the degree-0 kernel outside the image;
+    one face evaluation scaled by 2 or negated breaks boundary squared
+    zero.  Both show in _exactness and in verify_model_axioms."""
+    M = bench_triangle_model()
+    evs = {i: M.eval_face(i) for i in range(3)}
+    assert simplexmodel._exactness(M, evs, 4) == (True, None)
+    bad = {i: scaled(ev, factor) if face in (None, i) else ev
+           for i, ev in evs.items()}
+    assert simplexmodel._exactness(M, bad, 4) == (False, witness)
+    M._evals.update(bad)
+    failures = dict(verify_model_axioms(M).failures)
+    assert failures[("face-complex-exact",)] == witness
+
+
+def test_tampered_face_evaluation_fails_compatibility():
+    M = bench_triangle_model()
+    face = M.face_model()
+    evs = {i: M.eval_face(i) for i in range(3)}
+    face_evs = [face.eval_face(r) for r in range(2)]
+    assert simplexmodel._face_compat(M, evs, face_evs)
+    evs[1] = scaled(evs[1], 2)
+    assert not simplexmodel._face_compat(M, evs, face_evs)
+    M._evals[1] = evs[1]
+    assert ("face-compatibility",) in dict(verify_model_axioms(M).failures)
+
+
 def test_eval_is_morphism_and_quasi_iso():
-    M = build_model(dg_base(), 1, weight_cap=4)
+    M = SimplexModel(dg_base(), 1, weight_cap=4)
     for j in (0, 1):
         ev = M.eval_vertex(j)
         assert check_morphism(ev, weight_cap=4).ok
