@@ -293,17 +293,48 @@ def solve_canonical(rows, rhs, ncols=None):
     return solve_sparse([_sparse(r) for r in rows], rhs, ncols)
 
 
+def _reached(rows, rhs):
+    """The indices of the rows whose connected component, in the graph
+    joining each row to the columns of its nonzero entries, holds a
+    nonzero right-hand side, found by a walk from those rows.  An empty
+    row with a nonzero right-hand side is a component of its own.  The
+    column index is freed on return, before the elimination allocates."""
+    users = {}
+    for i, row in enumerate(rows):
+        for j, c in row.items():
+            if c:
+                users.setdefault(j, []).append(i)
+    todo = [i for i, b in enumerate(rhs) if b]
+    reached, cols = set(todo), set()
+    while todo:
+        for j, c in rows[todo.pop()].items():
+            if c and j not in cols:
+                cols.add(j)
+                for i in users[j]:
+                    if i not in reached:
+                        reached.add(i)
+                        todo.append(i)
+    return reached
+
+
 def solve_sparse(rows, rhs, ncols):
     """Sparse variant of solve_canonical.  rows is a list of dicts
-    {column index: int or Fraction}, inserted shortest first
-    (Markowitz's rule for limiting fill-in; the sort is stable).  The
-    reduced echelon form depends only on the row space and the column
-    order, so the order changes the cost and never the answer: the
-    canonical solution (free variables zero, pivot columns chosen left
-    to right) or None."""
+    {column index: int or Fraction}.  Only the rows whose component
+    holds a nonzero right-hand side are inserted (see _reached),
+    shortest first (Markowitz's rule for limiting fill-in), ties in
+    their given order.  The reduced echelon form depends only on the
+    row space and the column order, so the order changes the cost and
+    never the answer: the canonical solution (free variables zero,
+    pivot columns chosen left to right) or None.
+
+    Permuted to one diagonal block per component, the system's pivots,
+    reduced rows and canonical solution split block by block, since
+    whether a column is a pivot depends only on the columns of its own
+    block before it.  A block with a zero right-hand side is consistent
+    and solved by 0, so leaving its rows out changes no answer."""
     ech = Echelon()
-    for row, b in sorted(zip(rows, rhs), key=lambda rb: len(rb[0])):
-        ech.insert({**row, ncols: b})
+    for i in sorted(_reached(rows, rhs), key=lambda i: (len(rows[i]), i)):
+        ech.insert({**rows[i], ncols: rhs[i]})
     x = ech.solution(ncols)
     return None if x is None else _dense(x, ncols)
 
@@ -317,7 +348,12 @@ class LinearSystem:
     seeded with it before solving, so a different canonical solution is
     chosen whenever the solution space has free variables.  Every such
     solution is an exact solution of the same system, which audits that
-    verification does not depend on the choice."""
+    verification does not depend on the choice.
+
+    solve eliminates only the components of the row-column graph that
+    hold a nonzero right-hand side; the rest is solved by 0 (see
+    solve_sparse).  The shuffle only renames columns, so it keeps the
+    components and the same holds at every tie-break."""
 
     def __init__(self, tie_break=0):
         self.unknowns = []

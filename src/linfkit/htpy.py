@@ -35,12 +35,12 @@ from fractions import Fraction
 from .gradedlin import (Echelon, GradedMap, GradedSpace, LinearSystem,
                         acc_term, sym_words, vec_acc, word_degree)
 from .linfty import (CheckReport, LInftyAlgebra, LInftyMorphism, add_rows,
-                     chain_complex, check_morphism, check_relations,
-                     compose, comps_agree, delta1_equations, delta1_rows,
-                     direct_sum, fold_report, insertion_sum, is_quasi_iso,
-                     l1_map, map_unknowns, obstruction_cocycle,
-                     partition_sum, post_rows, pre_rows, solution_table,
-                     split_sum_label, sum_label, with_arity)
+                     chain_complex, check_arity_cap, check_morphism,
+                     check_relations, compose, comps_agree,
+                     delta1_equations, delta1_rows, direct_sum, fold_report,
+                     insertion_sum, is_quasi_iso, l1_map, map_unknowns,
+                     obstruction_cocycle, partition_sum, post_rows, pre_rows,
+                     solution_table, split_sum_label, sum_label, with_arity)
 from .simplexmodel import (Homotopy, SimplexModel, simplex_faces,
                            vertex_boundary)
 
@@ -189,13 +189,15 @@ def fill_n_homotopy(fs, K=2, tie_break=0):
 
     fs: morphisms C0 -> C (the vertex data), each a quasi-isomorphism.
     For n = 2 the three edge homotopies are filled first, recursively.
-    K: arity up to which operations and homotopy components are built.
+    K: arity up to which operations and homotopy components are built,
+    an integer >= 1 (ValueError otherwise, as in the other two machines).
     tie_break: seed of the free-variable choice in every linear stage,
     edge fills included (see LinearSystem); 0 is the canonical one.
 
     Returns a FillingModel.  Raises FillError when a linear stage is
     unsolvable (in particular when the face kernel complex is not
     acyclic, so no contracting extension exists)."""
+    check_arity_cap(K)
     n_out = len(fs) - 1
     if n_out not in (1, 2):
         raise ValueError("filling supports 2 or 3 vertex morphisms")
@@ -516,6 +518,7 @@ def whitehead_inverse(f, K=3, model=None, with_reverse=True, tie_break=0):
     The lift of the chain homotopy into the model is one canonical
     solve at every seed; it is block-diagonal by generator.
     """
+    check_arity_cap(K)
     C1, C2 = f.source, f.target
     if not (C1.is_strict and C2.is_strict):
         raise ValueError("inversion requires strict algebras")
@@ -613,6 +616,7 @@ def model_morphism_over(f, model1, model2, K=2, tie_break=0):
     canonical solves arity by arity, with tie_break the seed of their
     free-variable choice (see LinearSystem); raises FillError when
     blocked."""
+    check_arity_cap(K)
     M1, M2 = _interval(model1), _interval(model2)
     if M1.base is not f.source or M2.base is not f.target:
         raise ValueError("models do not sit over the morphism endpoints")

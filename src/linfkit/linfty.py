@@ -234,7 +234,7 @@ class CheckReport:
                                         "pass" if self.ok else "FAIL")
 
 
-def _arity_cap(cap):
+def check_arity_cap(cap):
     """An arity cap: an integer >= 1 (not a bool), ValueError
     otherwise."""
     if isinstance(cap, bool) or not isinstance(cap, int) or cap < 1:
@@ -366,7 +366,7 @@ class LInftyAlgebra:
     def __init__(self, space, ops, l0=None, arity_cap=DEFAULT_ARITY_CAP,
                  weights=None, jet=None):
         self.space = space
-        self.arity_cap = _arity_cap(arity_cap)
+        self.arity_cap = check_arity_cap(arity_cap)
         self.jet = jet
         self.l0 = {k: x for k, v in (l0 or {}).items() if (x := exact(v))}
         self.weights = dict(weights) if weights else None
@@ -462,7 +462,7 @@ class LInftyMorphism:
     def __init__(self, source, target, comps, arity_cap=None):
         self.source = source
         self.target = target
-        self.arity_cap = _arity_cap(
+        self.arity_cap = check_arity_cap(
             min(source.arity_cap, target.arity_cap) if arity_cap is None
             else arity_cap)
         self.comps = canonical_tables(
@@ -481,7 +481,7 @@ class LInftyMorphism:
         # the constructor reads None as the default
         return cls(source, target,
                    blocks_from_json(doc["comps"], where + ".comps"),
-                   arity_cap=_arity_cap(cap))
+                   arity_cap=check_arity_cap(cap))
 
     @classmethod
     def from_linear(cls, source, target, f1_entries, arity_cap=None):

@@ -8,6 +8,7 @@ dense_oracle.py; sign and combinatorics invariants are property-tested.
 import math
 import random
 import re
+from collections import Counter
 from fractions import Fraction as F
 
 import pytest
@@ -94,6 +95,7 @@ non_unit = st.one_of(
     st.builds(F, st.sampled_from([-9, -5, -3, -2, 2, 3, 4, 7]),
               st.integers(min_value=1, max_value=7)).filter(
                   lambda c: abs(c) != 1))
+nonzero = small_int.filter(bool).map(F)
 ENTRIES = {"mixed": scalars, "int-heavy": int_heavy, "non-unit": non_unit}
 
 
@@ -268,8 +270,10 @@ def test_solves_match_oracle(data):
 
 
 def test_solves_insert_the_shortest_rows_first(monkeypatch):
-    """A solve inserts its rows in nondecreasing length, ties in their
-    given order; so do the solves under every tie-break."""
+    """A solve inserts its reached rows in nondecreasing length, ties
+    in their given order; so do the solves under every tie-break.  The
+    empty row with a zero right-hand side is its own homogeneous
+    component, so it is not inserted."""
     inserted = []
     real = Echelon.insert
 
@@ -282,8 +286,8 @@ def test_solves_insert_the_shortest_rows_first(monkeypatch):
             {0: 1, 2: 1, 3: 1}, {}]
     rhs = [1, 2, 3, 4, 5, 0]
     x = solve_sparse(rows, rhs, 4)
-    assert [len(v) for v in inserted] == [1, 2, 2, 3, 4, 5]
-    assert inserted[1:3] == [{0: 1, 4: 3}, {3: 2, 4: 4}]
+    assert [len(v) for v in inserted] == [2, 2, 3, 4, 5]
+    assert inserted[0:2] == [{0: 1, 4: 3}, {3: 2, 4: 4}]
     assert x == dense_oracle.solve_canonical(
         [[r.get(j, F(0)) for j in range(4)] for r in rows], rhs, 4)
     for tb in range(10):
@@ -295,7 +299,119 @@ def test_solves_insert_the_shortest_rows_first(monkeypatch):
             system.equation(r, b)
         system.solve()
         lengths = [len(v) for v in inserted]
-        assert lengths == sorted(lengths) and len(lengths) == len(rows)
+        assert lengths == sorted(lengths) and len(lengths) == len(rows) - 1
+
+
+@st.composite
+def block_systems(draw):
+    """(rows, rhs, ncols): a block-diagonal system of sparse rows, its
+    rows shuffled and its columns interleaved across blocks.  A block's
+    right-hand side is zero, inside its column span, or made
+    inconsistent by a copy of one of its rows with the right-hand side
+    moved by 1; a chain block (row k uses columns k and k+1) has one
+    nonzero right-hand side, so a walk must take several hops to reach
+    all of it.  Some entries are explicit zeros, and empty rows with
+    zero and nonzero right-hand sides are mixed in."""
+    kinds = draw(st.lists(st.sampled_from(["homogeneous", "consistent",
+                                           "inconsistent", "chain"]),
+                          min_size=1, max_size=4))
+    blocks = []
+    for kind in kinds:
+        if kind == "chain":
+            n = draw(st.integers(min_value=2, max_value=6))
+            block = [[F(0)] * n for _ in range(n - 1)]
+            for k, r in enumerate(block):
+                r[k], r[k + 1] = draw(nonzero), draw(nonzero)
+            b = [F(0)] * (n - 1)
+            b[draw(st.integers(min_value=0, max_value=n - 2))] = F(1)
+        else:
+            block, n = draw(matrices(max_rows=4, max_cols=4))
+            inside, _ = _column_vectors(draw, block, n)
+            b = [F(0)] * len(block) if kind == "homogeneous" else inside
+        blocks.append((kind, block, n, b))
+    ncols = sum(n for _, _, n, _ in blocks)
+    cols = list(range(ncols))
+    rng = draw(st.randoms(use_true_random=False))
+    rng.shuffle(cols)
+    rows, rhs, start = [], [], 0
+    for kind, block, n, b in blocks:
+        own = cols[start:start + n]
+        start += n
+        sparse = [{own[j]: c for j, c in enumerate(r)
+                   if c or draw(st.booleans())} for r in block]
+        full = [i for i, r in enumerate(block) if any(r)]
+        if kind == "inconsistent" and full:
+            i = draw(st.sampled_from(full))
+            sparse.append(dict(sparse[i]))
+            b = b + [b[i] + 1]
+        rows += sparse
+        rhs += b
+    for b in draw(st.lists(st.sampled_from([F(0), F(2)]), max_size=2)):
+        rows.append({})
+        rhs.append(b)
+    order = list(range(len(rows)))
+    rng.shuffle(order)
+    return [rows[i] for i in order], [rhs[i] for i in order], ncols
+
+
+def reached_rows(rows, rhs):
+    """Indices of the rows whose component, in the graph joining each
+    row to the columns of its nonzero entries, holds a nonzero
+    right-hand side: rows and columns are merged into shared node sets
+    edge by edge."""
+    comp = {("row", i): {("row", i)} for i in range(len(rows))}
+    for i, row in enumerate(rows):
+        for j, c in row.items():
+            a = comp[("row", i)]
+            b = comp.setdefault(("col", j), {("col", j)})
+            if c and a is not b:
+                a |= b
+                for node in b:
+                    comp[node] = a
+    hot = [comp[("row", i)] for i, b in enumerate(rhs) if b]
+    return [i for i in range(len(rows))
+            if any(comp[("row", i)] is h for h in hot)]
+
+
+@settings(max_examples=150, deadline=None)
+@given(block_systems())
+def test_solves_eliminate_only_reached_components(drawn):
+    """solve_sparse, solve_canonical and LinearSystem.solve at
+    tie-breaks 0-9 give the dense oracle's canonical solution on
+    block-diagonal systems, and insert exactly the rows whose component
+    holds a nonzero right-hand side: no row of a homogeneous component
+    reaches the engine."""
+    rows, rhs, ncols = drawn
+    dense = [[r.get(j, F(0)) for j in range(ncols)] for r in rows]
+    reached = reached_rows(rows, rhs)
+    inserted = []
+    real = Echelon.insert
+
+    def spy(self, v):
+        inserted.append(frozenset(v.items()))
+        return real(self, v)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(Echelon, "insert", spy)
+        want = dense_oracle.solve_canonical(dense, rhs, ncols)
+        assert solve_sparse(rows, rhs, ncols) == want
+        assert Counter(inserted) == Counter(
+            frozenset({**rows[i], ncols: rhs[i]}.items()) for i in reached)
+        inserted.clear()
+        assert solve_canonical(dense, rhs, ncols=ncols) == want
+        assert len(inserted) == len(reached)
+        for tb in range(10):
+            inserted.clear()
+            system = LinearSystem(tb)
+            for j in range(ncols):
+                system.var(j)
+            for r, b in zip(rows, rhs):
+                system.equation(r, b)
+            x = system.solve()
+            assert (None if x is None else
+                    [x.get(j, F(0)) for j in range(ncols)]) == \
+                tie_break_oracle(dense, rhs, ncols, tb)
+            assert len(inserted) == len(reached)
 
 
 # ---------------------------------------------------------------------------

@@ -6,6 +6,7 @@ object is re-verified through the generic relation/morphism checkers,
 and endpoint agreements are compared coefficient by coefficient.
 """
 
+import re
 from fractions import Fraction as F
 
 import pytest
@@ -297,6 +298,25 @@ def test_model_morphism_over_seeded(seed):
     assert check_morphism(FF, up_to=3).ok
     for e1, e2 in ((M1.eval_vertex(j), M2.eval_vertex(j)) for j in (0, 1)):
         assert comps_agree(compose(e2, FF), compose(f, e1), 3)
+
+
+@pytest.mark.parametrize("K", [0, -1, True])
+def test_arity_cap_below_one_is_refused_alike(K):
+    """model_morphism_over refuses an arity cap below 1 with the error
+    of fill_n_homotopy and whitehead_inverse, instead of returning the
+    unset morphism of its empty arity loop."""
+    C = acyclic_pair()
+    ident = LInftyMorphism.identity(C)
+    M = SimplexModel(C, 1, weight_cap=4)
+    msg = "arity_cap must be an integer >= 1, got %r" % (K,)
+    with pytest.raises(ValueError, match=re.escape(msg)):
+        model_morphism_over(ident, M, M, K=K)
+    with pytest.raises(ValueError, match=re.escape(msg)):
+        fill_n_homotopy([ident, ident], K=K)
+    with pytest.raises(ValueError, match=re.escape(msg)):
+        whitehead_inverse(ident, K=K, model=M)
+    assert check_morphism(model_morphism_over(ident, M, M, K=1),
+                          up_to=1).ok
 
 
 def test_model_morphism_endpoint_validation():
