@@ -272,24 +272,18 @@ def matrix_rank(rows):
     return echelon_of(rows).rank
 
 
-def nullspace(rows, ncols=None):
+def nullspace(rows, ncols):
     """Basis of the right kernel of the matrix (rows act on column
     vectors of length ncols), one vector per free column in order.
     Returns a list of vectors (lists)."""
-    if ncols is None:
-        if not rows:
-            raise ValueError("ncols required for an empty matrix")
-        ncols = len(rows[0])
     return [_dense(v, ncols) for v in echelon_of(rows).kernel(range(ncols))]
 
 
-def solve_canonical(rows, rhs, ncols=None):
-    """Solve A x = b exactly.  Returns the canonical solution (all free
-    variables set to 0 in the reduced echelon form) or None if the
-    system is inconsistent.  The tie-break makes constructions
-    reproducible across runs."""
-    if ncols is None:
-        ncols = len(rows[0]) if rows else 0
+def solve_canonical(rows, rhs, ncols):
+    """Solve A x = b exactly for x of length ncols.  Returns the
+    canonical solution (all free variables set to 0 in the reduced
+    echelon form) or None if the system is inconsistent.  The
+    tie-break makes constructions reproducible across runs."""
     return solve_sparse([_sparse(r) for r in rows], rhs, ncols)
 
 
@@ -602,16 +596,6 @@ class GradedMap:
             "entries": [{"from": a, "to": b, "coeff": scalar_to_str(c)}
                         for (a, b), c in sorted(self.entries.items())],
         }
-
-    @classmethod
-    def from_json(cls, doc, source=None, target=None):
-        src = source or GradedSpace.from_json(doc["source"])
-        tgt = target or GradedSpace.from_json(doc["target"])
-        images = {}
-        for e in doc["entries"]:
-            images.setdefault(e["from"], {})[e["to"]] = \
-                scalar_from_str(e["coeff"])
-        return cls(src, tgt, doc["shift"], images)
 
 
 # ---------------------------------------------------------------------------

@@ -37,7 +37,7 @@ from .gradedlin import (Echelon, GradedMap, GradedSpace, LinearSystem,
 from .linfty import (CheckReport, LInftyAlgebra, LInftyMorphism, add_rows,
                      chain_complex, check_arity_cap, check_morphism,
                      check_relations, compose, comps_agree,
-                     delta1_equations, delta1_rows, direct_sum, fold_report,
+                     delta1_rows, direct_sum, fold_report,
                      insertion_sum, is_quasi_iso, l1_map, map_unknowns,
                      obstruction_cocycle, partition_sum, post_rows, pre_rows,
                      solution_table, split_sum_label, sum_label, with_arity)
@@ -79,9 +79,10 @@ class FillingModel:
     Fields: algebra (the cylinder), n, K (arity of the constructed
     structure), base (modeled target algebra), fs (vertex morphisms),
     evals {face tuple: strict morphism to the face model}, boundary
-    {face tuple: face model or None when the face model is the target
-    algebra itself}, incl (chain inclusion of constants), hbar (the
-    filling homotopy from the source of fs into the cylinder)."""
+    {edge: its FillingModel} (empty when n = 1, where every face model
+    is the target algebra itself), incl (chain inclusion of constants),
+    hbar (the filling homotopy from the source of fs into the
+    cylinder)."""
 
     def __init__(self, algebra, n, K, base, fs, evals, boundary, incl,
                  hbar, notes=None):
@@ -126,8 +127,9 @@ class FillingModel:
                 self.evals[J], up_to=self.K), "eval" + _jtag(J))
         checked += fold_report(failures, check_morphism(
             self.hbar, up_to=self.K), "hbar")
+        incl = self.incl_morphism()
         checked += fold_report(failures, check_morphism(
-            self.incl_morphism(), up_to=self.K), "incl")
+            incl, up_to=self.K), "incl")
         # evaluations compose with the inclusion to the face inclusions
         for J in self.face_keys():
             comp = self.evals[J].f1_map().compose(self.incl)
@@ -148,7 +150,7 @@ class FillingModel:
             if not comps_agree(got, want, min(got.arity_cap, self.K)):
                 failures.append((("endpoint", str(v)), {"mismatch": 1}))
         checked += 1
-        if not is_quasi_iso(self.incl_morphism()):
+        if not is_quasi_iso(incl):
             failures.append((("incl-quasi-iso",), {"fail": 1}))
         return CheckReport("filling-model", failures, checked,
                            notes=list(self.notes))
@@ -293,7 +295,7 @@ def fill_n_homotopy(fs, K=2, tie_break=0):
         if img:
             l1_tab[("z|" + l,)] = {"z|" + b: c for b, c in img.items()}
     ops = {1: l1_tab} if l1_tab else {}
-    cyl = LInftyAlgebra(cyl_space, ops, arity_cap=max(K, 1))
+    cyl = LInftyAlgebra(cyl_space, ops, arity_cap=K)
 
     # --- contracting extension: delta1(A) = d A + A d = id on the
     # kernel complex, A of degree -1
@@ -301,18 +303,18 @@ def fill_n_homotopy(fs, K=2, tie_break=0):
     kcx = chain_complex(kspace, GradedMap(kspace, kspace, 1, d_ker))
     sysA = LinearSystem(tie_break)
     map_unknowns(sysA, kcx, kcx, 1, "A", shift=-1)
-    delta1_equations(sysA, kcx, kcx, 1, "A",
-                     {(k,): {k: 1} for k in korder}, shift=-1)
+    add_rows(sysA, delta1_rows(kcx, kcx, 1, -1, "A"),
+             {(k,): {k: 1} for k in korder})
     Asol = sysA.solve()
     if Asol is None:
         raise FillError("no contracting extension on the boundary kernel "
                         "(the kernel complex is not acyclic)")
     Amap = solution_table(Asol, "A")
 
-    # --- evaluations, inclusion, and the linear homotopy component
-    evals = {}
+    # --- evaluations, kept as linear maps {cylinder label: element}
+    # while the cylinder grows
+    ev_maps = {}
     for J in faces:
-        tgt = face_alg[J]
         f1 = {}
         for k in korder:
             vec, deg = kvecs[k]
@@ -321,78 +323,67 @@ def fill_n_homotopy(fs, K=2, tie_break=0):
             for kj, c in Amap.get((k,), {}).items():
                 vec_acc(avec, kvecs[kj][0], c)
             f1["y|" + k] = untag_vec(J, avec)
-        comps = {1: {(a,): v for a, v in f1.items() if v}}
-        evals[J] = LInftyMorphism(cyl, tgt, comps, arity_cap=K)
+        ev_maps[J] = GradedMap(cyl_space, face_alg[J].space, 0, f1).images
 
-    incl_images = {}
-    for lab in C.space.labels:
-        vec = {}
-        for J in faces:
-            if n_out == 1:
-                part = {lab: 1}
-            else:
-                part = edges[J].incl.images.get(lab, {})
-            vec_acc(vec, tag_vec(J, part))
-        coords = ker_coords(vec, C.space.deg[lab])
-        if coords is None:
-            raise FillError("inclusion of constants misses the boundary "
-                            "kernel")
-        incl_images[lab] = {"x|" + k: c for k, c in coords.items()}
-    incl = GradedMap(C.space, cyl_space, 0, incl_images)
-
-    def lift_to_ker(element_by_face, deg):
+    # --- the inclusion of constants and every arity of the filling
+    # homotopy, each lifted from the faces to the kernel: none of them
+    # reads a cylinder operation
+    def lift_to_ker(element_by_face, deg, refusal):
         vec = {}
         for J in faces:
             vec_acc(vec, tag_vec(J, element_by_face[J]))
         coords = ker_coords(vec, deg)
         if coords is None:
-            raise FillError("boundary data is not compatible (misses the "
-                            "kernel)")
+            raise FillError(refusal)
         return {"x|" + k: c for k, c in coords.items()}
 
+    incl = GradedMap(C.space, cyl_space, 0, {
+        lab: lift_to_ker({J: {lab: 1} if n_out == 1
+                          else edges[J].incl.images.get(lab, {})
+                          for J in faces}, C.space.deg[lab],
+                         "inclusion of constants misses the boundary "
+                         "kernel")
+        for lab in C.space.labels})
+
     hbar_comps = {1: {}}
-    for lab in C0.space.labels:
-        val = lift_to_ker({J: face_h[J].comp_word(1, (lab,))
-                           for J in faces}, C0.space.deg[lab])
-        acc_term(val, "z|" + lab, 1)
-        hbar_comps[1][(lab,)] = val
+    for m in range(1, K + 1):
+        table = {}
+        for w in sym_words(C0.space, m):
+            val = lift_to_ker({J: face_h[J].comp_word(m, w) for J in faces},
+                              word_degree(C0.space, w),
+                              "boundary data is not compatible (misses "
+                              "the kernel)")
+            if m == 1:
+                acc_term(val, "z|" + w[0], 1)
+            if val:
+                table[w] = val
+        if table:
+            hbar_comps[m] = table
     hbar = LInftyMorphism(C0, cyl, hbar_comps, arity_cap=K)
 
-    # --- higher structure, arity by arity
+    # --- higher operations of the cylinder, arity by arity
     for m in range(2, K + 1):
-        # homotopy component first: lift the face components to the
-        # kernel (compatibility of the boundary data makes this solvable)
-        new_h = {}
-        for w in sym_words(C0.space, m):
-            val = lift_to_ker({J: face_h[J].comp_word(m, w)
-                               for J in faces}, word_degree(C0.space, w))
-            if val:
-                new_h[w] = val
-        hbar = LInftyMorphism(C0, cyl, with_arity(hbar.comps, m, new_h),
-                              arity_cap=K)
-
-        cyl = _solve_cylinder_operation(cyl, m, faces, face_alg, evals,
+        cyl = _solve_cylinder_operation(cyl, m, faces, face_alg, ev_maps,
                                         incl, hbar, C, C0, K, tie_break)
-        # rebind morphisms onto the updated algebra object
-        evals = {J: LInftyMorphism(cyl, face_alg[J], evals[J].comps,
-                                   arity_cap=K) for J in faces}
-        hbar = LInftyMorphism(C0, cyl, hbar.comps, arity_cap=K)
 
     notes = ["cylinder over %d face(s), kernel dimension %d"
              % (len(faces), len(korder))]
-    return FillingModel(cyl, n_out, K, C, fs, evals,
-                        edges if n_out == 2 else
-                        {J: None for J in faces},
-                        incl, hbar, notes=notes)
+    evals = {J: LInftyMorphism.from_linear(cyl, face_alg[J], ev_maps[J],
+                                           arity_cap=K) for J in faces}
+    return FillingModel(cyl, n_out, K, C, fs, evals, edges, incl,
+                        LInftyMorphism(C0, cyl, hbar.comps, arity_cap=K),
+                        notes=notes)
 
 
-def _solve_cylinder_operation(cyl, m, faces, face_alg, evals, incl, hbar,
+def _solve_cylinder_operation(cyl, m, faces, face_alg, ev_maps, incl, hbar,
                               C, C0, K, tie_break):
     """One inductive stage: find the arity-m operation of the cylinder
     subject to (a) the quadratic relation at arity m, (b) evaluation
     compatibility with every face, (c) the homotopy morphism relation,
-    and (d) the inclusion morphism relation.  Returns the algebra with
-    the new operation installed."""
+    and (d) the inclusion morphism relation.  ev_maps: {face: the
+    evaluation's linear map {cylinder label: element}}; hbar: the
+    filling homotopy, whose components of arity <= m are the only ones
+    read.  Returns the algebra with the new operation installed."""
     space = cyl.space
     words = sym_words(space, m)
     sys = LinearSystem(tie_break)
@@ -403,12 +394,12 @@ def _solve_cylinder_operation(cyl, m, faces, face_alg, evals, incl, hbar,
     rhs_rel = {w: insertion_sum(cyl, w, cyl.ops, arities, 2, m - 1,
                                  scale=-1)
                for w in words}
-    delta1_equations(sys, cyl, cyl, m, "l", rhs_rel, shift=1)
+    add_rows(sys, delta1_rows(cyl, cyl, m, 1, "l"), rhs_rel)
 
     # (b) evaluation compatibility with each face model: ev1 . l_m =
     # l_m of the face on the images of ev1
     for J in faces:
-        ev1 = evals[J].f1_map().images
+        ev1 = ev_maps[J]
         tgt = face_alg[J]
         add_rows(sys, post_rows(cyl, tgt, m, "l", ev1, shift=1),
                  {w: tgt.op_elems(m, [ev1.get(a, {}) for a in w])
@@ -451,7 +442,7 @@ def chain_inverse(f, tie_break=0):
     map_unknowns(sys, C2, C1, 1, "g")
     map_unknowns(sys, C1, C1, 1, "h", shift=-1)
     # chain map: delta1(g) = 0
-    delta1_equations(sys, C2, C1, 1, "g", {})
+    add_rows(sys, delta1_rows(C2, C1, 1, 0, "g"), {})
     # homotopy: g f1 - delta1(h) = id
     add_rows(sys, _row_difference(
         pre_rows(C1, C2, C1, 1, "g", f.f1_map().images),
@@ -504,15 +495,15 @@ class WhiteheadCertificate:
                            notes=list(self.notes))
 
 
-def whitehead_inverse(f, K=3, model=None, with_reverse=True, tie_break=0):
+def whitehead_inverse(f, K=3, model=None, tie_break=0):
     """Invert a quasi-isomorphism up to homotopy, arity by arity.
 
     Returns a WhiteheadCertificate with g (inverse up to arity K) and a
     homotopy from the identity to g . f inside an interval model of the
     source.  The model defaults to the interval cylinder of the source
     (which exists when the source is acyclic); pass any model with
-    n = 1 otherwise.  When with_reverse is set and the target admits the
-    cylinder, a filling homotopy from f . g to the identity is attached.
+    n = 1 otherwise.  When the target admits the cylinder, a filling
+    homotopy from f . g to the identity is attached.
     tie_break: seed of the free-variable choice in every LinearSystem
     and both cylinder fills (see LinearSystem); 0 is the canonical one.
     The lift of the chain homotopy into the model is one canonical
@@ -573,8 +564,10 @@ def whitehead_inverse(f, K=3, model=None, with_reverse=True, tie_break=0):
         sys = LinearSystem(tie_break)
         map_unknowns(sys, C2, C1, m, "g")
         map_unknowns(sys, C1, M, m, "h")
-        delta1_equations(sys, C2, C1, m, "g", obstruction_cocycle(g, m - 1))
-        delta1_equations(sys, C1, M, m, "h", obstruction_cocycle(h, m - 1))
+        add_rows(sys, delta1_rows(C2, C1, m, 0, "g"),
+                 obstruction_cocycle(g, m - 1))
+        add_rows(sys, delta1_rows(C1, M, m, 0, "h"),
+                 obstruction_cocycle(h, m - 1))
         # endpoint 0: ev0 h_m = 0; endpoint 1: ev1 h_m - g_m f1^m equals
         # the known terms of (g f)_m
         add_rows(sys, post_rows(C1, C1, m, "h", ev0_cols), {})
@@ -594,13 +587,12 @@ def whitehead_inverse(f, K=3, model=None, with_reverse=True, tie_break=0):
                            arity_cap=K)
 
     reverse = None
-    if with_reverse:
-        try:
-            reverse = fill_n_homotopy(
-                [compose(f, g), LInftyMorphism.identity(C2)], K=K,
-                tie_break=tie_break)
-        except FillError as exc:
-            notes.append("reverse homotopy unavailable: %s" % exc)
+    try:
+        reverse = fill_n_homotopy(
+            [compose(f, g), LInftyMorphism.identity(C2)], K=K,
+            tie_break=tie_break)
+    except FillError as exc:
+        notes.append("reverse homotopy unavailable: %s" % exc)
     return WhiteheadCertificate(f, g, h, model, K, reverse=reverse,
                                 notes=notes)
 
@@ -628,7 +620,7 @@ def model_morphism_over(f, model1, model2, K=2, tie_break=0):
         sys = LinearSystem(tie_break)
         map_unknowns(sys, A1, A2, m, "F")
         O = obstruction_cocycle(F, m - 1) if m >= 2 else {}
-        delta1_equations(sys, A1, A2, m, "F", O)
+        add_rows(sys, delta1_rows(A1, A2, m, 0, "F"), O)
         # vertex evaluation compatibility: ev_j F_m = f_m ev_j^{x m}
         for j in (0, 1):
             add_rows(sys, post_rows(A1, f.target, m, "F", evs2[j]),

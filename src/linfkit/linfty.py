@@ -418,11 +418,10 @@ class LInftyAlgebra:
                                                         DEFAULT_ARITY_CAP))
 
 
-def chain_complex(space, d: GradedMap, arity_cap=DEFAULT_ARITY_CAP,
-                  weights=None):
+def chain_complex(space, d: GradedMap):
     """Strict algebra with l_1 = d and l_{k>=2} = 0."""
     ops = {1: {(a,): d.images[a] for a in space.labels if a in d.images}}
-    return LInftyAlgebra(space, ops, arity_cap=arity_cap, weights=weights)
+    return LInftyAlgebra(space, ops)
 
 
 def quad_residual(A: LInftyAlgebra, word):
@@ -644,20 +643,18 @@ class HatSpace(GradedSpace):
                           for lab, w in self.words.items()])
 
 
-def hat_space(A: LInftyAlgebra, cap, include_empty=False):
-    """Truncated symmetric coalgebra S^{<=cap} C as a graded space with
-    one generator per canonical word."""
-    lo = 0 if include_empty else 1
-    return HatSpace(A.space, [w for k in range(lo, cap + 1)
+def hat_space(A: LInftyAlgebra, cap):
+    """Truncated symmetric coalgebra S^{<=cap} C, the empty word left
+    out, as a graded space with one generator per canonical word."""
+    return HatSpace(A.space, [w for k in range(1, cap + 1)
                               for w in sym_words(A.space, k)])
 
 
-def codifferential_hat(A: LInftyAlgebra, cap=None,
-                       include_empty=False) -> GradedMap:
+def codifferential_hat(A: LInftyAlgebra, cap=None) -> GradedMap:
     """The coderivation extension of the operations on S^{<=cap} C,
     with words of arity above the cap projected away."""
     cap = cap or A.arity_cap
-    space = hat_space(A, cap, include_empty)
+    space = hat_space(A, cap)
     images = {}
     for wl, word in space.words.items():
         # the curvature (i = 0) raises arity by one
@@ -813,12 +810,6 @@ def add_rows(sys, rows, rhs):
         sys.equation(row, rhs.get(w, {}).get(b, 0))
 
 
-def delta1_equations(sys, A, B, m, tag, rhs, shift=0):
-    """Equations delta1(u) = rhs for the unknown map registered under
-    tag; rhs: {word: element}."""
-    add_rows(sys, delta1_rows(A, B, m, shift, tag), rhs)
-
-
 def solution_table(sol, tag):
     """The map registered under tag in a solution, as {word: element}."""
     table = {}
@@ -832,8 +823,7 @@ class ObstructionClass:
     """The degree-1 cochain obstructing extension of an arity-K
     morphism to arity K+1, its closedness and its exactness data."""
 
-    def __init__(self, f, K, cocycle, residual, witness):
-        self.morphism = f
+    def __init__(self, K, cocycle, residual, witness):
         self.K = K
         self.cocycle = cocycle          # {word(K+1): element}
         self.residual = residual        # delta1(cocycle), {} when closed
@@ -880,7 +870,7 @@ def obstruction_class(f: LInftyMorphism, K) -> ObstructionClass:
     O = obstruction_cocycle(f, K)
     residual = delta1(A, B, O, K + 1, shift=1)
     sol = None if residual else solve_delta1(A, B, O, K + 1)
-    return ObstructionClass(f, K, O, residual, sol)
+    return ObstructionClass(K, O, residual, sol)
 
 
 def solve_delta1(A, B, rhs, m):
@@ -889,7 +879,7 @@ def solve_delta1(A, B, rhs, m):
     None."""
     sys = LinearSystem()
     map_unknowns(sys, A, B, m, "g")
-    delta1_equations(sys, A, B, m, "g", rhs)
+    add_rows(sys, delta1_rows(A, B, m, 0, "g"), rhs)
     sol = sys.solve()
     return None if sol is None else solution_table(sol, "g")
 

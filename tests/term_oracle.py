@@ -176,9 +176,10 @@ def delta_word(space, word):
     return out
 
 
-def codifferential(A, cap, include_empty=False):
-    """The entries of the coderivation extension of A's operations on
-    words of arity (0 or 1)..cap, words above the cap dropped."""
+def codifferential_words(A, cap, include_empty=False):
+    """The entries {(source word, target word): coeff} of the
+    coderivation extension of A's operations on words of arity (0 or
+    1)..cap, words above the cap dropped."""
     def new_word(n, w):
         if n > cap:
             return {}
@@ -189,8 +190,35 @@ def codifferential(A, cap, include_empty=False):
     for k in range(0 if include_empty else 1, cap + 1):
         for w in words(A.space, k):
             for cw, c in insertion(A, w, new_word).items():
-                entries[(word_label(w), word_label(cw))] = c
+                entries[(w, cw)] = c
     return entries
+
+
+def codifferential(A, cap, include_empty=False):
+    """codifferential_words with each word written as its hat-space
+    label."""
+    return {(word_label(w), word_label(cw)): c for (w, cw), c
+            in codifferential_words(A, cap, include_empty).items()}
+
+
+def compose_entries(g, f):
+    """The nonzero entries of g after f, both maps given by their
+    entries {(source, target): coeff}."""
+    by_source = {}
+    for (a, b), c in g.items():
+        by_source.setdefault(a, []).append((b, c))
+    out = {}
+    for (a, b), c in f.items():
+        for t, x in by_source.get(b, ()):
+            out[(a, t)] = out.get((a, t), 0) + c * x
+    return {key: c for key, c in out.items() if c}
+
+
+def codifferential_square(A, cap, include_empty=False):
+    """The nonzero entries {(source word, target word): coeff} of the
+    square of codifferential_words(A, cap, include_empty)."""
+    d = codifferential_words(A, cap, include_empty)
+    return compose_entries(d, d)
 
 
 def delta1(A, B, g, m, shift=0):

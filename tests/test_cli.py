@@ -128,6 +128,42 @@ def test_failing_check_exits_one(tmp_path, capsys):
     assert bad and bad[0]["witness"]
 
 
+def curved_doc(degrees, entries, l0, **extra):
+    """A check-linfty document: generators {label: degree}, operations
+    [(word, out)] with coefficient 1, and the curvature l0."""
+    ops = {}
+    for word, out in entries:
+        ops.setdefault(len(word), []).append(
+            {"word": list(word), "out": out, "coeff": "1"})
+    return {"version": 1, "algebra": {
+        "space": {"generators": [{"label": x, "deg": d}
+                                 for x, d in degrees.items()]},
+        "ops": [{"arity": k, "entries": e} for k, e in sorted(ops.items())],
+        "l0": l0, **extra}}
+
+
+@pytest.mark.parametrize("doc,args,want", [
+    # l2(b, b) = c, l0 = d: every relation holds through arity 3, but
+    # the coderivation truncated at arity 3 drops the arity-4 word
+    # (d, b, b, b), whose image would cancel a term of its square on
+    # (b, b, b); check-linfty exited 1 on that
+    (curved_doc({"a": 0, "b": 0, "c": 1, "d": 1}, [("bb", "c")],
+                {"d": "1"}, arity_cap=3), [], 0),
+    # l1(l0) = z != 0 fails the arity-0 relation, which a square that
+    # drops the empty word cannot see
+    (curved_doc({"y": 1, "z": 2}, [("y", "z")], {"y": "1"}),
+     ["--cap-arity", "1"], 1),
+], ids=["relations-hold", "arity-zero-fails"])
+def test_curved_algebra_is_judged_by_its_relations(tmp_path, capsys, doc,
+                                                   args, want):
+    code, out = run(["check-linfty", write(tmp_path, "a.json", doc)]
+                    + args, capsys)
+    assert code == want
+    checks = json.loads(out)["checks"]
+    assert [rec["name"] for rec in checks] == ["linfty-relations"]
+    assert checks[0]["ok"] == (want == 0)
+
+
 def test_malformed_scalar_exits_two(tmp_path, capsys):
     doc = algebra_doc()
     doc["algebra"]["ops"][0]["entries"][0]["coeff"] = "1/0"

@@ -9,7 +9,9 @@ defined, so code that only tests reach does not count as used.  Every
 name a module imports is read in that module.  No module imports or
 reads another module's underscore name.  Every true division has a
 Fraction(...) call as an operand, since coefficients are stored as ints
-while they are integral and int / int is a float.
+while they are integral and int / int is a float.  Every option, a
+parameter with a default, is set by some call in the package sources
+or the benchmark scripts.
 """
 
 import ast
@@ -135,3 +137,91 @@ def test_algebra_takes_no_undeclared_attribute():
     A = LInftyAlgebra(GradedSpace([("x", 0)]), {})
     with pytest.raises(AttributeError):
         A.check_cap = 0
+
+
+# An option (a parameter with a default) that no call in the program sets
+# is a constant in disguise.  The README documents handing an interval
+# model to whitehead_inverse, so that option stays for library users.
+DOCUMENTED_OPTIONS = {("whitehead_inverse", "model")}
+
+
+def _program_trees():
+    for path in [*MODULES, *sorted((ROOT / "bench").glob("*.py"))]:
+        yield ast.parse(path.read_text())
+
+
+def _callable_defs(tree):
+    """(name a call uses, definition, leading parameters a call does not
+    pass) for every function in the tree: a method skips self or cls, and
+    a class name stands for its __init__."""
+    for cls in [n for n in ast.walk(tree) if isinstance(n, ast.ClassDef)]:
+        for fn in cls.body:
+            if isinstance(fn, ast.FunctionDef):
+                static = any(isinstance(d, ast.Name)
+                             and d.id == "staticmethod"
+                             for d in fn.decorator_list)
+                name = cls.name if fn.name == "__init__" else fn.name
+                yield name, fn, 0 if static else 1
+    methods = {id(fn) for cls in ast.walk(tree)
+               if isinstance(cls, ast.ClassDef) for fn in cls.body}
+    for fn in ast.walk(tree):
+        if isinstance(fn, ast.FunctionDef) and id(fn) not in methods:
+            yield fn.name, fn, 0
+
+
+def _callee(node):
+    return node.id if isinstance(node, ast.Name) else \
+        node.attr if isinstance(node, ast.Attribute) else None
+
+
+def _call_sites(tree):
+    """(callee name, number of positional arguments before any starred
+    one, keyword names, whether a starred argument passes the remaining
+    positions, whether **kwargs passes any keyword) for every call;
+    attempt(name, fn, ...) is a call of fn, and cls(...) inside a class
+    is a call of that class."""
+    def visit(node, cls):
+        for child in ast.iter_child_nodes(node):
+            visit(child, node.name if isinstance(node, ast.ClassDef)
+                  else cls)
+        if not isinstance(node, ast.Call):
+            return
+        name, args = _callee(node.func), node.args
+        if name == "attempt" and len(args) >= 2:
+            name, args = _callee(args[1]), args[2:]
+        if name == "cls" and cls:
+            name = cls
+        starred = [i for i, a in enumerate(args)
+                   if isinstance(a, ast.Starred)]
+        sites.append((name, starred[0] if starred else len(args),
+                      {k.arg for k in node.keywords if k.arg},
+                      bool(starred),
+                      any(k.arg is None for k in node.keywords)))
+    sites = []
+    visit(tree, None)
+    return sites
+
+
+def test_every_option_is_set_by_the_program():
+    trees = list(_program_trees())
+    sites = [s for t in trees for s in _call_sites(t)]
+    unset = []
+    for tree in trees[:len(MODULES)]:
+        for name, fn, skip in _callable_defs(tree):
+            params = [a.arg for a in fn.args.posonlyargs + fn.args.args]
+            options = params[len(params) - len(fn.args.defaults):] \
+                if fn.args.defaults else []
+            options += [a.arg for a, d in zip(fn.args.kwonlyargs,
+                                              fn.args.kw_defaults)
+                        if d is not None]
+            for opt in options:
+                pos = params.index(opt) - skip if opt in params else None
+                if (name, opt) in DOCUMENTED_OPTIONS or any(
+                        callee == name and (
+                            opt in kws or rest_kw
+                            or (pos is not None and 0 <= pos
+                                and (pos < npos or rest_pos)))
+                        for callee, npos, kws, rest_pos, rest_kw in sites):
+                    continue
+                unset.append("%s(%s)" % (name, opt))
+    assert unset == []

@@ -127,6 +127,29 @@ def test_fill_interval_distinct_pair():
         assert comps_agree(got, want, 3)
 
 
+@pytest.mark.parametrize("K", [1, 2, 3])
+def test_fill_binds_each_record_once(K, monkeypatch):
+    """The cylinder grows arity by arity, but the homotopy is lifted for
+    every arity before the first stage and the evaluations stay linear
+    maps: an interval fill builds the homotopy once for its stages, then
+    each face evaluation and the homotopy once on the finished cylinder,
+    whatever K."""
+    C = acyclic_pair()
+    fs = [LInftyMorphism.identity(C), sign_automorphism(C)]
+    built = []
+    real = LInftyMorphism.__init__
+
+    def spy(self, *args, **kwargs):
+        built.append(self)
+        real(self, *args, **kwargs)
+
+    monkeypatch.setattr(LInftyMorphism, "__init__", spy)
+    M = fill_n_homotopy(fs, K=K)
+    assert len(built) == 4
+    assert M.hbar.target is M.algebra
+    assert all(ev.source is M.algebra for ev in M.evals.values())
+
+
 def test_fill_requires_quasi_isos():
     C = acyclic_pair()
     zero = LInftyMorphism(C, C, {}, arity_cap=4)
@@ -182,7 +205,7 @@ def test_whitehead_identity_is_trivial():
     C = dg_lie_triple()
     ident = LInftyMorphism.identity(C)
     M = SimplexModel(C, 1, weight_cap=4)
-    cert = whitehead_inverse(ident, K=3, model=M, with_reverse=False)
+    cert = whitehead_inverse(ident, K=3, model=M)
     assert cert.g.comps == ident.comps
     assert cert.verify().ok
 
@@ -191,8 +214,7 @@ def test_whitehead_identity_nonacyclic_fallback():
     # the cylinder model needs an acyclic base; the tensor model is
     # picked automatically otherwise
     C = dg_lie_triple()
-    cert = whitehead_inverse(LInftyMorphism.identity(C), K=2,
-                             with_reverse=False)
+    cert = whitehead_inverse(LInftyMorphism.identity(C), K=2)
     assert cert.verify().ok
     assert any("tensor" in n for n in cert.notes)
 

@@ -24,8 +24,7 @@ from linfkit.koszul import (JetRing, Section, augment_extension,
                             poincare_primitive, split_label)
 from linfkit.linfty import (JetRecord, LInftyAlgebra, LInftyMorphism,
                             check_morphism, check_relations,
-                            codifferential_hat, is_quasi_iso, l1_cohomology,
-                            mapping_cone)
+                            is_quasi_iso, l1_cohomology, mapping_cone)
 from linfkit.gradedlin import (GradedSpace, cohomology, sym_words, vec_add,
                                vec_scale)
 from linfkit import koszul, linfty
@@ -89,8 +88,7 @@ def test_koszul_regular_sequence_is_exact_below_zero(monkeypatch):
     assert rep.ok
     assert rep.checked == sum(len(sym_words(K.space, k)) for k in range(3))
     assert arities.count(1) == K.space.dim and arities.count(2) == 0
-    d = codifferential_hat(K, cap=2)
-    assert d.compose(d).is_zero()
+    assert not term_oracle.codifferential_square(K, 2)
     H = koszul_cohomology(K)
     assert H[-2] == 0 and H[-1] == 0
     # the zero locus is the origin: one function survives
