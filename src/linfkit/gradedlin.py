@@ -287,34 +287,37 @@ def solve_canonical(rows, rhs, ncols):
     return solve_sparse([_sparse(r) for r in rows], rhs, ncols)
 
 
-def _reached(rows, rhs):
+def reached(rows, rhs):
     """The indices of the rows whose connected component, in the graph
     joining each row to the columns of its nonzero entries, holds a
     nonzero right-hand side, found by a walk from those rows.  An empty
     row with a nonzero right-hand side is a component of its own.  The
-    column index is freed on return, before the elimination allocates."""
+    column index is freed on return, before the elimination allocates.
+    The columns may be classes of unknowns: with one pseudo-row per
+    group of rows, over the classes they touch, the walk finds every
+    group a nonzero right-hand side reaches (linfty.solve_map_stage)."""
     users = {}
     for i, row in enumerate(rows):
         for j, c in row.items():
             if c:
                 users.setdefault(j, []).append(i)
     todo = [i for i, b in enumerate(rhs) if b]
-    reached, cols = set(todo), set()
+    hit, cols = set(todo), set()
     while todo:
         for j, c in rows[todo.pop()].items():
             if c and j not in cols:
                 cols.add(j)
                 for i in users[j]:
-                    if i not in reached:
-                        reached.add(i)
+                    if i not in hit:
+                        hit.add(i)
                         todo.append(i)
-    return reached
+    return hit
 
 
 def solve_sparse(rows, rhs, ncols):
     """Sparse variant of solve_canonical.  rows is a list of dicts
     {column index: int or Fraction}.  Only the rows whose component
-    holds a nonzero right-hand side are inserted (see _reached),
+    holds a nonzero right-hand side are inserted (see reached),
     shortest first (Markowitz's rule for limiting fill-in), ties in
     their given order.  The reduced echelon form depends only on the
     row space and the column order, so the order changes the cost and
@@ -325,9 +328,11 @@ def solve_sparse(rows, rhs, ncols):
     reduced rows and canonical solution split block by block, since
     whether a column is a pivot depends only on the columns of its own
     block before it.  A block with a zero right-hand side is consistent
-    and solved by 0, so leaving its rows out changes no answer."""
+    and solved by 0, so leaving its rows out changes no answer, also
+    when a caller leaves out, unbuilt, the rows of unreached classes of
+    unknowns: the reached rows and their order stay the same."""
     ech = Echelon()
-    for i in sorted(_reached(rows, rhs), key=lambda i: (len(rows[i]), i)):
+    for i in sorted(reached(rows, rhs), key=lambda i: (len(rows[i]), i)):
         ech.insert({**rows[i], ncols: rhs[i]})
     x = ech.solution(ncols)
     return None if x is None else _dense(x, ncols)
@@ -347,7 +352,9 @@ class LinearSystem:
     solve eliminates only the components of the row-column graph that
     hold a nonzero right-hand side; the rest is solved by 0 (see
     solve_sparse).  The shuffle only renames columns, so it keeps the
-    components and the same holds at every tie-break."""
+    components and the same holds at every tie-break, also when the
+    rows of unreached classes of unknowns are never written, as long as
+    every unknown is registered (linfty.solve_map_stage)."""
 
     def __init__(self, tie_break=0):
         self.unknowns = []

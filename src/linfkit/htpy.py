@@ -40,7 +40,8 @@ from .linfty import (CheckReport, LInftyAlgebra, LInftyMorphism, add_rows,
                      delta1_rows, direct_sum, fold_report,
                      insertion_sum, is_quasi_iso, l1_map, map_unknowns,
                      obstruction_cocycle, partition_sum, post_rows, pre_rows,
-                     solution_table, split_sum_label, sum_label, with_arity)
+                     solution_table, solve_map_stage, split_sum_label,
+                     sum_label, with_arity)
 from .simplexmodel import (Homotopy, SimplexModel, simplex_faces,
                            vertex_boundary)
 
@@ -301,15 +302,11 @@ def fill_n_homotopy(fs, K=2, tie_break=0):
     # kernel complex, A of degree -1
     kspace = GradedSpace([(k, kvecs[k][1]) for k in korder])
     kcx = chain_complex(kspace, GradedMap(kspace, kspace, 1, d_ker))
-    sysA = LinearSystem(tie_break)
-    map_unknowns(sysA, kcx, kcx, 1, "A", shift=-1)
-    add_rows(sysA, delta1_rows(kcx, kcx, 1, -1, "A"),
-             {(k,): {k: 1} for k in korder})
-    Asol = sysA.solve()
-    if Asol is None:
+    Amap = solve_map_stage(kcx, kcx, 1, "A", -1,
+                           {(k,): {k: 1} for k in korder}, (), (), tie_break)
+    if Amap is None:
         raise FillError("no contracting extension on the boundary kernel "
                         "(the kernel complex is not acyclic)")
-    Amap = solution_table(Asol, "A")
 
     # --- evaluations, kept as linear maps {cylinder label: element}
     # while the cylinder grows
@@ -386,24 +383,19 @@ def _solve_cylinder_operation(cyl, m, faces, face_alg, ev_maps, incl, hbar,
     read.  Returns the algebra with the new operation installed."""
     space = cyl.space
     words = sym_words(space, m)
-    sys = LinearSystem(tie_break)
-    map_unknowns(sys, cyl, cyl, m, "l", shift=1)
 
     # (a) quadratic relation: delta1(l_m) = -(terms with 2 <= i <= m-1)
     arities = cyl.support
     rhs_rel = {w: insertion_sum(cyl, w, cyl.ops, arities, 2, m - 1,
                                  scale=-1)
                for w in words}
-    add_rows(sys, delta1_rows(cyl, cyl, m, 1, "l"), rhs_rel)
 
     # (b) evaluation compatibility with each face model: ev1 . l_m =
     # l_m of the face on the images of ev1
-    for J in faces:
-        ev1 = ev_maps[J]
-        tgt = face_alg[J]
-        add_rows(sys, post_rows(cyl, tgt, m, "l", ev1, shift=1),
-                 {w: tgt.op_elems(m, [ev1.get(a, {}) for a in w])
-                  for w in words})
+    posts = [(face_alg[J], ev_maps[J],
+              {w: face_alg[J].op_elems(m, [ev_maps[J].get(a, {})
+                                           for a in w])
+               for w in words}) for J in faces]
 
     # (c) the homotopy morphism relation at arity m: l_m on the linear
     # parts equals the known terms
@@ -412,20 +404,18 @@ def _solve_cylinder_operation(cyl, m, faces, face_alg, ev_maps, incl, hbar,
     for v in sym_words(C0.space, m):
         rhs[v] = insertion_sum(C0, v, hbar.comps, hbar.support, 1, m)
         partition_sum(hbar, v, cyl.op_elems, below, rhs[v], -1)
-    add_rows(sys, pre_rows(C0, cyl, cyl, m, "l", hbar.f1_map().images,
-                           shift=1), rhs)
 
     # (d) the inclusion of constants stays a strict morphism
-    add_rows(sys, pre_rows(C, cyl, cyl, m, "l", incl.images, shift=1),
-             {w: incl.apply(C.op_word(m, w)) for w in sym_words(C.space, m)})
+    pres = [(C0, hbar.f1_map().images, rhs),
+            (C, incl.images, {w: incl.apply(C.op_word(m, w))
+                              for w in sym_words(C.space, m)})]
 
-    sol = sys.solve()
-    if sol is None:
+    table = solve_map_stage(cyl, cyl, m, "l", 1, rhs_rel, posts, pres,
+                            tie_break)
+    if table is None:
         raise FillError("no arity-%d cylinder operation satisfies the "
                         "relation and compatibility constraints" % m)
-    return LInftyAlgebra(space, with_arity(cyl.ops, m,
-                                           solution_table(sol, "l")),
-                         arity_cap=K)
+    return LInftyAlgebra(space, with_arity(cyl.ops, m, table), arity_cap=K)
 
 
 # ---------------------------------------------------------------------------
@@ -442,11 +432,11 @@ def chain_inverse(f, tie_break=0):
     map_unknowns(sys, C2, C1, 1, "g")
     map_unknowns(sys, C1, C1, 1, "h", shift=-1)
     # chain map: delta1(g) = 0
-    add_rows(sys, delta1_rows(C2, C1, 1, 0, "g"), {})
+    add_rows(sys, delta1_rows(C2, C1, sym_words(C2.space, 1), 0, "g"), {})
     # homotopy: g f1 - delta1(h) = id
     add_rows(sys, _row_difference(
         pre_rows(C1, C2, C1, 1, "g", f.f1_map().images),
-        delta1_rows(C1, C1, 1, -1, "h")),
+        delta1_rows(C1, C1, sym_words(C1.space, 1), -1, "h")),
         {(x,): {x: 1} for x in C1.space.labels})
     sol = sys.solve()
     if sol is None:
@@ -538,8 +528,9 @@ def whitehead_inverse(f, K=3, model=None, tie_break=0):
     ev1_cols = model.eval_vertex(1).f1_map().images
     sys = LinearSystem()
     map_unknowns(sys, C1, M, 1, "hpp", shift=-1)
-    add_rows(sys, post_rows(C1, C1, 1, "hpp", ev0_cols, shift=-1), {})
-    add_rows(sys, post_rows(C1, C1, 1, "hpp", ev1_cols, shift=-1),
+    letters = sym_words(C1.space, 1)
+    add_rows(sys, post_rows(C1, C1, letters, "hpp", ev0_cols, shift=-1), {})
+    add_rows(sys, post_rows(C1, C1, letters, "hpp", ev1_cols, shift=-1),
              {(x,): v for x, v in hprime.items()})
     sol = sys.solve()
     if sol is None:
@@ -564,18 +555,19 @@ def whitehead_inverse(f, K=3, model=None, tie_break=0):
         sys = LinearSystem(tie_break)
         map_unknowns(sys, C2, C1, m, "g")
         map_unknowns(sys, C1, M, m, "h")
-        add_rows(sys, delta1_rows(C2, C1, m, 0, "g"),
+        words = sym_words(C1.space, m)
+        add_rows(sys, delta1_rows(C2, C1, sym_words(C2.space, m), 0, "g"),
                  obstruction_cocycle(g, m - 1))
-        add_rows(sys, delta1_rows(C1, M, m, 0, "h"),
+        add_rows(sys, delta1_rows(C1, M, words, 0, "h"),
                  obstruction_cocycle(h, m - 1))
         # endpoint 0: ev0 h_m = 0; endpoint 1: ev1 h_m - g_m f1^m equals
         # the known terms of (g f)_m
-        add_rows(sys, post_rows(C1, C1, m, "h", ev0_cols), {})
+        add_rows(sys, post_rows(C1, C1, words, "h", ev0_cols), {})
         lower = g.support & frozenset(range(1, m))
-        add_rows(sys, _row_difference(post_rows(C1, C1, m, "h", ev1_cols),
+        add_rows(sys, _row_difference(post_rows(C1, C1, words, "h", ev1_cols),
                                       pre_rows(C1, C2, C1, m, "g", f1)),
                  {w: partition_sum(f, w, g.comp_elems, lower)
-                  for w in sym_words(C1.space, m)})
+                  for w in words})
         sol = sys.solve()
         if sol is None:
             raise FillError("inversion blocked at arity %d" % m)
@@ -617,23 +609,21 @@ def model_morphism_over(f, model1, model2, K=2, tie_break=0):
     evs2 = {j: M2.eval_vertex(j).f1_map().images for j in (0, 1)}
     F = None
     for m in range(1, K + 1):
-        sys = LinearSystem(tie_break)
-        map_unknowns(sys, A1, A2, m, "F")
+        words = sym_words(A1.space, m)
         O = obstruction_cocycle(F, m - 1) if m >= 2 else {}
-        add_rows(sys, delta1_rows(A1, A2, m, 0, "F"), O)
         # vertex evaluation compatibility: ev_j F_m = f_m ev_j^{x m}
-        for j in (0, 1):
-            add_rows(sys, post_rows(A1, f.target, m, "F", evs2[j]),
-                     {w: f.comp_elems(m, [evs1[j].get(a, {}) for a in w])
-                      for w in sym_words(A1.space, m)})
+        posts = [(f.target, evs2[j],
+                  {w: f.comp_elems(m, [evs1[j].get(a, {}) for a in w])
+                   for w in words}) for j in (0, 1)]
         # inclusion compatibility: F_m (incl1)^{x m} = incl2 f_m
-        add_rows(sys, pre_rows(f.source, A1, A2, m, "F", M1.incl.images),
+        pres = [(f.source, M1.incl.images,
                  {w: M2.incl.apply(f.comp_word(m, w))
-                  for w in sym_words(f.source.space, m)})
-        sol = sys.solve()
-        if sol is None:
+                  for w in sym_words(f.source.space, m)})]
+        table = solve_map_stage(A1, A2, m, "F", 0, O, posts, pres,
+                                tie_break)
+        if table is None:
             raise FillError("no model morphism component at arity %d" % m)
         F = LInftyMorphism(A1, A2, with_arity({} if F is None else F.comps,
-                                              m, solution_table(sol, "F")),
+                                              m, table),
                            arity_cap=K)
     return F

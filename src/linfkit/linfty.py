@@ -23,7 +23,7 @@ from typing import NamedTuple
 
 from .gradedlin import (CohomologyError, GradedMap, GradedSpace,
                         LinearSystem, acc_term, canonical_word, cohomology,
-                        koszul_sign, sym_words, unshuffles, vec_acc,
+                        koszul_sign, reached, sym_words, unshuffles, vec_acc,
                         word_degree, words_within, scalar_to_str,
                         scalar_from_str, expect, exact)
 
@@ -727,17 +727,18 @@ def is_quasi_iso(f: LInftyMorphism):
 # obstruction theory
 
 
-def delta1_rows(A, B, m, shift=0, tag=None):
+def delta1_rows(A, B, words, shift=0, tag=None):
     """The Hochschild differential on maps u: S^m A -> B of degree shift,
         delta1(u) = l'_1 . u + (-1)^(shift + 1) u . hat l_1,
-    as rows (word, label, {(tag, word', label'): coeff}): one per
-    canonical arity-m word of A and label of B in the degree of
-    delta1(u)(word), empty rows included.  Row keys name the unknown
-    coefficient u(word')_label'.  The rows are yielded word by word, so
-    a caller that writes them into a system never holds them all."""
+    as rows (word, label, {(tag, word', label'): coeff}): one per word
+    of words (canonical arity-m words of A, sym_words(A.space, m) for
+    all of them) and label of B in the degree of delta1(u)(word), empty
+    rows included.  Row keys name the unknown coefficient
+    u(word')_label'.  The rows are yielded word by word, so a caller
+    that writes them into a system never holds them all."""
     tail = 1 if shift % 2 else -1
     l1_cols = {}
-    for w in sym_words(A.space, m):
+    for w in words:
         d = word_degree(A.space, w) + shift
         rows = {b2: {} for b2 in B.space.basis_in_degree(d + 1)}
         if d not in l1_cols:
@@ -746,7 +747,7 @@ def delta1_rows(A, B, m, shift=0, tag=None):
         for b, img in l1_cols[d]:
             for b2, c in img.items():
                 rows[b2][(tag, w, b)] = c
-        for cw, c in insertion_sum(A, w, None, range(1, m + 1), 1, 1,
+        for cw, c in insertion_sum(A, w, None, (len(w),), 1, 1,
                                    scale=tail).items():
             for b in B.space.basis_in_degree(d + 1):
                 rows[b][(tag, cw, b)] = c
@@ -759,7 +760,7 @@ def delta1(A, B, g, m, shift=0):
     only.  g: {canonical word: element} of degree shift, missing words
     zero."""
     out = {}
-    for w, b2, row in delta1_rows(A, B, m, shift):
+    for w, b2, row in delta1_rows(A, B, sym_words(A.space, m), shift):
         c = sum(x * g[cw][b] for (_, cw, b), x in row.items()
                 if b in g.get(cw, ()))
         if c:
@@ -775,18 +776,18 @@ def map_unknowns(sys, A, B, m, tag, shift=0):
             sys.var((tag, w, b))
 
 
-def post_rows(A, C, m, tag, psi, shift=0):
+def post_rows(A, C, words, tag, psi, shift=0):
     """psi . u for an unknown u: S^m A -> B of degree shift and a known
     degree-0 linear map psi: B -> C given by its images {label of B:
-    {label of C: coeff}}, as rows like delta1_rows: one per canonical
-    arity-m word of A and label of C in degree |word| + shift, empty
-    rows included, yielded.  psi is transposed once, so each row holds
-    only its nonzero entries."""
+    {label of C: coeff}}, as rows like delta1_rows: one per word of
+    words and label of C in degree |word| + shift, empty rows
+    included, yielded.  psi is transposed once, so each row holds only
+    its nonzero entries."""
     into = {}
     for t, img in psi.items():
         for y, c in img.items():
             into.setdefault(y, {})[t] = c
-    for w in sym_words(A.space, m):
+    for w in words:
         for y in C.space.basis_in_degree(word_degree(A.space, w) + shift):
             yield w, y, {(tag, w, t): c for t, c in into.get(y, {}).items()}
 
@@ -873,15 +874,76 @@ def obstruction_class(f: LInftyMorphism, K) -> ObstructionClass:
     return ObstructionClass(K, O, residual, sol)
 
 
+def l1_classes(A):
+    """{label: the first label of its class}, the classes being the
+    components of the graph joining each generator of A to the letters
+    of its l_1."""
+    links = {a: [] for a in A.space.labels}
+    for (a,), out in A.ops.get(1, {}).items():
+        for x in out:
+            links[a].append(x)
+            links[x].append(a)
+    root = {}
+    for a in A.space.labels:
+        todo = [] if a in root else [a]
+        root.setdefault(a, a)
+        while todo:
+            for x in links[todo.pop()]:
+                if x not in root:
+                    root[x] = a
+                    todo.append(x)
+    return root
+
+
+def solve_map_stage(A, B, m, tag, shift, rel_rhs, posts, pres, tie_break):
+    """Solve for u: S^m A -> B of degree shift under delta1(u) =
+    rel_rhs, psi . u = rhs for each (C, psi, rhs) in posts and
+    u . phi^{x m} = rhs for each (D, phi, rhs) in pres (psi: B -> C and
+    phi: D -> A of degree 0 by their images, each rhs {word: element}).
+    Returns u as {word: element}, the canonical solution at tie_break
+    (see LinearSystem), or None when the system is inconsistent.
+
+    Only the rows a nonzero right-hand side reaches are built.  A word
+    is keyed by the sorted l1 classes of its letters (l1_classes).  A
+    post row stays on one word and a delta1 tail term swaps a letter
+    for one of its l1 image, so only pre rows join keys: they are built
+    first, and reached walks one pseudo-row per word and one per pre
+    row from the nonzero right-hand sides.  The rows left out lie in
+    components solve_sparse would drop, the rest keep their order and
+    every unknown is registered, so the answer is the full system's.
+
+    The two-map stages of whitehead_inverse stay outside: their two
+    unknown maps live on different spaces, and they write only 204 rows
+    per homotopy-fill pass."""
+    words = sym_words(A.space, m)
+    sys = LinearSystem(tie_break)
+    map_unknowns(sys, A, B, m, tag, shift)
+    pre = [(row, rhs.get(v, {}).get(t, 0)) for D, phi, rhs in pres
+           for v, t, row in pre_rows(D, A, B, m, tag, phi, shift)]
+    cls = l1_classes(A)
+    key = {w: tuple(sorted(cls[a] for a in w)) for w in words}
+    seed = [any(rel_rhs.get(w, {}).values())
+            or any(any(rhs.get(w, {}).values()) for _, _, rhs in posts)
+            for w in words]
+    hit = reached([{key[w]: 1} for w in words]
+                  + [{key[cw]: 1 for (_, cw, _), c in row.items() if c}
+                     for row, _ in pre],
+                  seed + [b for _, b in pre])
+    live = [w for i, w in enumerate(words) if i in hit]
+    add_rows(sys, delta1_rows(A, B, live, shift, tag), rel_rhs)
+    for C, psi, rhs in posts:
+        add_rows(sys, post_rows(A, C, live, tag, psi, shift), rhs)
+    for row, b in pre:
+        sys.equation(row, b)
+    sol = sys.solve()
+    return None if sol is None else solution_table(sol, tag)
+
+
 def solve_delta1(A, B, rhs, m):
     """Solve delta1(g) = rhs for a degree-0 map g on S^m words.
     Returns {word: element} (canonical reduced-echelon solution) or
     None."""
-    sys = LinearSystem()
-    map_unknowns(sys, A, B, m, "g")
-    add_rows(sys, delta1_rows(A, B, m, 0, "g"), rhs)
-    sol = sys.solve()
-    return None if sol is None else solution_table(sol, "g")
+    return solve_map_stage(A, B, m, "g", 0, rhs, (), (), 0)
 
 
 def extend_morphism(f: LInftyMorphism, K):

@@ -22,8 +22,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from linfkit import htpy
-from linfkit.gradedlin import GradedSpace, LinearSystem, word_degree
+from linfkit import htpy, linfty
+from linfkit.gradedlin import (GradedSpace, LinearSystem, sym_words,
+                               word_degree)
 from linfkit.htpy import FillError, chain_inverse, fill_n_homotopy
 from linfkit.linfty import (LInftyAlgebra, LInftyMorphism, delta1_rows,
                             post_rows, pre_rows)
@@ -88,7 +89,8 @@ def unknown_keys(A, B, m, tag, shift):
 def test_post_rows_give_psi_after_u(SA, SB, SC, m, shift, data):
     u = draw_map(data.draw, SA, SB, m, shift)
     psi = draw_linear(data.draw, SB, SC)
-    rows = list(post_rows(abelian(SA), abelian(SC), m, "u", psi, shift))
+    rows = list(post_rows(abelian(SA), abelian(SC), sym_words(SA, m), "u",
+                          psi, shift))
     assert [(w, y) for w, y, _ in rows] == pairs(SA, SC, m, shift)
     keys = set(unknown_keys(SA, SB, m, "u", shift))
     for w, y, row in rows:
@@ -123,7 +125,7 @@ def test_delta1_rows_give_delta1(SA, SB, m, shift, data):
     A = LInftyAlgebra(SA, {1: draw_map(data.draw, SA, SA, 1, 1)})
     B = LInftyAlgebra(SB, {1: draw_map(data.draw, SB, SB, 1, 1)})
     u = draw_map(data.draw, SA, SB, m, shift)
-    rows = list(delta1_rows(A, B, m, shift, "u"))
+    rows = list(delta1_rows(A, B, sym_words(SA, m), shift, "u"))
     assert [(w, b) for w, b, _ in rows] == pairs(SA, SB, m, shift + 1)
     want = term_oracle.delta1(A, B, u, m, shift)
     for w, b, row in rows:
@@ -135,8 +137,9 @@ def test_delta1_rows_give_delta1(SA, SB, m, shift, data):
 
 
 def recorded(call, *args):
-    """Every LinearSystem the call makes in htpy; a FillError of the
-    call is swallowed, since its system is built before it solves."""
+    """Every LinearSystem the call makes in htpy and linfty (the stage
+    solver); a FillError of the call is swallowed, since its system is
+    built before it solves."""
     made = []
 
     class Recording(LinearSystem):
@@ -146,6 +149,7 @@ def recorded(call, *args):
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(htpy, "LinearSystem", Recording)
+        mp.setattr(linfty, "LinearSystem", Recording)
         try:
             call(*args)
         except FillError:
