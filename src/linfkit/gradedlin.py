@@ -293,9 +293,9 @@ def reached(rows, rhs):
     nonzero right-hand side, found by a walk from those rows.  An empty
     row with a nonzero right-hand side is a component of its own.  The
     column index is freed on return, before the elimination allocates.
-    The columns may be classes of unknowns: with one pseudo-row per
-    group of rows, over the classes they touch, the walk finds every
-    group a nonzero right-hand side reaches (linfty.solve_map_stage)."""
+    The columns may be keys of groups of unknowns: with one pseudo-row
+    per group of rows, over the keys it touches, the walk finds every
+    group a right-hand side reaches (linfty.solve_map_stage)."""
     users = {}
     for i, row in enumerate(rows):
         for j, c in row.items():
@@ -353,8 +353,8 @@ class LinearSystem:
     hold a nonzero right-hand side; the rest is solved by 0 (see
     solve_sparse).  The shuffle only renames columns, so it keeps the
     components and the same holds at every tie-break, also when the
-    rows of unreached classes of unknowns are never written, as long as
-    every unknown is registered (linfty.solve_map_stage)."""
+    rows of unreached keys are never written, as long as every unknown
+    is registered (linfty.solve_map_stage, the one writer)."""
 
     def __init__(self, tie_break=0):
         self.unknowns = []

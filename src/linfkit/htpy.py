@@ -34,27 +34,18 @@ from fractions import Fraction
 
 from .gradedlin import (Echelon, GradedMap, GradedSpace, LinearSystem,
                         acc_term, sym_words, vec_acc, word_degree)
-from .linfty import (CheckReport, LInftyAlgebra, LInftyMorphism, add_rows,
+from .linfty import (CheckReport, LInftyAlgebra, LInftyMorphism,
                      chain_complex, check_arity_cap, check_morphism,
-                     check_relations, compose, comps_agree,
-                     delta1_rows, direct_sum, fold_report,
-                     insertion_sum, is_quasi_iso, l1_map, map_unknowns,
-                     obstruction_cocycle, partition_sum, post_rows, pre_rows,
-                     solution_table, solve_map_stage, split_sum_label,
-                     sum_label, with_arity)
+                     check_relations, compose, comps_agree, direct_sum,
+                     fold_report, insertion_sum, is_quasi_iso, l1_map,
+                     obstruction_cocycle, partition_sum, solve_map_stage,
+                     split_sum_label, sum_label, with_arity)
 from .simplexmodel import (Homotopy, SimplexModel, simplex_faces,
                            vertex_boundary)
 
 
 class FillError(RuntimeError):
     """A linear stage of a homotopy construction is unsolvable."""
-
-
-def _row_difference(rows, minus):
-    """rows - minus for two row streams (word, label, row) that name
-    the same (word, label) pairs in the same order."""
-    return ((w, b, vec_acc(dict(r), s, -1))
-            for (w, b, r), (_, _, s) in zip(rows, minus))
 
 
 def _interval(model):
@@ -302,11 +293,13 @@ def fill_n_homotopy(fs, K=2, tie_break=0):
     # kernel complex, A of degree -1
     kspace = GradedSpace([(k, kvecs[k][1]) for k in korder])
     kcx = chain_complex(kspace, GradedMap(kspace, kspace, 1, d_ker))
-    Amap = solve_map_stage(kcx, kcx, 1, "A", -1,
-                           {(k,): {k: 1} for k in korder}, (), (), tie_break)
-    if Amap is None:
+    sol = solve_map_stage(1, [("A", kcx, kcx, -1)],
+                          [([("d", "A", 1)], {(k,): {k: 1} for k in korder})],
+                          LinearSystem(tie_break))
+    if sol is None:
         raise FillError("no contracting extension on the boundary kernel "
                         "(the kernel complex is not acyclic)")
+    Amap = sol["A"]
 
     # --- evaluations, kept as linear maps {cylinder label: element}
     # while the cylinder grows
@@ -392,10 +385,10 @@ def _solve_cylinder_operation(cyl, m, faces, face_alg, ev_maps, incl, hbar,
 
     # (b) evaluation compatibility with each face model: ev1 . l_m =
     # l_m of the face on the images of ev1
-    posts = [(face_alg[J], ev_maps[J],
-              {w: face_alg[J].op_elems(m, [ev_maps[J].get(a, {})
-                                           for a in w])
-               for w in words}) for J in faces]
+    conds = [([("d", "l", 1)], rhs_rel)] + [
+        ([("post", "l", 1, face_alg[J], ev_maps[J])],
+         {w: face_alg[J].op_elems(m, [ev_maps[J].get(a, {}) for a in w])
+          for w in words}) for J in faces]
 
     # (c) the homotopy morphism relation at arity m: l_m on the linear
     # parts equals the known terms
@@ -406,16 +399,18 @@ def _solve_cylinder_operation(cyl, m, faces, face_alg, ev_maps, incl, hbar,
         partition_sum(hbar, v, cyl.op_elems, below, rhs[v], -1)
 
     # (d) the inclusion of constants stays a strict morphism
-    pres = [(C0, hbar.f1_map().images, rhs),
-            (C, incl.images, {w: incl.apply(C.op_word(m, w))
-                              for w in sym_words(C.space, m)})]
+    conds += [([("pre", "l", 1, C0, hbar.f1_map().images)], rhs),
+              ([("pre", "l", 1, C, incl.images)],
+               {w: incl.apply(C.op_word(m, w))
+                for w in sym_words(C.space, m)})]
 
-    table = solve_map_stage(cyl, cyl, m, "l", 1, rhs_rel, posts, pres,
-                            tie_break)
-    if table is None:
+    sol = solve_map_stage(m, [("l", cyl, cyl, 1)], conds,
+                          LinearSystem(tie_break))
+    if sol is None:
         raise FillError("no arity-%d cylinder operation satisfies the "
                         "relation and compatibility constraints" % m)
-    return LInftyAlgebra(space, with_arity(cyl.ops, m, table), arity_cap=K)
+    return LInftyAlgebra(space, with_arity(cyl.ops, m, sol["l"]),
+                         arity_cap=K)
 
 
 # ---------------------------------------------------------------------------
@@ -425,25 +420,18 @@ def _solve_cylinder_operation(cyl, m, faces, face_alg, ev_maps, incl, hbar,
 def chain_inverse(f, tie_break=0):
     """A chain-level inverse of a quasi-isomorphism over the rationals:
     (g1, hprime) with g1 a chain map and g1 f1 - id = d hprime +
-    hprime d.  Canonical exact solve (see LinearSystem for the
-    tie-break)."""
+    hprime d.  One canonical two-map stage of solve_map_stage (see
+    LinearSystem for the tie-break)."""
     C1, C2 = f.source, f.target
-    sys = LinearSystem(tie_break)
-    map_unknowns(sys, C2, C1, 1, "g")
-    map_unknowns(sys, C1, C1, 1, "h", shift=-1)
-    # chain map: delta1(g) = 0
-    add_rows(sys, delta1_rows(C2, C1, sym_words(C2.space, 1), 0, "g"), {})
-    # homotopy: g f1 - delta1(h) = id
-    add_rows(sys, _row_difference(
-        pre_rows(C1, C2, C1, 1, "g", f.f1_map().images),
-        delta1_rows(C1, C1, sym_words(C1.space, 1), -1, "h")),
-        {(x,): {x: 1} for x in C1.space.labels})
-    sol = sys.solve()
+    # chain map: delta1(g) = 0; homotopy: g f1 - delta1(h) = id
+    sol = solve_map_stage(1, [("g", C2, C1, 0), ("h", C1, C1, -1)], [
+        ([("d", "g", 1)], {}),
+        ([("pre", "g", 1, C1, f.f1_map().images), ("d", "h", -1)],
+         {(x,): {x: 1} for x in C1.space.labels})], LinearSystem(tie_break))
     if sol is None:
         raise FillError("no chain-level inverse (is the map a "
                         "quasi-isomorphism?)")
-    return tuple({a: v for (a,), v in solution_table(sol, tag).items()}
-                 for tag in ("g", "h"))
+    return tuple({a: v for (a,), v in sol[tag].items()} for tag in "gh")
 
 
 class WhiteheadCertificate:
@@ -494,10 +482,10 @@ def whitehead_inverse(f, K=3, model=None, tie_break=0):
     (which exists when the source is acyclic); pass any model with
     n = 1 otherwise.  When the target admits the cylinder, a filling
     homotopy from f . g to the identity is attached.
-    tie_break: seed of the free-variable choice in every LinearSystem
-    and both cylinder fills (see LinearSystem); 0 is the canonical one.
-    The lift of the chain homotopy into the model is one canonical
-    solve at every seed; it is block-diagonal by generator.
+    tie_break: seed of the free-variable choice in chain_inverse, each
+    arity-m stage and both cylinder fills (see LinearSystem); 0 is the
+    canonical one.  The lift of the chain homotopy into the model is
+    solved at tie-break 0 at every seed, block-diagonal by generator.
     """
     check_arity_cap(K)
     C1, C2 = f.source, f.target
@@ -526,17 +514,14 @@ def whitehead_inverse(f, K=3, model=None, tie_break=0):
     # lift the chain homotopy into the model: ev0 hpp = 0, ev1 hpp = h'
     ev0_cols = model.eval_vertex(0).f1_map().images
     ev1_cols = model.eval_vertex(1).f1_map().images
-    sys = LinearSystem()
-    map_unknowns(sys, C1, M, 1, "hpp", shift=-1)
-    letters = sym_words(C1.space, 1)
-    add_rows(sys, post_rows(C1, C1, letters, "hpp", ev0_cols, shift=-1), {})
-    add_rows(sys, post_rows(C1, C1, letters, "hpp", ev1_cols, shift=-1),
-             {(x,): v for x, v in hprime.items()})
-    sol = sys.solve()
+    sol = solve_map_stage(1, [("hpp", C1, M, -1)], [
+        ([("post", "hpp", 1, C1, ev0_cols)], {}),
+        ([("post", "hpp", 1, C1, ev1_cols)],
+         {(x,): v for x, v in hprime.items()})], LinearSystem())
     if sol is None:
         raise FillError("cannot lift the chain homotopy into the "
                         "model (joint evaluation not surjective)")
-    hpp = {x: v for (x,), v in solution_table(sol, "hpp").items()}
+    hpp = {x: v for (x,), v in sol["hpp"].items()}
     incl1 = model.incl.images
     h1 = {}
     for x in C1.space.labels:
@@ -552,30 +537,21 @@ def whitehead_inverse(f, K=3, model=None, tie_break=0):
 
     f1 = f.f1_map().images
     for m in range(2, K + 1):
-        sys = LinearSystem(tie_break)
-        map_unknowns(sys, C2, C1, m, "g")
-        map_unknowns(sys, C1, M, m, "h")
-        words = sym_words(C1.space, m)
-        add_rows(sys, delta1_rows(C2, C1, sym_words(C2.space, m), 0, "g"),
-                 obstruction_cocycle(g, m - 1))
-        add_rows(sys, delta1_rows(C1, M, words, 0, "h"),
-                 obstruction_cocycle(h, m - 1))
+        lower = g.support & frozenset(range(1, m))
         # endpoint 0: ev0 h_m = 0; endpoint 1: ev1 h_m - g_m f1^m equals
         # the known terms of (g f)_m
-        add_rows(sys, post_rows(C1, C1, words, "h", ev0_cols), {})
-        lower = g.support & frozenset(range(1, m))
-        add_rows(sys, _row_difference(post_rows(C1, C1, words, "h", ev1_cols),
-                                      pre_rows(C1, C2, C1, m, "g", f1)),
-                 {w: partition_sum(f, w, g.comp_elems, lower)
-                  for w in words})
-        sol = sys.solve()
+        sol = solve_map_stage(m, [("g", C2, C1, 0), ("h", C1, M, 0)], [
+            ([("d", "g", 1)], obstruction_cocycle(g, m - 1)),
+            ([("d", "h", 1)], obstruction_cocycle(h, m - 1)),
+            ([("post", "h", 1, C1, ev0_cols)], {}),
+            ([("post", "h", 1, C1, ev1_cols), ("pre", "g", -1, C1, f1)],
+             {w: partition_sum(f, w, g.comp_elems, lower)
+              for w in sym_words(C1.space, m)})], LinearSystem(tie_break))
         if sol is None:
             raise FillError("inversion blocked at arity %d" % m)
-        g = LInftyMorphism(C2, C1, with_arity(g.comps, m,
-                                              solution_table(sol, "g")),
+        g = LInftyMorphism(C2, C1, with_arity(g.comps, m, sol["g"]),
                            arity_cap=K)
-        h = LInftyMorphism(C1, M, with_arity(h.comps, m,
-                                             solution_table(sol, "h")),
+        h = LInftyMorphism(C1, M, with_arity(h.comps, m, sol["h"]),
                            arity_cap=K)
 
     reverse = None
@@ -612,18 +588,19 @@ def model_morphism_over(f, model1, model2, K=2, tie_break=0):
         words = sym_words(A1.space, m)
         O = obstruction_cocycle(F, m - 1) if m >= 2 else {}
         # vertex evaluation compatibility: ev_j F_m = f_m ev_j^{x m}
-        posts = [(f.target, evs2[j],
-                  {w: f.comp_elems(m, [evs1[j].get(a, {}) for a in w])
-                   for w in words}) for j in (0, 1)]
+        conds = [([("d", "F", 1)], O)] + [
+            ([("post", "F", 1, f.target, evs2[j])],
+             {w: f.comp_elems(m, [evs1[j].get(a, {}) for a in w])
+              for w in words}) for j in (0, 1)]
         # inclusion compatibility: F_m (incl1)^{x m} = incl2 f_m
-        pres = [(f.source, M1.incl.images,
-                 {w: M2.incl.apply(f.comp_word(m, w))
-                  for w in sym_words(f.source.space, m)})]
-        table = solve_map_stage(A1, A2, m, "F", 0, O, posts, pres,
-                                tie_break)
-        if table is None:
+        conds.append(([("pre", "F", 1, f.source, M1.incl.images)],
+                      {w: M2.incl.apply(f.comp_word(m, w))
+                       for w in sym_words(f.source.space, m)}))
+        sol = solve_map_stage(m, [("F", A1, A2, 0)], conds,
+                              LinearSystem(tie_break))
+        if sol is None:
             raise FillError("no model morphism component at arity %d" % m)
         F = LInftyMorphism(A1, A2, with_arity({} if F is None else F.comps,
-                                              m, table),
+                                              m, sol["F"]),
                            arity_cap=K)
     return F

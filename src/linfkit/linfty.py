@@ -803,23 +803,6 @@ def pre_rows(D, A, B, m, tag, phi, shift=0):
             yield v, t, {(tag, cw, t): c for cw, c in expanded.items()}
 
 
-def add_rows(sys, rows, rhs):
-    """Write rows (word, label, row) into a LinearSystem as the
-    equations row = rhs[word][label]; rhs: {word: element}, missing
-    entries zero."""
-    for w, b, row in rows:
-        sys.equation(row, rhs.get(w, {}).get(b, 0))
-
-
-def solution_table(sol, tag):
-    """The map registered under tag in a solution, as {word: element}."""
-    table = {}
-    for key, c in sol.items():
-        if key[0] == tag:
-            table.setdefault(key[1], {})[key[2]] = c
-    return table
-
-
 class ObstructionClass:
     """The degree-1 cochain obstructing extension of an arity-K
     morphism to arity K+1, its closedness and its exactness data."""
@@ -895,55 +878,88 @@ def l1_classes(A):
     return root
 
 
-def solve_map_stage(A, B, m, tag, shift, rel_rhs, posts, pres, tie_break):
-    """Solve for u: S^m A -> B of degree shift under delta1(u) =
-    rel_rhs, psi . u = rhs for each (C, psi, rhs) in posts and
-    u . phi^{x m} = rhs for each (D, phi, rhs) in pres (psi: B -> C and
-    phi: D -> A of degree 0 by their images, each rhs {word: element}).
-    Returns u as {word: element}, the canonical solution at tie_break
-    (see LinearSystem), or None when the system is inconsistent.
+def solve_map_stage(m, maps, conds, sys):
+    """Solve for unknown maps u: S^m A -> B of degree shift, given as
+    (tag, A, B, shift) and registered in that order, under conditions
+    (terms, rhs): the sum of the terms equals rhs, {word: element}.  A
+    term is ("d", tag, c) for c delta1(u), ("post", tag, c, C, psi) for
+    c psi . u or ("pre", tag, c, D, phi) for c u . phi^{x m}, with c =
+    1 or -1, and psi: B -> C and phi: D -> A of degree 0 by their
+    images.  sys: the empty LinearSystem to write, whose tie_break
+    picks the canonical solution.  Returns {tag: u as {word: element}},
+    or None when the system is inconsistent.
 
-    Only the rows a nonzero right-hand side reaches are built.  A word
-    is keyed by the sorted l1 classes of its letters (l1_classes).  A
-    post row stays on one word and a delta1 tail term swaps a letter
-    for one of its l1 image, so only pre rows join keys: they are built
-    first, and reached walks one pseudo-row per word and one per pre
-    row from the nonzero right-hand sides.  The rows left out lie in
-    components solve_sparse would drop, the rest keep their order and
-    every unknown is registered, so the answer is the full system's.
+    Only the rows a nonzero right-hand side reaches are built.  The
+    unknowns of a word are keyed by the tag and the sorted l1 classes
+    of its letters (l1_classes).  A post row stays on one word and a
+    delta1 tail term swaps a letter for one of its l1 image, so a
+    condition of one delta1 or post term joins no keys.  Every other
+    condition is summed over (word, label), built first and written
+    last; reached walks its rows and one pseudo-row per word where a
+    one-term condition has a nonzero right-hand side, and one-term rows
+    are built only for the words of reached keys.  The rows left out
+    lie in components solve_sparse would drop, the rest keep their
+    order and every unknown is registered, so the answer is the full
+    system's."""
+    spec, key = {}, {}
+    for tag, A, B, shift in maps:
+        map_unknowns(sys, A, B, m, tag, shift)
+        cls = l1_classes(A)
+        spec[tag] = A, B, shift
+        key[tag] = {w: (tag, tuple(sorted(cls[a] for a in w)))
+                    for w in sym_words(A.space, m)}
 
-    The two-map stages of whitehead_inverse stay outside: their two
-    unknown maps live on different spaces, and they write only 204 rows
-    per homotopy-fill pass."""
-    words = sym_words(A.space, m)
-    sys = LinearSystem(tie_break)
-    map_unknowns(sys, A, B, m, tag, shift)
-    pre = [(row, rhs.get(v, {}).get(t, 0)) for D, phi, rhs in pres
-           for v, t, row in pre_rows(D, A, B, m, tag, phi, shift)]
-    cls = l1_classes(A)
-    key = {w: tuple(sorted(cls[a] for a in w)) for w in words}
-    seed = [any(rel_rhs.get(w, {}).values())
-            or any(any(rhs.get(w, {}).values()) for _, _, rhs in posts)
-            for w in words]
-    hit = reached([{key[w]: 1} for w in words]
-                  + [{key[cw]: 1 for (_, cw, _), c in row.items() if c}
-                     for row, _ in pre],
-                  seed + [b for _, b in pre])
-    live = [w for i, w in enumerate(words) if i in hit]
-    add_rows(sys, delta1_rows(A, B, live, shift, tag), rel_rhs)
-    for C, psi, rhs in posts:
-        add_rows(sys, post_rows(A, C, live, tag, psi, shift), rhs)
-    for row, b in pre:
-        sys.equation(row, b)
+    def rows(term, words):
+        kind, tag, c, *known = term
+        A, B, shift = spec[tag]
+        if kind == "d":
+            out = delta1_rows(A, B, words, shift, tag)
+        elif kind == "post":
+            out = post_rows(A, known[0], words, tag, known[1], shift)
+        else:
+            out = pre_rows(known[0], A, B, m, tag, known[1], shift)
+        return out if c == 1 else ((w, b, vec_acc({}, r, c))
+                                   for w, b, r in out)
+
+    lazy, joined = [], []
+    for terms, rhs in conds:
+        if len(terms) == 1 and terms[0][0] != "pre":
+            lazy.append((terms[0], rhs))
+            continue
+        summed = {}
+        for term in terms:
+            for w, b, r in rows(term, key[term[1]]):
+                vec_acc(summed.setdefault((w, b), {}), r)
+        joined += [(r, rhs.get(w, {}).get(b, 0))
+                   for (w, b), r in summed.items()]
+    seeds = [{k: 1} for (_, tag, *_), rhs in lazy
+             for w, k in key[tag].items() if any(rhs.get(w, {}).values())]
+    pseudo = seeds + [{key[t][cw]: 1 for (t, cw, _), c in r.items() if c}
+                      for r, _ in joined]
+    hit = reached(pseudo, [1] * len(seeds) + [b for _, b in joined])
+    live = {k for i in hit for k in pseudo[i]}
+    for term, rhs in lazy:
+        for w, b, r in rows(term, [w for w, k in key[term[1]].items()
+                                   if k in live]):
+            sys.equation(r, rhs.get(w, {}).get(b, 0))
+    for r, b in joined:
+        sys.equation(r, b)
     sol = sys.solve()
-    return None if sol is None else solution_table(sol, tag)
+    if sol is None:
+        return None
+    tables = {tag: {} for tag, *_ in maps}
+    for (tag, w, b), c in sol.items():
+        tables[tag].setdefault(w, {})[b] = c
+    return tables
 
 
 def solve_delta1(A, B, rhs, m):
     """Solve delta1(g) = rhs for a degree-0 map g on S^m words.
     Returns {word: element} (canonical reduced-echelon solution) or
     None."""
-    return solve_map_stage(A, B, m, "g", 0, rhs, (), (), 0)
+    sol = solve_map_stage(m, [("g", A, B, 0)], [([("d", "g", 1)], rhs)],
+                          LinearSystem())
+    return None if sol is None else sol["g"]
 
 
 def extend_morphism(f: LInftyMorphism, K):

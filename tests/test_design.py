@@ -11,7 +11,9 @@ reads another module's underscore name.  Every true division has a
 Fraction(...) call as an operand, since coefficients are stored as ints
 while they are integral and int / int is a float.  Every option, a
 parameter with a default, is set by some call in the package sources
-or the benchmark scripts.
+or the benchmark scripts.  Every linear system is written by
+linfty.solve_map_stage: no other code calls .equation( or
+map_unknowns.
 """
 
 import ast
@@ -225,3 +227,24 @@ def test_every_option_is_set_by_the_program():
                     continue
                 unset.append("%s(%s)" % (name, opt))
     assert unset == []
+
+
+# the calls that write a linear system, and the one function that may
+# make them
+WRITERS = {"equation", "map_unknowns"}
+WRITER = ("linfty.py", "solve_map_stage")
+
+
+def test_only_the_stage_solver_writes_systems():
+    sites = []
+    for path in MODULES:
+        for top in ast.parse(path.read_text()).body:
+            if isinstance(top, ast.FunctionDef) \
+                    and (path.name, top.name) == WRITER:
+                continue
+            sites += ["%s:%d %s" % (path.name, node.lineno,
+                                    _callee(node.func))
+                      for node in ast.walk(top)
+                      if isinstance(node, ast.Call)
+                      and _callee(node.func) in WRITERS]
+    assert sites == []

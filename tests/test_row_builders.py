@@ -8,11 +8,17 @@ value there: delta1(u)(word)_label, psi(u(word))_label or
 u(phi^{x m}(word))_label.  Here those values are computed from the
 tables directly, with term_oracle's independent expansion and delta1.
 
-chain_inverse and the contracting extension of fill_n_homotopy write
-their systems from these builders.  The systems they write are
-recorded and compared with term_oracle.delta1 on random values of
-their unknowns, and so is the order in which they register unknowns,
-which fixes the canonical solution.
+chain_inverse and the contracting extension of fill_n_homotopy are
+stages of linfty.solve_map_stage, which writes them from these
+builders.  Each system is read from the last argument of the recorded
+solve_map_stage call and compared with term_oracle.delta1, and so is
+the order in which it registers unknowns, which fixes the canonical
+solution.  The stage solver builds the rows of delta1(g) = 0 in
+chain_inverse only where the homotopy condition reaches them, so there
+the rows `reached` selects are compared: the oracle's rows are read
+off as linear forms at unit values of the unknowns.  The contracting
+extension reaches every row, and its rows are compared at random
+values.
 """
 
 import random
@@ -23,8 +29,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from linfkit import htpy, linfty
-from linfkit.gradedlin import (GradedSpace, LinearSystem, sym_words,
-                               word_degree)
+from linfkit.gradedlin import GradedSpace, reached, sym_words, word_degree
 from linfkit.htpy import FillError, chain_inverse, fill_n_homotopy
 from linfkit.linfty import (LInftyAlgebra, LInftyMorphism, delta1_rows,
                             post_rows, pre_rows)
@@ -136,25 +141,30 @@ def test_delta1_rows_give_delta1(SA, SB, m, shift, data):
 # the systems of chain_inverse and the contracting extension
 
 
-def recorded(call, *args):
-    """Every LinearSystem the call makes in htpy and linfty (the stage
-    solver); a FillError of the call is swallowed, since its system is
-    built before it solves."""
-    made = []
+def stage_calls(call, *args):
+    """(arguments, answer) of every stage the call hands
+    solve_map_stage; the last argument is the LinearSystem the stage
+    was written into.  A FillError of the call is swallowed, since its
+    stage is written before the call refuses it."""
+    calls = []
+    real = linfty.solve_map_stage
 
-    class Recording(LinearSystem):
-        def __init__(self, tie_break=0):
-            super().__init__(tie_break)
-            made.append(self)
+    def spy(*stage):
+        calls.append((stage, real(*stage)))
+        return calls[-1][1]
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(htpy, "LinearSystem", Recording)
-        mp.setattr(linfty, "LinearSystem", Recording)
+        mp.setattr(htpy, "solve_map_stage", spy)
         try:
             call(*args)
         except FillError:
             pass
-    return made
+    return calls
+
+
+def recorded(call, *args):
+    """The LinearSystem of every stage the call solves."""
+    return [stage[-1] for stage, _ in stage_calls(call, *args)]
 
 
 def evaluate(sys, rng):
@@ -175,28 +185,57 @@ def table(values, tag):
     return out
 
 
+def linear_rows(keys, sides):
+    """The equations (row {key: coeff}, right side) whose left sides
+    sides(values) gives, with their right sides, at values of the keys;
+    each row is read off at the unit values."""
+    at_zero = sides({k: 0 for k in keys})
+    assert all(v == 0 for v, _ in at_zero)
+    rows = [{} for _ in at_zero]
+    for k in keys:
+        for row, (v, _) in zip(rows, sides({j: int(j == k) for j in keys})):
+            if v:
+                row[k] = v
+    return [(row, b) for row, (_, b) in zip(rows, at_zero)]
+
+
+def reached_equations(eqs):
+    """The equations `reached` selects, sorted."""
+    hit = reached([row for row, _ in eqs], [b for _, b in eqs])
+    return sorted((sorted(row.items()), b)
+                  for i, (row, b) in enumerate(eqs) if i in hit)
+
+
 @PROPERTY
 @given(spaces(), spaces(), st.data())
 def test_chain_inverse_rows_are_delta1(S1, S2, data):
     """delta1(g) = 0 for g: C2 -> C1, and g f1 - delta1(h) = id for h:
-    C1 -> C1 of degree -1."""
+    C1 -> C1 of degree -1: every row written is one of them, and the
+    rows written and the oracle's select the same reached rows."""
     C1 = LInftyAlgebra(S1, {1: draw_map(data.draw, S1, S1, 1, 1)})
     C2 = LInftyAlgebra(S2, {1: draw_map(data.draw, S2, S2, 1, 1)})
     f1 = draw_map(data.draw, S1, S2, 1, 0)
     f = LInftyMorphism(C1, C2, {1: f1})
     sys, = recorded(chain_inverse, f)
-    assert sys.unknowns == unknown_keys(S2, S1, 1, "g", 0) \
-        + unknown_keys(S1, S1, 1, "h", -1)
-    values, got = evaluate(sys, random.Random(data.draw(st.integers(0, 99))))
-    g, h = table(values, "g"), table(values, "h")
-    dg = term_oracle.delta1(C2, C1, g, 1, 0)
-    dh = term_oracle.delta1(C1, C1, h, 1, -1)
-    want = [(dg.get(w, {}).get(b, 0), 0) for w, b in pairs(S2, S1, 1, 1)]
-    for w, y in pairs(S1, S1, 1, 0):
-        gf = sum(c * g.get(cw, {}).get(y, 0) for cw, c in
-                 term_oracle.expand(S2, [f1.get(w, {})]).items())
-        want.append((gf - dh.get(w, {}).get(y, 0), int(w == (y,))))
-    assert got == sorted(want)
+    keys = unknown_keys(S2, S1, 1, "g", 0) + unknown_keys(S1, S1, 1, "h", -1)
+    assert sys.unknowns == keys
+
+    def sides(values):
+        g, h = table(values, "g"), table(values, "h")
+        dg = term_oracle.delta1(C2, C1, g, 1, 0)
+        dh = term_oracle.delta1(C1, C1, h, 1, -1)
+        out = [(dg.get(w, {}).get(b, 0), 0) for w, b in pairs(S2, S1, 1, 1)]
+        for w, y in pairs(S1, S1, 1, 0):
+            gf = sum(c * g.get(cw, {}).get(y, 0) for cw, c in
+                     term_oracle.expand(S2, [f1.get(w, {})]).items())
+            out.append((gf - dh.get(w, {}).get(y, 0), int(w == (y,))))
+        return out
+
+    want = linear_rows(keys, sides)
+    got = [({keys[i]: c for i, c in row.items()}, b)
+           for row, b in zip(sys.rows, sys.rhs)]
+    assert all(e in want for e in got)
+    assert reached_equations(got) == reached_equations(want)
 
 
 def fills():
