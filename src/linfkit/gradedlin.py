@@ -294,8 +294,8 @@ def reached(rows, rhs):
     row with a nonzero right-hand side is a component of its own.  The
     column index is freed on return, before the elimination allocates.
     The columns may be keys of groups of unknowns: with one pseudo-row
-    per group of rows, over the keys it touches, the walk finds every
-    group a right-hand side reaches (linfty.solve_map_stage)."""
+    per row, over the keys it touches, the walk finds every key a
+    right-hand side reaches (linfty.solve_map_stage)."""
     users = {}
     for i, row in enumerate(rows):
         for j, c in row.items():
@@ -328,9 +328,8 @@ def solve_sparse(rows, rhs, ncols):
     reduced rows and canonical solution split block by block, since
     whether a column is a pivot depends only on the columns of its own
     block before it.  A block with a zero right-hand side is consistent
-    and solved by 0, so leaving its rows out changes no answer, also
-    when a caller leaves out, unbuilt, the rows of unreached classes of
-    unknowns: the reached rows and their order stay the same."""
+    and solved by 0, so leaving its rows out, or never building them
+    (linfty.solve_map_stage), changes no answer."""
     ech = Echelon()
     for i in sorted(reached(rows, rhs), key=lambda i: (len(rows[i]), i)):
         ech.insert({**rows[i], ncols: rhs[i]})

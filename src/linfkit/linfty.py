@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from itertools import product
+from itertools import groupby, product
 from typing import NamedTuple
 
 from .gradedlin import (CohomologyError, GradedMap, GradedSpace,
@@ -727,30 +727,24 @@ def is_quasi_iso(f: LInftyMorphism):
 # obstruction theory
 
 
-def delta1_rows(A, B, words, shift=0, tag=None):
+def delta1_rows(A, B, cells, shift=0, tag=None):
     """The Hochschild differential on maps u: S^m A -> B of degree shift,
         delta1(u) = l'_1 . u + (-1)^(shift + 1) u . hat l_1,
-    as rows (word, label, {(tag, word', label'): coeff}): one per word
-    of words (canonical arity-m words of A, sym_words(A.space, m) for
-    all of them) and label of B in the degree of delta1(u)(word), empty
-    rows included.  Row keys name the unknown coefficient
-    u(word')_label'.  The rows are yielded word by word, so a caller
-    that writes them into a system never holds them all."""
+    as rows (word, label, {(tag, word', label'): coeff}) yielded one per
+    cell (word, label) of cells, a canonical arity-m word of A and a
+    label of B in the degree of delta1(u)(word), empty rows included, a
+    word's cells consecutive.  So a caller never holds them all, and a
+    word with no cell costs nothing.  Row keys name the unknown
+    coefficient u(word')_label'."""
     tail = 1 if shift % 2 else -1
-    l1_cols = {}
-    for w in words:
-        d = word_degree(A.space, w) + shift
-        rows = {b2: {} for b2 in B.space.basis_in_degree(d + 1)}
-        if d not in l1_cols:
-            l1_cols[d] = [(b, B.op_word(1, (b,)))
-                          for b in B.space.basis_in_degree(d)]
-        for b, img in l1_cols[d]:
-            for b2, c in img.items():
-                rows[b2][(tag, w, b)] = c
+    l1_into = preimages({b: out for (b,), out in B.ops.get(1, {}).items()})
+    for w, group in groupby(cells, lambda cell: cell[0]):
+        rows = {b2: {(tag, w, b): c for b, c in l1_into.get(b2, {}).items()}
+                for _, b2 in group}
         for cw, c in insertion_sum(A, w, None, (len(w),), 1, 1,
                                    scale=tail).items():
-            for b in B.space.basis_in_degree(d + 1):
-                rows[b][(tag, cw, b)] = c
+            for b, row in rows.items():
+                row[(tag, cw, b)] = c
         for b2, row in rows.items():
             yield w, b2, row
 
@@ -760,7 +754,9 @@ def delta1(A, B, g, m, shift=0):
     only.  g: {canonical word: element} of degree shift, missing words
     zero."""
     out = {}
-    for w, b2, row in delta1_rows(A, B, sym_words(A.space, m), shift):
+    cells = [(w, b) for w in sym_words(A.space, m) for b in
+             B.space.basis_in_degree(word_degree(A.space, w) + shift + 1)]
+    for w, b2, row in delta1_rows(A, B, cells, shift):
         c = sum(x * g[cw][b] for (_, cw, b), x in row.items()
                 if b in g.get(cw, ()))
         if c:
@@ -769,27 +765,29 @@ def delta1(A, B, g, m, shift=0):
 
 
 def map_unknowns(sys, A, B, m, tag, shift=0):
-    """Register the coefficients (tag, word, label) of an unknown map
-    S^m A -> B of degree shift, word by word."""
+    """Register the unknowns (tag, word, label) of a map S^m A -> B."""
     for w in sym_words(A.space, m):
         for b in B.space.basis_in_degree(word_degree(A.space, w) + shift):
             sys.var((tag, w, b))
 
 
-def post_rows(A, C, words, tag, psi, shift=0):
-    """psi . u for an unknown u: S^m A -> B of degree shift and a known
-    degree-0 linear map psi: B -> C given by its images {label of B:
-    {label of C: coeff}}, as rows like delta1_rows: one per word of
-    words and label of C in degree |word| + shift, empty rows
-    included, yielded.  psi is transposed once, so each row holds only
-    its nonzero entries."""
+def preimages(psi):
+    """{y: {t: coeff}} of a linear map given by its images {t: {y: c}}."""
     into = {}
     for t, img in psi.items():
         for y, c in img.items():
             into.setdefault(y, {})[t] = c
-    for w in words:
-        for y in C.space.basis_in_degree(word_degree(A.space, w) + shift):
-            yield w, y, {(tag, w, t): c for t, c in into.get(y, {}).items()}
+    return into
+
+
+def post_rows(cells, tag, psi):
+    """psi . u for an unknown u: S^m A -> B of degree shift and a known
+    degree-0 linear map psi: B -> C given by its images, as rows like
+    delta1_rows: one per cell (word, label of C in degree |word| +
+    shift) of cells, each with only its nonzero entries."""
+    into = preimages(psi)
+    for w, y in cells:
+        yield w, y, {(tag, w, t): c for t, c in into.get(y, {}).items()}
 
 
 def pre_rows(D, A, B, m, tag, phi, shift=0):
@@ -857,15 +855,14 @@ def obstruction_class(f: LInftyMorphism, K) -> ObstructionClass:
     return ObstructionClass(K, O, residual, sol)
 
 
-def l1_classes(A):
-    """{label: the first label of its class}, the classes being the
-    components of the graph joining each generator of A to the letters
-    of its l_1."""
+def l1_classes(A, groups):
+    """{label: the first label of its class}: the components of the graph
+    joining each generator of A to its l_1 letters and each list in groups."""
     links = {a: [] for a in A.space.labels}
-    for (a,), out in A.ops.get(1, {}).items():
-        for x in out:
-            links[a].append(x)
-            links[x].append(a)
+    for g in [[a, *out] for (a,), out in A.ops.get(1, {}).items()] + groups:
+        for x in g[1:]:
+            links[g[0]].append(x)
+            links[x].append(g[0])
     root = {}
     for a in A.space.labels:
         todo = [] if a in root else [a]
@@ -890,67 +887,90 @@ def solve_map_stage(m, maps, conds, sys):
     or None when the system is inconsistent.
 
     Only the rows a nonzero right-hand side reaches are built.  The
-    unknowns of a word are keyed by the tag and the sorted l1 classes
-    of its letters (l1_classes).  A post row stays on one word and a
-    delta1 tail term swaps a letter for one of its l1 image, so a
-    condition of one delta1 or post term joins no keys.  Every other
-    condition is summed over (word, label), built first and written
-    last; reached walks its rows and one pseudo-row per word where a
-    one-term condition has a nonzero right-hand side, and one-term rows
-    are built only for the words of reached keys.  The rows left out
-    lie in components solve_sparse would drop, the rest keep their
-    order and every unknown is registered, so the answer is the full
-    system's."""
-    spec, key = {}, {}
+    unknown u(w)_b is keyed by the tag, the sorted l1 classes of w's
+    letters and b's class in B, which also joins the psi-preimages of
+    each label of a post term on u (l1_classes).  A one-term row lies
+    in one key: a delta1 row at (w, b2) touches u(w)_b for b2 in
+    l'_1(b) and u(w')_b2 for w' w with a letter swapped for one of its
+    l1 image, a post row at (w, y) the u(w)_t with t in psi^-1(y), and
+    one with no unknown has a class of its own.  Every other condition
+    is summed over (word, label) and built first.  reached walks its
+    rows over their unknowns' keys from one pseudo-row over the keys of
+    the one-term cells of nonzero right-hand side; the one-term rows of
+    the keys and the summed rows it reaches are written, in order.
+    Every unknown is registered and the rows left out lie in components
+    solve_sparse would drop, so the answer is the full system's."""
+    spec, key, bcls = {}, {}, {}
     for tag, A, B, shift in maps:
         map_unknowns(sys, A, B, m, tag, shift)
-        cls = l1_classes(A)
+        cls = l1_classes(A, [])
         spec[tag] = A, B, shift
         key[tag] = {w: (tag, tuple(sorted(cls[a] for a in w)))
                     for w in sym_words(A.space, m)}
+        bcls[tag] = l1_classes(B, [
+            list(g) for terms, _ in conds for t in terms
+            if t[:2] == ("post", tag) for g in preimages(t[4]).values()])
 
-    def rows(term, words):
+    def cells(term, heads):
+        """The (word, label) of the rows of a delta1 or post term whose
+        word's key is in heads, of every row when heads is None."""
+        kind, tag, _, *known = term
+        A, B, shift = spec[tag]
+        C, s = (B, shift + 1) if kind == "d" else (known[0], shift)
+        return ((w, y) for w, k in key[tag].items()
+                if heads is None or k in heads for y in
+                C.space.basis_in_degree(word_degree(A.space, w) + s))
+
+    def keyer(i, term):
+        """The key of the row (w, y) of a term of condition i."""
+        kind, tag, _, *known = term
+        c = bcls[tag] if kind == "d" else {
+            y: bcls[tag][min(t)] for y, t in preimages(known[1]).items()}
+        return lambda w, y: (key[tag].get(w), c[y] if y in c else (i, w, y))
+
+    def rows(term, cells):
         kind, tag, c, *known = term
         A, B, shift = spec[tag]
         if kind == "d":
-            out = delta1_rows(A, B, words, shift, tag)
+            out = delta1_rows(A, B, cells, shift, tag)
         elif kind == "post":
-            out = post_rows(A, known[0], words, tag, known[1], shift)
+            out = post_rows(cells, tag, known[1])
         else:
             out = pre_rows(known[0], A, B, m, tag, known[1], shift)
         return out if c == 1 else ((w, b, vec_acc({}, r, c))
                                    for w, b, r in out)
 
     lazy, joined = [], []
-    for terms, rhs in conds:
+    for i, (terms, rhs) in enumerate(conds):
         if len(terms) == 1 and terms[0][0] != "pre":
-            lazy.append((terms[0], rhs))
+            lazy.append((terms[0], rhs, keyer(i, terms[0])))
             continue
         summed = {}
         for term in terms:
-            for w, b, r in rows(term, key[term[1]]):
+            for w, b, r in rows(term, cells(term, None)):
                 vec_acc(summed.setdefault((w, b), {}), r)
         joined += [(r, rhs.get(w, {}).get(b, 0))
                    for (w, b), r in summed.items()]
-    seeds = [{k: 1} for (_, tag, *_), rhs in lazy
-             for w, k in key[tag].items() if any(rhs.get(w, {}).values())]
-    pseudo = seeds + [{key[t][cw]: 1 for (t, cw, _), c in r.items() if c}
+    seed = {at(w, y): 1 for _, rhs, at in lazy
+            for w, v in rhs.items() for y, c in v.items() if c}
+    pseudo = [seed] + [{(key[t][cw], bcls[t][b]): 1
+                       for (t, cw, b), c in r.items() if c}
                       for r, _ in joined]
-    hit = reached(pseudo, [1] * len(seeds) + [b for _, b in joined])
+    hit = reached(pseudo, [1] + [b for _, b in joined])
     live = {k for i in hit for k in pseudo[i]}
-    for term, rhs in lazy:
-        for w, b, r in rows(term, [w for w, k in key[term[1]].items()
-                                   if k in live]):
+    heads = {k for k, _ in live}
+    for term, rhs, at in lazy:
+        for w, b, r in rows(term, (c for c in cells(term, heads)
+                                   if at(*c) in live)):
             sys.equation(r, rhs.get(w, {}).get(b, 0))
-    for r, b in joined:
-        sys.equation(r, b)
+    for i, (r, b) in enumerate(joined, 1):
+        if i in hit:
+            sys.equation(r, b)
     sol = sys.solve()
-    if sol is None:
-        return None
     tables = {tag: {} for tag, *_ in maps}
-    for (tag, w, b), c in sol.items():
+    for (tag, w, b), c in (sol or {}).items():
         tables[tag].setdefault(w, {})[b] = c
-    return tables
+    return None if sol is None else tables
 
 
 def solve_delta1(A, B, rhs, m):

@@ -13,15 +13,11 @@ stages of linfty.solve_map_stage, which writes them from these
 builders.  Each system is read from the last argument of the recorded
 solve_map_stage call and compared with term_oracle.delta1, and so is
 the order in which it registers unknowns, which fixes the canonical
-solution.  The stage solver builds the rows of delta1(g) = 0 in
-chain_inverse only where the homotopy condition reaches them, so there
-the rows `reached` selects are compared: the oracle's rows are read
-off as linear forms at unit values of the unknowns.  The contracting
-extension reaches every row, and its rows are compared at random
-values.
+solution.  The stage solver builds only the rows a nonzero right-hand
+side reaches, so the rows `reached` selects are compared: the oracle's
+rows are read off as linear forms at unit values of the unknowns.
 """
 
-import random
 from fractions import Fraction as F
 
 import pytest
@@ -94,8 +90,7 @@ def unknown_keys(A, B, m, tag, shift):
 def test_post_rows_give_psi_after_u(SA, SB, SC, m, shift, data):
     u = draw_map(data.draw, SA, SB, m, shift)
     psi = draw_linear(data.draw, SB, SC)
-    rows = list(post_rows(abelian(SA), abelian(SC), sym_words(SA, m), "u",
-                          psi, shift))
+    rows = list(post_rows(pairs(SA, SC, m, shift), "u", psi))
     assert [(w, y) for w, y, _ in rows] == pairs(SA, SC, m, shift)
     keys = set(unknown_keys(SA, SB, m, "u", shift))
     for w, y, row in rows:
@@ -130,11 +125,16 @@ def test_delta1_rows_give_delta1(SA, SB, m, shift, data):
     A = LInftyAlgebra(SA, {1: draw_map(data.draw, SA, SA, 1, 1)})
     B = LInftyAlgebra(SB, {1: draw_map(data.draw, SB, SB, 1, 1)})
     u = draw_map(data.draw, SA, SB, m, shift)
-    rows = list(delta1_rows(A, B, sym_words(SA, m), shift, "u"))
+    cells = pairs(SA, SB, m, shift + 1)
+    rows = list(delta1_rows(A, B, cells, shift, "u"))
     assert [(w, b) for w, b, _ in rows] == pairs(SA, SB, m, shift + 1)
     want = term_oracle.delta1(A, B, u, m, shift)
     for w, b, row in rows:
         assert dot(row, u) == want.get(w, {}).get(b, 0)
+    # any selection of the cells gives the same rows at those cells
+    picked = [c for c in cells if data.draw(st.booleans())]
+    assert list(delta1_rows(A, B, picked, shift, "u")) \
+        == [r for r in rows if r[:2] in picked]
 
 
 # ---------------------------------------------------------------------------
@@ -165,16 +165,6 @@ def stage_calls(call, *args):
 def recorded(call, *args):
     """The LinearSystem of every stage the call solves."""
     return [stage[-1] for stage, _ in stage_calls(call, *args)]
-
-
-def evaluate(sys, rng):
-    """Random values of the unknowns, and the sorted (row value, right
-    side) of every equation at them."""
-    values = {key: F(rng.randint(-9, 9), rng.randint(1, 3))
-              for key in sys.unknowns}
-    got = sorted((sum(c * values[sys.unknowns[i]] for i, c in row.items()),
-                  rhs) for row, rhs in zip(sys.rows, sys.rhs))
-    return values, got
 
 
 def table(values, tag):
@@ -251,10 +241,12 @@ def fills():
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_contracting_extension_rows_are_delta1(name, seed):
     """d A + A d = id on the kernel complex, read back from the cylinder:
-    l1(x|k) is x|d(k) for the kernel differential d."""
+    l1(x|k) is x|d(k) for the kernel differential d.  Every row written
+    is one of its rows, and the rows written and the oracle's select
+    the same reached rows."""
     fs = fills()[name]
-    model = fill_n_homotopy(fs, K=2)
-    sys = [s for s in recorded(fill_n_homotopy, fs)
+    model = fill_n_homotopy(fs, 2, seed)
+    sys = [s for s in recorded(fill_n_homotopy, fs, 2, seed)
            if s.unknowns and s.unknowns[0][0] == "A"][-1]
     space = model.algebra.space
     korder = [lab[2:] for lab in space.labels if lab.startswith("x|")]
@@ -263,12 +255,19 @@ def test_contracting_extension_rows_are_delta1(name, seed):
                 model.algebra.op_word(1, ("x|" + k,)).items()}
          for k in korder}
     kcx = LInftyAlgebra(kspace, {1: d})
-    assert sys.unknowns == unknown_keys(kspace, kspace, 1, "A", -1)
-    values, got = evaluate(sys, random.Random(seed))
-    dA = term_oracle.delta1(kcx, kcx, table(values, "A"), 1, -1)
-    want = [(dA.get(w, {}).get(t, 0), int(w == (t,)))
-            for w, t in pairs(kspace, kspace, 1, 0)]
-    assert got == sorted(want)
+    keys = unknown_keys(kspace, kspace, 1, "A", -1)
+    assert sys.unknowns == keys
+
+    def sides(values):
+        dA = term_oracle.delta1(kcx, kcx, table(values, "A"), 1, -1)
+        return [(dA.get(w, {}).get(t, 0), int(w == (t,)))
+                for w, t in pairs(kspace, kspace, 1, 0)]
+
+    want = linear_rows(keys, sides)
+    got = [({keys[i]: c for i, c in row.items()}, b)
+           for row, b in zip(sys.rows, sys.rhs)]
+    assert all(e in want for e in got)
+    assert reached_equations(got) == reached_equations(want)
 
 
 def test_refused_extension_writes_its_system():

@@ -2,10 +2,11 @@
 
 A stage is a list of unknown maps and a list of conditions, each a
 signed sum of delta1, post and pre terms on the maps.  The solver writes
-the rows of a condition of one delta1 or post term only for the words
-whose key (map tag and l1 classes) a nonzero right-hand side reaches.
-The oracle is the full system: every condition built by the row
-builders over sym_words, the terms of a condition summed over (word,
+the rows of a condition of one delta1 or post term only for the cells
+whose key (map tag, source l1 classes and target class) a nonzero
+right-hand side reaches, and the other rows only where that walk hits
+them.  The oracle is the full system: every condition built by the row
+builders over every cell, the terms of a condition summed over (word,
 label), written in the order the stage writes them (the one-term
 delta1 and post conditions, then the others), with the unknowns
 registered the same way.  For each stage the test asserts that
@@ -21,9 +22,11 @@ registered the same way.  For each stage the test asserts that
 
 The stages come from the bench fills, Whitehead inverses (the
 chain-level inverse, the lift of the chain homotopy, each arity-m stage
-and the cylinder fills) and model-over job at seeds 0 and 3, and from
-hypothesis draws: small one-map stages, and two maps under one
-two-term condition.
+and the cylinder fills) and model-over job at seeds 0 and 3, where the
+rows written must be exactly the rows `reached` selects in the full
+system; from hypothesis draws: small one-map stages, and two maps under
+one two-term condition; and from two stages whose only inconsistent
+row has no unknown.
 """
 
 import json
@@ -40,7 +43,8 @@ from linfkit.linfty import (LInftyAlgebra, delta1_rows, map_unknowns,
                             post_rows, pre_rows)
 
 from test_gradedlin import tie_break_oracle
-from test_row_builders import draw_linear, draw_map, spaces, stage_calls
+from test_row_builders import (VALUES, draw_linear, draw_map, pairs,
+                               spaces, stage_calls)
 
 JOBS = Path(__file__).resolve().parents[1] / "bench" / "jobs"
 # dense elimination of the full system only up to this many cells
@@ -52,16 +56,17 @@ def one_term(terms):
 
 
 def condition_rows(m, maps, terms):
-    """{(word, label): row} of the sum of the terms, over sym_words."""
+    """{(word, label): row} of the sum of the terms, over every cell."""
     spec = {tag: (A, B, shift) for tag, A, B, shift in maps}
     summed = {}
     for kind, tag, c, *known in terms:
         A, B, shift = spec[tag]
-        words = sym_words(A.space, m)
         if kind == "d":
-            rows = delta1_rows(A, B, words, shift, tag)
+            rows = delta1_rows(A, B, pairs(A.space, B.space, m, shift + 1),
+                               shift, tag)
         elif kind == "post":
-            rows = post_rows(A, known[0], words, tag, known[1], shift)
+            rows = post_rows(pairs(A.space, known[0].space, m, shift), tag,
+                             known[1])
         else:
             rows = pre_rows(known[0], A, B, m, tag, known[1], shift)
         for w, b, r in rows:
@@ -72,7 +77,7 @@ def condition_rows(m, maps, terms):
 
 
 def full_system(m, maps, conds, tie_break):
-    """Every row of the stage, built over sym_words."""
+    """Every row of the stage, built over every cell."""
     sys = LinearSystem(tie_break)
     for tag, A, B, shift in maps:
         map_unknowns(sys, A, B, m, tag, shift)
@@ -136,7 +141,7 @@ def check_stage(stage, got):
         for row, b in zip(full.rows, full.rhs):
             assert sum(c * values[full.unknowns[j]]
                        for j, c in row.items()) == b
-    return len(full.rows), len(built.rows)
+    return len(full.rows), len(built.rows), kept == want
 
 
 def solver_run(m, maps, conds, tie_break):
@@ -170,35 +175,46 @@ def build_model_over(name, seed):
     htpy.model_morphism_over(f, m1, m2, K=2, tie_break=seed)
 
 
-# (document, construction, whether some stage leaves rows unbuilt): an
-# edge fill reaches every row of its stages
-BENCH = [("fill-edge-id-sign.json", build_fill, False),
-         ("fill-edge-between-pairs.json", build_fill, False),
-         ("fill-triangle.json", build_fill, True),
-         ("whitehead-identity.json", build_whitehead, True),
-         ("whitehead-between-pairs.json", build_whitehead, True),
-         ("whitehead-sign.json", build_whitehead, True),
-         ("whitehead-sum.json", build_whitehead, True),
-         ("model-over-pair-identity.json", build_model_over, True)]
+BENCH = [("fill-edge-id-sign.json", build_fill),
+         ("fill-edge-between-pairs.json", build_fill),
+         ("fill-triangle.json", build_fill),
+         ("whitehead-identity.json", build_whitehead),
+         ("whitehead-between-pairs.json", build_whitehead),
+         ("whitehead-sign.json", build_whitehead),
+         ("whitehead-sum.json", build_whitehead),
+         ("model-over-pair-identity.json", build_model_over)]
 
 
 @pytest.mark.parametrize("seed", [0, 3])
-@pytest.mark.parametrize("name,build,pruned", BENCH,
-                         ids=[n for n, _, _ in BENCH])
-def test_bench_stages_match_the_full_system(name, build, pruned, seed):
+@pytest.mark.parametrize("name,build", BENCH, ids=[n for n, _ in BENCH])
+def test_bench_stages_match_the_full_system(name, build, seed):
+    """Every bench stage writes exactly the rows `reached` selects in
+    its full system."""
     calls = stage_calls(build, name, seed)
     assert calls
     # the lift of the chain homotopy is solved at tie-break 0 at every
     # seed, every other stage at the seed
     for (_, maps, _, sys), _ in calls:
         assert sys.tie_break == (0 if maps[0][0] == "hpp" else seed)
-    sizes = [check_stage(*call) for call in calls]
-    assert any(kept < total for total, kept in sizes) == pruned
+    assert all(exact for _, _, exact in (check_stage(*c) for c in calls))
 
 
-def maybe(draw, make):
-    """A right-hand side, or zero on every word by a coin."""
-    return make() if draw(st.booleans()) else {}
+def value_of(draw, space, target, m, shift):
+    """A drawn map S^m space -> target of degree shift, nonzero at each
+    coefficient unless drawn otherwise."""
+    return {w: {b: c for b in target.basis_in_degree(word_degree(space, w)
+                                                      + shift)
+                if (c := draw(st.sampled_from(VALUES + [0])))}
+            for w in sym_words(space, m)}
+
+
+def right_side(draw, m, maps, terms, values, make):
+    """A right-hand side of the condition: the condition at values
+    {tag: {word: element}} of the maps (value_of), drawn by make, or
+    zero, so that consistent stages with nonzero solutions occur."""
+    pick = draw(st.sampled_from(["image", "drawn", "zero"]))
+    return {} if pick == "zero" else make() if pick == "drawn" \
+        else image(m, maps, terms, values)
 
 
 def complex_on(draw, space):
@@ -208,30 +224,71 @@ def complex_on(draw, space):
 
 @settings(derandomize=True, max_examples=150, deadline=None,
           database=None)
-@given(spaces(), spaces(), st.integers(1, 3), st.integers(-1, 1),
-       st.integers(0, 3), st.data())
-def test_drawn_stages_match_the_full_system(SA, SB, m, shift, tie_break,
-                                            data):
+@given(spaces(), st.integers(1, 3), st.integers(-1, 1), st.integers(0, 3),
+       st.data())
+def test_drawn_stages_match_the_full_system(SA, m, shift, tie_break, data):
     """Chain complexes A and B, zero to two post and pre maps, and
-    right-hand sides that are zero on whole words or on every word of a
-    condition."""
+    right-hand sides from right_side at one drawn value of u.  B and
+    the targets of the post maps psi: B -> C have labels in or next to
+    the degrees of the rows, and the sources of the pre maps in the
+    degrees of A.  psi misses every label of C no drawn image holds, so
+    that post rows with no unknown occur, with nonzero right-hand sides
+    when drawn."""
     draw = data.draw
+    rows_in = {word_degree(SA, w) + shift for w in sym_words(SA, m)} \
+        or {shift}
+    SB = space_near(draw, rows_in)
     A, B = complex_on(draw, SA), complex_on(draw, SB)
-    conds = [([("d", "u", 1)],
-              maybe(draw, lambda: draw_map(draw, SA, SB, m, shift + 1)))]
+    maps = [("u", A, B, shift)]
+    values = {"u": value_of(draw, SA, SB, m, shift)}
+    d = [("d", "u", 1)]
+    conds = [(d, right_side(draw, m, maps, d, values, lambda: draw_map(
+        draw, SA, SB, m, shift + 1)))]
     for _ in range(draw(st.integers(0, 2))):
-        SC = draw(spaces())
-        conds.append(([("post", "u", 1, LInftyAlgebra(SC, {}),
-                        draw_linear(draw, SB, SC))],
-                      maybe(draw, lambda: draw_map(draw, SA, SC, m,
-                                                   shift))))
+        SC = space_near(draw, rows_in)
+        post = [("post", "u", 1, LInftyAlgebra(SC, {}),
+                 draw_linear(draw, SB, SC))]
+        conds.append((post, right_side(draw, m, maps, post, values,
+                                       lambda: draw_map(draw, SA, SC, m,
+                                                        shift))))
     for _ in range(draw(st.integers(0, 2))):
-        SD = draw(spaces())
-        conds.append(([("pre", "u", 1, LInftyAlgebra(SD, {}),
-                        draw_linear(draw, SD, SA))],
-                      maybe(draw, lambda: draw_map(draw, SD, SB, m,
-                                                   shift))))
-    check_stage(*solver_run(m, [("u", A, B, shift)], conds, tie_break))
+        SD = space_near(draw, {SA.deg[a] for a in SA.labels})
+        pre = [("pre", "u", 1, LInftyAlgebra(SD, {}),
+                draw_linear(draw, SD, SA))]
+        conds.append((pre, right_side(draw, m, maps, pre, values,
+                                      lambda: draw_map(draw, SD, SB, m,
+                                                       shift))))
+    check_stage(*solver_run(m, maps, conds, tie_break))
+
+
+@pytest.mark.parametrize("rhs", [{("a",): {"y": 2, "z": 1}},
+                                 {("a",): {"z": 1}}])
+def test_a_post_row_with_no_unknown_refuses_its_right_side(rhs):
+    """psi . u = rhs with psi: b -> y: the row at z has no unknown, and
+    its nonzero right-hand side makes the stage inconsistent."""
+    A = LInftyAlgebra(GradedSpace([("a", 0)]), {})
+    B = LInftyAlgebra(GradedSpace([("b", 0)]), {})
+    C = LInftyAlgebra(GradedSpace([("y", 0), ("z", 0)]), {})
+    stage, got = solver_run(1, [("u", A, B, 0)], [
+        ([("post", "u", 1, C, {"b": {"y": 1}})], rhs)], 0)
+    assert got is None
+    check_stage(stage, got)
+
+
+def test_a_delta1_row_with_no_unknown_refuses_its_right_side():
+    """delta1(u) = rhs where l'_1 has no preimage of c and a has no l1
+    image: the row at (a, c) has no unknown, and its nonzero right-hand
+    side makes the stage inconsistent, while the rest of the stage
+    alone is solved."""
+    A = LInftyAlgebra(GradedSpace([("a", 0)]), {})
+    B = LInftyAlgebra(GradedSpace([("b", -1), ("b2", 0), ("c", 0)]),
+                      {1: {("b",): {"b2": 1}}})
+    maps = [("u", A, B, -1)]
+    for rhs, want in [({("a",): {"b2": 1}}, {"u": {("a",): {"b": 1}}}),
+                      ({("a",): {"b2": 1, "c": 1}}, None)]:
+        stage, got = solver_run(1, maps, [([("d", "u", 1)], rhs)], 0)
+        assert got == want
+        check_stage(stage, got)
 
 
 SIGNS = st.sampled_from([1, -1])
@@ -280,13 +337,11 @@ def test_drawn_two_map_stages_match_the_full_system(SW, m, shift,
             SA = space_near(draw, {SW.deg[a] for a in SW.labels})
             maps.append((tag, complex_on(draw, SA), T, shift))
             terms.append(("pre", tag, c, W, draw_linear(draw, SW, SA)))
-    values = {tag: draw_map(draw, A.space, B.space, m, s)
+    values = {tag: value_of(draw, A.space, B.space, m, s)
               for tag, A, B, s in maps}
 
     def rhs(terms, make):
-        pick = draw(st.sampled_from(["zero", "drawn", "image"]))
-        return {} if pick == "zero" else make() if pick == "drawn" \
-            else image(m, maps, terms, values)
+        return right_side(draw, m, maps, terms, values, make)
 
     for tag, A, B, s in maps:
         if draw(st.booleans()):
