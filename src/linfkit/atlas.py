@@ -606,7 +606,7 @@ class CocycleData:
 
 
 def build_cocycle(A: ToyAtlas, H: Hypercovering, level, m_max=2,
-                  tie_break_seed=0) -> CocycleData:
+                  tie_break=0) -> CocycleData:
     """Assign charts to vertices, coordinate-change morphisms to edges,
     and homotopies to triangles of the hypercovering.
 
@@ -614,7 +614,7 @@ def build_cocycle(A: ToyAtlas, H: Hypercovering, level, m_max=2,
     blocks the homotopy filling and raises, naming the edge).  Each
     triangle is filled between the direct edge and the composite; when
     the two agree the constant homotopy is used, otherwise the cylinder
-    filling with arity 2.  A nonzero tie_break_seed selects different
+    filling with arity 2.  A nonzero tie_break selects different
     free-variable choices in the fills, for auditing that validity does
     not depend on them."""
     if m_max > 2:
@@ -650,7 +650,7 @@ def build_cocycle(A: ToyAtlas, H: Hypercovering, level, m_max=2,
                 cell = constant_homotopy(direct)
             else:
                 model = fill_n_homotopy([direct, around], K=2,
-                                        tie_break=tie_break_seed)
+                                        tie_break=tie_break)
                 cell = Homotopy(model.hbar, model, direct, around)
             triangles[alpha] = cell
     return CocycleData(A, H, level, m_max, vertices, edges, triangles)

@@ -304,6 +304,8 @@ def load_fill(doc, caps):
     expect(doc, "document", ("version", "source", "target", "fs"))
     src = load_algebra(doc["source"])
     tgt = load_algebra(doc["target"])
+    if len(doc["fs"]) not in (2, 3):
+        raise InputError("fs must hold 2 or 3 vertex morphisms")
     return ([load_morphism(d, src, tgt, "fs[%d]" % i)
              for i, d in enumerate(doc["fs"])],)
 
@@ -676,7 +678,7 @@ def cocycle_runner(verb, with_result):
     def run(caps, A, m_max, level):
         G = attempt(verb, lambda: atlas_mod.build_cocycle(
             A, atlas_mod.build_hypercovering(A, m_max), level, m_max=m_max,
-            tie_break_seed=caps["seed"]))
+            tie_break=caps["seed"]))
         return [report_record(atlas_mod.check_cocycle(G))], \
             G.to_json() if with_result else None
     return run

@@ -292,9 +292,8 @@ def reached(rows, rhs):
     joining each row to the columns of its nonzero entries, holds a
     nonzero right-hand side, found by a walk from those rows.  An empty
     row with a nonzero right-hand side is a component of its own.  The
-    column index is freed on return, before the elimination allocates.
-    The columns may be keys of groups of unknowns: with one pseudo-row
-    per row, over the keys it touches, the walk finds every key a
+    columns may be keys of groups of unknowns: with one pseudo-row per
+    row, over the keys it touches, the walk finds every key a
     right-hand side reaches (linfty.solve_map_stage)."""
     users = {}
     for i, row in enumerate(rows):
@@ -316,22 +315,16 @@ def reached(rows, rhs):
 
 def solve_sparse(rows, rhs, ncols):
     """Sparse variant of solve_canonical.  rows is a list of dicts
-    {column index: int or Fraction}.  Only the rows whose component
-    holds a nonzero right-hand side are inserted (see reached),
-    shortest first (Markowitz's rule for limiting fill-in), ties in
-    their given order.  The reduced echelon form depends only on the
-    row space and the column order, so the order changes the cost and
-    never the answer: the canonical solution (free variables zero,
-    pivot columns chosen left to right) or None.
-
-    Permuted to one diagonal block per component, the system's pivots,
-    reduced rows and canonical solution split block by block, since
-    whether a column is a pivot depends only on the columns of its own
-    block before it.  A block with a zero right-hand side is consistent
-    and solved by 0, so leaving its rows out, or never building them
-    (linfty.solve_map_stage), changes no answer."""
+    {column index: int or Fraction}.  Every row is inserted, shortest
+    first (Markowitz's rule for limiting fill-in), ties in their given
+    order.  The reduced echelon form depends only on the row space and
+    the column order, so the order changes the cost and never the
+    answer: the canonical solution (free variables zero, pivot columns
+    chosen left to right) or None.  Which rows a system holds is the
+    caller's choice (linfty.solve_map_stage writes only the rows it
+    must eliminate)."""
     ech = Echelon()
-    for i in sorted(reached(rows, rhs), key=lambda i: (len(rows[i]), i)):
+    for i in sorted(range(len(rows)), key=lambda i: len(rows[i])):
         ech.insert({**rows[i], ncols: rhs[i]})
     x = ech.solution(ncols)
     return None if x is None else _dense(x, ncols)
@@ -346,14 +339,8 @@ class LinearSystem:
     seeded with it before solving, so a different canonical solution is
     chosen whenever the solution space has free variables.  Every such
     solution is an exact solution of the same system, which audits that
-    verification does not depend on the choice.
-
-    solve eliminates only the components of the row-column graph that
-    hold a nonzero right-hand side; the rest is solved by 0 (see
-    solve_sparse).  The shuffle only renames columns, so it keeps the
-    components and the same holds at every tie-break, also when the
-    rows of unreached keys are never written, as long as every unknown
-    is registered (linfty.solve_map_stage, the one writer)."""
+    verification does not depend on the choice.  solve eliminates every
+    row written (see solve_sparse)."""
 
     def __init__(self, tie_break=0):
         self.unknowns = []

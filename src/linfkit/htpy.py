@@ -190,7 +190,8 @@ def fill_n_homotopy(fs, K=2, tie_break=0):
 
     Returns a FillingModel.  Raises FillError when a linear stage is
     unsolvable (in particular when the face kernel complex is not
-    acyclic, so no contracting extension exists)."""
+    acyclic, so no contracting extension exists), and CurvedError
+    when C or C0 is curved (is_quasi_iso)."""
     check_arity_cap(K)
     n_out = len(fs) - 1
     if n_out not in (1, 2):
@@ -202,8 +203,6 @@ def fill_n_homotopy(fs, K=2, tie_break=0):
             raise ValueError("vertex morphisms must share endpoints")
         if not is_quasi_iso(f):
             raise ValueError("vertex morphisms must be quasi-isomorphisms")
-    if not (C.is_strict and C0.is_strict):
-        raise ValueError("filling requires strict algebras")
     if K + 1 > min(C.arity_cap, C0.arity_cap) + 1:
         raise ValueError("arity cap of the algebras is below K")
 
@@ -486,11 +485,10 @@ def whitehead_inverse(f, K=3, model=None, tie_break=0):
     arity-m stage and both cylinder fills (see LinearSystem); 0 is the
     canonical one.  The lift of the chain homotopy into the model is
     solved at tie-break 0 at every seed, block-diagonal by generator.
+    A curved source or target raises CurvedError (is_quasi_iso).
     """
     check_arity_cap(K)
     C1, C2 = f.source, f.target
-    if not (C1.is_strict and C2.is_strict):
-        raise ValueError("inversion requires strict algebras")
     if not is_quasi_iso(f):
         raise ValueError("not a quasi-isomorphism")
     notes = []

@@ -897,9 +897,15 @@ def solve_map_stage(m, maps, conds, sys):
     is summed over (word, label) and built first.  reached walks its
     rows over their unknowns' keys from one pseudo-row over the keys of
     the one-term cells of nonzero right-hand side; the one-term rows of
-    the keys and the summed rows it reaches are written, in order.
-    Every unknown is registered and the rows left out lie in components
-    solve_sparse would drop, so the answer is the full system's."""
+    the keys and the summed rows it reaches are written, in order, and
+    the solve eliminates every row written.  The rows left out lie in
+    components of the full system, in the graph joining rows to their
+    unknowns, with a zero right-hand side.  Permuted to one diagonal
+    block per component, the pivots and the canonical solution split
+    block by block (Pothen and Fan 1990), and such a block is solved by
+    0.  The tie-break shuffle only renames columns, and every unknown
+    is registered, so at every tie-break the answer is the full
+    system's."""
     spec, key, bcls = {}, {}, {}
     for tag, A, B, shift in maps:
         map_unknowns(sys, A, B, m, tag, shift)

@@ -329,7 +329,7 @@ def test_dual_run_tie_break_gives_different_valid_cocycle():
     A = three_chart_atlas(make_algebra=pincer_algebra)
     H = build_hypercovering(A, 2)
     G0 = build_cocycle(A, H, level=2)
-    G1 = build_cocycle(A, H, level=2, tie_break_seed=3)
+    G1 = build_cocycle(A, H, level=2, tie_break=3)
     assert check_cocycle(G0).ok
     assert check_cocycle(G1).ok
     fills = [a for a in G0.triangles

@@ -755,6 +755,39 @@ def test_curved_algebra_exits_two(verb, tmp_path, capsys):
     assert err.startswith("input error:")
 
 
+@pytest.mark.parametrize("end", ["source", "target"])
+def test_whitehead_on_a_curved_end_exits_two(end, tmp_path, capsys):
+    """whitehead refuses a curved source or target as an input error
+    (exit 2), as the other verbs that need strict algebras do."""
+    strict = pair_algebra()
+    ends = {"source": strict, "target": strict,
+            end: LInftyAlgebra(strict.space, strict.ops, l0={"y": F(1)},
+                               arity_cap=3)}
+    f = LInftyMorphism.from_linear(ends["source"], ends["target"],
+                                   {a: {a: 1} for a in strict.space.labels})
+    doc = {"version": 1, "source": ends["source"].to_json(),
+           "target": ends["target"].to_json(), "morphism": f.to_json()}
+    assert cli.main(["whitehead", write(tmp_path, "c.json", doc)]) == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert err.startswith("input error:")
+
+
+@pytest.mark.parametrize("count", [0, 1, 4])
+def test_fill_homotopy_needs_two_or_three_morphisms(count, tmp_path,
+                                                    capsys):
+    """fs must hold 2 or 3 vertex morphisms: any other count is a schema
+    violation (exit 2), not a failed filling check."""
+    A = pair_algebra()
+    mj = LInftyMorphism.identity(A).to_json()
+    doc = {"version": 1, "source": A.to_json(), "target": A.to_json(),
+           "fs": [mj] * count}
+    assert cli.main(["fill-homotopy", write(tmp_path, "f.json", doc)]) == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert err.startswith("input error:")
+
+
 @pytest.mark.parametrize("verb", sorted(cli.HANDLERS))
 def test_every_verb_rejects_empty_document(verb, tmp_path, capsys):
     assert run([verb, write(tmp_path, "e.json", {})], capsys)[0] == 2

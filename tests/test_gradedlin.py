@@ -8,7 +8,6 @@ dense_oracle.py; sign and combinatorics invariants are property-tested.
 import math
 import random
 import re
-from collections import Counter
 from fractions import Fraction as F
 
 import pytest
@@ -20,7 +19,8 @@ from linfkit.gradedlin import (CapError, CohomologyError, Echelon,
                                canonical_word,
                                cohomology, complement_in, dumps_canonical,
                                in_span, koszul_sign,
-                               matrix_rank, nullspace, rref, scalar_from_str,
+                               matrix_rank, nullspace, reached, rref,
+                               scalar_from_str,
                                scalar_to_str, solve_canonical, solve_sparse,
                                sym_words, unshuffles, vec_add, vec_scale,
                                word_degree)
@@ -227,12 +227,19 @@ def system_answers(rows, rhs, ncols, tie_break):
             None if x is None else [x.get(j, F(0)) for j in range(ncols)]]
 
 
-def tie_break_oracle(rows, rhs, ncols, tie_break):
-    """The dense oracle's canonical solution with the columns permuted
-    as LinearSystem permutes them for a nonzero tie-break."""
+def tie_break_columns(ncols, tie_break):
+    """pos[j]: the column LinearSystem moves unknown j to for the
+    tie-break."""
     pos = list(range(ncols))
     if tie_break:
         random.Random(tie_break).shuffle(pos)
+    return pos
+
+
+def tie_break_oracle(rows, rhs, ncols, tie_break):
+    """The dense oracle's canonical solution with the columns permuted
+    as LinearSystem permutes them for a nonzero tie-break."""
+    pos = tie_break_columns(ncols, tie_break)
     permuted = []
     for r in rows:
         row = [F(0)] * ncols
@@ -270,10 +277,9 @@ def test_solves_match_oracle(data):
 
 
 def test_solves_insert_the_shortest_rows_first(monkeypatch):
-    """A solve inserts its reached rows in nondecreasing length, ties
-    in their given order; so do the solves under every tie-break.  The
-    empty row with a zero right-hand side is its own homogeneous
-    component, so it is not inserted."""
+    """A solve inserts every row it is given in nondecreasing length,
+    ties in their given order, the empty row with a zero right-hand
+    side included; so do the solves under every tie-break."""
     inserted = []
     real = Echelon.insert
 
@@ -286,8 +292,8 @@ def test_solves_insert_the_shortest_rows_first(monkeypatch):
             {0: 1, 2: 1, 3: 1}, {}]
     rhs = [1, 2, 3, 4, 5, 0]
     x = solve_sparse(rows, rhs, 4)
-    assert [len(v) for v in inserted] == [2, 2, 3, 4, 5]
-    assert inserted[0:2] == [{0: 1, 4: 3}, {3: 2, 4: 4}]
+    assert [len(v) for v in inserted] == [1, 2, 2, 3, 4, 5]
+    assert inserted[0:3] == [{4: 0}, {0: 1, 4: 3}, {3: 2, 4: 4}]
     assert x == dense_oracle.solve_canonical(
         [[r.get(j, F(0)) for j in range(4)] for r in rows], rhs, 4)
     for tb in range(10):
@@ -299,7 +305,7 @@ def test_solves_insert_the_shortest_rows_first(monkeypatch):
             system.equation(r, b)
         system.solve()
         lengths = [len(v) for v in inserted]
-        assert lengths == sorted(lengths) and len(lengths) == len(rows) - 1
+        assert lengths == sorted(lengths) and len(lengths) == len(rows)
 
 
 @st.composite
@@ -375,31 +381,36 @@ def reached_rows(rows, rhs):
 
 @settings(max_examples=150, deadline=None)
 @given(block_systems())
-def test_solves_eliminate_only_reached_components(drawn):
+def test_solves_eliminate_every_given_row(drawn):
     """solve_sparse, solve_canonical and LinearSystem.solve at
     tie-breaks 0-9 give the dense oracle's canonical solution on
-    block-diagonal systems, and insert exactly the rows whose component
-    holds a nonzero right-hand side: no row of a homogeneous component
-    reaches the engine."""
+    block-diagonal systems, and insert every given row exactly once,
+    shortest first, the rows of homogeneous components included.
+    `reached`, which decides the rows a stage writes, selects exactly
+    the rows whose component holds a nonzero right-hand side."""
     rows, rhs, ncols = drawn
     dense = [[r.get(j, F(0)) for j in range(ncols)] for r in rows]
-    reached = reached_rows(rows, rhs)
+    assert reached(rows, rhs) == set(reached_rows(rows, rhs))
     inserted = []
     real = Echelon.insert
 
     def spy(self, v):
-        inserted.append(frozenset(v.items()))
+        inserted.append(dict(v))
         return real(self, v)
+
+    def shortest_first():
+        lengths = [len(v) for v in inserted]
+        return len(inserted) == len(rows) and lengths == sorted(lengths)
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(Echelon, "insert", spy)
         want = dense_oracle.solve_canonical(dense, rhs, ncols)
         assert solve_sparse(rows, rhs, ncols) == want
-        assert Counter(inserted) == Counter(
-            frozenset({**rows[i], ncols: rhs[i]}.items()) for i in reached)
+        assert inserted == [{**rows[i], ncols: rhs[i]} for i in sorted(
+            range(len(rows)), key=lambda i: len(rows[i]))]
         inserted.clear()
         assert solve_canonical(dense, rhs, ncols=ncols) == want
-        assert len(inserted) == len(reached)
+        assert shortest_first()
         for tb in range(10):
             inserted.clear()
             system = LinearSystem(tb)
@@ -411,7 +422,7 @@ def test_solves_eliminate_only_reached_components(drawn):
             assert (None if x is None else
                     [x.get(j, F(0)) for j in range(ncols)]) == \
                 tie_break_oracle(dense, rhs, ncols, tb)
-            assert len(inserted) == len(reached)
+            assert shortest_first()
 
 
 # ---------------------------------------------------------------------------

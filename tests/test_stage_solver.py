@@ -14,19 +14,20 @@ registered the same way.  For each stage the test asserts that
 - the solver registers the same unknowns in the same order;
 - its rows are a subsequence of the full system's rows;
 - every row `reached` selects in the full system is among them, and both
-  systems select the same rows in the same order, so Echelon receives
-  the same rows;
-- its solution is the full system's canonical solution and, where the
-  full system is small enough for dense elimination, the one
-  tests/dense_oracle.py gives at the same tie-break.
+  systems select the same rows in the same order;
+- its solution is the canonical solution of the rows `reached` selects
+  in the full system and, where the full system is small enough for
+  dense elimination, the one tests/dense_oracle.py gives for the full
+  system at the same tie-break.
 
 The stages come from the bench fills, Whitehead inverses (the
 chain-level inverse, the lift of the chain homotopy, each arity-m stage
 and the cylinder fills) and model-over job at seeds 0 and 3, where the
 rows written must be exactly the rows `reached` selects in the full
-system; from hypothesis draws: small one-map stages, and two maps under
-one two-term condition; and from two stages whose only inconsistent
-row has no unknown.
+system and Echelon must receive exactly those rows, shortest first;
+from hypothesis draws: small one-map stages, and two maps under one
+two-term condition; and from two stages whose only inconsistent row
+has no unknown.
 """
 
 import json
@@ -37,12 +38,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from linfkit import cli, htpy, linfty
-from linfkit.gradedlin import (GradedSpace, LinearSystem, reached,
-                               sym_words, word_degree)
+from linfkit.gradedlin import (Echelon, GradedSpace, LinearSystem,
+                               reached, sym_words, word_degree)
 from linfkit.linfty import (LInftyAlgebra, delta1_rows, map_unknowns,
                             post_rows, pre_rows)
 
-from test_gradedlin import tie_break_oracle
+from test_gradedlin import tie_break_columns, tie_break_oracle
 from test_row_builders import (VALUES, draw_linear, draw_map, pairs,
                                spaces, stage_calls)
 
@@ -114,6 +115,19 @@ def equations(sys, idx):
     return [(sys.rows[i], sys.rhs[i]) for i in idx]
 
 
+def reached_part(sys):
+    """The rows of sys that `reached` selects, as a system over the same
+    unknowns: the full system's answer without eliminating the rows
+    its zero right-hand side components hold."""
+    part = LinearSystem(sys.tie_break)
+    for key in sys.unknowns:
+        part.var(key)
+    for i in sorted(reached(sys.rows, sys.rhs)):
+        part.rows.append(sys.rows[i])
+        part.rhs.append(sys.rhs[i])
+    return part
+
+
 def check_stage(stage, got):
     """stage: the arguments of a solve_map_stage call, whose last one is
     the system it wrote; got: its answer."""
@@ -127,7 +141,7 @@ def check_stage(stage, got):
     kept = equations(built, range(len(built.rows)))
     assert all(e in kept for e in want)
     assert equations(built, sorted(reached(built.rows, built.rhs))) == want
-    assert got == tables(full.solve(), maps)
+    assert got == tables(reached_part(full).solve(), maps)
     n = len(full.unknowns)
     if len(full.rows) * (n + 1) <= DENSE_CELLS:
         dense = [[row.get(j, 0) for j in range(n)] for row in full.rows]
@@ -185,13 +199,55 @@ BENCH = [("fill-edge-id-sign.json", build_fill),
          ("model-over-pair-identity.json", build_model_over)]
 
 
+def handed(sys):
+    """The rows the solve of sys inserts into Echelon: every row written,
+    with its right-hand side in column n, shortest first, ties in the
+    order written, the columns moved by the tie-break."""
+    n = len(sys.unknowns)
+    pos = tie_break_columns(n, sys.tie_break)
+    return [{**{pos[j]: c for j, c in sys.rows[i].items()}, n: sys.rhs[i]}
+            for i in sorted(range(len(sys.rows)),
+                            key=lambda i: len(sys.rows[i]))]
+
+
+def inserting_stage_calls(build, name, seed):
+    """stage_calls of the build, and for each solved LinearSystem, in
+    solve order, the system and the rows its solve inserted."""
+    solved, current = [], None
+    real_insert, real_solve = Echelon.insert, LinearSystem.solve
+
+    def insert(self, v):
+        if current is not None:
+            current.append(dict(v))
+        return real_insert(self, v)
+
+    def solve(self):
+        nonlocal current
+        current = []
+        solved.append((self, current))
+        try:
+            return real_solve(self)
+        finally:
+            current = None
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(Echelon, "insert", insert)
+        mp.setattr(LinearSystem, "solve", solve)
+        calls = stage_calls(build, name, seed)
+    return calls, solved
+
+
 @pytest.mark.parametrize("seed", [0, 3])
 @pytest.mark.parametrize("name,build", BENCH, ids=[n for n, _ in BENCH])
 def test_bench_stages_match_the_full_system(name, build, seed):
     """Every bench stage writes exactly the rows `reached` selects in
-    its full system."""
-    calls = stage_calls(build, name, seed)
+    its full system, and its solve inserts exactly the rows it wrote,
+    shortest first."""
+    calls, solved = inserting_stage_calls(build, name, seed)
     assert calls
+    assert [sys for sys, _ in solved] == [stage[-1] for stage, _ in calls]
+    for sys, rows in solved:
+        assert rows == handed(sys)
     # the lift of the chain homotopy is solved at tie-break 0 at every
     # seed, every other stage at the seed
     for (_, maps, _, sys), _ in calls:
