@@ -254,6 +254,13 @@ def load_model(doc, caps):
                                      _cap(caps, "weight", 6)),)
 
 
+def load_model_verify(doc, caps):
+    """A model of the n-simplex, n >= 1: the axioms speak of faces."""
+    job = load_model(doc, caps)
+    int_field("n", doc["n"], 1)
+    return job
+
+
 def model_check_cap(caps):
     """The weight cap of the checks on a model: two below the model's.
     Refused below 0, where no word would be checked."""
@@ -692,7 +699,7 @@ HANDLERS = {
     "obstruction": (load_extension, run_obstruction),
     "extend": (load_extension, run_extend),
     "model-build": (load_model_build, run_model_build),
-    "model-verify": (load_model, run_model_verify),
+    "model-verify": (load_model_verify, run_model_verify),
     "homotopy-check": (load_homotopy_check, run_homotopy_check),
     "fill-homotopy": (load_fill, run_fill_homotopy),
     "whitehead": (load_three_part, run_whitehead),

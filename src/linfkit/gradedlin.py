@@ -19,7 +19,6 @@ transposed pairs; there is no extra permutation sign.
 from __future__ import annotations
 
 import json
-import random
 import re
 from fractions import Fraction
 from functools import lru_cache
@@ -331,51 +330,53 @@ def solve_sparse(rows, rhs, ncols):
 
 
 class LinearSystem:
-    """Sparse linear system over hashable unknown keys.  Unknowns are
-    registered up front; registration order fixes the free-variable
-    tie-break of the canonical solution.
-
-    With a nonzero tie_break the unknown order is permuted by a shuffle
-    seeded with it before solving, so a different canonical solution is
-    chosen whenever the solution space has free variables.  Every such
-    solution is an exact solution of the same system, which audits that
-    verification does not depend on the choice.  solve eliminates every
-    row written (see solve_sparse)."""
+    """Sparse linear system over hashable unknown keys.  A key gets a
+    column when a row first uses it; an unknown no row uses is free and
+    solved by 0.  solve(order) sorts the columns by order(key), the
+    key's canonical position, or with a nonzero tie_break by a blake2b
+    scramble of (tie_break, position), ties by position.  So the
+    relative order of two unknowns, which fixes the canonical solution,
+    depends only on their keys and the tie-break, and a nonzero
+    tie-break picks another exact solution whenever there are free
+    variables: an audit that verification does not depend on the
+    choice.  solve eliminates every row written (see solve_sparse)."""
 
     def __init__(self, tie_break=0):
-        self.unknowns = []
         self.index = {}
         self.rows = []
         self.rhs = []
         self.tie_break = tie_break
 
-    def var(self, key):
-        if key not in self.index:
-            self.index[key] = len(self.unknowns)
-            self.unknowns.append(key)
-        return self.index[key]
-
     def equation(self, coeffs, rhs=0):
         """Add the row sum(coeffs[key] * key) = rhs; Echelon normalises
         its coefficients when it reduces the row."""
         index = self.index
-        self.rows.append({index[key]: c for key, c in coeffs.items() if c})
+        self.rows.append({index.setdefault(key, len(index)): c
+                          for key, c in coeffs.items() if c})
         self.rhs.append(rhs)
 
-    def solve(self):
-        """{key: nonzero value} of the canonical solution, or None."""
-        n = len(self.unknowns)
-        if not self.tie_break:
-            x = solve_sparse(self.rows, self.rhs, n)
-        else:
-            pos = list(range(n))
-            random.Random(self.tie_break).shuffle(pos)
-            y = solve_sparse([{pos[j]: c for j, c in row.items()}
-                              for row in self.rows], self.rhs, n)
-            x = None if y is None else [y[pos[j]] for j in range(n)]
-        if x is None:
-            return None
-        return {k: v for k, v in zip(self.unknowns, x) if v}
+    def solve(self, order):
+        """{key: nonzero value} of the canonical solution, or None.  The
+        rows are renumbered in place to the sorted columns."""
+        t = self.tie_break
+
+        def rank(key):
+            pos = order(key)
+            if not t:
+                return pos
+            # here, as hashlib loads OpenSSL, which only audits need
+            from hashlib import blake2b
+            return blake2b(repr((t, pos)).encode()).digest(), pos
+
+        keys = sorted(self.index, key=rank)
+        col = [0] * len(keys)
+        for j, key in enumerate(keys):
+            col[self.index[key]] = j
+            self.index[key] = j
+        for i, row in enumerate(self.rows):
+            self.rows[i] = {col[j]: c for j, c in row.items()}
+        x = solve_sparse(self.rows, self.rhs, len(keys))
+        return None if x is None else {k: v for k, v in zip(keys, x) if v}
 
 
 def in_span(vectors, v):

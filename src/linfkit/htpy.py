@@ -36,10 +36,11 @@ from .gradedlin import (Echelon, GradedMap, GradedSpace, LinearSystem,
                         acc_term, sym_words, vec_acc, word_degree)
 from .linfty import (CheckReport, LInftyAlgebra, LInftyMorphism,
                      chain_complex, check_arity_cap, check_morphism,
-                     check_relations, compose, comps_agree, direct_sum,
-                     fold_report, insertion_sum, is_quasi_iso, l1_map,
-                     obstruction_cocycle, partition_sum, solve_map_stage,
-                     split_sum_label, sum_label, with_arity)
+                     check_relations, compose, comps_agree, delta1,
+                     direct_sum, fold_report, insertion_sum, is_quasi_iso,
+                     l1_map, obstruction_cocycle, partition_sum,
+                     solve_map_stage, split_sum_label, sum_label,
+                     with_arity)
 from .simplexmodel import (Homotopy, SimplexModel, simplex_faces,
                            vertex_boundary)
 
@@ -519,19 +520,13 @@ def whitehead_inverse(f, K=3, model=None, tie_break=0):
     if sol is None:
         raise FillError("cannot lift the chain homotopy into the "
                         "model (joint evaluation not surjective)")
-    hpp = {x: v for (x,), v in sol["hpp"].items()}
-    incl1 = model.incl.images
-    h1 = {}
-    for x in C1.space.labels:
-        val = vec_acc(dict(incl1.get(x, {})), M.op_elems(1, [hpp.get(x, {})]))
-        for xp, c in C1.op_word(1, (x,)).items():
-            vec_acc(val, hpp.get(xp, {}), c)
-        if val:
-            h1[x] = val
+    # h_1 = incl + delta1(hpp) = incl + l1 hpp + hpp l1
+    incl1, dh = model.incl.images, delta1(C1, M, sol["hpp"], 1, -1)
+    h1 = {(x,): val for x in C1.space.labels
+          if (val := vec_acc(dict(incl1.get(x, {})), dh.get((x,), {})))}
     g = LInftyMorphism(C2, C1, {1: {(a,): v for a, v in g1.items() if v}},
                        arity_cap=K)
-    h = LInftyMorphism(C1, M, {1: {(x,): v for x, v in h1.items() if v}},
-                       arity_cap=K)
+    h = LInftyMorphism(C1, M, {1: h1}, arity_cap=K)
 
     f1 = f.f1_map().images
     for m in range(2, K + 1):

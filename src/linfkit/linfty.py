@@ -764,13 +764,6 @@ def delta1(A, B, g, m, shift=0):
     return out
 
 
-def map_unknowns(sys, A, B, m, tag, shift=0):
-    """Register the unknowns (tag, word, label) of a map S^m A -> B."""
-    for w in sym_words(A.space, m):
-        for b in B.space.basis_in_degree(word_degree(A.space, w) + shift):
-            sys.var((tag, w, b))
-
-
 def preimages(psi):
     """{y: {t: coeff}} of a linear map given by its images {t: {y: c}}."""
     into = {}
@@ -877,7 +870,7 @@ def l1_classes(A, groups):
 
 def solve_map_stage(m, maps, conds, sys):
     """Solve for unknown maps u: S^m A -> B of degree shift, given as
-    (tag, A, B, shift) and registered in that order, under conditions
+    (tag, A, B, shift) in the order of their unknowns, under conditions
     (terms, rhs): the sum of the terms equals rhs, {word: element}.  A
     term is ("d", tag, c) for c delta1(u), ("post", tag, c, C, psi) for
     c psi . u or ("pre", tag, c, D, phi) for c u . phi^{x m}, with c =
@@ -903,14 +896,15 @@ def solve_map_stage(m, maps, conds, sys):
     unknowns, with a zero right-hand side.  Permuted to one diagonal
     block per component, the pivots and the canonical solution split
     block by block (Pothen and Fan 1990), and such a block is solved by
-    0.  The tie-break shuffle only renames columns, and every unknown
-    is registered, so at every tie-break the answer is the full
-    system's."""
-    spec, key, bcls = {}, {}, {}
-    for tag, A, B, shift in maps:
-        map_unknowns(sys, A, B, m, tag, shift)
+    0.  An unknown no written row uses has no column, and is 0 too.
+    The columns keep their order in the full system, by each unknown's
+    position there (LinearSystem.solve), so at every tie-break the
+    answer is the full system's."""
+    spec, key, bcls, place = {}, {}, {}, {}
+    for i, (tag, A, B, shift) in enumerate(maps):
         cls = l1_classes(A, [])
         spec[tag] = A, B, shift
+        place[tag] = i, A.space.index, B.space.index
         key[tag] = {w: (tag, tuple(sorted(cls[a] for a in w)))
                     for w in sym_words(A.space, m)}
         bcls[tag] = l1_classes(B, [
@@ -972,7 +966,14 @@ def solve_map_stage(m, maps, conds, sys):
     for i, (r, b) in enumerate(joined, 1):
         if i in hit:
             sys.equation(r, b)
-    sol = sys.solve()
+
+    def order(u):
+        """u(w)_b's position: the map's place in maps, the generator
+        indices of w in A, the index of b in B."""
+        i, a_at, b_at = place[u[0]]
+        return i, tuple(a_at[a] for a in u[1]), b_at[u[2]]
+
+    sol = sys.solve(order)
     tables = {tag: {} for tag, *_ in maps}
     for (tag, w, b), c in (sol or {}).items():
         tables[tag].setdefault(w, {})[b] = c

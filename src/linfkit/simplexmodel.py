@@ -22,7 +22,7 @@ from .gradedlin import (CapError, Echelon, GradedMap, GradedSpace, acc_term,
 from .derived import form_d, mv_wedge
 from .linfty import (CheckReport, LInftyAlgebra, LInftyMorphism,
                      check_morphism, check_relations, compose, comps_agree,
-                     is_quasi_iso, l1_map)
+                     delta1, is_quasi_iso)
 
 MAX_SIMPLEX_DIM = 4
 MAX_WEIGHT_CAP = 8
@@ -291,19 +291,15 @@ class SimplexModel:
 # model axiom verification
 
 
-def verify_model_axioms(model: SimplexModel, weight_check=None,
-                        op_weight=None):
+def verify_model_axioms(model: SimplexModel):
     """Check the defining axioms of a model of (n-simplex) x C at the
     implemented scale (n <= 2).  Exactness of the face complex is
-    verified for elements of total weight <= weight_check; relation and
-    morphism checks run on words of total weight <= op_weight."""
+    verified for elements of total weight <= its weight cap - 2;
+    relation and morphism checks run on words of weight <= the cap."""
     if model.n > 2:
         raise CapError("full axiom verification capped at n = 2")
     cap = model.weight_cap
-    if weight_check is None:
-        weight_check = max(0, cap - 2)
-    if op_weight is None:
-        op_weight = cap
+    weight_check, op_weight = max(0, cap - 2), cap
     notes = ["exactness weights <= %d, operation words <= %d "
              "(construction cap %d)" % (weight_check, op_weight, cap)]
     failures = []
@@ -338,8 +334,7 @@ def verify_model_axioms(model: SimplexModel, weight_check=None,
         record("joint-eval-surjective", _joint_surjective(model, evs))
     else:
         face = model.face_model()
-        record("face-axioms",
-               verify_model_axioms(face, weight_check, op_weight).ok)
+        record("face-axioms", verify_model_axioms(face).ok)
         evs = {i: model.eval_face(i) for i in range(model.n + 1)}
         for i, ev in evs.items():
             record("eval-face%d-morphism" % i,
@@ -368,9 +363,9 @@ def verify_model_axioms(model: SimplexModel, weight_check=None,
 
 
 def _is_chain_map(m: GradedMap, src_alg, tgt_alg):
-    d1 = l1_map(src_alg)
-    d2 = l1_map(tgt_alg)
-    return m.compose(d1).add(d2.compose(m).scale(-1)).is_zero()
+    """delta1(m) = l1' m - m l1 vanishes."""
+    return not delta1(src_alg, tgt_alg,
+                      {(x,): v for x, v in m.images.items()}, 1)
 
 
 def _joint_surjective(model, evs):

@@ -390,7 +390,7 @@ def criterion_5():
     base2 = LInftyAlgebra(sp, {1: {("x",): {"y": F(1)}}}, arity_cap=2)
     for n, b in ((1, base), (2, base2)):
         model = SimplexModel(b, n, 8)
-        rep = verify_model_axioms(model, weight_check=6, op_weight=6)
+        rep = verify_model_axioms(model)
         checks.append({"name": "model-%d-axioms" % n, "ok": rep.ok})
     model = SimplexModel(base, 1, 6)
     incl = model.incl_morphism()

@@ -295,6 +295,21 @@ def test_simplex_cap_guard_exits_three(tmp_path, capsys):
                capsys)[0] == 3
 
 
+@pytest.mark.parametrize("verb,code", [("model-build", 0),
+                                       ("model-verify", 2)])
+def test_model_of_the_point(verb, code, tmp_path, capsys):
+    """n = 0 is a valid model to build, but a model's axioms speak of
+    its faces and vertex evaluations: model-verify refuses it as an
+    input error, as it refuses n > 2 at its guard, and does not crash."""
+    doc = json.loads((BENCH_JOBS / "model-verify-n1-w6.json").read_text())
+    doc["n"] = 0
+    assert cli.main([verb, write(tmp_path, "a.json", doc)]) == code
+    err = capsys.readouterr().err
+    assert "Traceback" not in err and "internal error" not in err
+    if code:
+        assert err.startswith("input error: n must be an integer >= 1")
+
+
 @pytest.mark.parametrize("verb", ["model-build", "model-over"])
 def test_vacuous_model_weight_cap_exits_three(verb, tmp_path, capsys):
     """The model checks run at weight cap - 2; below cap 2 they checked

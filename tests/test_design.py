@@ -12,8 +12,7 @@ Fraction(...) call as an operand, since coefficients are stored as ints
 while they are integral and int / int is a float.  Every option, a
 parameter with a default, is set by some call in the package sources
 or the benchmark scripts.  Every linear system is written by
-linfty.solve_map_stage: no other code calls .equation( or
-map_unknowns.
+linfty.solve_map_stage: no other code calls .equation(.
 """
 
 import ast
@@ -231,7 +230,7 @@ def test_every_option_is_set_by_the_program():
 
 # the calls that write a linear system, and the one function that may
 # make them
-WRITERS = {"equation", "map_unknowns"}
+WRITERS = {"equation"}
 WRITER = ("linfty.py", "solve_map_stage")
 
 

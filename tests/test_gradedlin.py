@@ -5,6 +5,7 @@ property-tested, against the dense Gauss-Jordan oracle in
 dense_oracle.py; sign and combinatorics invariants are property-tested.
 """
 
+import hashlib
 import math
 import random
 import re
@@ -213,41 +214,54 @@ def test_pivots_do_not_depend_on_insertion_order(mat, rng):
     assert sorted(ech.rows) == dense_oracle.rref(rows)[1]
 
 
+def system_solve(rows, rhs, tie_break):
+    """LinearSystem.solve on sparse rows over the unknowns 0, 1, ...,
+    the position of unknown j being j, as {j: nonzero value} or None."""
+    system = LinearSystem(tie_break)
+    for r, b in zip(rows, rhs):
+        system.equation(r, b)
+    return system.solve(lambda j: j)
+
+
 def system_answers(rows, rhs, ncols, tie_break):
     """solve_sparse, solve_canonical and LinearSystem.solve (with the
     given tie-break) on one system, as dense lists or None."""
-    system = LinearSystem(tie_break)
-    for j in range(ncols):
-        system.var(j)
-    for r, b in zip(sparse_rows(rows), rhs):
-        system.equation(r, b)
-    x = system.solve()
+    x = system_solve(sparse_rows(rows), rhs, tie_break)
     return [solve_sparse(sparse_rows(rows), rhs, ncols),
             solve_canonical(rows, rhs, ncols=ncols),
             None if x is None else [x.get(j, F(0)) for j in range(ncols)]]
 
 
-def tie_break_columns(ncols, tie_break):
-    """pos[j]: the column LinearSystem moves unknown j to for the
-    tie-break."""
-    pos = list(range(ncols))
-    if tie_break:
-        random.Random(tie_break).shuffle(pos)
-    return pos
+def tie_break_columns(positions, tie_break):
+    """col[j]: the column of the unknown at positions[j] when every
+    unknown has one, for the tie-break: the unknowns sorted by
+    position, or for a nonzero tie-break by the blake2b digest of
+    repr((tie_break, position)), ties by position."""
+    def rank(j):
+        p = positions[j]
+        return (hashlib.blake2b(repr((tie_break, p)).encode()).digest(),
+                p) if tie_break else p
+
+    col = [0] * len(positions)
+    for c, j in enumerate(sorted(range(len(positions)), key=rank)):
+        col[j] = c
+    return col
 
 
-def tie_break_oracle(rows, rhs, ncols, tie_break):
-    """The dense oracle's canonical solution with the columns permuted
-    as LinearSystem permutes them for a nonzero tie-break."""
-    pos = tie_break_columns(ncols, tie_break)
+def tie_break_oracle(rows, rhs, positions, tie_break):
+    """The dense oracle's canonical solution of dense rows over one
+    column per position, the columns ordered as tie_break_columns
+    orders them."""
+    ncols = len(positions)
+    col = tie_break_columns(positions, tie_break)
     permuted = []
     for r in rows:
         row = [F(0)] * ncols
         for j, c in enumerate(r):
-            row[pos[j]] = c
+            row[col[j]] = c
         permuted.append(row)
     y = dense_oracle.solve_canonical(permuted, rhs, ncols)
-    return None if y is None else [y[pos[j]] for j in range(ncols)]
+    return None if y is None else [y[col[j]] for j in range(ncols)]
 
 
 @settings(max_examples=200, deadline=None)
@@ -267,13 +281,51 @@ def test_solves_match_oracle(data):
     tie_break = data.draw(st.integers(min_value=1, max_value=9))
     for rhs in _column_vectors(data.draw, rows, ncols):
         for tb in (0, tie_break):
-            want = tie_break_oracle(rows, rhs, ncols, tb)
+            want = tie_break_oracle(rows, rhs, range(ncols), tb)
             got = system_answers(rows, rhs, ncols, tb)
             assert got[2] == want
             if not tb:
                 assert got == [want] * 3
             assert system_answers([rows[i] for i in order],
                                   [rhs[i] for i in order], ncols, tb) == got
+
+
+def test_unrelated_unknowns_leave_the_answer_unchanged():
+    """Equations over new unknowns, which no old row uses, leave the
+    answer on the old unknowns unchanged at tie-breaks 0-9, with the
+    new positions interleaved with the old: the relative order of two
+    unknowns depends only on their positions and the tie-break.  The
+    old system x0 + ... + x5 = 1 has five free variables, so its
+    canonical solution is 1 at whichever x comes first."""
+    old = [{(j, 0): 1 for j in range(6)}]
+    new = [{(j, 1): 1, (j + 1, 1): -1} for j in range(5)] + [{(0, 1): 2}]
+    alone = [system_solve(old, [1], tb) for tb in range(10)]
+    assert len({next(iter(x)) for x in alone}) > 1
+    for tb in range(10):
+        both = system_solve(old + new, [1, 0, 0, 0, 0, 0, 4], tb)
+        assert {k: v for k, v in both.items() if k[1] == 0} == alone[tb]
+        assert {k: v for k, v in both.items() if k[1] == 1} == \
+            {(j, 1): 2 for j in range(6)}
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_drawn_unrelated_unknowns_leave_the_answer_unchanged(data):
+    """The same on drawn consistent systems: the old unknowns (j, 0)
+    and the new ones (j, 1), at tie-breaks 0-9, against the oracle's
+    canonical solution of the old system alone."""
+    rows, ncols = data.draw(matrices())
+    more, nmore = data.draw(matrices())
+    rhs = _column_vectors(data.draw, rows, ncols)[0]
+    more_rhs = _column_vectors(data.draw, more, nmore)[0]
+    old = [{(j, 0): c for j, c in r.items()} for r in sparse_rows(rows)]
+    new = [{(j, 1): c for j, c in r.items()} for r in sparse_rows(more)]
+    positions = [(j, 0) for j in range(ncols)]
+    for tb in range(10):
+        both = system_solve(old + new, rhs + more_rhs, tb)
+        want = tie_break_oracle(rows, rhs, positions, tb)
+        assert {k: v for k, v in both.items() if k[1] == 0} == \
+            {(j, 0): v for j, v in enumerate(want) if v}
 
 
 def test_solves_insert_the_shortest_rows_first(monkeypatch):
@@ -298,12 +350,7 @@ def test_solves_insert_the_shortest_rows_first(monkeypatch):
         [[r.get(j, F(0)) for j in range(4)] for r in rows], rhs, 4)
     for tb in range(10):
         inserted.clear()
-        system = LinearSystem(tb)
-        for j in range(4):
-            system.var(j)
-        for r, b in zip(rows, rhs):
-            system.equation(r, b)
-        system.solve()
+        system_solve(rows, rhs, tb)
         lengths = [len(v) for v in inserted]
         assert lengths == sorted(lengths) and len(lengths) == len(rows)
 
@@ -413,15 +460,10 @@ def test_solves_eliminate_every_given_row(drawn):
         assert shortest_first()
         for tb in range(10):
             inserted.clear()
-            system = LinearSystem(tb)
-            for j in range(ncols):
-                system.var(j)
-            for r, b in zip(rows, rhs):
-                system.equation(r, b)
-            x = system.solve()
+            x = system_solve(rows, rhs, tb)
             assert (None if x is None else
                     [x.get(j, F(0)) for j in range(ncols)]) == \
-                tie_break_oracle(dense, rhs, ncols, tb)
+                tie_break_oracle(dense, rhs, range(ncols), tb)
             assert shortest_first()
 
 
@@ -495,11 +537,6 @@ def engine_answers(rows, ncols, rhs, probes, tie_break=0):
     ech = Echelon()
     independent = [ech.insert(r) for r in sparse_rows(rows)]
     fraction_free(ech)
-    system = LinearSystem(tie_break)
-    for j in range(ncols):
-        system.var(j)
-    for r, b in zip(sparse_rows(rows), rhs):
-        system.equation(r, b)
     return {
         "independent": independent,
         "reduced": ech.reduced_rows(),
@@ -507,7 +544,7 @@ def engine_answers(rows, ncols, rhs, probes, tie_break=0):
         "reduce": [ech.reduce(v) for v in probes],
         "solve_sparse": solve_sparse(sparse_rows(rows), rhs, ncols),
         "solve_canonical": solve_canonical(rows, rhs, ncols=ncols),
-        "system": system.solve(),
+        "system": system_solve(sparse_rows(rows), rhs, tie_break),
         "rref": rref(rows),
         "nullspace": nullspace(rows, ncols=ncols),
     }

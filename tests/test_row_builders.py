@@ -12,10 +12,12 @@ chain_inverse and the contracting extension of fill_n_homotopy are
 stages of linfty.solve_map_stage, which writes them from these
 builders.  Each system is read from the last argument of the recorded
 solve_map_stage call and compared with term_oracle.delta1, and so is
-the order in which it registers unknowns, which fixes the canonical
-solution.  The stage solver builds only the rows a nonzero right-hand
-side reaches, so the rows `reached` selects are compared: the oracle's
-rows are read off as linear forms at unit values of the unknowns.
+the order of its columns, which fixes the canonical solution: the
+unknowns its rows use, in the order the tie-break gives their
+positions (test_gradedlin.tie_break_columns).  The stage solver builds
+only the rows a nonzero right-hand side reaches, so the rows `reached`
+selects are compared: the oracle's rows are read off as linear forms
+at unit values of the unknowns.
 """
 
 from fractions import Fraction as F
@@ -31,6 +33,7 @@ from linfkit.linfty import (LInftyAlgebra, LInftyMorphism, delta1_rows,
                             post_rows, pre_rows)
 
 import term_oracle
+from test_gradedlin import tie_break_columns
 from test_htpy import acyclic_pair, dg_lie_triple, sign_automorphism
 
 VALUES = [F(1), F(-1), F(2), F(1, 2), F(-3)]
@@ -82,6 +85,18 @@ def pairs(D, B, m, shift):
 def unknown_keys(A, B, m, tag, shift):
     return [(tag, w, b) for w in term_oracle.words(A, m)
             for b in B.basis_in_degree(word_degree(A, w) + shift)]
+
+
+def columns(sys):
+    """The keys of a solved LinearSystem, in column order."""
+    return sorted(sys.index, key=sys.index.get)
+
+
+def ordered(keys, positions, tie_break):
+    """The keys in the column order the tie-break gives their
+    positions."""
+    return [k for _, k in sorted(zip(tie_break_columns(positions,
+                                                       tie_break), keys))]
 
 
 @PROPERTY
@@ -208,7 +223,7 @@ def test_chain_inverse_rows_are_delta1(S1, S2, data):
     f = LInftyMorphism(C1, C2, {1: f1})
     sys, = recorded(chain_inverse, f)
     keys = unknown_keys(S2, S1, 1, "g", 0) + unknown_keys(S1, S1, 1, "h", -1)
-    assert sys.unknowns == keys
+    assert columns(sys) == [k for k in keys if k in sys.index]
 
     def sides(values):
         g, h = table(values, "g"), table(values, "h")
@@ -222,10 +237,16 @@ def test_chain_inverse_rows_are_delta1(S1, S2, data):
         return out
 
     want = linear_rows(keys, sides)
-    got = [({keys[i]: c for i, c in row.items()}, b)
-           for row, b in zip(sys.rows, sys.rhs)]
+    got = written(sys)
     assert all(e in want for e in got)
     assert reached_equations(got) == reached_equations(want)
+
+
+def written(sys):
+    """The equations of a solved LinearSystem over its keys."""
+    keys = columns(sys)
+    return [({keys[j]: c for j, c in row.items()}, b)
+            for row, b in zip(sys.rows, sys.rhs)]
 
 
 def fills():
@@ -247,7 +268,7 @@ def test_contracting_extension_rows_are_delta1(name, seed):
     fs = fills()[name]
     model = fill_n_homotopy(fs, 2, seed)
     sys = [s for s in recorded(fill_n_homotopy, fs, 2, seed)
-           if s.unknowns and s.unknowns[0][0] == "A"][-1]
+           if any(k[0] == "A" for k in s.index)][-1]
     space = model.algebra.space
     korder = [lab[2:] for lab in space.labels if lab.startswith("x|")]
     kspace = GradedSpace([(k, space.deg["x|" + k]) for k in korder])
@@ -256,7 +277,10 @@ def test_contracting_extension_rows_are_delta1(name, seed):
          for k in korder}
     kcx = LInftyAlgebra(kspace, {1: d})
     keys = unknown_keys(kspace, kspace, 1, "A", -1)
-    assert sys.unknowns == keys
+    positions = [(0, (kspace.index[w[0]],), kspace.index[t])
+                 for _, w, t in keys]
+    assert columns(sys) == [k for k in ordered(keys, positions, seed)
+                            if k in sys.index]
 
     def sides(values):
         dA = term_oracle.delta1(kcx, kcx, table(values, "A"), 1, -1)
@@ -264,8 +288,7 @@ def test_contracting_extension_rows_are_delta1(name, seed):
                 for w, t in pairs(kspace, kspace, 1, 0)]
 
     want = linear_rows(keys, sides)
-    got = [({keys[i]: c for i, c in row.items()}, b)
-           for row, b in zip(sys.rows, sys.rhs)]
+    got = written(sys)
     assert all(e in want for e in got)
     assert reached_equations(got) == reached_equations(want)
 
@@ -274,5 +297,6 @@ def test_refused_extension_writes_its_system():
     """The contracting extension of a non-acyclic kernel is refused
     after its system is written."""
     ident = LInftyMorphism.identity(dg_lie_triple())
-    systems = recorded(fill_n_homotopy, [ident, ident])
-    assert [s.unknowns[0][0] for s in systems if s.unknowns] == ["A"]
+    calls = stage_calls(fill_n_homotopy, [ident, ident])
+    assert [(maps[0][0], got) for (_, maps, _, sys), got in calls
+            if sys.rows] == [("A", None)]

@@ -154,7 +154,7 @@ def test_triangle_model_axioms_small():
     S = GradedSpace([("a", 0), ("b", 1)])
     C = LInftyAlgebra(S, {2: {("a", "a"): {"b": F(1)}}}, arity_cap=3)
     M = SimplexModel(C, 2, weight_cap=4)
-    rep = verify_model_axioms(M, weight_check=2, op_weight=3)
+    rep = verify_model_axioms(M)
     assert rep.ok, rep.failures[:3]
 
 

@@ -8,10 +8,13 @@ right-hand side reaches, and the other rows only where that walk hits
 them.  The oracle is the full system: every condition built by the row
 builders over every cell, the terms of a condition summed over (word,
 label), written in the order the stage writes them (the one-term
-delta1 and post conditions, then the others), with the unknowns
-registered the same way.  For each stage the test asserts that
+delta1 and post conditions, then the others), over every unknown of
+every map, each at its position (the map's place, the word's generator
+indices, the label's index).  For each stage the test asserts that
 
-- the solver registers the same unknowns in the same order;
+- the solver orders the columns it uses the way the full system does,
+  by position at tie-break 0 and by the scramble of it otherwise
+  (test_gradedlin.tie_break_columns);
 - its rows are a subsequence of the full system's rows;
 - every row `reached` selects in the full system is among them, and both
   systems select the same rows in the same order;
@@ -40,12 +43,12 @@ from hypothesis import strategies as st
 from linfkit import cli, htpy, linfty
 from linfkit.gradedlin import (Echelon, GradedSpace, LinearSystem,
                                reached, sym_words, word_degree)
-from linfkit.linfty import (LInftyAlgebra, delta1_rows, map_unknowns,
-                            post_rows, pre_rows)
+from linfkit.linfty import LInftyAlgebra, delta1_rows, post_rows, pre_rows
 
-from test_gradedlin import tie_break_columns, tie_break_oracle
-from test_row_builders import (VALUES, draw_linear, draw_map, pairs,
-                               spaces, stage_calls)
+from test_gradedlin import tie_break_oracle
+from test_row_builders import (VALUES, columns, draw_linear, draw_map,
+                               ordered, pairs, spaces, stage_calls,
+                               unknown_keys, written)
 
 JOBS = Path(__file__).resolve().parents[1] / "bench" / "jobs"
 # dense elimination of the full system only up to this many cells
@@ -77,16 +80,22 @@ def condition_rows(m, maps, terms):
     return summed
 
 
-def full_system(m, maps, conds, tie_break):
-    """Every row of the stage, built over every cell."""
-    sys = LinearSystem(tie_break)
-    for tag, A, B, shift in maps:
-        map_unknowns(sys, A, B, m, tag, shift)
+def full_system(m, maps, conds):
+    """Every unknown of the maps, with its position, in canonical order,
+    and every equation of the stage, built over every cell."""
+    keys, positions = [], []
+    for i, (tag, A, B, shift) in enumerate(maps):
+        for key in unknown_keys(A.space, B.space, m, tag, shift):
+            keys.append(key)
+            positions.append((i, tuple(A.space.index[a] for a in key[1]),
+                              B.space.index[key[2]]))
+    eqs = []
     for terms, rhs in [c for c in conds if one_term(c[0])] \
             + [c for c in conds if not one_term(c[0])]:
         for (w, b), row in condition_rows(m, maps, terms).items():
-            sys.equation(row, rhs.get(w, {}).get(b, 0))
-    return sys
+            eqs.append(({k: c for k, c in row.items() if c},
+                        rhs.get(w, {}).get(b, 0)))
+    return keys, positions, eqs
 
 
 def image(m, maps, terms, values):
@@ -111,51 +120,51 @@ def tables(sol, maps):
     return out
 
 
-def equations(sys, idx):
-    return [(sys.rows[i], sys.rhs[i]) for i in idx]
+def reached_in_order(eqs):
+    """The equations `reached` selects, in order."""
+    hit = reached([row for row, _ in eqs], [b for _, b in eqs])
+    return [e for i, e in enumerate(eqs) if i in hit]
 
 
-def reached_part(sys):
-    """The rows of sys that `reached` selects, as a system over the same
-    unknowns: the full system's answer without eliminating the rows
-    its zero right-hand side components hold."""
-    part = LinearSystem(sys.tie_break)
-    for key in sys.unknowns:
-        part.var(key)
-    for i in sorted(reached(sys.rows, sys.rhs)):
-        part.rows.append(sys.rows[i])
-        part.rhs.append(sys.rhs[i])
-    return part
+def solve_part(eqs, keys, positions, tie_break):
+    """LinearSystem's answer on the equations, the unknowns at their
+    positions."""
+    part = LinearSystem(tie_break)
+    for row, b in eqs:
+        part.equation(row, b)
+    return part.solve(dict(zip(keys, positions)).get)
 
 
 def check_stage(stage, got):
     """stage: the arguments of a solve_map_stage call, whose last one is
     the system it wrote; got: its answer."""
     m, maps, conds, built = stage
-    full = full_system(m, maps, conds, built.tie_break)
-    assert built.unknowns == full.unknowns
-    rest = iter(equations(full, range(len(full.rows))))
-    assert all(any(e == f for f in rest)
-               for e in equations(built, range(len(built.rows))))
-    want = equations(full, sorted(reached(full.rows, full.rhs)))
-    kept = equations(built, range(len(built.rows)))
+    keys, positions, full = full_system(m, maps, conds)
+    assert positions == sorted(positions)
+    assert columns(built) == [k for k in ordered(keys, positions,
+                                                 built.tie_break)
+                              if k in built.index]
+    kept = written(built)
+    rest = iter(full)
+    assert all(any(e == f for f in rest) for e in kept)
+    want = reached_in_order(full)
     assert all(e in kept for e in want)
-    assert equations(built, sorted(reached(built.rows, built.rhs))) == want
-    assert got == tables(reached_part(full).solve(), maps)
-    n = len(full.unknowns)
-    if len(full.rows) * (n + 1) <= DENSE_CELLS:
-        dense = [[row.get(j, 0) for j in range(n)] for row in full.rows]
-        x = tie_break_oracle(dense, full.rhs, n, built.tie_break)
+    assert reached_in_order(kept) == want
+    assert got == tables(solve_part(want, keys, positions,
+                                    built.tie_break), maps)
+    if len(full) * (len(keys) + 1) <= DENSE_CELLS:
+        dense = [[row.get(k, 0) for k in keys] for row, _ in full]
+        x = tie_break_oracle(dense, [b for _, b in full], positions,
+                             built.tie_break)
         assert got == (None if x is None else tables(
-            {k: v for k, v in zip(full.unknowns, x) if v}, maps))
+            {k: v for k, v in zip(keys, x) if v}, maps))
     elif got is not None:
         # too large to eliminate densely: the answer solves every row
         values = {key: got[key[0]].get(key[1], {}).get(key[2], 0)
-                  for key in full.unknowns}
-        for row, b in zip(full.rows, full.rhs):
-            assert sum(c * values[full.unknowns[j]]
-                       for j, c in row.items()) == b
-    return len(full.rows), len(built.rows), kept == want
+                  for key in keys}
+        for row, b in full:
+            assert sum(c * values[k] for k, c in row.items()) == b
+    return len(full), len(kept), kept == want
 
 
 def solver_run(m, maps, conds, tie_break):
@@ -201,11 +210,11 @@ BENCH = [("fill-edge-id-sign.json", build_fill),
 
 def handed(sys):
     """The rows the solve of sys inserts into Echelon: every row written,
-    with its right-hand side in column n, shortest first, ties in the
-    order written, the columns moved by the tie-break."""
-    n = len(sys.unknowns)
-    pos = tie_break_columns(n, sys.tie_break)
-    return [{**{pos[j]: c for j, c in sys.rows[i].items()}, n: sys.rhs[i]}
+    over its sorted columns (check_stage checks their order), with its
+    right-hand side in column n, shortest first, ties in the order
+    written."""
+    n = len(sys.index)
+    return [{**sys.rows[i], n: sys.rhs[i]}
             for i in sorted(range(len(sys.rows)),
                             key=lambda i: len(sys.rows[i]))]
 
@@ -221,12 +230,12 @@ def inserting_stage_calls(build, name, seed):
             current.append(dict(v))
         return real_insert(self, v)
 
-    def solve(self):
+    def solve(self, order):
         nonlocal current
         current = []
         solved.append((self, current))
         try:
-            return real_solve(self)
+            return real_solve(self, order)
         finally:
             current = None
 
