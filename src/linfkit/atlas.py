@@ -80,6 +80,13 @@ class ToyAtlas:
     def base_map(self, p, q):
         return self.changes[(p, q)]["base_map"]
 
+    def pull_back(self, p, q, subset):
+        """The points of U_pq that the base map sends into subset, a
+        base subset of the chart at q."""
+        f = self.base_map(p, q)
+        return frozenset(u for u in self.change_domain(p, q)
+                         if f[u] in subset)
+
     def edge_morphism(self, p, q):
         """The algebra morphism attached to the change (p, q): from the
         algebra at q to the algebra at p; identity edges resolve to the
@@ -334,21 +341,12 @@ class Hypercovering:
         if alpha in self._u_cache:
             return self._u_cache[alpha]
         A = self.atlas
-        p = alpha[0]
-        if len(alpha) == 1:
-            out = frozenset(A.base(p))
-        else:
-            out = frozenset(A.base(p))
-            k = len(alpha) - 1
-            for rest in itertools.chain.from_iterable(
-                    itertools.combinations(range(k), n)
-                    for n in range(k)):
-                beta = tuple(alpha[j] for j in rest) + (alpha[k],)
-                ub = self.u_set(beta)
-                b0 = beta[0]
-                pulled = frozenset(u for u in A.change_domain(p, b0)
-                                   if A.base_map(p, b0)[u] in ub)
-                out &= pulled
+        p, k = alpha[0], len(alpha) - 1
+        out = frozenset(A.base(p))
+        for rest in itertools.chain.from_iterable(
+                itertools.combinations(range(k), n) for n in range(k)):
+            beta = tuple(alpha[j] for j in rest) + (alpha[k],)
+            out &= A.pull_back(p, beta[0], self.u_set(beta))
         self._u_cache[alpha] = out
         return out
 
@@ -448,10 +446,8 @@ def simplicial_identities(H: Hypercovering) -> CheckReport:
                     fail("u-face-monotone", alpha, str(i))
             if k >= 1:
                 checked += 1
-                p, q = alpha[0], alpha[1]
-                top = H.face(alpha, k)
-                pulled = frozenset(u for u in A.change_domain(p, q)
-                                   if A.base_map(p, q)[u] in H.u_set(top))
+                pulled = A.pull_back(alpha[0], alpha[1],
+                                     H.u_set(H.face(alpha, k)))
                 if not H.u_set(alpha) <= pulled:
                     fail("u-leading-face", alpha, "pullback")
     return CheckReport("simplicial-identities", failures, checked)
@@ -716,10 +712,7 @@ def check_cocycle(G: CocycleData) -> CheckReport:
             checked += 1
             face = H.face(alpha, i)
             if i == 2:
-                p, q = alpha[0], alpha[1]
-                pulled = frozenset(
-                    u for u in A.change_domain(p, q)
-                    if A.base_map(p, q)[u] in H.u_set(face))
+                pulled = A.pull_back(alpha[0], alpha[1], H.u_set(face))
                 if not H.u_set(alpha) <= pulled:
                     fail("face-restriction", alpha, str(i))
             elif not H.u_set(alpha) <= H.u_set(face):

@@ -131,9 +131,11 @@ class FillingModel:
             checked += 1
             diff = comp.add(face_incl.scale(-1))
             if not diff.is_zero():
-                failures.append((("eval-incl", _jtag(J)),
-                                 {a: Fraction(c) for (a, _), c
-                                  in sorted(diff.entries.items())[:3]}))
+                # {source: {target: difference}} on the first entries
+                witness = {}
+                for (a, b), c in sorted(diff.entries.items())[:3]:
+                    witness.setdefault(a, {})[b] = Fraction(c)
+                failures.append((("eval-incl", _jtag(J)), witness))
         # endpoints of the filling homotopy are the given morphisms
         for v in range(self.n + 1):
             ev = self.eval_vertex(v)

@@ -557,6 +557,35 @@ def test_localize_report_does_not_depend_on_hash_seed(tmp_path):
     assert reports[0] == reports[1]
 
 
+HASHLIB_PROBE = """
+import json, sys
+mods = ("hashlib", "_hashlib")
+before = [m for m in mods if m in sys.modules]
+import linfkit.cli
+code = linfkit.cli.main(sys.argv[1:])
+print(json.dumps([before, code, [m for m in mods if m in sys.modules]]))
+"""
+
+
+@pytest.mark.parametrize("seed, loaded", [("0", []),
+                                          ("3", ["hashlib", "_hashlib"])])
+def test_hashlib_is_imported_only_by_a_tie_break_audit(seed, loaded,
+                                                        tmp_path):
+    """hashlib loads OpenSSL, and only the column scramble of a nonzero
+    tie-break needs it: importing linfkit.cli and running a seed-0 fill
+    leave it unloaded, and the seed-3 audit of the same job loads it,
+    which shows that the probe sees the import."""
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    path_env = filter(None, [src, os.environ.get("PYTHONPATH")])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(path_env))
+    proc = subprocess.run(
+        [sys.executable, "-c", HASHLIB_PROBE, "fill-homotopy",
+         str(BENCH_JOBS / "fill-edge-id-id.json"), "--seed", seed,
+         "--out", str(tmp_path / "report.json")],
+        env=env, capture_output=True, text=True, check=False)
+    assert json.loads(proc.stdout) == [[], 0, loaded], proc.stderr
+
+
 def test_fooo_verb_accepts_identity_embedding(tmp_path, capsys):
     ring = JetRing(["q1"], 4)
     s = Section(ring, [ring.var("q1")]).to_json()

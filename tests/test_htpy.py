@@ -6,14 +6,18 @@ object is re-verified through the generic relation/morphism checkers,
 and endpoint agreements are compared coefficient by coefficient.
 """
 
+import json
 import re
 from fractions import Fraction as F
+from functools import lru_cache
+from pathlib import Path
 
 import pytest
 
-from linfkit import htpy
-from linfkit.gradedlin import GradedSpace, vec_add, vec_scale
-from linfkit.htpy import (FillError, chain_inverse, fill_n_homotopy,
+from linfkit import cli, htpy
+from linfkit.gradedlin import GradedMap, GradedSpace, vec_add, vec_scale
+from linfkit.htpy import (FillError, FillingModel, WhiteheadCertificate,
+                          chain_inverse, fill_n_homotopy,
                           model_morphism_over, whitehead_inverse)
 from linfkit.linfty import (LInftyAlgebra, LInftyMorphism, check_morphism,
                             check_relations, compose, comps_agree,
@@ -195,6 +199,87 @@ def test_fill_refuses_constants_outside_the_kernel(monkeypatch):
     phi = sign_automorphism(C)
     with pytest.raises(FillError, match="inclusion of constants misses"):
         fill_n_homotopy([LInftyMorphism.identity(C), phi, phi], K=2)
+
+
+# ---------------------------------------------------------------------------
+# tampered bench constructions fail their certificates
+
+JOBS = Path(__file__).resolve().parents[1] / "bench" / "jobs"
+CAPS = {"arity": None, "jet": None, "weight": None, "simp": None, "seed": 0}
+
+
+@lru_cache(maxsize=None)
+def bench_fill(name):
+    fs, = cli.load_fill(json.loads((JOBS / name).read_text()), CAPS)
+    return fill_n_homotopy(fs, K=2)
+
+
+def refilled(M, **fields):
+    """M rebuilt through the public constructor with some fields
+    replaced."""
+    kw = dict(algebra=M.algebra, n=M.n, K=M.K, base=M.base, fs=M.fs,
+              evals=M.evals, boundary=M.boundary, incl=M.incl,
+              hbar=M.hbar, notes=M.notes)
+    kw.update(fields)
+    return FillingModel(**kw)
+
+
+def with_scaled_linear_part(f, factor):
+    return LInftyMorphism(f.source, f.target, {**f.comps, 1: {
+        w: vec_scale(factor, out) for w, out in f.comps[1].items()}},
+        arity_cap=f.arity_cap)
+
+
+def doubled_incl_a(M):
+    """M with the inclusion of constants doubled on the generator a."""
+    return refilled(M, incl=GradedMap(M.incl.source, M.incl.target, 0, {
+        x: vec_scale(2 if x == "a" else 1, img)
+        for x, img in M.incl.images.items()}))
+
+
+def swapped_fs():
+    M = bench_fill("fill-edge-id-sign.json")
+    assert not comps_agree(M.fs[0], M.fs[1], M.K)
+    return refilled(M, fs=M.fs[::-1])
+
+
+def scaled_hbar():
+    M = bench_fill("fill-edge-id-sign.json")
+    return refilled(M, hbar=with_scaled_linear_part(M.hbar, 2))
+
+
+def scaled_g1():
+    doc = json.loads((JOBS / "whitehead-sign.json").read_text())
+    f, = cli.load_three_part(doc, CAPS)
+    c = whitehead_inverse(f, K=3)
+    assert c.g.comps[1]
+    return WhiteheadCertificate(c.f, with_scaled_linear_part(c.g, 2),
+                                c.homotopy, c.model, c.K, reverse=c.reverse,
+                                notes=c.notes)
+
+
+@pytest.mark.parametrize("build, names", [
+    (swapped_fs, {"endpoint"}),
+    (scaled_hbar, {"hbar", "endpoint"}),
+    (lambda: doubled_incl_a(bench_fill("fill-triangle.json")),
+     {"eval-incl"}),
+    (scaled_g1, {"endpoint"}),
+], ids=["swapped-fs", "scaled-hbar", "doubled-incl", "scaled-g1"])
+def test_tampered_construction_fails_its_certificate(build, names):
+    rep = build().verify()
+    assert names & {at[0] for at, _ in rep.failures}, rep.failures[:5]
+
+
+def test_eval_incl_witness_names_source_and_target():
+    """Doubling incl(a) on the triangle fill adds one more copy of the
+    edge inclusion of a on every edge; the witness lists each entry of
+    that difference under its source and its target."""
+    M = bench_fill("fill-triangle.json")
+    failures = dict(doubled_incl_a(M).verify().failures)
+    for J in M.face_keys():
+        want = M.boundary[J].incl.images["a"]
+        assert len(want) == 2
+        assert failures[("eval-incl", htpy._jtag(J))] == {"a": want}
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,10 @@ from fractions import Fraction as F
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from dense_oracle import matrix_rank
 from linfkit import simplexmodel
 from linfkit.derived import mv_wedge
 from linfkit.gradedlin import (CapError, GradedMap, GradedSpace, cohomology,
@@ -179,12 +182,13 @@ def bench_triangle_model():
                         weight_cap=6)
 
 
-def scaled(ev, factor):
-    """The strict morphism ev with its linear component times factor."""
-    return LInftyMorphism(ev.source, ev.target,
-                          {1: {w: vec_scale(factor, out)
-                               for w, out in ev.comps[1].items()}},
-                          arity_cap=ev.arity_cap)
+def tampered(ev, factor, entry=None):
+    """The strict morphism ev with its linear component, or only the
+    (word, label) entry of it, times factor."""
+    return LInftyMorphism(ev.source, ev.target, {1: {
+        w: {b: c * factor if entry in (None, (w, b)) else c
+            for b, c in out.items()}
+        for w, out in ev.comps[1].items()}}, arity_cap=ev.arity_cap)
 
 
 @pytest.mark.parametrize("factor, face, witness", [
@@ -200,7 +204,7 @@ def test_tampered_top_evaluations_fail_exactness(factor, face, witness):
     M = bench_triangle_model()
     evs = {i: M.eval_face(i) for i in range(3)}
     assert simplexmodel._exactness(M, evs, 4) == (True, None)
-    bad = {i: scaled(ev, factor) if face in (None, i) else ev
+    bad = {i: tampered(ev, factor) if face in (None, i) else ev
            for i, ev in evs.items()}
     assert simplexmodel._exactness(M, bad, 4) == (False, witness)
     M._evals.update(bad)
@@ -208,16 +212,83 @@ def test_tampered_top_evaluations_fail_exactness(factor, face, witness):
     assert failures[("face-complex-exact",)] == witness
 
 
-def test_tampered_face_evaluation_fails_compatibility():
+BOUNDARY_SQUARED = {"reason": "boundary squared nonzero"}
+
+
+def draw_tampering(data, evs, factors=(0, 2, -1, F(1, 2))):
+    """One face evaluation of evs scaled by a drawn factor, whole or in
+    one drawn entry."""
+    i = data.draw(st.sampled_from(sorted(evs)))
+    factor = data.draw(st.sampled_from(factors))
+    entries = sorted((w, b) for w, out in evs[i].comps[1].items()
+                     for b in out)
+    entry = data.draw(st.none() | st.sampled_from(entries))
+    return {**evs, i: tampered(evs[i], factor, entry)}
+
+
+def faces_agree_on_vertices(M, evs):
+    """Oracle: at each vertex v of the triangle, evaluating onto either
+    edge through v and then onto v gives the same linear map."""
+    edge = M.face_model()
+    for v in range(3):
+        ends = [edge.eval_vertex(J.index(v)).f1_map()
+                .compose(evs[i].f1_map()).images
+                for i, J, _ in simplex_faces(2) if v in J]
+        if ends[0] != ends[1]:
+            return False
+    return True
+
+
+@settings(derandomize=True, max_examples=60, deadline=None, database=None)
+@given(data=st.data())
+def test_face_tampering_breaks_compatibility_iff_boundary_squared(data):
+    """On the bench triangle model, the face evaluations disagree on a
+    shared vertex exactly when _exactness, and with it the
+    face-complex-exact record, reads "boundary squared nonzero"."""
     M = bench_triangle_model()
-    face = M.face_model()
     evs = {i: M.eval_face(i) for i in range(3)}
-    face_evs = [face.eval_face(r) for r in range(2)]
-    assert simplexmodel._face_compat(M, evs, face_evs)
-    evs[1] = scaled(evs[1], 2)
-    assert not simplexmodel._face_compat(M, evs, face_evs)
-    M._evals[1] = evs[1]
-    assert ("face-compatibility",) in dict(verify_model_axioms(M).failures)
+    assert faces_agree_on_vertices(M, evs)
+    bad = draw_tampering(data, evs)
+    agree = faces_agree_on_vertices(M, bad)
+    ok, witness = simplexmodel._exactness(M, bad, 4)
+    assert (witness == BOUNDARY_SQUARED) == (not agree)
+    M._evals.update(bad)
+    failures = dict(verify_model_axioms(M).failures)
+    assert failures.get(("face-complex-exact",)) == (None if ok else witness)
+
+
+def joint_rank_defect(M, evs):
+    """Oracle: the first degree of the base in which the joint
+    evaluation onto C + C has rank below 2 dim C_d, or None."""
+    C = M.base.space
+    for d in C.degrees():
+        tgt = [(j, t) for j in evs for t in C.basis_in_degree(d)]
+        rows = [[evs[j].comp_word(1, (s,)).get(t, 0) for j, t in tgt]
+                for s in M.space.basis_in_degree(d)]
+        if matrix_rank(rows) < len(tgt):
+            return d
+    return None
+
+
+@settings(derandomize=True, max_examples=60, deadline=None, database=None)
+@given(data=st.data())
+def test_interval_exactness_is_joint_surjectivity(data):
+    """On interval models of the bench n = 1 algebra, at weight caps
+    0-3 (weight 0 holds the constants only, so no evaluation is onto)
+    and with one evaluation or one entry of it zeroed, the
+    face-complex-exact record fails exactly when the joint evaluation
+    is not onto, at the first degree where it is not."""
+    doc = json.loads((BENCH_JOBS / "model-verify-n1-w6.json").read_text())
+    M = SimplexModel(LInftyAlgebra.from_json(doc["algebra"]), 1,
+                     weight_cap=data.draw(st.integers(0, 3)))
+    evs = {i: M.eval_face(i) for i in (0, 1)}
+    if data.draw(st.booleans()):
+        evs = draw_tampering(data, evs, factors=(0,))
+    defect = joint_rank_defect(M, evs)
+    M._evals.update(evs)
+    failures = dict(verify_model_axioms(M).failures)
+    assert failures.get(("face-complex-exact",)) == \
+        (None if defect is None else {"degree": defect})
 
 
 def test_eval_is_morphism_and_quasi_iso():
