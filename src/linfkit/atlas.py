@@ -131,13 +131,13 @@ class ToyAtlas:
     @classmethod
     def from_json(cls, doc, algebras=None, morphisms=None):
         expect(doc, "atlas", ("points", "charts", "changes"))
-        points = [_point(p) for p in doc["points"]]
+        points = _points(doc["points"])
         by_str = {str(p): p for p in points}
         charts = {}
         for ps, c in doc["charts"].items():
             expect(c, "atlas.charts", ("base_points", "zero_set"),
                    ("group_order", "dim", "algebra_ref"))
-            base = [_point(u) for u in c["base_points"]]
+            base = _points(c["base_points"])
             base_by_str = {str(u): u for u in base}
             charts[by_str[ps]] = {
                 "base_points": base,
@@ -174,10 +174,22 @@ def _chart_int(chart, where, key, low):
 
 
 def _point(x):
-    """A point or base point read from a document: a JSON scalar."""
-    if isinstance(x, (list, dict)):
-        raise TypeError("a point must be a scalar, got %r" % (x,))
+    """A point or base point read from a document: a string or an
+    integer (a bool is no integer here, and True == 1 would find the
+    chart of 1)."""
+    if isinstance(x, bool) or not isinstance(x, (str, int)):
+        raise TypeError("a point must be a string or an integer, got %r"
+                        % (x,))
     return x
+
+
+def _points(xs):
+    """A list of points, refused when two have one string form: chart
+    and change keys are strings in the document."""
+    points = [_point(x) for x in xs]
+    if len({str(x) for x in points}) != len(points):
+        raise ValueError("a point is listed twice in %r" % (xs,))
+    return points
 
 
 def validate_atlas(A: ToyAtlas) -> CheckReport:

@@ -588,6 +588,8 @@ def run_local_algebra(caps, s):
 def load_expand(doc, caps):
     s, = load_section(doc, caps, ("new_vars",))
     new_vars = str_list("new_vars", doc["new_vars"])
+    # the expanded ring refuses a repeated or non-identifier name here
+    koszul_mod.JetRing(s.ring.names + new_vars, s.ring.order)
     v = len(new_vars)
     guard_generators("the expanded local algebra",
                      local_size(s.ring.nv + v, s.ring.order, s.rank + v),

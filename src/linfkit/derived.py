@@ -115,6 +115,10 @@ class JetRing:
     def __init__(self, var_names, order=4):
         if len(set(var_names)) != len(var_names):
             raise ValueError("duplicate variable name")
+        # the label codec splits on ".", "^" and "|"
+        if not all(n.isidentifier() for n in var_names):
+            raise ValueError("variable names must be identifiers, got %r"
+                             % (list(var_names),))
         if order < 0:
             raise ValueError("negative jet order")
         self.names = list(var_names)

@@ -566,19 +566,6 @@ class GradedMap:
         return GradedMap(other.source, self.target,
                          self.shift + other.shift, images)
 
-    def add(self, other):
-        if self.shift != other.shift:
-            raise ValueError("shift mismatch in sum")
-        images = {a: dict(img) for a, img in self.images.items()}
-        for a, img in other.images.items():
-            vec_acc(images.setdefault(a, {}), img)
-        return GradedMap(self.source, self.target, self.shift, images)
-
-    def scale(self, c):
-        return GradedMap(self.source, self.target, self.shift,
-                         {a: vec_scale(c, img)
-                          for a, img in self.images.items()})
-
     def is_zero(self):
         return not self.images
 

@@ -5,8 +5,9 @@ Three machines live here:
 - fill_n_homotopy: given n+1 quasi-isomorphisms into the same target
   (n = 1, 2), build a finite model of the n-simplex times the target
   as a mapping-cylinder algebra and a filling homotopy whose vertex
-  evaluations are the given morphisms; for n = 2 the edge homotopies
-  are filled first.
+  evaluations are the given morphisms; every face is filled first, by
+  the same recursion, down to the point, whose model is the target
+  itself.
 - whitehead_inverse: invert a quasi-isomorphism up to homotopy, arity
   by arity, returning a certificate with the inverse, the homotopy and
   the interval model it lives in.
@@ -41,8 +42,8 @@ from .linfty import (CheckReport, LInftyAlgebra, LInftyMorphism,
                      l1_map, obstruction_cocycle, partition_sum,
                      solve_map_stage, split_sum_label, sum_label,
                      with_arity)
-from .simplexmodel import (Homotopy, SimplexModel, simplex_faces,
-                           vertex_boundary)
+from .simplexmodel import (Homotopy, SimplexModel, incl_morphism,
+                           simplex_faces, vertex_boundary)
 
 
 class FillError(RuntimeError):
@@ -72,10 +73,10 @@ class FillingModel:
     Fields: algebra (the cylinder), n, K (arity of the constructed
     structure), base (modeled target algebra), fs (vertex morphisms),
     evals {face tuple: strict morphism to the face model}, boundary
-    {edge: its FillingModel} (empty when n = 1, where every face model
-    is the target algebra itself), incl (chain inclusion of constants),
-    hbar (the filling homotopy from the source of fs into the
-    cylinder)."""
+    {face tuple: its FillingModel}, incl (chain inclusion of
+    constants), hbar (the filling homotopy from the source of fs into
+    the cylinder).  The point (n = 0) is C itself: no faces, incl the
+    identity and hbar the one vertex morphism."""
 
     def __init__(self, algebra, n, K, base, fs, evals, boundary, incl,
                  hbar, notes=None):
@@ -95,6 +96,8 @@ class FillingModel:
 
     def eval_vertex(self, v):
         """Strict morphism cylinder -> C evaluating at a vertex."""
+        if self.n == 0 and v == 0:
+            return LInftyMorphism.identity(self.base)
         if self.n == 1:
             return self.evals[(v,)]
         for J in self.face_keys():
@@ -103,10 +106,6 @@ class FillingModel:
                 pos = J.index(v)
                 return compose(edge.evals[(pos,)], self.evals[J])
         raise ValueError("no face contains vertex %d" % v)
-
-    def incl_morphism(self):
-        return LInftyMorphism.from_linear(self.base, self.algebra,
-                                          self.incl.images, arity_cap=self.K)
 
     def verify(self):
         """Re-check every claimed identity: cylinder relations, all
@@ -120,20 +119,19 @@ class FillingModel:
                 self.evals[J], up_to=self.K), "eval" + _jtag(J))
         checked += fold_report(failures, check_morphism(
             self.hbar, up_to=self.K), "hbar")
-        incl = self.incl_morphism()
+        incl = incl_morphism(self)
         checked += fold_report(failures, check_morphism(
             incl, up_to=self.K), "incl")
         # evaluations compose with the inclusion to the face inclusions
         for J in self.face_keys():
             comp = self.evals[J].f1_map().compose(self.incl)
-            face_incl = GradedMap.identity(self.base.space) if self.n == 1 \
-                else self.boundary[J].incl
+            face_incl = self.boundary[J].incl
             checked += 1
-            diff = comp.add(face_incl.scale(-1))
-            if not diff.is_zero():
+            if comp.images != face_incl.images:
                 # {source: {target: difference}} on the first entries
+                diff = vec_acc(dict(comp.entries), face_incl.entries, -1)
                 witness = {}
-                for (a, b), c in sorted(diff.entries.items())[:3]:
+                for (a, b), c in sorted(diff.items())[:3]:
                     witness.setdefault(a, {})[b] = Fraction(c)
                 failures.append((("eval-incl", _jtag(J)), witness))
         # endpoints of the filling homotopy are the given morphisms
@@ -161,31 +159,15 @@ class FillingModel:
         }
 
 
-def _family_for_fill(fs, faces, K, tie_break):
-    """Face models and homotopy components by face for the cylinder
-    construction, and the edge fills when the faces are edges."""
-    if len(fs) == 2:
-        return ({J: fs[0].target for J in faces},
-                {J: fs[J[0]] for J in faces}, {})
-    edges = {}
-    for J in faces:
-        edge = edges[J] = fill_n_homotopy([fs[J[0]], fs[J[1]]], K=K,
-                                          tie_break=tie_break)
-        for pos in (0, 1):
-            got = compose(edge.evals[(pos,)], edge.hbar)
-            if not comps_agree(got, fs[J[pos]], got.arity_cap):
-                raise ValueError("edge homotopy %r does not end on the "
-                                 "given vertex morphisms" % (J,))
-    return ({J: edges[J].algebra for J in faces},
-            {J: edges[J].hbar for J in faces}, edges)
-
-
 def fill_n_homotopy(fs, K=2, tie_break=0):
     """Fill a family of quasi-isomorphisms with an n-homotopy,
-    n = len(fs) - 1 in {1, 2}.
+    n = len(fs) - 1 in {0, 1, 2}.
 
     fs: morphisms C0 -> C (the vertex data), each a quasi-isomorphism.
-    For n = 2 the three edge homotopies are filled first, recursively.
+    Every face is filled first, by this recursion, down to the point
+    (n = 0): its model is C itself and its homotopy the one vertex
+    morphism; it solves nothing and checks K only: the fill above it
+    has checked its vertex.
     K: arity up to which operations and homotopy components are built,
     an integer >= 1 (ValueError otherwise, as in the other two machines).
     tie_break: seed of the free-variable choice in every linear stage,
@@ -197,21 +179,26 @@ def fill_n_homotopy(fs, K=2, tie_break=0):
     when C or C0 is curved (is_quasi_iso)."""
     check_arity_cap(K)
     n_out = len(fs) - 1
-    if n_out not in (1, 2):
-        raise ValueError("filling supports 2 or 3 vertex morphisms")
+    if n_out not in (0, 1, 2):
+        raise ValueError("filling supports 1, 2 or 3 vertex morphisms")
     C = fs[0].target
     C0 = fs[0].source
+    if K > min(C.arity_cap, C0.arity_cap):
+        raise ValueError("arity cap of the algebras is below K")
+    if n_out == 0:
+        return FillingModel(C, 0, K, C, fs, {}, {},
+                            GradedMap.identity(C.space), fs[0])
     for f in fs:
         if f.source is not C0 or f.target is not C:
             raise ValueError("vertex morphisms must share endpoints")
         if not is_quasi_iso(f):
             raise ValueError("vertex morphisms must be quasi-isomorphisms")
-    if K + 1 > min(C.arity_cap, C0.arity_cap) + 1:
-        raise ValueError("arity cap of the algebras is below K")
 
     simplex = simplex_faces(n_out)
     faces = [J for _, J, _ in simplex]
-    face_alg, face_h, edges = _family_for_fill(fs, faces, K, tie_break)
+    boundary = {J: fill_n_homotopy([fs[v] for v in J], K=K,
+                                   tie_break=tie_break) for J in faces}
+    face_alg = {J: boundary[J].algebra for J in faces}
 
     # --- direct sum of the face models, face i labeled sum_label(l, i)
     side = {J: str(i) for i, J in enumerate(faces)}
@@ -227,8 +214,9 @@ def fill_n_homotopy(fs, K=2, tie_break=0):
         return {b: c for (b, s), c in parts if s == side[J]}
 
     # --- kernel of the signed boundary map to the vertex level (zero
-    # when n_out = 1), as labeled vectors in the sum; each basis vector
-    # is 1 on its free column, which the others are 0 on
+    # when n_out = 1: a vertex has no faces), as labeled vectors in the
+    # sum; each basis vector is 1 on its free column, which the others
+    # are 0 on
     idx = sum_space.index
     kvecs = {}
     korder = []
@@ -237,7 +225,7 @@ def fill_n_homotopy(fs, K=2, tie_break=0):
         ech = Echelon()
         if n_out == 2:
             for row in vertex_boundary([
-                    (J, sign, edges[J],
+                    (J, sign, boundary[J],
                      {l: idx[sum_label(l, side[J])]
                       for l in face_alg[J].space.basis_in_degree(deg)})
                     for _, J, sign in simplex]).values():
@@ -330,8 +318,7 @@ def fill_n_homotopy(fs, K=2, tie_break=0):
         return {"x|" + k: c for k, c in coords.items()}
 
     incl = GradedMap(C.space, cyl_space, 0, {
-        lab: lift_to_ker({J: {lab: 1} if n_out == 1
-                          else edges[J].incl.images.get(lab, {})
+        lab: lift_to_ker({J: boundary[J].incl.images.get(lab, {})
                           for J in faces}, C.space.deg[lab],
                          "inclusion of constants misses the boundary "
                          "kernel")
@@ -341,7 +328,8 @@ def fill_n_homotopy(fs, K=2, tie_break=0):
     for m in range(1, K + 1):
         table = {}
         for w in sym_words(C0.space, m):
-            val = lift_to_ker({J: face_h[J].comp_word(m, w) for J in faces},
+            val = lift_to_ker({J: boundary[J].hbar.comp_word(m, w)
+                               for J in faces},
                               word_degree(C0.space, w),
                               "boundary data is not compatible (misses "
                               "the kernel)")
@@ -362,7 +350,7 @@ def fill_n_homotopy(fs, K=2, tie_break=0):
              % (len(faces), len(korder))]
     evals = {J: LInftyMorphism.from_linear(cyl, face_alg[J], ev_maps[J],
                                            arity_cap=K) for J in faces}
-    return FillingModel(cyl, n_out, K, C, fs, evals, edges, incl,
+    return FillingModel(cyl, n_out, K, C, fs, evals, boundary, incl,
                         LInftyMorphism(C0, cyl, hbar.comps, arity_cap=K),
                         notes=notes)
 

@@ -633,30 +633,17 @@ def word_label(word):
     return "(" + ",".join(word) + ")"
 
 
-class HatSpace(GradedSpace):
-    """A graded space with one generator per canonical word of a base
-    space; words: {generator label: word}."""
-
-    def __init__(self, base, words):
-        self.words = {word_label(w): w for w in words}
-        super().__init__([(lab, word_degree(base, w))
-                          for lab, w in self.words.items()])
-
-
-def hat_space(A: LInftyAlgebra, cap):
-    """Truncated symmetric coalgebra S^{<=cap} C, the empty word left
-    out, as a graded space with one generator per canonical word."""
-    return HatSpace(A.space, [w for k in range(1, cap + 1)
-                              for w in sym_words(A.space, k)])
-
-
 def codifferential_hat(A: LInftyAlgebra, cap=None) -> GradedMap:
-    """The coderivation extension of the operations on S^{<=cap} C,
-    with words of arity above the cap projected away."""
+    """The coderivation extension of the operations on S^{<=cap} C (the
+    empty word left out, one generator word_label(w) per canonical word
+    w), with words of arity above the cap projected away."""
     cap = cap or A.arity_cap
-    space = hat_space(A, cap)
+    words = {word_label(w): w for k in range(1, cap + 1)
+             for w in sym_words(A.space, k)}
+    space = GradedSpace([(wl, word_degree(A.space, w))
+                         for wl, w in words.items()])
     images = {}
-    for wl, word in space.words.items():
+    for wl, word in words.items():
         # the curvature (i = 0) raises arity by one
         out = insertion_sum(A, word, None, range(1, cap + 1),
                             0, len(word))

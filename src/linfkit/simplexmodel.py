@@ -18,7 +18,7 @@ from __future__ import annotations
 import itertools
 
 from .gradedlin import (CapError, Echelon, GradedMap, GradedSpace, acc_term,
-                        vec_acc, vec_add, vec_scale, words_within)
+                        vec_acc, vec_scale, words_within)
 from .derived import form_d, mv_wedge
 from .linfty import (CheckReport, LInftyAlgebra, LInftyMorphism,
                      check_morphism, check_relations, compose, comps_agree,
@@ -190,43 +190,31 @@ class SimplexModel:
         return out
 
     def _build_ops(self, weights):
+        """l_m(a_1|x_1, ..., a_m|x_m) = +-(a_1 ^ ... ^ a_m)|l_m(x_1, ...,
+        x_m) on the canonical words within the weight cap, plus d a|x at
+        m = 1; the sign is (-1)^(sum |a_i| + sum_{i<j} |x_i| |a_j|)."""
         base = self.base
-        n = self.n
         ops = {}
-        # arity 1
-        tab1 = {}
-        for lab, (k, x) in self.labels.items():
-            val = self._tensor_element(d_form(n, {k: 1}), {x: 1})
-            sgn = (-1) ** mono_degree(k)
-            val = vec_add(val, vec_scale(
-                sgn, self._tensor_element({k: 1},
-                                          base.op_word(1, (x,)))))
-            if val:
-                tab1[(lab,)] = val
-        if tab1:
-            ops[1] = tab1
-        # arity >= 2 on canonical words
-        for arity in range(2, base.arity_cap + 1):
-            if arity not in base.ops:
+        for arity in range(1, base.arity_cap + 1):
+            if arity > 1 and arity not in base.ops:
                 continue
             tab = {}
             for word in words_within(self.space, arity, weights,
                                      self.weight_cap):
                 pairs = [self.labels[l] for l in word]
+                val = {} if arity > 1 else self._tensor_element(
+                    d_form(self.n, {pairs[0][0]: 1}), {pairs[0][1]: 1})
                 base_out = base.op_word(arity, tuple(x for _, x in pairs))
-                if not base_out:
-                    continue
-                alpha = {pairs[0][0]: 1}
-                for k, _ in pairs[1:]:
-                    alpha = mv_wedge(alpha, {k: 1})
-                if not alpha:
-                    continue
-                adeg = [mono_degree(k) for k, _ in pairs]
-                xdeg = [base.space.deg[x] for _, x in pairs]
-                sgn_exp = sum(xdeg[i] * sum(adeg[i + 1:])
-                              for i in range(arity - 1)) + sum(adeg)
-                val = vec_scale((-1) ** sgn_exp,
-                                self._tensor_element(alpha, base_out))
+                if base_out:
+                    alpha = {pairs[0][0]: 1}
+                    for k, _ in pairs[1:]:
+                        alpha = mv_wedge(alpha, {k: 1})
+                    sgn_exp = xsum = 0
+                    for k, x in pairs:
+                        sgn_exp += mono_degree(k) * (1 + xsum)
+                        xsum += base.space.deg[x]
+                    vec_acc(val, self._tensor_element(alpha, base_out),
+                            (-1) ** sgn_exp)
                 if val:
                     tab[word] = val
             if tab:
@@ -278,13 +266,14 @@ class SimplexModel:
             raise ValueError("eval_vertex applies to interval models")
         return self.eval_face(1 - j)
 
-    def incl_morphism(self) -> LInftyMorphism:
-        """The inclusion packaged with zero higher components.  For the
-        tensor model this is in fact a full morphism (wedging constant
-        functions creates no signs)."""
-        return LInftyMorphism.from_linear(self.base, self.algebra,
-                                          self.incl.images,
-                                          arity_cap=self.base.arity_cap)
+
+def incl_morphism(model) -> LInftyMorphism:
+    """The inclusion of constants of a model (a SimplexModel or a
+    FillingModel) packaged with zero higher components.  For the tensor
+    model this is in fact a full morphism (wedging constant functions
+    creates no signs)."""
+    return LInftyMorphism.from_linear(model.base, model.algebra,
+                                      model.incl.images)
 
 
 # ---------------------------------------------------------------------------
@@ -333,7 +322,7 @@ def verify_model_axioms(model: SimplexModel):
     record("incl-chain-map", not delta1(
         model.base, model.algebra,
         {(x,): v for x, v in incl.images.items()}, 1))
-    record("incl-quasi-iso", is_quasi_iso(model.incl_morphism()))
+    record("incl-quasi-iso", is_quasi_iso(incl_morphism(model)))
     if face is not None:
         record("face-axioms", verify_model_axioms(face).ok)
     record("face-complex-exact", *_exactness(model, evs, weight_check))
@@ -426,4 +415,4 @@ def constant_homotopy(f: LInftyMorphism, weight_cap=4) -> Homotopy:
     """The homotopy from f to f through the interval tensor model:
     compose f with the (full) inclusion morphism."""
     model = SimplexModel(f.target, 1, weight_cap)
-    return Homotopy(compose(model.incl_morphism(), f), model, f, f)
+    return Homotopy(compose(incl_morphism(model), f), model, f, f)

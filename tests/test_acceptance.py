@@ -22,7 +22,8 @@ from linfkit.linfty import (LInftyAlgebra, LInftyMorphism, check_morphism,
                             is_quasi_iso,
                             l1_cohomology, obstruction_cocycle,
                             obstruction_class, sym_words, word_degree)
-from linfkit.simplexmodel import SimplexModel, verify_model_axioms
+from linfkit.simplexmodel import (SimplexModel, incl_morphism,
+                                  verify_model_axioms)
 from linfkit.htpy import fill_n_homotopy, whitehead_inverse
 from linfkit.derived import (JetMultivectorModel, JetVAlgebra,
                              derived_brackets, op_weight_gain,
@@ -393,7 +394,7 @@ def criterion_5():
         rep = verify_model_axioms(model)
         checks.append({"name": "model-%d-axioms" % n, "ok": rep.ok})
     model = SimplexModel(base, 1, 6)
-    incl = model.incl_morphism()
+    incl = incl_morphism(model)
     ident = LInftyMorphism.identity(base)
     for j in (0, 1):
         got = compose(model.eval_vertex(j), incl)

@@ -453,12 +453,15 @@ def test_extend_verb_returns_extension(tmp_path, capsys):
 
 def test_fill_homotopy_verb_builds_cylinder(tmp_path, capsys, monkeypatch):
     """The filling passes; --seed is the tie-break of every linear stage
-    of the filling (0 without it)."""
+    of the filling (0 without it).  The spy also sees the point fills
+    of the recursion; the fills of 2 or 3 morphisms are the ones
+    whose stages solve."""
     seen = []
     real = cli.htpy_mod.fill_n_homotopy
 
     def spy(fs, **kwargs):
-        seen.append(kwargs.get("tie_break", 0))
+        if len(fs) > 1:
+            seen.append(kwargs.get("tie_break", 0))
         return real(fs, **kwargs)
 
     monkeypatch.setattr(cli.htpy_mod, "fill_n_homotopy", spy)
@@ -635,12 +638,20 @@ def test_cocycle_verbs_read_empty_blocks_as_zero(tmp_path, capsys):
         assert json.loads(out)["checks"] == json.loads(want)["checks"]
 
 
-@pytest.mark.parametrize("point", [[4], {"a": 1}])
+@pytest.mark.parametrize("point", [
+    [4], {"a": 1}, pytest.param(True, id="true"),
+    pytest.param(None, id="null"), pytest.param(1.5, id="float"),
+    pytest.param(float("nan"), id="nan"), pytest.param(3, id="repeated"),
+    pytest.param("3", id="repeated-str")])
 @pytest.mark.parametrize("verb", ["atlas-check", "hypercover",
                                   "cocycle-check", "cocycle-build"])
 def test_point_that_is_not_a_scalar_exits_two(verb, point, tmp_path,
                                                capsys):
+    """A point is a string or an integer, and no two points of a list
+    share a string form: True == 1 would find the chart of 1, and a
+    repeated point would inflate the nerve."""
     doc = atlas_doc()
+    assert run([verb, write(tmp_path, "a.json", doc)], capsys)[0] == 0
     doc["atlas"]["points"].append(point)
     assert run([verb, write(tmp_path, "a.json", doc)], capsys)[0] == 2
 
@@ -1070,6 +1081,37 @@ def test_ring_size_is_guarded(verb, tmp_path):
     assert code == 3 and "generators, above the guard" in err
     if verb == "koszul":
         assert "63206 generators" in err
+
+
+def renamed(old, new):
+    """The edit of a document replacing the name old by new."""
+    return lambda doc: json.loads(
+        json.dumps(doc).replace(json.dumps(old), json.dumps(new)))
+
+
+def with_new_vars(names):
+    return lambda doc: dict(doc, new_vars=names)
+
+
+@pytest.mark.parametrize("verb, job, edit", [
+    ("augment", "augment-q1-in-q1q2-o4.json", renamed("q1", "q^1")),
+    ("augment", "augment-q1-in-q1q2-o4.json", renamed("q1", "q|1")),
+    ("koszul", "koszul-q1q2-o4.json", renamed("q1", "q^1")),
+    ("local-algebra", "local-algebra-q1q2-o4.json", renamed("q2", "q.2")),
+    ("expand", "expand-q1q2-by-q3.json", renamed("q1", "q|1")),
+    ("expand", "expand-q1q2-by-q3.json", with_new_vars(["q3", "q3"])),
+    ("expand", "expand-q1q2-by-q3.json", with_new_vars(["q1"])),
+], ids=["augment-caret", "augment-bar", "koszul-caret", "local-algebra-dot",
+        "expand-bar", "expand-repeated", "expand-present"])
+def test_variable_name_the_label_codec_cannot_read_exits_two(
+        verb, job, edit, tmp_path, capsys):
+    """A variable name is an identifier, so the monomial|wedge codec,
+    which splits on ".", "^" and "|", reads every label back, and the
+    new variables of `expand` neither repeat nor name a variable of
+    the ring: an input error (exit 2), not a failed check (exit 1)."""
+    doc = json.loads((BENCH_JOBS / job).read_text())
+    assert run([verb, write(tmp_path, "a.json", doc)], capsys)[0] == 0
+    assert run([verb, write(tmp_path, "b.json", edit(doc))], capsys)[0] == 2
 
 
 def test_expanded_ring_size_is_guarded(tmp_path):

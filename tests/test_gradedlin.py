@@ -909,11 +909,8 @@ def dense(m):
 def test_graded_map_matches_dense_products(data):
     U, V, W = (data.draw(graded_spaces(p)) for p in "uvw")
     s1, s2 = data.draw(st.integers(0, 1)), data.draw(st.integers(-1, 1))
-    A, A2 = dense_of(data.draw, U, V, s1), dense_of(data.draw, U, V, s1)
-    B = dense_of(data.draw, V, W, s2)
-    f, f2 = map_of(U, V, s1, A), map_of(U, V, s1, A2)
-    g = map_of(V, W, s2, B)
-    c = data.draw(map_scalars)
+    A, B = dense_of(data.draw, U, V, s1), dense_of(data.draw, V, W, s2)
+    f, g = map_of(U, V, s1, A), map_of(V, W, s2, B)
     for m, want in ((f, A), (g, B)):
         assert dense(m) == want
         assert all(img and all(img.values()) for img in m.images.values())
@@ -931,10 +928,6 @@ def test_graded_map_matches_dense_products(data):
     assert (gf.source, gf.target, gf.shift) == (U, W, s1 + s2)
     assert dense(gf) == matmul(B, A, U.dim)
     assert gf.is_zero() == (not any(map(any, matmul(B, A, U.dim))))
-    assert dense(f.add(f2)) == [[p + q for p, q in zip(r, r2)]
-                                for r, r2 in zip(A, A2)]
-    assert dense(f.scale(c)) == [[c * p for p in r] for r in A]
-    assert f.add(f.scale(-1)).is_zero() and not f.scale(0).images
 
 
 def test_graded_map_cancellation_and_errors():

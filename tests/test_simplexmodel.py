@@ -148,7 +148,8 @@ def test_interval_eval_incl_identity():
 def test_corrupted_incl_detected():
     # doubling the inclusion breaks the eval-incl identity
     M = SimplexModel(dg_base(), 1, weight_cap=3)
-    incl = M.incl.scale(F(2))
+    incl = GradedMap(M.incl.source, M.incl.target, 0, {
+        x: vec_scale(2, img) for x, img in M.incl.images.items()})
     comp = M.eval_vertex(0).f1_map().compose(incl)
     assert comp.images.get("a", {}) == {"a": F(2)}
 
