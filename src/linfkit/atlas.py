@@ -151,9 +151,15 @@ class ToyAtlas:
         for ch in doc["changes"]:
             expect(ch, "atlas.changes", ("pair", "U_pq", "base_map"),
                    ("morphism_ref",))
-            p, q = ch["pair"]
+            p, q = pair = tuple(_point(x) for x in ch["pair"])
+            if not set(pair) <= set(points):
+                raise ValueError("atlas.changes: pair %r names an unlisted "
+                                 "point" % (ch["pair"],))
+            if pair in changes:
+                raise ValueError("atlas.changes: pair %r is repeated"
+                                 % (ch["pair"],))
             base_by_str = {str(u): u for u in charts[p]["base_points"]}
-            changes[(p, q)] = {
+            changes[pair] = {
                 "U_pq": [_point(u) for u in ch["U_pq"]],
                 "base_map": {base_by_str[us]: _point(v)
                              for us, v in ch["base_map"].items()},

@@ -24,8 +24,7 @@ import random
 from fractions import Fraction
 
 from .gradedlin import (GradedSpace, acc_term, exact, expect, matrix_rank,
-                        scalar_from_str, scalar_to_str, vec_acc,
-                        vec_add, vec_scale)
+                        scalar_from_str, scalar_to_str, vec_acc, vec_scale)
 from .linfty import (CheckReport, JetRecord, LInftyAlgebra, LInftyMorphism,
                      fraction_failures)
 
@@ -527,12 +526,10 @@ class GradedLieAlgebra:
         tab = {}
         for rec in doc["bracket"]:
             expect(rec, "h.bracket", ("pair", "out", "coeff"))
-            p = tuple(rec["pair"])
-            tab.setdefault(p, {})
-            tab[p][rec["out"]] = tab[p].get(rec["out"], 0) \
-                + scalar_from_str(rec["coeff"])
-        _known_labels(space, [x for (a, b), out in tab.items()
-                              for x in (a, b, *out)])
+            a, b = rec["pair"]
+            _known_labels(space, (a, b, rec["out"]))
+            acc_term(tab.setdefault((a, b), {}), rec["out"],
+                     scalar_from_str(rec["coeff"]))
         return cls(space, tab)
 
 
@@ -560,8 +557,7 @@ def check_graded_lie(L):
             back = vec_scale(-((-1) ** (da * db)), L.bracket_word(b, a))
             if out != back:
                 failures.append(((a, b), {"antisymmetry":
-                                          vec_add(out,
-                                                  vec_scale(-1, back))}))
+                                          vec_acc(dict(out), back, -1)}))
     for a in labels:
         for b in labels:
             for c in labels:
@@ -571,7 +567,7 @@ def check_graded_lie(L):
                 r1 = L.bracket_elems(L.bracket_word(a, b), {c: 1})
                 r2 = vec_scale((-1) ** (da * db),
                                L.bracket_elems({b: 1}, L.bracket_word(a, c)))
-                res = vec_add(lhs, vec_scale(-1, vec_add(r1, r2)))
+                res = vec_acc(vec_acc(lhs, r1, -1), r2, -1)
                 if res:
                     failures.append(((a, b, c), res))
     return CheckReport("graded-lie", fraction_failures(failures), checked)
@@ -716,10 +712,9 @@ def _check_jet_valgebra(V):
         xb = (len(next(iter(X))[1]) - 1) % 2
         yb = (len(next(iter(Y))[1]) - 1) % 2
         lhs = schouten(X, schouten(Y, Z))
-        rhs = vec_add(schouten(schouten(X, Y), Z),
-                      vec_scale((-1) ** (xb * yb),
-                                schouten(Y, schouten(X, Z))))
-        res = vec_add(lhs, vec_scale(-1, rhs))
+        rhs = vec_acc(schouten(schouten(X, Y), Z),
+                      schouten(Y, schouten(X, Z)), (-1) ** (xb * yb))
+        res = vec_acc(lhs, rhs, -1)
         if res:
             failures.append((("jacobi",), res))
     # the fiber-wedge generators commute
@@ -735,8 +730,8 @@ def _check_jet_valgebra(V):
     # the kernel of the projection is closed under the bracket
     for _ in range(samples):
         X, Y = rand_term(), rand_term()
-        X = vec_add(X, vec_scale(-1, model.pi(X)))
-        Y = vec_add(Y, vec_scale(-1, model.pi(Y)))
+        X = vec_acc(X, model.pi(X), -1)
+        Y = vec_acc(Y, model.pi(Y), -1)
         checked += 1
         out = model.pi(schouten(X, Y))
         if out:

@@ -485,10 +485,6 @@ def vec_acc(acc, v, c=1):
     return acc
 
 
-def vec_add(u, v):
-    return vec_acc(dict(u), v)
-
-
 def vec_scale(c, v):
     c = exact(c)
     if not c:

@@ -24,7 +24,7 @@ import itertools
 from fractions import Fraction
 
 from .gradedlin import (GradedSpace, acc_term, complement_in, exact,
-                        expect, matrix_rank, vec_acc, vec_add, vec_scale,
+                        expect, matrix_rank, vec_acc, vec_scale,
                         word_degree, words_within)
 from .linfty import (JetRecord, LInftyAlgebra, LInftyMorphism,
                      check_morphism, direct_sum, direct_sum_mor,
@@ -449,7 +449,7 @@ def fooo_embedding_check(section, amb_section, bundle_map):
         for i in range(r):
             vec_acc(want, section.comps[i], B[b][i])
         got = restrict(amb_section.comps[b])
-        if vec_add(got, vec_scale(-1, want)):
+        if vec_acc(got, want, -1):
             return EmbeddingReport(
                 False, "ambient section does not restrict to the "
                 "mapped section in frame component %d" % (b + 1),

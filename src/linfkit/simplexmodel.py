@@ -115,9 +115,10 @@ def _face_images(n, i):
     return images
 
 
-def face_restrict(n, i, form, weight_cap=None):
+def face_restrict(n, i, form):
     """Pull a form on the n-simplex back to the face opposite vertex i
-    (an (n-1)-simplex), substituting the affine face coordinates."""
+    (an (n-1)-simplex), substituting the affine face coordinates.  The
+    pullback keeps or lowers the weight of every monomial."""
     m = n - 1
     images = _face_images(n, i)
     out = {}
@@ -130,8 +131,6 @@ def face_restrict(n, i, form, weight_cap=None):
         for coord in dts:
             val = mv_wedge(val, d_form(m, images[coord - 1]))
         vec_acc(out, val)
-    if weight_cap is not None:
-        out = {k: v for k, v in out.items() if mono_weight(k) <= weight_cap}
     return out
 
 
@@ -151,7 +150,12 @@ class SimplexModel:
     """Weight-truncated tensor model of (n-simplex) x C for a strict
     base algebra C: the model algebra, the evaluations onto its faces
     (each built once, on first use) and incl, the chain map x -> 1 (x) x
-    including the constants."""
+    including the constants.
+
+    One table, label_of {(form key, x): label}, names the generators:
+    mono_label(k) + "|" + x, and x itself at n = 0.  So the point
+    (n = 0) is C: its generators are C's labels, each of weight 0, its
+    operations C's and incl the identity; it has no faces."""
 
     def __init__(self, base: LInftyAlgebra, n, weight_cap=6):
         if not base.is_strict:
@@ -160,33 +164,30 @@ class SimplexModel:
         self.n = n
         self.weight_cap = weight_cap
         self.keys = simplex_forms(n, weight_cap)
-        self.labels = {}
-        gens = []
-        weights = {}
-        for k in self.keys:
-            for x in base.space.labels:
-                lab = mono_label(k) + "|" + x
-                self.labels[lab] = (k, x)
-                gens.append((lab, mono_degree(k) + base.space.deg[x]))
-                weights[lab] = mono_weight(k)
-        self.space = GradedSpace(gens)
+        self.label_of = {(k, x): mono_label(k) + "|" + x if n else x
+                         for k in self.keys for x in base.space.labels}
+        self.labels = {lab: kx for kx, lab in self.label_of.items()}
+        self.space = GradedSpace([(lab, mono_degree(k) + base.space.deg[x])
+                                  for lab, (k, x) in self.labels.items()])
+        weights = {lab: mono_weight(k) for lab, (k, _) in self.labels.items()}
         self.algebra = LInftyAlgebra(
             self.space, self._build_ops(weights), arity_cap=base.arity_cap,
             weights=weights)
-        unit = mono_label((tuple([0] * n), ()))
+        unit = (tuple([0] * n), ())
         self.incl = GradedMap(base.space, self.space, 0,
-                              {x: {unit + "|" + x: 1}
+                              {x: {self.label_of[unit, x]: 1}
                                for x in base.space.labels})
         self._face_model = None
         self._evals = {}
 
     def _tensor_element(self, form, elem):
+        """form (x) elem, dropping the keys above the weight cap."""
         out = {}
         for k, c in form.items():
-            if mono_weight(k) > self.weight_cap:
-                continue
             for x, cx in elem.items():
-                acc_term(out, mono_label(k) + "|" + x, c * cx)
+                lab = self.label_of.get((k, x))
+                if lab is not None:
+                    acc_term(out, lab, c * cx)
         return out
 
     def _build_ops(self, weights):
@@ -222,9 +223,10 @@ class SimplexModel:
         return ops
 
     def face_model(self):
-        """The model on a codimension-1 face (shared by every face)."""
-        if self.n == 1:
-            return None  # faces are the base algebra itself
+        """The model on a codimension-1 face (shared by every face): at
+        n = 1 the point, C itself."""
+        if self.n == 0:
+            raise ValueError("the point has no faces")
         if self._face_model is None:
             self._face_model = SimplexModel(self.base, self.n - 1,
                                             self.weight_cap)
@@ -238,25 +240,14 @@ class SimplexModel:
         return self._evals[i]
 
     def _build_eval_face(self, i):
-        tgt_model = self.face_model()
+        face = self.face_model()
         entries = {}
         for lab, (k, x) in self.labels.items():
-            restr = face_restrict(self.n, i, {k: 1},
-                                  weight_cap=self.weight_cap)
-            if not restr:
-                continue
-            if tgt_model is None:
-                # target is the base algebra; only 0-forms survive
-                zero_key = ((), ())
-                c = restr.get(zero_key, 0)
-                if c:
-                    entries[(lab,)] = {x: c}
-            else:
-                val = tgt_model._tensor_element(restr, {x: 1})
-                if val:
-                    entries[(lab,)] = val
-        target = self.base if tgt_model is None else tgt_model.algebra
-        return LInftyMorphism(self.algebra, target, {1: entries},
+            val = face._tensor_element(face_restrict(self.n, i, {k: 1}),
+                                       {x: 1})
+            if val:
+                entries[(lab,)] = val
+        return LInftyMorphism(self.algebra, face.algebra, {1: entries},
                               arity_cap=self.base.arity_cap)
 
     def eval_vertex(self, j) -> LInftyMorphism:
@@ -282,15 +273,16 @@ def incl_morphism(model) -> LInftyMorphism:
 
 def verify_model_axioms(model: SimplexModel):
     """Check the defining axioms of a model of (n-simplex) x C at the
-    implemented scale (n <= 2) by one walk over the faces: each face
-    evaluation is a morphism and a quasi-isomorphism and takes incl to
-    the face inclusion; incl is a chain map and a quasi-isomorphism;
-    at n = 2 the face model passes these axioms too; and the face
-    complex is exact (_exactness), which also decides that the faces
-    agree on shared vertices (n = 2) and that the joint evaluation is
-    onto (n = 1).  Exactness of the face complex is verified for
-    elements of total weight <= its weight cap - 2; relation and
-    morphism checks run on words of weight <= the cap."""
+    implemented scale (n <= 2) by one walk over the faces, each a model
+    of the face (at n = 1 the point, C): each face evaluation is a
+    morphism and a quasi-isomorphism and takes incl to the face's incl;
+    incl is a chain map and a quasi-isomorphism; at n = 2 the face
+    model passes these axioms too; and the face complex is exact
+    (_exactness), which also decides that the faces agree on shared
+    vertices (n = 2) and that the joint evaluation is onto (n = 1).
+    Exactness of the face complex is verified for elements of total
+    weight <= its weight cap - 2; relation and morphism checks run on
+    words of weight <= the cap."""
     if model.n > 2:
         raise CapError("full axiom verification capped at n = 2")
     cap = model.weight_cap
@@ -308,9 +300,6 @@ def verify_model_axioms(model: SimplexModel):
            else None)
     face = model.face_model()
     incl = model.incl
-    # at n = 1 the face model is C and the face inclusion the identity
-    face_incl = GradedMap.identity(model.base.space) if face is None \
-        else face.incl
     evs = {}
     for i in range(model.n + 1):
         ev = evs[i] = model.eval_face(i)
@@ -318,12 +307,12 @@ def verify_model_axioms(model: SimplexModel):
                check_morphism(ev, weight_cap=cap).ok)
         record("eval-face%d-quasi-iso" % i, is_quasi_iso(ev))
         record("eval-face%d-incl" % i,
-               ev.f1_map().compose(incl).images == face_incl.images)
+               ev.f1_map().compose(incl).images == face.incl.images)
     record("incl-chain-map", not delta1(
         model.base, model.algebra,
         {(x,): v for x, v in incl.images.items()}, 1))
     record("incl-quasi-iso", is_quasi_iso(incl_morphism(model)))
-    if face is not None:
+    if model.n > 1:
         record("face-axioms", verify_model_axioms(face).ok)
     record("face-complex-exact", *_exactness(model, evs, weight_check))
     return CheckReport("model-axioms", failures,
@@ -341,16 +330,13 @@ def _exactness(model, evs, weight_check):
     At n = 2 the vertex-v row of low . top on a model generator is
     +-(ev . ev_i1 - ev . ev_i2) through the two edges at v, so
     "boundary squared nonzero" is exactly a failure of the faces to
-    agree on a shared vertex.  At n = 1 the faces are the vertices,
-    which have no faces and weight 0: the lower boundary is zero, and
-    exactness says that the joint evaluation onto C + C is onto."""
+    agree on a shared vertex.  At n = 1 every face is the point, C
+    with weight 0 on each generator, and the point has no faces: the
+    lower boundary is zero, and exactness says that the joint
+    evaluation onto C + C is onto."""
     face = model.face_model()
-    if face is None:
-        edge_space = model.base.space
-        weights = dict.fromkeys(edge_space.labels, 0)
-    else:
-        edge_space = face.space
-        weights = face.algebra.weights
+    edge_space = face.space
+    weights = face.algebra.weights
     ne = edge_space.dim
     faces = simplex_faces(model.n)
     for d in edge_space.degrees():
@@ -358,7 +344,7 @@ def _exactness(model, evs, weight_check):
         cols = {i: {l: i * ne + edge_space.index[l]
                     for l in edge_space.basis_in_degree(d)}
                 for i, _, _ in faces}
-        rows = [] if face is None else vertex_boundary(
+        rows = [] if model.n == 1 else vertex_boundary(
             [(J, sign, face, cols[i]) for i, J, sign in faces]).values()
         top = [{cols[i][t]: c for i, _, _ in faces
                 for t, c in evs[i].comp_word(1, (s,)).items()}

@@ -656,6 +656,32 @@ def test_point_that_is_not_a_scalar_exits_two(verb, point, tmp_path,
     assert run([verb, write(tmp_path, "a.json", doc)], capsys)[0] == 2
 
 
+def bool_pair(changes):
+    changes[0]["pair"][0] = True
+
+
+def unlisted_pair(changes):
+    changes.append(dict(changes[0], pair=[1, 99]))
+
+
+def repeated_pair(changes):
+    changes.append(changes[0])
+
+
+@pytest.mark.parametrize("edit", [bool_pair, unlisted_pair, repeated_pair])
+@pytest.mark.parametrize("verb", ["atlas-check", "hypercover"])
+def test_change_pair_is_checked(verb, edit, tmp_path, capsys):
+    """A change's pair holds two listed points, and no two changes share
+    a pair: True == 1 would find the change of 1, a pair naming an
+    unlisted point was dropped, and a repeated pair replaced the
+    earlier change."""
+    doc = atlas_doc()
+    assert doc["atlas"]["changes"][0]["pair"][0] == 1
+    assert run([verb, write(tmp_path, "a.json", doc)], capsys)[0] == 0
+    edit(doc["atlas"]["changes"])
+    assert run([verb, write(tmp_path, "a.json", doc)], capsys)[0] == 2
+
+
 @pytest.mark.parametrize("field, value", [
     ("dim", "x"), ("dim", 1.0), ("dim", True), ("dim", None), ("dim", -1),
     ("group_order", "x"), ("group_order", 2.0), ("group_order", False),

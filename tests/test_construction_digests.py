@@ -3,7 +3,8 @@
 The `fill-homotopy`, `whitehead` and `model-over` reports omit most of
 what they build: a fill report names no cylinder operation and no
 evaluation map, and a Whitehead report omits the homotopy, the interval
-model and the reverse filling.  A refactor of the linear stages could
+model and the reverse filling.  A `model-verify` report holds only
+pass or fail, and none of the tensor model's tables.  A refactor of the linear stages could
 change any of them and keep every report byte.  So this test builds
 each construction of the bench documents at two tie-break seeds and
 compares a sha256 of its canonical JSON with a recorded value:
@@ -12,12 +13,16 @@ compares a sha256 of its canonical JSON with a recorded value:
   constants and the filling homotopy, edge fills included;
 - whitehead: the inverse g, the homotopy h, the interval model (algebra,
   both evaluations, inclusion) and the reverse filling;
-- model-over: the model morphism F.
+- model-over: the model morphism F;
+- tensor: the tensor model of a model document (algebra, every face
+  evaluation, the inclusion of constants, and at n = 2 the face
+  model's own).
 
 Seed 0 is the canonical solution and seed 3 a scrambled tie-break, so
 both the column order of every stage (each unknown's canonical
 position, and LinearSystem's scramble of it at seed 3) and the row
-space are pinned.
+space are pinned.  The tensor model solves nothing, so it is pinned at
+seed 0 only.
 """
 
 import hashlib
@@ -78,8 +83,26 @@ def model_over_doc(name, seed):
                                     tie_break=seed).to_json()
 
 
+def tensor_json(model):
+    doc = {"algebra": model.algebra.to_json(),
+           "evals": {str(i): model.eval_face(i).to_json()
+                     for i in range(model.n + 1)},
+           "incl": model.incl.to_json()}
+    if model.n == 2:
+        doc["face"] = tensor_json(model.face_model())
+    return doc
+
+
+def tensor_doc(name, seed):
+    """The model at the weight cap its name states (-w6, -w8); the
+    tensor model solves nothing, so the seed is unused."""
+    weight = int(Path(name).stem.rsplit("-w", 1)[1])
+    model, = load(name, cli.load_model, caps(seed, weight=weight))
+    return tensor_json(model)
+
+
 BUILD = {"fill": fill_doc, "whitehead": whitehead_doc,
-         "model-over": model_over_doc}
+         "model-over": model_over_doc, "tensor": tensor_doc}
 
 DIGESTS = {
     ("fill", "fill-edge-id-id", 0):
@@ -122,6 +145,14 @@ DIGESTS = {
         "9545f3729d674df0e0a4d751d352257682d12356295db3b7da18070974eb3960",
     ("model-over", "model-over-pair-identity", 3):
         "20631d23ef1807478d3351fcac7cf1992d4a4e624c623e67d1429af262191684",
+    ("tensor", "model-verify-n1-w6", 0):
+        "96c27eaddad7c2d1655cc839c069f9e3703463b058e030c67629590a2de8057a",
+    ("tensor", "model-verify-n1-w8", 0):
+        "016e1067b76a550a9c95c909c8b66b5d6ecb95993ca6d275926d9197786faa57",
+    ("tensor", "model-verify-n2-w6", 0):
+        "919082dcd9486ea830f97b220c90eb8cb86c9c701c9e8c8672012a953ea3bdca",
+    ("tensor", "model-build-n2-w8", 0):
+        "6dcb23b375459385d7549cb0a5918570341b0086b14c7cb4a2e46640f72adeb7",
 }
 
 

@@ -19,7 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from linfkit import derived
-from linfkit.gradedlin import GradedSpace, koszul_sign, vec_add, vec_scale
+from linfkit.gradedlin import GradedSpace, koszul_sign, vec_acc, vec_scale
 from linfkit.derived import (GradedLieAlgebra, JetMultivectorModel, JetRing,
                              JetVAlgebra, VAlgebra,
                              check_graded_lie, check_valgebra,
@@ -80,7 +80,7 @@ def finite_binary_valgebra():
 
 def test_poly_primitives():
     nv = 2
-    p = vec_add({(1, 0): F(2)}, {(0, 1): F(1)})
+    p = vec_acc({(1, 0): F(2)}, {(0, 1): F(1)})
     q = poly_mul(p, p)
     assert q == {(2, 0): F(4), (1, 1): F(4), (0, 2): F(1)}
     assert poly_diff(q, 0) == {(1, 0): F(8), (0, 1): F(4)}
@@ -123,9 +123,9 @@ def test_form_d_squares_to_zero_and_is_a_derivation(seed):
     b, _ = _rand_homog(rng, nv)
     assert form_d(form_d(a, dirs), dirs) == {}
     lhs = form_d(mv_wedge(a, b), dirs)
-    rhs = vec_add(mv_wedge(form_d(a, dirs), b),
-                  vec_scale((-1) ** (pa + 1), mv_wedge(a, form_d(b, dirs))))
-    assert vec_add(lhs, vec_scale(-1, rhs)) == {}
+    rhs = vec_acc(mv_wedge(form_d(a, dirs), b),
+                  mv_wedge(a, form_d(b, dirs)), (-1) ** (pa + 1))
+    assert vec_acc(lhs, rhs, -1) == {}
 
 
 @given(st.integers(min_value=0, max_value=10 ** 6))
@@ -138,13 +138,10 @@ def test_schouten_antisymmetry_and_jacobi(seed):
     before = (dict(X), dict(Y), dict(Z))
     lhs = schouten(X, Y)
     rhs = vec_scale(-((-1) ** ((xb % 2) * (yb % 2))), schouten(Y, X))
-    assert vec_add(lhs, vec_scale(-1, rhs)) == {}
-    jac = vec_add(
-        schouten(X, schouten(Y, Z)),
-        vec_scale(-1, vec_add(
-            schouten(schouten(X, Y), Z),
-            vec_scale((-1) ** ((xb % 2) * (yb % 2)),
-                     schouten(Y, schouten(X, Z))))))
+    assert vec_acc(lhs, rhs, -1) == {}
+    jac = vec_acc(
+        vec_acc(schouten(X, schouten(Y, Z)), schouten(schouten(X, Y), Z), -1),
+        schouten(Y, schouten(X, Z)), -((-1) ** ((xb % 2) * (yb % 2))))
     assert jac == {}
     # the derived-bracket walk brackets one prefix value into every
     # extension of it, so the bracket must leave its inputs alone
@@ -159,11 +156,9 @@ def test_schouten_leibniz(seed):
     Y, yb = _rand_homog(rng)
     Z, zb = _rand_homog(rng)
     lhs = schouten(X, mv_wedge(Y, Z))
-    rhs = vec_add(
-        mv_wedge(schouten(X, Y), Z),
-        vec_scale((-1) ** ((xb % 2) * ((yb + 1) % 2)),
-                 mv_wedge(Y, schouten(X, Z))))
-    assert vec_add(lhs, vec_scale(-1, rhs)) == {}
+    rhs = vec_acc(mv_wedge(schouten(X, Y), Z), mv_wedge(Y, schouten(X, Z)),
+                  (-1) ** ((xb % 2) * ((yb + 1) % 2)))
+    assert vec_acc(lhs, rhs, -1) == {}
 
 
 def test_schouten_normalization():
@@ -215,7 +210,7 @@ def test_jet_valgebra_passes():
 
 def test_perturbed_element_fails_maurer_cartan():
     m, P = nonflat_model()
-    bad = vec_add(P, mv_wedge(
+    bad = vec_acc(dict(P), mv_wedge(
         {(next(iter(m.var("y1"))), ()): F(1)},
         mv_wedge(m.vector("y1"), m.vector("q1"))))
     rep = check_valgebra(JetVAlgebra(m, bad))
@@ -374,7 +369,7 @@ def jet_valgebras(draw):
                   for i in range(model.nv))
         w = draw(st.sampled_from(
             list(itertools.combinations(range(model.nv), 2))[::-1]))
-        P = vec_add(P, {(e, w): draw(st.sampled_from(COEFFS))})
+        P = vec_acc(dict(P), {(e, w): draw(st.sampled_from(COEFFS))})
     return JetVAlgebra(model, P)
 
 
@@ -429,7 +424,7 @@ def test_zero_prefix_is_not_extended(kind, monkeypatch):
 def test_poisson_flat_is_tautological_pairing():
     m = flat_model()
     P = poisson_from_presymplectic(m, [], {})
-    want = vec_add(mv_wedge(m.vector("q1"), m.vector("p1")),
+    want = vec_acc(mv_wedge(m.vector("q1"), m.vector("p1")),
                   mv_wedge(m.vector("q2"), m.vector("p2")))
     assert P == want
     assert m.pi(P) == {}

@@ -23,7 +23,7 @@ from linfkit.gradedlin import (CapError, CohomologyError, Echelon,
                                matrix_rank, nullspace, reached, rref,
                                scalar_from_str,
                                scalar_to_str, solve_canonical, solve_sparse,
-                               sym_words, unshuffles, vec_add, vec_scale,
+                               sym_words, unshuffles, vec_acc,
                                word_degree)
 from linfkit.linfty import _split_signs
 
@@ -850,7 +850,7 @@ def test_cohomology_rejects_nonsquarezero():
 
 
 def test_vec_helpers_and_canonical_dump():
-    v = vec_add({"a": F(1)}, vec_scale(F(-1), {"a": F(1), "b": F(2)}))
+    v = vec_acc({"a": F(1)}, {"a": F(1), "b": F(2)}, F(-1))
     assert v == {"b": F(-2)}
     d1 = dumps_canonical({"b": 1, "a": [2, 3]})
     d2 = dumps_canonical({"a": [2, 3], "b": 1})

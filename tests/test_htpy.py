@@ -15,7 +15,7 @@ from pathlib import Path
 import pytest
 
 from linfkit import cli, htpy
-from linfkit.gradedlin import GradedMap, GradedSpace, vec_add, vec_scale
+from linfkit.gradedlin import GradedMap, GradedSpace, vec_acc, vec_scale
 from linfkit.htpy import (FillError, FillingModel, WhiteheadCertificate,
                           chain_inverse, fill_n_homotopy,
                           model_morphism_over, whitehead_inverse)
@@ -80,7 +80,7 @@ def test_chain_inverse_identities():
     def apply(tab, vec):
         out = {}
         for a, c in vec.items():
-            out = vec_add(out, vec_scale(c, tab.get(a, {})))
+            vec_acc(out, tab.get(a, {}), c)
         return out
 
     # g is a chain map
@@ -91,8 +91,8 @@ def test_chain_inverse_identities():
     # g f - id = d h' + h' d
     for x in C1.space.labels:
         gf = apply(g1, f.comp_word(1, (x,)))
-        want = vec_add(gf, {x: F(-1)})
-        got = vec_add(apply(d1, hp.get(x, {})), apply(hp, d1[x]))
+        want = vec_acc(gf, {x: F(-1)})
+        got = vec_acc(apply(d1, hp.get(x, {})), apply(hp, d1[x]))
         assert want == got
 
 

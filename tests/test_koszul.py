@@ -25,8 +25,7 @@ from linfkit.koszul import (JetRing, Section, augment_extension,
 from linfkit.linfty import (JetRecord, LInftyAlgebra, LInftyMorphism,
                             check_morphism, check_relations,
                             is_quasi_iso, l1_cohomology, mapping_cone)
-from linfkit.gradedlin import (GradedSpace, cohomology, sym_words, vec_add,
-                               vec_scale)
+from linfkit.gradedlin import GradedSpace, cohomology, sym_words, vec_acc
 from linfkit import koszul, linfty
 
 import term_oracle
@@ -211,7 +210,7 @@ def test_primitive_contracting_homotopy(seed):
                     out.pop(lab2, None)
         return out
 
-    lhs = vec_add(d_form(r, fol, h_raw(xi)), h_raw(d_form(r, fol, xi)))
+    lhs = vec_acc(d_form(r, fol, h_raw(xi)), h_raw(d_form(r, fol, xi)))
     assert lhs == xi
 
 

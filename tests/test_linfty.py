@@ -21,8 +21,8 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from linfkit.gradedlin import (GradedMap, GradedSpace, sym_words, vec_add,
-                               vec_scale, word_degree)
+from linfkit.gradedlin import (GradedMap, GradedSpace, sym_words, vec_acc,
+                               word_degree)
 from linfkit.linfty import (CurvedError, LInftyAlgebra, LInftyMorphism,
                             chain_complex, check_morphism, check_relations,
                             codifferential_hat, compose, delta1, direct_sum,
@@ -435,7 +435,7 @@ def test_delta1_matches_coalgebra_picture():
                 for (src, tgt), c in hat.entries.items():
                     if words[src] == w and words[tgt] in g:
                         tails += 1
-                        val = vec_add(val, vec_scale(-c, g[words[tgt]]))
+                        vec_acc(val, g[words[tgt]], -c)
                 if val:
                     want[w] = val
             got = delta1(A, B, g, m)
@@ -463,8 +463,8 @@ def test_obstruction_normalization_identity():
         d1 = delta1(A, B, fK1, K + 1)
         for w in sym_words(S3, K + 1):
             lhs, rhs = morphism_sides(f, w)
-            res = vec_add(lhs, vec_scale(-1, rhs))
-            pred = vec_add(O.get(w, {}), vec_scale(-1, d1.get(w, {})))
+            res = vec_acc(lhs, rhs, -1)
+            pred = vec_acc(dict(O.get(w, {})), d1.get(w, {}), -1)
             assert res == pred
             if res:
                 nontrivial += 1

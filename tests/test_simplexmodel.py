@@ -16,9 +16,10 @@ from hypothesis import strategies as st
 
 from dense_oracle import matrix_rank
 from linfkit import simplexmodel
-from linfkit.derived import mv_wedge
+from linfkit.derived import JetRing, mv_wedge
 from linfkit.gradedlin import (CapError, GradedMap, GradedSpace, cohomology,
-                               vec_add, vec_scale)
+                               vec_acc, vec_scale)
+from linfkit.koszul import Section, koszul_complex
 from linfkit.linfty import (LInftyAlgebra, LInftyMorphism, check_morphism,
                             check_relations, compose, is_quasi_iso)
 from linfkit.simplexmodel import (Homotopy, SimplexModel, constant_homotopy,
@@ -86,7 +87,7 @@ def test_face_restrict_commutes_with_d():
     for i in range(3):
         a = face_restrict(2, i, d_form(2, form))
         b = d_form(1, face_restrict(2, i, form))
-        assert vec_add(a, vec_scale(-1, b)) == {}
+        assert vec_acc(a, b, -1) == {}
 
 
 def test_face_of_face_consistency():
@@ -114,6 +115,41 @@ def test_model_relations_and_weights():
     # degree bookkeeping: 1-form tensor degree-1 element has degree 2
     lab = "dt1|c"
     assert M.space.deg[lab] == 2
+
+
+def point_bases():
+    """Strict bases for the point: dg_base with an empty arity-3 table,
+    the algebras of the bench model documents and a Koszul complex,
+    whose generators carry weights of their own."""
+    C = dg_base()
+    yield LInftyAlgebra(C.space, {**C.ops, 3: {}}, arity_cap=3)
+    for name in ("model-verify-n1-w6", "model-verify-n2-w6",
+                 "model-build-n2-w8"):
+        doc = json.loads((BENCH_JOBS / (name + ".json")).read_text())
+        yield LInftyAlgebra.from_json(doc["algebra"])
+    ring = JetRing(["q1", "q2"], 3)
+    yield koszul_complex(Section(ring, [ring.var("q1"), ring.var("q2")]))
+
+
+@pytest.mark.parametrize("C", list(point_bases()))
+def test_point_is_the_base(C):
+    """The tensor model of the point is C: C's labels and degrees, each
+    of weight 0, incl the identity and C's nonempty tables; it has no
+    faces.  Every face of the interval model is that point."""
+    P = SimplexModel(C, 0, weight_cap=4)
+    assert P.space == C.space
+    assert not P.algebra.weights or set(P.algebra.weights.values()) == {0}
+    assert P.incl.images == {x: {x: 1} for x in C.space.labels}
+    assert P.algebra.ops == {k: t for k, t in C.ops.items() if t}
+    with pytest.raises(ValueError):
+        P.face_model()
+    M = SimplexModel(C, 1, weight_cap=4)
+    point = M.face_model()
+    assert point.n == 0 and point.space == C.space
+    for i in (0, 1):
+        ev = M.eval_face(i)
+        assert ev.target is point.algebra
+        assert ev.f1_map().compose(M.incl).images == point.incl.images
 
 
 def test_zero_base_model():
