@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import itertools
 
-from .gradedlin import expect
+from .gradedlin import expect, expect_int
 from .htpy import FillError, FillingModel, fill_n_homotopy
 from .linfty import (CheckReport, LInftyMorphism, check_morphism, compose,
                      comps_agree, is_quasi_iso)
@@ -143,8 +143,11 @@ class ToyAtlas:
                 "base_points": base,
                 "zero_set": {base_by_str[us]: _point(x)
                              for us, x in c["zero_set"].items()},
-                "group_order": _chart_int(c, ps, "group_order", 1),
-                "dim": _chart_int(c, ps, "dim", 0),
+                "group_order": expect_int(
+                    "atlas.charts.%s.group_order" % ps,
+                    c.get("group_order", 1), 1),
+                "dim": expect_int("atlas.charts.%s.dim" % ps,
+                                  c.get("dim", 0), 0),
                 "algebra_ref": c.get("algebra_ref"),
             }
         changes = {}
@@ -167,16 +170,6 @@ class ToyAtlas:
             }
         return cls(points, charts, changes, algebras=algebras,
                    morphisms=morphisms)
-
-
-def _chart_int(chart, where, key, low):
-    """The chart's integer field key, low when absent; ValueError
-    unless an integer >= low (a bool is no integer here)."""
-    x = chart.get(key, low)
-    if isinstance(x, bool) or not isinstance(x, int) or x < low:
-        raise ValueError("atlas.charts.%s.%s must be an integer >= %d, "
-                         "got %r" % (where, key, low, x))
-    return x
 
 
 def _point(x):

@@ -41,7 +41,7 @@ from . import koszul as koszul_mod
 from . import linfty as linfty_mod
 from . import simplexmodel as simplex_mod
 from .gradedlin import (CapError, CohomologyError, dumps_canonical, expect,
-                        scalar_from_str, scalar_to_str)
+                        expect_int, scalar_from_str, scalar_to_str)
 
 SCHEMA_VERSION = 1
 
@@ -90,9 +90,10 @@ def check_version(doc):
 def int_field(name, value, low, guard=None):
     """An integer field: exit 2 unless an integer >= low, exit 3 above
     the guard."""
-    if isinstance(value, bool) or not isinstance(value, int) or value < low:
-        raise InputError("%s must be an integer >= %d, got %r"
-                         % (name, low, value))
+    try:
+        expect_int(name, value, low)
+    except ValueError as exc:
+        raise InputError(str(exc)) from None
     if guard is not None and value > guard:
         raise CapError("%s=%d exceeds the guard %d" % (name, value, guard))
     return value

@@ -48,14 +48,8 @@ def poly_mul(p, q):
 
 
 def poly_diff(p, i):
-    out = {}
-    for e, c in p.items():
-        if e[i] == 0:
-            continue
-        e2 = list(e)
-        e2[i] -= 1
-        out[tuple(e2)] = c * e[i]
-    return out
+    terms = (_term_dx(e, (), c, i) for e, c in p.items())
+    return {t[0]: t[2] for t in terms if t is not None}
 
 
 def poly_deg(p, idxs=None):

@@ -74,6 +74,15 @@ def expect(doc, where, required, optional=()):
     return doc
 
 
+def expect_int(where, value, low):
+    """value, if it is an integer >= low; ValueError otherwise.  A bool
+    is no integer here, and neither is a float such as 1.0."""
+    if isinstance(value, bool) or not isinstance(value, int) or value < low:
+        raise ValueError("%s must be an integer >= %d, got %r"
+                         % (where, low, value))
+    return value
+
+
 # ---------------------------------------------------------------------------
 # exact linear algebra: one incremental sparse echelon engine
 

@@ -134,6 +134,16 @@ def koszul_cohomology(alg):
 # foliation de Rham complexes
 
 
+def closed_functions(ring, fol_idxs):
+    """The degree -2 copy of each closed function, a monomial free of
+    the foliation variables: (label, weight, l1 image), with l1 the
+    inclusion, in monomial order."""
+    for e in ring.monomials():
+        if not any(e[i] for i in fol_idxs):
+            mono = ring.mono_str(e)
+            yield make_label(mono, ("g",)), sum(e), {make_label(mono, ()): 1}
+
+
 def d_form(ring, fol_names, vec):
     """Exterior derivative in the listed foliation directions of a
     form given as a label dictionary; exact, no truncation."""
@@ -173,13 +183,10 @@ def foliation_complex(ring, fol_names=None, augmented=False):
             ops[1][(lab,)] = {term_label(ring, letters, e2, w2): c
                               for (e2, w2), c in out.items()}
     if augmented:
-        for e in ring.monomials():
-            if all(e[i] == 0 for i in fol_idxs):
-                mono = ring.mono_str(e)
-                lab = make_label(mono, ("g",))
-                labels.append((lab, -2))
-                weights[lab] = sum(e)
-                ops[1][(lab,)] = {make_label(mono, ()): 1}
+        for lab, weight, image in closed_functions(ring, fol_idxs):
+            labels.append((lab, -2))
+            weights[lab] = weight
+            ops[1][(lab,)] = image
     space = GradedSpace(labels)
     # d lowers the weight and the augmentation keeps it, so there is no
     # weight gain, and relation checks on the complex need no cap
@@ -252,20 +259,14 @@ def augment_extension(Omega, k_max):
     ring, fol_names = JetRing(rec.coords, rec.order), rec.fol
     fol_idxs = [ring.name_to_idx[n] for n in fol_names]
     labels = [(lab, Omega.space.deg[lab]) for lab in Omega.space.labels]
-    present = {lab for lab, _ in labels}
-    for e in ring.monomials(ring.order):
-        if all(e[i] == 0 for i in fol_idxs):
-            lab = make_label(ring.mono_str(e), ("g",))
-            if lab not in present:
-                labels.append((lab, -2))
-    space = GradedSpace(labels)
-    weights = {lab: label_weight(lab) for lab, _ in labels}
     ops = {k: {w: dict(out) for w, out in tab.items()}
            for k, tab in Omega.ops.items()}
-    for lab, deg in labels:
-        if deg == -2 and split_label(lab)[1] == ("g",):
-            ops.setdefault(1, {})[(lab,)] = \
-                {make_label(split_label(lab)[0], ()): 1}
+    for lab, _, image in closed_functions(ring, fol_idxs):
+        if lab not in Omega.space.deg:
+            labels.append((lab, -2))
+        ops.setdefault(1, {})[(lab,)] = image
+    space = GradedSpace(labels)
+    weights = {lab: label_weight(lab) for lab, _ in labels}
     cap = max(k_max, Omega.arity_cap)
 
     def algebra(jet=None):
@@ -331,25 +332,22 @@ class LocalAlgebra:
     de Rham complex of the same patch; the two summands never
     interact."""
 
-    def __init__(self, koszul, derham, section, fol_names):
+    def __init__(self, koszul, derham, section):
         self.koszul = koszul
         self.derham = derham
         self.section = section
         self.ring = section.ring
-        self.fol_names = fol_names      # resolved foliation directions
         self.algebra = direct_sum(koszul, derham)
 
 
-def build_local_algebra(section, fol_names=None):
+def build_local_algebra(section):
     """Local algebra of a chart whose 2-form block vanishes: the
     foliation fills the whole patch, so the de Rham summand uses every
     coordinate direction and only the augmentation constant survives
     in degree -2."""
-    ring = section.ring
-    fol_names = list(ring.names) if fol_names is None else list(fol_names)
     kos = koszul_complex(section)
-    der = foliation_complex(ring, fol_names, augmented=True)
-    return LocalAlgebra(kos, der, section, fol_names)
+    der = foliation_complex(section.ring, augmented=True)
+    return LocalAlgebra(kos, der, section)
 
 
 def expand_chart(L, new_vars):
@@ -357,17 +355,13 @@ def expand_chart(L, new_vars):
     frame directions, the section extended by the identity on the new
     block.  Returns the expanded local algebra and the strict
     label-inclusion morphism into it, which is a quasi-isomorphism."""
-    ring = L.ring
-    for v in new_vars:
-        if v in ring.name_to_idx:
-            raise ValueError("variable %r already present" % (v,))
     if not new_vars:
         return L, LInftyMorphism.identity(L.algebra)
+    ring = L.ring
     ring2 = JetRing(ring.names + list(new_vars), ring.order)
     comps = [ring2.embed_from(ring, p) for p in L.section.comps]
     comps += [ring2.var(v) for v in new_vars]
-    L2 = build_local_algebra(Section(ring2, comps),
-                             fol_names=L.fol_names + list(new_vars))
+    L2 = build_local_algebra(Section(ring2, comps))
     tset = set(L2.algebra.space.labels)
     comps1 = {}
     for lab in L.algebra.space.labels:

@@ -25,7 +25,7 @@ from .gradedlin import (CohomologyError, GradedMap, GradedSpace,
                         LinearSystem, acc_term, canonical_word, cohomology,
                         koszul_sign, reached, sym_words, unshuffles, vec_acc,
                         word_degree, words_within, scalar_to_str,
-                        scalar_from_str, expect, exact)
+                        scalar_from_str, expect, expect_int, exact)
 
 DEFAULT_ARITY_CAP = 4
 
@@ -91,12 +91,8 @@ def _split_signs(parities, i):
     these parities, in the order of unshuffles(i, k), each with the
     Koszul sign of the split: every odd letter of b1 passes the odd
     letters of b2 that stand before it."""
-    out = []
-    for b1, b2 in unshuffles(i, len(parities)):
-        passed = sum(parities[q] for p in b1 if parities[p]
-                     for q in b2 if q < p)
-        out.append((b1, b2, -1 if passed % 2 else 1))
-    return tuple(out)
+    return tuple((b1, b2, koszul_sign(parities, b1 + b2))
+                 for b1, b2 in unshuffles(i, len(parities)))
 
 
 def _insert_letter(space, g, rest):
@@ -235,12 +231,8 @@ class CheckReport:
 
 
 def check_arity_cap(cap):
-    """An arity cap: an integer >= 1 (not a bool), ValueError
-    otherwise."""
-    if isinstance(cap, bool) or not isinstance(cap, int) or cap < 1:
-        raise ValueError("arity_cap must be an integer >= 1, got %r"
-                         % (cap,))
-    return cap
+    """An arity cap: an integer >= 1, ValueError otherwise."""
+    return expect_int("arity_cap", cap, 1)
 
 
 def canonical_tables(space, out_space, shift, tables, cap, what):

@@ -328,7 +328,7 @@ def test_expand_chart_one_dimension():
 def test_expand_chart_rejects_name_clash():
     r = JetRing(["y1"], 2)
     L = build_local_algebra(Section(r, [r.var("y1")]))
-    with pytest.raises(ValueError, match="already present"):
+    with pytest.raises(ValueError, match="duplicate variable name"):
         expand_chart(L, ["y1"])
 
 
