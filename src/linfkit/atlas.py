@@ -161,7 +161,11 @@ class ToyAtlas:
             if pair in changes:
                 raise ValueError("atlas.changes: pair %r is repeated"
                                  % (ch["pair"],))
-            base_by_str = {str(u): u for u in charts[p]["base_points"]}
+            # a change from a point with no chart keeps its keys as
+            # written: validate_atlas reads only changes between charted
+            # points, and reports the missing chart
+            base_by_str = {str(u): u for u in charts[p]["base_points"]} \
+                if p in charts else {us: us for us in ch["base_map"]}
             changes[pair] = {
                 "U_pq": [_point(u) for u in ch["U_pq"]],
                 "base_map": {base_by_str[us]: _point(v)

@@ -30,6 +30,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import re
 import sys
 import time
 from fractions import Fraction
@@ -85,6 +86,8 @@ def attempt(name, fn, *args, **kwargs):
 def check_version(doc):
     if not isinstance(doc, dict) or doc.get("version") != SCHEMA_VERSION:
         raise InputError("document version must be %d" % SCHEMA_VERSION)
+    # true and 1.0 compare equal to 1
+    int_field("version", doc["version"], SCHEMA_VERSION)
 
 
 def int_field(name, value, low, guard=None):
@@ -420,8 +423,11 @@ def load_jet_setup(doc, caps, extra_req=(), extra_opt=()):
     omega = [[scalar_from_str(str(c)) for c in row] for row in doc["omega"]]
     R = {}
     for key, poly in doc["R"].items():
-        j, a = (int(x) for x in key.split(","))
-        R[(j, a)] = derived_mod.poly_from_json(poly, model.nv)
+        # digits only: int() would also read "+1", "1 " and "1_0"
+        ja = re.fullmatch(r"([0-9]+),([0-9]+)", key)
+        if ja is None:
+            raise InputError("R: malformed key %r" % (key,))
+        R[int(ja[1]), int(ja[2])] = derived_mod.poly_from_json(poly, model.nv)
     return model, omega, R
 
 
@@ -686,6 +692,9 @@ def load_cocycle(doc, caps):
 
 def cocycle_runner(verb, with_result):
     def run(caps, A, m_max, level):
+        rep = atlas_mod.validate_atlas(A)
+        if not rep.ok:
+            return [report_record(rep)], None
         G = attempt(verb, lambda: atlas_mod.build_cocycle(
             A, atlas_mod.build_hypercovering(A, m_max), level, m_max=m_max,
             tie_break=caps["seed"]))

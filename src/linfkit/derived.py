@@ -23,8 +23,9 @@ two parts, and `label_weight` reads the exponent total of a label.
 import random
 from fractions import Fraction
 
-from .gradedlin import (GradedSpace, acc_term, exact, expect, matrix_rank,
-                        scalar_from_str, scalar_to_str, vec_acc, vec_scale)
+from .gradedlin import (GradedSpace, acc_term, exact, expect, expect_int,
+                        matrix_rank, scalar_from_str, scalar_to_str, vec_acc,
+                        vec_scale)
 from .linfty import (CheckReport, JetRecord, LInftyAlgebra, LInftyMorphism,
                      fraction_failures)
 
@@ -75,8 +76,11 @@ def poly_to_json(p):
             for e, c in sorted(p.items())]
 
 
-def _check_exps(e, nv):
-    if nv is not None and (len(e) != nv or min(e, default=0) < 0):
+def _read_exps(rec, nv):
+    """The exponents of a term record: integers >= 0, and with nv, one
+    for each of nv variables."""
+    e = tuple(expect_int("exponent", x, 0) for x in rec["exps"])
+    if nv is not None and len(e) != nv:
         raise ValueError("exponents %r do not fit %d variables" % (e, nv))
     return e
 
@@ -86,8 +90,7 @@ def poly_from_json(doc, nv=None):
     out = {}
     for rec in doc:
         expect(rec, "polynomial term", ("exps", "coeff"))
-        acc_term(out, _check_exps(tuple(int(x) for x in rec["exps"]), nv),
-                 scalar_from_str(rec["coeff"]))
+        acc_term(out, _read_exps(rec, nv), scalar_from_str(rec["coeff"]))
     return out
 
 
@@ -343,9 +346,9 @@ def mv_from_json(doc, nv=None):
     out = {}
     for rec in doc:
         expect(rec, "multivector term", ("exps", "word", "coeff"))
-        key = (_check_exps(tuple(int(x) for x in rec["exps"]), nv),
-               tuple(int(x) for x in rec["word"]))
-        if nv is not None and not all(0 <= i < nv for i in key[1]):
+        key = (_read_exps(rec, nv),
+               tuple(expect_int("wedge index", x, 0) for x in rec["word"]))
+        if nv is not None and not all(i < nv for i in key[1]):
             raise ValueError("wedge word %r does not fit %d variables"
                              % (key[1], nv))
         acc_term(out, key, scalar_from_str(rec["coeff"]))
@@ -377,12 +380,10 @@ class JetMultivectorModel:
     """
 
     def __init__(self, m, k, base_cap=3, fiber_cap=2):
-        if m < 0 or k < 0 or base_cap < 0 or fiber_cap < 0:
-            raise ValueError("negative coordinate count or cap")
-        self.m = int(m)
-        self.k = int(k)
-        self.base_cap = int(base_cap)
-        self.fiber_cap = int(fiber_cap)
+        self.m = expect_int("m", m, 0)
+        self.k = expect_int("k", k, 0)
+        self.base_cap = expect_int("base_cap", base_cap, 0)
+        self.fiber_cap = expect_int("fiber_cap", fiber_cap, 0)
         base = ["y%d" % (i + 1) for i in range(self.m)]
         base += ["q%d" % (i + 1) for i in range(self.k)]
         fiber = ["p%d" % (i + 1) for i in range(self.k)]

@@ -246,9 +246,7 @@ def canonical_tables(space, out_space, shift, tables, cap, what):
     of another degree."""
     clean = {}
     for k, table in tables.items():
-        if type(k) is not int or k < 1:
-            raise ValueError("%s arity %r is not an integer >= 1"
-                             % (what, k))
+        expect_int("%s arity" % what, k, 1)
         if k > cap:
             raise ValueError("%s arity %d is above the arity cap %d"
                              % (what, k, cap))
@@ -307,14 +305,12 @@ def blocks_to_json(tables):
 def blocks_from_json(blocks, where):
     """{arity: {word: {out: coeff}}} from the JSON blocks of
     blocks_to_json, parsed strictly; entries on one (word, out) add
-    up.  The arity ranges are the constructors' to check."""
+    up.  The arity caps are the constructors' to check."""
     tables = {}
     for blk in blocks:
         expect(blk, where + "[]", ("arity", "entries"))
         # True and 1.0 would merge into the arity-1 table as keys
-        k = blk["arity"]
-        if type(k) is not int:
-            raise ValueError("%s arity %r is not an integer" % (where, k))
+        k = expect_int(where + "[].arity", blk["arity"], 1)
         tab = tables.setdefault(k, {})
         for e in blk["entries"]:
             expect(e, where + "[].entries[]", ("word", "out", "coeff"))

@@ -682,6 +682,30 @@ def test_change_pair_is_checked(verb, edit, tmp_path, capsys):
     assert run([verb, write(tmp_path, "a.json", doc)], capsys)[0] == 2
 
 
+@pytest.mark.parametrize("verb", ["atlas-check", "hypercover",
+                                  "cocycle-build", "cocycle-check"])
+def test_point_without_chart_fails_chart_cover(verb, tmp_path, capsys):
+    """A listed point with no chart fails the atlas check (exit 1) on
+    every atlas verb, and the report is the same whether or not the
+    changes from that point are listed: they are kept as written and
+    never read.  The cocycle verbs check the atlas first, as hypercover
+    does, so neither a chart lookup nor the hypercovering crashes."""
+    doc = atlas_doc(m_max=1)
+    del doc["atlas"]["charts"]["3"]
+    reports = []
+    for changes in (doc["atlas"]["changes"],
+                    [ch for ch in doc["atlas"]["changes"]
+                     if ch["pair"][0] != 3]):
+        doc["atlas"]["changes"] = changes
+        code, out = run([verb, write(tmp_path, "a.json", doc)], capsys)
+        assert code == 1
+        reports.append(out)
+    assert reports[0] == reports[1]
+    atlas, = json.loads(reports[0])["checks"]
+    assert atlas["name"] == "atlas"
+    assert atlas["witness"][0]["at"][:2] == ["chart-cover", "3"]
+
+
 @pytest.mark.parametrize("field, value", [
     ("dim", "x"), ("dim", 1.0), ("dim", True), ("dim", None), ("dim", -1),
     ("group_order", "x"), ("group_order", 2.0), ("group_order", False),
@@ -1019,6 +1043,65 @@ def test_unknown_field_fuzz(verb, doc, args, data, tmp_path_factory):
     at(doc, path)["bogus"] = 1
     code, err = exit_cleanly(verb, doc, args, tmp_path_factory.getbasetemp())
     assert code == 2 and err.startswith("input error:"), path
+
+
+@pytest.mark.parametrize("verb", sorted(SMALL_JOBS))
+def test_integer_fields_are_strict(verb, tmp_path):
+    """Every integer of a small valid document, at any depth, is read
+    strictly: 1.5 or true in its place is an input error (exit 2),
+    never coerced.  Each field is tried once per position in the
+    document, so every reader of an integer is reached."""
+    doc, args = SMALL_JOBS[verb]
+    paths = [path for path in field_paths(doc)
+             if type(at(doc, path)) is int]
+    assert paths
+    coerced = []
+    for path in paths:
+        for value in (1.5, True):
+            code, err = exit_cleanly(verb, replaced(doc, path, value), args,
+                                     tmp_path)
+            if code != 2 or not err.startswith("input error:"):
+                coerced.append((path, value, code))
+    assert not coerced
+
+
+def renamed_key(doc, old, new):
+    doc = copy.deepcopy(doc)
+    doc["R"][new] = doc["R"].pop(old)
+    return doc
+
+
+@pytest.mark.parametrize("verb, edit", [
+    pytest.param("check-linfty",
+                 lambda d, value=value: replaced(d, ("version",), value),
+                 id="version-%r" % (value,))
+    for value in (True, 1.0)] + [
+    pytest.param(verb, lambda d, at=(path, value): replaced(d, *at),
+                 id="%s-exponent-%r" % (verb, value))
+    for verb, path in (("koszul", ("section", "comps", 0, 0, "exps", 0)),
+                       ("poisson-build", ("R", "1,1", 0, "exps", 2)),
+                       ("valgebra-check", ("jet", "P", 2, "exps", 3)))
+    for value in (1.9, True, "1")] + [
+    pytest.param("valgebra-check",
+                 lambda d: replaced(d, ("jet", "P", 0, "word", 0), 0.4),
+                 id="wedge-index-0.4")] + [
+    pytest.param(verb, lambda d, at=(path, value): replaced(d, *at),
+                 id="%s-fiber-cap-%r" % (verb, value))
+    for verb, path in (("poisson-build", ("fiber_cap",)),
+                       ("valgebra-check", ("jet", "model", "fiber_cap")))
+    for value in (2.5, True)] + [
+    pytest.param("poisson-build",
+                 lambda d, key=key: renamed_key(d, "1,1", key),
+                 id="splitting-key-%r" % (key,))
+    for key in ("1,1 ", "+1,1", "1_0,1")])
+def test_integers_are_not_coerced(verb, edit, tmp_path):
+    """An integer is never read with int() or ==: a float, a bool or a
+    string where an integer belongs, and a splitting-datum key that is
+    not two runs of digits, are input errors (exit 2), not a quietly
+    coerced value."""
+    doc, args = SMALL_JOBS[verb]
+    code, err = exit_cleanly(verb, edit(doc), args, tmp_path)
+    assert code == 2 and err.startswith("input error:"), err
 
 
 @pytest.mark.parametrize("verb, sections", [

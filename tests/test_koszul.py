@@ -274,6 +274,18 @@ def test_augment_new_arity_enters_the_support():
         term_oracle.check_relations(G, up_to=3, weight_cap=G.jet.check_cap)
 
 
+def test_augment_skips_the_closed_functions_already_held():
+    """Over an augmented foliation complex the augmentation adds no
+    generator: it keeps the labels, degrees, weights and l1 of the
+    complex, and forces no higher operation."""
+    Fc = foliation_complex(_ring_q(), ["q1", "q2"], augmented=True)
+    G = augment_extension(Fc, 3)
+    assert G.space.labels == Fc.space.labels
+    assert G.space.deg == Fc.space.deg
+    assert G.weights == Fc.weights
+    assert G.ops == Fc.ops
+
+
 def test_augment_raises_on_inconsistent_input():
     # a spurious binary operation on functions makes the forced
     # function-level residual depend on the leaf coordinates, which
