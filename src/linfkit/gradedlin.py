@@ -595,12 +595,13 @@ def koszul_sign(degrees, perm):
     if len(degrees) != len(perm):
         raise ValueError("permutation length mismatch")
     sign = 1
-    p = list(perm)
-    for i in range(len(p)):
-        for j in range(i + 1, len(p)):
-            if p[i] > p[j]:
-                if degrees[p[i]] % 2 and degrees[p[j]] % 2:
+    odd = []        # the odd letters placed so far
+    for p in perm:
+        if degrees[p] % 2:
+            for q in odd:
+                if q > p:
                     sign = -sign
+            odd.append(p)
     return sign
 
 
