@@ -686,7 +686,7 @@ def load_cocycle(doc, caps):
         raise InputError("atlas: a chart or change names no loaded "
                          "algebra or morphism")
     level = int_field("level", doc.get("level", max(
-        c.get("dim", 0) for c in A.charts.values())), 0)
+        (c["dim"] for c in A.charts.values()), default=0)), 0)
     return A, _simp_degree(doc, caps, 2, 2), level
 
 

@@ -706,6 +706,22 @@ def test_point_without_chart_fails_chart_cover(verb, tmp_path, capsys):
     assert atlas["witness"][0]["at"][:2] == ["chart-cover", "3"]
 
 
+@pytest.mark.parametrize("verb", ["atlas-check", "hypercover",
+                                  "cocycle-build", "cocycle-check"])
+def test_atlas_without_charts_fails_chart_cover(verb, tmp_path, capsys):
+    """An atlas with no chart at all fails the atlas check (exit 1)
+    on every atlas verb, as one uncharted point does: the default
+    cocycle level, the largest chart dim, is 0 over no charts."""
+    doc = atlas_doc(m_max=1)
+    doc["atlas"]["charts"] = {}
+    code, out = run([verb, write(tmp_path, "a.json", doc)], capsys)
+    assert code == 1
+    atlas, = json.loads(out)["checks"]
+    assert atlas["name"] == "atlas"
+    assert [w["at"][:2] for w in atlas["witness"]] == \
+        [["chart-cover", p] for p in ("1", "2", "3")]
+
+
 @pytest.mark.parametrize("field, value", [
     ("dim", "x"), ("dim", 1.0), ("dim", True), ("dim", None), ("dim", -1),
     ("group_order", "x"), ("group_order", 2.0), ("group_order", False),
