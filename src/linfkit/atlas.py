@@ -195,81 +195,75 @@ def _points(xs):
     return points
 
 
+def _flag(rep, ok, name, key, *detail, count=1):
+    """Count count checks of rep and, unless ok, record the flag
+    ((name,) + key, {detail: 1}), the detail parts joined by commas;
+    returns ok."""
+    return rep.check(ok, (name,) + tuple(key),
+                     None if ok else {",".join(map(str, detail)): 1}, count)
+
+
 def validate_atlas(A: ToyAtlas) -> CheckReport:
     """Pointwise validation of the four coordinate-change axioms plus
     the shape constraints they presuppose.  Failure witnesses carry the
     chart pair and the offending base or space point."""
-    failures = []
-    checked = 0
-
-    def fail(axiom, p, q, x, witness):
-        failures.append(((axiom, p, q, x), witness))
-
+    rep = CheckReport("atlas")
     for p in A.points:
-        checked += 1
-        if p not in A.charts:
-            fail("chart-cover", p, None, None, {"missing chart": 1})
+        if not _flag(rep, p in A.charts, "chart-cover", (p, None, None),
+                     "missing chart"):
             continue
         base = set(A.base(p))
         zeros = A.zeros(p)
         seen = {}
         for u, x in zeros.items():
-            checked += 1
-            if u not in base:
-                fail("chart-shape", p, None, u, {"zero outside base": 1})
-            if x not in A.points:
-                fail("chart-shape", p, None, u, {"image outside X": 1})
-            if x in seen:
-                fail("chart-shape", p, None, u,
-                     {"chart map not injective": 1})
+            at = (p, None, u)
+            _flag(rep, u in base, "chart-shape", at, "zero outside base")
+            _flag(rep, x in A.points, "chart-shape", at, "image outside X",
+                  count=0)
+            _flag(rep, x not in seen, "chart-shape", at,
+                  "chart map not injective", count=0)
             seen[x] = u
 
     pairs = [(p, q) for p in A.charts for q in A.charts
              if A.image(p) & A.image(q)]
     for p, q in pairs:
-        checked += 1
-        if (p, q) not in A.changes:
-            fail("overlap-change", p, q, None, {"missing change": 1})
+        _flag(rep, (p, q) in A.changes, "overlap-change", (p, q, None),
+              "missing change")
     live = [pq for pq in pairs if pq in A.changes]
 
     for p, q in live:
         dom = A.change_domain(p, q)
         f = A.base_map(p, q)
-        base_p, base_q = set(A.base(p)), set(A.base(q))
-        checked += 1
-        if not dom <= base_p:
-            fail("change-shape", p, q, None, {"U_pq outside base": 1})
-        if set(f) != dom:
-            fail("change-shape", p, q, None,
-                 {"base map domain mismatch": 1})
         vals = list(f.values())
-        if not set(vals) <= base_q:
-            fail("change-shape", p, q, None, {"image outside base": 1})
-        if len(set(vals)) != len(vals):
-            fail("change-shape", p, q, None, {"base map not injective": 1})
+        at = (p, q, None)
+        _flag(rep, dom <= set(A.base(p)), "change-shape", at,
+              "U_pq outside base")
+        _flag(rep, set(f) == dom, "change-shape", at,
+              "base map domain mismatch", count=0)
+        _flag(rep, set(vals) <= set(A.base(q)), "change-shape", at,
+              "image outside base", count=0)
+        _flag(rep, len(set(vals)) == len(vals), "change-shape", at,
+              "base map not injective", count=0)
 
     # (i) the self-change is the identity on the whole base
     for p in A.charts:
-        checked += 1
-        if (p, p) not in A.changes:
-            fail("axiom-i", p, p, None, {"missing self change": 1})
+        if not _flag(rep, (p, p) in A.changes, "axiom-i", (p, p, None),
+                     "missing self change"):
             continue
-        if A.change_domain(p, p) != set(A.base(p)):
-            fail("axiom-i", p, p, None, {"self domain not full": 1})
-        for u in A.change_domain(p, p):
-            checked += 1
-            if A.base_map(p, p).get(u) != u:
-                fail("axiom-i", p, p, u, {"not the identity": 1})
+        dom = A.change_domain(p, p)
+        _flag(rep, dom == set(A.base(p)), "axiom-i", (p, p, None),
+              "self domain not full", count=0)
+        for u in sorted(dom, key=str):
+            _flag(rep, A.base_map(p, p).get(u) == u, "axiom-i", (p, p, u),
+                  "not the identity")
 
     # (ii) chart maps are intertwined on zero points of the domain
     for p, q in live:
         f = A.base_map(p, q)
         for u in sorted(set(A.zeros(p)) & A.change_domain(p, q), key=str):
-            checked += 1
             v = f.get(u)
-            if v not in A.zeros(q) or A.zeros(q)[v] != A.zeros(p)[u]:
-                fail("axiom-ii", p, q, u,
-                     {"chart maps disagree": 1})
+            _flag(rep, v in A.zeros(q) and A.zeros(q)[v] == A.zeros(p)[u],
+                  "axiom-ii", (p, q, u), "chart maps disagree")
 
     # (iii) the triple cocycle on the stated locus
     for p, q in live:
@@ -282,10 +276,9 @@ def validate_atlas(A: ToyAtlas) -> CheckReport:
                      if fpq.get(u) in A.change_domain(q, r)} \
                 & A.change_domain(p, r)
             for u in sorted(locus, key=str):
-                checked += 1
-                if fqr.get(fpq.get(u)) != fpr.get(u):
-                    fail("axiom-iii", p, q, u,
-                         {"composite disagrees at": str(r)})
+                rep.check(fqr.get(fpq.get(u)) == fpr.get(u),
+                          ("axiom-iii", p, q, u),
+                          {"composite disagrees at": str(r)})
 
     # (iv) zero points of the change domain hit exactly the image
     # overlap
@@ -294,12 +287,11 @@ def validate_atlas(A: ToyAtlas) -> CheckReport:
                for u in set(A.zeros(p)) & A.change_domain(p, q)}
         want = A.image(p) & A.image(q)
         for x in sorted(got ^ want, key=str):
-            checked += 1
-            fail("axiom-iv", p, q, x,
-                 {"missing" if x in want else "extra": 1})
-        checked += 1
-
-    return CheckReport("atlas", failures, checked)
+            _flag(rep, False, "axiom-iv", (p, q, x),
+                  "missing" if x in want else "extra")
+        # the pair counts once more, whatever its differences
+        rep.check(True)
+    return rep
 
 
 # ---------------------------------------------------------------------------
@@ -365,6 +357,15 @@ class Hypercovering:
         self._u_cache[alpha] = out
         return out
 
+    def u_within_face(self, alpha, i):
+        """Whether U of a simplex lies in U of its face i, pulled back
+        along the leading change when that face drops the leading
+        vertex (i = k)."""
+        face_u = self.u_set(self.face(alpha, i))
+        if i == len(alpha) - 1:
+            face_u = self.atlas.pull_back(alpha[0], alpha[1], face_u)
+        return self.u_set(alpha) <= face_u
+
     def v_set(self, alpha):
         """The image in X of the zero part of the simplex's base set."""
         A = self.atlas
@@ -406,26 +407,18 @@ def simplicial_identities(H: Hypercovering) -> CheckReport:
     simplices: face-face, face-degeneracy (including the two identity
     cases), and degeneracy-degeneracy, plus the subset laws (U is
     degeneracy-stable, faces only grow U up to the leading pullback)."""
-    failures = []
-    checked = 0
-
-    def fail(name, alpha, detail):
-        failures.append(((name,) + alpha, {detail: 1}))
-
-    A = H.atlas
+    rep = CheckReport("simplicial-identities")
     for k in sorted(H.simplices):
         for alpha in H.simplices[k]:
             for i in range(k + 1):
                 for j in range(i + 1, k + 1):
                     if k >= 1:
-                        checked += 1
-                        if H.face(H.face(alpha, j), i) != \
-                                H.face(H.face(alpha, i), j - 1):
-                            fail("face-face", alpha, "%d,%d" % (i, j))
+                        _flag(rep, H.face(H.face(alpha, j), i)
+                              == H.face(H.face(alpha, i), j - 1),
+                              "face-face", alpha, i, j)
             if k + 1 <= H.m_max:
                 for i in range(k + 2):
                     for j in range(k + 1):
-                        checked += 1
                         lhs = H.face(H.degeneracy(alpha, j), i)
                         if i < j:
                             rhs = H.degeneracy(H.face(alpha, i), j - 1)
@@ -433,80 +426,61 @@ def simplicial_identities(H: Hypercovering) -> CheckReport:
                             rhs = alpha
                         else:
                             rhs = H.degeneracy(H.face(alpha, i - 1), j)
-                        if lhs != rhs:
-                            fail("face-degeneracy", alpha,
-                                 "%d,%d" % (i, j))
+                        _flag(rep, lhs == rhs, "face-degeneracy", alpha,
+                              i, j)
                 for i in range(k + 1):
-                    checked += 1
-                    if not H.has(H.degeneracy(alpha, i)):
-                        fail("degeneracy-closed", alpha, str(i))
+                    _flag(rep, H.has(H.degeneracy(alpha, i)),
+                          "degeneracy-closed", alpha, i)
             if k + 2 <= H.m_max:
                 for i in range(k + 1):
                     for j in range(i, k + 1):
-                        checked += 1
                         lhs = H.degeneracy(H.degeneracy(alpha, j), i)
                         rhs = H.degeneracy(H.degeneracy(alpha, i), j + 1)
-                        if lhs != rhs:
-                            fail("degeneracy-degeneracy", alpha,
-                                 "%d,%d" % (i, j))
+                        _flag(rep, lhs == rhs, "degeneracy-degeneracy",
+                              alpha, i, j)
             # subset laws
             if k + 1 <= H.m_max:
                 for i in range(k + 1):
-                    checked += 1
-                    if H.u_set(H.degeneracy(alpha, i)) != H.u_set(alpha):
-                        fail("u-degeneracy-stable", alpha, str(i))
+                    _flag(rep, H.u_set(H.degeneracy(alpha, i))
+                          == H.u_set(alpha), "u-degeneracy-stable", alpha, i)
             for i in range(k):
-                checked += 1
-                if not H.u_set(alpha) <= H.u_set(H.face(alpha, i)):
-                    fail("u-face-monotone", alpha, str(i))
+                _flag(rep, H.u_within_face(alpha, i), "u-face-monotone",
+                      alpha, i)
             if k >= 1:
-                checked += 1
-                pulled = A.pull_back(alpha[0], alpha[1],
-                                     H.u_set(H.face(alpha, k)))
-                if not H.u_set(alpha) <= pulled:
-                    fail("u-leading-face", alpha, "pullback")
-    return CheckReport("simplicial-identities", failures, checked)
+                _flag(rep, H.u_within_face(alpha, k), "u-leading-face",
+                      alpha, "pullback")
+    return rep
 
 
 def hypercover_check(H: Hypercovering) -> CheckReport:
     """The five hypercovering axioms for the family {V}, checked by
     exhaustive enumeration, together with the two-ways agreement of V
     (zero-part image versus intersection of chart images)."""
-    failures = []
-    checked = 0
-
-    def fail(name, key, detail):
-        failures.append(((name,) + tuple(key), {detail: 1}))
+    rep = CheckReport("hypercover")
 
     # (i) the vertex subsets cover X
     covered = set()
     for alpha in H.simplices.get(0, []):
         covered |= H.v_set(alpha)
-    checked += 1
-    if covered != set(H.atlas.points):
-        fail("cover", (), str(sorted(set(H.atlas.points) - covered)))
+    _flag(rep, covered == set(H.atlas.points), "cover", (),
+          sorted(set(H.atlas.points) - covered))
 
     # (ii) faces only grow V; (iii) degeneracies preserve V
     for k in sorted(H.simplices):
         for alpha in H.simplices[k]:
             for i in range(k + 1):
                 if k >= 1:
-                    checked += 1
                     f = H.face(alpha, i)
-                    if not H.has(f):
-                        fail("face-closed", alpha, str(i))
-                    elif not H.v_set(alpha) <= H.v_set(f):
-                        fail("face-monotone", alpha, str(i))
+                    if _flag(rep, H.has(f), "face-closed", alpha, i):
+                        _flag(rep, H.v_set(alpha) <= H.v_set(f),
+                              "face-monotone", alpha, i, count=0)
                 if k + 1 <= H.m_max:
-                    checked += 1
                     s = H.degeneracy(alpha, i)
-                    if not H.has(s):
-                        fail("degeneracy-closed", alpha, str(i))
-                    elif H.v_set(s) != H.v_set(alpha):
-                        fail("degeneracy-stable", alpha, str(i))
-            checked += 1
-            if H.v_set(alpha) != H.v_by_images(alpha):
-                fail("v-two-ways", alpha, "disagree")
+                    if _flag(rep, H.has(s), "degeneracy-closed", alpha, i):
+                        _flag(rep, H.v_set(s) == H.v_set(alpha),
+                              "degeneracy-stable", alpha, i, count=0)
+            _flag(rep, H.v_set(alpha) == H.v_by_images(alpha), "v-two-ways",
+                  alpha, "disagree")
 
     # (iv)+(v) compatible boundary tuples glue: the intersection of
     # the V's of a compatible family of (k-1)-simplices is the union
@@ -517,18 +491,16 @@ def hypercover_check(H: Hypercovering) -> CheckReport:
         for alpha in H.simplices.get(k, []):
             key = tuple(H.face(alpha, i) for i in range(k + 1))
             uppers.setdefault(key, []).append(alpha)
+        name, level = "glue" if k >= 2 else "pair-glue", "level %d" % k
         for bdry in _compatible_tuples(H, lower, k):
-            checked += 1
             inter = H.v_set(bdry[0])
             for b in bdry[1:]:
                 inter &= H.v_set(b)
             union = set()
             for alpha in uppers.get(bdry, []):
                 union |= H.v_set(alpha)
-            if inter != union:
-                fail("glue" if k >= 2 else "pair-glue", bdry[0] + bdry[-1],
-                     "level %d" % k)
-    return CheckReport("hypercover", failures, checked)
+            _flag(rep, inter == union, name, bdry[0] + bdry[-1], level)
+    return rep
 
 
 def _compatible_tuples(H, lower, k):
@@ -570,9 +542,9 @@ def _cell_report(cell):
     two endpoints."""
     if isinstance(cell.model, FillingModel):
         return cell.model.verify()
-    ok = cell.endpoints_match()
-    return CheckReport("two-cell",
-                       [] if ok else [(("endpoint",), {"fail": 1})], 1)
+    rep = CheckReport("two-cell")
+    rep.check(cell.endpoints_match(), ("endpoint",), {"fail": 1})
+    return rep
 
 
 def _cell_json(cell):
@@ -674,73 +646,49 @@ def check_cocycle(G: CocycleData) -> CheckReport:
     compatibility (degenerate edges are identities, degenerate
     triangles are constant cells), and level inclusion (dimensions are
     within the level and the level embedding fixes every cell)."""
-    failures = []
-    checked = 0
+    rep = CheckReport("cocycle")
     A, H = G.atlas, G.hyper
-
-    def fail(name, key, detail):
-        failures.append(((name,) + tuple(key), {detail: 1}))
-
     for p, v in G.vertices.items():
-        checked += 1
-        if v["dim"] > G.level:
-            fail("level-dim", (p,), str(v["dim"]))
+        _flag(rep, v["dim"] <= G.level, "level-dim", (p,), v["dim"])
 
     for alpha, f in G.edges.items():
         p, q = alpha
-        checked += 1
-        srcref = G.vertices[q]["algebra_ref"]
-        tgtref = G.vertices[p]["algebra_ref"]
-        if f.source is not A.algebras[srcref] \
-                or f.target is not A.algebras[tgtref]:
-            fail("edge-endpoints", alpha, "chart mismatch")
-        rep = check_morphism(f, up_to=min(2, f.arity_cap))
-        checked += rep.checked
-        if not rep.ok:
-            fail("edge-relations", alpha, "morphism relation fails")
-        checked += 1
-        if not is_quasi_iso(f):
-            fail("edge-quasi-iso", alpha, "not a quasi-iso")
+        _flag(rep, f.source is A.algebras[G.vertices[q]["algebra_ref"]]
+              and f.target is A.algebras[G.vertices[p]["algebra_ref"]],
+              "edge-endpoints", alpha, "chart mismatch")
+        sub = check_morphism(f, up_to=min(2, f.arity_cap))
+        _flag(rep, sub.ok, "edge-relations", alpha,
+              "morphism relation fails", count=sub.checked)
+        _flag(rep, is_quasi_iso(f), "edge-quasi-iso", alpha,
+              "not a quasi-iso")
         if p == q:
-            checked += 1
-            if not comps_agree(f, LInftyMorphism.identity(f.source),
-                               min(2, f.arity_cap)):
-                fail("degeneracy-edge", alpha, "not the identity")
+            _flag(rep, comps_agree(f, LInftyMorphism.identity(f.source),
+                                   min(2, f.arity_cap)),
+                  "degeneracy-edge", alpha, "not the identity")
 
     for alpha, cell in G.triangles.items():
         v0, v1, v2 = alpha
-        rep = _cell_report(cell)
-        checked += rep.checked
-        if not rep.ok:
-            fail("triangle-cell", alpha, "homotopy fails")
+        sub = _cell_report(cell)
+        _flag(rep, sub.ok, "triangle-cell", alpha, "homotopy fails",
+              count=sub.checked)
         direct = G.edges[(v0, v2)]
         around = compose(G.edges[(v0, v1)], G.edges[(v1, v2)])
         cap = min(direct.arity_cap, 2)
-        checked += 2
-        if not comps_agree(cell.endpoints[0], direct, cap):
-            fail("face-eval-0", alpha, "direct edge mismatch")
-        if not comps_agree(cell.endpoints[1], around, cap):
-            fail("face-eval-1", alpha, "composite mismatch")
+        _flag(rep, comps_agree(cell.endpoints[0], direct, cap),
+              "face-eval-0", alpha, "direct edge mismatch")
+        _flag(rep, comps_agree(cell.endpoints[1], around, cap),
+              "face-eval-1", alpha, "composite mismatch")
         # base-set restriction: the triangle's base subset sits inside
         # the base subsets of its edge faces
         for i in range(3):
-            checked += 1
-            face = H.face(alpha, i)
-            if i == 2:
-                pulled = A.pull_back(alpha[0], alpha[1], H.u_set(face))
-                if not H.u_set(alpha) <= pulled:
-                    fail("face-restriction", alpha, str(i))
-            elif not H.u_set(alpha) <= H.u_set(face):
-                fail("face-restriction", alpha, str(i))
+            _flag(rep, H.u_within_face(alpha, i), "face-restriction",
+                  alpha, i)
         if len(set(alpha)) < 3:
-            checked += 1
-            if isinstance(cell.model, FillingModel):
-                fail("degeneracy-triangle", alpha, "not constant")
+            _flag(rep, not isinstance(cell.model, FillingModel),
+                  "degeneracy-triangle", alpha, "not constant")
 
     inc = G.include()
-    checked += 1
-    if inc.vertices is not G.vertices or inc.edges is not G.edges \
-            or inc.triangles is not G.triangles \
-            or inc.level != G.level + 1:
-        fail("level-inclusion", (), "embedding moved a cell")
-    return CheckReport("cocycle", failures, checked)
+    _flag(rep, inc.vertices is G.vertices and inc.edges is G.edges
+          and inc.triangles is G.triangles and inc.level == G.level + 1,
+          "level-inclusion", (), "embedding moved a cell")
+    return rep

@@ -102,6 +102,14 @@ def int_field(name, value, low, guard=None):
     return value
 
 
+def matrix_field(name, value):
+    """A matrix: a list of rows, each a list of scalar strings."""
+    if not isinstance(value, list) or \
+            not all(isinstance(row, list) for row in value):
+        raise InputError("%s must be a list of lists of scalars" % name)
+    return [[scalar_from_str(c) for c in row] for row in value]
+
+
 def str_list(name, value):
     if not isinstance(value, list) or \
             not all(isinstance(v, str) for v in value):
@@ -420,7 +428,7 @@ def load_jet_setup(doc, caps, extra_req=(), extra_opt=()):
     model = derived_mod.JetMultivectorModel(
         doc["m"], doc["k"], base_cap=base_cap,
         fiber_cap=doc.get("fiber_cap", 2))
-    omega = [[scalar_from_str(str(c)) for c in row] for row in doc["omega"]]
+    omega = matrix_field("omega", doc["omega"])
     R = {}
     for key, poly in doc["R"].items():
         # digits only: int() would also read "+1", "1 " and "1_0"
@@ -428,6 +436,9 @@ def load_jet_setup(doc, caps, extra_req=(), extra_opt=()):
         if ja is None:
             raise InputError("R: malformed key %r" % (key,))
         R[int(ja[1]), int(ja[2])] = derived_mod.poly_from_json(poly, model.nv)
+    # malformed data is an input error; only a bivector that does not
+    # square to zero fails the poisson check
+    derived_mod.presymplectic_input(model, omega, R)
     return model, omega, R
 
 
@@ -619,8 +630,7 @@ def load_fooo(doc, caps):
     # first, so its ValueError is an input error
     s, = load_section(doc, caps, ("ambient_section", "bundle_map"))
     sp = section_field(doc, "ambient_section")
-    bmap = [[scalar_from_str(str(c)) for c in row]
-            for row in doc["bundle_map"]]
+    bmap = matrix_field("bundle_map", doc["bundle_map"])
     return (koszul_mod.fooo_embedding_check(s, sp, bmap),)
 
 

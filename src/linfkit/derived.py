@@ -848,21 +848,12 @@ def op_weight_gain(A):
 # Poisson structures from constant-rank closed 2-form data
 
 
-def poisson_from_presymplectic(model, omega, R):
-    """Poisson bivector on the foliation cotangent bundle model from a
-    constant coefficient block omega on the transverse directions and
-    a polynomial splitting datum R.
-
-    omega: antisymmetric m x m rational matrix whose (i, j) entry
-    multiplies e_i wedge e_j; it must have full rank m (the foliation
-    directions carry the kernel of the 2-form).
-    R: {(j, alpha): polynomial in the base variables} for the lifted
-    transverse frame
-      e_j = d/dy_j + sum_a R_j^a d/dq_a
-            - sum_{b,n} p_b (dR_j^b/dq_n) d/dp_n.
-
-    The result is checked to square to zero under the bracket."""
-    m, k, nv = model.m, model.k, model.nv
+def presymplectic_input(model, omega, R):
+    """The data of poisson_from_presymplectic, read: omega as an exact
+    antisymmetric m x m matrix of rank m, and R with its zero
+    polynomials dropped, each index (j, a) within 1..m x 1..k and each
+    polynomial free of the fiber variables.  ValueError otherwise."""
+    m, k = model.m, model.k
     if len(omega) != m or any(len(row) != m for row in omega):
         raise ValueError("omega must be %d x %d" % (m, m))
     om = [[exact(x) for x in row] for row in omega]
@@ -885,6 +876,26 @@ def poisson_from_presymplectic(model, omega, R):
             raise ValueError("splitting data must be fiber-free")
         if p:
             Rp[(j, a)] = p
+    return om, Rp
+
+
+def poisson_from_presymplectic(model, omega, R):
+    """Poisson bivector on the foliation cotangent bundle model from a
+    constant coefficient block omega on the transverse directions and
+    a polynomial splitting datum R.
+
+    omega: antisymmetric m x m rational matrix whose (i, j) entry
+    multiplies e_i wedge e_j; it must have full rank m (the foliation
+    directions carry the kernel of the 2-form).
+    R: {(j, alpha): polynomial in the base variables} for the lifted
+    transverse frame
+      e_j = d/dy_j + sum_a R_j^a d/dq_a
+            - sum_{b,n} p_b (dR_j^b/dq_n) d/dp_n.
+
+    The input rules are those of presymplectic_input; the result is
+    checked to square to zero under the bracket."""
+    m, k = model.m, model.k
+    om, Rp = presymplectic_input(model, omega, R)
 
     def frame(j):
         e = dict(model.vector("y%d" % j))

@@ -38,7 +38,7 @@ from .gradedlin import (Echelon, GradedMap, GradedSpace, LinearSystem,
 from .linfty import (CheckReport, LInftyAlgebra, LInftyMorphism,
                      chain_complex, check_arity_cap, check_morphism,
                      check_relations, compose, comps_agree, delta1,
-                     direct_sum, fold_report, insertion_sum, is_quasi_iso,
+                     direct_sum, insertion_sum, is_quasi_iso,
                      l1_map, obstruction_cocycle, partition_sum,
                      solve_map_stage, split_sum_label, sum_label,
                      with_arity)
@@ -63,6 +63,16 @@ def _interval(model):
 
 def _jtag(J):
     return "e" + "".join(str(v) for v in J)
+
+
+def _first_differences(got, want):
+    """{source: {target: difference}} on the first three entries where
+    two linear maps differ."""
+    diff = vec_acc(dict(got.entries), want.entries, -1)
+    out = {}
+    for (a, b), c in sorted(diff.items())[:3]:
+        out.setdefault(a, {})[b] = Fraction(c)
+    return out
 
 
 class FillingModel:
@@ -111,42 +121,29 @@ class FillingModel:
         """Re-check every claimed identity: cylinder relations, all
         evaluation/inclusion/homotopy morphism relations, endpoint
         agreement, and quasi-isomorphism of the inclusion."""
-        failures = []
-        checked = fold_report(failures, check_relations(
-            self.algebra, up_to=self.K), "relations")
+        rep = CheckReport("filling-model", notes=list(self.notes))
+        rep.fold(check_relations(self.algebra, up_to=self.K), "relations")
         for J in self.face_keys():
-            checked += fold_report(failures, check_morphism(
-                self.evals[J], up_to=self.K), "eval" + _jtag(J))
-        checked += fold_report(failures, check_morphism(
-            self.hbar, up_to=self.K), "hbar")
+            rep.fold(check_morphism(self.evals[J], up_to=self.K),
+                     "eval" + _jtag(J))
+        rep.fold(check_morphism(self.hbar, up_to=self.K), "hbar")
         incl = incl_morphism(self)
-        checked += fold_report(failures, check_morphism(
-            incl, up_to=self.K), "incl")
+        rep.fold(check_morphism(incl, up_to=self.K), "incl")
         # evaluations compose with the inclusion to the face inclusions
         for J in self.face_keys():
             comp = self.evals[J].f1_map().compose(self.incl)
             face_incl = self.boundary[J].incl
-            checked += 1
-            if comp.images != face_incl.images:
-                # {source: {target: difference}} on the first entries
-                diff = vec_acc(dict(comp.entries), face_incl.entries, -1)
-                witness = {}
-                for (a, b), c in sorted(diff.items())[:3]:
-                    witness.setdefault(a, {})[b] = Fraction(c)
-                failures.append((("eval-incl", _jtag(J)), witness))
+            ok = comp.images == face_incl.images
+            rep.check(ok, ("eval-incl", _jtag(J)),
+                      None if ok else _first_differences(comp, face_incl))
         # endpoints of the filling homotopy are the given morphisms
         for v in range(self.n + 1):
-            ev = self.eval_vertex(v)
-            got = compose(ev, self.hbar)
-            want = self.fs[v]
-            checked += 1
-            if not comps_agree(got, want, min(got.arity_cap, self.K)):
-                failures.append((("endpoint", str(v)), {"mismatch": 1}))
-        checked += 1
-        if not is_quasi_iso(incl):
-            failures.append((("incl-quasi-iso",), {"fail": 1}))
-        return CheckReport("filling-model", failures, checked,
-                           notes=list(self.notes))
+            got = compose(self.eval_vertex(v), self.hbar)
+            rep.check(comps_agree(got, self.fs[v],
+                                  min(got.arity_cap, self.K)),
+                      ("endpoint", str(v)), {"mismatch": 1})
+        rep.check(is_quasi_iso(incl), ("incl-quasi-iso",), {"fail": 1})
+        return rep
 
     def to_json(self):
         return {
@@ -440,27 +437,20 @@ class WhiteheadCertificate:
         self.notes = notes or []
 
     def verify(self):
-        failures = []
-        checked = fold_report(failures, check_morphism(
-            self.g, up_to=self.K), "g")
-        checked += fold_report(failures, check_morphism(
-            self.homotopy, up_to=self.K), "homotopy")
-        checked += 1
-        if not is_quasi_iso(self.g):
-            failures.append((("g-quasi-iso",), {"fail": 1}))
+        rep = CheckReport("whitehead-certificate", notes=list(self.notes))
+        rep.fold(check_morphism(self.g, up_to=self.K), "g")
+        rep.fold(check_morphism(self.homotopy, up_to=self.K), "homotopy")
+        rep.check(is_quasi_iso(self.g), ("g-quasi-iso",), {"fail": 1})
         # the homotopy runs from the identity to g . f
         hom = Homotopy(self.homotopy, self.model,
                        LInftyMorphism.identity(self.f.source),
                        compose(self.g, self.f))
         for v in (0, 1):
-            checked += 1
-            if not hom.endpoint_ok(v, self.K):
-                failures.append((("endpoint", str(v)), {"mismatch": 1}))
+            rep.check(hom.endpoint_ok(v, self.K), ("endpoint", str(v)),
+                      {"mismatch": 1})
         if self.reverse is not None:
-            checked += fold_report(failures, self.reverse.verify(),
-                                   "reverse")
-        return CheckReport("whitehead-certificate", failures, checked,
-                           notes=list(self.notes))
+            rep.fold(self.reverse.verify(), "reverse")
+        return rep
 
 
 def whitehead_inverse(f, K=3, model=None, tie_break=0):

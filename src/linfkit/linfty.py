@@ -205,15 +205,10 @@ def fraction_failures(failures):
     return [(w, leave(r)) for w, r in failures]
 
 
-def fold_report(failures, rep, tag):
-    """Append the failures of a sub-check to failures, each word
-    prefixed with tag; returns the sub-check's checked count."""
-    failures.extend(((tag,) + tuple(w), r) for w, r in rep.failures)
-    return rep.checked
-
-
 class CheckReport:
-    """Outcome of a relation/morphism/axiom check with witnesses."""
+    """Outcome of a check with witnesses: a residual check hands its
+    failure list to the constructor, a set-level or certificate check
+    records through check and fold."""
 
     def __init__(self, name, failures=None, checked=0, notes=None):
         self.name = name
@@ -224,6 +219,22 @@ class CheckReport:
     @property
     def ok(self):
         return not self.failures
+
+    def check(self, ok, at=(), witness=None, count=1):
+        """Count count checks and, unless ok, record the failure
+        (at, witness); returns ok.  count=0 records a failure under the
+        count of the check before it."""
+        self.checked += count
+        if not ok:
+            self.failures.append((at, witness))
+        return ok
+
+    def fold(self, sub, tag):
+        """Add in the count and the failures of a sub-check, tag in
+        front of each place."""
+        self.checked += sub.checked
+        self.failures.extend(((tag,) + tuple(w), r)
+                             for w, r in sub.failures)
 
     def __repr__(self):
         return "CheckReport(%s, %s)" % (self.name,

@@ -1271,6 +1271,12 @@ def test_malformed_form_label_exits_two(label, tmp_path):
     assert code == 2 and err.startswith("input error:")
 
 
+def splitting(key, var):
+    """Splitting data R = {key: var} on the jet model of the small
+    presymplectic jobs."""
+    return {key: poly_to_json(JetMultivectorModel(2, 1, base_cap=2).var(var))}
+
+
 @pytest.mark.parametrize("verb, path, value", [
     ("fill-homotopy", ("fs",), 5),
     ("primitive", ("form",), []),
@@ -1278,10 +1284,27 @@ def test_malformed_form_label_exits_two(label, tmp_path):
     ("localize", ("j_max",), "a"),
     ("poisson-build", ("R",), []),
     ("poisson-build", ("base_cap",), "a"),
+    # a matrix is a list of lists of scalar strings
+    ("fooo-check", ("bundle_map",), ["1"]),
+    ("fooo-check", ("bundle_map",), {"1": 0}),
+    ("poisson-build", ("omega",), [[0, 1], [-1, 0]]),
+    # presymplectic data the Poisson construction cannot read
+    ("poisson-build", ("omega",), [["0", "1", "0"], ["-1", "0", "0"]]),
+    ("poisson-build", ("omega",), [["0", "1"], ["1", "0"]]),
+    ("poisson-build", ("omega",), [["0", "0"], ["0", "0"]]),
+    ("poisson-build", ("R",), splitting("9,1", "q1")),
+    ("poisson-build", ("R",), splitting("1,1", "p1")),
+    ("localize", ("omega",), [["0", "1", "0"], ["-1", "0", "0"]]),
+    ("localize", ("omega",), [["0", "1"], ["1", "0"]]),
+    ("localize", ("R",), splitting("1,1", "p1")),
 ])
 def test_malformed_documents_exit_two(verb, path, value, tmp_path):
     """Documents that escaped as a TypeError or AttributeError traceback
-    before the loaders were put behind one boundary."""
+    before the loaders were put behind one boundary, matrices that were
+    read through str() (a string row split into its characters, an
+    object's keys read as rows, a JSON number accepted) and
+    presymplectic data that failed the poisson check instead of the
+    loader."""
     doc, args = SMALL_JOBS[verb]
     code, err = exit_cleanly(verb, replaced(doc, path, value), args,
                              tmp_path)

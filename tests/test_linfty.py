@@ -23,11 +23,12 @@ from hypothesis import strategies as st
 
 from linfkit.gradedlin import (GradedMap, GradedSpace, sym_words, vec_acc,
                                word_degree)
-from linfkit.linfty import (CurvedError, LInftyAlgebra, LInftyMorphism,
-                            chain_complex, check_morphism, check_relations,
-                            codifferential_hat, compose, delta1, direct_sum,
-                            extend_morphism, is_quasi_iso,
-                            l1_cohomology, l1_map, morphism_sides,
+from linfkit.linfty import (CheckReport, CurvedError, LInftyAlgebra,
+                            LInftyMorphism, chain_complex, check_morphism,
+                            check_relations, codifferential_hat, compose,
+                            delta1, direct_sum, extend_morphism,
+                            is_quasi_iso, l1_cohomology, l1_map,
+                            morphism_sides,
                             obstruction_class, obstruction_cocycle,
                             quad_residual, set_partitions, solve_delta1,
                             word_label)
@@ -743,3 +744,35 @@ def test_checks_agree_with_the_oracle_on_fraction_tables(data):
     assert rep.ok
     agree_with_oracle(rep, term_oracle.check_morphism(
         fraction_morphism(ident)))
+
+
+# ---------------------------------------------------------------------------
+# recording a check
+
+
+def test_check_counts_and_records_failures():
+    rep = CheckReport("r", notes=["n"])
+    assert rep.check(True, ("a",), {"x": 1}) is True
+    assert rep.check(False, ("b", 2), {"y": 1}) is False
+    # a failure under the count of the check before it
+    assert rep.check(False, ("c",), {"z": 1}, count=0) is False
+    # a sub-check reported as one flag carries its own count
+    assert rep.check(True, count=5) is True
+    assert rep.checked == 7
+    assert rep.failures == [(("b", 2), {"y": 1}), (("c",), {"z": 1})]
+    assert not rep.ok and rep.notes == ["n"]
+    assert CheckReport("r").check(False) is False
+
+
+def test_fold_adds_a_tagged_sub_check():
+    sub = CheckReport("sub", [(("w", 1), {"r": 1}), ((), {"s": 2})], 4)
+    rep = CheckReport("r")
+    rep.check(False, ("own",), {"t": 1})
+    rep.fold(sub, "tag")
+    rep.fold(CheckReport("empty", checked=3), "none")
+    assert rep.checked == 8
+    assert rep.failures == [(("own",), {"t": 1}),
+                            (("tag", "w", 1), {"r": 1}),
+                            (("tag",), {"s": 2})]
+    # the sub-check is left as it was
+    assert sub.checked == 4 and sub.failures[0] == (("w", 1), {"r": 1})
