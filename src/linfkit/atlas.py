@@ -196,7 +196,7 @@ def _points(xs):
 
 
 def _flag(rep, ok, name, key, *detail, count=1):
-    """Count count checks of rep and, unless ok, record the flag
+    """Count `count` checks of rep and, unless ok, record the flag
     ((name,) + key, {detail: 1}), the detail parts joined by commas;
     returns ok."""
     return rep.check(ok, (name,) + tuple(key),

@@ -221,7 +221,7 @@ class CheckReport:
         return not self.failures
 
     def check(self, ok, at=(), witness=None, count=1):
-        """Count count checks and, unless ok, record the failure
+        """Count `count` checks and, unless ok, record the failure
         (at, witness); returns ok.  count=0 records a failure under the
         count of the check before it."""
         self.checked += count
